@@ -8,8 +8,8 @@ switching line y = 0.
 __version__ = "0.1.0"
 
 from .fieldexpr import (EvalDomainError, ParseError, ScalarField, as_field,
-                        compile_expr, differentiate, evaluate, parse_expr,
-                        to_str)
+                        compile_expr, differentiate, evaluate, expr_jet,
+                        parse_expr, to_str)
 from .system import (DegenerateDenominator, NormalFormMeta, NotSliding,
                      PwsSystem, SigmaDecomposition, Window, WindowMismatch,
                      decompose_sigma, h_value, mirror_system,
@@ -19,8 +19,8 @@ from .tangency import (BoundViolation, IndeterminateMultiplicity,
                        TangencyScan, TangentPointRecord,
                        ZeroLeadingCoefficient, count_bifurcating,
                        find_tangent_points, multiplicity_at, visibility)
-from .cutoffs import (PsiSpec, cutoff_down, cutoff_up, psi, psi_dx, psi_dxx,
-                      psi_sup_norms, zero_psi)
+from .cutoffs import (PsiSpec, cutoff_down, cutoff_jet, cutoff_up, psi,
+                      psi_dx, psi_jet, psi_sup_norms, zero_psi)
 from .unfolding import (CanonicalBase, UnfoldingSpec, admissible_k_family,
                         build_transition, build_unfolded,
                         shear_conjugacy_check)

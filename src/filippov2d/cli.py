@@ -5,7 +5,7 @@ Subcommands
 run <config>       execute the configured scenario, write census.csv,
                    tangent_points.csv, trajectories/*.csv, portrait.svg
 portrait <config>  render the configured system without running a census
-check              built-in self-test battery (seeded, thread-aware)
+check              built-in self-test battery (seeded)
 
 Config files are line-oriented ``section.key = value`` with sections
 {upper, lower, scenario, output}. Field expressions are quoted strings;
@@ -18,10 +18,8 @@ diagnostics.txt with the traceback is left in the output directory).
 from __future__ import annotations
 
 import argparse
-import os
 import sys as _sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,8 +40,6 @@ from .loops import (LoopCensus, LoopRecord, RangeError, canonical_base,
                     canonical_critical_loop, scenario_thm2, scenario_thm3,
                     scenario_thm4, scenario_thm5, write_census_csv,
                     read_census_csv)
-
-THREADS_ENV = "FILIPPOV2D_THREADS"
 
 TANGENT_CSV_VERSION = "filippov2d-tangent-points-v1"
 
@@ -260,14 +256,6 @@ def _config_window(cfg: RunConfig) -> Window:
     return Window(-1.75 * cfg.a, 0.75 * cfg.a, -2.0, 2.0)
 
 
-def _base_system(cfg: RunConfig) -> PwsSystem:
-    """The configured system as plain fields (no unfolding applied)."""
-    w = _config_window(cfg)
-    return PwsSystem(ScalarField(cfg.upper.f), ScalarField(cfg.upper.g_expr()),
-                     ScalarField(cfg.lower.f), ScalarField(cfg.lower.g_expr()),
-                     w)
-
-
 def _canonical_for(cfg: RunConfig) -> CanonicalBase:
     """Canonical base from explicit phi sides, else from (m, a, k1, k2)."""
     if cfg.upper.phi is not None and cfg.lower.phi is not None:
@@ -278,6 +266,27 @@ def _canonical_for(cfg: RunConfig) -> CanonicalBase:
     m_p = cfg.upper.m if cfg.upper.m is not None else 1
     m_m = cfg.lower.m if cfg.lower.m is not None else m_p
     return canonical_base(m_p, m_m, cfg.a, cfg.k1, cfg.k2, cfg.window)
+
+
+def _configured_system(cfg: RunConfig) -> PwsSystem:
+    """The system a config describes, before any scenario unfolds it.
+
+    lambdas set: the transition system; explicit g or phi on both sides:
+    those fields; otherwise (bare m, as theorem configs have) the
+    canonical base.
+    """
+    if cfg.lambda_plus or cfg.lambda_minus:
+        base = _canonical_for(cfg)
+        lam_m = cfg.lambda_minus or (0.0,) * (cfg.lower.m or 0)
+        return build_transition(UnfoldingSpec(base, cfg.lambda_plus, lam_m))
+    if all(side.g is not None or side.phi is not None
+           for side in (cfg.upper, cfg.lower)):
+        return PwsSystem(ScalarField(cfg.upper.f),
+                         ScalarField(cfg.upper.g_expr()),
+                         ScalarField(cfg.lower.f),
+                         ScalarField(cfg.lower.g_expr()),
+                         _config_window(cfg))
+    return _canonical_for(cfg).system()
 
 
 # --------------------------------------------------------------------------
@@ -498,13 +507,7 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None,
         else:
             # plain scan (scenario.theorem = 1 or omitted): tangencies of
             # the configured system, optionally after a lambda unfolding
-            if cfg.lambda_plus or cfg.lambda_minus:
-                base = _canonical_for(cfg)
-                lam_m = cfg.lambda_minus or (0.0,) * (cfg.lower.m or 0)
-                sys_final = build_transition(
-                    UnfoldingSpec(base, cfg.lambda_plus, lam_m))
-            else:
-                sys_final = _base_system(cfg)
+            sys_final = _configured_system(cfg)
             census = LoopCensus("scan", cfg.upper.m or 0, cfg.lower.m or 0,
                                 cfg.ell)
             censuses.append(census)
@@ -550,13 +553,7 @@ def run_portrait(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if cfg.lambda_plus or cfg.lambda_minus:
-            base = _canonical_for(cfg)
-            lam_m = cfg.lambda_minus or (0.0,) * (cfg.lower.m or 0)
-            sys_final = build_transition(
-                UnfoldingSpec(base, cfg.lambda_plus, lam_m))
-        else:
-            sys_final = _base_system(cfg)
+        sys_final = _configured_system(cfg)
         svg = render_portrait(sys_final, _pencil(sys_final), [])
         (out / "portrait.svg").write_text(svg)
         print(f"portrait written to {out / 'portrait.svg'}")
@@ -571,15 +568,6 @@ def run_portrait(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
 
 # --------------------------------------------------------------------------
 # self-test battery
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def _random_system(rng: np.random.Generator) -> PwsSystem:
@@ -599,8 +587,7 @@ def _check_convex(seed: int, tol: float) -> Optional[str]:
     systems = [_random_system(rng) for _ in range(20)]
     xs = rng.uniform(-2.0, 2.0, size=(20, 500))
 
-    def worst(args) -> float:
-        sys_i, row = args
+    def worst(sys_i: PwsSystem, row) -> float:
         bad = 0.0
         for x in row:
             x = float(x)
@@ -615,9 +602,7 @@ def _check_convex(seed: int, tol: float) -> Optional[str]:
                       abs(blend_f - sliding_field(sys_i, x)))
         return bad
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        worsts = list(pool.map(worst, zip(systems, xs)))
-    top = max(worsts)
+    top = max(worst(sys_i, row) for sys_i, row in zip(systems, xs))
     return None if top <= tol else f"convex residual {top:.2e} > {tol:.1e}"
 
 
@@ -705,13 +690,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--tol", type=float, default=None,
                        help="integration tolerance override")
-    p_run.add_argument("--seed", type=int, default=0)
 
     p_por = sub.add_parser("portrait", help="render the configured system")
     p_por.add_argument("config")
     p_por.add_argument("--out", default=None)
-    p_por.add_argument("--tol", type=float, default=None)
-    p_por.add_argument("--seed", type=int, default=0)
 
     p_chk = sub.add_parser("check", help="run the self-test battery")
     p_chk.add_argument("--tol", type=float, default=1e-10)

@@ -11,12 +11,9 @@ k_1 < ... < k_{2d+1}, then d plateau heights. Bump i rises on
 strictly ascending, the fallback branch k_{2d+2} * cutoff_up(x; r1, r2)
 is used instead (r1, r2 supplied separately).
 
-Closed-form first and second derivatives are provided; with
-q = s(1 - s), s = cutoff_up, nu2 = 1/(x-r1)^2 + 1/(x-r2)^2 and
-nu3 = 2/(x-r1)^3 + 2/(x-r2)^3,
-
-    s'  = nu2 * q
-    s'' = q * (nu2^2 * (1 - 2 s) - nu3).
+The flow reads psi and psi' in closed form: s' = q * nu2 with
+s = cutoff_up, q = s(1 - s), nu2 = 1/(x-r1)^2 + 1/(x-r2)^2. cutoff_jet
+and psi_jet give derivatives of any order as Taylor jets (fieldexpr).
 """
 
 from __future__ import annotations
@@ -25,23 +22,25 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .fieldexpr import Jet, jet_constant, jet_div, jet_exp, jet_variable
+
 _ETA_SAT = 700.0  # exp saturation guard
 
 
-def _cutoff_core(x: float, r1: float, r2: float) -> Tuple[float, float, float]:
+def _cutoff_core(x: float, r1: float, r2: float) -> Tuple[float, float]:
     if not (r1 < r2):
         raise ValueError("cutoff needs r1 < r2")
     if x <= r1:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0
     if x >= r2:
-        return 1.0, 0.0, 0.0
+        return 1.0, 0.0
     t1 = 1.0 / (x - r1)
     t2 = 1.0 / (x - r2)
     eta = t1 + t2
     if eta >= _ETA_SAT:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0
     if eta <= -_ETA_SAT:
-        return 1.0, 0.0, 0.0
+        return 1.0, 0.0
     if eta >= 0.0:
         u = math.exp(-eta)
         s = u / (1.0 + u)
@@ -51,34 +50,32 @@ def _cutoff_core(x: float, r1: float, r2: float) -> Tuple[float, float, float]:
         s = 1.0 / (1.0 + e)
         q = e / (1.0 + e) ** 2
     nu2 = t1 * t1 + t2 * t2
-    nu3 = 2.0 * (t1 ** 3 + t2 ** 3)
     d1 = nu2 * q
-    d2 = q * (nu2 * nu2 * (1.0 - 2.0 * s) - nu3)
-    return s, d1, d2
+    return s, d1
 
 
 def cutoff_up(x: float, r1: float, r2: float) -> float:
     return _cutoff_core(x, r1, r2)[0]
 
 
-def cutoff_up_d1(x: float, r1: float, r2: float) -> float:
-    return _cutoff_core(x, r1, r2)[1]
-
-
-def cutoff_up_d2(x: float, r1: float, r2: float) -> float:
-    return _cutoff_core(x, r1, r2)[2]
-
-
 def cutoff_down(x: float, r1: float, r2: float) -> float:
     return 1.0 - _cutoff_core(x, r1, r2)[0]
 
 
-def cutoff_down_d1(x: float, r1: float, r2: float) -> float:
-    return -_cutoff_core(x, r1, r2)[1]
-
-
-def cutoff_down_d2(x: float, r1: float, r2: float) -> float:
-    return -_cutoff_core(x, r1, r2)[2]
+def cutoff_jet(x: float, r1: float, r2: float, order: int) -> Jet:
+    """Jet of cutoff_up at x; flat where _cutoff_core is (or saturates)."""
+    s, _ = _cutoff_core(x, r1, r2)
+    if not r1 < x < r2:
+        return jet_constant(s, order)
+    one = jet_constant(1.0, order)
+    eta = [a + b for a, b in zip(jet_div(one, jet_variable(x - r1, order)),
+                                 jet_div(one, jet_variable(x - r2, order)))]
+    if abs(eta[0]) >= _ETA_SAT:
+        return jet_constant(s, order)
+    # s = u / (1 + u) with u = exp(-eta), or 1 / (1 + e) with e = exp(eta)
+    up = eta[0] >= 0.0
+    w = jet_exp([-c for c in eta] if up else eta)
+    return jet_div(w if up else one, [1.0 + w[0]] + w[1:])
 
 
 @dataclass(frozen=True)
@@ -134,32 +131,38 @@ class PsiSpec:
 _KNOT_TOL = 1e-14
 
 
-def _psi_core(spec: PsiSpec, x: float) -> Tuple[float, float, float]:
+def _psi_piece(spec: PsiSpec, x: float):
+    """(h, r1, r2, falling): psi = h * cutoff_up(x; r1, r2) near x (h *
+    cutoff_down if falling), or the constant h if r1 is None: off the
+    support and at knots, where all derivatives vanish."""
     if not spec.in_knot_domain():
         if spec.r1 is None or spec.r2 is None:
             raise ValueError("degenerate knots need a fallback (r1, r2) window")
-        h = spec.fallback_height
-        s, d1, d2 = _cutoff_core(x, spec.r1, spec.r2)
-        return h * s, h * d1, h * d2
+        return spec.fallback_height, spec.r1, spec.r2, False
     ks = spec.knots
     hs = spec.heights
-    # snap to knots: all psi derivatives vanish there, peaks hit exactly
     for j, kj in enumerate(ks):
         if abs(x - kj) <= _KNOT_TOL * max(1.0, abs(kj)):
-            if j % 2 == 1:
-                return hs[j // 2], 0.0, 0.0
-            return 0.0, 0.0, 0.0
+            return (hs[j // 2] if j % 2 == 1 else 0.0), None, None, False
     if x <= ks[0] or x >= ks[-1]:
-        return 0.0, 0.0, 0.0
+        return 0.0, None, None, False
     for i in range(spec.d):
         left, peak, right = ks[2 * i], ks[2 * i + 1], ks[2 * i + 2]
         if left < x <= peak:
-            s, d1, d2 = _cutoff_core(x, left, peak)
-            return hs[i] * s, hs[i] * d1, hs[i] * d2
+            return hs[i], left, peak, False
         if peak < x <= right:
-            s, d1, d2 = _cutoff_core(x, peak, right)
-            return hs[i] * (1.0 - s), -hs[i] * d1, -hs[i] * d2
-    return 0.0, 0.0, 0.0  # pragma: no cover
+            return hs[i], peak, right, True
+    return 0.0, None, None, False  # pragma: no cover
+
+
+def _psi_core(spec: PsiSpec, x: float) -> Tuple[float, float]:
+    h, r1, r2, falling = _psi_piece(spec, x)
+    if r1 is None:
+        return h, 0.0
+    s, d1 = _cutoff_core(x, r1, r2)
+    if falling:
+        return h * (1.0 - s), -h * d1
+    return h * s, h * d1
 
 
 def psi(spec: PsiSpec, x: float) -> float:
@@ -170,21 +173,23 @@ def psi_dx(spec: PsiSpec, x: float) -> float:
     return _psi_core(spec, x)[1]
 
 
-def psi_dxx(spec: PsiSpec, x: float) -> float:
-    return _psi_core(spec, x)[2]
+def psi_jet(spec: PsiSpec, x: float, order: int) -> Jet:
+    """Jet of psi at x up to `order`."""
+    h, r1, r2, falling = _psi_piece(spec, x)
+    if r1 is None:
+        return jet_constant(h, order)
+    s = cutoff_jet(x, r1, r2, order)
+    if falling:
+        s = [1.0 - s[0]] + [-c for c in s[1:]]
+    return [h * c for c in s]
 
 
 def psi_sup_norms(spec: PsiSpec, n: int = 4001) -> Tuple[float, float, float]:
     """Sampled sup of |psi|, |psi'|, |psi''| over the support."""
     a, b = spec.support()
-    s0 = s1 = s2 = 0.0
-    for i in range(n + 1):
-        x = a + (b - a) * i / n
-        v, d1, d2 = _psi_core(spec, x)
-        s0 = max(s0, abs(v))
-        s1 = max(s1, abs(d1))
-        s2 = max(s2, abs(d2))
-    return s0, s1, s2
+    jets = [psi_jet(spec, a + (b - a) * i / n, 2) for i in range(n + 1)]
+    s0, s1, c2 = (max(abs(j[k]) for j in jets) for k in range(3))
+    return s0, s1, 2.0 * c2
 
 
 def zero_psi(spec_like: Optional[PsiSpec]) -> bool:

@@ -1,10 +1,11 @@
 """Closed-form scalar fields on the (x, y) plane.
 
 A tiny expression language (polynomials in x, y plus sin/cos/exp/log,
-integer powers) with an exact symbolic derivative.  Everything downstream
-that needs high-order x-derivatives on the switching line (tangency
-multiplicities, leading coefficients of transition maps) runs on these
-trees, so differentiation has to be exact and closed under the language.
+integer powers). Fields compile the exact symbolic first partials
+(`differentiate`) for grid callers. Higher x-derivatives come from
+truncated Taylor jets (Griewank & Walther, *Evaluating Derivatives*,
+ch. 13): [a_0, ..., a_n], a_k = h^(k)(x0) / k!, for t -> h(x0 + t).
+`expr_jet` takes x and y as input jets, so y + psi(x) can be substituted.
 
 Grammar (ASCII, whitespace-insensitive)::
 
@@ -21,7 +22,6 @@ token.  Simplification is deliberately light: constant folding and the
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 FUNCTIONS = ("sin", "cos", "exp", "log")
@@ -265,17 +265,10 @@ class _Parser:
             self.i += 1
         if self.i == digits:
             raise self.error("exponent must be an integer literal", start)
-        # reject 2.5 style exponents explicitly
+        # reject 2.5 and 2e3 style exponents explicitly
         if self.i < len(self.src) and self.src[self.i] in ".eE":
-            nxt = self.src[self.i]
-            if nxt == "." or (nxt in "eE" and not self._starts_ident(self.i)):
-                raise self.error("exponent must be an integer literal", start)
+            raise self.error("exponent must be an integer literal", start)
         return int(self.src[start:self.i])
-
-    def _starts_ident(self, j: int) -> bool:
-        # 'e' right after digits could open an identifier like x^2exp -> no;
-        # treat any alphabetic continuation as a malformed exponent anyway
-        return False
 
     def base(self) -> Expr:
         c = self.peek()
@@ -447,49 +440,7 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-
-def evaluate(e: Expr, x: float, y: float) -> float:
-    """Evaluate with explicit domain-error reporting (slow path)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return x if e.name == "x" else y
-    if isinstance(e, Add):
-        return evaluate(e.a, x, y) + evaluate(e.b, x, y)
-    if isinstance(e, Sub):
-        return evaluate(e.a, x, y) - evaluate(e.b, x, y)
-    if isinstance(e, Mul):
-        return evaluate(e.a, x, y) * evaluate(e.b, x, y)
-    if isinstance(e, Div):
-        den = evaluate(e.b, x, y)
-        if den == 0.0:
-            raise EvalDomainError("division by zero", e.pos, (x, y))
-        return evaluate(e.a, x, y) / den
-    if isinstance(e, Pow):
-        b = evaluate(e.base, x, y)
-        if b == 0.0 and e.exponent < 0:
-            raise EvalDomainError("zero raised to negative power", e.pos, (x, y))
-        return b ** e.exponent
-    if isinstance(e, Neg):
-        return -evaluate(e.a, x, y)
-    if isinstance(e, Call):
-        v = evaluate(e.arg, x, y)
-        if e.fn == "sin":
-            return math.sin(v)
-        if e.fn == "cos":
-            return math.cos(v)
-        if e.fn == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return math.inf
-        if e.fn == "log":
-            if v <= 0.0:
-                raise EvalDomainError("log of non-positive value", e.pos, (x, y))
-            return math.log(v)
-    raise TypeError(f"not an Expr: {e!r}")
-
+# Compiled evaluation
 
 def _codegen(e: Expr) -> str:
     if isinstance(e, Num):
@@ -526,15 +477,123 @@ def compile_expr(e: Expr):
 
 
 # ---------------------------------------------------------------------------
-# ScalarField: an expression plus a lazily extended cache of partials
+# Taylor jets (layout in the module doc) and checked evaluation
+
+Jet = list[float]
+
+
+def jet_constant(value: float, order: int) -> Jet:
+    return [value] + [0.0] * order
+
+
+def jet_variable(value: float, order: int) -> Jet:
+    """The jet of t -> value + t."""
+    return [value, 1.0] + [0.0] * (order - 1) if order else [value]
+
+
+def jet_mul(a: Jet, b: Jet) -> Jet:
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def jet_div(a: Jet, b: Jet) -> Jet:
+    c: Jet = []
+    for k in range(len(a)):
+        c.append((a[k] - sum(b[i] * c[k - i] for i in range(1, k + 1)))
+                 / b[0])
+    return c
+
+
+def jet_powi(a: Jet, n: int) -> Jet:
+    """a^n by repeated products, which stay exact where a[0] = 0 (tangency
+    points sit exactly there); the power recurrence divides by a[0]."""
+    out = jet_constant(1.0, len(a) - 1)
+    for _ in range(abs(n)):
+        out = jet_mul(out, a)
+    return out if n >= 0 else jet_div(jet_constant(1.0, len(a) - 1), out)
+
+
+def jet_exp(a: Jet) -> Jet:
+    try:
+        c = [math.exp(a[0])]
+    except OverflowError:
+        c = [math.inf]
+    for k in range(1, len(a)):
+        c.append(sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k)
+    return c
+
+
+def jet_log(a: Jet) -> Jet:
+    c = [math.log(a[0])]
+    for k in range(1, len(a)):
+        c.append((a[k] - sum(j * c[j] * a[k - j] for j in range(1, k)) / k)
+                 / a[0])
+    return c
+
+
+def jet_sincos(a: Jet):
+    """(sin a, cos a), whose recurrences feed each other."""
+    s, c = [math.sin(a[0])], [math.cos(a[0])]
+    for k in range(1, len(a)):
+        s.append(sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k)
+        c.append(-sum(j * a[j] * s[k - j] for j in range(1, k + 1)) / k)
+    return s, c
+
+
+def expr_jet(e: Expr, x: Jet, y: Jet) -> Jet:
+    """Jet of the expression along the input jets x and y (same order);
+    domain errors raise EvalDomainError at the point (x[0], y[0])."""
+    if isinstance(e, Num):
+        return jet_constant(e.value, len(x) - 1)
+    if isinstance(e, Var):
+        return x if e.name == "x" else y
+    if isinstance(e, Add):
+        return [p + q for p, q in zip(expr_jet(e.a, x, y), expr_jet(e.b, x, y))]
+    if isinstance(e, Sub):
+        return [p - q for p, q in zip(expr_jet(e.a, x, y), expr_jet(e.b, x, y))]
+    if isinstance(e, Mul):
+        return jet_mul(expr_jet(e.a, x, y), expr_jet(e.b, x, y))
+    if isinstance(e, Div):
+        den = expr_jet(e.b, x, y)
+        if den[0] == 0.0:
+            raise EvalDomainError("division by zero", e.pos, (x[0], y[0]))
+        return jet_div(expr_jet(e.a, x, y), den)
+    if isinstance(e, Pow):
+        b = expr_jet(e.base, x, y)
+        if b[0] == 0.0 and e.exponent < 0:
+            raise EvalDomainError("zero raised to negative power", e.pos,
+                                  (x[0], y[0]))
+        return jet_powi(b, e.exponent)
+    if isinstance(e, Neg):
+        return [-p for p in expr_jet(e.a, x, y)]
+    if isinstance(e, Call):
+        a = expr_jet(e.arg, x, y)
+        if e.fn in ("sin", "cos"):
+            return jet_sincos(a)[e.fn == "cos"]
+        if e.fn == "exp":
+            return jet_exp(a)
+        if e.fn == "log":
+            if a[0] <= 0.0:
+                raise EvalDomainError("log of non-positive value", e.pos,
+                                      (x[0], y[0]))
+            return jet_log(a)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def evaluate(e: Expr, x: float, y: float) -> float:
+    """The order-0 jet: evaluation that reports domain errors (slow path)."""
+    return expr_jet(e, [x], [y])[0]
+
+
+# ---------------------------------------------------------------------------
+# ScalarField: an expression, its compiled value and first partials, and jets
 
 class ScalarField:
     """A scalar function of (x, y) backed by an expression tree.
 
-    Mixed partials of any order are available through :meth:`partial_expr`;
-    the cache extends lazily under a lock so concurrent readers are safe.
-    Derivatives are exact (symbolic), so e.g. the 12th x-derivative of a
-    degree-8 polynomial is exactly zero, not noise.
+    value, dx and dy are compiled on first use (dx and dy from the exact
+    symbolic first partials); x-derivatives of any order come from
+    :meth:`x_jet`, so e.g. the 12th x-derivative of a degree-8 polynomial
+    is exactly zero, not noise.
     """
 
     def __init__(self, expr):
@@ -544,75 +603,32 @@ class ScalarField:
             expr = Num(float(expr))
         if not isinstance(expr, Expr):
             raise TypeError("ScalarField wants an Expr, string or number")
-        self._partials = {(0, 0): expr}
+        self.expr = expr
         self._compiled = {}
-        self._lock = threading.Lock()
 
-    @property
-    def expr(self) -> Expr:
-        return self._partials[(0, 0)]
-
-    def partial_expr(self, i: int, j: int) -> Expr:
-        """Expression of d^(i+j) f / dx^i dy^j (canonical order: x first)."""
-        if i < 0 or j < 0:
-            raise ValueError("derivative orders must be non-negative")
-        key = (i, j)
-        got = self._partials.get(key)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._partials.get(key)
-            if got is not None:
-                return got
-            if j > 0:
-                base = self._partial_expr_locked(i, j - 1)
-                out = differentiate(base, "y")
-            else:
-                base = self._partial_expr_locked(i - 1, 0)
-                out = differentiate(base, "x")
-            self._partials[key] = out
-            return out
-
-    def _partial_expr_locked(self, i, j):
-        key = (i, j)
-        got = self._partials.get(key)
-        if got is not None:
-            return got
-        if j > 0:
-            out = differentiate(self._partial_expr_locked(i, j - 1), "y")
-        else:
-            out = differentiate(self._partial_expr_locked(i - 1, 0), "x")
-        self._partials[key] = out
-        return out
-
-    def _fn(self, i, j):
-        key = (i, j)
-        fn = self._compiled.get(key)
+    def _fn(self, var: str):
+        """The compiled value ('') or first partial in var ('x' or 'y')."""
+        fn = self._compiled.get(var)
         if fn is None:
-            fn = compile_expr(self.partial_expr(i, j))
-            with self._lock:
-                self._compiled[key] = fn
+            fn = compile_expr(differentiate(self.expr, var) if var
+                              else self.expr)
+            self._compiled[var] = fn
         return fn
 
     # -- ScalarFunc protocol -------------------------------------------------
     def value(self, x: float, y: float) -> float:
-        return self._fn(0, 0)(x, y)
+        return self._fn("")(x, y)
 
     def dx(self, x: float, y: float) -> float:
-        return self._fn(1, 0)(x, y)
+        return self._fn("x")(x, y)
 
     def dy(self, x: float, y: float) -> float:
-        return self._fn(0, 1)(x, y)
+        return self._fn("y")(x, y)
 
-    def partial_value(self, i: int, j: int, x: float, y: float) -> float:
-        return self._fn(i, j)(x, y)
-
-    def x_derivative_on_line(self, x: float, y: float, k: int) -> float:
-        """k-th pure x-derivative at (x, y); exact."""
-        return self.partial_value(k, 0, x, y)
-
-    def max_exact_x_order(self) -> int:
-        return 10 ** 9  # symbolic: any order
+    def x_jet(self, x: float, y: float, order: int) -> Jet:
+        """Jet of t -> f(x + t, y) up to `order`."""
+        return expr_jet(self.expr, jet_variable(x, order),
+                        jet_constant(y, order))
 
     def __repr__(self):
         return f"ScalarField({to_str(self.expr)!r})"

@@ -394,8 +394,7 @@ class StepDecision:
 
 
 def step_filippov(sys: PwsSystem, x: float, arriving_from: Optional[str],
-                  *, tangential: bool = False,
-                  time_sign: float = 1.0) -> StepDecision:
+                  *, time_sign: float = 1.0) -> StepDecision:
     """Deterministic continuation at a Sigma point.
 
     arriving_from is the half-plane the orbit came from (None when starting
@@ -494,9 +493,7 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
             if term.kind in ("window-exit", "time-end"):
                 break
             # Sigma contact: transversal or tangential exit
-            tangential = term.kind in ("tangent-exit", "tangent-arrival")
-            dec = step_filippov(sys, x, side, tangential=tangential,
-                                time_sign=time_sign)
+            dec = step_filippov(sys, x, side, time_sign=time_sign)
             if dec.action == "cross" or dec.action == "continue":
                 pending = ("smooth", dec.side)
                 y = 0.0

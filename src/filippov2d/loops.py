@@ -130,8 +130,7 @@ def _grazes(g_field, x: float, scale: float, x_tol: float) -> bool:
     reliably than any fixed threshold on |g| itself.
     """
     g0 = g_field.value(x, 0.0)
-    h = 1e-6 * max(1.0, abs(x))
-    g1 = (g_field.value(x + h, 0.0) - g_field.value(x - h, 0.0)) / (2.0 * h)
+    g1 = g_field.dx(x, 0.0)
     return abs(g0) <= max(abs(g1) * x_tol, 1e-12 * scale)
 
 
@@ -1346,32 +1345,45 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
 # census files
 
 
-CENSUS_CSV_HEADER = "# filippov2d-census-v1"
+CENSUS_CSV_HEADER = "# filippov2d-census-v2"
 _CENSUS_COLUMNS = ("scenario", "m_plus", "m_minus", "ell", "beta_c",
-                   "beta_s", "beta_cro_1", "beta_cri_1", "witnesses_path")
+                   "beta_s", "beta_cro", "beta_cri", "witnesses_path")
+
+
+def _counts_field(counts: Dict[int, int]) -> str:
+    """{contacts: count} as 'contacts:count' pairs joined by ';'."""
+    return ";".join(f"{k}:{v}" for k, v in sorted(counts.items()))
+
+
+def _parse_counts(text: str) -> Dict[int, int]:
+    pairs = (item.split(":") for item in text.split(";") if item)
+    return {int(k): int(v) for k, v in pairs}
 
 
 def write_census_csv(path, censuses: Sequence[LoopCensus], *,
                      witnesses_paths: Optional[Sequence[str]] = None) -> None:
+    """One row per census; beta_cro and beta_cri keep every contact count
+    (column format 'contacts:count;...', empty when there are none)."""
     lines = [CENSUS_CSV_HEADER, ",".join(_CENSUS_COLUMNS)]
     for i, c in enumerate(censuses):
         wp = witnesses_paths[i] if witnesses_paths else ""
         lines.append(",".join(str(v) for v in (
             c.scenario, c.m_plus, c.m_minus, c.ell, c.beta_c, c.beta_s,
-            c.beta_cro.get(1, 0), c.beta_cri.get(1, 0), wp)))
+            _counts_field(c.beta_cro), _counts_field(c.beta_cri), wp)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_census_csv(path) -> List[Dict[str, object]]:
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(CENSUS_CSV_HEADER):
-        raise ValueError(f"{path}: missing census header line")
+        raise ValueError(f"{path}: missing {CENSUS_CSV_HEADER[2:]} header line")
     names = lines[1].split(",")
     out: List[Dict[str, object]] = []
     for ln in lines[2:]:
         row: Dict[str, object] = dict(zip(names, ln.split(",")))
-        for key in ("m_plus", "m_minus", "ell", "beta_c", "beta_s",
-                    "beta_cro_1", "beta_cri_1"):
+        for key in ("m_plus", "m_minus", "ell", "beta_c", "beta_s"):
             row[key] = int(row[key])  # type: ignore[arg-type]
+        for key in ("beta_cro", "beta_cri"):
+            row[key] = _parse_counts(row[key])  # type: ignore[arg-type]
         out.append(row)
     return out

@@ -292,9 +292,7 @@ def tangent_leading_coefficient(field, s0: Section, s1: Section,
     detected = multiplicity_at(g, f0, x0, y0=y0)
     if detected != m:
         raise OrderMismatch(f"requested contact order {m}, detected {detected}")
-    # m-th x-derivative of g along the section line
-    from .tangency import _x_derivative
-    gm = time_sign * _x_derivative(g, x0, y0, m)
+    gm = time_sign * g.x_jet(x0, y0, m)[m] * math.factorial(m)
     arr = _flow_to_section(f, g, s0.anchor, s1, time_sign=time_sign,
                            t_budget=t_budget, window=window,
                            rtol=rtol, atol=atol, with_divergence=True)

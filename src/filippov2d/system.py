@@ -19,13 +19,15 @@ from .fieldexpr import ScalarField, as_field
 
 
 class ScalarFunc(Protocol):
-    """Anything that can serve as a field component: value and first partials."""
+    """A field component: value, first partials and the Taylor jet in x."""
 
     def value(self, x: float, y: float) -> float: ...
 
     def dx(self, x: float, y: float) -> float: ...
 
     def dy(self, x: float, y: float) -> float: ...
+
+    def x_jet(self, x: float, y: float, order: int) -> list[float]: ...
 
 
 class WindowMismatch(ValueError):

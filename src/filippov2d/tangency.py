@@ -11,6 +11,8 @@ Odd m gives a fold-like visible/invisible tangency (V if the branch bends
 into the subsystem's own closed half-plane, I otherwise); even m gives a
 one-branch contact, labelled L or R by which branch lies in the own
 half-plane.
+
+Every x-derivative comes from the component's jet ``g.x_jet(x0, y0, order)``.
 """
 
 from __future__ import annotations
@@ -50,34 +52,6 @@ class BoundaryEquilibrium:
     side: str
 
 
-def _x_derivative(field, x0: float, y0: float, k: int) -> float:
-    """k-th x-derivative of a component along the line y = y0.
-
-    Exact (symbolic) when the field supports it; orders 0/1 fall back to
-    value/dx; higher orders use central finite differences with Richardson
-    extrapolation (documented as coarse: good to ~1e-9 relative).
-    """
-    if hasattr(field, "x_derivative_on_line"):
-        return field.x_derivative_on_line(x0, y0, k)
-    if k == 0:
-        return field.value(x0, y0)
-    if k == 1:
-        return field.dx(x0, y0)
-    # finite differences on dx (one exact derivative is available)
-    def deriv(fn, x, h, order):
-        if order == 1:
-            return (fn(x + h) - fn(x - h)) / (2 * h)
-        lower = lambda z: deriv(fn, z, h, order - 1)
-        return (lower(x + h) - lower(x - h)) / (2 * h)
-
-    fn = lambda z: field.dx(z, y0)
-    order = k - 1
-    h = max(1e-4, 10.0 ** (-8.0 / (order + 1)))
-    a = deriv(fn, x0, h, order)
-    b = deriv(fn, x0, h / 2.0, order)
-    return (4.0 * b - a) / 3.0
-
-
 def multiplicity_at(g_field, f_at: float, x0: float, *, y0: float = 0.0,
                     max_order: int = 12, eps: float = 1e-8) -> int:
     """Order of the first non-vanishing x-derivative of g at (x0, y0).
@@ -90,8 +64,8 @@ def multiplicity_at(g_field, f_at: float, x0: float, *, y0: float = 0.0,
     vanishes.
     """
     scale = max(1.0, abs(f_at))
-    for k in range(max_order + 1):
-        v = _x_derivative(g_field, x0, y0, k)
+    for k, c in enumerate(g_field.x_jet(x0, y0, max_order)):
+        v = c * math.factorial(k)
         if abs(v) > eps * scale:
             return k
         scale = max(scale, abs(v))
@@ -140,7 +114,7 @@ def _side_data(sys: PwsSystem, which: str, x0: float, max_order: int,
     m = multiplicity_at(g, f_val, x0, max_order=max_order, eps=eps)
     vis = None
     if m >= 1 and f_val != 0.0:
-        gm = _x_derivative(g, x0, 0.0, m)
+        gm = g.x_jet(x0, 0.0, m)[m] * math.factorial(m)
         vis = visibility(which, m, f_val, gm)
     return f_val, m, vis
 

@@ -22,6 +22,9 @@ residuals are pure integration error.
 Because psi has vanishing derivatives at its knots, placing knots at the
 lambda values keeps those points tangencies of the unfolded system with
 their types intact.
+
+Values and dy are closed-form; x-derivatives of any order (dx included)
+come from `x_jet`, which feeds y + psi(x) to fieldexpr.expr_jet.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cutoffs import PsiSpec, _psi_core, psi as psi_value, zero_psi
-from .fieldexpr import (Expr, Mul, Num, Pow, Sub, Var, ScalarField, as_field)
+from .cutoffs import PsiSpec, _psi_core, psi as psi_value, psi_jet, zero_psi
+from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
+                        as_field, expr_jet, jet_constant, jet_mul, jet_variable)
 from .system import NormalFormMeta, PwsSystem, Window
 
 
@@ -110,19 +114,25 @@ def build_transition(spec: UnfoldingSpec) -> PwsSystem:
         b.window, NormalFormMeta(b.m_plus, b.m_minus))
 
 
-def _poly_prod(x: float, lambdas: Sequence[float]) -> Tuple[float, float]:
-    """prod (x - l_i) and its derivative (sum of leave-one-out products)."""
+def _poly_prod(x: float, lambdas: Sequence[float]) -> float:
+    """prod (x - l_i)."""
     p = 1.0
-    dp = 0.0
     for l in lambdas:
-        diff = x - l
-        dp = dp * diff + p
-        p *= diff
-    return p, dp
+        p *= x - l
+    return p
+
+
+def _shear_jets(psi_spec: Optional[PsiSpec], x: float, y: float,
+                order: int) -> Tuple[Jet, Jet, Jet]:
+    """Input jets x + t and y + psi(x + t), and the jet of psi'(x + t)."""
+    p = (psi_jet(psi_spec, x, order + 1) if psi_spec is not None
+         else jet_constant(0.0, order + 1))
+    return (jet_variable(x, order), [y + p[0]] + p[1:-1],
+            [k * p[k] for k in range(1, order + 2)])
 
 
 class ShearedField:
-    """F(x, y) = base(x, y + psi(x)) with exact first partials."""
+    """F(x, y) = base(x, y + psi(x)); base is a ScalarField."""
 
     def __init__(self, base, psi_spec: Optional[PsiSpec]):
         self._base = base
@@ -133,62 +143,53 @@ class ShearedField:
         return self._base.value(x, y + p)
 
     def dx(self, x: float, y: float) -> float:
-        if self._psi is None:
-            return self._base.dx(x, y)
-        p, dp, _ = _psi_core(self._psi, x)
-        u = y + p
-        return self._base.dx(x, u) + self._base.dy(x, u) * dp
+        return self.x_jet(x, y, 1)[1]
 
     def dy(self, x: float, y: float) -> float:
         p = psi_value(self._psi, x) if self._psi is not None else 0.0
         return self._base.dy(x, y + p)
 
-    def max_exact_x_order(self) -> int:
-        return 1
+    def x_jet(self, x: float, y: float, order: int) -> Jet:
+        xj, u, _ = _shear_jets(self._psi, x, y, order)
+        return expr_jet(self._base.expr, xj, u)
 
 
 class UnfoldedG:
-    """g~ = phi(x, y+psi) * P(x) - f(x, y+psi) * psi'(x), P = prod(x - l_i).
-
-    First partials are exact via the chain rule (psi, psi', psi'' are in
-    closed form); higher x-derivatives are not provided symbolically.
-    """
+    """g~ = phi(x, y+psi) * P(x) - f(x, y+psi) * psi'(x), P = prod(x - l_i);
+    phi and f are ScalarFields."""
 
     def __init__(self, phi, f, lambdas: Sequence[float],
                  psi_spec: Optional[PsiSpec]):
         self._phi = phi
         self._f = f
         self._lambdas = tuple(float(v) for v in lambdas)
+        self._g_hat = _g_expr(phi, self._lambdas)  # phi * P, unsheared
         self._psi = psi_spec
 
-    def _psi3(self, x: float) -> Tuple[float, float, float]:
+    def _psi2(self, x: float) -> Tuple[float, float]:
         if self._psi is None:
-            return 0.0, 0.0, 0.0
+            return 0.0, 0.0
         return _psi_core(self._psi, x)
 
     def value(self, x: float, y: float) -> float:
-        p, dp, _ = self._psi3(x)
+        p, dp = self._psi2(x)
         u = y + p
-        P, _ = _poly_prod(x, self._lambdas)
+        P = _poly_prod(x, self._lambdas)
         return self._phi.value(x, u) * P - self._f.value(x, u) * dp
 
     def dx(self, x: float, y: float) -> float:
-        p, dp, ddp = self._psi3(x)
-        u = y + p
-        P, dP = _poly_prod(x, self._lambdas)
-        phi_x = self._phi.dx(x, u) + self._phi.dy(x, u) * dp
-        f_x = self._f.dx(x, u) + self._f.dy(x, u) * dp
-        return (phi_x * P + self._phi.value(x, u) * dP
-                - f_x * dp - self._f.value(x, u) * ddp)
+        return self.x_jet(x, y, 1)[1]
 
     def dy(self, x: float, y: float) -> float:
-        p, dp, _ = self._psi3(x)
+        p, dp = self._psi2(x)
         u = y + p
-        P, _ = _poly_prod(x, self._lambdas)
+        P = _poly_prod(x, self._lambdas)
         return self._phi.dy(x, u) * P - self._f.dy(x, u) * dp
 
-    def max_exact_x_order(self) -> int:
-        return 1
+    def x_jet(self, x: float, y: float, order: int) -> Jet:
+        xj, u, dp = _shear_jets(self._psi, x, y, order)
+        f_dp = jet_mul(expr_jet(self._f.expr, xj, u), dp)
+        return [a - b for a, b in zip(expr_jet(self._g_hat.expr, xj, u), f_dp)]
 
 
 def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:

@@ -5,9 +5,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filippov2d import (PsiSpec, cutoff_down, cutoff_up, psi, psi_dx,
-                        psi_dxx, psi_sup_norms, zero_psi)
-from filippov2d.cutoffs import cutoff_up_d1, cutoff_up_d2
+from filippov2d import (PsiSpec, cutoff_down, cutoff_jet, cutoff_up, psi,
+                        psi_dx, psi_jet, psi_sup_norms, zero_psi)
+from filippov2d.cutoffs import _cutoff_core
+
+
+def cutoff_up_d1(x, r1, r2):
+    """The closed-form s' that psi_dx and the flow use."""
+    return _cutoff_core(x, r1, r2)[1]
 
 
 def test_cutoff_plateau_values():
@@ -40,7 +45,9 @@ def test_cutoff_derivatives_match_finite_differences(x):
     # second difference of values drowns in rounding noise (~1e-16/h^2)
     d2 = (cutoff_up_d1(x + h, 0.0, 1.0)
           - cutoff_up_d1(x - h, 0.0, 1.0)) / (2 * h)
-    assert cutoff_up_d2(x, 0.0, 1.0) == pytest.approx(d2, rel=1e-4, abs=1e-6)
+    jet = cutoff_jet(x, 0.0, 1.0, 2)
+    assert jet[1] == pytest.approx(cutoff_up_d1(x, 0.0, 1.0), rel=1e-12)
+    assert 2.0 * jet[2] == pytest.approx(d2, rel=1e-4, abs=1e-6)
 
 
 def test_psi_single_block_values():
@@ -79,6 +86,10 @@ def test_psi_slope_bound_on_first_rise():
     worst = max(abs(psi_dx(spec, x)) for x in xs)
     assert worst <= bound
     assert worst > 0.1 * bound  # the bound is tight up to a small factor
+
+
+def psi_dxx(spec, x):
+    return 2.0 * psi_jet(spec, x, 2)[2]
 
 
 def test_psi_smooth_across_knots():

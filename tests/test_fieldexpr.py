@@ -132,19 +132,10 @@ def test_differentiate_is_linear(s1, s2, a, b, x, y):
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs)) + 1e-12
 
 
-def test_mixed_partials_commute():
-    fld = ScalarField("sin(x*y) + x^3*y^2 - exp(y)*cos(x)")
-    exy = fld.partial_expr(1, 1)
-    fld2 = ScalarField(differentiate(differentiate(fld.expr, "y"), "x"))
-    for x, y in ((0.3, -0.7), (-1.1, 0.2), (0.0, 0.0), (0.9, 0.9)):
-        assert evaluate(exy, x, y) == pytest.approx(
-            fld2.value(x, y), rel=1e-12, abs=1e-12)
-
-
 def test_scalar_field_exact_high_order():
     fld = ScalarField("x^5 * (x + 1)")
-    assert fld.partial_value(5, 0, 0.0, 0.0) == 120.0
-    assert fld.partial_value(12, 0, 0.123, 0.0) == 0.0  # beyond the degree
+    assert fld.x_jet(0.0, 0.0, 5)[5] * math.factorial(5) == 120.0
+    assert fld.x_jet(0.123, 0.0, 12)[12] == 0.0  # beyond the degree
 
 
 def test_compile_matches_evaluate():
