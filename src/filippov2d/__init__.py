@@ -24,7 +24,8 @@ from .cutoffs import (PsiSpec, cutoff_down, cutoff_jet, cutoff_up, psi,
 from .unfolding import (CanonicalBase, UnfoldingSpec, admissible_k_family,
                         build_transition, build_unfolded,
                         shear_conjugacy_check)
-from .flow import (Arc, Event, SmoothRun, Trajectory, integrate_pws,
+from .flow import (Arc, AmbiguousTangency, Event, SmoothRun, StepUnderflow,
+                   Trajectory, TransitFailure, integrate_pws,
                    integrate_smooth, read_trajectory_csv, sliding_arc,
                    trajectory_to_csv)
 from .maps import (NoArrival, OrderMismatch, Section, TangentialArrival,

@@ -28,10 +28,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .cutoffs import PsiSpec
-from .flow import (DEFAULT_ATOL, DEFAULT_RTOL, Arc, Event, Trajectory,
-                   integrate_smooth, sliding_arc)
-from .maps import NoArrival, Section, TangentialArrival, _flow_to_section, \
-    displacement_sigma
+from .flow import (DEFAULT_ATOL, DEFAULT_RTOL, Arc, Event, SmoothRun,
+                   Trajectory, TransitFailure, integrate_smooth, sliding_arc)
+from .maps import NoArrival, Section, _flow_to_section, displacement_sigma
 from .system import PwsSystem, Window, h_value
 from .tangency import multiplicity_at
 from .unfolding import (CanonicalBase, UnfoldingSpec, build_transition,
@@ -196,91 +195,18 @@ def classify_loop(traj: Trajectory, *, closure_tol: float = CLOSURE_TOL,
     return LoopRecord(traj, kind, tuple(switching), ell, residual)
 
 
-# --------------------------------------------------------------------------
-# transit helpers
-
-
 def _transit_budget(window: Window) -> float:
     return 6.0 * window.width + 30.0
 
 
-def _upper_chain(sys: PwsSystem, x0: float, *, t_leg: float,
-                 time_sign: float = 1.0, stop_at: Optional[float] = None,
-                 stop_tol: float = 1e-6, x_cap: Optional[float] = None,
-                 max_touches: int = 24, t_offset: float = 0.0,
-                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
-    """Upper transit from (x0, 0) grazing through tangential contacts.
-
-    Returns (arcs, touch_events, terminal_event); arc times are offset to
-    run consecutively starting at t_offset. If stop_at is given the chain
-    terminates with kind 'tangent-arrival' at the first touch within
-    stop_tol of it. If x_cap is given the forward window is cut there and
-    hitting the cap terminates the chain with kind 'cap-reached' (the
-    orbit's height at the cap rides along in the event): that pins down
-    crossings so shallow the integrator would step right over them.
-    Otherwise the terminal is whatever ends the transit (sigma-cross,
-    window-exit, time-end).
-    """
-    w = sys.window
-    if x_cap is not None:
-        w = Window(w.x_lo, min(w.x_hi, float(x_cap)), w.y_lo, w.y_hi)
-    arcs: List[Arc] = []
-    touches: List[Event] = []
-    t_off = float(t_offset)
-    cur = (float(x0), 0.0)
-    for _ in range(max_touches + 1):
-        run = integrate_smooth(sys.f_plus, sys.g_plus, cur, "upper",
-                               t_max=t_leg, window=w,
-                               time_sign=time_sign, stop_on_touch=True,
-                               rtol=rtol, atol=atol)
-        arcs.append(Arc("upper", np.asarray(run.t) + t_off,
-                        np.asarray(run.x), np.asarray(run.y)))
-        for ev in run.touches:
-            touches.append(Event(ev.t + t_off, ev.x, 0.0, "tangency-touch"))
-        t_end = t_off + (float(run.t[-1]) if len(run.t) else 0.0)
-        term = run.terminal
-        if term.kind == "tangent-arrival":
-            # the engine already logs the terminal touch; don't double-count
-            if not touches or abs(touches[-1].t - t_end) > 1e-12:
-                touches.append(Event(t_end, term.x, 0.0, "tangency-touch"))
-            if stop_at is not None and abs(term.x - stop_at) <= stop_tol:
-                return arcs, touches, Event(t_end, term.x, 0.0,
-                                            "tangent-arrival")
-            cur = (float(term.x), 0.0)
-            t_off = t_end
-            continue
-        if (x_cap is not None and term.kind == "window-exit"
-                and abs(term.x - x_cap) <= 1e-6 * w.width):
-            return arcs, touches, Event(t_end, term.x, term.y, "cap-reached")
-        return arcs, touches, Event(t_end, term.x, term.y, term.kind)
-    raise HarvestFailure(
-        f"upper transit from x={x0:.6g} exceeded {max_touches} contacts")
-
-
-def _lower_landing(sys: PwsSystem, x0: float, *, t_leg: float,
-                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
-    """Forward lower transit from (x0, 0); must return to the line."""
-    run = integrate_smooth(sys.f_minus, sys.g_minus, (float(x0), 0.0),
-                           "lower", t_max=t_leg, window=sys.window,
-                           rtol=rtol, atol=atol)
+def _landed(run: SmoothRun) -> float:
+    """Where a transit from Sigma crossed back to it; HarvestFailure if it
+    ended any other way."""
     if run.terminal.kind != "sigma-cross":
-        raise HarvestFailure(
-            f"lower transit from x={x0:.6g} ended with {run.terminal.kind}")
-    return float(run.terminal.x), run
-
-
-def _height_over(f, g, start: Tuple[float, float], line_x: float, *,
-                 t_budget: float, rtol: float = DEFAULT_RTOL,
-                 atol: float = DEFAULT_ATOL) -> float:
-    """Height at which the smooth upper flow crosses a vertical line."""
-    try:
-        arr = _flow_to_section(f, g, start, Section.vertical(float(line_x)),
-                               t_budget=t_budget, rtol=rtol, atol=atol)
-    except NoArrival as exc:
-        raise HarvestFailure(
-            f"orbit from {start[0]:.6g} never reached x={line_x:.6g}: "
-            f"{exc}") from exc
-    return float(arr.y)
+        leg = run.legs[0]
+        raise HarvestFailure(f"{leg.kind} transit from x={leg.x[0]:.6g} "
+                             f"ended with {run.terminal.kind}")
+    return run.terminal.x
 
 
 def _signed_area(arcs: Sequence[Arc]) -> float:
@@ -309,12 +235,13 @@ def sigma_return_map(sys: PwsSystem, x: float, *, t_leg: float = 400.0,
                            atol=atol, max_step=max_step)
     if run.terminal.kind != "sigma-cross":
         raise NoArrival(f"upper transit ended with {run.terminal.kind}")
-    try:
-        back, _ = _lower_landing(sys, run.terminal.x, t_leg=t_leg,
-                                 rtol=rtol, atol=atol)
-    except HarvestFailure as exc:
-        raise NoArrival(str(exc)) from exc
-    return back
+    back = integrate_smooth(sys.f_minus, sys.g_minus, (run.terminal.x, 0.0),
+                            "lower", t_max=t_leg, window=sys.window,
+                            rtol=rtol, atol=atol)
+    if back.terminal.kind != "sigma-cross":
+        raise NoArrival(f"lower transit from x={run.terminal.x:.6g} ended "
+                        f"with {back.terminal.kind}")
+    return back.terminal.x
 
 
 def one_sided_return_slope(sys: PwsSystem, x_star: float, *, h: float,
@@ -379,15 +306,16 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
     sys = base.system()
     t_leg = _transit_budget(sys.window)
     up = integrate_smooth(sys.f_plus, sys.g_plus, (-a, 0.0), "upper",
-                          t_max=t_leg, window=sys.window, stop_on_touch=True,
-                          rtol=rtol, atol=atol)
-    if up.terminal.kind != "tangent-arrival" or abs(up.terminal.x) > 1e-6:
+                          t_max=t_leg, window=sys.window, chain=True,
+                          stop_at=0.0, rtol=rtol, atol=atol)
+    if up.terminal.kind != "tangent-arrival":
         raise VerificationFailed(
             f"upper arc ended with {up.terminal.kind} at x={up.terminal.x:.6g}"
             f"; expected a tangential arrival at 0")
+    t1 = up.terminal.t
     down = integrate_smooth(sys.f_minus, sys.g_minus, (up.terminal.x, 0.0),
                             "lower", t_max=t_leg, window=sys.window,
-                            rtol=rtol, atol=atol)
+                            t_offset=t1, rtol=rtol, atol=atol)
     if down.terminal.kind != "sigma-cross":
         raise VerificationFailed(
             f"lower arc ended with {down.terminal.kind}; expected a crossing")
@@ -402,15 +330,10 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
     if (mp, mm) != (m_plus, m_minus):
         raise VerificationFailed(
             f"origin multiplicities ({mp}, {mm}) != ({m_plus}, {m_minus})")
-    t1 = float(up.t[-1])
-    arcs = [Arc("upper", np.asarray(up.t), np.asarray(up.x), np.asarray(up.y)),
-            Arc("lower", np.asarray(down.t) + t1, np.asarray(down.x),
-                np.asarray(down.y))]
+    arcs = up.legs + down.legs
     if _signed_area(arcs) >= 0.0:
         raise VerificationFailed("loop is not traversed clockwise")
-    events = [Event(t1, up.terminal.x, 0.0, "tangency-touch"),
-              Event(t1 + float(down.t[-1]), down.terminal.x, 0.0,
-                    "sigma-cross")]
+    events = [Event(t1, up.terminal.x, 0.0, "tangency-touch"), down.terminal]
     rec = classify_loop(Trajectory(arcs, events, system=sys))
     if rec.kind != "critical" or rec.tangent_touch_count != 1:
         raise VerificationFailed(
@@ -438,23 +361,31 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float, *, t_leg: float,
     loop's own signed miss before giving up.
     """
 
+    w = sys.window
+
     def legs(qq: float):
-        land, low = _lower_landing(sys, qq, t_leg=t_leg, rtol=rtol,
-                                   atol=atol)
-        up_arcs, touches, term = _upper_chain(sys, land, t_leg=t_leg,
-                                              t_offset=float(low.t[-1]),
-                                              x_cap=qq, rtol=rtol, atol=atol)
-        if term.kind not in ("sigma-cross", "cap-reached"):
-            raise VerificationFailed(
-                f"upper return from x={land:.9g} ended with {term.kind}")
+        low = integrate_smooth(sys.f_minus, sys.g_minus, (qq, 0.0), "lower",
+                               t_max=t_leg, window=w, rtol=rtol, atol=atol)
+        land = _landed(low)
+        # the upper return ends at the line x = qq at the latest: that pins
+        # down crossings so shallow the integrator would step over them
+        cap = Window(w.x_lo, min(w.x_hi, float(qq)), w.y_lo, w.y_hi)
+        up = integrate_smooth(sys.f_plus, sys.g_plus, (land, 0.0), "upper",
+                              t_max=t_leg, window=cap, chain=True,
+                              t_offset=low.terminal.t, rtol=rtol, atol=atol)
+        term = up.terminal
         if term.kind == "sigma-cross":
             miss = term.x - qq
-        else:
+        elif term.kind == "window-exit" \
+                and abs(term.x - qq) <= 1e-6 * cap.width:
             # still above Sigma at the cap: convert the riding height to
             # abscissa units through the local upper slope
             gp = sys.g_plus.value(qq, 0.0)
             miss = term.y / max(abs(gp), 1e-30)
-        return (land, low, up_arcs, touches, term), miss
+        else:
+            raise VerificationFailed(
+                f"upper return from x={land:.9g} ended with {term.kind}")
+        return (low, up), miss
 
     best, f0 = legs(q)
     if abs(f0) > 0.5 * closure_tol:
@@ -463,7 +394,7 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float, *, t_leg: float,
         for _ in range(6):
             try:
                 cand, fb = legs(qb)
-            except (VerificationFailed, NoArrival, TangentialArrival):
+            except (VerificationFailed, TransitFailure):
                 break
             if abs(fb) < abs(f0):
                 best, f0, q = cand, fb, qb
@@ -471,19 +402,16 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float, *, t_leg: float,
                 break
             qa, fa, qb = qb, fb, qb - fb * (qb - qa) / (fb - fa)
 
-    land, low, up_arcs, touches, term = best
+    low, up = best
+    term = up.terminal
     gap = math.hypot(term.x - q, term.y)
     if gap > closure_tol:
         raise VerificationFailed(
             f"cycle through x={q:.9g} fails to close: gap {gap:.2e}")
-    t1 = float(low.t[-1])
-    arcs = [Arc("lower", np.asarray(low.t), np.asarray(low.x),
-                np.asarray(low.y))]
-    events = [Event(t1, land, 0.0, "sigma-cross")]
-    events.extend(touches)
-    events.append(Event(term.t, term.x, 0.0, "sigma-cross"))
+    events = [low.terminal] + up.touches \
+        + [Event(term.t, term.x, 0.0, "sigma-cross")]
     events.sort(key=lambda ev: ev.t)
-    rec = classify_loop(Trajectory(arcs + up_arcs, events, system=sys),
+    rec = classify_loop(Trajectory(low.legs + up.legs, events, system=sys),
                         closure_tol=closure_tol)
     if rec.kind == "crossing-periodic":
         rec.kind = "crossing-limit-cycle"
@@ -524,7 +452,7 @@ def find_crossing_cycles(sys: PwsSystem,
         try:
             vals[i] = displacement_sigma(sys, x, t_budget=t_leg,
                                          rtol=rtol, atol=atol).value
-        except (NoArrival, TangentialArrival, HarvestFailure):
+        except TransitFailure:
             continue
     finite = np.isfinite(vals)
     if not finite.any():
@@ -550,7 +478,7 @@ def find_crossing_cycles(sys: PwsSystem,
         try:
             root = float(brentq(disp, pts[a_i], pts[a_i + 1],
                                 xtol=1e-13, rtol=4e-15))
-        except (NoArrival, TangentialArrival, ValueError):
+        except (TransitFailure, ValueError):
             continue
         if h_value(sys, root) <= 0.0 or sys.g_minus.value(root, 0.0) >= 0.0:
             continue
@@ -594,13 +522,15 @@ def _pin_data(hat: PwsSystem, lam: Sequence[float], *, t_leg: float,
     pins: List[_Pin] = []
     for i in range(1, d + 1):
         tp = lam[2 * i - 2]
-        conj, _ = _lower_landing(hat, tp, t_leg=t_leg, rtol=rtol, atol=atol)
-        y = _height_over(hat.f_plus, hat.g_plus, (conj, 0.0), tp,
-                         t_budget=t_leg, rtol=rtol, atol=atol)
-        anchor = y if i == 1 else _height_over(hat.f_plus, hat.g_plus,
-                                               (conj, 0.0), lam[0],
-                                               t_budget=t_leg, rtol=rtol,
-                                               atol=atol)
+        conj = _landed(integrate_smooth(
+            hat.f_minus, hat.g_minus, (tp, 0.0), "lower", t_max=t_leg,
+            window=hat.window, rtol=rtol, atol=atol))
+        y = _flow_to_section(hat.f_plus, hat.g_plus, (conj, 0.0),
+                             Section.vertical(tp), t_budget=t_leg,
+                             rtol=rtol, atol=atol).y
+        anchor = y if i == 1 else _flow_to_section(
+            hat.f_plus, hat.g_plus, (conj, 0.0), Section.vertical(lam[0]),
+            t_budget=t_leg, rtol=rtol, atol=atol).y
         if y <= 0.0 or anchor <= 0.0:
             raise HarvestFailure(
                 f"pin at {tp:.6g}: orbit heights not positive "
@@ -610,7 +540,7 @@ def _pin_data(hat: PwsSystem, lam: Sequence[float], *, t_leg: float,
 
 
 def _critical_witness(sys: PwsSystem, tp: float, *, t_leg: float,
-                      closure_tol: float = CLOSURE_TOL, stop_tol: float = 1e-6,
+                      closure_tol: float = CLOSURE_TOL,
                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                       ) -> Tuple[LoopRecord, float]:
     """Loop dropping at the tangency tp: lower transit out, upper back in.
@@ -618,11 +548,15 @@ def _critical_witness(sys: PwsSystem, tp: float, *, t_leg: float,
     Returns (record, crossing abscissa). The upper leg may graze earlier
     tangencies; it must arrive tangentially at tp itself.
     """
-    conj, low = _lower_landing(sys, tp, t_leg=t_leg, rtol=rtol, atol=atol)
-    t1 = float(low.t[-1])
-    up_arcs, touches, term = _upper_chain(sys, conj, t_leg=t_leg, stop_at=tp,
-                                          stop_tol=stop_tol, t_offset=t1,
-                                          rtol=rtol, atol=atol)
+    low = integrate_smooth(sys.f_minus, sys.g_minus, (tp, 0.0), "lower",
+                           t_max=t_leg, window=sys.window, rtol=rtol,
+                           atol=atol)
+    conj = _landed(low)
+    up = integrate_smooth(sys.f_plus, sys.g_plus, (conj, 0.0), "upper",
+                          t_max=t_leg, window=sys.window, chain=True,
+                          stop_at=tp, t_offset=low.terminal.t, rtol=rtol,
+                          atol=atol)
+    term = up.terminal
     if term.kind != "tangent-arrival":
         raise VerificationFailed(
             f"upper leg from {conj:.9g} ended with {term.kind} at "
@@ -631,11 +565,9 @@ def _critical_witness(sys: PwsSystem, tp: float, *, t_leg: float,
     if gap > closure_tol:
         raise VerificationFailed(
             f"loop at {tp:.6g} fails to close: gap {gap:.2e}")
-    arcs = [Arc("lower", np.asarray(low.t), np.asarray(low.x),
-                np.asarray(low.y))] + up_arcs
-    events = [Event(t1, conj, 0.0, "sigma-cross")] + touches
+    events = [low.terminal] + up.touches
     events.sort(key=lambda ev: ev.t)
-    rec = classify_loop(Trajectory(arcs, events, system=sys),
+    rec = classify_loop(Trajectory(low.legs + up.legs, events, system=sys),
                         closure_tol=closure_tol)
     if rec.kind != "critical":
         raise VerificationFailed(
@@ -658,20 +590,21 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     to most of the gap, so fixed endpoints are not reliable.
     Returns (record, sliding exit abscissa).
     """
-    bw_arcs, bw_touch, bw_term = _upper_chain(sys, tp, t_leg=t_leg,
-                                              time_sign=-1.0, rtol=rtol,
-                                              atol=atol)
-    if bw_term.kind != "sigma-cross":
+    bw = integrate_smooth(sys.f_plus, sys.g_plus, (tp, 0.0), "upper",
+                          t_max=t_leg, window=sys.window, time_sign=-1.0,
+                          chain=True, rtol=rtol, atol=atol)
+    if bw.terminal.kind != "sigma-cross":
         raise VerificationFailed(
-            f"backward upper leg from {tp:.6g} ended with {bw_term.kind}")
-    if bw_touch:
+            f"backward upper leg from {tp:.6g} ended with {bw.terminal.kind}")
+    if bw.touches:
         raise VerificationFailed(
             "backward upper leg grazed other tangencies; clearances too thin")
-    x_left = float(bw_term.x)
+    x_left = float(bw.terminal.x)
 
     def land_gap(q: float) -> float:
-        land, _ = _lower_landing(sys, q, t_leg=t_leg, rtol=rtol, atol=atol)
-        return land - x_left
+        return _landed(integrate_smooth(
+            sys.f_minus, sys.g_minus, (q, 0.0), "lower", t_max=t_leg,
+            window=sys.window, rtol=rtol, atol=atol)) - x_left
 
     eps = (gap_hi - tp) * 1e-6
     hi = gap_hi - eps
@@ -699,9 +632,9 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
         raise VerificationFailed(
             f"exit point {q_s:.9g} is not inside the sliding segment")
     up = integrate_smooth(sys.f_plus, sys.g_plus, (x_left, 0.0), "upper",
-                          t_max=t_leg, window=sys.window, stop_on_touch=True,
-                          rtol=rtol, atol=atol)
-    if up.terminal.kind != "tangent-arrival" or abs(up.terminal.x - tp) > 1e-6:
+                          t_max=t_leg, window=sys.window, chain=True,
+                          stop_at=tp, rtol=rtol, atol=atol)
+    if up.terminal.kind != "tangent-arrival" or len(up.touches) != 1:
         raise VerificationFailed(
             f"upper leg ended with {up.terminal.kind} at x={up.terminal.x:.9g}"
             f" instead of the tangency at {tp:.6g}")
@@ -712,22 +645,21 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
         raise VerificationFailed(
             f"sliding leg ended with {sl_term.kind} at x={sl_term.x:.9g} "
             f"before reaching {q_s:.9g}")
-    land, low = _lower_landing(sys, q_s, t_leg=t_leg, rtol=rtol, atol=atol)
+    t1 = up.terminal.t
+    t2 = t1 + float(ts[-1])
+    low = integrate_smooth(sys.f_minus, sys.g_minus, (q_s, 0.0), "lower",
+                           t_max=t_leg, window=sys.window, t_offset=t2,
+                           rtol=rtol, atol=atol)
+    land = _landed(low)
     if abs(land - x_left) > closure_tol:
         raise VerificationFailed(
             f"sliding loop at {tp:.6g} fails to close: "
             f"{abs(land - x_left):.2e}")
-    t1 = float(up.t[-1])
-    t2 = t1 + float(ts[-1])
     xs = np.asarray(xs)
-    arcs = [Arc("upper", np.asarray(up.t), np.asarray(up.x),
-                np.asarray(up.y)),
-            Arc("sliding", np.asarray(ts) + t1, xs, np.zeros_like(xs)),
-            Arc("lower", np.asarray(low.t) + t2, np.asarray(low.x),
-                np.asarray(low.y))]
+    arcs = up.legs + [Arc("sliding", np.asarray(ts) + t1, xs,
+                          np.zeros_like(xs))] + low.legs
     events = [Event(t1, up.terminal.x, 0.0, "tangency-touch"),
-              Event(t2, q_s, 0.0, "sliding-exit"),
-              Event(t2 + float(low.t[-1]), land, 0.0, "sigma-cross")]
+              Event(t2, q_s, 0.0, "sliding-exit"), low.terminal]
     rec = classify_loop(Trajectory(arcs, events, system=sys),
                         closure_tol=closure_tol)
     if rec.kind != "sliding-loop":
@@ -760,7 +692,7 @@ def _displacement_root(sys: PwsSystem, a: float, b: float, *, t_leg: float,
     for x in xs:
         try:
             v = disp(x)
-        except (NoArrival, TangentialArrival):
+        except TransitFailure:
             continue
         if prev_v is not None and prev_v * v < 0.0:
             return float(brentq(disp, prev_x, x, xtol=1e-13, rtol=4e-15))
@@ -779,7 +711,7 @@ def _flank_dip(sys: PwsSystem, left: float, peak: float, *, t_leg: float,
         try:
             v = displacement_sigma(sys, float(peak - off), t_budget=t_leg,
                                    rtol=rtol, atol=atol).value
-        except (NoArrival, TangentialArrival):
+        except TransitFailure:
             continue
         best = min(best, v)
     if not math.isfinite(best):
@@ -848,9 +780,10 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
         if vis_pts[n - 1] == anchor:
             h_n = seeds[j - 1]
         else:
-            h_n = _height_over(hat.f_plus, hat.g_plus,
-                               (anchor, seeds[j - 1]), vis_pts[n - 1],
-                               t_budget=t_leg, rtol=rtol, atol=atol)
+            h_n = _flow_to_section(hat.f_plus, hat.g_plus,
+                                   (anchor, seeds[j - 1]),
+                                   Section.vertical(vis_pts[n - 1]),
+                                   t_budget=t_leg, rtol=rtol, atol=atol).y
         if h_n <= 0.0:
             raise HarvestFailure(
                 f"reference orbit {j} dips to {h_n:.3e} over "
@@ -865,19 +798,17 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
     seen: set = set()
     for v in vis_pts:
         touch_xs = {float(v)}
-        fw_arcs, fw_touch, fw_term = _upper_chain(sys4, v, t_leg=t_leg,
-                                                  rtol=rtol, atol=atol)
-        if fw_term.kind not in ("sigma-cross", "window-exit"):
-            raise HarvestFailure(
-                f"orbit through {v:.6g} ended forward with {fw_term.kind}")
-        touch_xs.update(float(ev.x) for ev in fw_touch)
-        bw_arcs, bw_touch, bw_term = _upper_chain(sys4, v, t_leg=t_leg,
-                                                  time_sign=-1.0,
-                                                  rtol=rtol, atol=atol)
-        if bw_term.kind not in ("sigma-cross", "window-exit"):
-            raise HarvestFailure(
-                f"orbit through {v:.6g} ended backward with {bw_term.kind}")
-        touch_xs.update(float(ev.x) for ev in bw_touch)
+        legs = {}
+        for sign, way in ((1.0, "forward"), (-1.0, "backward")):
+            run = integrate_smooth(sys4.f_plus, sys4.g_plus, (v, 0.0),
+                                   "upper", t_max=t_leg, window=sys4.window,
+                                   time_sign=sign, chain=True, rtol=rtol,
+                                   atol=atol)
+            if run.terminal.kind not in ("sigma-cross", "window-exit"):
+                raise HarvestFailure(f"orbit through {v:.6g} ended {way} "
+                                     f"with {run.terminal.kind}")
+            touch_xs.update(float(ev.x) for ev in run.touches)
+            legs[way] = run.legs
         key_idx = []
         for tx in touch_xs:
             k = int(np.argmin([abs(tx - l) for l in lam]))
@@ -890,7 +821,8 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
             continue
         seen.add(key)
         counts[len(key)] = counts.get(len(key), 0) + 1
-        orbits.append(_stitch_orbit(sys4, bw_arcs, fw_arcs, sorted(touch_xs)))
+        orbits.append(_stitch_orbit(sys4, legs["backward"], legs["forward"],
+                                    sorted(touch_xs)))
     return spec, TangentOrbitCensus(counts, orbits, vis_pts)
 
 
@@ -997,14 +929,16 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     lam_m = (0.0,) * base.m_minus
     hat = build_transition(UnfoldingSpec(base, lam, lam_m))
     t_leg = _transit_budget(base.window)
-    p_ref, _ = _lower_landing(hat, lam[0], t_leg=t_leg, rtol=rtol, atol=atol)
+    p_ref = _landed(integrate_smooth(
+        hat.f_minus, hat.g_minus, (lam[0], 0.0), "lower", t_max=t_leg,
+        window=hat.window, rtol=rtol, atol=atol))
     d = (m + 1) // 2
     knots = _pinned_knots(lam, delta)
     heights = []
     for i in range(1, d + 1):
-        h_ref = _height_over(hat.f_plus, hat.g_plus, (p_ref, 0.0),
-                             lam[2 * i - 2], t_budget=t_leg,
-                             rtol=rtol, atol=atol)
+        h_ref = _flow_to_section(hat.f_plus, hat.g_plus, (p_ref, 0.0),
+                                 Section.vertical(lam[2 * i - 2]),
+                                 t_budget=t_leg, rtol=rtol, atol=atol).y
         if h_ref <= 0.0:
             raise HarvestFailure(
                 f"reference orbit height {h_ref:.3e} over "
@@ -1013,30 +947,32 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     psi_p = PsiSpec(d, knots + tuple(heights))
     up_sys = build_unfolded(UnfoldingSpec(base, lam, lam_m, psi_plus=psi_p))
 
-    _, bw_touch, bw_term = _upper_chain(up_sys, lam[0], t_leg=t_leg,
-                                        time_sign=-1.0, rtol=rtol, atol=atol)
-    if bw_term.kind != "sigma-cross":
+    bw = integrate_smooth(up_sys.f_plus, up_sys.g_plus, (lam[0], 0.0),
+                          "upper", t_max=t_leg, window=up_sys.window,
+                          time_sign=-1.0, chain=True, rtol=rtol, atol=atol)
+    if bw.terminal.kind != "sigma-cross":
         raise VerificationFailed(
-            f"backward upper leg ended with {bw_term.kind}")
-    if bw_touch:
+            f"backward upper leg ended with {bw.terminal.kind}")
+    if bw.touches:
         raise VerificationFailed("backward upper leg grazed the cluster")
-    p_plus = float(bw_term.x)
+    p_plus = float(bw.terminal.x)
 
     if kind == "crossing":
-        _, fw_touch, fw_term = _upper_chain(up_sys, lam[0], t_leg=t_leg,
-                                            rtol=rtol, atol=atol)
-        if fw_term.kind != "sigma-cross":
+        fw = integrate_smooth(up_sys.f_plus, up_sys.g_plus, (lam[0], 0.0),
+                              "upper", t_max=t_leg, window=up_sys.window,
+                              chain=True, rtol=rtol, atol=atol)
+        if fw.terminal.kind != "sigma-cross":
             raise VerificationFailed(
-                f"forward upper leg ended with {fw_term.kind}")
-        x_drop = float(fw_term.x)
+                f"forward upper leg ended with {fw.terminal.kind}")
+        x_drop = float(fw.terminal.x)
         lo = lam[2 * ell - 1]
         hi = lam[2 * ell] if 2 * ell < m else 0.0
         if not (lo < x_drop < hi):
             raise VerificationFailed(
                 f"forward crossing {x_drop:.9g} outside ({lo:.6g}, {hi:.6g})")
-        if 1 + len(fw_touch) != ell:
+        if 1 + len(fw.touches) != ell:
             raise VerificationFailed(
-                f"forward leg made {1 + len(fw_touch)} contacts, "
+                f"forward leg made {1 + len(fw.touches)} contacts, "
                 f"expected {ell}")
     else:
         x_drop = lam[2 * ell - 2]
@@ -1044,9 +980,10 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     def landing_for(y0: float) -> float:
         spec_y = UnfoldingSpec(base, lam, lam_m, psi_p,
                                _plateau_psi(y0, p_plus))
-        land, _ = _lower_landing(build_unfolded(spec_y), x_drop,
-                                 t_leg=t_leg, rtol=rtol, atol=atol)
-        return land
+        sys_y = build_unfolded(spec_y)
+        return _landed(integrate_smooth(
+            sys_y.f_minus, sys_y.g_minus, (x_drop, 0.0), "lower",
+            t_max=t_leg, window=sys_y.window, rtol=rtol, atol=atol))
 
     gap0 = abs(landing_for(0.0) - p_plus)
     y0 = _solve_lower_shear(landing_for, p_plus,
@@ -1054,38 +991,34 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     spec4 = UnfoldingSpec(base, lam, lam_m, psi_p, _plateau_psi(y0, p_plus))
     sys4 = build_unfolded(spec4)
 
+    up = integrate_smooth(sys4.f_plus, sys4.g_plus, (p_plus, 0.0), "upper",
+                          t_max=t_leg, window=sys4.window, chain=True,
+                          stop_at=None if kind == "crossing" else x_drop,
+                          stop_tol=0.25 * delta, rtol=rtol, atol=atol)
+    term, touches = up.terminal, up.touches
     if kind == "crossing":
-        up_arcs, touches, term = _upper_chain(sys4, p_plus, t_leg=t_leg,
-                                              rtol=rtol, atol=atol)
         if term.kind != "sigma-cross":
             raise VerificationFailed(
                 f"witness upper leg ended with {term.kind}")
         if len(touches) != ell:
             raise VerificationFailed(
                 f"witness made {len(touches)} contacts, expected {ell}")
-    else:
-        up_arcs, touches, term = _upper_chain(sys4, p_plus, t_leg=t_leg,
-                                              stop_at=x_drop,
-                                              stop_tol=0.25 * delta,
-                                              rtol=rtol, atol=atol)
-        if term.kind != "tangent-arrival" or len(touches) != ell:
-            raise VerificationFailed(
-                f"witness upper leg: {term.kind} after {len(touches)} "
-                f"contacts, expected tangent arrival after {ell}")
-    land, low = _lower_landing(sys4, term.x, t_leg=t_leg, rtol=rtol,
-                               atol=atol)
+    elif term.kind != "tangent-arrival" or len(touches) != ell:
+        raise VerificationFailed(
+            f"witness upper leg: {term.kind} after {len(touches)} "
+            f"contacts, expected tangent arrival after {ell}")
+    low = integrate_smooth(sys4.f_minus, sys4.g_minus, (term.x, 0.0),
+                           "lower", t_max=t_leg, window=sys4.window,
+                           t_offset=term.t, rtol=rtol, atol=atol)
+    land = _landed(low)
     if abs(land - p_plus) > CLOSURE_TOL:
         raise VerificationFailed(
             f"loop fails to close: landing gap {abs(land - p_plus):.2e}")
-    t_up = float(term.t)
-    arcs = up_arcs + [Arc("lower", np.asarray(low.t) + t_up,
-                          np.asarray(low.x), np.asarray(low.y))]
-    events = list(touches) + [Event(t_up + float(low.t[-1]), land, 0.0,
-                                    "sigma-cross")]
+    events = touches + [low.terminal]
     if kind == "crossing":
-        events.append(Event(t_up, term.x, 0.0, "sigma-cross"))
+        events.append(Event(term.t, term.x, 0.0, "sigma-cross"))
     events.sort(key=lambda ev: ev.t)
-    rec = classify_loop(Trajectory(arcs, events, system=sys4))
+    rec = classify_loop(Trajectory(up.legs + low.legs, events, system=sys4))
     want = "crossing-nonsliding" if kind == "crossing" else "critical"
     if rec.kind != want or rec.tangent_touch_count != ell:
         raise VerificationFailed(
@@ -1134,10 +1067,13 @@ def scenario_thm4(base: CanonicalBase, ell: int, *, delta: float = 0.1,
         q = _displacement_root(sys_j, lam[2 * j - 1], lam[2 * j],
                                t_leg=t_leg, rtol=rtol, atol=atol)
         qs.append(q)
-        p_q, _ = _lower_landing(hat, q, t_leg=t_leg, rtol=rtol, atol=atol)
-        heights[j - 1] = _height_over(hat.f_plus, hat.g_plus, (p_q, 0.0),
-                                      lam[2 * j - 2], t_budget=t_leg,
-                                      rtol=rtol, atol=atol)
+        p_q = _landed(integrate_smooth(
+            hat.f_minus, hat.g_minus, (q, 0.0), "lower", t_max=t_leg,
+            window=hat.window, rtol=rtol, atol=atol))
+        heights[j - 1] = _flow_to_section(
+            hat.f_plus, hat.g_plus, (p_q, 0.0),
+            Section.vertical(lam[2 * j - 2]), t_budget=t_leg, rtol=rtol,
+            atol=atol).y
 
     spec4 = UnfoldingSpec(base, lam, lam_m, PsiSpec(d, knots + tuple(heights)))
     sys4 = build_unfolded(spec4)
@@ -1243,10 +1179,10 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
         tp = lam[2 * i - 2]
         g_conj = hat.g_plus.value(pins[i - 1].conj, 0.0)
         h_fd = 0.02 * delta
-        p_hi, _ = _lower_landing(hat, tp + h_fd, t_leg=t_leg, rtol=rtol,
-                                 atol=atol)
-        p_lo, _ = _lower_landing(hat, tp - h_fd, t_leg=t_leg, rtol=rtol,
-                                 atol=atol)
+        p_hi, p_lo = (_landed(integrate_smooth(
+            hat.f_minus, hat.g_minus, (x, 0.0), "lower", t_max=t_leg,
+            window=hat.window, rtol=rtol, atol=atol))
+            for x in (tp + h_fd, tp - h_fd))
         slope = abs(p_hi - p_lo) / (2.0 * h_fd)
         if g_conj <= 0.0 or slope <= 0.0:
             raise HarvestFailure(

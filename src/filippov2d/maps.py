@@ -4,7 +4,9 @@ A Section is a straight segment: a line through `anchor` with unit direction
 `direction`, truncated to offsets |s| <= half_width. transition_map flows a
 smooth field from s0.anchor + r*N0 until the orbit crosses the line of s1
 inside its acceptance window and reports the arrival offset relative to the
-base orbit's arrival, so V(0) = 0 exactly.
+base orbit's arrival, so V(0) = 0 exactly. Section transits
+(_flow_to_section) are configurations of the flow kernel, flow._transit:
+they stop at the first accepted crossing.
 
 Leading coefficients:
 
@@ -17,9 +19,10 @@ Leading coefficients:
 Signs depend on the section orientations; order/magnitude are the contract
 and are what the tests pin down.
 
-displacement_sigma composes a lower Sigma-to-Sigma transit with an upper
-transit back to the vertical line through the start, minus a plateau term:
-its zeros are closed-loop certificates.
+displacement_sigma composes a lower Sigma transit (flow.integrate_smooth,
+the only call of that name in this module) with an upper section transit
+back to the vertical line through the start, minus a plateau term: its
+zeros are closed-loop certificates.
 """
 
 from __future__ import annotations
@@ -27,21 +30,23 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# no transit here calls solve_ivp itself; perfbench/tracing.py wraps this name
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from .system import PwsSystem, Window
 from .tangency import multiplicity_at
-from .flow import integrate_smooth, DEFAULT_RTOL, DEFAULT_ATOL
+from .flow import (DEFAULT_ATOL, DEFAULT_RTOL, TransitFailure, _transit,
+                   integrate_smooth)
 
 
-class NoArrival(RuntimeError):
+class NoArrival(TransitFailure):
     pass
 
 
-class TangentialArrival(RuntimeError):
+class TangentialArrival(TransitFailure):
     pass
 
 
@@ -103,73 +108,28 @@ def _flow_to_section(f, g, start: Tuple[float, float], target: Section, *,
                      window: Optional[Window] = None,
                      rtol: float = DEFAULT_RTOL,
                      atol: float = DEFAULT_ATOL,
-                     transversal_tol: float = 1e-6,
-                     guard_radius: float = 1e9,
                      with_divergence: bool = False) -> Arrival:
     """Integrate the smooth field until it crosses `target` inside its
     acceptance window; optionally carry the divergence integral along.
 
-    The line-crossing event is non-terminal (crossings outside the
-    acceptance window are skipped); a terminal guard stops runaway orbits
-    before they overflow the arithmetic.
+    The transit stops at that first accepted crossing. It raises
+    TangentialArrival when the crossing is tangential to the section, and
+    NoArrival when the orbit leaves the window, runs away (no window) or
+    uses up t_budget first.
     """
-    if with_divergence:
-        def rhs(t, s):
-            x, y = s[0], s[1]
-            return (time_sign * f.value(x, y), time_sign * g.value(x, y),
-                    time_sign * (f.dx(x, y) + g.dy(x, y)))
-        state0 = (start[0], start[1], 0.0)
-    else:
-        def rhs(t, s):
-            x, y = s[0], s[1]
-            return (time_sign * f.value(x, y), time_sign * g.value(x, y))
-        state0 = (start[0], start[1])
-
-    def ev_line(t, s):
-        return target.line_coordinate(s[0], s[1])
-    ev_line.terminal = False
-    ev_line.direction = 0
-
-    def ev_guard(t, s):
-        return guard_radius - abs(s[0]) - abs(s[1])
-    ev_guard.terminal = True
-    ev_guard.direction = -1
-
-    events: List[Callable] = [ev_line, ev_guard]
-    if window is not None:
-        w = window
-
-        def ev_exit(t, s):
-            return min(s[0] - w.x_lo, w.x_hi - s[0],
-                       s[1] - w.y_lo, w.y_hi - s[1])
-        ev_exit.terminal = True
-        ev_exit.direction = -1
-        events.append(ev_exit)
-
-    on_line_at_start = abs(target.line_coordinate(*start)) <= 1e-12
-    sol = solve_ivp(rhs, (0.0, t_budget), state0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=events)
-    if sol.status == -1:
-        raise NoArrival(f"integration failed: {sol.message}")
-    for t_e in sol.t_events[0]:
-        if on_line_at_start and t_e <= 1e-9:
-            continue
-        state = sol.sol(t_e)
-        xe, ye = float(state[0]), float(state[1])
-        off = target.offset_of(xe, ye)
-        if abs(off) > target.half_width:
-            continue
-        fz = time_sign * f.value(xe, ye)
-        gz = time_sign * g.value(xe, ye)
-        speed = math.hypot(fz, gz)
-        trans = abs(fz * (-target.direction[1]) + gz * target.direction[0])
-        if speed == 0.0 or trans <= transversal_tol * speed:
-            raise TangentialArrival(
-                f"arrival at ({xe:.6g},{ye:.6g}) is tangential to the section")
-        zint = float(state[2]) if with_divergence else 0.0
-        return Arrival(float(t_e), xe, ye, float(off), zint)
-    raise NoArrival("orbit never crossed the target section "
-                    f"within t={t_budget} (status {sol.status})")
+    run = _transit(f, g, start, target=target, t_max=t_budget,
+                   time_sign=time_sign, window=window, rtol=rtol, atol=atol,
+                   with_divergence=with_divergence)
+    hit = run.terminal
+    if hit.kind == "tangent-hit":
+        raise TangentialArrival(
+            f"arrival at ({hit.x:.6g},{hit.y:.6g}) is tangential to the section")
+    if hit.kind != "section-hit":
+        status = 0 if hit.kind == "time-end" else 1
+        raise NoArrival("orbit never crossed the target section "
+                        f"within t={t_budget} (status {status})")
+    return Arrival(hit.t, hit.x, hit.y, float(target.offset_of(hit.x, hit.y)),
+                   run.div_integral)
 
 
 def transition_map(field, s0: Section, s1: Section, r: float, *,
@@ -313,13 +273,10 @@ class DisplacementSample:
 
 
 def displacement_sigma(sys: PwsSystem, from_x: float, *,
-                       lower_direction: str = "forward",
-                       upper_direction: str = "forward",
                        psi_term: Optional[Callable[[float], float]] = None,
                        t_budget: float = 1e3,
                        rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL,
-                       transversal_tol: float = 1e-6) -> DisplacementSample:
+                       atol: float = DEFAULT_ATOL) -> DisplacementSample:
     """Signed vertical loop-closure gap at the line x = from_x.
 
     Lower transit: one smooth arc of the lower subsystem from (from_x, 0)
@@ -329,10 +286,8 @@ def displacement_sigma(sys: PwsSystem, from_x: float, *,
     when one is supplied; a zero certifies a closed crossing loop.
     """
     fl, gl = sys.side("lower")
-    sgn_l = 1.0 if lower_direction == "forward" else -1.0
     run = integrate_smooth(fl, gl, (from_x, 0.0), "lower",
-                           t_max=t_budget, window=None, time_sign=sgn_l,
-                           rtol=rtol, atol=atol)
+                           t_max=t_budget, rtol=rtol, atol=atol)
     if run.terminal.kind != "sigma-cross":
         raise NoArrival(
             f"lower transit from x={from_x} ended with {run.terminal.kind}")
@@ -340,12 +295,8 @@ def displacement_sigma(sys: PwsSystem, from_x: float, *,
     t_lower = run.terminal.t
 
     fu, gu = sys.side("upper")
-    sgn_u = 1.0 if upper_direction == "forward" else -1.0
-    line = Section.vertical(from_x)
-    arr = _flow_to_section(fu, gu, (p_conj, 0.0), line, time_sign=sgn_u,
-                           t_budget=t_budget, window=None,
-                           rtol=rtol, atol=atol,
-                           transversal_tol=transversal_tol)
+    arr = _flow_to_section(fu, gu, (p_conj, 0.0), Section.vertical(from_x),
+                           t_budget=t_budget, rtol=rtol, atol=atol)
     pterm = float(psi_term(from_x)) if psi_term is not None else 0.0
     value = arr.offset - pterm
     return DisplacementSample(value, p_conj, arr.offset, pterm,

@@ -9,6 +9,8 @@ from filippov2d import (NoArrival, OrderMismatch, Section, TangentialArrival,
                         regular_leading_coefficient, sample_transition_map,
                         tangent_leading_coefficient, transition_map)
 from filippov2d.fieldexpr import ScalarField
+from filippov2d.loops import canonical_base
+from filippov2d.maps import _flow_to_section
 from conftest import make_sys
 
 
@@ -166,3 +168,61 @@ def test_map_csv_export(tmp_path):
     assert lines[0] == "# filippov2d-map-v1"
     assert lines[1] == "r,V"
     assert len(lines) == 4
+
+
+def _rotation():
+    # counter-clockwise rotation: orbits are circles about the origin
+    return fld("0 - y", "x")
+
+
+def test_section_hit_outside_half_width_is_skipped():
+    # from (0, 1) the circle meets y = 0 first at (-1, 0), outside the
+    # section's window around (1, 0), then at (1, 0) after 3/4 of a turn
+    target = Section((1.0, 0.0), (1.0, 0.0), 0.1)
+    hit = _flow_to_section(*_rotation(), (0.0, 1.0), target)
+    assert hit.t == pytest.approx(1.5 * math.pi, abs=1e-8)
+    assert hit.x == pytest.approx(1.0, abs=1e-9)
+    assert abs(hit.offset) <= 1e-9
+
+
+def test_sigma_to_sigma_map_skips_its_start():
+    # the start (1 + r, 0) lies inside the target window: the crossing at
+    # t = 0 is not an arrival, the one half a turn later at -(1 + r) is
+    s0, s1 = Section.sigma(1.0, 0.5), Section.sigma(0.0, 2.0)
+    for r in (0.1, -0.2):
+        assert transition_map(_rotation(), s0, s1, r) \
+            == pytest.approx(-r, abs=1e-9)
+
+
+class _Counting:
+    def __init__(self, field):
+        self.field, self.calls = field, 0
+
+    def value(self, x, y):
+        self.calls += 1
+        return self.field.value(x, y)
+
+
+def test_section_transit_stops_at_its_hit():
+    # the hit comes at t = pi/2; a longer budget must not cost more work
+    calls = []
+    for budget in (10.0, 1000.0):
+        f, g = (_Counting(c) for c in _rotation())
+        hit = _flow_to_section(f, g, (1.0, 0.0), Section.vertical(0.0),
+                               t_budget=budget)
+        assert hit.t == pytest.approx(0.5 * math.pi, abs=1e-9)
+        calls.append(f.calls)
+    assert calls[0] == calls[1]
+
+
+@pytest.mark.parametrize("x, value", [
+    (-0.7, "-0x1.0000000000000p-52"),
+    (-0.5, "-0x1.2500000000000p-52"),
+    (-0.3, "0x1.27d0000000000p-52"),
+    (-0.1, "0x1.1061000000000p-52"),
+])
+def test_displacement_on_canonical_base_is_pinned(x, value):
+    # canonical (5,5) orbits are closed, so these are rounding residues:
+    # pinned bit for bit to catch any change in the transit numerics
+    system = canonical_base(5, 5).system()
+    assert displacement_sigma(system, x).value.hex() == value
