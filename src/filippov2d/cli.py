@@ -148,7 +148,6 @@ def load_config(path) -> RunConfig:
     upper = SideConfig(f="1")
     lower = SideConfig(f="-1")
     cfg = RunConfig(upper=upper, lower=lower)
-    window_vals: Optional[Tuple[float, ...]] = None
 
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -213,10 +212,14 @@ def load_config(path) -> RunConfig:
                     f"{where}: scenario.visibility must be one of V I L R")
             cfg.visibility = word
         elif key == "window":
-            window_vals = _floats_value(raw, where)
-            if len(window_vals) != 4:
+            bounds = _floats_value(raw, where)
+            if len(bounds) != 4:
                 raise ConfigError(
                     f"{where}: scenario.window wants x_lo x_hi y_lo y_hi")
+            try:
+                cfg.window = Window(*bounds)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: scenario.window: {exc}") from exc
         elif key == "lambda_plus":
             cfg.lambda_plus = _floats_value(raw, where)
         elif key == "lambda_minus":
@@ -239,11 +242,6 @@ def load_config(path) -> RunConfig:
         if side.phi is not None and side.m is None:
             raise ConfigError(
                 f"{path.name}: section {name!r} sets phi without m")
-    if window_vals is not None:
-        x_lo, x_hi, y_lo, y_hi = window_vals
-        if not (x_lo < x_hi and y_lo < y_hi):
-            raise ConfigError(f"{path.name}: window bounds are not ordered")
-        cfg.window = Window(x_lo, x_hi, y_lo, y_hi)
     if not (cfg.a > 0.0 and cfg.k1 > 0.0 and cfg.k2 < 0.0):
         raise ConfigError(
             f"{path.name}: need scenario.a > 0, k1 > 0, k2 < 0")
@@ -300,23 +298,6 @@ def write_tangent_points_csv(path, scan: TangencyScan) -> None:
         lines.append(",".join((f"{r.x0!r}", str(r.m_plus), str(r.m_minus),
                                r.vis_plus or "", r.vis_minus or "", r.label)))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_tangent_points_csv(path) -> List[Dict[str, object]]:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or TANGENT_CSV_VERSION not in lines[0]:
-        raise ValueError(f"{path}: missing tangent-points header line")
-    names = lines[1].split(",")
-    out: List[Dict[str, object]] = []
-    for ln in lines[2:]:
-        row: Dict[str, object] = dict(zip(names, ln.split(",")))
-        row["x"] = float(row["x"])          # type: ignore[arg-type]
-        row["m_plus"] = int(row["m_plus"])  # type: ignore[arg-type]
-        row["m_minus"] = int(row["m_minus"])  # type: ignore[arg-type]
-        for k in ("vis_plus", "vis_minus"):
-            row[k] = row[k] or None
-        out.append(row)
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -96,6 +96,9 @@ class PsiSpec:
                 f"k must have length 3d+1 = {3 * self.d + 1}, got {len(self.k)}")
         if self.r1 is not None and self.r2 is not None and not self.r1 < self.r2:
             raise ValueError("fallback window needs r1 < r2")
+        ks = self.knots
+        object.__setattr__(self, "_ascending",
+                           all(a < b for a, b in zip(ks[:-1], ks[1:])))
 
     @property
     def knots(self) -> Tuple[float, ...]:
@@ -110,9 +113,9 @@ class PsiSpec:
         return self.k[2 * self.d + 1]
 
     def in_knot_domain(self) -> bool:
-        """Exact strict-ascending test on the knot part of k."""
-        ks = self.knots
-        return all(a < b for a, b in zip(ks[:-1], ks[1:]))
+        """Exact strict-ascending test on the knot part of k (decided once,
+        at construction)."""
+        return self._ascending
 
     def support(self) -> Tuple[float, float]:
         if self.in_knot_domain():
@@ -120,12 +123,6 @@ class PsiSpec:
         if self.r1 is None or self.r2 is None:
             raise ValueError("degenerate knots need a fallback (r1, r2) window")
         return self.r1, self.r2
-
-    def with_heights(self, heights) -> "PsiSpec":
-        heights = tuple(float(h) for h in heights)
-        if len(heights) != self.d:
-            raise ValueError(f"need {self.d} heights")
-        return PsiSpec(self.d, self.knots + heights, self.r1, self.r2)
 
 
 _KNOT_TOL = 1e-14

@@ -103,9 +103,6 @@ class Trajectory:
     def end(self) -> Tuple[float, float]:
         return self.arcs[-1].end()
 
-    def terminal_event(self) -> Optional[Event]:
-        return self.events[-1] if self.events else None
-
     def touch_events(self) -> List[Event]:
         return [e for e in self.events if e.kind == "tangency-touch"]
 

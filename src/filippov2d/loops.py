@@ -392,6 +392,8 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float, *, t_leg: float,
         qa, fa = q, f0
         qb = q - 0.5 * f0
         for _ in range(6):
+            if not w.x_lo <= qb <= w.x_hi:
+                break  # a cycle lies in the window: no seed to try off it
             try:
                 cand, fb = legs(qb)
             except (VerificationFailed, TransitFailure):

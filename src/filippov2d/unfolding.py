@@ -7,12 +7,16 @@ bounded away from zero. Two perturbation layers are applied:
 * transition: replace x^m by the product prod_i (x - lambda_i), splitting
   the base tangency into simple ones at the lambda values;
 * shear: compose with the vertical shear y -> y + psi(x) built from smooth
-  plateau profiles; the sheared upper g-component becomes
+  plateau profiles. Both components of a sheared side are one formula,
 
-      g~(x, y) = phi(x, y + psi(x)) * prod(x - lambda_i)
-                 - f(x, y + psi(x)) * psi'(x)
+      F(x, y) = a(x, u) * prod(x - lambda_i) - b(x, u) * psi'(x),
+      u = y + psi(x),
 
-  and f~(x, y) = f(x, y + psi(x)).
+  with f~ = f(x, u) (a = f, no lambdas, no b) and
+  g~ = phi(x, u) * prod(x - lambda_i) - f(x, u) * psi'(x) (a = phi,
+  b = f). ShearedField is that formula; the two components of a side
+  share one shear, which remembers psi and psi' at the last abscissa, so
+  the f~-then-g~ calls of one flow RHS point evaluate psi once.
 
 The shear is an exact conjugacy between the transition flow and the
 unfolded flow: gamma~(t; x0, y0 - psi(x0)) = gamma^(t; x0, y0) shifted by
@@ -29,7 +33,6 @@ come from `x_jet`, which feeds y + psi(x) to fieldexpr.expr_jet.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -38,7 +41,7 @@ from scipy.integrate import solve_ivp
 
 from .cutoffs import PsiSpec, _psi_core, psi as psi_value, psi_jet, zero_psi
 from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
-                        as_field, expr_jet, jet_constant, jet_mul, jet_variable)
+                        as_field, expr_jet, jet_mul, jet_variable)
 from .system import NormalFormMeta, PwsSystem, Window
 
 
@@ -122,74 +125,82 @@ def _poly_prod(x: float, lambdas: Sequence[float]) -> float:
     return p
 
 
-def _shear_jets(psi_spec: Optional[PsiSpec], x: float, y: float,
+def _shear_jets(psi_spec: PsiSpec, x: float, y: float,
                 order: int) -> Tuple[Jet, Jet, Jet]:
     """Input jets x + t and y + psi(x + t), and the jet of psi'(x + t)."""
-    p = (psi_jet(psi_spec, x, order + 1) if psi_spec is not None
-         else jet_constant(0.0, order + 1))
+    p = psi_jet(psi_spec, x, order + 1)
     return (jet_variable(x, order), [y + p[0]] + p[1:-1],
             [k * p[k] for k in range(1, order + 2)])
 
 
+class _Shear:
+    """(psi, psi') of one side's profile; repeats its last result when
+    asked again at the same x."""
+
+    def __init__(self, spec: PsiSpec):
+        self.spec = spec
+        self._x = self._last = None
+
+    def __call__(self, x: float) -> Tuple[float, float]:
+        if x != self._x:
+            self._last = _psi_core(self.spec, x)
+            self._x = x
+        return self._last
+
+
 class ShearedField:
-    """F(x, y) = base(x, y + psi(x)); base is a ScalarField."""
+    """F(x, y) = a(x, u) * prod(x - l_i) - b(x, u) * psi'(x), u = y + psi(x);
+    a and b are ScalarFields, and the product and the b term are left out
+    when there are no lambdas or no b."""
 
-    def __init__(self, base, psi_spec: Optional[PsiSpec]):
-        self._base = base
-        self._psi = psi_spec
-
-    def value(self, x: float, y: float) -> float:
-        p = psi_value(self._psi, x) if self._psi is not None else 0.0
-        return self._base.value(x, y + p)
-
-    def dx(self, x: float, y: float) -> float:
-        return self.x_jet(x, y, 1)[1]
-
-    def dy(self, x: float, y: float) -> float:
-        p = psi_value(self._psi, x) if self._psi is not None else 0.0
-        return self._base.dy(x, y + p)
-
-    def x_jet(self, x: float, y: float, order: int) -> Jet:
-        xj, u, _ = _shear_jets(self._psi, x, y, order)
-        return expr_jet(self._base.expr, xj, u)
-
-
-class UnfoldedG:
-    """g~ = phi(x, y+psi) * P(x) - f(x, y+psi) * psi'(x), P = prod(x - l_i);
-    phi and f are ScalarFields."""
-
-    def __init__(self, phi, f, lambdas: Sequence[float],
-                 psi_spec: Optional[PsiSpec]):
-        self._phi = phi
-        self._f = f
+    def __init__(self, a, shear: _Shear, lambdas: Sequence[float] = (),
+                 b=None):
+        self._a = a
+        self._shear = shear
         self._lambdas = tuple(float(v) for v in lambdas)
-        self._g_hat = _g_expr(phi, self._lambdas)  # phi * P, unsheared
-        self._psi = psi_spec
-
-    def _psi2(self, x: float) -> Tuple[float, float]:
-        if self._psi is None:
-            return 0.0, 0.0
-        return _psi_core(self._psi, x)
+        self._b = b
+        self._a_hat = _g_expr(a, self._lambdas).expr  # a * P, unsheared
 
     def value(self, x: float, y: float) -> float:
-        p, dp = self._psi2(x)
+        p, dp = self._shear(x)
         u = y + p
-        P = _poly_prod(x, self._lambdas)
-        return self._phi.value(x, u) * P - self._f.value(x, u) * dp
+        v = self._a.value(x, u)
+        if self._lambdas:
+            v *= _poly_prod(x, self._lambdas)
+        if self._b is not None:
+            v -= self._b.value(x, u) * dp
+        return v
 
     def dx(self, x: float, y: float) -> float:
         return self.x_jet(x, y, 1)[1]
 
     def dy(self, x: float, y: float) -> float:
-        p, dp = self._psi2(x)
+        p, dp = self._shear(x)
         u = y + p
-        P = _poly_prod(x, self._lambdas)
-        return self._phi.dy(x, u) * P - self._f.dy(x, u) * dp
+        v = self._a.dy(x, u)
+        if self._lambdas:
+            v *= _poly_prod(x, self._lambdas)
+        if self._b is not None:
+            v -= self._b.dy(x, u) * dp
+        return v
 
     def x_jet(self, x: float, y: float, order: int) -> Jet:
-        xj, u, dp = _shear_jets(self._psi, x, y, order)
-        f_dp = jet_mul(expr_jet(self._f.expr, xj, u), dp)
-        return [a - b for a, b in zip(expr_jet(self._g_hat.expr, xj, u), f_dp)]
+        xj, u, dp = _shear_jets(self._shear.spec, x, y, order)
+        a_jet = expr_jet(self._a_hat, xj, u)
+        if self._b is None:
+            return a_jet
+        b_dp = jet_mul(expr_jet(self._b.expr, xj, u), dp)
+        return [a - b for a, b in zip(a_jet, b_dp)]
+
+
+def _sheared_side(f, phi, lambdas: Sequence[float],
+                  psi_spec: Optional[PsiSpec], plain):
+    """(f~, g~) of one side, sharing one shear; `plain`, the transition
+    pair, when the profile is zero."""
+    if zero_psi(psi_spec):
+        return plain
+    shear = _Shear(psi_spec)
+    return ShearedField(f, shear), ShearedField(phi, shear, lambdas, f)
 
 
 def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
@@ -201,20 +212,12 @@ def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
     """
     b = spec.base
     trans = build_transition(spec)
-    psi_p = None if zero_psi(spec.psi_plus) else spec.psi_plus
-    psi_m = None if zero_psi(spec.psi_minus) else spec.psi_minus
-    if psi_p is None and psi_m is None:
+    if zero_psi(spec.psi_plus) and zero_psi(spec.psi_minus):
         return trans
-    if psi_p is None:
-        f_p, g_p = trans.f_plus, trans.g_plus
-    else:
-        f_p = ShearedField(b.f_plus, psi_p)
-        g_p = UnfoldedG(b.phi_plus, b.f_plus, spec.lambda_plus, psi_p)
-    if psi_m is None:
-        f_m, g_m = trans.f_minus, trans.g_minus
-    else:
-        f_m = ShearedField(b.f_minus, psi_m)
-        g_m = UnfoldedG(b.phi_minus, b.f_minus, spec.lambda_minus, psi_m)
+    f_p, g_p = _sheared_side(b.f_plus, b.phi_plus, spec.lambda_plus,
+                             spec.psi_plus, trans.upper())
+    f_m, g_m = _sheared_side(b.f_minus, b.phi_minus, spec.lambda_minus,
+                             spec.psi_minus, trans.lower())
     return PwsSystem(f_p, g_p, f_m, g_m, b.window,
                      NormalFormMeta(b.m_plus, b.m_minus))
 

@@ -24,6 +24,15 @@ def test_bad_config_exits_with_2(tmp_path, capsys):
     assert main(["portrait", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("bounds", ["-1.75 0.75 0.1 0.5",
+                                    "0.75 -1.75 -0.5 0.5"])
+def test_bad_window_is_a_config_error(tmp_path, capsys, bounds):
+    cfg = write_config(tmp_path, THM2 + f"scenario.window = {bounds}\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run.cfg:5: scenario.window: ")
+
+
 def test_run_thm2_writes_every_artifact(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, THM2), "--out", str(out)]) == 0

@@ -5,7 +5,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from filippov2d import loops  # noqa: E402
+from filippov2d import (PsiSpec, UnfoldingSpec, build_transition,  # noqa: E402
+                        build_unfolded, loops, tangency)
 from tracing import Tracer  # noqa: E402
 
 
@@ -18,3 +19,21 @@ def test_displacements_are_counted_once_at_each_binding():
     assert tracer.consistency() == []
     c = tracer.counters
     assert c["loops.displacement_calls"] == c["maps.displacement_calls"] > 0
+
+
+def test_multiplicity_calls_split_by_field_kind():
+    # the per-layer split reads a g that is not an expression ScalarField
+    # as sheared: build_unfolded's sheared sides, and nothing else
+    lam = loops._negative_cluster(5, 0.1)
+    spec = UnfoldingSpec(loops.canonical_base(5, 5), lam, (0.0,) * 5,
+                         PsiSpec(3, loops._pinned_knots(lam, 0.1)
+                                 + (1e-3, 5e-4, 2e-4)))
+    unfolded, transition = build_unfolded(spec), build_transition(spec)
+    with Tracer() as tracer:
+        tangency.multiplicity_at(unfolded.g_plus, 1.0, lam[0])
+        tangency.multiplicity_at(unfolded.g_minus, -1.0, 0.0)
+        tangency.multiplicity_at(transition.g_plus, 1.0, lam[0])
+        tangency.multiplicity_at(transition.g_minus, -1.0, 0.0)
+    c = tracer.counters
+    assert c["tangency.multiplicity_calls_sheared"] == 1
+    assert c["tangency.multiplicity_calls_expr"] == 3
