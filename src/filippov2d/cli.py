@@ -31,8 +31,8 @@ from .system import (PwsSystem, Window, decompose_sigma, h_value,
                      sliding_convex_coefficient, sliding_field)
 from .tangency import TangencyScan, find_tangent_points
 from .maps import Section
-from .flow import (DEFAULT_ATOL, DEFAULT_RTOL, Trajectory, integrate_pws,
-                   read_trajectory_csv, trajectory_to_csv)
+from .flow import (Trajectory, integrate_pws, read_trajectory_csv,
+                   trajectory_to_csv)
 from .unfolding import CanonicalBase, UnfoldingSpec, build_transition, \
     build_unfolded
 from .cutoffs import cutoff_up
@@ -78,7 +78,6 @@ class RunConfig:
     a: float = 1.0
     k1: float = 1.0
     k2: float = -1.0
-    tol: Optional[float] = None
     window: Optional[Window] = None
     lambda_plus: Tuple[float, ...] = ()
     lambda_minus: Tuple[float, ...] = ()
@@ -91,7 +90,7 @@ _SECTIONS = {
     "upper": {"f", "g", "phi", "m"},
     "lower": {"f", "g", "phi", "m"},
     "scenario": {"theorem", "ell", "delta", "alpha", "kind", "visibility",
-                 "a", "k1", "k2", "tol", "window", "lambda_plus",
+                 "a", "k1", "k2", "window", "lambda_plus",
                  "lambda_minus", "expect_tangent_points"},
     "output": {"dir"},
 }
@@ -192,9 +191,9 @@ def load_config(path) -> RunConfig:
             cfg.ell = _int_value(raw, where)
             if cfg.ell < 0:
                 raise ConfigError(f"{where}: scenario.ell must be >= 0")
-        elif key in ("delta", "alpha", "a", "k1", "k2", "tol"):
+        elif key in ("delta", "alpha", "a", "k1", "k2"):
             val = _float_value(raw, where)
-            if key in ("delta", "alpha", "tol") and val <= 0.0:
+            if key in ("delta", "alpha") and val <= 0.0:
                 raise ConfigError(f"{where}: scenario.{key} must be > 0")
             setattr(cfg, key, val)
         elif key == "kind":
@@ -415,8 +414,7 @@ def _pencil(sys: PwsSystem, n: int = 6) -> List[Trajectory]:
     return out
 
 
-def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None,
-                 tol: Optional[float] = None) -> int:
+def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
     """Execute the configured scenario and write every artifact.
 
     Returns the process exit status: 0 when all asserted counts match.
@@ -424,9 +422,6 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None,
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     traj_dir = out / "trajectories"
     traj_dir.mkdir(parents=True, exist_ok=True)
-    tol = tol if tol is not None else cfg.tol
-    rtol = tol if tol is not None else DEFAULT_RTOL
-    atol = rtol * 1e-2 if tol is not None else DEFAULT_ATOL
 
     try:
         censuses: List[LoopCensus] = []
@@ -437,8 +432,7 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None,
         if cfg.theorem == 2:
             m_p = cfg.upper.m if cfg.upper.m is not None else 7
             kwargs = {} if cfg.delta is None else {"delta": cfg.delta}
-            spec, tc = scenario_thm2(m_p, cfg.visibility, cfg.ell,
-                                     rtol=rtol, atol=atol, **kwargs)
+            spec, tc = scenario_thm2(m_p, cfg.visibility, cfg.ell, **kwargs)
             sys_final = build_unfolded(spec)
             census = LoopCensus("thm2", m_p, 0, cfg.ell)
             censuses.append(census)
@@ -456,8 +450,7 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None,
         elif cfg.theorem == 3:
             base = _canonical_for(cfg)
             kwargs = {} if cfg.delta is None else {"delta": cfg.delta}
-            spec4, rec = scenario_thm3(base, cfg.ell, cfg.kind,
-                                       rtol=rtol, atol=atol, **kwargs)
+            spec4, rec = scenario_thm3(base, cfg.ell, cfg.kind, **kwargs)
             sys_final = build_unfolded(spec4)
             census = LoopCensus("thm3", base.m_plus, base.m_minus, cfg.ell)
             if cfg.kind == "crossing":
@@ -472,13 +465,11 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None,
             base = _canonical_for(cfg)
             kwargs = {} if cfg.delta is None else {"delta": cfg.delta}
             if cfg.theorem == 4:
-                census = scenario_thm4(base, cfg.ell, rtol=rtol, atol=atol,
-                                       **kwargs)
+                census = scenario_thm4(base, cfg.ell, **kwargs)
             else:
                 if cfg.alpha is not None:
                     kwargs["alpha"] = cfg.alpha
-                census = scenario_thm5(base, cfg.ell, rtol=rtol, atol=atol,
-                                       **kwargs)
+                census = scenario_thm5(base, cfg.ell, **kwargs)
             sys_final = build_unfolded(census.notes["spec"])
             censuses.append(census)
             summary.append(f"beta_c={census.beta_c}")
@@ -563,7 +554,7 @@ def _random_system(rng: np.random.Generator) -> PwsSystem:
                      Window(-2.0, 2.0, -2.0, 2.0))
 
 
-def _check_convex(seed: int, tol: float) -> Optional[str]:
+def _check_convex(seed: int) -> Optional[str]:
     rng = np.random.default_rng(seed)
     systems = [_random_system(rng) for _ in range(20)]
     xs = rng.uniform(-2.0, 2.0, size=(20, 500))
@@ -584,7 +575,7 @@ def _check_convex(seed: int, tol: float) -> Optional[str]:
         return bad
 
     top = max(worst(sys_i, row) for sys_i, row in zip(systems, xs))
-    return None if top <= tol else f"convex residual {top:.2e} > {tol:.1e}"
+    return None if top <= 1e-10 else f"convex residual {top:.2e} > 1.0e-10"
 
 
 def _check_cutoff() -> Optional[str]:
@@ -630,7 +621,7 @@ def _check_roundtrip(tmp: Path) -> Optional[str]:
     return None
 
 
-def run_check(*, seed: int = 0, tol: float = 1e-10) -> int:
+def run_check(*, seed: int = 0) -> int:
     """Built-in smoke battery; one ok/FAIL line per check, exit 0 iff ok."""
     import tempfile
 
@@ -638,7 +629,7 @@ def run_check(*, seed: int = 0, tol: float = 1e-10) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         checks = [
             ("sliding-convex-combination",
-             lambda: _check_convex(seed, max(tol, 1e-10))),
+             lambda: _check_convex(seed)),
             ("cutoff-plateaus", _check_cutoff),
             ("canonical-loop-height", _check_canonical),
             ("csv-round-trip", lambda: _check_roundtrip(Path(tmp))),
@@ -669,15 +660,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a configured scenario")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--tol", type=float, default=None,
-                       help="integration tolerance override")
 
     p_por = sub.add_parser("portrait", help="render the configured system")
     p_por.add_argument("config")
     p_por.add_argument("--out", default=None)
 
     p_chk = sub.add_parser("check", help="run the self-test battery")
-    p_chk.add_argument("--tol", type=float, default=1e-10)
     p_chk.add_argument("--seed", type=int, default=0)
     return ap
 
@@ -685,14 +673,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "check":
-        return run_check(seed=args.seed, tol=args.tol)
+        return run_check(seed=args.seed)
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     if args.command == "run":
-        return run_scenario(cfg, out_dir=args.out, tol=args.tol)
+        return run_scenario(cfg, out_dir=args.out)
     return run_portrait(cfg, out_dir=args.out)
 
 

@@ -30,6 +30,13 @@ Sliding arcs integrate the scalar Filippov field along Sigma and stop at
 sliding-region boundaries (tangent points), at window exits, or when the
 sliding speed collapses (pseudo-equilibrium).
 
+Tolerances are fixed contracts, not options: every DOP853 integration
+runs at rtol = RTOL = 1e-10 and atol = ATOL = 1e-12, except the nudge
+off Sigma, whose micro-steps use atol = 1e-2 * ATOL so that they resolve
+|y| below the nudge floor. The closure tolerance every loop witness is
+judged against (loops.CLOSURE_TOL) and the counts it certifies rest on
+these values; nothing in the package widens them.
+
 integrate_pws chains arcs with a deterministic default policy:
 
 * transversal crossing -> switch half-plane;
@@ -107,8 +114,8 @@ class Trajectory:
         return [e for e in self.events if e.kind == "tangency-touch"]
 
 
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
+RTOL = 1e-10               # every DOP853 integration (module docstring)
+ATOL = 1e-12
 _NUDGE_FLOOR = 1e-11       # |y| a start on Sigma must clear before a segment
 _NUDGE_FIRST_STEP = 1e-8   # first micro-step of the nudge, grown 4x per try
 _TOUCH_TOL = 1e-8          # |y| of a g-zero inside a step that counts as a touch
@@ -146,8 +153,8 @@ def _own_sign(side: str) -> float:
     raise ValueError("side must be 'upper' or 'lower'")
 
 
-def _nudge_off_sigma(f, g, x0: float, side: str, *, time_sign: float,
-                     rtol: float, atol: float) -> Tuple[float, float, float]:
+def _nudge_off_sigma(f, g, x0: float, side: str, *,
+                     time_sign: float) -> Tuple[float, float, float]:
     """March a Sigma start strictly into its own half-plane.
 
     Grows the micro-step until |y| clears the nudge floor; raises
@@ -161,7 +168,7 @@ def _nudge_off_sigma(f, g, x0: float, side: str, *, time_sign: float,
     state = (x0, 0.0)
     for _ in range(80):
         sol = solve_ivp(rhs, (0.0, h), state, method="DOP853",
-                        rtol=rtol, atol=atol * 1e-2)
+                        rtol=RTOL, atol=ATOL * 1e-2)
         xe, ye = sol.y[0, -1], sol.y[1, -1]
         if abs(ye) >= _NUDGE_FLOOR:
             if ye * sgn < 0:
@@ -173,8 +180,8 @@ def _nudge_off_sigma(f, g, x0: float, side: str, *, time_sign: float,
 
 
 def _transit(f, g, start: Tuple[float, float], *, t_max: float,
-             time_sign: float, window: Optional[Window], rtol: float,
-             atol: float, max_step: Optional[float] = None,
+             time_sign: float, window: Optional[Window],
+             max_step: Optional[float] = None,
              side: Optional[str] = None, tangency_tol: float = 0.0,
              chain: bool = False, stop_at: Optional[float] = None,
              stop_tol: float = 0.0, t_offset: float = 0.0,
@@ -270,15 +277,14 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
 
     if target is None and abs(y) < _NUDGE_FLOOR:
         chunks.append((np.array([0.0]), np.array([x]), np.array([y])))
-        x, y, t_used = _nudge_off_sigma(f, g, x, side, time_sign=time_sign,
-                                        rtol=rtol, atol=atol)
+        x, y, t_used = _nudge_off_sigma(f, g, x, side, time_sign=time_sign)
 
     for _seg in range(_MAX_SEGMENTS):
         if t_used >= t_max:
             return finish(t_used, x, y, "time-end")
         sol = solve_ivp(rhs, (0.0, t_max - t_used),
                         (x, y, 0.0) if with_divergence else (x, y),
-                        method="DOP853", rtol=rtol, atol=atol,
+                        method="DOP853", rtol=RTOL, atol=ATOL,
                         max_step=np.inf if max_step is None else max_step,
                         dense_output=True, events=events)
         if sol.status == -1:
@@ -373,8 +379,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
                 touched(t_used + t_c, xc, 0.0)
                 try:
                     x, y, dt = _nudge_off_sigma(f, g, xc, side,
-                                                time_sign=time_sign,
-                                                rtol=rtol, atol=atol)
+                                                time_sign=time_sign)
                 except AmbiguousTangency:
                     return finish(t_used + t_c, xc, 0.0, "tangent-exit")
                 t_used += t_c + dt
@@ -390,8 +395,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
         t_leg0 = t_leg0 + t_touch
         chunks = [(np.array([0.0]), np.array([x_touch]), np.array([0.0]))]
         x, y, t_used = _nudge_off_sigma(f, g, x_touch, side,
-                                        time_sign=time_sign,
-                                        rtol=rtol, atol=atol)
+                                        time_sign=time_sign)
     raise AmbiguousTangency("too many tangential contacts in one transit")
 
 
@@ -403,7 +407,6 @@ def integrate_smooth(f, g, start: Tuple[float, float], side: str, *,
                      stop_at: Optional[float] = None,
                      stop_tol: float = 1e-6,
                      t_offset: float = 0.0,
-                     rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                      max_step: Optional[float] = None) -> SmoothRun:
     """One smooth transit in a single half-plane, with Sigma event handling.
 
@@ -423,19 +426,16 @@ def integrate_smooth(f, g, start: Tuple[float, float], side: str, *,
     return _transit(f, g, start, side=side, t_max=t_max, window=window,
                     time_sign=time_sign, tangency_tol=tangency_tol,
                     chain=chain, stop_at=stop_at, stop_tol=stop_tol,
-                    t_offset=t_offset, rtol=rtol, atol=atol,
-                    max_step=max_step)
+                    t_offset=t_offset, max_step=max_step)
 
 
 def sliding_arc(sys: PwsSystem, x_start: float, *, t_max: float,
-                time_sign: float = 1.0, rtol: float = DEFAULT_RTOL,
-                atol: float = DEFAULT_ATOL,
-                peq_tol: float = 1e-9,
+                time_sign: float = 1.0,
                 x_stop: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, Event]:
     """Integrate the sliding field from a point inside a sliding segment.
 
     Stops at the segment boundary (h -> 0), a window edge, the time budget,
-    a pseudo-equilibrium (the sliding speed collapses below peq_tol), or --
+    a pseudo-equilibrium (the sliding speed collapses below 1e-9), or --
     when x_stop is given -- at the prescribed abscissa.
     Returns (t, x, terminal_event); y is identically 0 on the arc.
     """
@@ -466,7 +466,7 @@ def sliding_arc(sys: PwsSystem, x_start: float, *, t_max: float,
         events.append(ev_target)
 
     sol = solve_ivp(rhs, (0.0, t_max), (x_start,), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True,
+                    rtol=RTOL, atol=ATOL, dense_output=True,
                     events=events)
     if sol.status == -1:
         raise StepUnderflow(f"sliding integration failed: {sol.message}")
@@ -488,7 +488,7 @@ def sliding_arc(sys: PwsSystem, x_start: float, *, t_max: float,
         speed = abs(sliding_field(sys, x_end))
     except (NotSliding, DegenerateDenominator):
         speed = 0.0
-    if speed <= peq_tol:
+    if speed <= 1e-9:
         return ts, xs, Event(float(ts[-1]), x_end, 0.0, "pseudo-equilibrium")
     return ts, xs, Event(float(ts[-1]), x_end, 0.0, "time-end")
 
@@ -548,9 +548,7 @@ def step_filippov(sys: PwsSystem, x: float, arriving_from: Optional[str],
 
 
 def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
-                  t_max: float, direction: str = "forward",
-                  rtol: float = DEFAULT_RTOL,
-                  atol: float = DEFAULT_ATOL) -> Trajectory:
+                  t_max: float, direction: str = "forward") -> Trajectory:
     """Chain smooth and sliding arcs under the default Filippov policy."""
     time_sign = 1.0 if direction == "forward" else -1.0
     x, y = float(start[0]), float(start[1])
@@ -578,7 +576,7 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
                                    t_max=t_max - t_used, window=w,
                                    time_sign=time_sign,
                                    tangency_tol=1e-7 * sys.sigma_g_scale(side),
-                                   t_offset=t_used, rtol=rtol, atol=atol)
+                                   t_offset=t_used)
             arcs.extend(run.legs)
             events.extend(run.touches)
             term = run.terminal
@@ -600,8 +598,7 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
                 break
         else:
             ts, xs, term = sliding_arc(sys, x, t_max=t_max - t_used,
-                                       time_sign=time_sign,
-                                       rtol=rtol, atol=atol)
+                                       time_sign=time_sign)
             arcs.append(Arc("sliding", ts + t_used, xs, np.zeros_like(xs)))
             events.append(Event(term.t + t_used, term.x, 0.0, term.kind))
             t_used += term.t

@@ -28,8 +28,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .cutoffs import PsiSpec
-from .flow import (DEFAULT_ATOL, DEFAULT_RTOL, Arc, Event, SmoothRun,
-                   Trajectory, TransitFailure, integrate_smooth, sliding_arc)
+from .flow import (Arc, Event, SmoothRun, Trajectory, TransitFailure,
+                   integrate_smooth, sliding_arc)
 from .maps import NoArrival, Section, _flow_to_section, displacement_sigma
 from .system import PwsSystem, Window, h_value
 from .tangency import multiplicity_at
@@ -37,6 +37,7 @@ from .unfolding import (CanonicalBase, UnfoldingSpec, build_transition,
                         build_unfolded)
 
 CLOSURE_TOL = 1e-8
+_CONTACT_TOL = 1e-6   # x-distance of a tangent junction from a zero of g
 
 
 class NotClosed(Exception):
@@ -112,16 +113,16 @@ class TangentOrbitCensus:
 # classification
 
 
-def _dedup_sorted(xs: Sequence[float], tol: float) -> List[float]:
+def _dedup_sorted(xs: Sequence[float]) -> List[float]:
     out: List[float] = []
     for x in sorted(xs):
-        if not out or x - out[-1] > tol:
+        if not out or x - out[-1] > _CONTACT_TOL:
             out.append(x)
     return out
 
 
-def _grazes(g_field, x: float, scale: float, x_tol: float) -> bool:
-    """True when x sits within x_tol of a zero of g along the line.
+def _grazes(g_field, x: float, scale: float) -> bool:
+    """True when x sits within _CONTACT_TOL of a zero of g along the line.
 
     Uses the first-order distance |g| / |g'|, which separates junctions
     localized onto a tangency (distance ~ solver precision) from shallow
@@ -130,12 +131,10 @@ def _grazes(g_field, x: float, scale: float, x_tol: float) -> bool:
     """
     g0 = g_field.value(x, 0.0)
     g1 = g_field.dx(x, 0.0)
-    return abs(g0) <= max(abs(g1) * x_tol, 1e-12 * scale)
+    return abs(g0) <= max(abs(g1) * _CONTACT_TOL, 1e-12 * scale)
 
 
-def classify_loop(traj: Trajectory, *, closure_tol: float = CLOSURE_TOL,
-                  tangent_x_tol: float = 1e-6,
-                  dedup_tol: float = 1e-6) -> LoopRecord:
+def classify_loop(traj: Trajectory) -> LoopRecord:
     """Validate closure and classify a loop by its switching-line contacts.
 
     Kind precedence: any sliding arc makes a sliding-loop; otherwise a
@@ -144,8 +143,9 @@ def classify_loop(traj: Trajectory, *, closure_tol: float = CLOSURE_TOL,
     transversal loops come back crossing-periodic (find_crossing_cycles
     upgrades isolated ones to crossing-limit-cycle); loops that never
     change half-plane are grazing. Raises NotClosed when the endpoints
-    differ by more than closure_tol. A junction counts as tangent when it
-    sits within tangent_x_tol (in x) of a zero of the active side's g.
+    differ by more than CLOSURE_TOL. A junction counts as tangent when it
+    sits within _CONTACT_TOL (in x) of a zero of the active side's g;
+    contacts closer than that count once.
     """
     sys = traj.system
     if sys is None:
@@ -156,10 +156,10 @@ def classify_loop(traj: Trajectory, *, closure_tol: float = CLOSURE_TOL,
     x0, y0 = traj.start()
     x1, y1 = traj.end()
     residual = math.hypot(x1 - x0, y1 - y0)
-    if residual > closure_tol:
+    if residual > CLOSURE_TOL:
         raise NotClosed(
             f"endpoints ({x0:.12g}, {y0:.3e}) vs ({x1:.12g}, {y1:.3e}) "
-            f"differ by {residual:.3e} > {closure_tol:.1e}")
+            f"differ by {residual:.3e} > {CLOSURE_TOL:.1e}")
     scale_up = sys.sigma_g_scale("upper")
     scale_dn = sys.sigma_g_scale("lower")
     switching: List[Tuple[float, str]] = []
@@ -176,12 +176,12 @@ def classify_loop(traj: Trajectory, *, closure_tol: float = CLOSURE_TOL,
         involved = {a.kind, b.kind}
         tangent = False
         if "upper" in involved:
-            tangent |= _grazes(sys.g_plus, xj, scale_up, tangent_x_tol)
+            tangent |= _grazes(sys.g_plus, xj, scale_up)
         if "lower" in involved:
-            tangent |= _grazes(sys.g_minus, xj, scale_dn, tangent_x_tol)
+            tangent |= _grazes(sys.g_minus, xj, scale_dn)
         switching.append((xj, "tangent" if tangent else "crossing"))
     touch_xs.extend(x for x, lbl in switching if lbl == "tangent")
-    ell = len(_dedup_sorted(touch_xs, dedup_tol))
+    ell = len(_dedup_sorted(touch_xs))
     if any(a.kind == "sliding" for a in arcs):
         kind = "sliding-loop"
     elif not switching:
@@ -196,6 +196,7 @@ def classify_loop(traj: Trajectory, *, closure_tol: float = CLOSURE_TOL,
 
 
 def _transit_budget(window: Window) -> float:
+    """Time budget of one leg (one smooth transit) inside the window."""
     return 6.0 * window.width + 30.0
 
 
@@ -219,10 +220,8 @@ def _signed_area(arcs: Sequence[Arc]) -> float:
 # return map
 
 
-def sigma_return_map(sys: PwsSystem, x: float, *, t_leg: float = 400.0,
-                     max_step: Optional[float] = None,
-                     rtol: float = DEFAULT_RTOL,
-                     atol: float = DEFAULT_ATOL) -> float:
+def sigma_return_map(sys: PwsSystem, x: float, *,
+                     max_step: Optional[float] = None) -> float:
     """First return to the switching line: upper transit, then lower.
 
     Tangential grazes along the way are flown through. Raises NoArrival
@@ -230,14 +229,13 @@ def sigma_return_map(sys: PwsSystem, x: float, *, t_leg: float = 400.0,
     Orbits shadowing a nearby closed orbit recross in a shallow, narrow
     excursion; cap max_step below its width or the crossing gets missed.
     """
+    t_leg = _transit_budget(sys.window)
     run = integrate_smooth(sys.f_plus, sys.g_plus, (float(x), 0.0), "upper",
-                           t_max=t_leg, window=sys.window, rtol=rtol,
-                           atol=atol, max_step=max_step)
+                           t_max=t_leg, window=sys.window, max_step=max_step)
     if run.terminal.kind != "sigma-cross":
         raise NoArrival(f"upper transit ended with {run.terminal.kind}")
     back = integrate_smooth(sys.f_minus, sys.g_minus, (run.terminal.x, 0.0),
-                            "lower", t_max=t_leg, window=sys.window,
-                            rtol=rtol, atol=atol)
+                            "lower", t_max=t_leg, window=sys.window)
     if back.terminal.kind != "sigma-cross":
         raise NoArrival(f"lower transit from x={run.terminal.x:.6g} ended "
                         f"with {back.terminal.kind}")
@@ -245,15 +243,11 @@ def sigma_return_map(sys: PwsSystem, x: float, *, t_leg: float = 400.0,
 
 
 def one_sided_return_slope(sys: PwsSystem, x_star: float, *, h: float,
-                           t_leg: float = 400.0,
-                           max_step: Optional[float] = None,
-                           rtol: float = DEFAULT_RTOL,
-                           atol: float = DEFAULT_ATOL) -> float:
+                           max_step: Optional[float] = None) -> float:
     """(R(x* + h) - x*) / h for the first-return map; sign of h picks the side."""
     if h == 0.0:
         raise ValueError("h must be nonzero")
-    r = sigma_return_map(sys, x_star + h, t_leg=t_leg, max_step=max_step,
-                         rtol=rtol, atol=atol)
+    r = sigma_return_map(sys, x_star + h, max_step=max_step)
     return (r - x_star) / h
 
 
@@ -291,9 +285,7 @@ def canonical_base(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
 
 def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
                             k1: float = 1.0, k2: float = -1.0,
-                            window: Optional[Window] = None, *,
-                            rtol: float = DEFAULT_RTOL,
-                            atol: float = DEFAULT_ATOL,
+                            window: Optional[Window] = None,
                             ) -> Tuple[PwsSystem, LoopRecord]:
     """Assemble and verify the two-arc loop through (-a, 0) and the origin.
 
@@ -307,7 +299,7 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
     t_leg = _transit_budget(sys.window)
     up = integrate_smooth(sys.f_plus, sys.g_plus, (-a, 0.0), "upper",
                           t_max=t_leg, window=sys.window, chain=True,
-                          stop_at=0.0, rtol=rtol, atol=atol)
+                          stop_at=0.0)
     if up.terminal.kind != "tangent-arrival":
         raise VerificationFailed(
             f"upper arc ended with {up.terminal.kind} at x={up.terminal.x:.6g}"
@@ -315,7 +307,7 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
     t1 = up.terminal.t
     down = integrate_smooth(sys.f_minus, sys.g_minus, (up.terminal.x, 0.0),
                             "lower", t_max=t_leg, window=sys.window,
-                            t_offset=t1, rtol=rtol, atol=atol)
+                            t_offset=t1)
     if down.terminal.kind != "sigma-cross":
         raise VerificationFailed(
             f"lower arc ended with {down.terminal.kind}; expected a crossing")
@@ -348,10 +340,7 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
 # crossing cycles
 
 
-def _crossing_cycle_witness(sys: PwsSystem, q: float, *, t_leg: float,
-                            closure_tol: float = CLOSURE_TOL,
-                            rtol: float = DEFAULT_RTOL,
-                            atol: float = DEFAULT_ATOL) -> LoopRecord:
+def _crossing_cycle_witness(sys: PwsSystem, q: float) -> LoopRecord:
     """Integrate the closed orbit seeded at the crossing point (q, 0).
 
     The seed normally comes from a displacement sign change, whose noise
@@ -360,19 +349,19 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float, *, t_leg: float,
     tolerance, so the seed is secant-polished against the integrated
     loop's own signed miss before giving up.
     """
-
     w = sys.window
+    t_leg = _transit_budget(w)
 
     def legs(qq: float):
         low = integrate_smooth(sys.f_minus, sys.g_minus, (qq, 0.0), "lower",
-                               t_max=t_leg, window=w, rtol=rtol, atol=atol)
+                               t_max=t_leg, window=w)
         land = _landed(low)
         # the upper return ends at the line x = qq at the latest: that pins
         # down crossings so shallow the integrator would step over them
         cap = Window(w.x_lo, min(w.x_hi, float(qq)), w.y_lo, w.y_hi)
         up = integrate_smooth(sys.f_plus, sys.g_plus, (land, 0.0), "upper",
                               t_max=t_leg, window=cap, chain=True,
-                              t_offset=low.terminal.t, rtol=rtol, atol=atol)
+                              t_offset=low.terminal.t)
         term = up.terminal
         if term.kind == "sigma-cross":
             miss = term.x - qq
@@ -388,7 +377,7 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float, *, t_leg: float,
         return (low, up), miss
 
     best, f0 = legs(q)
-    if abs(f0) > 0.5 * closure_tol:
+    if abs(f0) > 0.5 * CLOSURE_TOL:
         qa, fa = q, f0
         qb = q - 0.5 * f0
         for _ in range(6):
@@ -400,76 +389,62 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float, *, t_leg: float,
                 break
             if abs(fb) < abs(f0):
                 best, f0, q = cand, fb, qb
-            if abs(fb) <= 0.25 * closure_tol or fb == fa:
+            if abs(fb) <= 0.25 * CLOSURE_TOL or fb == fa:
                 break
             qa, fa, qb = qb, fb, qb - fb * (qb - qa) / (fb - fa)
 
     low, up = best
     term = up.terminal
     gap = math.hypot(term.x - q, term.y)
-    if gap > closure_tol:
+    if gap > CLOSURE_TOL:
         raise VerificationFailed(
             f"cycle through x={q:.9g} fails to close: gap {gap:.2e}")
     events = [low.terminal] + up.touches \
         + [Event(term.t, term.x, 0.0, "sigma-cross")]
     events.sort(key=lambda ev: ev.t)
-    rec = classify_loop(Trajectory(low.legs + up.legs, events, system=sys),
-                        closure_tol=closure_tol)
+    rec = classify_loop(Trajectory(low.legs + up.legs, events, system=sys))
     if rec.kind == "crossing-periodic":
         rec.kind = "crossing-limit-cycle"
     return rec
 
 
 def find_crossing_cycles(sys: PwsSystem,
-                         x_range: Optional[Tuple[float, float]] = None, *,
-                         scan_points: Optional[Sequence[float]] = None,
-                         n_grid: int = 301, max_roots: int = 64,
-                         continuum_tol: float = 1e-11,
-                         closure_tol: float = CLOSURE_TOL,
-                         t_leg: float = 400.0, rtol: float = DEFAULT_RTOL,
-                         atol: float = DEFAULT_ATOL) -> List[LoopRecord]:
+                         scan_points: Sequence[float]) -> List[LoopRecord]:
     """Isolated crossing cycles found as sign changes of the displacement.
 
     The displacement at x is the height gap, over the vertical line at x,
     between the upper orbit continuing the lower transit from (x, 0) and
-    the line itself; its transversal zeros are cycles. Grid points that are
+    the line itself; its transversal zeros are cycles. Scan points that are
     not down-crossings are skipped, a profile that is numerically zero on
-    most of the grid is treated as a continuum of closed orbits (no
+    most of the scan is treated as a continuum of closed orbits (no
     isolated cycles), and every polished root is certified by integrating
-    the actual loop. Returned cycles that graze a tangency stay classified
-    crossing-nonsliding; plain ones are upgraded to crossing-limit-cycle.
+    the actual loop. A root whose loop does not close marks a jump of the
+    displacement, not a zero, and is dropped. Returned cycles that graze a
+    tangency stay classified crossing-nonsliding; plain ones are upgraded
+    to crossing-limit-cycle.
     """
-    w = sys.window
-    if scan_points is None:
-        if x_range is None:
-            span = w.x_hi - w.x_lo
-            x_range = (w.x_lo + 0.05 * span, w.x_hi - 0.05 * span)
-        scan_points = np.linspace(float(x_range[0]), float(x_range[1]),
-                                  int(n_grid))
+    t_leg = _transit_budget(sys.window)
+
+    def disp(x: float) -> float:
+        return displacement_sigma(sys, float(x), t_budget=t_leg).value
+
     pts = np.unique(np.asarray([float(p) for p in scan_points]))
     vals = np.full(pts.shape, np.nan)
     for i, x in enumerate(pts):
         if h_value(sys, x) <= 0.0 or sys.g_minus.value(x, 0.0) >= 0.0:
             continue
         try:
-            vals[i] = displacement_sigma(sys, x, t_budget=t_leg,
-                                         rtol=rtol, atol=atol).value
+            vals[i] = disp(x)
         except TransitFailure:
             continue
     finite = np.isfinite(vals)
     if not finite.any():
         return []
-    if np.mean(np.abs(vals[finite]) < continuum_tol) > 0.9:
+    if np.mean(np.abs(vals[finite]) < 1e-11) > 0.9:
         return []
-
-    def disp(x: float) -> float:
-        return displacement_sigma(sys, float(x), t_budget=t_leg,
-                                  rtol=rtol, atol=atol).value
 
     roots: List[float] = []
     for a_i in range(len(pts) - 1):
-        if len(roots) >= max_roots:
-            break
         # only adjacent grid points may bracket: a pair spanning a filtered
         # (sliding) stretch would hand brentq a zero that is not a cycle
         if not (finite[a_i] and finite[a_i + 1]):
@@ -487,9 +462,13 @@ def find_crossing_cycles(sys: PwsSystem,
         if roots and abs(root - roots[-1]) < 1e-10:
             continue
         roots.append(root)
-    return [_crossing_cycle_witness(sys, q, t_leg=t_leg,
-                                    closure_tol=closure_tol, rtol=rtol,
-                                    atol=atol) for q in roots]
+    cycles: List[LoopRecord] = []
+    for q in roots:
+        try:
+            cycles.append(_crossing_cycle_witness(sys, q))
+        except VerificationFailed:
+            continue
+    return cycles
 
 
 # --------------------------------------------------------------------------
@@ -517,22 +496,21 @@ class _Pin:
     anchor: float    # same orbit's height over the first split point
 
 
-def _pin_data(hat: PwsSystem, lam: Sequence[float], *, t_leg: float,
-              rtol: float, atol: float) -> List[_Pin]:
+def _pin_data(hat: PwsSystem, lam: Sequence[float]) -> List[_Pin]:
     """Per-bump pin heights measured on the transition system."""
+    t_leg = _transit_budget(hat.window)
     d = (len(lam) + 1) // 2
     pins: List[_Pin] = []
     for i in range(1, d + 1):
         tp = lam[2 * i - 2]
         conj = _landed(integrate_smooth(
             hat.f_minus, hat.g_minus, (tp, 0.0), "lower", t_max=t_leg,
-            window=hat.window, rtol=rtol, atol=atol))
+            window=hat.window))
         y = _flow_to_section(hat.f_plus, hat.g_plus, (conj, 0.0),
-                             Section.vertical(tp), t_budget=t_leg,
-                             rtol=rtol, atol=atol).y
+                             Section.vertical(tp), t_budget=t_leg).y
         anchor = y if i == 1 else _flow_to_section(
             hat.f_plus, hat.g_plus, (conj, 0.0), Section.vertical(lam[0]),
-            t_budget=t_leg, rtol=rtol, atol=atol).y
+            t_budget=t_leg).y
         if y <= 0.0 or anchor <= 0.0:
             raise HarvestFailure(
                 f"pin at {tp:.6g}: orbit heights not positive "
@@ -541,36 +519,32 @@ def _pin_data(hat: PwsSystem, lam: Sequence[float], *, t_leg: float,
     return pins
 
 
-def _critical_witness(sys: PwsSystem, tp: float, *, t_leg: float,
-                      closure_tol: float = CLOSURE_TOL,
-                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                      ) -> Tuple[LoopRecord, float]:
+def _critical_witness(sys: PwsSystem,
+                      tp: float) -> Tuple[LoopRecord, float]:
     """Loop dropping at the tangency tp: lower transit out, upper back in.
 
     Returns (record, crossing abscissa). The upper leg may graze earlier
     tangencies; it must arrive tangentially at tp itself.
     """
+    t_leg = _transit_budget(sys.window)
     low = integrate_smooth(sys.f_minus, sys.g_minus, (tp, 0.0), "lower",
-                           t_max=t_leg, window=sys.window, rtol=rtol,
-                           atol=atol)
+                           t_max=t_leg, window=sys.window)
     conj = _landed(low)
     up = integrate_smooth(sys.f_plus, sys.g_plus, (conj, 0.0), "upper",
                           t_max=t_leg, window=sys.window, chain=True,
-                          stop_at=tp, t_offset=low.terminal.t, rtol=rtol,
-                          atol=atol)
+                          stop_at=tp, t_offset=low.terminal.t)
     term = up.terminal
     if term.kind != "tangent-arrival":
         raise VerificationFailed(
             f"upper leg from {conj:.9g} ended with {term.kind} at "
             f"x={term.x:.9g} instead of reaching the tangency at {tp:.6g}")
     gap = abs(term.x - tp)
-    if gap > closure_tol:
+    if gap > CLOSURE_TOL:
         raise VerificationFailed(
             f"loop at {tp:.6g} fails to close: gap {gap:.2e}")
     events = [low.terminal] + up.touches
     events.sort(key=lambda ev: ev.t)
-    rec = classify_loop(Trajectory(low.legs + up.legs, events, system=sys),
-                        closure_tol=closure_tol)
+    rec = classify_loop(Trajectory(low.legs + up.legs, events, system=sys))
     if rec.kind != "critical":
         raise VerificationFailed(
             f"loop at {tp:.6g} classified {rec.kind}, expected critical")
@@ -578,9 +552,7 @@ def _critical_witness(sys: PwsSystem, tp: float, *, t_leg: float,
 
 
 def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
-                     t_leg: float, exit_scale: Optional[float] = None,
-                     closure_tol: float = CLOSURE_TOL,
-                     rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                     exit_scale: Optional[float] = None,
                      ) -> Tuple[LoopRecord, float]:
     """Sliding loop whose sliding arc starts at the visible tangency tp.
 
@@ -592,9 +564,10 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     to most of the gap, so fixed endpoints are not reliable.
     Returns (record, sliding exit abscissa).
     """
+    t_leg = _transit_budget(sys.window)
     bw = integrate_smooth(sys.f_plus, sys.g_plus, (tp, 0.0), "upper",
                           t_max=t_leg, window=sys.window, time_sign=-1.0,
-                          chain=True, rtol=rtol, atol=atol)
+                          chain=True)
     if bw.terminal.kind != "sigma-cross":
         raise VerificationFailed(
             f"backward upper leg from {tp:.6g} ended with {bw.terminal.kind}")
@@ -606,7 +579,7 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     def land_gap(q: float) -> float:
         return _landed(integrate_smooth(
             sys.f_minus, sys.g_minus, (q, 0.0), "lower", t_max=t_leg,
-            window=sys.window, rtol=rtol, atol=atol)) - x_left
+            window=sys.window)) - x_left
 
     eps = (gap_hi - tp) * 1e-6
     hi = gap_hi - eps
@@ -635,14 +608,13 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
             f"exit point {q_s:.9g} is not inside the sliding segment")
     up = integrate_smooth(sys.f_plus, sys.g_plus, (x_left, 0.0), "upper",
                           t_max=t_leg, window=sys.window, chain=True,
-                          stop_at=tp, rtol=rtol, atol=atol)
+                          stop_at=tp)
     if up.terminal.kind != "tangent-arrival" or len(up.touches) != 1:
         raise VerificationFailed(
             f"upper leg ended with {up.terminal.kind} at x={up.terminal.x:.9g}"
             f" instead of the tangency at {tp:.6g}")
     nudge = min(1e-9, (q_s - tp) * 1e-3)
-    ts, xs, sl_term = sliding_arc(sys, tp + nudge, t_max=t_leg, x_stop=q_s,
-                                  rtol=rtol, atol=atol)
+    ts, xs, sl_term = sliding_arc(sys, tp + nudge, t_max=t_leg, x_stop=q_s)
     if sl_term.kind != "target-reached":
         raise VerificationFailed(
             f"sliding leg ended with {sl_term.kind} at x={sl_term.x:.9g} "
@@ -650,10 +622,9 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     t1 = up.terminal.t
     t2 = t1 + float(ts[-1])
     low = integrate_smooth(sys.f_minus, sys.g_minus, (q_s, 0.0), "lower",
-                           t_max=t_leg, window=sys.window, t_offset=t2,
-                           rtol=rtol, atol=atol)
+                           t_max=t_leg, window=sys.window, t_offset=t2)
     land = _landed(low)
-    if abs(land - x_left) > closure_tol:
+    if abs(land - x_left) > CLOSURE_TOL:
         raise VerificationFailed(
             f"sliding loop at {tp:.6g} fails to close: "
             f"{abs(land - x_left):.2e}")
@@ -662,17 +633,14 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
                           np.zeros_like(xs))] + low.legs
     events = [Event(t1, up.terminal.x, 0.0, "tangency-touch"),
               Event(t2, q_s, 0.0, "sliding-exit"), low.terminal]
-    rec = classify_loop(Trajectory(arcs, events, system=sys),
-                        closure_tol=closure_tol)
+    rec = classify_loop(Trajectory(arcs, events, system=sys))
     if rec.kind != "sliding-loop":
         raise VerificationFailed(
             f"loop at {tp:.6g} classified {rec.kind}, expected sliding-loop")
     return rec, q_s
 
 
-def _displacement_root(sys: PwsSystem, a: float, b: float, *, t_leg: float,
-                       n_coarse: int = 25, rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL) -> float:
+def _displacement_root(sys: PwsSystem, a: float, b: float) -> float:
     """First sign change of the displacement on (a, b), fine-tailed near b.
 
     The profile typically stays positive across the gap and only dips below
@@ -681,13 +649,13 @@ def _displacement_root(sys: PwsSystem, a: float, b: float, *, t_leg: float,
     """
     gap = b - a
     xs = np.unique(np.concatenate([
-        np.linspace(a + 0.02 * gap, b - 0.05 * gap, n_coarse),
+        np.linspace(a + 0.02 * gap, b - 0.05 * gap, 25),
         b - np.geomspace(0.05 * gap, 2e-5 * gap, 30),
     ]))
+    t_leg = _transit_budget(sys.window)
 
     def disp(x: float) -> float:
-        return displacement_sigma(sys, float(x), t_budget=t_leg,
-                                  rtol=rtol, atol=atol).value
+        return displacement_sigma(sys, float(x), t_budget=t_leg).value
 
     prev_x: Optional[float] = None
     prev_v: Optional[float] = None
@@ -703,16 +671,15 @@ def _displacement_root(sys: PwsSystem, a: float, b: float, *, t_leg: float,
         f"no displacement sign change in ({a:.6g}, {b:.6g})")
 
 
-def _flank_dip(sys: PwsSystem, left: float, peak: float, *, t_leg: float,
-               n_pts: int = 48, rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL) -> float:
+def _flank_dip(sys: PwsSystem, left: float, peak: float) -> float:
     """Most negative displacement value on the approach to a pinned peak."""
+    t_leg = _transit_budget(sys.window)
     span = peak - left
     best = math.inf
-    for off in np.geomspace(0.5 * span, 1e-5 * span, n_pts):
+    for off in np.geomspace(0.5 * span, 1e-5 * span, 48):
         try:
-            v = displacement_sigma(sys, float(peak - off), t_budget=t_leg,
-                                   rtol=rtol, atol=atol).value
+            v = displacement_sigma(sys, float(peak - off),
+                                   t_budget=t_leg).value
         except TransitFailure:
             continue
         best = min(best, v)
@@ -728,7 +695,6 @@ def _flank_dip(sys: PwsSystem, left: float, peak: float, *, t_leg: float,
 
 def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
                   delta: float = 0.4, window: Optional[Window] = None,
-                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                   ) -> Tuple[UnfoldingSpec, TangentOrbitCensus]:
     """Unfold (1, +-x^m) into a positive cluster with grouped tangent orbits.
 
@@ -785,7 +751,7 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
             h_n = _flow_to_section(hat.f_plus, hat.g_plus,
                                    (anchor, seeds[j - 1]),
                                    Section.vertical(vis_pts[n - 1]),
-                                   t_budget=t_leg, rtol=rtol, atol=atol).y
+                                   t_budget=t_leg).y
         if h_n <= 0.0:
             raise HarvestFailure(
                 f"reference orbit {j} dips to {h_n:.3e} over "
@@ -804,8 +770,7 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
         for sign, way in ((1.0, "forward"), (-1.0, "backward")):
             run = integrate_smooth(sys4.f_plus, sys4.g_plus, (v, 0.0),
                                    "upper", t_max=t_leg, window=sys4.window,
-                                   time_sign=sign, chain=True, rtol=rtol,
-                                   atol=atol)
+                                   time_sign=sign, chain=True)
             if run.terminal.kind not in ("sigma-cross", "window-exit"):
                 raise HarvestFailure(f"orbit through {v:.6g} ended {way} "
                                      f"with {run.terminal.kind}")
@@ -869,8 +834,7 @@ def _plateau_psi(height: float, p_x: float) -> PsiSpec:
 
 
 def _solve_lower_shear(landing_for: Callable[[float], float], target: float,
-                       *, step: float, max_doublings: int = 40,
-                       xtol: float = 1e-13) -> float:
+                       *, step: float) -> float:
     """Height of the lower plateau shear that lands the drop on target.
 
     The landing moves monotonically with the shear height, so expand in the
@@ -885,7 +849,7 @@ def _solve_lower_shear(landing_for: Callable[[float], float], target: float,
     direction = 1.0 if g0 < 0.0 else -1.0
     prev = 0.0
     y = 0.0
-    for k in range(max_doublings):
+    for k in range(40):
         y = direction * step * (2.0 ** k)
         try:
             gy = gap(y)
@@ -894,16 +858,14 @@ def _solve_lower_shear(landing_for: Callable[[float], float], target: float,
                 f"landing lost while expanding to y={y:.3e}: {exc}") from exc
         if g0 * gy < 0.0:
             a, b = (prev, y) if prev < y else (y, prev)
-            return float(brentq(gap, a, b, xtol=xtol, rtol=4e-15))
+            return float(brentq(gap, a, b, xtol=1e-13, rtol=4e-15))
         prev = y
     raise RootNotBracketed(
         f"no landing match within |shear| <= {abs(y):.3e}")
 
 
 def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
-                  delta: float = 0.08, rtol: float = DEFAULT_RTOL,
-                  atol: float = DEFAULT_ATOL,
-                  ) -> Tuple[UnfoldingSpec, LoopRecord]:
+                  delta: float = 0.08) -> Tuple[UnfoldingSpec, LoopRecord]:
     """One nonsliding loop with exactly ell tangential contacts.
 
     Splits the upper tangency into a negative cluster and pins the first
@@ -933,14 +895,14 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     t_leg = _transit_budget(base.window)
     p_ref = _landed(integrate_smooth(
         hat.f_minus, hat.g_minus, (lam[0], 0.0), "lower", t_max=t_leg,
-        window=hat.window, rtol=rtol, atol=atol))
+        window=hat.window))
     d = (m + 1) // 2
     knots = _pinned_knots(lam, delta)
     heights = []
     for i in range(1, d + 1):
         h_ref = _flow_to_section(hat.f_plus, hat.g_plus, (p_ref, 0.0),
                                  Section.vertical(lam[2 * i - 2]),
-                                 t_budget=t_leg, rtol=rtol, atol=atol).y
+                                 t_budget=t_leg).y
         if h_ref <= 0.0:
             raise HarvestFailure(
                 f"reference orbit height {h_ref:.3e} over "
@@ -951,7 +913,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
 
     bw = integrate_smooth(up_sys.f_plus, up_sys.g_plus, (lam[0], 0.0),
                           "upper", t_max=t_leg, window=up_sys.window,
-                          time_sign=-1.0, chain=True, rtol=rtol, atol=atol)
+                          time_sign=-1.0, chain=True)
     if bw.terminal.kind != "sigma-cross":
         raise VerificationFailed(
             f"backward upper leg ended with {bw.terminal.kind}")
@@ -962,7 +924,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     if kind == "crossing":
         fw = integrate_smooth(up_sys.f_plus, up_sys.g_plus, (lam[0], 0.0),
                               "upper", t_max=t_leg, window=up_sys.window,
-                              chain=True, rtol=rtol, atol=atol)
+                              chain=True)
         if fw.terminal.kind != "sigma-cross":
             raise VerificationFailed(
                 f"forward upper leg ended with {fw.terminal.kind}")
@@ -985,7 +947,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
         sys_y = build_unfolded(spec_y)
         return _landed(integrate_smooth(
             sys_y.f_minus, sys_y.g_minus, (x_drop, 0.0), "lower",
-            t_max=t_leg, window=sys_y.window, rtol=rtol, atol=atol))
+            t_max=t_leg, window=sys_y.window))
 
     gap0 = abs(landing_for(0.0) - p_plus)
     y0 = _solve_lower_shear(landing_for, p_plus,
@@ -996,7 +958,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     up = integrate_smooth(sys4.f_plus, sys4.g_plus, (p_plus, 0.0), "upper",
                           t_max=t_leg, window=sys4.window, chain=True,
                           stop_at=None if kind == "crossing" else x_drop,
-                          stop_tol=0.25 * delta, rtol=rtol, atol=atol)
+                          stop_tol=0.25 * delta)
     term, touches = up.terminal, up.touches
     if kind == "crossing":
         if term.kind != "sigma-cross":
@@ -1011,7 +973,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
             f"contacts, expected tangent arrival after {ell}")
     low = integrate_smooth(sys4.f_minus, sys4.g_minus, (term.x, 0.0),
                            "lower", t_max=t_leg, window=sys4.window,
-                           t_offset=term.t, rtol=rtol, atol=atol)
+                           t_offset=term.t)
     land = _landed(low)
     if abs(land - p_plus) > CLOSURE_TOL:
         raise VerificationFailed(
@@ -1033,9 +995,8 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
 # scenario: simultaneous critical and crossing loops
 
 
-def scenario_thm4(base: CanonicalBase, ell: int, *, delta: float = 0.1,
-                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                  ) -> LoopCensus:
+def scenario_thm4(base: CanonicalBase, ell: int, *,
+                  delta: float = 0.1) -> LoopCensus:
     """Census with ell+1 single-contact critical loops and the rest of the
     bumps converted into single-contact crossing loops.
 
@@ -1056,7 +1017,7 @@ def scenario_thm4(base: CanonicalBase, ell: int, *, delta: float = 0.1,
     lam_m = (0.0,) * base.m_minus
     hat = build_transition(UnfoldingSpec(base, lam, lam_m))
     t_leg = _transit_budget(base.window)
-    pins = _pin_data(hat, lam, t_leg=t_leg, rtol=rtol, atol=atol)
+    pins = _pin_data(hat, lam)
     knots = _pinned_knots(lam, delta)
     heights = [0.0] * d
     for i in range(n, d + 1):
@@ -1066,16 +1027,14 @@ def scenario_thm4(base: CanonicalBase, ell: int, *, delta: float = 0.1,
     for j in range(n - 1, 0, -1):
         sys_j = build_unfolded(UnfoldingSpec(
             base, lam, lam_m, PsiSpec(d, knots + tuple(heights))))
-        q = _displacement_root(sys_j, lam[2 * j - 1], lam[2 * j],
-                               t_leg=t_leg, rtol=rtol, atol=atol)
+        q = _displacement_root(sys_j, lam[2 * j - 1], lam[2 * j])
         qs.append(q)
         p_q = _landed(integrate_smooth(
             hat.f_minus, hat.g_minus, (q, 0.0), "lower", t_max=t_leg,
-            window=hat.window, rtol=rtol, atol=atol))
+            window=hat.window))
         heights[j - 1] = _flow_to_section(
             hat.f_plus, hat.g_plus, (p_q, 0.0),
-            Section.vertical(lam[2 * j - 2]), t_budget=t_leg, rtol=rtol,
-            atol=atol).y
+            Section.vertical(lam[2 * j - 2]), t_budget=t_leg).y
 
     spec4 = UnfoldingSpec(base, lam, lam_m, PsiSpec(d, knots + tuple(heights)))
     sys4 = build_unfolded(spec4)
@@ -1088,15 +1047,13 @@ def scenario_thm4(base: CanonicalBase, ell: int, *, delta: float = 0.1,
     slopes: List[float] = []
     for i in range(n, d + 1):
         tp = lam[2 * i - 2]
-        rec, conj = _critical_witness(sys4, tp, t_leg=t_leg,
-                                      rtol=rtol, atol=atol)
+        rec, conj = _critical_witness(sys4, tp)
         if rec.tangent_touch_count != 1:
             raise CensusMismatch(
                 f"critical loop at {tp:.6g} has "
                 f"{rec.tangent_touch_count} contacts, expected 1")
         slope = one_sided_return_slope(sys4, conj, h=1e-4 * delta,
-                                       t_leg=t_leg, max_step=1e-2 * delta,
-                                       rtol=rtol, atol=atol)
+                                       max_step=1e-2 * delta)
         rec.stability = "unstable" if slope > 1.0 else "stable"
         slopes.append(slope)
         tangencies.append(tp)
@@ -1105,8 +1062,7 @@ def scenario_thm4(base: CanonicalBase, ell: int, *, delta: float = 0.1,
     census.beta_cri[1] = d - n + 1
 
     for j, q in zip(range(n - 1, 0, -1), qs):
-        rec = _crossing_cycle_witness(sys4, q, t_leg=t_leg,
-                                      rtol=rtol, atol=atol)
+        rec = _crossing_cycle_witness(sys4, q)
         if rec.kind != "crossing-nonsliding" or rec.tangent_touch_count != 1:
             raise CensusMismatch(
                 f"converted loop at {q:.9g} came back {rec.kind} with "
@@ -1135,9 +1091,7 @@ def scenario_thm4(base: CanonicalBase, ell: int, *, delta: float = 0.1,
 
 
 def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
-                  alpha: Optional[float] = None,
-                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                  ) -> LoopCensus:
+                  alpha: Optional[float] = None) -> LoopCensus:
     """Census of sliding loops and crossing limit cycles.
 
     Starting from the all-pinned configuration, the first (m+1)/2 - ell
@@ -1163,14 +1117,13 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
     lam_m = (0.0,) * base.m_minus
     hat = build_transition(UnfoldingSpec(base, lam, lam_m))
     t_leg = _transit_budget(base.window)
-    pins = _pin_data(hat, lam, t_leg=t_leg, rtol=rtol, atol=atol)
+    pins = _pin_data(hat, lam)
     knots = _pinned_knots(lam, delta)
 
     pinned = build_unfolded(UnfoldingSpec(
         base, lam, lam_m,
         PsiSpec(d, knots + tuple(p.height for p in pins))))
-    dips = [_flank_dip(pinned, knots[2 * i - 2], lam[2 * i - 2],
-                       t_leg=t_leg, rtol=rtol, atol=atol)
+    dips = [_flank_dip(pinned, knots[2 * i - 2], lam[2 * i - 2])
             for i in range(1, d + 1)]
 
     # d(exit)/d(raise) for each raised bump: raising the peak lowers the
@@ -1183,7 +1136,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
         h_fd = 0.02 * delta
         p_hi, p_lo = (_landed(integrate_smooth(
             hat.f_minus, hat.g_minus, (x, 0.0), "lower", t_max=t_leg,
-            window=hat.window, rtol=rtol, atol=atol))
+            window=hat.window))
             for x in (tp + h_fd, tp - h_fd))
         slope = abs(p_hi - p_lo) / (2.0 * h_fd)
         if g_conj <= 0.0 or slope <= 0.0:
@@ -1252,9 +1205,8 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
 
     for i in range(1, n + 1):
         tp = lam[2 * i - 2]
-        rec, q_s = _sliding_witness(sys4, tp, knots[2 * i], t_leg=t_leg,
-                                    exit_scale=rates[i - 1] * raise_by[i - 1],
-                                    rtol=rtol, atol=atol)
+        rec, q_s = _sliding_witness(sys4, tp, knots[2 * i],
+                                    exit_scale=rates[i - 1] * raise_by[i - 1])
         census.witnesses.append((f"sliding@x={tp:.6g}", rec))
     census.beta_s = n
 
@@ -1264,8 +1216,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
         peak = lam[2 * i - 2]
         span = peak - knots[2 * i - 2]
         scan.append(peak - np.geomspace(0.6 * span, 1e-6 * span, 80))
-    cycles = find_crossing_cycles(sys4, scan_points=np.concatenate(scan),
-                                  t_leg=t_leg, rtol=rtol, atol=atol)
+    cycles = find_crossing_cycles(sys4, np.concatenate(scan))
     for rec in cycles:
         x_c = rec.switching_points[0][0] if rec.switching_points else 0.0
         census.witnesses.append((f"cycle@x={x_c:.9g}", rec))

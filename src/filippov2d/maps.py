@@ -38,8 +38,7 @@ from scipy.integrate import solve_ivp  # noqa: F401
 
 from .system import PwsSystem, Window
 from .tangency import multiplicity_at
-from .flow import (DEFAULT_ATOL, DEFAULT_RTOL, TransitFailure, _transit,
-                   integrate_smooth)
+from .flow import TransitFailure, _transit, integrate_smooth
 
 
 class NoArrival(TransitFailure):
@@ -106,8 +105,6 @@ class Arrival:
 def _flow_to_section(f, g, start: Tuple[float, float], target: Section, *,
                      time_sign: float = 1.0, t_budget: float = 1e3,
                      window: Optional[Window] = None,
-                     rtol: float = DEFAULT_RTOL,
-                     atol: float = DEFAULT_ATOL,
                      with_divergence: bool = False) -> Arrival:
     """Integrate the smooth field until it crosses `target` inside its
     acceptance window; optionally carry the divergence integral along.
@@ -118,7 +115,7 @@ def _flow_to_section(f, g, start: Tuple[float, float], target: Section, *,
     uses up t_budget first.
     """
     run = _transit(f, g, start, target=target, t_max=t_budget,
-                   time_sign=time_sign, window=window, rtol=rtol, atol=atol,
+                   time_sign=time_sign, window=window,
                    with_divergence=with_divergence)
     hit = run.terminal
     if hit.kind == "tangent-hit":
@@ -134,22 +131,18 @@ def _flow_to_section(f, g, start: Tuple[float, float], target: Section, *,
 
 def transition_map(field, s0: Section, s1: Section, r: float, *,
                    direction: str = "forward", t_budget: float = 1e3,
-                   window: Optional[Window] = None,
-                   rtol: float = DEFAULT_RTOL,
-                   atol: float = DEFAULT_ATOL) -> float:
+                   window: Optional[Window] = None) -> float:
     """V(r): arrival offset on s1 relative to the base orbit from s0.anchor."""
     f, g = field
     time_sign = 1.0 if direction == "forward" else -1.0
     if abs(r) > s0.half_width:
         raise ValueError(f"|r|={abs(r)} exceeds the departure half-width")
     base = _flow_to_section(f, g, s0.anchor, s1, time_sign=time_sign,
-                            t_budget=t_budget, window=window,
-                            rtol=rtol, atol=atol)
+                            t_budget=t_budget, window=window)
     if r == 0.0:
         return 0.0
     pert = _flow_to_section(f, g, s0.point_at(r), s1, time_sign=time_sign,
-                            t_budget=t_budget, window=window,
-                            rtol=rtol, atol=atol)
+                            t_budget=t_budget, window=window)
     return pert.offset - base.offset
 
 
@@ -184,20 +177,18 @@ def fit_leading_order(rs: Sequence[float], vs: Sequence[float]) -> Tuple[int, fl
 def sample_transition_map(field, s0: Section, s1: Section,
                           r_lo: float, r_hi: float, n: int = 9, *,
                           direction: str = "forward", t_budget: float = 1e3,
-                          window: Optional[Window] = None,
-                          rtol: float = DEFAULT_RTOL,
-                          atol: float = DEFAULT_ATOL) -> TransitionMapSample:
+                          window: Optional[Window] = None
+                          ) -> TransitionMapSample:
     rs = np.geomspace(r_lo, r_hi, n)
     f, g = field
     time_sign = 1.0 if direction == "forward" else -1.0
     base = _flow_to_section(f, g, s0.anchor, s1, time_sign=time_sign,
-                            t_budget=t_budget, window=window,
-                            rtol=rtol, atol=atol)
+                            t_budget=t_budget, window=window)
     vs = []
     for r in rs:
         pert = _flow_to_section(f, g, s0.point_at(float(r)), s1,
                                 time_sign=time_sign, t_budget=t_budget,
-                                window=window, rtol=rtol, atol=atol)
+                                window=window)
         vs.append(pert.offset - base.offset)
     order, coeff, resid = fit_leading_order(rs, vs)
     return TransitionMapSample(rs, np.asarray(vs), order, coeff, resid)
@@ -213,9 +204,7 @@ def _delta(f, g, x: float, y: float, section: Section,
 def regular_leading_coefficient(field, s0: Section, s1: Section, *,
                                 direction: str = "forward",
                                 t_budget: float = 1e3,
-                                window: Optional[Window] = None,
-                                rtol: float = DEFAULT_RTOL,
-                                atol: float = DEFAULT_ATOL) -> float:
+                                window: Optional[Window] = None) -> float:
     """First-order coefficient of V(r) for a transversal departure."""
     f, g = field
     time_sign = 1.0 if direction == "forward" else -1.0
@@ -227,7 +216,7 @@ def regular_leading_coefficient(field, s0: Section, s1: Section, *,
             f"departure at {s0.anchor} is tangential to its section")
     arr = _flow_to_section(f, g, s0.anchor, s1, time_sign=time_sign,
                            t_budget=t_budget, window=window,
-                           rtol=rtol, atol=atol, with_divergence=True)
+                           with_divergence=True)
     d1 = _delta(f, g, arr.x, arr.y, s1, time_sign)
     return (d0 / d1) * math.exp(arr.div_integral)
 
@@ -235,9 +224,7 @@ def regular_leading_coefficient(field, s0: Section, s1: Section, *,
 def tangent_leading_coefficient(field, s0: Section, s1: Section,
                                 m: int, *, direction: str = "forward",
                                 t_budget: float = 1e3,
-                                window: Optional[Window] = None,
-                                rtol: float = DEFAULT_RTOL,
-                                atol: float = DEFAULT_ATOL) -> float:
+                                window: Optional[Window] = None) -> float:
     """Leading coefficient of V(r) ~ V_{m+1} r^{m+1} at an order-m contact.
 
     The departure section must be horizontal and anchored at the contact
@@ -255,7 +242,7 @@ def tangent_leading_coefficient(field, s0: Section, s1: Section,
     gm = time_sign * g.x_jet(x0, y0, m)[m] * math.factorial(m)
     arr = _flow_to_section(f, g, s0.anchor, s1, time_sign=time_sign,
                            t_budget=t_budget, window=window,
-                           rtol=rtol, atol=atol, with_divergence=True)
+                           with_divergence=True)
     d1 = _delta(f, g, arr.x, arr.y, s1, time_sign)
     n01 = s0.direction[0]
     return (gm * n01 ** (m + 1)
@@ -274,9 +261,7 @@ class DisplacementSample:
 
 def displacement_sigma(sys: PwsSystem, from_x: float, *,
                        psi_term: Optional[Callable[[float], float]] = None,
-                       t_budget: float = 1e3,
-                       rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL) -> DisplacementSample:
+                       t_budget: float = 1e3) -> DisplacementSample:
     """Signed vertical loop-closure gap at the line x = from_x.
 
     Lower transit: one smooth arc of the lower subsystem from (from_x, 0)
@@ -286,8 +271,7 @@ def displacement_sigma(sys: PwsSystem, from_x: float, *,
     when one is supplied; a zero certifies a closed crossing loop.
     """
     fl, gl = sys.side("lower")
-    run = integrate_smooth(fl, gl, (from_x, 0.0), "lower",
-                           t_max=t_budget, rtol=rtol, atol=atol)
+    run = integrate_smooth(fl, gl, (from_x, 0.0), "lower", t_max=t_budget)
     if run.terminal.kind != "sigma-cross":
         raise NoArrival(
             f"lower transit from x={from_x} ended with {run.terminal.kind}")
@@ -296,7 +280,7 @@ def displacement_sigma(sys: PwsSystem, from_x: float, *,
 
     fu, gu = sys.side("upper")
     arr = _flow_to_section(fu, gu, (p_conj, 0.0), Section.vertical(from_x),
-                           t_budget=t_budget, rtol=rtol, atol=atol)
+                           t_budget=t_budget)
     pterm = float(psi_term(from_x)) if psi_term is not None else 0.0
     value = arr.offset - pterm
     return DisplacementSample(value, p_conj, arr.offset, pterm,

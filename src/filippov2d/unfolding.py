@@ -42,6 +42,7 @@ from scipy.integrate import solve_ivp
 from .cutoffs import PsiSpec, _psi_core, psi as psi_value, psi_jet, zero_psi
 from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
                         as_field, expr_jet, jet_mul, jet_variable)
+from .flow import ATOL, RTOL
 from .system import NormalFormMeta, PwsSystem, Window
 
 
@@ -223,8 +224,8 @@ def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
 
 
 def shear_conjugacy_check(spec: UnfoldingSpec, side: str, x0: float,
-                          y0: float, t_span: float, *, rtol: float = 1e-10,
-                          atol: float = 1e-12, n_samples: int = 60) -> dict:
+                          y0: float, t_span: float, *,
+                          n_samples: int = 60) -> dict:
     """Numerically verify the shear conjugacy along one smooth sub-flow.
 
     Integrates the transition field from (x0, y0) and the unfolded field
@@ -253,10 +254,10 @@ def shear_conjugacy_check(spec: UnfoldingSpec, side: str, x0: float,
 
     p0 = psi_value(psi_spec, x0) if psi_spec is not None else 0.0
     sol_t = solve_ivp(rhs((f_t, g_t)), (0.0, t_span), (x0, y0),
-                      method="DOP853", rtol=rtol, atol=atol,
+                      method="DOP853", rtol=RTOL, atol=ATOL,
                       dense_output=True, events=exit_event)
     sol_u = solve_ivp(rhs((f_u, g_u)), (0.0, t_span), (x0, y0 - p0),
-                      method="DOP853", rtol=rtol, atol=atol,
+                      method="DOP853", rtol=RTOL, atol=ATOL,
                       dense_output=True, events=exit_event)
     t_end = min(sol_t.t[-1], sol_u.t[-1])
     ts = np.linspace(0.0, t_end, n_samples)

@@ -56,12 +56,20 @@ def test_portrait_builds_the_canonical_base_for_theorem_configs(tmp_path):
     ["run", "CFG", "--seed", "1"],
     ["portrait", "CFG", "--seed", "1"],
     ["portrait", "CFG", "--tol", "1e-8"],
+    ["run", "CFG", "--tol", "1e-8"],
+    ["check", "--tol", "1e-8"],
 ])
 def test_removed_flags_are_rejected(tmp_path, argv):
     cfg = write_config(tmp_path, THM2)
     with pytest.raises(SystemExit) as ei:
         main([cfg if a == "CFG" else a for a in argv])
     assert ei.value.code == 2
+
+
+def test_tolerance_is_no_config_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, THM2 + "scenario.tol = 1e-8\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key 'tol'" in capsys.readouterr().err
 
 
 def test_kept_flags_parse(tmp_path):

@@ -1,14 +1,16 @@
 """Event-driven integration: smooth arcs, crossings, sliding, export."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filippov2d import (Window, h_value, integrate_pws, integrate_smooth,
-                        read_trajectory_csv, sliding_convex_coefficient,
-                        trajectory_to_csv)
+from filippov2d import (Window, flow, h_value, integrate_pws,
+                        integrate_smooth, loops, maps, read_trajectory_csv,
+                        sliding_convex_coefficient, trajectory_to_csv,
+                        unfolding)
 from filippov2d.fieldexpr import ScalarField
 from conftest import make_sys
 
@@ -149,3 +151,23 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert marked, "event rows should be flagged in the event column"
     kinds = {r[3] for r in rows}
     assert kinds <= {"upper", "lower", "sliding"}
+
+
+def test_no_function_takes_integration_settings():
+    # the tolerances are module constants (flow.RTOL/ATOL,
+    # loops.CLOSURE_TOL) and the leg budget follows from the window
+    knobs = {"rtol", "atol", "t_leg", "closure_tol"}
+    hits = []
+    for mod in (flow, maps, loops, unfolding):
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                fns = [v for v in vars(obj).values() if inspect.isfunction(v)]
+            else:
+                fns = [obj] if inspect.isfunction(obj) else []
+            hits += [f"{mod.__name__}.{fn.__qualname__}({name})"
+                     for fn in fns
+                     for name in inspect.signature(fn).parameters
+                     if name in knobs]
+    assert hits == []

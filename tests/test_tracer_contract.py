@@ -3,6 +3,8 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from filippov2d import (PsiSpec, UnfoldingSpec, build_transition,  # noqa: E402
@@ -14,8 +16,9 @@ def test_displacements_are_counted_once_at_each_binding():
     # maps.integrate_smooth is wrapped as the count of displacements at the
     # maps layer: displacement_sigma must stay its only caller in maps
     system = loops.canonical_base(5, 5).system()
+    scan = np.linspace(-1.625, 0.625, 9)   # the window less 5 % each side
     with Tracer() as tracer:
-        tracer.run("test", loops.find_crossing_cycles, system, n_grid=9)
+        tracer.run("test", loops.find_crossing_cycles, system, scan)
     assert tracer.consistency() == []
     c = tracer.counters
     assert c["loops.displacement_calls"] == c["maps.displacement_calls"] > 0
