@@ -1,41 +1,39 @@
 """Filippov flows for two-zone systems: smooth arcs, Sigma events, sliding.
 
-Every smooth arc is integrated by one kernel, ``_transit``: DOP853 with
-dense output, run in segments, each segment one ``solve_ivp`` call that
-ends at the first stop condition. The stop conditions are a fixed set:
+Every smooth arc is integrated by one kernel, ``_transit``: a loop over the
+accepted steps of a ``scipy.integrate.DOP853`` stepper. After each step it
+checks a fixed set of stops from the step's ends and the slopes the stepper
+already holds there (FSAL):
 
-* Sigma contact (transits confined to one half-plane, ``integrate_smooth``):
-  the contact is polished by Newton steps on y and reported on y = 0. It
-  is transversal, and ends the transit, when |g| exceeds the tangency
-  tolerance there; otherwise it is a tangential touch.
-* g-zero touches: a zero of g inside a step with |y| <= 1e-8 is a graze of
-  Sigma that need not reach it. By default the orbit flies through every
-  touch (a touch on Sigma itself is first nudged off into the orbit's own
-  half-plane). With graze chaining each touch ends a leg, and the flow
-  restarts from the touch point (x, 0) in a new leg, one ``Arc`` per leg,
-  until a touch lands near ``stop_at``.
-* Target section (``maps._flow_to_section``): the transit ends at the
-  first *accepted* crossing of the section's line: inside its half-width,
-  not the start point itself, and transversal (a tangential crossing ends
-  the transit as a tangent hit). A rejected crossing stops its segment
-  too; the segment is then integrated again from the same start with
-  twice as many crossings allowed, so the accepted hit is exactly the one
-  an unstopped integration would have found.
-* Window exit: the window padded by 1e-9 of its larger side.
-* Runaway guard: a transit without a window stops where |x| + |y|
-  reaches 1e9.
-* Time budget.
+* exit lines: Sigma (a transit in one half-plane, ``integrate_smooth``),
+  the window padded by 1e-9 of its larger side, else |x| + |y| = 1e9;
+* a target section's line (``maps._flow_to_section``), crossed either way:
+  the first crossing inside its half-width, other than the start point,
+  ends the transit (as a tangent hit when not transversal);
+* turns of y (g changes sign, or the step's cubic Hermite interpolant
+  turns): a turn toward Sigma whose height, integrated onto its abscissa,
+  is within 1e-8 is a touch, a graze of Sigma; one beyond it is a dip;
+* the time budget.
 
-Sliding arcs integrate the scalar Filippov field along Sigma and stop at
-sliding-region boundaries (tangent points), at window exits, or when the
-sliding speed collapses (pseudo-equilibrium).
+Only a step where one may fire builds the dense output, to locate the
+earliest stop on the step polynomial. A transversal stop on a line is then
+landed: the step is integrated again to the polynomial's estimate, and a
+Henon step (Physica D 5, 1982) in the line coordinate s, dz/ds = F / (F.n),
+finishes on the line, carrying the time and the divergence integral; the
+interpolant's error never reaches a reported point. Tangential contacts
+keep the polynomial's root: the orbit flies past them, or with graze
+chaining each ends a leg, one ``Arc`` per leg, and the flow restarts from
+(x, 0) until one lands near ``stop_at``.
 
-Tolerances are fixed contracts, not options: every DOP853 integration
-runs at rtol = RTOL = 1e-10 and atol = ATOL = 1e-12, except the nudge
-off Sigma, whose micro-steps use atol = 1e-2 * ATOL so that they resolve
-|y| below the nudge floor. The closure tolerance every loop witness is
-judged against (loops.CLOSURE_TOL) and the counts it certifies rest on
-these values; nothing in the package widens them.
+Sliding arcs step the scalar Filippov field along Sigma on the same
+stepper and stop at sliding-region boundaries (tangent points), at window
+exits, or when the sliding speed collapses (pseudo-equilibrium).
+
+Tolerances are fixed contracts, not options: every DOP853 integration,
+steps and landings alike, runs at rtol = RTOL = 1e-10 and atol = ATOL =
+1e-12 with steps of its own choosing (the nudge off Sigma resolves |y|
+below the nudge floor with atol = 1e-2 * ATOL). loops.CLOSURE_TOL and the
+counts it certifies rest on these values; nothing widens them.
 
 integrate_pws chains arcs with a deterministic default policy:
 
@@ -57,7 +55,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial.polynomial import polyder, polyval
+from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from .system import (PwsSystem, Window, h_value, sliding_field, NotSliding,
                      DegenerateDenominator)
@@ -121,7 +121,8 @@ _NUDGE_FIRST_STEP = 1e-8   # first micro-step of the nudge, grown 4x per try
 _TOUCH_TOL = 1e-8          # |y| of a g-zero inside a step that counts as a touch
 _TRANSVERSAL_TOL = 1e-6    # relative normal speed of an accepted section hit
 _GUARD_RADIUS = 1e9        # |x| + |y| where a transit without a window stops
-_MAX_SEGMENTS = 64
+_MAX_CONTACTS = 64         # Sigma contacts that restart one transit
+_GRID = np.linspace(0.0, 1.0, 33)   # samples of a step polynomial
 _MAX_ARCS = 200            # arcs of one integrate_pws trajectory
 
 
@@ -179,22 +180,92 @@ def _nudge_off_sigma(f, g, x0: float, side: str, *,
     raise AmbiguousTangency(f"orbit from ({x0}, 0) will not leave Sigma")
 
 
+def _step(solver) -> None:
+    message = solver.step()
+    if solver.status == "failed":
+        raise StepUnderflow(f"integrator failed near {solver.y}: {message}")
+
+
+def _run_to(fun, s0: float, w0, s1: float) -> np.ndarray:
+    """Integrate dw/ds = fun(s, w) from (s0, w0) to s1; one step first."""
+    solver = DOP853(fun, s0, w0, s1, rtol=RTOL, atol=ATOL,
+                    first_step=abs(s1 - s0) or None)
+    while solver.status == "running":
+        _step(solver)
+    return solver.y
+
+
+def _land(rhs, t_a: float, z_a: np.ndarray, t_e: float,
+          line: Tuple[float, float, float]) -> Tuple[float, np.ndarray]:
+    """Land a step from (t_a, z_a) on the line n1 x + n2 y = level near
+    time t_e: integrate again to t_e, then a Henon step (Physica D 5, 1982)
+    in the line coordinate s, dz/ds = F / (F.n) and dt/ds = 1 / (F.n).
+    Returns the landing time and state."""
+    n1, n2, level = line
+
+    def fun(s, w):
+        v = np.asarray(rhs(w[-1], w[:-1]))
+        return np.append(v, 1.0) / (n1 * v[0] + n2 * v[1])
+    z = _run_to(rhs, t_a, z_a, t_e)
+    w = _run_to(fun, n1 * z[0] + n2 * z[1] - level, np.append(z, t_e), 0.0)
+    return float(w[-1]), w[:-1]
+
+
+def _step_poly(dense) -> np.ndarray:
+    """A DOP853 step's interpolant as power-series coefficients in
+    tau = (t - t_old) / h, shape (8, n): one column per state component."""
+    c = np.zeros((8, len(dense.y_old)))
+    for i, row in enumerate(dense.F[::-1]):   # scipy's nested tau, 1-tau form
+        c[0] += row
+        shifted = np.roll(c, 1, axis=0)
+        c = shifted if i % 2 == 0 else c - shifted
+    c[0] += dense.y_old
+    return c
+
+
+def _root(fun, a: float, b: float) -> float:
+    try:   # Brent's method creeps at high-order zeros: room to bisect
+        return brentq(fun, a, b, xtol=1e-15, rtol=1e-15, maxiter=400,
+                      disp=False)
+    except ValueError:   # rounding lost the sign change at b
+        return b
+
+
+def _exits(coef: np.ndarray, lo: float, hi: float) -> List[float]:
+    """Where a step polynomial goes from >= 0 to < 0 on [lo, hi], in order."""
+    taus = lo + (hi - lo) * _GRID
+    v = polyval(taus, coef)
+    return [_root(lambda u: polyval(u, coef), taus[i], taus[i + 1])
+            for i in np.flatnonzero((v[:-1] >= 0.0) & (v[1:] < 0.0))]
+
+
+def _minima(c: np.ndarray, sgn: float, slope) -> List[float]:
+    """Where sgn * y has a minimum along a step polynomial c: brackets from
+    its y', then Brent's method on slope(x, y), the field's sgn * y'."""
+    def slope_at(u):
+        p = polyval(u, c)
+        return slope(p[0], p[1])
+    v = sgn * polyval(_GRID, polyder(c[:, 1]))
+    out = []
+    for i in np.flatnonzero((v[:-1] < 0.0) & (v[1:] >= 0.0)):
+        for a, b in ((i, i + 1), (max(i - 1, 0), min(i + 2, len(v) - 1))):
+            if slope_at(_GRID[a]) < 0.0 <= slope_at(_GRID[b]):
+                out.append(_root(slope_at, _GRID[a], _GRID[b]))
+                break
+    return out
+
+
 def _transit(f, g, start: Tuple[float, float], *, t_max: float,
              time_sign: float, window: Optional[Window],
-             max_step: Optional[float] = None,
              side: Optional[str] = None, tangency_tol: float = 0.0,
              chain: bool = False, stop_at: Optional[float] = None,
              stop_tol: float = 0.0, t_offset: float = 0.0,
              target=None, with_divergence: bool = False) -> SmoothRun:
-    """The one smooth-transit loop (see the module docstring).
-
-    A Sigma transit names its half-plane `side`; a section transit names
-    its `target` section and collects no samples. Times of legs, touches
-    and the terminal count from t_offset; each leg runs on its own time
-    budget t_max, so its solve_ivp spans are those of a separate transit.
-    Terminal kinds: sigma-cross, tangent-arrival, tangent-exit,
-    section-hit, tangent-hit, window-exit, runaway, time-end.
-    """
+    """The one smooth-transit loop (module docstring) for a Sigma transit
+    in half-plane `side` or a section transit to `target`. Times count from
+    t_offset; each leg has the budget t_max. Terminal kinds: sigma-cross,
+    tangent-arrival, tangent-exit, section-hit, tangent-hit, window-exit,
+    runaway, time-end."""
     x, y = float(start[0]), float(start[1])
 
     def rhs(t, s):
@@ -204,198 +275,155 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
             return v + (time_sign * (f.dx(xs, ys) + g.dy(xs, ys)),)
         return v
 
+    # exit lines (n1, n2, level): the orbit stays where n1 x + n2 y >= level;
+    # a section is a line exited either way
     if target is None:
         sgn = _own_sign(side)
         if y * sgn < -1e-9:
             raise ValueError(f"start {start} is not in the {side} half-plane")
-
-        def ev_stop(t, s):
-            return s[1]
-        ev_stop.terminal = True
-        ev_stop.direction = -sgn
-
-        def ev_g(t, s):
-            # ninth root: same zeros and signs as g, but bounded flatness, so
-            # scipy's bracketing converges even at high-order tangencies
-            return np.cbrt(np.cbrt(g.value(s[0], s[1])))
-        ev_g.terminal = False
-        ev_g.direction = 0
-        events = [ev_stop, ev_g]
+        exits = [((0.0, sgn, 0.0), "sigma")]
     else:
+        n1, n2 = -target.direction[1], target.direction[0]
+        level = n1 * target.anchor[0] + n2 * target.anchor[1]
+        exits = [(line, "section")
+                 for line in ((n1, n2, level), (-n1, -n2, -level))]
         on_line_at_start = abs(target.line_coordinate(x, y)) <= 1e-12
-
-        def ev_stop(t, s):
-            return target.line_coordinate(s[0], s[1])
-        ev_stop.terminal = 1     # the number of crossings that end a segment
-        ev_stop.direction = 0
-        events = [ev_stop]
     if window is not None:
-        w = window
-        pad = 1e-9 * max(w.width, w.y_hi - w.y_lo)
+        w, pad = window, 1e-9 * max(window.width, window.y_hi - window.y_lo)
+        exits += [(line, "window-exit") for line in (
+            (1.0, 0.0, w.x_lo - pad), (-1.0, 0.0, -w.x_hi - pad),
+            (0.0, 1.0, w.y_lo - pad), (0.0, -1.0, -w.y_hi - pad))]
+    else:   # |x| + |y| = _GUARD_RADIUS
+        exits += [((a, b, -_GUARD_RADIUS), "runaway")
+                  for a in (1.0, -1.0) for b in (1.0, -1.0)]
 
-        def ev_end(t, s):
-            return min(s[0] - w.x_lo + pad, w.x_hi - s[0] + pad,
-                       s[1] - w.y_lo + pad, w.y_hi - s[1] + pad)
-        end_kind = "window-exit"
-    else:
-        def ev_end(t, s):
-            return _GUARD_RADIUS - abs(s[0]) - abs(s[1])
-        end_kind = "runaway"
-    ev_end.terminal = True
-    ev_end.direction = -1
-    events.append(ev_end)
+    legs, touches = [], []    # touches: every touch of Sigma, in order
+    samples = [(0.0, x, y)]   # (leg time, x, y) of the current leg
+    t_leg0 = t_offset         # start time of the current leg
 
-    legs: List[Arc] = []
-    touches: List[Event] = []
-    chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    t_leg0 = t_offset   # start time of the current leg
-    t_used = 0.0        # time used within the current leg
-
-    def emit(sol, t_stop):
-        tt = sol.t[sol.t <= t_stop]
-        xy = sol.sol(tt)
-        chunks.append((tt + t_used, xy[0], xy[1]))
-
-    def close_leg(t_end: float, xe: float, ye: float) -> None:
-        if chunks:
-            t_all, x_all, y_all = (np.concatenate(c) for c in zip(*chunks))
-        else:   # no segment ran: the leg is its start point
-            t_all, x_all, y_all = np.array([0.0]), np.array([x]), np.array([y])
-        # the end point is the leg's last sample
-        if abs(t_all[-1] - t_end) > 0:
-            t_all = np.append(t_all, t_end)
-            x_all = np.append(x_all, xe)
-            y_all = np.append(y_all, ye)
-        legs.append(Arc(side, t_all + t_leg0, x_all, y_all))
-
-    def finish(t_end: float, xe: float, ye: float, kind: str) -> SmoothRun:
+    def finish(t_end: float, xe: float, ye: float, kind: str,
+               div: float = 0.0) -> SmoothRun:
+        if target is not None:
+            return SmoothRun([], [], Event(t_end, xe, ye, kind), div)
         close_leg(t_end, xe, ye)
         return SmoothRun(legs, touches, Event(t_leg0 + t_end, xe, ye, kind))
 
-    def touched(t_touch: float, xt: float, yt: float) -> None:
-        touches.append(Event(t_touch + t_leg0, xt, yt, "tangency-touch"))
+    def close_leg(t_end: float, xe: float, ye: float) -> None:
+        if samples[-1][0] != t_end:   # the end point is the leg's last sample
+            samples.append((t_end, xe, ye))
+        t_all, x_all, y_all = (np.array(c) for c in zip(*samples))
+        legs.append(Arc(side, t_all + t_leg0, x_all, y_all))
 
+    t = 0.0
     if target is None and abs(y) < _NUDGE_FLOOR:
-        chunks.append((np.array([0.0]), np.array([x]), np.array([y])))
-        x, y, t_used = _nudge_off_sigma(f, g, x, side, time_sign=time_sign)
+        x, y, t = _nudge_off_sigma(f, g, x, side, time_sign=time_sign)
+        samples.append((t, x, y))
+    z = np.array([x, y, 0.0] if with_divergence else [x, y])
 
-    for _seg in range(_MAX_SEGMENTS):
-        if t_used >= t_max:
-            return finish(t_used, x, y, "time-end")
-        sol = solve_ivp(rhs, (0.0, t_max - t_used),
-                        (x, y, 0.0) if with_divergence else (x, y),
-                        method="DOP853", rtol=RTOL, atol=ATOL,
-                        max_step=np.inf if max_step is None else max_step,
-                        dense_output=True, events=events)
-        if sol.status == -1:
-            raise StepUnderflow(
-                f"integrator failed near ({x}, {y}): {sol.message}")
-        t_end_local = sol.t[-1]
+    for _contact in range(_MAX_CONTACTS):
+        if t >= t_max:
+            return finish(t, x, y, "time-end")
+        solver = DOP853(rhs, t, z, t_max, rtol=RTOL, atol=ATOL)
+        t_seg = t + 1e-12   # where touches count: off the restart point
+        contact = None   # (leg time, x) of a Sigma contact that restarts
+        while contact is None:
+            t_a, z_a, f_a = solver.t, solver.y, solver.f
+            _step(solver)
+            t_b, z_b, h = solver.t, solver.y, solver.t - t_a
+            fired = [(line, kind) for line, kind in exits
+                     if line[0] * z_b[0] + line[1] * z_b[1] < line[2]
+                     <= line[0] * z_a[0] + line[1] * z_a[1]]
+            # y may turn: the slope of its cubic Hermite interpolant (end
+            # slopes d0, d1 times the step) changes sign
+            dy, d0, d1 = z_b[1] - z_a[1], h * f_a[1], h * solver.f[1]
+            turned = target is None and bool(np.any(d0 * polyval(_GRID, (
+                d0, 6 * dy - 4 * d0 - 2 * d1, 3 * (d0 + d1 - 2 * dy))) < 0.0))
+            stops = []   # (tau, kind, line) on the step polynomial c
+            if fired or turned:
+                c = _step_poly(solver.dense_output())
+                lo, dip = 0.0, None
+                # y turns toward Sigma in this step: a touch, or a dip
+                # across it, judged by y integrated onto the turn's abscissa
+                for tau in _minima(c, sgn, lambda x, y: sgn * time_sign
+                                   * g.value(x, y)) if turned else ():
+                    x_g = float(polyval(tau, c[:, 0]))
+                    y_g = _land(rhs, t_a, z_a, t_a + tau * h,
+                                (1.0, 0.0, x_g))[1][1] * sgn
+                    if abs(y_g) <= _TOUCH_TOL and t_a + tau * h > t_seg:
+                        stops.append((tau, "touch", None))
+                        lo = tau
+                    elif y_g < -_TOUCH_TOL:
+                        dip = tau
+                        break
+                # a line may be crossed and recrossed inside one step, so
+                # once one fires every line is searched (Sigma after the
+                # touches and up to a dip)
+                for line, kind in exits if fired or dip is not None else ():
+                    span = (lo, 1.0 if dip is None else dip) \
+                        if kind == "sigma" else (0.0, 1.0)
+                    coef = line[0] * c[:, 0] + line[1] * c[:, 1]
+                    coef[0] -= line[2]
+                    roots = _exits(coef, *span)
+                    if kind != "section":   # (hi: rounding lost the root)
+                        roots = roots[:1] or [span[1]] * (
+                            (line, kind) in fired
+                            or kind == "sigma" and dip is not None)
+                    stops += [(tau, kind, line) for tau in roots]
 
-        if target is not None:
-            for t_e in sol.t_events[0]:
-                if on_line_at_start and t_e <= 1e-9:
-                    continue
-                z = sol.sol(t_e)
-                xe, ye = float(z[0]), float(z[1])
-                if abs(target.offset_of(xe, ye)) > target.half_width:
-                    continue
-                fz = time_sign * f.value(xe, ye)
-                gz = time_sign * g.value(xe, ye)
-                speed = math.hypot(fz, gz)
-                trans = abs(fz * (-target.direction[1])
-                            + gz * target.direction[0])
-                kind = ("section-hit" if speed > 0.0
-                        and trans > _TRANSVERSAL_TOL * speed
-                        else "tangent-hit")
-                return SmoothRun([], [], Event(float(t_e), xe, ye, kind),
-                                 float(z[2]) if with_divergence else 0.0)
-            if sol.status == 1 and not len(sol.t_events[-1]):
-                # a rejected crossing ended the segment: run it again from
-                # the same start, past twice as many crossings
-                ev_stop.terminal *= 2
-                continue
-            xe, ye = sol.sol(t_end_local)[:2]
-            return SmoothRun([], [], Event(
-                float(t_end_local), float(xe), float(ye),
-                end_kind if sol.status == 1 else "time-end"))
-
-        # tangential touches strictly inside this segment: g = 0, tiny |y|
-        seg_touches: List[Event] = []
-        for tg in sol.t_events[1]:
-            if tg <= 1e-12 or tg >= t_end_local - 1e-12:
-                continue
-            xg, yg = sol.sol(tg)
-            if abs(yg) <= _TOUCH_TOL and yg * sgn >= -_TOUCH_TOL:
-                seg_touches.append(Event(t_used + tg, float(xg), float(yg),
-                                         "tangency-touch"))
-
-        terminal_kind = "time-end"
-        t_term = t_end_local
-        if sol.status == 1:  # a terminal event fired
-            terminal_kind = None
-            if len(sol.t_events[0]):
-                t_term = sol.t_events[0][0]
-                terminal_kind = "sigma"
-            if len(sol.t_events[-1]):
-                t_exit = sol.t_events[-1][0]
-                if terminal_kind is None or t_exit < t_term:
-                    t_term = t_exit
-                    terminal_kind = end_kind
-
-        touch_at = None   # (local time, x) of a touch that ends the leg
-        early = [e for e in seg_touches
-                 if e.t - t_used < t_term - 1e-12] if chain else []
-        if early:
-            touch_at = (early[0].t, early[0].x)
-            emit(sol, touch_at[0] - t_used)
-        else:
-            for e in seg_touches:
-                if e.t - t_used <= t_term + 1e-12:
-                    touched(e.t, e.x, e.y)
-            if terminal_kind != "sigma":
-                emit(sol, t_term)
-                xe, ye = sol.sol(t_term)
-                return finish(t_used + t_term, float(xe), float(ye),
-                              terminal_kind)
-
-            # Sigma contact: polish, then classify transversal vs tangential
-            t_c = t_term
-            for _ in range(3):
-                xc, yc = sol.sol(t_c)
-                gy = time_sign * g.value(float(xc), float(yc))
-                if abs(gy) < 1e-300 or abs(yc) <= 1e-13:
+            for tau, kind, line in sorted(stops, key=lambda s: s[0]):
+                t_e = t_a + tau * h
+                p = polyval(tau, c)
+                if kind == "section":
+                    # an arrival is not the start point and lies in reach
+                    if on_line_at_start and t_e <= 1e-9 or abs(
+                            target.offset_of(p[0], p[1])) > target.half_width:
+                        continue
+                    fz, gz = rhs(0.0, p)[:2]
+                    kind = ("section-hit" if abs(fz * n1 + gz * n2)
+                            > _TRANSVERSAL_TOL * math.hypot(fz, gz)
+                            else "tangent-hit")
+                elif kind == "sigma" \
+                        and abs(g.value(p[0], 0.0)) > tangency_tol:
+                    kind = "sigma-cross"
+                if kind == "touch" and not chain:
+                    touches.append(Event(t_leg0 + t_e, float(p[0]),
+                                         float(p[1]), "tangency-touch"))
+                elif kind in ("touch", "sigma"):   # a tangential contact
+                    contact = (t_e, float(p[0]))
                     break
-                t_c = t_c - yc / gy
-                t_c = min(max(t_c, 0.0), t_end_local)
-            xc, yc = sol.sol(t_c)
-            xc, yc = float(xc), float(yc)
-            emit(sol, t_c)
-            if abs(g.value(xc, 0.0)) > tangency_tol:
-                return finish(t_used + t_c, xc, 0.0, "sigma-cross")
-            if chain:
-                touch_at = (t_used + t_c, xc)
-            else:
-                touched(t_used + t_c, xc, 0.0)
-                try:
-                    x, y, dt = _nudge_off_sigma(f, g, xc, side,
-                                                time_sign=time_sign)
-                except AmbiguousTangency:
-                    return finish(t_used + t_c, xc, 0.0, "tangent-exit")
-                t_used += t_c + dt
-                continue
+                elif kind == "tangent-hit":
+                    return finish(t_e, float(p[0]), float(p[1]), kind)
+                else:   # a transversal stop on a line
+                    t_c, z_c = _land(rhs, t_a, z_a, t_e, line)
+                    return finish(t_c, float(z_c[0]), 0.0 if kind ==
+                                  "sigma-cross" else float(z_c[1]), kind,
+                                  float(z_c[-1]) if with_divergence else 0.0)
+            if contact is None:
+                samples.append((t_b, z_b[0], z_b[1]))
+                if solver.status == "finished":
+                    return finish(t_b, float(z_b[0]), float(z_b[1]),
+                                  "time-end")
 
-        # graze chaining: the touch ends this leg; stop there, or restart
-        # the flow from the touch point in a new leg with a fresh budget
-        t_touch, x_touch = touch_at
-        touched(t_touch, x_touch, 0.0)
-        if stop_at is not None and abs(x_touch - stop_at) <= stop_tol:
-            return finish(t_touch, x_touch, 0.0, "tangent-arrival")
-        close_leg(t_touch, x_touch, 0.0)
-        t_leg0 = t_leg0 + t_touch
-        chunks = [(np.array([0.0]), np.array([x_touch]), np.array([0.0]))]
-        x, y, t_used = _nudge_off_sigma(f, g, x_touch, side,
+        # a tangential contact with Sigma: fly on past it, or under graze
+        # chaining end the leg there, stop, or restart a new leg from it
+        t_touch, x_touch = contact
+        touches.append(Event(t_leg0 + t_touch, x_touch, 0.0, "tangency-touch"))
+        if chain:
+            if stop_at is not None and abs(x_touch - stop_at) <= stop_tol:
+                return finish(t_touch, x_touch, 0.0, "tangent-arrival")
+            close_leg(t_touch, x_touch, 0.0)
+            t_leg0, t_touch, samples = t_leg0 + t_touch, 0.0, []
+        samples.append((t_touch, x_touch, 0.0))
+        try:
+            x, y, dt = _nudge_off_sigma(f, g, x_touch, side,
                                         time_sign=time_sign)
+        except AmbiguousTangency:
+            if chain:
+                raise
+            return finish(t_touch, x_touch, 0.0, "tangent-exit")
+        t = t_touch + dt
+        samples.append((t, x, y))
+        z = np.array([x, y])
     raise AmbiguousTangency("too many tangential contacts in one transit")
 
 
@@ -406,8 +434,7 @@ def integrate_smooth(f, g, start: Tuple[float, float], side: str, *,
                      chain: bool = False,
                      stop_at: Optional[float] = None,
                      stop_tol: float = 1e-6,
-                     t_offset: float = 0.0,
-                     max_step: Optional[float] = None) -> SmoothRun:
+                     t_offset: float = 0.0) -> SmoothRun:
     """One smooth transit in a single half-plane, with Sigma event handling.
 
     Returns the legs, all tangential touch events and the terminal event,
@@ -418,15 +445,11 @@ def integrate_smooth(f, g, start: Tuple[float, float], side: str, *,
     With chain=True every touch ends a leg and the flow restarts from the
     touch point on Sigma; the transit ends at the first touch within
     stop_tol of stop_at, when one is given. Times count from t_offset.
-
-    Event checks only see step endpoints, so a brief dip below Sigma can be
-    strided over by a large accepted step; pass max_step to bound the step
-    length when such shallow excursions must be caught.
     """
     return _transit(f, g, start, side=side, t_max=t_max, window=window,
                     time_sign=time_sign, tangency_tol=tangency_tol,
                     chain=chain, stop_at=stop_at, stop_tol=stop_tol,
-                    t_offset=t_offset, max_step=max_step)
+                    t_offset=t_offset)
 
 
 def sliding_arc(sys: PwsSystem, x_start: float, *, t_max: float,
@@ -447,50 +470,30 @@ def sliding_arc(sys: PwsSystem, x_start: float, *, t_max: float,
         except (NotSliding, DegenerateDenominator):
             return (0.0,)
 
-    def ev_boundary(t, s):
-        return h_value(sys, float(s[0]))
-    ev_boundary.terminal = True
-    ev_boundary.direction = 1
-
-    def ev_exit(t, s):
-        return min(s[0] - w.x_lo, w.x_hi - s[0])
-    ev_exit.terminal = True
-    ev_exit.direction = -1
-
-    events = [ev_boundary, ev_exit]
+    # stop functions of x, each >= 0 until its stop fires
+    stops = [(lambda x: -h_value(sys, x), "sliding-boundary"),
+             (lambda x: x - w.x_lo, "window-exit"),
+             (lambda x: w.x_hi - x, "window-exit")]
     if x_stop is not None:
-        def ev_target(t, s):
-            return s[0] - x_stop
-        ev_target.terminal = True
-        ev_target.direction = 0
-        events.append(ev_target)
-
-    sol = solve_ivp(rhs, (0.0, t_max), (x_start,), method="DOP853",
-                    rtol=RTOL, atol=ATOL, dense_output=True,
-                    events=events)
-    if sol.status == -1:
-        raise StepUnderflow(f"sliding integration failed: {sol.message}")
-    ts = sol.t
-    xs = sol.y[0]
-    x_end = float(xs[-1])
-    if sol.status == 1:
-        if x_stop is not None and len(sol.t_events[2]):
-            t_b = float(sol.t_events[2][0])
-            return ts, xs, Event(t_b, float(x_stop), 0.0, "target-reached")
-        if len(sol.t_events[0]):
-            t_b = float(sol.t_events[0][0])
-            x_b = float(sol.sol(t_b)[0])
-            return ts, xs, Event(t_b, x_b, 0.0, "sliding-boundary")
-        t_b = float(sol.t_events[1][0])
-        x_b = float(sol.sol(t_b)[0])
-        return ts, xs, Event(t_b, x_b, 0.0, "window-exit")
-    try:
-        speed = abs(sliding_field(sys, x_end))
-    except (NotSliding, DegenerateDenominator):
-        speed = 0.0
-    if speed <= 1e-9:
-        return ts, xs, Event(float(ts[-1]), x_end, 0.0, "pseudo-equilibrium")
-    return ts, xs, Event(float(ts[-1]), x_end, 0.0, "time-end")
+        ahead = 1.0 if x_stop >= x_start else -1.0
+        stops.append((lambda x: ahead * (x_stop - x), "target-reached"))
+    solver = DOP853(rhs, 0.0, [x_start], t_max, rtol=RTOL, atol=ATOL)
+    ts, xs, kind = [0.0], [float(x_start)], "time-end"
+    while solver.status == "running" and kind == "time-end":
+        t_a, x_a = solver.t, float(solver.y[0])
+        _step(solver)
+        t_b, x_b = solver.t, float(solver.y[0])
+        fired = [(fn, kind) for fn, kind in stops if fn(x_b) < 0.0 <= fn(x_a)]
+        if fired:
+            dense = solver.dense_output()
+            t_b, kind = min((_root(lambda t: fn(dense(t)[0]), t_a, t_b), kind)
+                            for fn, kind in fired)
+            x_b = x_stop if kind == "target-reached" else float(dense(t_b)[0])
+        ts.append(t_b)
+        xs.append(x_b)
+    if kind == "time-end" and abs(rhs(0.0, (xs[-1],))[0]) <= 1e-9:
+        kind = "pseudo-equilibrium"
+    return np.array(ts), np.array(xs), Event(ts[-1], xs[-1], 0.0, kind)
 
 
 @dataclass

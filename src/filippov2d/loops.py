@@ -220,18 +220,15 @@ def _signed_area(arcs: Sequence[Arc]) -> float:
 # return map
 
 
-def sigma_return_map(sys: PwsSystem, x: float, *,
-                     max_step: Optional[float] = None) -> float:
+def sigma_return_map(sys: PwsSystem, x: float) -> float:
     """First return to the switching line: upper transit, then lower.
 
     Tangential grazes along the way are flown through. Raises NoArrival
     when either transit fails to come back to the line transversally.
-    Orbits shadowing a nearby closed orbit recross in a shallow, narrow
-    excursion; cap max_step below its width or the crossing gets missed.
     """
     t_leg = _transit_budget(sys.window)
     run = integrate_smooth(sys.f_plus, sys.g_plus, (float(x), 0.0), "upper",
-                           t_max=t_leg, window=sys.window, max_step=max_step)
+                           t_max=t_leg, window=sys.window)
     if run.terminal.kind != "sigma-cross":
         raise NoArrival(f"upper transit ended with {run.terminal.kind}")
     back = integrate_smooth(sys.f_minus, sys.g_minus, (run.terminal.x, 0.0),
@@ -242,12 +239,12 @@ def sigma_return_map(sys: PwsSystem, x: float, *,
     return back.terminal.x
 
 
-def one_sided_return_slope(sys: PwsSystem, x_star: float, *, h: float,
-                           max_step: Optional[float] = None) -> float:
+def one_sided_return_slope(sys: PwsSystem, x_star: float, *,
+                           h: float) -> float:
     """(R(x* + h) - x*) / h for the first-return map; sign of h picks the side."""
     if h == 0.0:
         raise ValueError("h must be nonzero")
-    r = sigma_return_map(sys, x_star + h, max_step=max_step)
+    r = sigma_return_map(sys, x_star + h)
     return (r - x_star) / h
 
 
@@ -356,8 +353,8 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float) -> LoopRecord:
         low = integrate_smooth(sys.f_minus, sys.g_minus, (qq, 0.0), "lower",
                                t_max=t_leg, window=w)
         land = _landed(low)
-        # the upper return ends at the line x = qq at the latest: that pins
-        # down crossings so shallow the integrator would step over them
+        # the upper return ends at the line x = qq at the latest, so one
+        # still above Sigma there gives a signed miss too: its height
         cap = Window(w.x_lo, min(w.x_hi, float(qq)), w.y_lo, w.y_hi)
         up = integrate_smooth(sys.f_plus, sys.g_plus, (land, 0.0), "upper",
                               t_max=t_leg, window=cap, chain=True,
@@ -1052,8 +1049,7 @@ def scenario_thm4(base: CanonicalBase, ell: int, *,
             raise CensusMismatch(
                 f"critical loop at {tp:.6g} has "
                 f"{rec.tangent_touch_count} contacts, expected 1")
-        slope = one_sided_return_slope(sys4, conj, h=1e-4 * delta,
-                                       max_step=1e-2 * delta)
+        slope = one_sided_return_slope(sys4, conj, h=1e-4 * delta)
         rec.stability = "unstable" if slope > 1.0 else "stable"
         slopes.append(slope)
         tangencies.append(tp)

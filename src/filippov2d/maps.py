@@ -6,7 +6,8 @@ smooth field from s0.anchor + r*N0 until the orbit crosses the line of s1
 inside its acceptance window and reports the arrival offset relative to the
 base orbit's arrival, so V(0) = 0 exactly. Section transits
 (_flow_to_section) are configurations of the flow kernel, flow._transit:
-they stop at the first accepted crossing.
+they stop at the first accepted crossing, landed on the section's line by
+a Henon step.
 
 Leading coefficients:
 
@@ -122,9 +123,8 @@ def _flow_to_section(f, g, start: Tuple[float, float], target: Section, *,
         raise TangentialArrival(
             f"arrival at ({hit.x:.6g},{hit.y:.6g}) is tangential to the section")
     if hit.kind != "section-hit":
-        status = 0 if hit.kind == "time-end" else 1
         raise NoArrival("orbit never crossed the target section "
-                        f"within t={t_budget} (status {status})")
+                        f"within t={t_budget}: {hit.kind}")
     return Arrival(hit.t, hit.x, hit.y, float(target.offset_of(hit.x, hit.y)),
                    run.div_integral)
 

@@ -35,6 +35,16 @@ def test_parabolic_contact_at_sqrt_two():
     assert abs(run.terminal.y) <= 1e-12
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-3])
+def test_shallow_dip_inside_one_step_is_a_crossing(eps):
+    # dy/dx = x from (-1, 0.5 - eps): y = x^2/2 - eps dips eps below Sigma
+    # between -sqrt(2 eps) and sqrt(2 eps), far inside one accepted step
+    run = integrate_smooth(ScalarField("1"), ScalarField("x"),
+                           (-1.0, 0.5 - eps), "upper", t_max=10.0, window=BIG)
+    assert run.terminal.kind == "sigma-cross"
+    assert run.terminal.x == pytest.approx(-math.sqrt(2.0 * eps), abs=1e-9)
+
+
 def test_vertical_drop_contact():
     run = integrate_smooth(ScalarField("0"), ScalarField("-1"), (0.0, 0.3),
                            "upper", t_max=10.0, window=BIG)
@@ -155,8 +165,9 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 def test_no_function_takes_integration_settings():
     # the tolerances are module constants (flow.RTOL/ATOL,
-    # loops.CLOSURE_TOL) and the leg budget follows from the window
-    knobs = {"rtol", "atol", "t_leg", "closure_tol"}
+    # loops.CLOSURE_TOL), the leg budget follows from the window, and the
+    # step length is the integrator's own choice
+    knobs = {"rtol", "atol", "t_leg", "closure_tol", "max_step"}
     hits = []
     for mod in (flow, maps, loops, unfolding):
         for obj in vars(mod).values():

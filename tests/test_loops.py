@@ -1,10 +1,12 @@
 """Loop assembly and the scenario censuses built on it."""
 
+import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from filippov2d import (PsiSpec, UnfoldingSpec, VerificationFailed,
                         build_unfolded, canonical_base,
-                        canonical_critical_loop, find_crossing_cycles, loops,
+                        canonical_critical_loop, displacement_sigma, loops,
                         scenario_thm3, scenario_thm4)
 from filippov2d.loops import CLOSURE_TOL, _negative_cluster, _pinned_knots
 
@@ -15,20 +17,14 @@ def _hex_fingerprint(rec):
             rec.closure_residual.hex())
 
 
-@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("m", [1, 3, 5])
 def test_canonical_loop_is_critical_with_one_contact(m):
+    # m = 3: one accepted step holds both zeros of g+ (the hill top and the
+    # contact at the origin), with g+ of one sign at its ends
     _, rec = canonical_critical_loop(m, m)
     assert rec.kind == "critical"
     assert rec.tangent_touch_count == 1
     assert rec.closure_residual <= CLOSURE_TOL
-
-
-@pytest.mark.xfail(strict=True, raises=VerificationFailed,
-                   reason="missed contact: one DOP853 step strides over both "
-                          "zeros of g+ and the upper arc leaves the window "
-                          "(ROADMAP item 1)")
-def test_canonical_loop_3_3():
-    canonical_critical_loop(3, 3)
 
 
 def test_thm3_critical_loop_with_two_contacts():
@@ -36,8 +32,8 @@ def test_thm3_critical_loop_with_two_contacts():
     assert rec.kind == "critical"
     assert rec.tangent_touch_count == 2
     assert _hex_fingerprint(rec) == (
-        ["-0x1.eb851eb851eb4p-3", "-0x1.feb9037203000p-1"],
-        "0x1.0000000000000p-57")
+        ["-0x1.eb851eb851eb8p-3", "-0x1.feb9037202ffbp-1"],
+        "0x1.0000000000000p-52")
 
 
 def test_thm4_census_and_witness_closure():
@@ -48,12 +44,12 @@ def test_thm4_census_and_witness_closure():
     for _, rec in census.witnesses:
         assert rec.closure_residual <= CLOSURE_TOL
     assert {tag: _hex_fingerprint(rec) for tag, rec in census.witnesses} == {
-        "critical@x=-0.5": (["-0x1.fbcc15d16a074p-1", "-0x1.ffffffffffffcp-2"],
-                            "0x1.0000000000000p-52"),
-        "critical@x=-0.3": (["-0x1.ffbce87db4710p-1", "-0x1.333333333332fp-2"],
-                            "0x1.4000000000000p-52"),
-        "critical@x=-0.1": (["-0x1.ffffe1cd04621p-1", "-0x1.9999999999963p-4"],
-                            "0x1.b800000000000p-51"),
+        "critical@x=-0.5": (["-0x1.fbcc15d16a070p-1", "-0x1.0000000000000p-1"],
+                            "0x0.0p+0"),
+        "critical@x=-0.3": (["-0x1.ffbce87db4711p-1", "-0x1.3333333333334p-2"],
+                            "0x0.0p+0"),
+        "critical@x=-0.1": (["-0x1.ffffe1cd04623p-1", "-0x1.999999999999ap-4"],
+                            "0x0.0p+0"),
     }
 
 
@@ -84,10 +80,26 @@ def test_cycle_witness_polish_stays_in_the_window(monkeypatch):
     assert all(w.x_lo <= x <= w.x_hi for x in starts), starts
 
 
-def test_a_sign_change_that_closes_no_loop_is_no_cycle():
-    # the same system: the displacement changes sign between these points,
-    # but the loop through the polished root misses by 2e-2, so the scan
-    # drops that root instead of failing the census
-    scan = [float.fromhex("-0x1.a7a1b9c87f756p-4"),
-            float.fromhex("-0x1.a574f60e7a36fp-4")]
-    assert find_crossing_cycles(_thm5_33_ell1_system(), scan) == []
+def _x_integrated_height(system, x0, x1):
+    # reference: the upper orbit from (x0, 0) as a graph, dy/dx = g/f,
+    # integrated knot to knot so that no step straddles a knot of psi
+    f, g = system.side("upper")
+    knots = _pinned_knots(_negative_cluster(3, 0.1), 0.1)
+    cuts = [x0] + [k for k in knots if x0 < k < x1] + [x1]
+    y = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        y = solve_ivp(lambda s, u: [g.value(s, u[0]) / f.value(s, u[0])],
+                      (a, b), [y], method="DOP853", rtol=1e-13,
+                      atol=1e-15).y[0, -1]
+    return y
+
+
+def test_displacement_next_to_a_bump_peak_is_positive_and_smooth():
+    # thm5 (3,3) ell=1 next to the second bump's peak at x = -0.1: every
+    # value is the upper orbit's true height, with no spurious sign change
+    system = _thm5_33_ell1_system()
+    for x in np.linspace(-0.1035, -0.0995, 41):
+        d = displacement_sigma(system, float(x))
+        assert d.value > 0.0
+        ref = _x_integrated_height(system, d.conjugate_x, float(x))
+        assert d.value == pytest.approx(ref, abs=1e-9), x

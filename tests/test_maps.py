@@ -194,6 +194,18 @@ def test_sigma_to_sigma_map_skips_its_start():
             == pytest.approx(-r, abs=1e-9)
 
 
+@pytest.mark.parametrize("f_src, window, budget, kind", [
+    ("1", Window(-2.0, 2.0, -2.0, 2.0), 1e3, "window-exit"),
+    ("1", None, 3.0, "time-end"),
+    ("x", None, 1e3, "runaway"),   # x = e^t passes 1e9 at t = 20.7
+])
+def test_no_arrival_names_how_the_transit_ended(f_src, window, budget, kind):
+    # the section x = -1 lies behind an orbit that moves right
+    with pytest.raises(NoArrival, match=f": {kind}$"):
+        _flow_to_section(*fld(f_src, "0"), (1.0, 0.5), Section.vertical(-1.0),
+                         t_budget=budget, window=window)
+
+
 class _Counting:
     def __init__(self, field):
         self.field, self.calls = field, 0
@@ -216,10 +228,10 @@ def test_section_transit_stops_at_its_hit():
 
 
 @pytest.mark.parametrize("x, value", [
-    (-0.7, "-0x1.0000000000000p-52"),
-    (-0.5, "-0x1.2500000000000p-52"),
-    (-0.3, "0x1.27d0000000000p-52"),
-    (-0.1, "0x1.1061000000000p-52"),
+    (-0.7, "-0x1.0680000000000p-52"),
+    (-0.5, "-0x1.b540000000000p-52"),
+    (-0.3, "0x1.fa5a2b5a20ddcp-55"),
+    (-0.1, "0x1.84877c98a222dp-52"),
 ])
 def test_displacement_on_canonical_base_is_pinned(x, value):
     # canonical (5,5) orbits are closed, so these are rounding residues:
