@@ -1,8 +1,8 @@
 """Planar two-zone piecewise-smooth vector fields.
 
-Tangency classification, plateau unfoldings, Filippov flows with sliding,
-transition maps and loop censuses on a rectangular window split by the
-switching line y = 0.
+Tangency classification, plateau unfoldings, Filippov flows with sliding
+and loop censuses on a rectangular window split by the switching line
+y = 0.
 """
 
 __version__ = "0.1.0"
@@ -12,8 +12,7 @@ from .fieldexpr import (EvalDomainError, ParseError, ScalarField, as_field,
                         parse_expr, to_str)
 from .system import (DegenerateDenominator, NormalFormMeta, NotSliding,
                      PwsSystem, SigmaDecomposition, Window, WindowMismatch,
-                     decompose_sigma, h_value, mirror_system,
-                     pseudo_equilibria, sliding_convex_coefficient,
+                     decompose_sigma, h_value, sliding_convex_coefficient,
                      sliding_field, system_distance)
 from .tangency import (BoundViolation, IndeterminateMultiplicity,
                        TangencyScan, TangentPointRecord,
@@ -28,11 +27,8 @@ from .flow import (Arc, AmbiguousTangency, Event, SmoothRun, StepUnderflow,
                    Trajectory, TransitFailure, integrate_pws,
                    integrate_smooth, read_trajectory_csv, sliding_arc,
                    trajectory_to_csv)
-from .maps import (NoArrival, OrderMismatch, Section, TangentialArrival,
-                   TangentialDeparture, displacement_sigma,
-                   fit_leading_order, regular_leading_coefficient,
-                   sample_transition_map, tangent_leading_coefficient,
-                   transition_map)
+from .maps import (NoArrival, Section, TangentialArrival,
+                   displacement_sigma)
 from .loops import (CensusMismatch, HarvestFailure, LoopCensus, LoopRecord,
                     NotClosed, RangeError, RootNotBracketed,
                     TangentOrbitCensus, VerificationFailed, canonical_base,

@@ -31,8 +31,8 @@ from .system import (PwsSystem, Window, decompose_sigma, h_value,
                      sliding_convex_coefficient, sliding_field)
 from .tangency import TangencyScan, find_tangent_points
 from .maps import Section
-from .flow import (Trajectory, integrate_pws, read_trajectory_csv,
-                   trajectory_to_csv)
+from .flow import (Trajectory, TransitFailure, integrate_pws,
+                   read_trajectory_csv, trajectory_to_csv)
 from .unfolding import CanonicalBase, UnfoldingSpec, build_transition, \
     build_unfolded
 from .cutoffs import cutoff_up
@@ -400,7 +400,11 @@ def _safe_tag(tag: str) -> str:
 
 
 def _pencil(sys: PwsSystem, n: int = 6) -> List[Trajectory]:
-    """A few forward orbits seeded across the top and bottom edges."""
+    """A few forward orbits seeded across the top and bottom edges.
+
+    An orbit the flow cannot continue (a TransitFailure) or whose field
+    meets a domain error (ArithmeticError, ValueError) is left out.
+    """
     w = sys.window
     out = []
     t_max = 3.0 * (w.x_hi - w.x_lo)
@@ -409,7 +413,7 @@ def _pencil(sys: PwsSystem, n: int = 6) -> List[Trajectory]:
         for y0 in (0.7 * w.y_hi, 0.7 * w.y_lo):
             try:
                 out.append(integrate_pws(sys, (x0, y0), t_max=t_max))
-            except Exception:
+            except (TransitFailure, ArithmeticError, ValueError):
                 continue
     return out
 

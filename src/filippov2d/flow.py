@@ -19,11 +19,11 @@ Only a step where one may fire builds the dense output, to locate the
 earliest stop on the step polynomial. A transversal stop on a line is then
 landed: the step is integrated again to the polynomial's estimate, and a
 Henon step (Physica D 5, 1982) in the line coordinate s, dz/ds = F / (F.n),
-finishes on the line, carrying the time and the divergence integral; the
-interpolant's error never reaches a reported point. Tangential contacts
-keep the polynomial's root: the orbit flies past them, or with graze
-chaining each ends a leg, one ``Arc`` per leg, and the flow restarts from
-(x, 0) until one lands near ``stop_at``.
+finishes on the line, carrying the time; the interpolant's error never
+reaches a reported point. Tangential contacts keep the polynomial's root:
+the orbit flies past them, or with graze chaining each ends a leg, one
+``Arc`` per leg, and the flow restarts from (x, 0) until one lands near
+``stop_at``.
 
 Sliding arcs step the scalar Filippov field along Sigma on the same
 stepper and stop at sliding-region boundaries (tangent points), at window
@@ -131,7 +131,6 @@ class SmoothRun:
     legs: List[Arc]          # one per leg; several only under graze chaining
     touches: List[Event]
     terminal: Event
-    div_integral: float = 0.0   # section transits with the divergence only
 
     @property
     def t(self) -> np.ndarray:
@@ -260,7 +259,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
              side: Optional[str] = None, tangency_tol: float = 0.0,
              chain: bool = False, stop_at: Optional[float] = None,
              stop_tol: float = 0.0, t_offset: float = 0.0,
-             target=None, with_divergence: bool = False) -> SmoothRun:
+             target=None) -> SmoothRun:
     """The one smooth-transit loop (module docstring) for a Sigma transit
     in half-plane `side` or a section transit to `target`. Times count from
     t_offset; each leg has the budget t_max. Terminal kinds: sigma-cross,
@@ -270,10 +269,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
 
     def rhs(t, s):
         xs, ys = s[0], s[1]
-        v = (time_sign * f.value(xs, ys), time_sign * g.value(xs, ys))
-        if with_divergence:
-            return v + (time_sign * (f.dx(xs, ys) + g.dy(xs, ys)),)
-        return v
+        return time_sign * f.value(xs, ys), time_sign * g.value(xs, ys)
 
     # exit lines (n1, n2, level): the orbit stays where n1 x + n2 y >= level;
     # a section is a line exited either way
@@ -301,10 +297,9 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
     samples = [(0.0, x, y)]   # (leg time, x, y) of the current leg
     t_leg0 = t_offset         # start time of the current leg
 
-    def finish(t_end: float, xe: float, ye: float, kind: str,
-               div: float = 0.0) -> SmoothRun:
+    def finish(t_end: float, xe: float, ye: float, kind: str) -> SmoothRun:
         if target is not None:
-            return SmoothRun([], [], Event(t_end, xe, ye, kind), div)
+            return SmoothRun([], [], Event(t_end, xe, ye, kind))
         close_leg(t_end, xe, ye)
         return SmoothRun(legs, touches, Event(t_leg0 + t_end, xe, ye, kind))
 
@@ -318,7 +313,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
     if target is None and abs(y) < _NUDGE_FLOOR:
         x, y, t = _nudge_off_sigma(f, g, x, side, time_sign=time_sign)
         samples.append((t, x, y))
-    z = np.array([x, y, 0.0] if with_divergence else [x, y])
+    z = np.array([x, y])
 
     for _contact in range(_MAX_CONTACTS):
         if t >= t_max:
@@ -378,7 +373,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
                     if on_line_at_start and t_e <= 1e-9 or abs(
                             target.offset_of(p[0], p[1])) > target.half_width:
                         continue
-                    fz, gz = rhs(0.0, p)[:2]
+                    fz, gz = rhs(0.0, p)
                     kind = ("section-hit" if abs(fz * n1 + gz * n2)
                             > _TRANSVERSAL_TOL * math.hypot(fz, gz)
                             else "tangent-hit")
@@ -396,8 +391,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
                 else:   # a transversal stop on a line
                     t_c, z_c = _land(rhs, t_a, z_a, t_e, line)
                     return finish(t_c, float(z_c[0]), 0.0 if kind ==
-                                  "sigma-cross" else float(z_c[1]), kind,
-                                  float(z_c[-1]) if with_divergence else 0.0)
+                                  "sigma-cross" else float(z_c[1]), kind)
             if contact is None:
                 samples.append((t_b, z_b[0], z_b[1]))
                 if solver.status == "finished":

@@ -30,7 +30,8 @@ from scipy.optimize import brentq
 from .cutoffs import PsiSpec
 from .flow import (Arc, Event, SmoothRun, Trajectory, TransitFailure,
                    integrate_smooth, sliding_arc)
-from .maps import NoArrival, Section, _flow_to_section, displacement_sigma
+from .maps import (NoArrival, Section, _flow_to_section, _transit_budget,
+                   displacement_sigma)
 from .system import PwsSystem, Window, h_value
 from .tangency import multiplicity_at
 from .unfolding import (CanonicalBase, UnfoldingSpec, build_transition,
@@ -195,11 +196,6 @@ def classify_loop(traj: Trajectory) -> LoopRecord:
     return LoopRecord(traj, kind, tuple(switching), ell, residual)
 
 
-def _transit_budget(window: Window) -> float:
-    """Time budget of one leg (one smooth transit) inside the window."""
-    return 6.0 * window.width + 30.0
-
-
 def _landed(run: SmoothRun) -> float:
     """Where a transit from Sigma crossed back to it; HarvestFailure if it
     ended any other way."""
@@ -224,7 +220,8 @@ def sigma_return_map(sys: PwsSystem, x: float) -> float:
     """First return to the switching line: upper transit, then lower.
 
     Tangential grazes along the way are flown through. Raises NoArrival
-    when either transit fails to come back to the line transversally.
+    when either transit fails to come back to the line transversally, and
+    AmbiguousTangency when the upper field does not leave Sigma upward at x.
     """
     t_leg = _transit_budget(sys.window)
     run = integrate_smooth(sys.f_plus, sys.g_plus, (float(x), 0.0), "upper",
@@ -420,10 +417,8 @@ def find_crossing_cycles(sys: PwsSystem,
     tangency stay classified crossing-nonsliding; plain ones are upgraded
     to crossing-limit-cycle.
     """
-    t_leg = _transit_budget(sys.window)
-
     def disp(x: float) -> float:
-        return displacement_sigma(sys, float(x), t_budget=t_leg).value
+        return displacement_sigma(sys, float(x)).value
 
     pts = np.unique(np.asarray([float(p) for p in scan_points]))
     vals = np.full(pts.shape, np.nan)
@@ -649,10 +644,9 @@ def _displacement_root(sys: PwsSystem, a: float, b: float) -> float:
         np.linspace(a + 0.02 * gap, b - 0.05 * gap, 25),
         b - np.geomspace(0.05 * gap, 2e-5 * gap, 30),
     ]))
-    t_leg = _transit_budget(sys.window)
 
     def disp(x: float) -> float:
-        return displacement_sigma(sys, float(x), t_budget=t_leg).value
+        return displacement_sigma(sys, float(x)).value
 
     prev_x: Optional[float] = None
     prev_v: Optional[float] = None
@@ -670,13 +664,11 @@ def _displacement_root(sys: PwsSystem, a: float, b: float) -> float:
 
 def _flank_dip(sys: PwsSystem, left: float, peak: float) -> float:
     """Most negative displacement value on the approach to a pinned peak."""
-    t_leg = _transit_budget(sys.window)
     span = peak - left
     best = math.inf
     for off in np.geomspace(0.5 * span, 1e-5 * span, 48):
         try:
-            v = displacement_sigma(sys, float(peak - off),
-                                   t_budget=t_leg).value
+            v = displacement_sigma(sys, float(peak - off)).value
         except TransitFailure:
             continue
         best = min(best, v)

@@ -9,13 +9,10 @@ convex-combination (Filippov) field drives the dynamics along Sigma.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Protocol, Tuple
 
-from scipy.optimize import brentq
-
-from .fieldexpr import ScalarField, as_field
+from .fieldexpr import as_field
 
 
 class ScalarFunc(Protocol):
@@ -328,87 +325,3 @@ def system_distance(a: PwsSystem, b: PwsSystem, n_grid: int = 201) -> float:
                     worst = d
         total += worst
     return total
-
-
-def pseudo_equilibria(sys: PwsSystem,
-                      dec: SigmaDecomposition | None = None,
-                      samples_per_interval: int = 256) -> List[float]:
-    """Zeros of the sliding field inside each sliding segment."""
-    if dec is None:
-        dec = decompose_sigma(sys)
-    roots: List[float] = []
-    for a, b in dec.sliding:
-        pad = (b - a) * 1e-6
-        lo, hi = a + pad, b - pad
-        if hi <= lo:
-            continue
-        xs = [lo + (hi - lo) * i / samples_per_interval
-              for i in range(samples_per_interval + 1)]
-        vals = []
-        for x in xs:
-            try:
-                vals.append(sliding_field(sys, x))
-            except (NotSliding, DegenerateDenominator):
-                vals.append(math.nan)
-        for (x0, v0), (x1, v1) in zip(zip(xs[:-1], vals[:-1]),
-                                      zip(xs[1:], vals[1:])):
-            if math.isnan(v0) or math.isnan(v1):
-                continue
-            if v0 == 0.0:
-                roots.append(x0)
-            elif (v0 > 0) != (v1 > 0):
-                roots.append(brentq(lambda x: sliding_field(sys, x), x0, x1,
-                                    xtol=1e-13))
-        if vals and vals[-1] == 0.0:
-            roots.append(xs[-1])
-    out: List[float] = []
-    for r in sorted(roots):
-        if not out or abs(r - out[-1]) > 1e-9 * sys.window.width:
-            out.append(r)
-    return out
-
-
-def mirror_system(sys: PwsSystem) -> PwsSystem:
-    """The image of the system under (x, y, t) -> (x, -y, -t).
-
-    Swaps the roles of the half-planes: new upper = (-f-(x,-y), g-(x,-y)),
-    new lower = (-f+(x,-y), g+(x,-y)). Only expression-backed systems are
-    supported (the transform stays symbolic).
-    """
-    from .fieldexpr import Expr, Neg, Var, Num, Add, Sub, Mul, Div, Pow, Call
-
-    def flip(e):
-        if isinstance(e, Var):
-            return Neg(e) if e.name == "y" else e
-        if isinstance(e, Num):
-            return e
-        if isinstance(e, Add):
-            return Add(flip(e.a), flip(e.b))
-        if isinstance(e, Sub):
-            return Sub(flip(e.a), flip(e.b))
-        if isinstance(e, Mul):
-            return Mul(flip(e.a), flip(e.b))
-        if isinstance(e, Div):
-            return Div(flip(e.a), flip(e.b))
-        if isinstance(e, Pow):
-            return Pow(flip(e.base), e.exponent)
-        if isinstance(e, Neg):
-            return Neg(flip(e.a))
-        if isinstance(e, Call):
-            return Call(e.fn, flip(e.arg))
-        raise TypeError(f"not an Expr: {e!r}")
-
-    def comp(fld, negate):
-        if not isinstance(fld, ScalarField):
-            raise TypeError("mirror_system needs expression-backed components")
-        e = flip(fld.expr)
-        return ScalarField(Neg(e) if negate else e)
-
-    meta = sys.meta
-    if meta is not None:
-        meta = NormalFormMeta(meta.m_minus, meta.m_plus)
-    w = sys.window
-    return PwsSystem(
-        f_plus=comp(sys.f_minus, True), g_plus=comp(sys.g_minus, False),
-        f_minus=comp(sys.f_plus, True), g_minus=comp(sys.g_plus, False),
-        window=Window(w.x_lo, w.x_hi, -w.y_hi, -w.y_lo), meta=meta)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from filippov2d import LoopCensus, read_census_csv, write_census_csv
+from filippov2d import LoopCensus, cli, read_census_csv, write_census_csv
 from filippov2d.cli import load_config, main
+from conftest import make_sys
 
 
 def write_config(tmp_path, text):
@@ -89,3 +90,20 @@ def test_census_round_trips_every_contact_count(tmp_path):
     assert second["beta_cro"] == {1: 1}
     assert second["beta_cri"] == {1: 2, 3: 1}
     assert second["witnesses_path"] == "b"
+
+
+def test_pencil_drops_an_orbit_whose_field_fails():
+    # log(x) of a seed left of the origin raises a domain error: every
+    # upper orbit is dropped, every lower one (a plain drift) is kept
+    system = make_sys("log(x)", "0", "1", "0")
+    orbits = cli._pencil(system, n=4)
+    assert len(orbits) == 4
+    assert all(orbit.start()[1] < 0.0 for orbit in orbits)
+
+
+def test_pencil_lets_a_programming_error_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not an orbit failure")
+    monkeypatch.setattr(cli, "integrate_pws", broken)
+    with pytest.raises(TypeError, match="not an orbit failure"):
+        cli._pencil(make_sys("1", "0", "1", "0"))

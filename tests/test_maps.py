@@ -1,13 +1,11 @@
-"""Sections, transition maps, leading coefficients, displacement."""
+"""Sections, section transits and the Sigma displacement."""
 
 import math
 
 import pytest
 
-from filippov2d import (NoArrival, OrderMismatch, Section, TangentialArrival,
-                        Window, displacement_sigma, fit_leading_order,
-                        regular_leading_coefficient, sample_transition_map,
-                        tangent_leading_coefficient, transition_map)
+from filippov2d import (NoArrival, Section, TangentialArrival, Window,
+                        displacement_sigma)
 from filippov2d.fieldexpr import ScalarField
 from filippov2d.loops import canonical_base
 from filippov2d.maps import _flow_to_section
@@ -23,110 +21,44 @@ def test_section_validation():
         Section((0.0, 0.0), (1.0, 1.0), 0.5)   # not unit
     with pytest.raises(ValueError):
         Section((0.0, 0.0), (1.0, 0.0), 0.0)
-    s = Section.sigma(0.3, 0.5)
-    assert s.point_at(0.2) == (0.5, 0.0)
+    s = Section((0.3, 0.0), (1.0, 0.0), 0.5)
     assert s.offset_of(0.1, 0.0) == pytest.approx(-0.2)
 
 
-def test_translation_flow_is_identity_map():
-    s0, s1 = Section.vertical(0.0), Section.vertical(1.0)
+def test_translation_flow_lands_at_its_start_height():
     for r in (-0.4, -0.05, 0.0, 0.3):
-        v = transition_map(fld("1", "0"), s0, s1, r)
-        assert v == pytest.approx(r, abs=1e-12)
-    assert transition_map(fld("1", "0"), s0, s1, 0.0) == 0.0
+        hit = _flow_to_section(*fld("1", "0"), (0.0, r), Section.vertical(1.0))
+        assert hit.offset == pytest.approx(r, abs=1e-12)
+        assert hit.t == pytest.approx(1.0, abs=1e-12)
 
 
-def test_cubic_contact_map_matches_quadrature():
-    # orbits of (1, x^3) are y = y0 + (x^4 - x0^4)/4; from the horizontal
-    # section at the origin to the line x = 1, V(r) = -r^4/4
-    s0 = Section.sigma(0.0, 0.5)
-    s1 = Section.vertical(1.0)
+def test_cubic_contact_arrival_matches_quadrature():
+    # orbits of (1, x^3) are y = y0 + (x^4 - x0^4)/4; from (r, 0) the
+    # arrival on the line x = 1 is at height (1 - r^4)/4
     for r in (0.05, 0.1, -0.2, 0.3):
-        v = transition_map(fld("1", "x^3"), s0, s1, r)
-        assert v == pytest.approx(-r ** 4 / 4.0, abs=1e-11)
-
-
-def test_transition_map_respects_half_width():
-    s0 = Section.sigma(0.0, 0.1)
-    with pytest.raises(ValueError):
-        transition_map(fld("1", "0"), s0, Section.vertical(1.0), 0.5)
-
-
-def test_no_arrival_when_flow_runs_away():
-    s0, s1 = Section.vertical(0.0), Section.vertical(-1.0)
-    with pytest.raises(NoArrival):
-        transition_map(fld("1", "0"), s0, s1, 0.1, t_budget=5.0,
-                       window=Window(-2, 8, -1, 1))
+        hit = _flow_to_section(*fld("1", "x^3"), (r, 0.0),
+                               Section.vertical(1.0))
+        assert hit.offset == pytest.approx((1.0 - r ** 4) / 4.0, abs=1e-11)
 
 
 def test_tangential_arrival_detected():
     # orbit y = x^3 + 2 crosses the target line y = 2 at x = 0 with zero
-    # vertical speed, so the crossing event fires but the arrival is flagged
-    s0 = Section.vertical(-1.0, 1.0)
-    s1 = Section((0.0, 2.0), (1.0, 0.0), 4.0)
+    # vertical speed, so the crossing fires but the arrival is flagged
+    target = Section((0.0, 2.0), (1.0, 0.0), 4.0)
     with pytest.raises(TangentialArrival):
-        transition_map(fld("1", "3*x^2"), s0, s1, 0.0,
-                       window=Window(-3, 3, -0.5, 4.5))
+        _flow_to_section(*fld("1", "3*x^2"), (-1.0, 1.0), target,
+                         window=Window(-3, 3, -0.5, 4.5))
 
 
-def test_regular_coefficient_translation():
-    s0, s1 = Section.vertical(0.0), Section.vertical(1.0)
-    v1 = regular_leading_coefficient(fld("1", "0"), s0, s1)
-    assert v1 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_regular_coefficient_exponential_growth():
-    # div (1, y) = 1 and the base transit takes unit time: V1 = e
-    s0, s1 = Section.vertical(0.0), Section.vertical(1.0)
-    v1 = regular_leading_coefficient(fld("1", "y"), s0, s1)
-    assert v1 == pytest.approx(math.e, rel=1e-9)
-    slope = transition_map(fld("1", "y"), s0, s1, 1e-6) / 1e-6
-    assert v1 == pytest.approx(slope, rel=1e-5)
-
-
-def test_regular_coefficient_matches_slope_on_shear():
-    s0, s1 = Section.vertical(0.0), Section.vertical(1.0)
-    field = fld("1 + 0.1*y", "0.2*y")
-    v1 = regular_leading_coefficient(field, s0, s1)
-    h = 1e-6
-    slope = (transition_map(field, s0, s1, h)
-             - transition_map(field, s0, s1, -h)) / (2 * h)
-    assert v1 == pytest.approx(slope, rel=1e-6)
-
-
-def test_tangent_coefficient_magnitudes():
-    s1 = Section.vertical(1.0)
-    for m in (1, 3):
-        s0 = Section.sigma(0.0, 0.5)
-        vm1 = tangent_leading_coefficient(fld("1", f"x^{m}"), s0, s1, m)
-        assert abs(vm1) == pytest.approx(1.0 / (m + 1), rel=1e-9)
-
-
-def test_tangent_coefficient_checks_order():
-    s0, s1 = Section.sigma(0.0, 0.5), Section.vertical(1.0)
-    with pytest.raises(OrderMismatch):
-        tangent_leading_coefficient(fld("1", "x^3"), s0, s1, 2)
-
-
-def test_fitted_order_is_m_plus_one():
-    s0, s1 = Section.sigma(0.0, 0.5), Section.vertical(1.0)
-    sample = sample_transition_map(fld("1", "x^3"), s0, s1, 0.02, 0.2,
-                                   window=Window(-2, 2, -1, 1))
-    assert sample.order == 4
-    assert abs(sample.coefficient) == pytest.approx(0.25, rel=1e-2)
-    assert sample.residual < 1e-6
-
-
-def test_chain_rule_through_intermediate_section():
+def test_transit_through_intermediate_section_lands_as_direct():
     field = fld("1", "y")
-    s0 = Section.vertical(0.0)
-    s_mid = Section.vertical(0.5)
-    s1 = Section.vertical(1.0)
     for r in (0.02, -0.15, 0.3):
-        direct = transition_map(field, s0, s1, r)
-        hop = transition_map(field, s_mid, s1,
-                             transition_map(field, s0, s_mid, r))
-        assert direct == pytest.approx(hop, abs=1e-7)
+        direct = _flow_to_section(*field, (0.0, r), Section.vertical(1.0))
+        mid = _flow_to_section(*field, (0.0, r), Section.vertical(0.5))
+        hop = _flow_to_section(*field, (mid.x, mid.y), Section.vertical(1.0))
+        assert hop.offset == pytest.approx(direct.offset, abs=1e-10)
+        assert direct.offset == pytest.approx(r * math.e, abs=1e-10)
+        assert mid.t + hop.t == pytest.approx(direct.t, abs=1e-10)
 
 
 def _center_sys():
@@ -150,24 +82,6 @@ def test_displacement_sample_reports_legs():
     # dx/dt = -1 below and +1 above: each leg takes exactly 2*0.7
     assert out.t_lower == pytest.approx(1.4, abs=1e-9)
     assert out.t_upper == pytest.approx(1.4, abs=1e-9)
-    assert out.psi_term == 0.0
-
-
-def test_displacement_psi_term_shifts_value():
-    s = _center_sys()
-    base = displacement_sigma(s, 0.7).value
-    off = displacement_sigma(s, 0.7, psi_term=lambda x: 0.25).value
-    assert off == pytest.approx(base - 0.25, abs=1e-9)
-
-
-def test_map_csv_export(tmp_path):
-    from filippov2d.maps import write_map_csv
-    p = tmp_path / "map.csv"
-    write_map_csv(str(p), [0.1, 0.2], [0.01, 0.04])
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "# filippov2d-map-v1"
-    assert lines[1] == "r,V"
-    assert len(lines) == 4
 
 
 def _rotation():
@@ -185,13 +99,14 @@ def test_section_hit_outside_half_width_is_skipped():
     assert abs(hit.offset) <= 1e-9
 
 
-def test_sigma_to_sigma_map_skips_its_start():
+def test_sigma_to_sigma_transit_skips_its_start():
     # the start (1 + r, 0) lies inside the target window: the crossing at
     # t = 0 is not an arrival, the one half a turn later at -(1 + r) is
-    s0, s1 = Section.sigma(1.0, 0.5), Section.sigma(0.0, 2.0)
+    target = Section((0.0, 0.0), (1.0, 0.0), 2.0)
     for r in (0.1, -0.2):
-        assert transition_map(_rotation(), s0, s1, r) \
-            == pytest.approx(-r, abs=1e-9)
+        hit = _flow_to_section(*_rotation(), (1.0 + r, 0.0), target)
+        assert hit.offset == pytest.approx(-(1.0 + r), abs=1e-9)
+        assert hit.t == pytest.approx(math.pi, abs=1e-8)
 
 
 @pytest.mark.parametrize("f_src, window, budget, kind", [

@@ -1,14 +1,10 @@
 """Two-zone system layer: h, sliding field, region split, distance."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from filippov2d import (DegenerateDenominator, NotSliding, PwsSystem, Window,
                         WindowMismatch, decompose_sigma, h_value,
-                        mirror_system, pseudo_equilibria,
                         sliding_convex_coefficient, sliding_field,
                         system_distance)
 from conftest import make_sys
@@ -101,23 +97,6 @@ def test_distance_window_mismatch():
         system_distance(a, b)
 
 
-def test_pseudo_equilibrium_examples():
-    s = make_sys("x", "-1", "x", "1")
-    dec = decompose_sigma(s)
-    roots = pseudo_equilibria(s, dec)
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(0.0, abs=1e-10)
-
-    # sliding field (1*1 - (2x-1)(-1)) / 2 = x
-    s2 = make_sys("1", "-1", "2*x - 1", "1")
-    roots2 = pseudo_equilibria(s2, decompose_sigma(s2))
-    assert len(roots2) == 1
-    assert roots2[0] == pytest.approx(0.0, abs=1e-10)
-
-    s3 = make_sys("1", "-1", "1", "1")  # sliding field 1: no roots
-    assert pseudo_equilibria(s3, decompose_sigma(s3)) == []
-
-
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
@@ -159,24 +138,6 @@ def test_candidates_track_h_sign_changes():
         assert abs(h_value(s, c)) < 1e-8
     assert [pytest.approx(v, abs=1e-10) for v in (-0.62, 0.3)] \
         == dec.tangency_candidates
-
-
-def test_mirror_is_an_involution():
-    s = make_sys("1 + y", "x - y^2", "-1", "x^2 + y")
-    m2 = mirror_system(mirror_system(s))
-    for x in (-0.8, -0.1, 0.4):
-        for y in (-0.5, 0.0, 0.7):
-            for comp in ("f_plus", "g_plus", "f_minus", "g_minus"):
-                assert getattr(m2, comp).value(x, y) == pytest.approx(
-                    getattr(s, comp).value(x, y), rel=1e-12, abs=1e-12)
-
-
-def test_mirror_preserves_h():
-    s = make_sys("1 + y", "x - y^2", "-1", "x^2 + y")
-    m = mirror_system(s)
-    for x in (-0.8, 0.0, 0.55):
-        assert h_value(m, x) == pytest.approx(h_value(s, x), rel=1e-12,
-                                              abs=1e-12)
 
 
 def test_window_validation():
