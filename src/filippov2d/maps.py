@@ -72,10 +72,10 @@ class Arrival:
 
 
 def _flow_to_section(f, g, start: Tuple[float, float], target: Section, *,
-                     time_sign: float = 1.0, t_budget: float = 1e3,
+                     t_budget: float = 1e3,
                      window: Optional[Window] = None) -> Arrival:
-    """Integrate the smooth field until it crosses `target` inside its
-    acceptance window.
+    """Integrate the smooth field forward until it crosses `target` inside
+    its acceptance window.
 
     The transit stops at that first accepted crossing. It raises
     TangentialArrival when the crossing is tangential to the section, and
@@ -83,7 +83,7 @@ def _flow_to_section(f, g, start: Tuple[float, float], target: Section, *,
     uses up t_budget first.
     """
     run = _transit(f, g, start, target=target, t_max=t_budget,
-                   time_sign=time_sign, window=window)
+                   time_sign=1.0, window=window)
     hit = run.terminal
     if hit.kind == "tangent-hit":
         raise TangentialArrival(
