@@ -595,13 +595,14 @@ def _check_cutoff() -> Optional[str]:
 
 
 def _check_canonical() -> Optional[str]:
-    from .maps import _flow_to_section
+    from .maps import _flow_to_section, _transit_budget
 
     sys_c, rec = canonical_critical_loop(1, 1, 1.0, 1.0, -1.0)
     if rec.kind != "critical":
         return f"canonical loop classified {rec.kind}"
     hit = _flow_to_section(sys_c.f_plus, sys_c.g_plus, (-1.0, 0.0),
-                           Section.vertical(-2.0 / 3.0))
+                           Section.vertical(-2.0 / 3.0),
+                           t_budget=_transit_budget(sys_c.window))
     if abs(hit.y - 4.0 / 27.0) > 1e-9:
         return f"upper arc height {hit.y!r} at x=-2/3, want 4/27"
     return None

@@ -19,6 +19,7 @@ and psi_jet give derivatives of any order as Taylor jets (fieldexpr).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -96,17 +97,15 @@ class PsiSpec:
                 f"k must have length 3d+1 = {3 * self.d + 1}, got {len(self.k)}")
         if self.r1 is not None and self.r2 is not None and not self.r1 < self.r2:
             raise ValueError("fallback window needs r1 < r2")
-        ks = self.knots
-        object.__setattr__(self, "_ascending",
-                           all(a < b for a, b in zip(ks[:-1], ks[1:])))
-
-    @property
-    def knots(self) -> Tuple[float, ...]:
-        return self.k[: 2 * self.d + 1]
-
-    @property
-    def heights(self) -> Tuple[float, ...]:
-        return self.k[2 * self.d + 1:]
+        ks, hs = self.k[: 2 * self.d + 1], self.k[2 * self.d + 1:]
+        set_once = object.__setattr__   # frozen: derived once, here
+        set_once(self, "knots", ks)
+        set_once(self, "heights", hs)
+        # psi's constant value at each knot: 0 at the feet, h_i at peak i
+        set_once(self, "knot_heights",
+                 tuple(hs[j // 2] if j % 2 else 0.0 for j in range(len(ks))))
+        set_once(self, "_ascending",
+                 all(a < b for a, b in zip(ks[:-1], ks[1:])))
 
     @property
     def fallback_height(self) -> float:
@@ -131,25 +130,23 @@ _KNOT_TOL = 1e-14
 def _psi_piece(spec: PsiSpec, x: float):
     """(h, r1, r2, falling): psi = h * cutoff_up(x; r1, r2) near x (h *
     cutoff_down if falling), or the constant h if r1 is None: off the
-    support and at knots, where all derivatives vanish."""
+    support and within _KNOT_TOL of a knot, where all derivatives vanish.
+    Bisection finds the knots on either side of x; only those two take the
+    tolerance test, the lower one first."""
     if not spec.in_knot_domain():
         if spec.r1 is None or spec.r2 is None:
             raise ValueError("degenerate knots need a fallback (r1, r2) window")
         return spec.fallback_height, spec.r1, spec.r2, False
     ks = spec.knots
-    hs = spec.heights
-    for j, kj in enumerate(ks):
-        if abs(x - kj) <= _KNOT_TOL * max(1.0, abs(kj)):
-            return (hs[j // 2] if j % 2 == 1 else 0.0), None, None, False
-    if x <= ks[0] or x >= ks[-1]:
+    j = bisect_left(ks, x)   # ks[j - 1] < x <= ks[j]
+    if j and x - ks[j - 1] <= _KNOT_TOL * max(1.0, abs(ks[j - 1])):
+        return spec.knot_heights[j - 1], None, None, False
+    if j < len(ks) and ks[j] - x <= _KNOT_TOL * max(1.0, abs(ks[j])):
+        return spec.knot_heights[j], None, None, False
+    if j == 0 or j == len(ks):   # off the support (or x is nan)
         return 0.0, None, None, False
-    for i in range(spec.d):
-        left, peak, right = ks[2 * i], ks[2 * i + 1], ks[2 * i + 2]
-        if left < x <= peak:
-            return hs[i], left, peak, False
-        if peak < x <= right:
-            return hs[i], peak, right, True
-    return 0.0, None, None, False  # pragma: no cover
+    # bump (j - 1) // 2 rises on an even piece j - 1 and falls on an odd one
+    return spec.heights[(j - 1) // 2], ks[j - 1], ks[j], j % 2 == 0
 
 
 def _psi_core(spec: PsiSpec, x: float) -> Tuple[float, float]:

@@ -464,16 +464,21 @@ def _codegen(e: Expr) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def compile_expr(e: Expr):
-    """Compile a tree to a fast ``f(x, y) -> float`` callable.
+CODEGEN_NAMES = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+                 "_log": math.log}   # what _codegen's calls resolve to
+
+
+def compile_expr(*trees: Expr):
+    """Compile trees to one fast ``fn(x, y)`` callable: the value of a
+    single tree, or the tuple of several trees' values, so both components
+    of a side are one call.
 
     Domain errors surface as the usual Python arithmetic exceptions here;
     use :func:`evaluate` when reporting matters.
     """
-    src = f"lambda x, y: {_codegen(e)}"
-    ns = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-          "_log": math.log}
-    return eval(src, ns)  # noqa: S307 - source generated from our own AST
+    body = ", ".join(_codegen(e) for e in trees)
+    src = f"lambda x, y: ({body})" if len(trees) > 1 else f"lambda x, y: {body}"
+    return eval(src, dict(CODEGEN_NAMES))  # noqa: S307 - from our own AST
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +596,8 @@ class ScalarField:
     """A scalar function of (x, y) backed by an expression tree.
 
     value, dx and dy are compiled on first use (dx and dy from the exact
-    symbolic first partials); x-derivatives of any order come from
+    symbolic first partials), and so is each side function that
+    :meth:`side_with` pairs it into; x-derivatives of any order come from
     :meth:`x_jet`, so e.g. the 12th x-derivative of a degree-8 polynomial
     is exactly zero, not noise.
     """
@@ -604,7 +610,7 @@ class ScalarField:
         if not isinstance(expr, Expr):
             raise TypeError("ScalarField wants an Expr, string or number")
         self.expr = expr
-        self._compiled = {}
+        self._compiled = {}   # '', 'x', 'y' (see _fn) or a side's g
 
     def _fn(self, var: str):
         """The compiled value ('') or first partial in var ('x' or 'y')."""
@@ -624,6 +630,16 @@ class ScalarField:
 
     def dy(self, x: float, y: float) -> float:
         return self._fn("y")(x, y)
+
+    def side_with(self, g):
+        """The compiled ``(x, y) -> (self, g)`` of a side whose g is a
+        ScalarField too (None otherwise); compiled once per partner."""
+        if not isinstance(g, ScalarField):
+            return None
+        fn = self._compiled.get(g)
+        if fn is None:
+            fn = self._compiled[g] = compile_expr(self.expr, g.expr)
+        return fn
 
     def x_jet(self, x: float, y: float, order: int) -> Jet:
         """Jet of t -> f(x + t, y) up to `order`."""

@@ -25,6 +25,11 @@ the orbit flies past them, or with graze chaining each ends a leg, one
 ``Arc`` per leg, and the flow restarts from (x, 0) until one lands near
 ``stop_at``.
 
+A transit evaluates its side's field through one callable (x, y) -> (f, g)
+with Python floats, one call per RHS point: expression and sheared sides
+compile their pair into one function (``side_with``), any other pair of
+fields falls back to a ``.value`` call on each.
+
 Sliding arcs step the scalar Filippov field along Sigma on the same
 stepper and stop at sliding-region boundaries (tangent points), at window
 exits, or when the sliding speed collapses (pseudo-equilibrium).
@@ -153,17 +158,29 @@ def _own_sign(side: str) -> float:
     raise ValueError("side must be 'upper' or 'lower'")
 
 
-def _nudge_off_sigma(f, g, x0: float, side: str, *,
-                     time_sign: float) -> Tuple[float, float, float]:
-    """March a Sigma start strictly into its own half-plane.
+def _side_fn(f, g):
+    """One callable (x, y) -> (f, g) for a side: the pair's compiled side
+    function when f offers one for g (expression and sheared sides), else
+    one .value call on each."""
+    pair = getattr(f, "side_with", None)
+    fn = pair(g) if pair is not None else None
+    if fn is None:
+        f_value, g_value = f.value, g.value
+
+        def fn(x, y):
+            return f_value(x, y), g_value(x, y)
+    return fn
+
+
+def _nudge_off_sigma(rhs, x0: float, side: str) -> Tuple[float, float, float]:
+    """March a Sigma start strictly into its own half-plane along the
+    transit's rhs.
 
     Grows the micro-step until |y| clears the nudge floor; raises
     AmbiguousTangency when the orbit insists on the other side (the caller
     asked for an impossible continuation) or cannot leave Sigma at all.
     """
     sgn = _own_sign(side)
-    rhs = lambda t, s: (time_sign * f.value(s[0], s[1]),
-                        time_sign * g.value(s[0], s[1]))
     h = _NUDGE_FIRST_STEP
     state = (x0, 0.0)
     for _ in range(80):
@@ -242,8 +259,7 @@ def _minima(c: np.ndarray, sgn: float, slope) -> List[float]:
     """Where sgn * y has a minimum along a step polynomial c: brackets from
     its y', then Brent's method on slope(x, y), the field's sgn * y'."""
     def slope_at(u):
-        p = polyval(u, c)
-        return slope(p[0], p[1])
+        return slope(*polyval(u, c).tolist())
     v = sgn * polyval(_GRID, polyder(c[:, 1]))
     out = []
     for i in np.flatnonzero((v[:-1] < 0.0) & (v[1:] >= 0.0)):
@@ -266,10 +282,11 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
     tangent-arrival, tangent-exit, section-hit, tangent-hit, window-exit,
     runaway, time-end."""
     x, y = float(start[0]), float(start[1])
+    fg = _side_fn(f, g)   # the only field evaluation in a transit
 
     def rhs(t, s):
-        xs, ys = s[0], s[1]
-        return time_sign * f.value(xs, ys), time_sign * g.value(xs, ys)
+        fv, gv = fg(*s.tolist())
+        return time_sign * fv, time_sign * gv
 
     # exit lines (n1, n2, level): the orbit stays where n1 x + n2 y >= level;
     # a section is a line exited either way
@@ -311,7 +328,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
 
     t = 0.0
     if target is None and abs(y) < _NUDGE_FLOOR:
-        x, y, t = _nudge_off_sigma(f, g, x, side, time_sign=time_sign)
+        x, y, t = _nudge_off_sigma(rhs, x, side)
         samples.append((t, x, y))
     z = np.array([x, y])
 
@@ -340,7 +357,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
                 # y turns toward Sigma in this step: a touch, or a dip
                 # across it, judged by y integrated onto the turn's abscissa
                 for tau in _minima(c, sgn, lambda x, y: sgn * time_sign
-                                   * g.value(x, y)) if turned else ():
+                                   * fg(x, y)[1]) if turned else ():
                     x_g = float(polyval(tau, c[:, 0]))
                     y_g = _land(rhs, t_a, z_a, t_a + tau * h,
                                 (1.0, 0.0, x_g))[1][1] * sgn
@@ -378,7 +395,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
                             > _TRANSVERSAL_TOL * math.hypot(fz, gz)
                             else "tangent-hit")
                 elif kind == "sigma" \
-                        and abs(g.value(p[0], 0.0)) > tangency_tol:
+                        and abs(fg(float(p[0]), 0.0)[1]) > tangency_tol:
                     kind = "sigma-cross"
                 if kind == "touch" and not chain:
                     touches.append(Event(t_leg0 + t_e, float(p[0]),
@@ -409,8 +426,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
             t_leg0, t_touch, samples = t_leg0 + t_touch, 0.0, []
         samples.append((t_touch, x_touch, 0.0))
         try:
-            x, y, dt = _nudge_off_sigma(f, g, x_touch, side,
-                                        time_sign=time_sign)
+            x, y, dt = _nudge_off_sigma(rhs, x_touch, side)
         except AmbiguousTangency:
             if chain:
                 raise

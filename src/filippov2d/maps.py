@@ -72,7 +72,7 @@ class Arrival:
 
 
 def _flow_to_section(f, g, start: Tuple[float, float], target: Section, *,
-                     t_budget: float = 1e3,
+                     t_budget: float,
                      window: Optional[Window] = None) -> Arrival:
     """Integrate the smooth field forward until it crosses `target` inside
     its acceptance window.

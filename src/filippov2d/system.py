@@ -16,7 +16,10 @@ from .fieldexpr import as_field
 
 
 class ScalarFunc(Protocol):
-    """A field component: value, first partials and the Taylor jet in x."""
+    """A field component: value, first partials and the Taylor jet in x.
+
+    Expression and sheared fields also offer side_with(g): the compiled
+    (x, y) -> (self, g) that the flow calls once per RHS point."""
 
     def value(self, x: float, y: float) -> float: ...
 

@@ -14,9 +14,9 @@ bounded away from zero. Two perturbation layers are applied:
 
   with f~ = f(x, u) (a = f, no lambdas, no b) and
   g~ = phi(x, u) * prod(x - lambda_i) - f(x, u) * psi'(x) (a = phi,
-  b = f). ShearedField is that formula; the two components of a side
-  share one shear, which remembers psi and psi' at the last abscissa, so
-  the f~-then-g~ calls of one flow RHS point evaluate psi once.
+  b = f). ShearedField is that formula, compiled to Python source; the
+  side function of a sheared pair evaluates psi, psi', u and f(x, u) once
+  for both components, so one flow RHS point evaluates psi once.
 
 The shear is an exact conjugacy between the transition flow and the
 unfolded flow: gamma~(t; x0, y0 - psi(x0)) = gamma^(t; x0, y0) shifted by
@@ -34,14 +34,17 @@ come from `x_jet`, which feeds y + psi(x) to fieldexpr.expr_jet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .cutoffs import PsiSpec, _psi_core, psi as psi_value, psi_jet, zero_psi
+from . import fieldexpr
 from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
-                        as_field, expr_jet, jet_mul, jet_variable)
+                        as_field, differentiate, expr_jet, jet_mul,
+                        jet_variable)
 from .flow import ATOL, RTOL
 from .system import NormalFormMeta, PwsSystem, Window
 
@@ -118,14 +121,6 @@ def build_transition(spec: UnfoldingSpec) -> PwsSystem:
         b.window, NormalFormMeta(b.m_plus, b.m_minus))
 
 
-def _poly_prod(x: float, lambdas: Sequence[float]) -> float:
-    """prod (x - l_i)."""
-    p = 1.0
-    for l in lambdas:
-        p *= x - l
-    return p
-
-
 def _shear_jets(psi_spec: PsiSpec, x: float, y: float,
                 order: int) -> Tuple[Jet, Jet, Jet]:
     """Input jets x + t and y + psi(x + t), and the jet of psi'(x + t)."""
@@ -134,59 +129,93 @@ def _shear_jets(psi_spec: PsiSpec, x: float, y: float,
             [k * p[k] for k in range(1, order + 2)])
 
 
-class _Shear:
-    """(psi, psi') of one side's profile; repeats its last result when
-    asked again at the same x."""
+_SHEARED_SOURCE = """def fn(x, y):
+    p, dp = _psi_core(_spec, x)
+    y = y + p
+{lets}    return {out}
+"""
 
-    def __init__(self, spec: PsiSpec):
-        self.spec = spec
-        self._x = self._last = None
 
-    def __call__(self, x: float) -> Tuple[float, float]:
-        if x != self._x:
-            self._last = _psi_core(self.spec, x)
-            self._x = x
-        return self._last
+def _compile_sheared(spec: PsiSpec, terms) -> Callable:
+    """One generated fn(x, y) for components a(x, u) * prod(x - l_i) -
+    b(x, u) * psi'(x), u = y + psi(x), one (a, lambdas, b) tree triple
+    each (b may be None): psi and psi' are evaluated once, u is formed
+    once and each distinct tree is evaluated once, at (x, u). Returns the
+    value of one component, or the tuple of several."""
+    local = {}   # id of a tree -> (the name of its value, the tree)
+
+    def name(tree: Expr) -> Var:
+        return Var(local.setdefault(id(tree), (f"v{len(local)}", tree))[0])
+    outs = []
+    for a, lambdas, b in terms:
+        out = name(a)
+        if lambdas:   # left to right, in the order the factors are given
+            out = Mul(out, reduce(Mul, (Sub(Var("x"), Num(l))
+                                        for l in lambdas)))
+        if b is not None:
+            out = Sub(out, Mul(name(b), Var("dp")))
+        outs.append(out)
+    lets = "".join(f"    {v} = {fieldexpr._codegen(t)}\n"
+                   for v, t in local.values())
+    src = _SHEARED_SOURCE.format(lets=lets, out=", ".join(
+        fieldexpr._codegen(e) for e in outs))
+    scope = dict(fieldexpr.CODEGEN_NAMES, _psi_core=_psi_core, _spec=spec)
+    exec(src, scope)  # noqa: S102 - source generated from our own AST
+    return scope["fn"]
 
 
 class ShearedField:
     """F(x, y) = a(x, u) * prod(x - l_i) - b(x, u) * psi'(x), u = y + psi(x);
     a and b are ScalarFields, and the product and the b term are left out
-    when there are no lambdas or no b."""
+    when there are no lambdas or no b.
 
-    def __init__(self, a, shear: _Shear, lambdas: Sequence[float] = (),
+    value and dy are compiled from _compile_sheared on first use, and so is
+    the side function that :meth:`side_with` pairs two fields of one
+    profile into."""
+
+    def __init__(self, a, spec: PsiSpec, lambdas: Sequence[float] = (),
                  b=None):
         self._a = a
-        self._shear = shear
+        self._spec = spec
         self._lambdas = tuple(float(v) for v in lambdas)
         self._b = b
         self._a_hat = _g_expr(a, self._lambdas).expr  # a * P, unsheared
+        self._compiled = {}   # '' (value), 'y' (dy) or a side's g
+
+    def _terms(self, var: str = ""):
+        """(a, lambdas, b) trees of the value (''), or of d/dy ('y')."""
+        def tree(fld):
+            return differentiate(fld.expr, var) if var else fld.expr
+        return (tree(self._a), self._lambdas,
+                None if self._b is None else tree(self._b))
+
+    def _fn(self, key):
+        """The compiled value (''), d/dy ('y') or side with the g `key`."""
+        fn = self._compiled.get(key)
+        if fn is None:
+            terms = [self._terms(key)] if isinstance(key, str) \
+                else [self._terms(), key._terms()]
+            fn = self._compiled[key] = _compile_sheared(self._spec, terms)
+        return fn
 
     def value(self, x: float, y: float) -> float:
-        p, dp = self._shear(x)
-        u = y + p
-        v = self._a.value(x, u)
-        if self._lambdas:
-            v *= _poly_prod(x, self._lambdas)
-        if self._b is not None:
-            v -= self._b.value(x, u) * dp
-        return v
+        return self._fn("")(x, y)
 
     def dx(self, x: float, y: float) -> float:
         return self.x_jet(x, y, 1)[1]
 
     def dy(self, x: float, y: float) -> float:
-        p, dp = self._shear(x)
-        u = y + p
-        v = self._a.dy(x, u)
-        if self._lambdas:
-            v *= _poly_prod(x, self._lambdas)
-        if self._b is not None:
-            v -= self._b.dy(x, u) * dp
-        return v
+        return self._fn("y")(x, y)
+
+    def side_with(self, g):
+        """The compiled ``(x, y) -> (self, g)`` of a side whose g is sheared
+        by the same profile (None otherwise)."""
+        if not (isinstance(g, ShearedField) and g._spec is self._spec):
+            return None
+        return self._fn(g)
 
     def x_jet(self, x: float, y: float, order: int) -> Jet:
-        xj, u, dp = _shear_jets(self._shear.spec, x, y, order)
+        xj, u, dp = _shear_jets(self._spec, x, y, order)
         a_jet = expr_jet(self._a_hat, xj, u)
         if self._b is None:
             return a_jet
@@ -196,12 +225,12 @@ class ShearedField:
 
 def _sheared_side(f, phi, lambdas: Sequence[float],
                   psi_spec: Optional[PsiSpec], plain):
-    """(f~, g~) of one side, sharing one shear; `plain`, the transition
-    pair, when the profile is zero."""
+    """(f~, g~) of one side, sheared by one profile; `plain`, the
+    transition pair, when the profile is zero."""
     if zero_psi(psi_spec):
         return plain
-    shear = _Shear(psi_spec)
-    return ShearedField(f, shear), ShearedField(phi, shear, lambdas, f)
+    return (ShearedField(f, psi_spec),
+            ShearedField(phi, psi_spec, lambdas, f))
 
 
 def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:

@@ -1,13 +1,15 @@
 """Cutoff functions and the piecewise plateau bump psi."""
 
+import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filippov2d import (PsiSpec, cutoff_down, cutoff_jet, cutoff_up, psi,
-                        psi_dx, psi_jet, psi_sup_norms, zero_psi)
-from filippov2d.cutoffs import _cutoff_core
+from filippov2d import (PsiSpec, cutoff_down, cutoff_jet, cutoff_up, cutoffs,
+                        psi, psi_dx, psi_jet, psi_sup_norms, zero_psi)
+from filippov2d.cutoffs import _KNOT_TOL, _cutoff_core, _psi_piece
 
 
 def cutoff_up_d1(x, r1, r2):
@@ -147,3 +149,74 @@ def test_psi_spec_support_and_heights():
     assert spec.heights == (0.2, -0.4)
     assert spec.in_knot_domain()
     assert spec.support() == (0.0, 2.0)
+
+
+def _psi_piece_by_scan(spec, x):
+    """The linear knot scan that _psi_piece's bisection replaced: every
+    knot takes the tolerance test, in order."""
+    if not spec.in_knot_domain():
+        if spec.r1 is None or spec.r2 is None:
+            raise ValueError("degenerate knots need a fallback (r1, r2) window")
+        return spec.fallback_height, spec.r1, spec.r2, False
+    ks = spec.knots
+    hs = spec.heights
+    for j, kj in enumerate(ks):
+        if abs(x - kj) <= _KNOT_TOL * max(1.0, abs(kj)):
+            return (hs[j // 2] if j % 2 == 1 else 0.0), None, None, False
+    if x <= ks[0] or x >= ks[-1]:
+        return 0.0, None, None, False
+    for i in range(spec.d):
+        left, peak, right = ks[2 * i], ks[2 * i + 1], ks[2 * i + 2]
+        if left < x <= peak:
+            return hs[i], left, peak, False
+        if peak < x <= right:
+            return hs[i], peak, right, True
+    return 0.0, None, None, False
+
+
+def _assert_piece_matches_scan(spec, x):
+    assert _psi_piece(spec, x) == _psi_piece_by_scan(spec, x)
+    got = psi_jet(spec, x, 3)
+    with mock.patch.object(cutoffs, "_psi_piece", _psi_piece_by_scan):
+        want = psi_jet(spec, x, 3)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@st.composite
+def ascending_specs(draw):
+    # gaps far above the knot tolerance, so at most one knot lies within
+    # it of any x ("the knot at x" is then well defined)
+    d = draw(st.integers(1, 3))
+    start = draw(st.floats(-20.0, 20.0))
+    gaps = draw(st.lists(st.floats(1e-6, 3.0), min_size=2 * d,
+                         max_size=2 * d))
+    heights = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+    return PsiSpec(d, tuple(itertools.accumulate(gaps, initial=start))
+                   + tuple(heights))
+
+
+@given(ascending_specs(), st.floats(-50.0, 50.0))
+@settings(max_examples=200, deadline=None)
+def test_psi_piece_bisection_matches_the_scan(spec, x):
+    assert spec.in_knot_domain()
+    ks = spec.knots
+    xs = [x, ks[0] - 1.0, ks[-1] + 1.0]   # x, and off the support
+    xs += [0.5 * (a + b) for a, b in zip(ks, ks[1:])]   # inside each piece
+    for k in ks:   # at each knot, at its tolerance and just beyond it
+        tol = _KNOT_TOL * max(1.0, abs(k))
+        xs += [k, k - tol, k + tol, math.nextafter(k - tol, -math.inf),
+               math.nextafter(k + tol, math.inf), k - 2.0 * tol,
+               k + 2.0 * tol]
+    for v in xs:
+        _assert_piece_matches_scan(spec, v)
+
+
+@given(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0))
+@settings(max_examples=100, deadline=None)
+def test_psi_piece_fallback_matches_the_scan(k, h, x):
+    knots = (k, k, k + 1.0)   # not strictly ascending
+    _assert_piece_matches_scan(PsiSpec(1, knots + (h,), r1=-1.0, r2=1.0), x)
+    bare = PsiSpec(1, knots + (h,))
+    for piece in (_psi_piece, _psi_piece_by_scan):
+        with pytest.raises(ValueError, match="fallback"):
+            piece(bare, x)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filippov2d import (Window, flow, h_value, integrate_pws,
+from filippov2d import (CanonicalBase, PsiSpec, UnfoldingSpec, Window,
+                        build_unfolded, flow, h_value, integrate_pws,
                         integrate_smooth, loops, maps, read_trajectory_csv,
                         sliding_convex_coefficient, trajectory_to_csv,
                         unfolding)
@@ -182,3 +183,46 @@ def test_no_function_takes_integration_settings():
                      for name in inspect.signature(fn).parameters
                      if name in knobs]
     assert hits == []
+
+
+def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):
+    # a sheared upper side with g~ = 1 - (1 + 0.2 u) psi' > 0 (psi' stays
+    # below 0.3 on this 0.01 plateau): the orbit from (-0.9, 0.1) rises
+    # through the bump without turning and leaves the window, so every
+    # field evaluation is a DOP853 stepper's (the transit's, then the two
+    # of its landing on the window edge)
+    psi_calls, psi_per_call, steppers = [], [], []
+    psi_core = unfolding._psi_core
+
+    def counted_psi(spec, x):
+        psi_calls.append(x)
+        return psi_core(spec, x)
+    monkeypatch.setattr(unfolding, "_psi_core", counted_psi)
+
+    class Recorded(flow.DOP853):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            steppers.append(self)
+    monkeypatch.setattr(flow, "DOP853", Recorded)
+
+    window = Window(-1.0, 1.0, -1.0, 1.0)
+    base = CanonicalBase.from_strings("1 + 0.2*y", "1", 0, "-1", "-1", 0,
+                                      window)
+    system = build_unfolded(UnfoldingSpec(
+        base, psi_plus=PsiSpec(1, (-0.6, -0.3, 0.0, 0.01))))
+    f, g = system.side("upper")
+    side = flow._side_fn(f, g)
+
+    def counted_side(x, y):
+        before = len(psi_calls)
+        out = side(x, y)
+        psi_per_call.append(len(psi_calls) - before)
+        return out
+    monkeypatch.setattr(flow, "_side_fn", lambda f, g: counted_side)
+    run = integrate_smooth(f, g, (-0.9, 0.1), "upper", t_max=10.0,
+                           window=window)
+    assert run.terminal.kind == "window-exit"
+    assert len(steppers) == 3
+    assert len(psi_per_call) == sum(s.nfev for s in steppers)
+    assert set(psi_per_call) == {1}
+    assert min(psi_calls) < -0.3 < max(psi_calls)   # through the bump

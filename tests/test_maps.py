@@ -12,6 +12,9 @@ from filippov2d.maps import _flow_to_section
 from conftest import make_sys
 
 
+BUDGET = 1e3   # a section transit's time budget, far beyond every hit here
+
+
 def fld(f_src, g_src):
     return (ScalarField(f_src), ScalarField(g_src))
 
@@ -27,7 +30,8 @@ def test_section_validation():
 
 def test_translation_flow_lands_at_its_start_height():
     for r in (-0.4, -0.05, 0.0, 0.3):
-        hit = _flow_to_section(*fld("1", "0"), (0.0, r), Section.vertical(1.0))
+        hit = _flow_to_section(*fld("1", "0"), (0.0, r), Section.vertical(1.0),
+                               t_budget=BUDGET)
         assert hit.offset == pytest.approx(r, abs=1e-12)
         assert hit.t == pytest.approx(1.0, abs=1e-12)
 
@@ -37,7 +41,7 @@ def test_cubic_contact_arrival_matches_quadrature():
     # arrival on the line x = 1 is at height (1 - r^4)/4
     for r in (0.05, 0.1, -0.2, 0.3):
         hit = _flow_to_section(*fld("1", "x^3"), (r, 0.0),
-                               Section.vertical(1.0))
+                               Section.vertical(1.0), t_budget=BUDGET)
         assert hit.offset == pytest.approx((1.0 - r ** 4) / 4.0, abs=1e-11)
 
 
@@ -47,15 +51,18 @@ def test_tangential_arrival_detected():
     target = Section((0.0, 2.0), (1.0, 0.0), 4.0)
     with pytest.raises(TangentialArrival):
         _flow_to_section(*fld("1", "3*x^2"), (-1.0, 1.0), target,
-                         window=Window(-3, 3, -0.5, 4.5))
+                         t_budget=BUDGET, window=Window(-3, 3, -0.5, 4.5))
 
 
 def test_transit_through_intermediate_section_lands_as_direct():
     field = fld("1", "y")
     for r in (0.02, -0.15, 0.3):
-        direct = _flow_to_section(*field, (0.0, r), Section.vertical(1.0))
-        mid = _flow_to_section(*field, (0.0, r), Section.vertical(0.5))
-        hop = _flow_to_section(*field, (mid.x, mid.y), Section.vertical(1.0))
+        direct = _flow_to_section(*field, (0.0, r), Section.vertical(1.0),
+                                  t_budget=BUDGET)
+        mid = _flow_to_section(*field, (0.0, r), Section.vertical(0.5),
+                               t_budget=BUDGET)
+        hop = _flow_to_section(*field, (mid.x, mid.y), Section.vertical(1.0),
+                               t_budget=BUDGET)
         assert hop.offset == pytest.approx(direct.offset, abs=1e-10)
         assert direct.offset == pytest.approx(r * math.e, abs=1e-10)
         assert mid.t + hop.t == pytest.approx(direct.t, abs=1e-10)
@@ -93,7 +100,7 @@ def test_section_hit_outside_half_width_is_skipped():
     # from (0, 1) the circle meets y = 0 first at (-1, 0), outside the
     # section's window around (1, 0), then at (1, 0) after 3/4 of a turn
     target = Section((1.0, 0.0), (1.0, 0.0), 0.1)
-    hit = _flow_to_section(*_rotation(), (0.0, 1.0), target)
+    hit = _flow_to_section(*_rotation(), (0.0, 1.0), target, t_budget=BUDGET)
     assert hit.t == pytest.approx(1.5 * math.pi, abs=1e-8)
     assert hit.x == pytest.approx(1.0, abs=1e-9)
     assert abs(hit.offset) <= 1e-9
@@ -104,7 +111,8 @@ def test_sigma_to_sigma_transit_skips_its_start():
     # t = 0 is not an arrival, the one half a turn later at -(1 + r) is
     target = Section((0.0, 0.0), (1.0, 0.0), 2.0)
     for r in (0.1, -0.2):
-        hit = _flow_to_section(*_rotation(), (1.0 + r, 0.0), target)
+        hit = _flow_to_section(*_rotation(), (1.0 + r, 0.0), target,
+                               t_budget=BUDGET)
         assert hit.offset == pytest.approx(-(1.0 + r), abs=1e-9)
         assert hit.t == pytest.approx(math.pi, abs=1e-8)
 

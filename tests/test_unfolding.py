@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from filippov2d import (CanonicalBase, PsiSpec, UnfoldingSpec, Window,
                         admissible_k_family, build_transition, build_unfolded,
-                        canonical_base, cutoffs, psi, psi_dx, psi_sup_norms,
-                        shear_conjugacy_check, system_distance, unfolding)
+                        canonical_base, psi, psi_dx, psi_sup_norms,
+                        shear_conjugacy_check, system_distance)
 from filippov2d.loops import _negative_cluster, _pinned_knots, _plateau_psi
 
 W = Window(-1.0, 1.0, -1.0, 1.0)
@@ -163,7 +163,7 @@ def test_distance_to_base_decreases_along_family():
     assert prev < 1e-3
 
 
-def sheared_both_sides():
+def sheared_both_sides_spec():
     """thm3-like: (5,5) with three upper plateau bumps on the negative
     cluster, a lower step shear and all-zero lower lambdas; f and phi
     depend on y, so the sheared argument u = y + psi(x) shows."""
@@ -171,10 +171,10 @@ def sheared_both_sides():
     base = CanonicalBase.from_strings("1 + 0.5*y", "7*x + 6 - 2*y", 5,
                                       "-1 + 0.25*x*y", "7*x + 6 + 3*y", 5,
                                       canonical_base(5, 5).window)
-    return build_unfolded(UnfoldingSpec(
+    return UnfoldingSpec(
         base, lam, (0.0,) * 5,
         PsiSpec(3, _pinned_knots(lam, 0.08) + (0.012, 0.006, 0.003)),
-        _plateau_psi(-0.0021, -0.45)))
+        _plateau_psi(-0.0021, -0.45))
 
 
 # value, dx, dy, then x_jet(x, y, 6), as float.hex: how the sheared
@@ -257,25 +257,18 @@ SHEARED_PINS = [
 
 @pytest.mark.parametrize("point, comp, want", SHEARED_PINS)
 def test_sheared_components_are_pinned(point, comp, want):
-    fld = getattr(sheared_both_sides(), comp)
+    spec = sheared_both_sides_spec()
+    system = build_unfolded(spec)
+    fld = getattr(system, comp)
     x, y = point
     got = [fld.value(x, y), fld.dx(x, y), fld.dy(x, y)] + fld.x_jet(x, y, 6)
     assert [v.hex() for v in got] == list(want)
-
-
-def test_sheared_side_evaluates_psi_once_per_point(monkeypatch):
-    system = sheared_both_sides()
-    calls = []
-
-    def counted(spec, x):
-        calls.append(x)
-        return psi_core(spec, x)
-    psi_core = cutoffs._psi_core
-    monkeypatch.setattr(cutoffs, "_psi_core", counted)
-    monkeypatch.setattr(unfolding, "_psi_core", counted)
-    for side in ("upper", "lower"):
-        f, g = system.side(side)
-        calls.clear()
-        f.value(-0.28, 0.013)
-        g.value(-0.28, 0.013)
-        assert calls == [-0.28]
+    # the side functions the flow calls return the same values bit for
+    # bit: a sheared side these pins, a plain (transition) side its .value
+    plain = build_transition(spec)
+    which = "upper" if comp.endswith("plus") else "lower"
+    i = comp.startswith("g")
+    for sys_, value in ((system, want[0]),
+                        (plain, getattr(plain, comp).value(x, y).hex())):
+        f, g = sys_.side(which)
+        assert f.side_with(g)(x, y)[i].hex() == value
