@@ -20,14 +20,15 @@ from __future__ import annotations
 import argparse
 import sys as _sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fieldexpr import ParseError, ScalarField, parse_expr
-from .system import (PwsSystem, Window, decompose_sigma, h_value,
+# decompose_sigma stays bound here for tracers that wrap it by module
+from .system import (PwsSystem, Window, decompose_sigma, h_value,  # noqa: F401
                      sliding_convex_coefficient, sliding_field)
 from .tangency import TangencyScan, find_tangent_points
 from .maps import Section
@@ -83,7 +84,6 @@ class RunConfig:
     lambda_minus: Tuple[float, ...] = ()
     expect_tangent_points: Optional[int] = None
     out_dir: str = "out"
-    notes: Dict[str, str] = field(default_factory=dict)
 
 
 _SECTIONS = {
@@ -342,13 +342,14 @@ def _traj_polylines(traj: Trajectory, to_px, color: str,
     return out
 
 
-def render_portrait(sys: PwsSystem, trajectories: Sequence[Trajectory] = (),
+def render_portrait(sys: PwsSystem, scan: TangencyScan,
+                    trajectories: Sequence[Trajectory] = (),
                     records: Sequence[LoopRecord] = ()) -> str:
     """Render the window as a self-contained 800x600 SVG document.
 
-    Sigma is the horizontal midline with sliding stretches thickened,
-    tangent points get labeled markers, plain trajectories are grey and
-    loop records are colored by kind.
+    Sigma is the horizontal midline with the scan's sliding stretches
+    thickened, the scan's tangent points get labeled markers, plain
+    trajectories are grey and loop records are colored by kind.
     """
     w = sys.window
     to_px = _mapper(w)
@@ -366,8 +367,7 @@ def render_portrait(sys: PwsSystem, trajectories: Sequence[Trajectory] = (),
         f'<line x1="0" y1="{y_sigma:.2f}" x2="{_VIEW_W}" y2="{y_sigma:.2f}" '
         f'stroke="#20242a" stroke-width="1.2"/>',
     ]
-    dec = decompose_sigma(sys)
-    for x_lo, x_hi in dec.sliding:
+    for x_lo, x_hi in scan.sigma.sliding:
         p0, _ = to_px(x_lo, 0.0)
         p1, _ = to_px(x_hi, 0.0)
         parts.append(f'<line x1="{p0:.2f}" y1="{y_sigma:.2f}" x2="{p1:.2f}" '
@@ -378,7 +378,6 @@ def render_portrait(sys: PwsSystem, trajectories: Sequence[Trajectory] = (),
     for rec in records:
         color = _KIND_COLORS.get(rec.kind, "#444444")
         parts.extend(_traj_polylines(rec.trajectory, to_px, color, 1.6))
-    scan = find_tangent_points(sys)
     for r in scan.records:
         px, py = to_px(r.x0, 0.0)
         vis = "/".join(v or "-" for v in (r.vis_plus, r.vis_minus))
@@ -508,7 +507,7 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
         write_census_csv(out / "census.csv", censuses,
                          witnesses_paths=["trajectories"] * len(censuses))
         write_tangent_points_csv(out / "tangent_points.csv", scan)
-        svg = render_portrait(sys_final, plain,
+        svg = render_portrait(sys_final, scan, plain,
                               [rec for _, rec in witnesses])
         (out / "portrait.svg").write_text(svg)
         for line in summary:
@@ -530,7 +529,8 @@ def run_portrait(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         sys_final = _configured_system(cfg)
-        svg = render_portrait(sys_final, _pencil(sys_final), [])
+        svg = render_portrait(sys_final, find_tangent_points(sys_final),
+                              _pencil(sys_final))
         (out / "portrait.svg").write_text(svg)
         print(f"portrait written to {out / 'portrait.svg'}")
         return 0

@@ -105,10 +105,6 @@ class TangentOrbitCensus:
     orbits: List[Trajectory]
     visible_points: Tuple[float, ...]
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 # --------------------------------------------------------------------------
 # classification

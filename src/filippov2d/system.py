@@ -5,6 +5,13 @@ an upper field Z+ = (f+, g+) acting on y > 0 and a lower field Z- = (f-, g-)
 on y < 0. On Sigma the product h(x) = g+(x,0) * g-(x,0) separates crossing
 points (h > 0) from sliding segments (h < 0); on sliding segments the
 convex-combination (Filippov) field drives the dynamics along Sigma.
+
+decompose_sigma finds the zeros of each g(., 0) separately. A uniform grid
+of SCAN_CELLS cells only supplies seeds: the local minima of |g| and the
+mid-points of sign-change cells. From each seed, Newton's method runs on
+u = g/g_x (Schröder's modified Newton method), whose zeros are simple
+whatever g's multiplicity, so a k-fold zero off the grid is reached to
+rounding without a multiplicity guess.
 """
 
 from __future__ import annotations
@@ -13,6 +20,12 @@ from dataclasses import dataclass, field
 from typing import List, Protocol, Tuple
 
 from .fieldexpr import as_field
+
+# Sigma scan: grid cells across the window, the distance below which two
+# zeros are one candidate, and the cap on Newton steps from one seed
+SCAN_CELLS = 1000
+MERGE_TOL = 1e-10
+_NEWTON_STEPS = 40
 
 
 class ScalarFunc(Protocol):
@@ -130,7 +143,7 @@ def sliding_convex_coefficient(sys: PwsSystem, x: float) -> float:
         raise DegenerateDenominator(f"g- - g+ vanishes at x={x}")
     return gm / den
 
-def sliding_field(sys: PwsSystem, x: float, tol_rel: float = 1e-12) -> float:
+def sliding_field(sys: PwsSystem, x: float) -> float:
     """Sliding (Filippov) velocity along Sigma at x.
 
     Defined only where h(x) < 0; raises NotSliding otherwise and
@@ -143,7 +156,7 @@ def sliding_field(sys: PwsSystem, x: float, tol_rel: float = 1e-12) -> float:
         raise NotSliding(f"h(x) >= 0 at x={x}; not in a sliding segment")
     den = gm - gp
     scale = abs(gm) + abs(gp)
-    if abs(den) <= tol_rel * max(1.0, scale):
+    if abs(den) <= 1e-12 * max(1.0, scale):
         raise DegenerateDenominator(f"g- - g+ ~ 0 at x={x}")
     fp = sys.f_plus.value(x, 0.0)
     fm = sys.f_minus.value(x, 0.0)
@@ -170,90 +183,72 @@ class SigmaDecomposition:
         return "boundary"
 
 
-def _side_zeros(g, xs: List[float], vs: List[float], tiny: float,
-                n: int) -> List[float]:
-    """Zeros of one g(., 0) on the grid: exact hits, sign changes (bisected
-    on that factor, which stays well conditioned where the other side is
-    tiny), and even-order touches found through a derivative sign change
-    around a small interior minimum of |g|."""
+def _newton_zero(g, x: float, lo: float, hi: float) -> float | None:
+    """Schröder's iteration from x: Newton's method on u = g/g_x, whose
+    zeros are all simple whatever g's multiplicity there. The step
+    u / u_x = q / (1 - 2 q c2/c1), q = c0/c1, is taken from g's order-2
+    x-jet (c0, c1, c2) in ratios, because c1^2 underflows next to
+    high-order zeros. A step below 1e-15 of |x| + (hi - lo) ends the
+    iteration; None once it leaves [lo, hi] or meets a critical point
+    of g."""
+    for _ in range(_NEWTON_STEPS):
+        c0, c1, c2 = g.x_jet(x, 0.0, 2)
+        if c0 == 0.0:
+            return x
+        if c1 == 0.0:
+            return None
+        q = c0 / c1
+        den = 1.0 - 2.0 * q * (c2 / c1)
+        if den == 0.0:
+            return None
+        step = q / den
+        x -= step
+        if not lo <= x <= hi:
+            return None
+        if abs(step) <= 1e-15 * (abs(x) + (hi - lo)):
+            break
+    return x
+
+
+def _side_zeros(g, xs: List[float], vs: List[float],
+                tiny: float) -> List[float]:
+    """Zeros of one g(., 0) on the grid xs with values vs. The grid only
+    seeds: each local minimum of |g| (strict on the left, so a plateau of
+    equal values, g = 0 on the whole side, is one seed) and the mid-point
+    of each sign-change cell. From each seed _newton_zero runs; a zero it
+    reaches without leaving the window or two cells around its seed, with
+    |g| <= tiny, is kept."""
+    n = len(xs) - 1
+    mag = [abs(v) for v in vs]
+    seeds = [xs[i] for i in range(n + 1)
+             if (i == 0 or mag[i] < mag[i - 1])
+             and (i == n or mag[i] <= mag[i + 1])]
+    seeds += [0.5 * (xs[i] + xs[i + 1]) for i in range(n)
+              if (vs[i] < 0.0 < vs[i + 1]) or (vs[i + 1] < 0.0 < vs[i])]
+    reach = 2.0 * (xs[-1] - xs[0]) / n
     out: List[float] = []
-    i = 0
-    while i <= n:
-        if abs(vs[i]) <= tiny:
-            # a high-multiplicity zero flattens g below the threshold over
-            # several grid cells; report the run's deepest point once
-            j = i
-            best = i
-            while j + 1 <= n and abs(vs[j + 1]) <= tiny:
-                j += 1
-                if abs(vs[j]) < abs(vs[best]):
-                    best = j
-            out.append(xs[best])
-            i = j + 1
-        else:
-            i += 1
-    for i in range(n):
-        a, b = vs[i], vs[i + 1]
-        if abs(a) <= tiny or abs(b) <= tiny or (a > 0) == (b > 0):
-            continue
-        lo, hi = xs[i], xs[i + 1]
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            vm = g.value(mid, 0.0)
-            if vm == 0.0:
-                lo = hi = mid
-                break
-            if (vm > 0) == (a > 0):
-                lo = mid
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    for i in range(1, n):
-        v0, v1, v2 = vs[i - 1], vs[i], vs[i + 1]
-        if abs(v0) <= tiny or abs(v2) <= tiny or (v0 > 0) != (v2 > 0):
-            continue
-        if not (abs(v1) < abs(v0) and abs(v1) < abs(v2)):
-            continue
-        curv = abs(v0 - 2.0 * v1 + v2)
-        if abs(v1) > max(tiny, 0.75 * curv):
-            continue  # the dip bottoms out well off zero
-        d0 = g.dx(xs[i - 1], 0.0)
-        d2 = g.dx(xs[i + 1], 0.0)
-        if d0 == 0.0 or d2 == 0.0 or (d0 > 0) == (d2 > 0):
-            continue
-        lo, hi = xs[i - 1], xs[i + 1]
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            dm = g.dx(mid, 0.0)
-            if dm == 0.0:
-                lo = hi = mid
-                break
-            if (dm > 0) == (d0 > 0):
-                lo = mid
-            else:
-                hi = mid
-        x_t = 0.5 * (lo + hi)
-        # curv ~ |g''| step^2 is the value scale of g across one grid cell
-        if abs(g.value(x_t, 0.0)) <= max(tiny, 1e-8 * curv):
-            out.append(x_t)
+    for s in seeds:
+        x = _newton_zero(g, s, max(xs[0], s - reach), min(xs[-1], s + reach))
+        if x is not None and abs(g.value(x, 0.0)) <= tiny:
+            out.append(x)
     return out
 
 
-def decompose_sigma(sys: PwsSystem, resolution: float | None = None,
-                    merge_tol: float = 1e-10) -> SigmaDecomposition:
+def decompose_sigma(sys: PwsSystem) -> SigmaDecomposition:
     """Split Sigma into crossing/sliding intervals with candidate tangencies.
 
     Candidate tangencies are the zeros of each g(., 0) factor found
-    separately (sign changes plus even-order touches) on a uniform grid
-    (default step: 1e-3 of the window width). Working per factor keeps
-    double tangencies, where the product h has no sign change, and zeros
-    sitting where the other factor is tiny, where h is numerically mush,
-    detectable. Stretches where both factors vanish are reported as flat.
+    separately by _side_zeros: a uniform grid of SCAN_CELLS cells seeds
+    Newton's method on g/g_x at each local minimum of |g| and each sign
+    change, and a zero it reaches within two cells of its seed is kept.
+    Working per factor keeps double tangencies, where the product h has no
+    sign change, and zeros sitting where the other factor is tiny, where h
+    is numerically mush, detectable. Candidates closer than
+    max(MERGE_TOL, 1e-9 width) are merged at their mean. Stretches where
+    both factors vanish are reported as flat.
     """
     w = sys.window
-    if resolution is None:
-        resolution = 1e-3 * w.width
-    n = max(8, int(round(w.width / resolution)))
+    n = SCAN_CELLS
     xs = [w.x_lo + w.width * i / n for i in range(n + 1)]
     vp = [sys.g_plus.value(x, 0.0) for x in xs]
     vm = [sys.g_minus.value(x, 0.0) for x in xs]
@@ -274,12 +269,12 @@ def decompose_sigma(sys: PwsSystem, resolution: float | None = None,
         else:
             i += 1
 
-    candidates = _side_zeros(sys.g_plus, xs, vp, tiny_p, n) \
-        + _side_zeros(sys.g_minus, xs, vm, tiny_m, n)
+    candidates = _side_zeros(sys.g_plus, xs, vp, tiny_p) \
+        + _side_zeros(sys.g_minus, xs, vm, tiny_m)
     candidates.sort()
     merged: List[float] = []
     for c in candidates:
-        if merged and abs(c - merged[-1]) <= max(merge_tol, 1e-9 * w.width):
+        if merged and abs(c - merged[-1]) <= max(MERGE_TOL, 1e-9 * w.width):
             merged[-1] = 0.5 * (merged[-1] + c)
         else:
             merged.append(c)
@@ -288,7 +283,7 @@ def decompose_sigma(sys: PwsSystem, resolution: float | None = None,
     crossing: List[Tuple[float, float]] = []
     sliding: List[Tuple[float, float]] = []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= merge_tol:
+        if b - a <= MERGE_TOL:
             continue
         if any(fa <= a and b <= fb for fa, fb in flat):
             continue

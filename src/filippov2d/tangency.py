@@ -12,7 +12,8 @@ into the subsystem's own closed half-plane, I otherwise); even m gives a
 one-branch contact, labelled L or R by which branch lies in the own
 half-plane.
 
-Every x-derivative comes from the component's jet ``g.x_jet(x0, y0, order)``.
+Every x-derivative comes from the component's jet ``g.x_jet(x0, 0, order)``:
+multiplicity_at reads orders up to MAX_ORDER against the threshold EPS.
 """
 
 from __future__ import annotations
@@ -23,9 +24,12 @@ from typing import List, Optional, Tuple
 
 from .system import PwsSystem, SigmaDecomposition, decompose_sigma
 
+MAX_ORDER = 12
+EPS = 1e-8
+
 
 class IndeterminateMultiplicity(ArithmeticError):
-    """All x-derivatives up to max_order vanish below threshold."""
+    """All x-derivatives up to MAX_ORDER vanish below threshold."""
 
 
 class ZeroLeadingCoefficient(ArithmeticError):
@@ -52,29 +56,27 @@ class BoundaryEquilibrium:
     side: str
 
 
-def multiplicity_at(g_field, f_at: float, x0: float, *, y0: float = 0.0,
-                    max_order: int = 12, eps: float = 1e-8) -> int:
-    """Order of the first non-vanishing x-derivative of g at (x0, y0).
+def multiplicity_at(g_field, f_at: float, x0: float) -> int:
+    """Order of the first non-vanishing x-derivative of g at (x0, 0).
 
     Returns 0 when g itself is nonzero (no tangency). The threshold is
-    eps scaled by max(1, |f|, derivative magnitudes seen so far) — scaling
+    EPS scaled by max(1, |f|, derivative magnitudes seen so far) — scaling
     by *later* orders would let the enormous high-order derivatives of
     bump-type perturbations swallow a genuinely nonzero low-order one.
-    Raises IndeterminateMultiplicity when everything up to max_order
+    Raises IndeterminateMultiplicity when everything up to MAX_ORDER
     vanishes.
     """
     scale = max(1.0, abs(f_at))
-    for k, c in enumerate(g_field.x_jet(x0, y0, max_order)):
+    for k, c in enumerate(g_field.x_jet(x0, 0.0, MAX_ORDER)):
         v = c * math.factorial(k)
-        if abs(v) > eps * scale:
+        if abs(v) > EPS * scale:
             return k
         scale = max(scale, abs(v))
     raise IndeterminateMultiplicity(
-        f"g and its first {max_order} x-derivatives vanish at x={x0}")
+        f"g and its first {MAX_ORDER} x-derivatives vanish at x={x0}")
 
 
-def visibility(side: str, m: int, f_val: float, g_m_val: float,
-               eps: float = 1e-12) -> str:
+def visibility(side: str, m: int, f_val: float, g_m_val: float) -> str:
     """Classify the tangency branch geometry from the leading coefficient.
 
     side is 'upper' or 'lower'; m >= 1 the multiplicity; g_m_val the m-th
@@ -87,7 +89,7 @@ def visibility(side: str, m: int, f_val: float, g_m_val: float,
     if f_val == 0.0:
         raise ZeroDivisionError("f vanishes: boundary equilibrium, not a tangency")
     scale = max(1.0, abs(f_val))
-    if abs(g_m_val) <= eps * scale:
+    if abs(g_m_val) <= 1e-12 * scale:
         raise ZeroLeadingCoefficient(
             f"leading x-derivative of g at order {m} is numerically zero")
     c = (g_m_val / math.factorial(m)) / ((m + 1) * f_val)
@@ -105,43 +107,31 @@ def visibility(side: str, m: int, f_val: float, g_m_val: float,
 class TangencyScan:
     records: List[TangentPointRecord]
     boundary_equilibria: List[BoundaryEquilibrium]
+    sigma: SigmaDecomposition
 
 
-def _side_data(sys: PwsSystem, which: str, x0: float, max_order: int,
-               eps: float):
+def _side_data(sys: PwsSystem, which: str, x0: float):
     f, g = sys.side(which)
     f_val = f.value(x0, 0.0)
-    m = multiplicity_at(g, f_val, x0, max_order=max_order, eps=eps)
+    m = multiplicity_at(g, f_val, x0)
     vis = None
     if m >= 1 and f_val != 0.0:
         gm = g.x_jet(x0, 0.0, m)[m] * math.factorial(m)
         vis = visibility(which, m, f_val, gm)
-    return f_val, m, vis
+    return m, vis
 
 
-def find_tangent_points(sys: PwsSystem,
-                        dec: SigmaDecomposition | None = None, *,
-                        max_order: int = 12, eps: float = 1e-8,
-                        merge_tol: float = 1e-10) -> TangencyScan:
-    """Classify every tangency candidate of the Sigma decomposition.
+def find_tangent_points(sys: PwsSystem) -> TangencyScan:
+    """Decompose Sigma and classify every tangency candidate.
 
     Candidates where the vanishing side's f also vanishes are reported as
-    boundary equilibria and excluded from the tangency list. Candidates
-    closer than merge_tol are merged at their mean (decompose_sigma already
-    merges; this guards externally supplied decompositions).
+    boundary equilibria and excluded from the tangency list. The scan
+    carries the decomposition it classified as ``sigma``.
     """
-    if dec is None:
-        dec = decompose_sigma(sys)
-    xs: List[float] = []
-    for c in sorted(dec.tangency_candidates):
-        if xs and abs(c - xs[-1]) <= merge_tol:
-            xs[-1] = 0.5 * (xs[-1] + c)
-        else:
-            xs.append(c)
-
+    dec = decompose_sigma(sys)
     records: List[TangentPointRecord] = []
     boundary: List[BoundaryEquilibrium] = []
-    for x0 in xs:
+    for x0 in dec.tangency_candidates:
         skip = False
         for which in ("upper", "lower"):
             f, g = sys.side(which)
@@ -154,8 +144,8 @@ def find_tangent_points(sys: PwsSystem,
         if skip:
             continue
         try:
-            _, m_p, vis_p = _side_data(sys, "upper", x0, max_order, eps)
-            _, m_m, vis_m = _side_data(sys, "lower", x0, max_order, eps)
+            m_p, vis_p = _side_data(sys, "upper", x0)
+            m_m, vis_m = _side_data(sys, "lower", x0)
         except IndeterminateMultiplicity:
             records.append(TangentPointRecord(x0, -1, -1, None, None, "??"))
             continue
@@ -163,20 +153,18 @@ def find_tangent_points(sys: PwsSystem,
             continue  # spurious candidate: neither g actually vanishes
         label = (vis_p or ".") + (vis_m or ".")
         records.append(TangentPointRecord(x0, m_p, m_m, vis_p, vis_m, label))
-    return TangencyScan(records, boundary)
+    return TangencyScan(records, boundary, dec)
 
 
 def count_bifurcating(sys_unfolded: PwsSystem, base: TangentPointRecord,
-                      radius: float, *, dec: SigmaDecomposition | None = None,
-                      max_order: int = 12,
-                      eps: float = 1e-8) -> Tuple[int, List[TangentPointRecord]]:
+                      radius: float) -> Tuple[int, List[TangentPointRecord]]:
     """Count tangent points of an unfolded system near a base tangency.
 
     Returns (ell, records) for the tangencies within |x - x0| <= radius and
     enforces the budget: ell <= m+ + m- and, side by side, the multiplicities
     of the bifurcating points sum to at most the base multiplicity.
     """
-    scan = find_tangent_points(sys_unfolded, dec, max_order=max_order, eps=eps)
+    scan = find_tangent_points(sys_unfolded)
     near = [r for r in scan.records if abs(r.x0 - base.x0) <= radius]
     ell = len(near)
     budget = base.m_plus + base.m_minus

@@ -1,5 +1,6 @@
 """Tangency detection: multiplicity, visibility, bifurcation counting."""
 
+import inspect
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from filippov2d import (BoundViolation, IndeterminateMultiplicity,
                         TangentPointRecord, ZeroLeadingCoefficient,
                         count_bifurcating, decompose_sigma,
                         find_tangent_points, multiplicity_at, visibility)
+from filippov2d import system, tangency
 from filippov2d.fieldexpr import ScalarField
 from conftest import make_sys
 
@@ -186,3 +188,78 @@ def test_parity_rule_on_mixed_example():
                 assert v in ("V", "I")
             else:
                 assert v in ("L", "R")
+
+
+def test_no_function_takes_scan_settings():
+    # the Sigma scan's grid, merge distance, derivative order and
+    # thresholds are module constants (system.SCAN_CELLS, MERGE_TOL;
+    # tangency.MAX_ORDER, EPS), and a tangency scan decomposes Sigma itself
+    knobs = {"resolution", "merge_tol", "max_order", "eps", "tol_rel", "dec"}
+    hits = []
+    for mod in (system, tangency):
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                fns = [v for v in vars(obj).values() if inspect.isfunction(v)]
+            else:
+                fns = [obj] if inspect.isfunction(obj) else []
+            hits += [f"{mod.__name__}.{fn.__qualname__}({name})"
+                     for fn in fns
+                     for name in inspect.signature(fn).parameters
+                     if name in knobs]
+    assert hits == []
+
+
+def _split_system(points):
+    """Upper and lower g with a k-fold zero at each (x, side, k)."""
+    def g(side, phi):
+        factors = [f"(x - {x!r})^{k}" for x, s, k in points if s == side]
+        return " * ".join(factors + [phi])
+    return make_sys("1", g("upper", "(1 + 0.3*x)"),
+                    "-1", g("lower", "(1 + 0.25*x)"))
+
+
+def _assert_found(points):
+    recs = find_tangent_points(_split_system(points)).records
+    assert len(recs) == len(points)
+    for r, (x, side, k) in zip(recs, sorted(points)):
+        assert r.x0 == pytest.approx(x, abs=1e-9)
+        assert (r.m_plus, r.m_minus) == ((k, 0) if side == "upper"
+                                         else (0, k))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_off_grid_splits_come_back_with_their_multiplicities(data):
+    # points at least 0.2 apart in (-0.85, 0.85), almost surely off the
+    # scan grid, each a k-fold zero of one side, with k summing to <= 9
+    points, budget = [], 9
+    x = data.draw(st.floats(-0.85, 0.85))
+    while x < 0.85 and budget > 0:
+        k = data.draw(st.integers(1, min(7, budget)))
+        side = data.draw(st.sampled_from(["upper", "lower"]))
+        points.append((x, side, k))
+        budget -= k
+        x += data.draw(st.floats(0.2, 0.7))
+    _assert_found(points)
+
+
+H = 2e-3  # scan grid step on the window (-1, 1)
+
+
+@pytest.mark.parametrize("m1,m2,cells", [(3, 3, 1), (3, 1, 3), (2, 2, 3),
+                                         (1, 1, 1)])
+def test_close_pairs_are_resolved(m1, m2, cells):
+    x = 0.1234567
+    _assert_found([(x, "upper", m1), (x + cells * H, "upper", m2)])
+
+
+def test_six_fold_zero_next_to_a_grid_point():
+    # c1^2 underflows at the grid point x = 0, a distance 2.9e-39 away
+    _assert_found([(-2.9e-39, "upper", 6)])
+
+
+def test_side_with_g_identically_zero_gives_one_indeterminate_record():
+    recs = find_tangent_points(make_sys("1", "0", "-1", "1")).records
+    assert [(r.m_plus, r.m_minus, r.label) for r in recs] == [(-1, -1, "??")]
