@@ -27,15 +27,13 @@ from .flow import (Arc, AmbiguousTangency, Event, SmoothRun, StepUnderflow,
                    Trajectory, TransitFailure, integrate_pws,
                    integrate_smooth, read_trajectory_csv, sliding_arc,
                    trajectory_to_csv)
-from .maps import (NoArrival, Section, TangentialArrival,
-                   displacement_sigma)
+from .maps import NoArrival, TangentialArrival, displacement_sigma
 from .loops import (CensusMismatch, HarvestFailure, LoopCensus, LoopRecord,
                     NotClosed, RangeError, RootNotBracketed,
                     TangentOrbitCensus, VerificationFailed, canonical_base,
                     canonical_critical_loop, classify_loop,
-                    find_crossing_cycles, one_sided_return_slope,
-                    read_census_csv, scenario_thm2, scenario_thm3,
-                    scenario_thm4, scenario_thm5, sigma_return_map,
+                    find_crossing_cycles, read_census_csv, scenario_thm2,
+                    scenario_thm3, scenario_thm4, scenario_thm5,
                     write_census_csv)
 from .cli import (ConfigError, RunConfig, load_config, render_portrait,
                   run_scenario)

@@ -31,7 +31,6 @@ from .fieldexpr import ParseError, ScalarField, parse_expr
 from .system import (PwsSystem, Window, decompose_sigma, h_value,  # noqa: F401
                      sliding_convex_coefficient, sliding_field)
 from .tangency import TangencyScan, find_tangent_points
-from .maps import Section
 from .flow import (Trajectory, TransitFailure, integrate_pws,
                    read_trajectory_csv, trajectory_to_csv)
 from .unfolding import CanonicalBase, UnfoldingSpec, build_transition, \
@@ -473,7 +472,7 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
                 if cfg.alpha is not None:
                     kwargs["alpha"] = cfg.alpha
                 census = scenario_thm5(base, cfg.ell, **kwargs)
-            sys_final = build_unfolded(census.notes["spec"])
+            sys_final = build_unfolded(census.spec)
             censuses.append(census)
             summary.append(f"beta_c={census.beta_c}")
             summary.append(f"beta_s={census.beta_s}")
@@ -595,14 +594,12 @@ def _check_cutoff() -> Optional[str]:
 
 
 def _check_canonical() -> Optional[str]:
-    from .maps import _flow_to_section, _transit_budget
+    from .maps import _flow_to_section
 
     sys_c, rec = canonical_critical_loop(1, 1, 1.0, 1.0, -1.0)
     if rec.kind != "critical":
         return f"canonical loop classified {rec.kind}"
-    hit = _flow_to_section(sys_c.f_plus, sys_c.g_plus, (-1.0, 0.0),
-                           Section.vertical(-2.0 / 3.0),
-                           t_budget=_transit_budget(sys_c.window))
+    hit = _flow_to_section(sys_c, (-1.0, 0.0), -2.0 / 3.0)
     if abs(hit.y - 4.0 / 27.0) > 1e-9:
         return f"upper arc height {hit.y!r} at x=-2/3, want 4/27"
     return None

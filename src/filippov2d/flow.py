@@ -1,15 +1,20 @@
 """Filippov flows for two-zone systems: smooth arcs, Sigma events, sliding.
 
+Every transit takes its system: the fields of the side it flows, the
+system's window and a leg budget of 6 * width + 30 time units of that
+window. Only ``integrate_pws`` (its remaining time) and the crossing-cycle
+witness (a window capped at its seed) pass other values.
+
 Every smooth arc is integrated by one kernel, ``_transit``: a loop over the
 accepted steps of a ``scipy.integrate.DOP853`` stepper. After each step it
 checks a fixed set of stops from the step's ends and the slopes the stepper
 already holds there (FSAL):
 
-* exit lines: Sigma (a transit in one half-plane, ``integrate_smooth``),
-  the window padded by 1e-9 of its larger side, else |x| + |y| = 1e9;
-* a target section's line (``maps._flow_to_section``), crossed either way:
-  the first crossing inside its half-width, other than the start point,
-  ends the transit (as a tangent hit when not transversal);
+* exit lines: Sigma (a transit in one half-plane, ``integrate_smooth``)
+  and the window padded by 1e-9 of its larger side;
+* a vertical line x = x_at (``maps._flow_to_section``, upper field),
+  crossed either way: the first crossing other than the start point ends
+  the transit (as a tangent hit when not transversal);
 * turns of y (g changes sign, or the step's cubic Hermite interpolant
   turns): a turn toward Sigma whose height, integrated onto its abscissa,
   is within 1e-8 is a touch, a graze of Sigma; one beyond it is a dip;
@@ -40,7 +45,8 @@ steps and landings alike, runs at rtol = RTOL = 1e-10 and atol = ATOL =
 below the nudge floor with atol = 1e-2 * ATOL). loops.CLOSURE_TOL and the
 counts it certifies rest on these values; nothing widens them.
 
-integrate_pws chains arcs with a deterministic default policy:
+integrate_pws chains arcs forward in time with a deterministic default
+policy:
 
 * transversal crossing -> switch half-plane;
 * arrival on the boundary of an attracting sliding segment -> slide;
@@ -107,7 +113,6 @@ class Trajectory:
     arcs: List[Arc]
     events: List[Event]
     system: Optional[PwsSystem] = None
-    direction: str = "forward"
 
     def start(self) -> Tuple[float, float]:
         return self.arcs[0].start()
@@ -125,7 +130,6 @@ _NUDGE_FLOOR = 1e-11       # |y| a start on Sigma must clear before a segment
 _NUDGE_FIRST_STEP = 1e-8   # first micro-step of the nudge, grown 4x per try
 _TOUCH_TOL = 1e-8          # |y| of a g-zero inside a step that counts as a touch
 _TRANSVERSAL_TOL = 1e-6    # relative normal speed of an accepted section hit
-_GUARD_RADIUS = 1e9        # |x| + |y| where a transit without a window stops
 _MAX_CONTACTS = 64         # Sigma contacts that restart one transit
 _GRID = np.linspace(0.0, 1.0, 33)   # samples of a step polynomial
 _MAX_ARCS = 200            # arcs of one integrate_pws trajectory
@@ -270,19 +274,28 @@ def _minima(c: np.ndarray, sgn: float, slope) -> List[float]:
     return out
 
 
-def _transit(f, g, start: Tuple[float, float], *, t_max: float,
-             time_sign: float, window: Optional[Window],
-             side: Optional[str] = None, tangency_tol: float = 0.0,
+def _leg_budget(sys: PwsSystem) -> float:
+    """Time budget of one leg (one transit) inside the system's window."""
+    return 6.0 * sys.window.width + 30.0
+
+
+def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
+             t_max: Optional[float] = None, window: Optional[Window] = None,
+             time_sign: float = 1.0, tangency_tol: float = 0.0,
              chain: bool = False, stop_at: Optional[float] = None,
              stop_tol: float = 0.0, t_offset: float = 0.0,
-             target=None) -> SmoothRun:
-    """The one smooth-transit loop (module docstring) for a Sigma transit
-    in half-plane `side` or a section transit to `target`. Times count from
-    t_offset; each leg has the budget t_max. Terminal kinds: sigma-cross,
-    tangent-arrival, tangent-exit, section-hit, tangent-hit, window-exit,
-    runaway, time-end."""
+             x_at: Optional[float] = None) -> SmoothRun:
+    """The one smooth-transit loop (module docstring) on the field of
+    `side`: a Sigma transit in that half-plane, or with x_at a transit to
+    the vertical line x = x_at. Times count from t_offset; each leg has the
+    budget t_max (default: the system's leg budget) and the transit stops
+    at the edges of `window` (default: the system's). Terminal kinds:
+    sigma-cross, tangent-arrival, tangent-exit, section-hit, tangent-hit,
+    window-exit, time-end."""
+    t_max = _leg_budget(sys) if t_max is None else t_max
+    w = sys.window if window is None else window
     x, y = float(start[0]), float(start[1])
-    fg = _side_fn(f, g)   # the only field evaluation in a transit
+    fg = _side_fn(*sys.side(side))   # the only field evaluation in a transit
 
     def rhs(t, s):
         fv, gv = fg(*s.tolist())
@@ -290,32 +303,26 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
 
     # exit lines (n1, n2, level): the orbit stays where n1 x + n2 y >= level;
     # a section is a line exited either way
-    if target is None:
+    if x_at is None:
         sgn = _own_sign(side)
         if y * sgn < -1e-9:
             raise ValueError(f"start {start} is not in the {side} half-plane")
         exits = [((0.0, sgn, 0.0), "sigma")]
     else:
-        n1, n2 = -target.direction[1], target.direction[0]
-        level = n1 * target.anchor[0] + n2 * target.anchor[1]
         exits = [(line, "section")
-                 for line in ((n1, n2, level), (-n1, -n2, -level))]
-        on_line_at_start = abs(target.line_coordinate(x, y)) <= 1e-12
-    if window is not None:
-        w, pad = window, 1e-9 * max(window.width, window.y_hi - window.y_lo)
-        exits += [(line, "window-exit") for line in (
-            (1.0, 0.0, w.x_lo - pad), (-1.0, 0.0, -w.x_hi - pad),
-            (0.0, 1.0, w.y_lo - pad), (0.0, -1.0, -w.y_hi - pad))]
-    else:   # |x| + |y| = _GUARD_RADIUS
-        exits += [((a, b, -_GUARD_RADIUS), "runaway")
-                  for a in (1.0, -1.0) for b in (1.0, -1.0)]
+                 for line in ((-1.0, 0.0, -x_at), (1.0, 0.0, x_at))]
+        on_line_at_start = abs(x - x_at) <= 1e-12
+    pad = 1e-9 * max(w.width, w.y_hi - w.y_lo)
+    exits += [(line, "window-exit") for line in (
+        (1.0, 0.0, w.x_lo - pad), (-1.0, 0.0, -w.x_hi - pad),
+        (0.0, 1.0, w.y_lo - pad), (0.0, -1.0, -w.y_hi - pad))]
 
     legs, touches = [], []    # touches: every touch of Sigma, in order
     samples = [(0.0, x, y)]   # (leg time, x, y) of the current leg
     t_leg0 = t_offset         # start time of the current leg
 
     def finish(t_end: float, xe: float, ye: float, kind: str) -> SmoothRun:
-        if target is not None:
+        if x_at is not None:
             return SmoothRun([], [], Event(t_end, xe, ye, kind))
         close_leg(t_end, xe, ye)
         return SmoothRun(legs, touches, Event(t_leg0 + t_end, xe, ye, kind))
@@ -327,7 +334,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
         legs.append(Arc(side, t_all + t_leg0, x_all, y_all))
 
     t = 0.0
-    if target is None and abs(y) < _NUDGE_FLOOR:
+    if x_at is None and abs(y) < _NUDGE_FLOOR:
         x, y, t = _nudge_off_sigma(rhs, x, side)
         samples.append((t, x, y))
     z = np.array([x, y])
@@ -348,7 +355,7 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
             # y may turn: the slope of its cubic Hermite interpolant (end
             # slopes d0, d1 times the step) changes sign
             dy, d0, d1 = z_b[1] - z_a[1], h * f_a[1], h * solver.f[1]
-            turned = target is None and bool(np.any(d0 * polyval(_GRID, (
+            turned = x_at is None and bool(np.any(d0 * polyval(_GRID, (
                 d0, 6 * dy - 4 * d0 - 2 * d1, 3 * (d0 + d1 - 2 * dy))) < 0.0))
             stops = []   # (tau, kind, line) on the step polynomial c
             if fired or turned:
@@ -386,12 +393,11 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
                 t_e = t_a + tau * h
                 p = polyval(tau, c)
                 if kind == "section":
-                    # an arrival is not the start point and lies in reach
-                    if on_line_at_start and t_e <= 1e-9 or abs(
-                            target.offset_of(p[0], p[1])) > target.half_width:
+                    # an arrival is not the start point
+                    if on_line_at_start and t_e <= 1e-9:
                         continue
                     fz, gz = rhs(0.0, p)
-                    kind = ("section-hit" if abs(fz * n1 + gz * n2)
+                    kind = ("section-hit" if abs(fz)
                             > _TRANSVERSAL_TOL * math.hypot(fz, gz)
                             else "tangent-hit")
                 elif kind == "sigma" \
@@ -437,46 +443,51 @@ def _transit(f, g, start: Tuple[float, float], *, t_max: float,
     raise AmbiguousTangency("too many tangential contacts in one transit")
 
 
-def integrate_smooth(f, g, start: Tuple[float, float], side: str, *,
-                     t_max: float, window: Optional[Window] = None,
+def integrate_smooth(sys: PwsSystem, side: str, start: Tuple[float, float],
+                     *, t_max: Optional[float] = None,
+                     window: Optional[Window] = None,
                      time_sign: float = 1.0,
                      tangency_tol: float = 1e-7,
                      chain: bool = False,
                      stop_at: Optional[float] = None,
                      stop_tol: float = 1e-6,
                      t_offset: float = 0.0) -> SmoothRun:
-    """One smooth transit in a single half-plane, with Sigma event handling.
+    """One smooth transit of the `side` field of sys in its half-plane,
+    with Sigma event handling, in sys.window with the leg budget unless
+    t_max or window says otherwise.
 
     Returns the legs, all tangential touch events and the terminal event,
     one of: sigma-cross, tangent-arrival (graze chaining reached stop_at),
     tangent-exit (tangential departure from the half-plane), window-exit,
-    runaway (no window given), time-end.
+    time-end.
 
     With chain=True every touch ends a leg and the flow restarts from the
     touch point on Sigma; the transit ends at the first touch within
     stop_tol of stop_at, when one is given. Times count from t_offset.
     """
-    return _transit(f, g, start, side=side, t_max=t_max, window=window,
+    return _transit(sys, side, start, t_max=t_max, window=window,
                     time_sign=time_sign, tangency_tol=tangency_tol,
                     chain=chain, stop_at=stop_at, stop_tol=stop_tol,
                     t_offset=t_offset)
 
 
-def sliding_arc(sys: PwsSystem, x_start: float, *, t_max: float,
-                time_sign: float = 1.0,
+def sliding_arc(sys: PwsSystem, x_start: float, *,
+                t_max: Optional[float] = None,
                 x_stop: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, Event]:
     """Integrate the sliding field from a point inside a sliding segment.
 
-    Stops at the segment boundary (h -> 0), a window edge, the time budget,
-    a pseudo-equilibrium (the sliding speed collapses below 1e-9), or --
-    when x_stop is given -- at the prescribed abscissa.
+    Stops at the segment boundary (h -> 0), a window edge, the time budget
+    (default: the system's leg budget), a pseudo-equilibrium (the sliding
+    speed collapses below 1e-9), or -- when x_stop is given -- at the
+    prescribed abscissa.
     Returns (t, x, terminal_event); y is identically 0 on the arc.
     """
     w = sys.window
+    t_max = _leg_budget(sys) if t_max is None else t_max
 
     def rhs(t, s):
         try:
-            return (time_sign * sliding_field(sys, float(s[0])),)
+            return (sliding_field(sys, float(s[0])),)
         except (NotSliding, DegenerateDenominator):
             return (0.0,)
 
@@ -512,18 +523,17 @@ class StepDecision:
     side: Optional[str]  # target side for 'cross'/'continue'
 
 
-def step_filippov(sys: PwsSystem, x: float, arriving_from: Optional[str],
-                  *, time_sign: float = 1.0) -> StepDecision:
+def step_filippov(sys: PwsSystem, x: float,
+                  arriving_from: Optional[str]) -> StepDecision:
     """Deterministic continuation at a Sigma point.
 
     arriving_from is the half-plane the orbit came from (None when starting
     fresh on Sigma). Uses the sign pattern of (g+, g-) at x with the
     system's tangency tolerance; raises AmbiguousTangency when the signs
-    sit below resolution in a conflicting pattern. time_sign < 0 analyses
-    the reversed flow, so crossings connect in the backward direction.
+    sit below resolution in a conflicting pattern.
     """
-    gp = time_sign * sys.g_plus.value(x, 0.0)
-    gm = time_sign * sys.g_minus.value(x, 0.0)
+    gp = sys.g_plus.value(x, 0.0)
+    gm = sys.g_minus.value(x, 0.0)
     tol_p = 1e-7 * sys.sigma_g_scale("upper")
     tol_m = 1e-7 * sys.sigma_g_scale("lower")
     p_zero = abs(gp) <= tol_p
@@ -561,21 +571,19 @@ def step_filippov(sys: PwsSystem, x: float, arriving_from: Optional[str],
 
 
 def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
-                  t_max: float, direction: str = "forward") -> Trajectory:
+                  t_max: float) -> Trajectory:
     """Chain smooth and sliding arcs under the default Filippov policy."""
-    time_sign = 1.0 if direction == "forward" else -1.0
     x, y = float(start[0]), float(start[1])
     arcs: List[Arc] = []
     events: List[Event] = []
     t_used = 0.0
-    w = sys.window
 
     side: Optional[str]
     if abs(y) > _NUDGE_FLOOR:
         side = "upper" if y > 0 else "lower"
         pending = ("smooth", side)
     else:
-        dec = step_filippov(sys, x, None, time_sign=time_sign)
+        dec = step_filippov(sys, x, None)
         if dec.action == "slide":
             pending = ("slide", None)
         else:
@@ -584,10 +592,7 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
     while len(arcs) < _MAX_ARCS and t_used < t_max:
         if pending[0] == "smooth":
             side = pending[1]
-            f, g = sys.side(side)
-            run = integrate_smooth(f, g, (x, y), side,
-                                   t_max=t_max - t_used, window=w,
-                                   time_sign=time_sign,
+            run = integrate_smooth(sys, side, (x, y), t_max=t_max - t_used,
                                    tangency_tol=1e-7 * sys.sigma_g_scale(side),
                                    t_offset=t_used)
             arcs.extend(run.legs)
@@ -599,7 +604,7 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
             if term.kind in ("window-exit", "time-end"):
                 break
             # Sigma contact: transversal or tangential exit
-            dec = step_filippov(sys, x, side, time_sign=time_sign)
+            dec = step_filippov(sys, x, side)
             if dec.action == "cross" or dec.action == "continue":
                 pending = ("smooth", dec.side)
                 y = 0.0
@@ -610,8 +615,7 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
             else:
                 break
         else:
-            ts, xs, term = sliding_arc(sys, x, t_max=t_max - t_used,
-                                       time_sign=time_sign)
+            ts, xs, term = sliding_arc(sys, x, t_max=t_max - t_used)
             arcs.append(Arc("sliding", ts + t_used, xs, np.zeros_like(xs)))
             events.append(Event(term.t + t_used, term.x, 0.0, term.kind))
             t_used += term.t
@@ -619,13 +623,13 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
             if term.kind in ("window-exit", "time-end", "pseudo-equilibrium"):
                 break
             # boundary tangent point: decide takeoff/cross
-            dec = step_filippov(sys, x, None, time_sign=time_sign)
+            dec = step_filippov(sys, x, None)
             if dec.action in ("cross", "continue"):
                 events.append(Event(t_used, x, 0.0, "sliding-exit"))
                 pending = ("smooth", dec.side)
             else:
                 break
-    return Trajectory(arcs, events, sys, direction)
+    return Trajectory(arcs, events, sys)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ from scipy.optimize import brentq
 from .cutoffs import PsiSpec
 from .flow import (Arc, Event, SmoothRun, Trajectory, TransitFailure,
                    integrate_smooth, sliding_arc)
-from .maps import (NoArrival, Section, _flow_to_section, _transit_budget,
-                   displacement_sigma)
+from .maps import _flow_to_section, displacement_sigma
 from .system import PwsSystem, Window, h_value
 from .tangency import multiplicity_at
 from .unfolding import (CanonicalBase, UnfoldingSpec, build_transition,
@@ -78,7 +77,6 @@ class LoopRecord:
     switching_points: Tuple[Tuple[float, str], ...]
     tangent_touch_count: int
     closure_residual: float
-    stability: str = "unknown"
 
 
 @dataclass
@@ -94,7 +92,7 @@ class LoopCensus:
     beta_cro: Dict[int, int] = field(default_factory=dict)
     beta_cri: Dict[int, int] = field(default_factory=dict)
     witnesses: List[Tuple[str, LoopRecord]] = field(default_factory=list)
-    notes: Dict[str, object] = field(default_factory=dict)
+    spec: Optional[UnfoldingSpec] = None   # the unfolding it was taken on
 
 
 @dataclass
@@ -209,39 +207,6 @@ def _signed_area(arcs: Sequence[Arc]) -> float:
 
 
 # --------------------------------------------------------------------------
-# return map
-
-
-def sigma_return_map(sys: PwsSystem, x: float) -> float:
-    """First return to the switching line: upper transit, then lower.
-
-    Tangential grazes along the way are flown through. Raises NoArrival
-    when either transit fails to come back to the line transversally, and
-    AmbiguousTangency when the upper field does not leave Sigma upward at x.
-    """
-    t_leg = _transit_budget(sys.window)
-    run = integrate_smooth(sys.f_plus, sys.g_plus, (float(x), 0.0), "upper",
-                           t_max=t_leg, window=sys.window)
-    if run.terminal.kind != "sigma-cross":
-        raise NoArrival(f"upper transit ended with {run.terminal.kind}")
-    back = integrate_smooth(sys.f_minus, sys.g_minus, (run.terminal.x, 0.0),
-                            "lower", t_max=t_leg, window=sys.window)
-    if back.terminal.kind != "sigma-cross":
-        raise NoArrival(f"lower transit from x={run.terminal.x:.6g} ended "
-                        f"with {back.terminal.kind}")
-    return back.terminal.x
-
-
-def one_sided_return_slope(sys: PwsSystem, x_star: float, *,
-                           h: float) -> float:
-    """(R(x* + h) - x*) / h for the first-return map; sign of h picks the side."""
-    if h == 0.0:
-        raise ValueError("h must be nonzero")
-    r = sigma_return_map(sys, x_star + h)
-    return (r - x_star) / h
-
-
-# --------------------------------------------------------------------------
 # canonical loop
 
 
@@ -286,18 +251,13 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
     """
     base = canonical_base(m_plus, m_minus, a, k1, k2, window)
     sys = base.system()
-    t_leg = _transit_budget(sys.window)
-    up = integrate_smooth(sys.f_plus, sys.g_plus, (-a, 0.0), "upper",
-                          t_max=t_leg, window=sys.window, chain=True,
-                          stop_at=0.0)
+    up = integrate_smooth(sys, "upper", (-a, 0.0), chain=True, stop_at=0.0)
     if up.terminal.kind != "tangent-arrival":
         raise VerificationFailed(
             f"upper arc ended with {up.terminal.kind} at x={up.terminal.x:.6g}"
             f"; expected a tangential arrival at 0")
     t1 = up.terminal.t
-    down = integrate_smooth(sys.f_minus, sys.g_minus, (up.terminal.x, 0.0),
-                            "lower", t_max=t_leg, window=sys.window,
-                            t_offset=t1)
+    down = integrate_smooth(sys, "lower", (up.terminal.x, 0.0), t_offset=t1)
     if down.terminal.kind != "sigma-cross":
         raise VerificationFailed(
             f"lower arc ended with {down.terminal.kind}; expected a crossing")
@@ -321,8 +281,6 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
         raise VerificationFailed(
             f"classified {rec.kind} with {rec.tangent_touch_count} contacts;"
             f" expected critical with exactly one")
-    if k2 == -k1 and m_plus == m_minus:
-        rec.stability = "neutral"  # member of a continuum of closed orbits
     return sys, rec
 
 
@@ -340,18 +298,15 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float) -> LoopRecord:
     loop's own signed miss before giving up.
     """
     w = sys.window
-    t_leg = _transit_budget(w)
 
     def legs(qq: float):
-        low = integrate_smooth(sys.f_minus, sys.g_minus, (qq, 0.0), "lower",
-                               t_max=t_leg, window=w)
+        low = integrate_smooth(sys, "lower", (qq, 0.0))
         land = _landed(low)
         # the upper return ends at the line x = qq at the latest, so one
         # still above Sigma there gives a signed miss too: its height
         cap = Window(w.x_lo, min(w.x_hi, float(qq)), w.y_lo, w.y_hi)
-        up = integrate_smooth(sys.f_plus, sys.g_plus, (land, 0.0), "upper",
-                              t_max=t_leg, window=cap, chain=True,
-                              t_offset=low.terminal.t)
+        up = integrate_smooth(sys, "upper", (land, 0.0), window=cap,
+                              chain=True, t_offset=low.terminal.t)
         term = up.terminal
         if term.kind == "sigma-cross":
             miss = term.x - qq
@@ -486,19 +441,14 @@ class _Pin:
 
 def _pin_data(hat: PwsSystem, lam: Sequence[float]) -> List[_Pin]:
     """Per-bump pin heights measured on the transition system."""
-    t_leg = _transit_budget(hat.window)
     d = (len(lam) + 1) // 2
     pins: List[_Pin] = []
     for i in range(1, d + 1):
         tp = lam[2 * i - 2]
-        conj = _landed(integrate_smooth(
-            hat.f_minus, hat.g_minus, (tp, 0.0), "lower", t_max=t_leg,
-            window=hat.window))
-        y = _flow_to_section(hat.f_plus, hat.g_plus, (conj, 0.0),
-                             Section.vertical(tp), t_budget=t_leg).y
+        conj = _landed(integrate_smooth(hat, "lower", (tp, 0.0)))
+        y = _flow_to_section(hat, (conj, 0.0), tp).y
         anchor = y if i == 1 else _flow_to_section(
-            hat.f_plus, hat.g_plus, (conj, 0.0), Section.vertical(lam[0]),
-            t_budget=t_leg).y
+            hat, (conj, 0.0), lam[0]).y
         if y <= 0.0 or anchor <= 0.0:
             raise HarvestFailure(
                 f"pin at {tp:.6g}: orbit heights not positive "
@@ -514,13 +464,10 @@ def _critical_witness(sys: PwsSystem,
     Returns (record, crossing abscissa). The upper leg may graze earlier
     tangencies; it must arrive tangentially at tp itself.
     """
-    t_leg = _transit_budget(sys.window)
-    low = integrate_smooth(sys.f_minus, sys.g_minus, (tp, 0.0), "lower",
-                           t_max=t_leg, window=sys.window)
+    low = integrate_smooth(sys, "lower", (tp, 0.0))
     conj = _landed(low)
-    up = integrate_smooth(sys.f_plus, sys.g_plus, (conj, 0.0), "upper",
-                          t_max=t_leg, window=sys.window, chain=True,
-                          stop_at=tp, t_offset=low.terminal.t)
+    up = integrate_smooth(sys, "upper", (conj, 0.0), chain=True, stop_at=tp,
+                          t_offset=low.terminal.t)
     term = up.terminal
     if term.kind != "tangent-arrival":
         raise VerificationFailed(
@@ -552,9 +499,7 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     to most of the gap, so fixed endpoints are not reliable.
     Returns (record, sliding exit abscissa).
     """
-    t_leg = _transit_budget(sys.window)
-    bw = integrate_smooth(sys.f_plus, sys.g_plus, (tp, 0.0), "upper",
-                          t_max=t_leg, window=sys.window, time_sign=-1.0,
+    bw = integrate_smooth(sys, "upper", (tp, 0.0), time_sign=-1.0,
                           chain=True)
     if bw.terminal.kind != "sigma-cross":
         raise VerificationFailed(
@@ -565,9 +510,7 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     x_left = float(bw.terminal.x)
 
     def land_gap(q: float) -> float:
-        return _landed(integrate_smooth(
-            sys.f_minus, sys.g_minus, (q, 0.0), "lower", t_max=t_leg,
-            window=sys.window)) - x_left
+        return _landed(integrate_smooth(sys, "lower", (q, 0.0))) - x_left
 
     eps = (gap_hi - tp) * 1e-6
     hi = gap_hi - eps
@@ -594,23 +537,21 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     if h_value(sys, q_s) >= 0.0:
         raise VerificationFailed(
             f"exit point {q_s:.9g} is not inside the sliding segment")
-    up = integrate_smooth(sys.f_plus, sys.g_plus, (x_left, 0.0), "upper",
-                          t_max=t_leg, window=sys.window, chain=True,
+    up = integrate_smooth(sys, "upper", (x_left, 0.0), chain=True,
                           stop_at=tp)
     if up.terminal.kind != "tangent-arrival" or len(up.touches) != 1:
         raise VerificationFailed(
             f"upper leg ended with {up.terminal.kind} at x={up.terminal.x:.9g}"
             f" instead of the tangency at {tp:.6g}")
     nudge = min(1e-9, (q_s - tp) * 1e-3)
-    ts, xs, sl_term = sliding_arc(sys, tp + nudge, t_max=t_leg, x_stop=q_s)
+    ts, xs, sl_term = sliding_arc(sys, tp + nudge, x_stop=q_s)
     if sl_term.kind != "target-reached":
         raise VerificationFailed(
             f"sliding leg ended with {sl_term.kind} at x={sl_term.x:.9g} "
             f"before reaching {q_s:.9g}")
     t1 = up.terminal.t
     t2 = t1 + float(ts[-1])
-    low = integrate_smooth(sys.f_minus, sys.g_minus, (q_s, 0.0), "lower",
-                           t_max=t_leg, window=sys.window, t_offset=t2)
+    low = integrate_smooth(sys, "lower", (q_s, 0.0), t_offset=t2)
     land = _landed(low)
     if abs(land - x_left) > CLOSURE_TOL:
         raise VerificationFailed(
@@ -714,7 +655,6 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
         # multiplicity 1, invisible: the lone split point stays invisible
         return UnfoldingSpec(base, lam, ()), TangentOrbitCensus({}, [], ())
     hat = build_transition(UnfoldingSpec(base, lam, ()))
-    t_leg = _transit_budget(window)
     vis_pts = tuple(lam[2 * i - 1] for i in range(1, d + 1)) if invis \
         else tuple(lam[2 * i - 2] for i in range(1, d + 1))
     anchor = vis_pts[0]
@@ -733,10 +673,8 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
         if vis_pts[n - 1] == anchor:
             h_n = seeds[j - 1]
         else:
-            h_n = _flow_to_section(hat.f_plus, hat.g_plus,
-                                   (anchor, seeds[j - 1]),
-                                   Section.vertical(vis_pts[n - 1]),
-                                   t_budget=t_leg).y
+            h_n = _flow_to_section(hat, (anchor, seeds[j - 1]),
+                                   vis_pts[n - 1]).y
         if h_n <= 0.0:
             raise HarvestFailure(
                 f"reference orbit {j} dips to {h_n:.3e} over "
@@ -753,9 +691,8 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
         touch_xs = {float(v)}
         legs = {}
         for sign, way in ((1.0, "forward"), (-1.0, "backward")):
-            run = integrate_smooth(sys4.f_plus, sys4.g_plus, (v, 0.0),
-                                   "upper", t_max=t_leg, window=sys4.window,
-                                   time_sign=sign, chain=True)
+            run = integrate_smooth(sys4, "upper", (v, 0.0), time_sign=sign,
+                                   chain=True)
             if run.terminal.kind not in ("sigma-cross", "window-exit"):
                 raise HarvestFailure(f"orbit through {v:.6g} ended {way} "
                                      f"with {run.terminal.kind}")
@@ -877,17 +814,12 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     lam = _negative_cluster(m, delta)
     lam_m = (0.0,) * base.m_minus
     hat = build_transition(UnfoldingSpec(base, lam, lam_m))
-    t_leg = _transit_budget(base.window)
-    p_ref = _landed(integrate_smooth(
-        hat.f_minus, hat.g_minus, (lam[0], 0.0), "lower", t_max=t_leg,
-        window=hat.window))
+    p_ref = _landed(integrate_smooth(hat, "lower", (lam[0], 0.0)))
     d = (m + 1) // 2
     knots = _pinned_knots(lam, delta)
     heights = []
     for i in range(1, d + 1):
-        h_ref = _flow_to_section(hat.f_plus, hat.g_plus, (p_ref, 0.0),
-                                 Section.vertical(lam[2 * i - 2]),
-                                 t_budget=t_leg).y
+        h_ref = _flow_to_section(hat, (p_ref, 0.0), lam[2 * i - 2]).y
         if h_ref <= 0.0:
             raise HarvestFailure(
                 f"reference orbit height {h_ref:.3e} over "
@@ -896,9 +828,8 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     psi_p = PsiSpec(d, knots + tuple(heights))
     up_sys = build_unfolded(UnfoldingSpec(base, lam, lam_m, psi_plus=psi_p))
 
-    bw = integrate_smooth(up_sys.f_plus, up_sys.g_plus, (lam[0], 0.0),
-                          "upper", t_max=t_leg, window=up_sys.window,
-                          time_sign=-1.0, chain=True)
+    bw = integrate_smooth(up_sys, "upper", (lam[0], 0.0), time_sign=-1.0,
+                          chain=True)
     if bw.terminal.kind != "sigma-cross":
         raise VerificationFailed(
             f"backward upper leg ended with {bw.terminal.kind}")
@@ -907,9 +838,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     p_plus = float(bw.terminal.x)
 
     if kind == "crossing":
-        fw = integrate_smooth(up_sys.f_plus, up_sys.g_plus, (lam[0], 0.0),
-                              "upper", t_max=t_leg, window=up_sys.window,
-                              chain=True)
+        fw = integrate_smooth(up_sys, "upper", (lam[0], 0.0), chain=True)
         if fw.terminal.kind != "sigma-cross":
             raise VerificationFailed(
                 f"forward upper leg ended with {fw.terminal.kind}")
@@ -930,9 +859,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
         spec_y = UnfoldingSpec(base, lam, lam_m, psi_p,
                                _plateau_psi(y0, p_plus))
         sys_y = build_unfolded(spec_y)
-        return _landed(integrate_smooth(
-            sys_y.f_minus, sys_y.g_minus, (x_drop, 0.0), "lower",
-            t_max=t_leg, window=sys_y.window))
+        return _landed(integrate_smooth(sys_y, "lower", (x_drop, 0.0)))
 
     gap0 = abs(landing_for(0.0) - p_plus)
     y0 = _solve_lower_shear(landing_for, p_plus,
@@ -940,8 +867,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     spec4 = UnfoldingSpec(base, lam, lam_m, psi_p, _plateau_psi(y0, p_plus))
     sys4 = build_unfolded(spec4)
 
-    up = integrate_smooth(sys4.f_plus, sys4.g_plus, (p_plus, 0.0), "upper",
-                          t_max=t_leg, window=sys4.window, chain=True,
+    up = integrate_smooth(sys4, "upper", (p_plus, 0.0), chain=True,
                           stop_at=None if kind == "crossing" else x_drop,
                           stop_tol=0.25 * delta)
     term, touches = up.terminal, up.touches
@@ -956,9 +882,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
         raise VerificationFailed(
             f"witness upper leg: {term.kind} after {len(touches)} "
             f"contacts, expected tangent arrival after {ell}")
-    low = integrate_smooth(sys4.f_minus, sys4.g_minus, (term.x, 0.0),
-                           "lower", t_max=t_leg, window=sys4.window,
-                           t_offset=term.t)
+    low = integrate_smooth(sys4, "lower", (term.x, 0.0), t_offset=term.t)
     land = _landed(low)
     if abs(land - p_plus) > CLOSURE_TOL:
         raise VerificationFailed(
@@ -1001,7 +925,6 @@ def scenario_thm4(base: CanonicalBase, ell: int, *,
     lam = _negative_cluster(m, delta)
     lam_m = (0.0,) * base.m_minus
     hat = build_transition(UnfoldingSpec(base, lam, lam_m))
-    t_leg = _transit_budget(base.window)
     pins = _pin_data(hat, lam)
     knots = _pinned_knots(lam, delta)
     heights = [0.0] * d
@@ -1014,22 +937,15 @@ def scenario_thm4(base: CanonicalBase, ell: int, *,
             base, lam, lam_m, PsiSpec(d, knots + tuple(heights))))
         q = _displacement_root(sys_j, lam[2 * j - 1], lam[2 * j])
         qs.append(q)
-        p_q = _landed(integrate_smooth(
-            hat.f_minus, hat.g_minus, (q, 0.0), "lower", t_max=t_leg,
-            window=hat.window))
-        heights[j - 1] = _flow_to_section(
-            hat.f_plus, hat.g_plus, (p_q, 0.0),
-            Section.vertical(lam[2 * j - 2]), t_budget=t_leg).y
+        p_q = _landed(integrate_smooth(hat, "lower", (q, 0.0)))
+        heights[j - 1] = _flow_to_section(hat, (p_q, 0.0), lam[2 * j - 2]).y
 
     spec4 = UnfoldingSpec(base, lam, lam_m, PsiSpec(d, knots + tuple(heights)))
     sys4 = build_unfolded(spec4)
-    census = LoopCensus("thm4", m, base.m_minus, ell)
-    census.notes["delta"] = delta
-    census.notes["spec"] = spec4
+    census = LoopCensus("thm4", m, base.m_minus, ell, spec=spec4)
 
     tangencies: List[float] = []
     crossings: List[float] = []
-    slopes: List[float] = []
     for i in range(n, d + 1):
         tp = lam[2 * i - 2]
         rec, conj = _critical_witness(sys4, tp)
@@ -1037,9 +953,6 @@ def scenario_thm4(base: CanonicalBase, ell: int, *,
             raise CensusMismatch(
                 f"critical loop at {tp:.6g} has "
                 f"{rec.tangent_touch_count} contacts, expected 1")
-        slope = one_sided_return_slope(sys4, conj, h=1e-4 * delta)
-        rec.stability = "unstable" if slope > 1.0 else "stable"
-        slopes.append(slope)
         tangencies.append(tp)
         crossings.append(conj)
         census.witnesses.append((f"critical@x={tp:.6g}", rec))
@@ -1065,8 +978,6 @@ def scenario_thm4(base: CanonicalBase, ell: int, *,
                   and all(a > b for a, b in zip(crossings, crossings[1:])))
         if not nested:
             raise CensusMismatch("critical loops are not nested")
-        census.notes["nested"] = True
-    census.notes["return_slopes"] = tuple(slopes)
     return census
 
 
@@ -1100,7 +1011,6 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
     lam = _negative_cluster(m, delta)
     lam_m = (0.0,) * base.m_minus
     hat = build_transition(UnfoldingSpec(base, lam, lam_m))
-    t_leg = _transit_budget(base.window)
     pins = _pin_data(hat, lam)
     knots = _pinned_knots(lam, delta)
 
@@ -1118,10 +1028,8 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
         tp = lam[2 * i - 2]
         g_conj = hat.g_plus.value(pins[i - 1].conj, 0.0)
         h_fd = 0.02 * delta
-        p_hi, p_lo = (_landed(integrate_smooth(
-            hat.f_minus, hat.g_minus, (x, 0.0), "lower", t_max=t_leg,
-            window=hat.window))
-            for x in (tp + h_fd, tp - h_fd))
+        p_hi, p_lo = (_landed(integrate_smooth(hat, "lower", (x, 0.0)))
+                      for x in (tp + h_fd, tp - h_fd))
         slope = abs(p_hi - p_lo) / (2.0 * h_fd)
         if g_conj <= 0.0 or slope <= 0.0:
             raise HarvestFailure(
@@ -1180,12 +1088,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
     spec5 = UnfoldingSpec(base, lam, lam_m, PsiSpec(d, knots + tuple(heights)))
     sys4 = build_unfolded(spec5)
 
-    census = LoopCensus("thm5", m, base.m_minus, ell)
-    census.notes["delta"] = delta
-    census.notes["spec"] = spec5
-    census.notes["raise_by"] = tuple(raise_by)
-    census.notes["lower_by"] = tuple(lower_by)
-    census.notes["dips"] = tuple(dips)
+    census = LoopCensus("thm5", m, base.m_minus, ell, spec=spec5)
 
     for i in range(1, n + 1):
         tp = lam[2 * i - 2]

@@ -1,5 +1,7 @@
 """The command-line driver: exit codes, artifacts, flags, census files."""
 
+import hashlib
+
 import pytest
 
 from filippov2d import LoopCensus, cli, read_census_csv, write_census_csv
@@ -107,3 +109,39 @@ def test_pencil_lets_a_programming_error_through(monkeypatch):
     monkeypatch.setattr(cli, "integrate_pws", broken)
     with pytest.raises(TypeError, match="not an orbit failure"):
         cli._pencil(make_sys("1", "0", "1", "0"))
+
+
+# sha1 of every artifact of two short runs: any change in the numerics of
+# a transit, a witness or the artifact writers shows up here
+ARTIFACT_SHA1 = {
+    "thm4_55_l1": (THM3_55.replace("theorem = 3", "theorem = 4")
+                   + "scenario.ell = 1\n", {
+        "census.csv": "ee2c7a3202c661ca5e9a96713364b6c425c89130",
+        "portrait.svg": "e3f584e84d0fdfbf646de5923394324badcdf49a",
+        "tangent_points.csv": "9b7593e2f9188096fb282e2b3464c4138687de66",
+        "trajectories/critical_x_-0.1.csv":
+            "69914058a8f98566ce4fa3d0063b4cebc56291d6",
+        "trajectories/critical_x_-0.3.csv":
+            "35b324a41af0387858df7726fd79480b30986771",
+        "trajectories/crossing_x_-0.344864283.csv":
+            "9ded0e1dfe2abf02ae0aa86b5c4ba2a4ef0c1b30",
+    }),
+    "thm3_55_cri_l2": (THM3_55 + "scenario.ell = 2\n"
+                       "scenario.kind = critical\n", {
+        "census.csv": "57c10c45f87e85a92b704cea877c11b8293cd990",
+        "portrait.svg": "d38fdda1ef6530e363f7e2fa2bdf484e92e5b363",
+        "tangent_points.csv": "47cf0286d5c2ce8a491da6d35d96f8560993cf1d",
+        "trajectories/critical_l2.csv":
+            "bb69d0aeb9cfb572e3b74607a2346782e915265f",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_SHA1))
+def test_run_artifacts_are_pinned(tmp_path, capsys, name):
+    text, want = ARTIFACT_SHA1[name]
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, text), "--out", str(out)]) == 0
+    got = {str(p.relative_to(out)): hashlib.sha1(p.read_bytes()).hexdigest()
+           for p in sorted(out.rglob("*")) if p.is_file()}
+    assert got == want

@@ -12,15 +12,19 @@ from filippov2d import (CanonicalBase, PsiSpec, UnfoldingSpec, Window,
                         integrate_smooth, loops, maps, read_trajectory_csv,
                         sliding_convex_coefficient, trajectory_to_csv,
                         unfolding)
-from filippov2d.fieldexpr import ScalarField
 from conftest import make_sys
 
 BIG = Window(-4.0, 4.0, -4.0, 4.0)
 
 
+def upper_sys(f_src, g_src, window=BIG):
+    """A system whose upper field is (f, g); the lower field is unused."""
+    return make_sys(f_src, g_src, "0", "0", window=window)
+
+
 def test_constant_flow_reaches_time_end():
-    run = integrate_smooth(ScalarField("1"), ScalarField("0"), (0.0, 1.0),
-                           "upper", t_max=1.0, window=BIG)
+    run = integrate_smooth(upper_sys("1", "0"), "upper", (0.0, 1.0),
+                           t_max=1.0)
     assert run.terminal.kind == "time-end"
     assert run.x[-1] == pytest.approx(1.0, abs=1e-12)
     assert run.y[-1] == pytest.approx(1.0, abs=1e-12)
@@ -29,8 +33,8 @@ def test_constant_flow_reaches_time_end():
 
 def test_parabolic_contact_at_sqrt_two():
     # dy/dx = -x from (-1, 0.5): y = 0.5 - (x^2 - 1)/2, zero at x = sqrt(2)
-    run = integrate_smooth(ScalarField("1"), ScalarField("0 - x"),
-                           (-1.0, 0.5), "upper", t_max=10.0, window=BIG)
+    run = integrate_smooth(upper_sys("1", "0 - x"), "upper", (-1.0, 0.5),
+                           t_max=10.0)
     assert run.terminal.kind == "sigma-cross"
     assert run.terminal.x == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert abs(run.terminal.y) <= 1e-12
@@ -40,15 +44,15 @@ def test_parabolic_contact_at_sqrt_two():
 def test_shallow_dip_inside_one_step_is_a_crossing(eps):
     # dy/dx = x from (-1, 0.5 - eps): y = x^2/2 - eps dips eps below Sigma
     # between -sqrt(2 eps) and sqrt(2 eps), far inside one accepted step
-    run = integrate_smooth(ScalarField("1"), ScalarField("x"),
-                           (-1.0, 0.5 - eps), "upper", t_max=10.0, window=BIG)
+    run = integrate_smooth(upper_sys("1", "x"), "upper", (-1.0, 0.5 - eps),
+                           t_max=10.0)
     assert run.terminal.kind == "sigma-cross"
     assert run.terminal.x == pytest.approx(-math.sqrt(2.0 * eps), abs=1e-9)
 
 
 def test_vertical_drop_contact():
-    run = integrate_smooth(ScalarField("0"), ScalarField("-1"), (0.0, 0.3),
-                           "upper", t_max=10.0, window=BIG)
+    run = integrate_smooth(upper_sys("0", "-1"), "upper", (0.0, 0.3),
+                           t_max=10.0)
     assert run.terminal.kind == "sigma-cross"
     assert run.terminal.t == pytest.approx(0.3, abs=1e-10)
     assert run.terminal.x == pytest.approx(0.0, abs=1e-12)
@@ -56,8 +60,7 @@ def test_vertical_drop_contact():
 
 def test_start_must_be_on_own_side():
     with pytest.raises(ValueError):
-        integrate_smooth(ScalarField("1"), ScalarField("0"), (0.0, -0.5),
-                         "upper", t_max=1.0)
+        integrate_smooth(upper_sys("1", "0"), "upper", (0.0, -0.5))
 
 
 coefs = st.lists(st.floats(0.05, 1.5), min_size=1, max_size=4)
@@ -71,8 +74,8 @@ def test_contact_matches_exact_quadrature(cs, x0, y0):
     g_src = "-(" + " + ".join(f"{c!r} * x^{2 * i}" for i, c in enumerate(cs)) \
         + ")"
     wide = Window(-40.0, 40.0, -4.0, 4.0)  # slowest drop travels ~y0/min|g|
-    run = integrate_smooth(ScalarField("1"), ScalarField(g_src), (x0, y0),
-                           "upper", t_max=100.0, window=wide)
+    run = integrate_smooth(upper_sys("1", g_src, wide), "upper", (x0, y0),
+                           t_max=100.0)
     assert run.terminal.kind == "sigma-cross"
     # exact antiderivative G = -sum c_i x^(2i+1) / (2i+1)
     G = np.polynomial.Polynomial([0.0] * (2 * len(cs) + 2))
@@ -138,16 +141,6 @@ def test_arcs_chain_continuously():
             assert np.max(np.abs(a.y)) <= 1e-12
 
 
-def test_reversibility_away_from_sliding():
-    s = make_sys("1", "1 + 0.2*x", "1", "2 - x", window=Window(-3, 3, -3, 3))
-    fwd = integrate_pws(s, (-1.2, -0.7), t_max=1.7)
-    xe, ye = fwd.end()
-    t_total = fwd.events[-1].t
-    back = integrate_pws(s, (xe, ye), t_max=t_total, direction="backward")
-    xb, yb = back.end()
-    assert math.hypot(xb - (-1.2), yb - (-0.7)) < 1e-7
-
-
 def test_trajectory_csv_round_trip(tmp_path):
     s = make_sys("1", "-1", "1", "1", window=Window(-2, 2, -2, 2))
     traj = integrate_pws(s, (0.0, 0.5), t_max=3.0)
@@ -166,9 +159,9 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 def test_no_function_takes_integration_settings():
     # the tolerances are module constants (flow.RTOL/ATOL,
-    # loops.CLOSURE_TOL), the leg budget follows from the window, and the
-    # step length is the integrator's own choice
-    knobs = {"rtol", "atol", "t_leg", "closure_tol", "max_step"}
+    # loops.CLOSURE_TOL), the leg budget follows from the system's window,
+    # and the step length is the integrator's own choice
+    knobs = {"rtol", "atol", "t_leg", "t_budget", "closure_tol", "max_step"}
     hits = []
     for mod in (flow, maps, loops, unfolding):
         for obj in vars(mod).values():
@@ -183,6 +176,13 @@ def test_no_function_takes_integration_settings():
                      for name in inspect.signature(fn).parameters
                      if name in knobs]
     assert hits == []
+
+
+def test_flow_entry_points_take_the_system_first():
+    # a transit reads its fields, window and leg budget from its system
+    for fn in (flow.integrate_smooth, maps._flow_to_section, flow.sliding_arc,
+               flow.integrate_pws, flow.step_filippov):
+        assert next(iter(inspect.signature(fn).parameters)) == "sys", fn
 
 
 def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):
@@ -219,8 +219,7 @@ def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):
         psi_per_call.append(len(psi_calls) - before)
         return out
     monkeypatch.setattr(flow, "_side_fn", lambda f, g: counted_side)
-    run = integrate_smooth(f, g, (-0.9, 0.1), "upper", t_max=10.0,
-                           window=window)
+    run = integrate_smooth(system, "upper", (-0.9, 0.1), t_max=10.0)
     assert run.terminal.kind == "window-exit"
     assert len(steppers) == 3
     assert len(psi_per_call) == sum(s.nfev for s in steppers)

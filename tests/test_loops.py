@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from filippov2d import (PsiSpec, TransitFailure, UnfoldingSpec,
-                        VerificationFailed, build_unfolded, canonical_base,
+from filippov2d import (PsiSpec, UnfoldingSpec, VerificationFailed,
+                        build_unfolded, canonical_base,
                         canonical_critical_loop, displacement_sigma, loops,
-                        one_sided_return_slope, scenario_thm3, scenario_thm4,
-                        sigma_return_map)
+                        scenario_thm3, scenario_thm4)
 from filippov2d.loops import CLOSURE_TOL, _negative_cluster, _pinned_knots
-from test_maps import _center_sys
 
 
 def _hex_fingerprint(rec):
@@ -72,9 +70,9 @@ def test_cycle_witness_polish_stays_in_the_window(monkeypatch):
     starts = []
     integrate_smooth = loops.integrate_smooth
 
-    def recording(f, g, start, *args, **kwargs):
+    def recording(sys, side, start, **kwargs):
         starts.append(start[0])
-        return integrate_smooth(f, g, start, *args, **kwargs)
+        return integrate_smooth(sys, side, start, **kwargs)
     monkeypatch.setattr(loops, "integrate_smooth", recording)
     with pytest.raises(VerificationFailed, match="fails to close"):
         loops._crossing_cycle_witness(system, -0.10289492812919601)
@@ -105,25 +103,3 @@ def test_displacement_next_to_a_bump_peak_is_positive_and_smooth():
         assert d.value > 0.0
         ref = _x_integrated_height(system, d.conjugate_x, float(x))
         assert d.value == pytest.approx(ref, abs=1e-9), x
-
-
-@pytest.mark.parametrize("x", [-0.3, -0.7, -1.2])
-def test_return_map_of_a_center_is_the_identity(x):
-    assert sigma_return_map(_center_sys(), x) == pytest.approx(x, abs=1e-12)
-
-
-@pytest.mark.parametrize("h", [1e-3, -1e-3])
-def test_return_slope_of_a_center_is_one(h):
-    slope = one_sided_return_slope(_center_sys(), -0.7, h=h)
-    assert slope == pytest.approx(1.0, abs=1e-8)
-
-
-def test_return_slope_needs_a_nonzero_step():
-    with pytest.raises(ValueError, match="nonzero"):
-        one_sided_return_slope(_center_sys(), -0.7, h=0.0)
-
-
-def test_return_map_refuses_a_start_the_upper_field_leaves():
-    # g+ = -x < 0 at x = 0.5: the upper field points into the lower plane
-    with pytest.raises(TransitFailure):
-        sigma_return_map(_center_sys(), 0.5)
