@@ -88,6 +88,67 @@ def test_contact_matches_exact_quadrature(cs, x0, y0):
     assert run.terminal.x == pytest.approx(x_exact, abs=1e-9)
 
 
+@pytest.mark.parametrize("window", [Window(-2.0, 2.0, -2.0, 2.0), BIG])
+def test_resting_orbit_runs_out_the_leg_budget_of_its_window(window):
+    # with no t_max a transit's budget is 6 * width + 30 of the system's window
+    run = integrate_smooth(upper_sys("0", "0", window), "upper", (0.0, 0.5))
+    assert run.terminal.kind == "time-end"
+    assert run.terminal.t == pytest.approx(6.0 * window.width + 30.0,
+                                           abs=1e-12)
+
+
+def test_window_argument_overrides_the_system_window():
+    # the system's window reaches x = 4; the one passed in stops at 0.3
+    # (a window's exit lines lie 1e-9 of its larger side outside it)
+    capped = Window(BIG.x_lo, 0.3, BIG.y_lo, BIG.y_hi)
+    run = integrate_smooth(upper_sys("1", "0"), "upper", (0.0, 0.5),
+                           window=capped)
+    assert run.terminal.kind == "window-exit"
+    assert run.terminal.x == pytest.approx(0.3 + 8e-9, abs=1e-12)
+    assert run.terminal.t == pytest.approx(0.3 + 8e-9, abs=1e-12)
+
+
+def sliding_sys(speed_src, window=Window(-2.0, 2.0, -2.0, 2.0)):
+    """Sigma slides everywhere (g+ = -1, g- = 1) with sliding speed f."""
+    return make_sys(speed_src, "0 - 1", speed_src, "1", window=window)
+
+
+def test_sliding_arc_stops_at_the_window_edge():
+    t, x, end = flow.sliding_arc(sliding_sys("1"), 0.0)
+    assert end.kind == "window-exit"
+    assert end.x == pytest.approx(2.0, abs=1e-12)
+    assert end.t == pytest.approx(2.0, abs=1e-10)
+    assert np.all(np.diff(x) > 0.0) and np.all(np.diff(t) > 0.0)
+
+
+@pytest.mark.parametrize("window", [Window(-2.0, 2.0, -2.0, 2.0), BIG])
+def test_sliding_arc_runs_out_the_leg_budget_of_its_window(window):
+    # at speed 1e-3 the arc moves 0.05-0.08 before its budget
+    # 6 * width + 30 runs out
+    budget = 6.0 * window.width + 30.0
+    _, _, end = flow.sliding_arc(sliding_sys("0.001", window), 0.0)
+    assert end.kind == "time-end"
+    assert end.t == pytest.approx(budget, abs=1e-12)
+    assert end.x == pytest.approx(1e-3 * budget, abs=1e-12)
+
+
+def test_sliding_arc_lands_on_x_stop():
+    _, _, end = flow.sliding_arc(sliding_sys("1"), 0.0, x_stop=0.5)
+    assert end.kind == "target-reached"
+    assert end.x == 0.5
+    assert end.t == pytest.approx(0.5, abs=1e-10)
+
+
+def test_sliding_arc_stops_at_the_segment_boundary():
+    # g+ = x - 0.5 < 0 below x = 0.5 and g- = 1: the segment ends at 0.5,
+    # and the sliding speed (g- f+ - g+ f-) / (g- - g+) is 1 throughout
+    s = make_sys("1", "x - 0.5", "1", "1", window=Window(-2, 2, -2, 2))
+    _, _, end = flow.sliding_arc(s, 0.0)
+    assert end.kind == "sliding-boundary"
+    assert end.x == pytest.approx(0.5, abs=1e-9)
+    assert end.t == pytest.approx(0.5, abs=1e-9)
+
+
 def test_pws_fall_and_slide():
     s = make_sys("1", "-1", "1", "1", window=Window(-2, 2, -2, 2))
     traj = integrate_pws(s, (0.0, 0.5), t_max=10.0)

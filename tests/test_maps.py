@@ -5,7 +5,7 @@ import math
 import pytest
 
 from filippov2d import (PwsSystem, NoArrival, TangentialArrival, Window,
-                        displacement_sigma)
+                        displacement_sigma, integrate_smooth)
 from filippov2d.fieldexpr import ScalarField
 from filippov2d.loops import canonical_base
 from filippov2d.maps import _flow_to_section
@@ -85,6 +85,15 @@ def test_displacement_whose_lower_leg_leaves_the_window_is_no_arrival():
         displacement_sigma(s, 0.5)
 
 
+def test_displacement_whose_upper_leg_leaves_the_window_is_no_arrival():
+    # the lower leg from (0.5, 0) lands at -0.5; the upper field (-1, 1)
+    # then drifts up and left, away from the line x = 0.5, to the edge
+    s = make_sys("0 - 1", "1", "0 - 1", "0 - x",
+                 window=Window(-2.0, 2.0, -2.0, 2.0))
+    with pytest.raises(NoArrival, match=": window-exit$"):
+        displacement_sigma(s, 0.5)
+
+
 ROTATION = ("0 - y", "x")   # counter-clockwise: circles about the origin
 
 
@@ -96,6 +105,16 @@ def test_section_transit_skips_its_start():
         assert hit.x == pytest.approx(0.0, abs=1e-12)
         assert hit.y == pytest.approx(-(1.0 + r), abs=1e-9)
         assert hit.t == pytest.approx(math.pi, abs=1e-8)
+
+
+def test_sigma_to_sigma_transit_skips_its_start():
+    # the upper rotation from (1 + r, 0) on Sigma: the contact at t = 0 is
+    # not a landing, the one half a turn later at -(1 + r) is
+    for r in (0.1, -0.2):
+        run = integrate_smooth(upper_sys(*ROTATION), "upper", (1.0 + r, 0.0))
+        assert run.terminal.kind == "sigma-cross"
+        assert run.terminal.x == pytest.approx(-(1.0 + r), abs=1e-9)
+        assert run.terminal.t == pytest.approx(math.pi, abs=1e-8)
 
 
 @pytest.mark.parametrize("f_src, kind", [
