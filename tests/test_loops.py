@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from filippov2d import (PsiSpec, UnfoldingSpec, VerificationFailed,
                         build_unfolded, canonical_base,
                         canonical_critical_loop, displacement_sigma, loops,
-                        scenario_thm3, scenario_thm4)
+                        scenario_thm3, scenario_thm4, scenario_thm5)
 from filippov2d.loops import CLOSURE_TOL, _negative_cluster, _pinned_knots
 
 
@@ -52,6 +52,29 @@ def test_thm4_census_and_witness_closure():
                             "0x0.0p+0"),
     }
 
+
+
+def test_thm5_sliding_loops_and_crossing_cycles():
+    # thm5 (3,3) ell=0: both bumps raised, so each pinned orbit slides to
+    # an exit solved on the landing gap, and the scan polishes two cycles
+    census = scenario_thm5(canonical_base(3, 3), 0)
+    assert (census.beta_s, census.beta_c) == (2, 2)
+    for _, rec in census.witnesses:
+        assert rec.closure_residual <= CLOSURE_TOL
+    assert {tag: _hex_fingerprint(rec) for tag, rec in census.witnesses} == {
+        "sliding@x=-0.3": (["-0x1.3333333333334p-2", "-0x1.331849b42a0eap-2",
+                            "-0x1.fd0844875388fp-1"], "0x1.0000000000000p-51"),
+        "sliding@x=-0.1": (["-0x1.999999999999ap-4", "-0x1.914ae9c0791f2p-4",
+                            "-0x1.fff51a8b88669p-1"], "0x0.0p+0"),
+        "cycle@x=-0.984508645": (["-0x1.f8118462c32e2p-1",
+                                  "-0x1.930b06d91a3afp-2"],
+                                 "0x1.c200000000000p-47"),
+        "cycle@x=-0.999636903": (["-0x1.ffd0687e4aa2cp-1",
+                                  "-0x1.25c1bb1c776a7p-3"],
+                                 "0x1.1900000000000p-46"),
+    }
+    assert [rec.kind for _, rec in census.witnesses] == \
+        ["sliding-loop"] * 2 + ["crossing-limit-cycle"] * 2
 
 def _thm5_33_ell1_system():
     lam = _negative_cluster(3, 0.1)
