@@ -72,7 +72,6 @@ class RunConfig:
     theorem: Optional[int] = None
     ell: int = 1
     delta: Optional[float] = None
-    alpha: Optional[float] = None
     kind: str = "crossing"
     visibility: str = "I"
     a: float = 1.0
@@ -88,7 +87,7 @@ class RunConfig:
 _SECTIONS = {
     "upper": {"f", "g", "phi", "m"},
     "lower": {"f", "g", "phi", "m"},
-    "scenario": {"theorem", "ell", "delta", "alpha", "kind", "visibility",
+    "scenario": {"theorem", "ell", "delta", "kind", "visibility",
                  "a", "k1", "k2", "window", "lambda_plus",
                  "lambda_minus", "expect_tangent_points"},
     "output": {"dir"},
@@ -190,9 +189,9 @@ def load_config(path) -> RunConfig:
             cfg.ell = _int_value(raw, where)
             if cfg.ell < 0:
                 raise ConfigError(f"{where}: scenario.ell must be >= 0")
-        elif key in ("delta", "alpha", "a", "k1", "k2"):
+        elif key in ("delta", "a", "k1", "k2"):
             val = _float_value(raw, where)
-            if key in ("delta", "alpha") and val <= 0.0:
+            if key == "delta" and val <= 0.0:
                 raise ConfigError(f"{where}: scenario.{key} must be > 0")
             setattr(cfg, key, val)
         elif key == "kind":
@@ -466,12 +465,8 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
         elif cfg.theorem in (4, 5):
             base = _canonical_for(cfg)
             kwargs = {} if cfg.delta is None else {"delta": cfg.delta}
-            if cfg.theorem == 4:
-                census = scenario_thm4(base, cfg.ell, **kwargs)
-            else:
-                if cfg.alpha is not None:
-                    kwargs["alpha"] = cfg.alpha
-                census = scenario_thm5(base, cfg.ell, **kwargs)
+            scenario = scenario_thm4 if cfg.theorem == 4 else scenario_thm5
+            census = scenario(base, cfg.ell, **kwargs)
             sys_final = build_unfolded(census.spec)
             censuses.append(census)
             summary.append(f"beta_c={census.beta_c}")

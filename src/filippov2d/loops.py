@@ -15,14 +15,21 @@ they meet the switching line. On top of that sit the census builders:
 Nothing here is synthesised from closed-form orbit formulas: every record
 returned carries a trajectory that was actually integrated, so a successful
 return certifies the advertised geometry up to the stated tolerances.
+
+Every root is a zero of a closure gap (the displacement, a landing gap),
+bracketed by a sign change of a scan and polished by brentq in _root. It
+must leave |gap| <= CLOSURE_TOL: a sign change made by a jump of the gap
+raises RootNotBracketed before any witness is integrated on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 from scipy.optimize import brentq
@@ -57,7 +64,8 @@ class HarvestFailure(Exception):
 
 
 class RootNotBracketed(Exception):
-    """An expected displacement sign change was not found."""
+    """A closure gap has no sign change where expected, or its sign change
+    holds no zero."""
 
 
 class CensusMismatch(Exception):
@@ -200,10 +208,66 @@ def _landed(run: SmoothRun) -> float:
     return run.terminal.x
 
 
+def _displacement(sys: PwsSystem) -> Callable[[float], float]:
+    """x -> the displacement of sys at (x, 0), as every scan reads it."""
+    return lambda x: displacement_sigma(sys, float(x)).value
+
+
 def _signed_area(arcs: Sequence[Arc]) -> float:
     x = np.concatenate([np.asarray(a.x) for a in arcs])
     y = np.concatenate([np.asarray(a.y) for a in arcs])
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+# --------------------------------------------------------------------------
+# roots of closure gaps
+
+
+def _evaluable(f: Callable[[float], float],
+               xs: Iterable[float]) -> Iterator[Tuple[float, float]]:
+    """(x, f(x)) for each x of xs in turn, leaving out every point whose
+    transit or harvest fails."""
+    for x in xs:
+        try:
+            yield float(x), f(float(x))
+        except (TransitFailure, HarvestFailure):
+            continue
+
+
+def _root(stage: str, f: Callable[[float], float],
+          samples: Iterable[Tuple[float, float]]) -> float:
+    """Zero of the closure gap f at the first sign change of samples.
+
+    samples are (x, f(x)) pairs in scan order. The first two successive
+    ones of opposite sign bracket the root, which brentq polishes. Brent's
+    method returns a point it evaluated, so f(root) is read back from its
+    own evaluations: the root must leave |f(root)| <= CLOSURE_TOL, which a
+    sign change made by a jump of f does not. No sign change, or a root
+    that breaks that contract, raises RootNotBracketed naming the stage.
+    """
+    scanned: List[Tuple[float, float]] = []
+    for x, v in samples:
+        if scanned and scanned[-1][1] * v < 0.0:
+            break
+        scanned.append((x, v))
+    else:
+        span = (f"in [{scanned[0][0]:.9g}, {scanned[-1][0]:.9g}]"
+                if scanned else "at no evaluable point")
+        raise RootNotBracketed(
+            f"{stage}: no sign change over {len(scanned)} points {span}")
+    a, b = sorted((scanned[-1][0], x))
+    seen: Dict[float, float] = {}
+
+    def gap(t: float) -> float:
+        seen[t] = ft = f(t)
+        return ft
+
+    root = float(brentq(gap, a, b, xtol=1e-13, rtol=4e-15))
+    if abs(seen[root]) > CLOSURE_TOL:
+        raise RootNotBracketed(
+            f"{stage}: the sign change in ({a:.9g}, {b:.9g}) holds no zero:"
+            f" the gap at {root:.12g} is {seen[root]:.3e}")
+    return root
 
 
 # --------------------------------------------------------------------------
@@ -362,24 +426,21 @@ def find_crossing_cycles(sys: PwsSystem,
     the line itself; its transversal zeros are cycles. Scan points that are
     not down-crossings are skipped, a profile that is numerically zero on
     most of the scan is treated as a continuum of closed orbits (no
-    isolated cycles), and every polished root is certified by integrating
-    the actual loop. A root whose loop does not close marks a jump of the
-    displacement, not a zero, and is dropped. Returned cycles that graze a
-    tangency stay classified crossing-nonsliding; plain ones are upgraded
-    to crossing-limit-cycle.
+    isolated cycles). Each sign change between adjacent evaluable scan
+    points is polished by _root: one whose displacement at the root is
+    above CLOSURE_TOL marks a jump, not a zero, and is dropped before any
+    witness leg is integrated. Every other root is certified by integrating
+    the actual loop, and dropped if that loop does not close. Returned
+    cycles that graze a tangency stay classified crossing-nonsliding;
+    plain ones are upgraded to crossing-limit-cycle.
     """
-    def disp(x: float) -> float:
-        return displacement_sigma(sys, float(x)).value
+    def down(x: float) -> bool:
+        return h_value(sys, x) > 0.0 and sys.g_minus.value(x, 0.0) < 0.0
 
+    disp = _displacement(sys)
     pts = np.unique(np.asarray([float(p) for p in scan_points]))
-    vals = np.full(pts.shape, np.nan)
-    for i, x in enumerate(pts):
-        if h_value(sys, x) <= 0.0 or sys.g_minus.value(x, 0.0) >= 0.0:
-            continue
-        try:
-            vals[i] = disp(x)
-        except TransitFailure:
-            continue
+    found = dict(_evaluable(disp, filter(down, pts)))
+    vals = np.array([found.get(float(x), np.nan) for x in pts])
     finite = np.isfinite(vals)
     if not finite.any():
         return []
@@ -389,18 +450,17 @@ def find_crossing_cycles(sys: PwsSystem,
     roots: List[float] = []
     for a_i in range(len(pts) - 1):
         # only adjacent grid points may bracket: a pair spanning a filtered
-        # (sliding) stretch would hand brentq a zero that is not a cycle
-        if not (finite[a_i] and finite[a_i + 1]):
-            continue
+        # (sliding) stretch would hand brentq a zero that is not a cycle;
+        # a NaN (filtered or failed point) makes no sign change
         va, vb = vals[a_i], vals[a_i + 1]
-        if va == 0.0 or va * vb >= 0.0:
+        if not va * vb < 0.0:
             continue
         try:
-            root = float(brentq(disp, pts[a_i], pts[a_i + 1],
-                                xtol=1e-13, rtol=4e-15))
-        except (TransitFailure, ValueError):
+            root = _root("crossing cycle", disp,
+                         [(pts[a_i], va), (pts[a_i + 1], vb)])
+        except (TransitFailure, RootNotBracketed):
             continue
-        if h_value(sys, root) <= 0.0 or sys.g_minus.value(root, 0.0) >= 0.0:
+        if not down(root):
             continue
         if roots and abs(root - roots[-1]) < 1e-10:
             continue
@@ -487,17 +547,16 @@ def _critical_witness(sys: PwsSystem,
 
 
 def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
-                     exit_scale: Optional[float] = None,
-                     ) -> Tuple[LoopRecord, float]:
+                     exit_scale: float) -> Tuple[LoopRecord, float]:
     """Sliding loop whose sliding arc starts at the visible tangency tp.
 
     The upper arc enters tangentially at tp, slides right through the
     repelling segment to the exit point (solved so the lower transit
     returns to the upper arc's entry crossing), and the lower arc closes.
-    exit_scale, when given, estimates the exit's distance from tp and
-    shapes the bracket; the root can sit anywhere from a hair right of tp
-    to most of the gap, so fixed endpoints are not reliable.
-    Returns (record, sliding exit abscissa).
+    exit_scale > 0 estimates the exit's distance from tp and shapes the
+    bracket, which walks toward tp and toward gap_hi until the landing gap
+    changes sign: the root can sit anywhere from a hair right of tp to most
+    of the gap. Returns (record, sliding exit abscissa).
     """
     bw = integrate_smooth(sys, "upper", (tp, 0.0), time_sign=-1.0,
                           chain=True)
@@ -514,11 +573,8 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
 
     eps = (gap_hi - tp) * 1e-6
     hi = gap_hi - eps
-    if exit_scale is not None and exit_scale > 0.0:
-        a = tp + min(eps, max(0.02 * exit_scale, 1e-12))
-        b = min(hi, tp + 50.0 * exit_scale)
-    else:
-        a, b = tp + eps, hi
+    a = tp + min(eps, max(0.02 * exit_scale, 1e-12))
+    b = min(hi, tp + 50.0 * exit_scale)
     ga = land_gap(a)
     for _ in range(4):
         if ga > 0.0 or (a - tp) <= 4e-13:
@@ -529,11 +585,7 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     while gb >= 0.0 and b < hi:
         b = min(hi, tp + 8.0 * (b - tp))
         gb = land_gap(b)
-    if not (ga > 0.0 > gb):
-        raise RootNotBracketed(
-            f"sliding exit not bracketed in ({a:.9g}, {b:.9g}): "
-            f"{ga:.3e}, {gb:.3e}")
-    q_s = float(brentq(land_gap, a, b, xtol=1e-13, rtol=4e-15))
+    q_s = _root("sliding exit", land_gap, [(a, ga), (b, gb)])
     if h_value(sys, q_s) >= 0.0:
         raise VerificationFailed(
             f"exit point {q_s:.9g} is not inside the sliding segment")
@@ -581,38 +633,19 @@ def _displacement_root(sys: PwsSystem, a: float, b: float) -> float:
         np.linspace(a + 0.02 * gap, b - 0.05 * gap, 25),
         b - np.geomspace(0.05 * gap, 2e-5 * gap, 30),
     ]))
-
-    def disp(x: float) -> float:
-        return displacement_sigma(sys, float(x)).value
-
-    prev_x: Optional[float] = None
-    prev_v: Optional[float] = None
-    for x in xs:
-        try:
-            v = disp(x)
-        except TransitFailure:
-            continue
-        if prev_v is not None and prev_v * v < 0.0:
-            return float(brentq(disp, prev_x, x, xtol=1e-13, rtol=4e-15))
-        prev_x, prev_v = float(x), v
-    raise RootNotBracketed(
-        f"no displacement sign change in ({a:.6g}, {b:.6g})")
+    disp = _displacement(sys)
+    return _root("displacement", disp, _evaluable(disp, xs))
 
 
 def _flank_dip(sys: PwsSystem, left: float, peak: float) -> float:
     """Most negative displacement value on the approach to a pinned peak."""
     span = peak - left
-    best = math.inf
-    for off in np.geomspace(0.5 * span, 1e-5 * span, 48):
-        try:
-            v = displacement_sigma(sys, float(peak - off)).value
-        except TransitFailure:
-            continue
-        best = min(best, v)
-    if not math.isfinite(best):
+    xs = peak - np.geomspace(0.5 * span, 1e-5 * span, 48)
+    vals = [v for _, v in _evaluable(_displacement(sys), xs)]
+    if not vals:
         raise HarvestFailure(
             f"displacement not evaluable left of the peak at {peak:.6g}")
-    return best
+    return min(vals)
 
 
 # --------------------------------------------------------------------------
@@ -755,37 +788,6 @@ def _plateau_psi(height: float, p_x: float) -> PsiSpec:
                    r1=2.0 * p_x / 3.0, r2=p_x / 3.0)
 
 
-def _solve_lower_shear(landing_for: Callable[[float], float], target: float,
-                       *, step: float) -> float:
-    """Height of the lower plateau shear that lands the drop on target.
-
-    The landing moves monotonically with the shear height, so expand in the
-    direction the initial gap demands and polish with brentq.
-    """
-    def gap(y: float) -> float:
-        return landing_for(y) - target
-
-    g0 = gap(0.0)
-    if abs(g0) <= 1e-12:
-        return 0.0
-    direction = 1.0 if g0 < 0.0 else -1.0
-    prev = 0.0
-    y = 0.0
-    for k in range(40):
-        y = direction * step * (2.0 ** k)
-        try:
-            gy = gap(y)
-        except HarvestFailure as exc:
-            raise RootNotBracketed(
-                f"landing lost while expanding to y={y:.3e}: {exc}") from exc
-        if g0 * gy < 0.0:
-            a, b = (prev, y) if prev < y else (y, prev)
-            return float(brentq(gap, a, b, xtol=1e-13, rtol=4e-15))
-        prev = y
-    raise RootNotBracketed(
-        f"no landing match within |shear| <= {abs(y):.3e}")
-
-
 def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
                   delta: float = 0.08) -> Tuple[UnfoldingSpec, LoopRecord]:
     """One nonsliding loop with exactly ell tangential contacts.
@@ -795,8 +797,8 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     split point (the remaining bumps are forced high so the orbit drops
     past them). kind='crossing' lets the orbit cross transversally after
     its last graze; kind='critical' drops it at the ell-th contact. A
-    lower plateau shear, solved by bracketed bisection on the landing
-    mismatch, closes the loop at the upper orbit's backward crossing.
+    lower plateau shear, its height a root of the landing gap, closes the
+    loop at the upper orbit's backward crossing.
     """
     m = base.m_plus
     if m < 1 or m % 2 == 0:
@@ -855,15 +857,20 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     else:
         x_drop = lam[2 * ell - 2]
 
-    def landing_for(y0: float) -> float:
-        spec_y = UnfoldingSpec(base, lam, lam_m, psi_p,
-                               _plateau_psi(y0, p_plus))
-        sys_y = build_unfolded(spec_y)
-        return _landed(integrate_smooth(sys_y, "lower", (x_drop, 0.0)))
+    def gap(y: float) -> float:
+        sys_y = build_unfolded(UnfoldingSpec(base, lam, lam_m, psi_p,
+                                             _plateau_psi(y, p_plus)))
+        return _landed(integrate_smooth(sys_y, "lower", (x_drop, 0.0))) \
+            - p_plus
 
-    gap0 = abs(landing_for(0.0) - p_plus)
-    y0 = _solve_lower_shear(landing_for, p_plus,
-                            step=max(1e-9, 0.25 * gap0))
+    # the landing moves monotonically with the lower shear's height: double
+    # it in the direction the gap at 0 demands until the gap changes sign
+    g0, y0 = gap(0.0), 0.0
+    if abs(g0) > 1e-12:
+        step = math.copysign(max(1e-9, 0.25 * abs(g0)), -g0)
+        heights = (step * 2.0 ** k for k in range(40))
+        y0 = _root("lower shear", gap,
+                   itertools.chain([(0.0, g0)], _evaluable(gap, heights)))
     spec4 = UnfoldingSpec(base, lam, lam_m, psi_p, _plateau_psi(y0, p_plus))
     sys4 = build_unfolded(spec4)
 
@@ -985,8 +992,8 @@ def scenario_thm4(base: CanonicalBase, ell: int, *,
 # scenario: sliding loops and crossing limit cycles
 
 
-def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
-                  alpha: Optional[float] = None) -> LoopCensus:
+def scenario_thm5(base: CanonicalBase, ell: int, *,
+                  delta: float = 0.1) -> LoopCensus:
     """Census of sliding loops and crossing limit cycles.
 
     Starting from the all-pinned configuration, the first (m+1)/2 - ell
@@ -996,10 +1003,9 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
     last ell are lowered (the graze detaches, leaving a pair of crossing
     cycles in the displacement dip). The dips shrink by orders of
     magnitude from bump to bump, so a single margin cannot serve both
-    moves: by default each lowered bump gives up a fraction of its own
-    dip, while the raise is sized from the conjugate-point geometry so
-    every sliding exit stays well inside its own gap. Passing alpha
-    applies that one margin to every bump instead.
+    moves: each lowered bump gives up a fraction of its own dip, while the
+    raise is sized from the conjugate-point geometry so every sliding exit
+    stays well inside its own gap.
     """
     m = base.m_plus
     if m < 3 or m % 2 == 0:
@@ -1051,31 +1057,21 @@ def scenario_thm5(base: CanonicalBase, ell: int, *, delta: float = 0.1,
                     * pinned.g_plus.value(x, 0.0))
 
         xs = np.linspace(tp + pad, hi - pad, 160)
-        vs = [num(float(x)) for x in xs]
-        for k in range(len(xs) - 1):
-            if vs[k] * vs[k + 1] < 0.0:
-                x_pe = float(brentq(num, float(xs[k]), float(xs[k + 1]),
-                                    xtol=1e-13, rtol=4e-15))
-                return x_pe - tp
-        return hi - tp
+        try:
+            return _root("pseudo-equilibrium", num, _evaluable(num, xs)) - tp
+        except RootNotBracketed:
+            return hi - tp
 
-    if alpha is not None:
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        raise_by = [alpha] * n
-        lower_by = [alpha] * (d - n)
-    else:
-        raise_by = []
-        if n:
-            cap = min(_exit_span(i) / rates[i - 1] for i in range(1, n + 1))
-            raise_by = [0.1 * cap] * n
-        lower_by = []
-        for i in range(n + 1, d + 1):
-            if dips[i - 1] >= 0.0:
-                raise HarvestFailure(
-                    f"no displacement dip resolved at the peak "
-                    f"x={lam[2 * i - 2]:.6g} (min {dips[i - 1]:.3e})")
-            lower_by.append(0.35 * abs(dips[i - 1]))
+    cap = min((_exit_span(i) / rates[i - 1] for i in range(1, n + 1)),
+              default=0.0)
+    raise_by = [0.1 * cap] * n
+    lower_by = []
+    for i in range(n + 1, d + 1):
+        if dips[i - 1] >= 0.0:
+            raise HarvestFailure(
+                f"no displacement dip resolved at the peak "
+                f"x={lam[2 * i - 2]:.6g} (min {dips[i - 1]:.3e})")
+        lower_by.append(0.35 * abs(dips[i - 1]))
 
     heights = []
     for i, p in enumerate(pins, start=1):

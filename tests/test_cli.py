@@ -69,10 +69,11 @@ def test_removed_flags_are_rejected(tmp_path, argv):
     assert ei.value.code == 2
 
 
-def test_tolerance_is_no_config_key(tmp_path, capsys):
-    cfg = write_config(tmp_path, THM2 + "scenario.tol = 1e-8\n")
+@pytest.mark.parametrize("key", ["tol", "alpha"])
+def test_tolerance_is_no_config_key(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, THM2 + f"scenario.{key} = 1e-8\n")
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "unknown key 'tol'" in capsys.readouterr().err
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_kept_flags_parse(tmp_path):

@@ -1,10 +1,15 @@
 """Loop assembly and the scenario censuses built on it."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import solve_ivp
 
-from filippov2d import (PsiSpec, UnfoldingSpec, VerificationFailed,
+from filippov2d import (PsiSpec, RootNotBracketed, StepUnderflow,
+                        UnfoldingSpec, VerificationFailed,
                         build_unfolded, canonical_base,
                         canonical_critical_loop, displacement_sigma, loops,
                         scenario_thm3, scenario_thm4, scenario_thm5)
@@ -15,6 +20,39 @@ def _hex_fingerprint(rec):
     """Switching abscissae and closure residual as exact float.hex."""
     return ([x.hex() for x, _ in rec.switching_points],
             rec.closure_residual.hex())
+
+
+def test_root_of_a_smooth_gap_is_brentqs_root():
+    def f(x):
+        if x == 1.0:
+            raise StepUnderflow("a point whose transit fails is skipped")
+        return x ** 3 - 2.0 * x - 5.0
+    xs = np.linspace(0.0, 4.0, 9)   # first sign change in (2, 2.5)
+    root = loops._root("cubic", f, loops._evaluable(f, xs))
+    assert root == scipy.optimize.brentq(f, 2.0, 2.5, xtol=1e-13, rtol=4e-15)
+
+
+def test_sign_change_without_a_zero_is_no_root():
+    def step(x):
+        return 1.0 if x < 0.3 else -1.0
+    with pytest.raises(RootNotBracketed, match=re.escape(
+            "jump: the sign change in (0, 1) holds no zero")):
+        loops._root("jump", step, [(0.0, 1.0), (1.0, -1.0)])
+
+
+def test_no_sign_change_is_no_root():
+    def f(x):
+        return x * x + 1.0
+    with pytest.raises(RootNotBracketed, match=re.escape(
+            "parabola: no sign change over 5 points in [-1, 1]")):
+        loops._root("parabola", f,
+                    loops._evaluable(f, np.linspace(-1.0, 1.0, 5)))
+
+
+def test_loops_polishes_through_one_brentq_call():
+    # perfbench counts polish evaluations by wrapping loops.brentq
+    assert len(re.findall(r"\bbrentq\(", inspect.getsource(loops))) == 1
+    assert loops.brentq is scipy.optimize.brentq
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
@@ -36,6 +74,30 @@ def test_thm3_critical_loop_with_two_contacts():
         "0x1.0000000000000p-52")
 
 
+def test_thm3_jump_of_the_landing_gap_is_no_lower_shear(monkeypatch):
+    # thm3 (7,7) critical ell=2: the landing gap changes sign across a jump
+    # between two shear heights; no witness leg may be integrated on it
+    upper_legs = []
+    integrate_smooth = loops.integrate_smooth
+
+    def recording(sys, side, start, **kwargs):
+        if side == "upper":
+            upper_legs.append(kwargs.get("time_sign", 1.0))
+        return integrate_smooth(sys, side, start, **kwargs)
+    monkeypatch.setattr(loops, "integrate_smooth", recording)
+    with pytest.raises(RootNotBracketed) as err:
+        scenario_thm3(canonical_base(7, 7), 2, "critical")
+    stage, a, b, root, residual = re.fullmatch(
+        r"(.+): the sign change in \((\S+), (\S+)\) holds no zero: "
+        r"the gap at (\S+) is (\S+)", str(err.value)).groups()
+    assert stage == "lower shear"
+    assert float(a) == pytest.approx(0.002007, abs=1e-6)
+    assert float(b) == pytest.approx(0.004014, abs=1e-6)
+    assert float(a) < float(root) < float(b)
+    assert float(residual) == pytest.approx(-1.37e-3, abs=1e-5)
+    assert upper_legs == [-1.0]   # only the backward leg that finds p+
+
+
 def test_thm4_census_and_witness_closure():
     census = scenario_thm4(canonical_base(5, 5), 2)
     assert census.beta_cri == {1: 3}
@@ -51,7 +113,6 @@ def test_thm4_census_and_witness_closure():
         "critical@x=-0.1": (["-0x1.ffffe1cd04623p-1", "-0x1.999999999999ap-4"],
                             "0x0.0p+0"),
     }
-
 
 
 def test_thm5_sliding_loops_and_crossing_cycles():
@@ -75,6 +136,7 @@ def test_thm5_sliding_loops_and_crossing_cycles():
     }
     assert [rec.kind for _, rec in census.witnesses] == \
         ["sliding-loop"] * 2 + ["crossing-limit-cycle"] * 2
+
 
 def _thm5_33_ell1_system():
     lam = _negative_cluster(3, 0.1)
