@@ -21,8 +21,7 @@ from .tangency import (BoundViolation, IndeterminateMultiplicity,
 from .cutoffs import (PsiSpec, cutoff_down, cutoff_jet, cutoff_up, psi,
                       psi_dx, psi_jet, psi_sup_norms, zero_psi)
 from .unfolding import (CanonicalBase, UnfoldingSpec, admissible_k_family,
-                        build_transition, build_unfolded,
-                        shear_conjugacy_check)
+                        build_transition, build_unfolded)
 from .flow import (Arc, AmbiguousTangency, Event, SmoothRun, StepUnderflow,
                    Trajectory, TransitFailure, integrate_pws,
                    integrate_smooth, read_trajectory_csv, sliding_arc,

@@ -70,8 +70,8 @@ from numpy.polynomial.polynomial import polyder, polyval
 from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
-from .system import (PwsSystem, Window, h_value, sliding_field, NotSliding,
-                     DegenerateDenominator)
+from .system import (PwsSystem, Window, _side_fn, _sliding_velocity,
+                     h_value, NotSliding, DegenerateDenominator)
 
 
 class TransitFailure(RuntimeError):
@@ -160,20 +160,6 @@ def _own_sign(side: str) -> float:
     if side == "lower":
         return -1.0
     raise ValueError("side must be 'upper' or 'lower'")
-
-
-def _side_fn(f, g):
-    """One callable (x, y) -> (f, g) for a side: the pair's compiled side
-    function when f offers one for g (expression and sheared sides), else
-    one .value call on each."""
-    pair = getattr(f, "side_with", None)
-    fn = pair(g) if pair is not None else None
-    if fn is None:
-        f_value, g_value = f.value, g.value
-
-        def fn(x, y):
-            return f_value(x, y), g_value(x, y)
-    return fn
 
 
 def _nudge_off_sigma(rhs, x0: float, side: str) -> Tuple[float, float, float]:
@@ -484,10 +470,12 @@ def sliding_arc(sys: PwsSystem, x_start: float, *,
     """
     w = sys.window
     t_max = _leg_budget(sys) if t_max is None else t_max
+    upper, lower = _side_fn(*sys.upper()), _side_fn(*sys.lower())
 
-    def rhs(t, s):
+    def rhs(t, s):   # sliding_field, with each side function looked up once
+        x = float(s[0])
         try:
-            return (sliding_field(sys, float(s[0])),)
+            return (_sliding_velocity(x, *upper(x, 0.0), *lower(x, 0.0)),)
         except (NotSliding, DegenerateDenominator):
             return (0.0,)
 

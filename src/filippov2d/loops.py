@@ -20,6 +20,12 @@ Every root is a zero of a closure gap (the displacement, a landing gap),
 bracketed by a sign change of a scan and polished by brentq in _root. It
 must leave |gap| <= CLOSURE_TOL: a sign change made by a jump of the gap
 raises RootNotBracketed before any witness is integrated on it.
+
+Searches and certificates fly on different systems of one unfolding. The
+displacement (_displacement: the flank dips, the scans and their polish)
+is taken on the transition system through the shear conjugacy
+(maps.displacement_sigma); each witness then integrates the sheared
+system itself, so a search root whose loop does not close is dropped.
 """
 
 from __future__ import annotations
@@ -209,7 +215,8 @@ def _landed(run: SmoothRun) -> float:
 
 
 def _displacement(sys: PwsSystem) -> Callable[[float], float]:
-    """x -> the displacement of sys at (x, 0), as every scan reads it."""
+    """x -> the displacement of sys at (x, 0), as every scan reads it:
+    flown on sys's transition system (maps.displacement_sigma)."""
     return lambda x: displacement_sigma(sys, float(x)).value
 
 

@@ -9,7 +9,11 @@ landed on the line by a Henon step.
 displacement_sigma composes a lower Sigma transit (flow.integrate_smooth,
 the only call of that name in this module) with an upper section transit
 back to the vertical line through the start: its zeros are closed-loop
-certificates. Both legs run in the system's window.
+certificates. It flies both legs on the system's transition system, the
+one build_unfolded sheared: under u = y + psi+(x) the sheared upper flow
+is exactly the transition flow, whose field is a plain expression with no
+psi to evaluate and no knots to step across, and the height over the line
+is u - psi+(x). An unsheared system is its own transition with psi+ = 0.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Tuple
 # here because perfbench/tracing.py wraps them on every layer
 from scipy.integrate import solve_ivp  # noqa: F401
 
+from .cutoffs import psi
 from .system import PwsSystem
 from .tangency import multiplicity_at  # noqa: F401
 from .flow import TransitFailure, _leg_budget, _transit, integrate_smooth
@@ -73,14 +78,30 @@ def displacement_sigma(sys: PwsSystem, from_x: float) -> DisplacementSample:
     """Signed vertical loop-closure gap at the line x = from_x.
 
     Lower transit: one smooth arc of the lower subsystem from (from_x, 0)
-    back to Sigma, landing at the conjugate abscissa. Upper transit: flow
-    the upper subsystem from there to the vertical line through from_x and
-    read the signed height; a zero certifies a closed crossing loop.
+    back to Sigma, landing at the conjugate abscissa L. Upper transit: the
+    transition system's upper flow from (L, psi+(L)) to the vertical line
+    through from_x; its height there less psi+(from_x) is the gap, and a
+    zero certifies a closed crossing loop.
+
+    Both legs stop where the sheared system's legs stop: the lower side is
+    the transition's own, and a section transit flies through Sigma, so
+    its stops are the lines and the window. The window's y-edges bound u
+    instead of y, a shift by psi+ (about 0.02 at most in the scenarios),
+    well inside the pad canonical_base leaves between its orbits and those
+    edges. A system whose lower side is sheared has no such conjugacy here
+    and raises ValueError.
     """
-    run = integrate_smooth(sys, "lower", (from_x, 0.0))
+    hat = sys.transition or sys
+    if hat.lower() != sys.lower():
+        raise ValueError("displacement_sigma needs an unsheared lower side")
+
+    def lift(x: float) -> float:   # psi+(x)
+        return 0.0 if sys.psi_plus is None else psi(sys.psi_plus, x)
+    run = integrate_smooth(hat, "lower", (from_x, 0.0))
     if run.terminal.kind != "sigma-cross":
         raise NoArrival(
             f"lower transit from x={from_x} ended with {run.terminal.kind}")
     p_conj = run.terminal.x
-    arr = _flow_to_section(sys, (p_conj, 0.0), from_x)
-    return DisplacementSample(arr.y, p_conj, run.terminal.t, arr.t)
+    arr = _flow_to_section(hat, (p_conj, lift(p_conj)), from_x)
+    return DisplacementSample(arr.y - lift(from_x), p_conj, run.terminal.t,
+                              arr.t)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Protocol, Tuple
 
+from .cutoffs import PsiSpec
 from .fieldexpr import as_field
 
 # Sigma scan: grid cells across the window, the distance below which two
@@ -32,7 +33,8 @@ class ScalarFunc(Protocol):
     """A field component: value, first partials and the Taylor jet in x.
 
     Expression and sheared fields also offer side_with(g): the compiled
-    (x, y) -> (self, g) that the flow calls once per RHS point."""
+    (x, y) -> (self, g) that _side_fn hands to the flow and the sliding
+    field, one call per point."""
 
     def value(self, x: float, y: float) -> float: ...
 
@@ -41,6 +43,20 @@ class ScalarFunc(Protocol):
     def dy(self, x: float, y: float) -> float: ...
 
     def x_jet(self, x: float, y: float, order: int) -> list[float]: ...
+
+
+def _side_fn(f, g):
+    """One callable (x, y) -> (f, g) for a side: the pair's compiled side
+    function when f offers one for g (expression and sheared sides), else
+    one .value call on each."""
+    pair = getattr(f, "side_with", None)
+    fn = pair(g) if pair is not None else None
+    if fn is None:
+        f_value, g_value = f.value, g.value
+
+        def fn(x, y):
+            return f_value(x, y), g_value(x, y)
+    return fn
 
 
 class WindowMismatch(ValueError):
@@ -92,6 +108,10 @@ class PwsSystem:
     g_minus: ScalarFunc
     window: Window
     meta: NormalFormMeta | None = None
+    # set by build_unfolded on a sheared system: the transition system the
+    # shear conjugates it to, and the upper profile psi+ (None: zero)
+    transition: PwsSystem | None = field(default=None, repr=False)
+    psi_plus: PsiSpec | None = None
     _g_scales: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -143,23 +163,28 @@ def sliding_convex_coefficient(sys: PwsSystem, x: float) -> float:
         raise DegenerateDenominator(f"g- - g+ vanishes at x={x}")
     return gm / den
 
+
 def sliding_field(sys: PwsSystem, x: float) -> float:
     """Sliding (Filippov) velocity along Sigma at x.
 
     Defined only where h(x) < 0; raises NotSliding otherwise and
     DegenerateDenominator when g- - g+ is numerically zero relative to the
-    component scale.
+    component scale. Each side is one side-function call, so a sheared
+    side evaluates psi once (h and a(x) read g alone: one .value each).
     """
-    gp = sys.g_plus.value(x, 0.0)
-    gm = sys.g_minus.value(x, 0.0)
+    return _sliding_velocity(x, *_side_fn(*sys.upper())(x, 0.0),
+                             *_side_fn(*sys.lower())(x, 0.0))
+
+
+def _sliding_velocity(x: float, fp: float, gp: float, fm: float,
+                      gm: float) -> float:
+    """sliding_field from both sides' (f, g) at (x, 0)."""
     if gp * gm >= 0.0:
         raise NotSliding(f"h(x) >= 0 at x={x}; not in a sliding segment")
     den = gm - gp
     scale = abs(gm) + abs(gp)
     if abs(den) <= 1e-12 * max(1.0, scale):
         raise DegenerateDenominator(f"g- - g+ ~ 0 at x={x}")
-    fp = sys.f_plus.value(x, 0.0)
-    fm = sys.f_minus.value(x, 0.0)
     return (fp * gm - fm * gp) / den
 
 

@@ -20,8 +20,9 @@ bounded away from zero. Two perturbation layers are applied:
 
 The shear is an exact conjugacy between the transition flow and the
 unfolded flow: gamma~(t; x0, y0 - psi(x0)) = gamma^(t; x0, y0) shifted by
-(0, -psi(gamma^_1)). shear_conjugacy_check verifies this numerically;
-residuals are pure integration error.
+(0, -psi(gamma^_1)). build_unfolded keeps the transition system and psi+
+on the sheared system it returns, and maps.displacement_sigma flies its
+search legs there; the witnesses in loops integrate the sheared system.
 
 Because psi has vanishing derivatives at its knots, placing knots at the
 lambda values keeps those points tangencies of the unfolded system with
@@ -37,15 +38,15 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-from scipy.integrate import solve_ivp
+# this module calls no solve_ivp; it stays bound here because
+# perfbench/tracing.py wraps it on every layer
+from scipy.integrate import solve_ivp  # noqa: F401
 
-from .cutoffs import PsiSpec, _psi_core, psi as psi_value, psi_jet, zero_psi
+from .cutoffs import PsiSpec, _psi_core, psi_jet, zero_psi
 from . import fieldexpr
 from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
                         as_field, differentiate, expr_jet, jet_mul,
                         jet_variable)
-from .flow import ATOL, RTOL
 from .system import NormalFormMeta, PwsSystem, Window
 
 
@@ -238,7 +239,9 @@ def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
 
     With zero shear profiles this returns the transition system itself
     (identical component objects), so a spec with lambda = 0 and zero psi
-    reproduces the base system's values bit for bit.
+    reproduces the base system's values bit for bit. A sheared system
+    keeps that transition system and psi+ (None when zero); an unsheared
+    side is the transition's own pair.
     """
     b = spec.base
     trans = build_transition(spec)
@@ -249,54 +252,8 @@ def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
     f_m, g_m = _sheared_side(b.f_minus, b.phi_minus, spec.lambda_minus,
                              spec.psi_minus, trans.lower())
     return PwsSystem(f_p, g_p, f_m, g_m, b.window,
-                     NormalFormMeta(b.m_plus, b.m_minus))
-
-
-def shear_conjugacy_check(spec: UnfoldingSpec, side: str, x0: float,
-                          y0: float, t_span: float, *,
-                          n_samples: int = 60) -> dict:
-    """Numerically verify the shear conjugacy along one smooth sub-flow.
-
-    Integrates the transition field from (x0, y0) and the unfolded field
-    from (x0, y0 - psi(x0)), then compares the unfolded trajectory with the
-    shear image of the transition trajectory on a common time grid clipped
-    to the window. Returns {'residual', 't_reached'}.
-    """
-    trans = build_transition(spec)
-    unf = build_unfolded(spec)
-    psi_spec = spec.psi_plus if side == "upper" else spec.psi_minus
-    if zero_psi(psi_spec):
-        psi_spec = None
-    f_t, g_t = trans.side(side)
-    f_u, g_u = unf.side(side)
-    w = spec.base.window
-    pad = 0.05 * max(w.width, w.y_hi - w.y_lo)
-
-    def rhs(fld_pair):
-        f, g = fld_pair
-        return lambda t, s: (f.value(s[0], s[1]), g.value(s[0], s[1]))
-
-    def exit_event(t, s):
-        return min(s[0] - w.x_lo + pad, w.x_hi + pad - s[0],
-                   s[1] - w.y_lo + pad, w.y_hi + pad - s[1])
-    exit_event.terminal = True
-
-    p0 = psi_value(psi_spec, x0) if psi_spec is not None else 0.0
-    sol_t = solve_ivp(rhs((f_t, g_t)), (0.0, t_span), (x0, y0),
-                      method="DOP853", rtol=RTOL, atol=ATOL,
-                      dense_output=True, events=exit_event)
-    sol_u = solve_ivp(rhs((f_u, g_u)), (0.0, t_span), (x0, y0 - p0),
-                      method="DOP853", rtol=RTOL, atol=ATOL,
-                      dense_output=True, events=exit_event)
-    t_end = min(sol_t.t[-1], sol_u.t[-1])
-    ts = np.linspace(0.0, t_end, n_samples)
-    worst = 0.0
-    for t in ts:
-        xt, yt = sol_t.sol(t)
-        xu, yu = sol_u.sol(t)
-        pt = psi_value(psi_spec, xt) if psi_spec is not None else 0.0
-        worst = max(worst, abs(xu - xt), abs(yu - (yt - pt)))
-    return {"residual": worst, "t_reached": t_end}
+                     NormalFormMeta(b.m_plus, b.m_minus), trans,
+                     None if zero_psi(spec.psi_plus) else spec.psi_plus)
 
 
 def admissible_k_family(d: int, base_gap: float, shrink: float = 0.5,

@@ -118,14 +118,14 @@ ARTIFACT_SHA1 = {
     "thm4_55_l1": (THM3_55.replace("theorem = 3", "theorem = 4")
                    + "scenario.ell = 1\n", {
         "census.csv": "ee2c7a3202c661ca5e9a96713364b6c425c89130",
-        "portrait.svg": "e3f584e84d0fdfbf646de5923394324badcdf49a",
+        "portrait.svg": "1bd8a18572d818d33be71fd3069829af452584c9",
         "tangent_points.csv": "9b7593e2f9188096fb282e2b3464c4138687de66",
         "trajectories/critical_x_-0.1.csv":
-            "69914058a8f98566ce4fa3d0063b4cebc56291d6",
+            "d3ae49de707caa6e4f0988cad69314b9b4bffded",
         "trajectories/critical_x_-0.3.csv":
-            "35b324a41af0387858df7726fd79480b30986771",
+            "7ed019efedd256949d497fcbadc3ec185d1daed5",
         "trajectories/crossing_x_-0.344864283.csv":
-            "9ded0e1dfe2abf02ae0aa86b5c4ba2a4ef0c1b30",
+            "793f4aa16a520810d00b73f39d96ff40c08ec234",
     }),
     "thm3_55_cri_l2": (THM3_55 + "scenario.ell = 2\n"
                        "scenario.kind = critical\n", {

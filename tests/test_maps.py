@@ -4,10 +4,13 @@ import math
 
 import pytest
 
-from filippov2d import (PwsSystem, NoArrival, TangentialArrival, Window,
-                        displacement_sigma, integrate_smooth)
+from filippov2d import (PsiSpec, PwsSystem, NoArrival, TangentialArrival,
+                        UnfoldingSpec, Window, build_transition,
+                        build_unfolded, displacement_sigma, integrate_smooth,
+                        loops)
 from filippov2d.fieldexpr import ScalarField
-from filippov2d.loops import canonical_base
+from filippov2d.loops import (_negative_cluster, _pinned_knots, _plateau_psi,
+                              canonical_base)
 from filippov2d.maps import _flow_to_section
 from conftest import make_sys
 
@@ -160,3 +163,41 @@ def test_displacement_on_canonical_base_is_pinned(x, value):
     # pinned bit for bit to catch any change in the transit numerics
     system = canonical_base(5, 5).system()
     assert displacement_sigma(system, x).value.hex() == value
+
+
+def _thm4_55_ell1_scan_system():
+    # thm4 (5,5) ell=1 as its scan for the first crossing loop sees it:
+    # bumps 2 and 3 pinned to their own orbits, bump 1 still flat
+    base = canonical_base(5, 5)
+    lam = _negative_cluster(5, 0.1)
+    pins = loops._pin_data(build_transition(
+        UnfoldingSpec(base, lam, (0.0,) * 5)), lam)
+    heights = (0.0, pins[1].height, pins[2].height)
+    return build_unfolded(UnfoldingSpec(
+        base, lam, (0.0,) * 5, PsiSpec(3, _pinned_knots(lam, 0.1) + heights)))
+
+
+@pytest.mark.parametrize("x", [-0.398, -0.3595, -0.3515, -0.34375, -0.32,
+                               -0.305, -0.30015, -0.300002])
+def test_displacement_through_the_shear_is_the_direct_one(x):
+    # D flown on the transition system equals the sheared system's own
+    # composition: lower Sigma transit, then the upper section transit
+    system = _thm4_55_ell1_scan_system()
+    assert system.transition is not None and system.psi_plus is not None
+    low = integrate_smooth(system, "lower", (x, 0.0))
+    direct = _flow_to_section(system, (low.terminal.x, 0.0), x)
+    d = displacement_sigma(system, x)
+    assert d.conjugate_x == low.terminal.x
+    assert abs(d.value - direct.y) <= 1e-11
+    assert d.t_upper == pytest.approx(direct.t, abs=1e-9)
+
+
+def test_displacement_on_a_sheared_lower_side_is_refused():
+    # thm3's lower plateau shears the lower side: no conjugacy applies
+    base = canonical_base(5, 5)
+    lam = _negative_cluster(5, 0.08)
+    system = build_unfolded(UnfoldingSpec(
+        base, lam, (0.0,) * 5, None, _plateau_psi(1e-3, -0.9)))
+    with pytest.raises(ValueError, match="unsheared lower side"):
+        displacement_sigma(system, -0.5)
+

@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filippov2d import (DegenerateDenominator, NotSliding, PwsSystem, Window,
-                        WindowMismatch, decompose_sigma, h_value,
-                        sliding_convex_coefficient, sliding_field,
-                        system_distance)
+from filippov2d import (DegenerateDenominator, NotSliding, PsiSpec,
+                        PwsSystem, UnfoldingSpec, Window, WindowMismatch,
+                        build_unfolded, canonical_base, decompose_sigma,
+                        h_value, sliding_convex_coefficient, sliding_field,
+                        system_distance, unfolding)
+from filippov2d.loops import _negative_cluster, _pinned_knots, _plateau_psi
 from conftest import make_sys
 
 
@@ -148,3 +150,38 @@ def test_window_validation():
     w = Window(-1.0, 1.0, -1.0, 1.0)
     assert w.contains(0.0, 0.0)
     assert not w.contains(2.0, 0.0)
+
+
+@pytest.mark.parametrize("x, want", [
+    (-0.27, ("-0x1.9e0054f0661dbp-15", "0x1.f6e0b70a28fbfp-1",
+             "0x1.edc16e1451f7ep-1")),
+    (-0.25, ("-0x1.4ad92931a09e4p-3", "0x1.7315b54a5acedp-7",
+             "-0x1.f4675255ad299p-1")),
+    (-0.07, ("-0x1.13143f2e48b0dp-18", "0x1.1b3fc2ca7ad99p-2",
+             "-0x1.c9807a6b0a4cfp-2")),
+])
+def test_sliding_point_calls_each_sheared_side_once(monkeypatch, x, want):
+    # thm5 (3,3) ell=1's bumps above, a plateau shear below: h, the convex
+    # coefficient and the sliding field each evaluate psi once per side,
+    # with the values of one .value call per component, bit for bit
+    calls = []
+    psi_core = unfolding._psi_core
+
+    def counted(spec, x):
+        calls.append(x)
+        return psi_core(spec, x)
+    monkeypatch.setattr(unfolding, "_psi_core", counted)
+    lam = _negative_cluster(3, 0.1)
+    heights = (float.fromhex("0x1.33905d00237bdp-6"),
+               float.fromhex("0x1.7b98654fdce00p-8"))
+    system = build_unfolded(UnfoldingSpec(
+        canonical_base(3, 3), lam, (0.0,) * 3,
+        PsiSpec(2, _pinned_knots(lam, 0.1) + heights),
+        _plateau_psi(-0.0021, -0.45)))
+    got, per_call = [], []
+    for fn in (h_value, sliding_convex_coefficient, sliding_field):
+        before = len(calls)
+        got.append(fn(system, x).hex())
+        per_call.append(len(calls) - before)
+    assert tuple(got) == want
+    assert per_call == [2, 2, 2]

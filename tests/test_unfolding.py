@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from filippov2d import (CanonicalBase, PsiSpec, UnfoldingSpec, Window,
                         admissible_k_family, build_transition, build_unfolded,
                         canonical_base, psi, psi_dx, psi_sup_norms,
-                        shear_conjugacy_check, system_distance)
+                        system_distance)
 from filippov2d.loops import _negative_cluster, _pinned_knots, _plateau_psi
 
 W = Window(-1.0, 1.0, -1.0, 1.0)
@@ -103,27 +103,6 @@ def test_unfolded_partials_match_finite_differences():
             fy = (fld.value(x, y + h) - fld.value(x, y - h)) / (2 * h)
             assert fld.dx(x, y) == pytest.approx(fx, rel=2e-5, abs=1e-8)
             assert fld.dy(x, y) == pytest.approx(fy, rel=2e-5, abs=1e-8)
-
-
-def test_conjugacy_zero_psi_is_integrator_noise():
-    spec = UnfoldingSpec(cubic_base(), (0.0,) * 3, ())
-    out = shear_conjugacy_check(spec, "upper", -0.5, 0.4, 1.0)
-    assert out["residual"] <= 1e-9
-
-
-def test_conjugacy_zero_time():
-    bump = PsiSpec(1, (-0.2, 0.0, 0.2, 1e-3))
-    spec = UnfoldingSpec(cubic_base(), (0.0,) * 3, (), psi_plus=bump)
-    out = shear_conjugacy_check(spec, "upper", -0.1, 0.5, 0.0)
-    assert out["residual"] == 0.0
-
-
-def test_conjugacy_fallback_bump():
-    bump = PsiSpec(1, (-0.2, 0.0, 0.2, 1e-3))
-    spec = UnfoldingSpec(cubic_base(), (1e-3, 0.0, -1e-3), (),
-                         psi_plus=bump)
-    out = shear_conjugacy_check(spec, "upper", -0.1, 0.5, 1.0)
-    assert out["residual"] <= 1e-6
 
 
 def test_admissible_family_shrinks_fast():
