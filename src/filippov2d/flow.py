@@ -70,8 +70,8 @@ from numpy.polynomial.polynomial import polyder, polyval
 from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
-from .system import (PwsSystem, Window, _side_fn, _sliding_velocity,
-                     h_value, NotSliding, DegenerateDenominator)
+from .system import (PwsSystem, Window, _side_fn, h_value, sliding_field,
+                     NotSliding, DegenerateDenominator)
 
 
 class TransitFailure(RuntimeError):
@@ -470,12 +470,10 @@ def sliding_arc(sys: PwsSystem, x_start: float, *,
     """
     w = sys.window
     t_max = _leg_budget(sys) if t_max is None else t_max
-    upper, lower = _side_fn(*sys.upper()), _side_fn(*sys.lower())
 
-    def rhs(t, s):   # sliding_field, with each side function looked up once
-        x = float(s[0])
+    def rhs(t, s):
         try:
-            return (_sliding_velocity(x, *upper(x, 0.0), *lower(x, 0.0)),)
+            return (sliding_field(sys, float(s[0])),)
         except (NotSliding, DegenerateDenominator):
             return (0.0,)
 

@@ -25,7 +25,9 @@ Searches and certificates fly on different systems of one unfolding. The
 displacement (_displacement: the flank dips, the scans and their polish)
 is taken on the transition system through the shear conjugacy
 (maps.displacement_sigma); each witness then integrates the sheared
-system itself, so a search root whose loop does not close is dropped.
+system itself. A crossing-cycle root whose witness does not close is
+dropped; a thm4/thm5 critical root whose witness does not verify makes
+the scenario fail.
 """
 
 from __future__ import annotations

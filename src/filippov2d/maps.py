@@ -91,12 +91,12 @@ def displacement_sigma(sys: PwsSystem, from_x: float) -> DisplacementSample:
     edges. A system whose lower side is sheared has no such conjugacy here
     and raises ValueError.
     """
-    hat = sys.transition or sys
+    hat, psi_plus = sys.transition or (sys, None)
     if hat.lower() != sys.lower():
         raise ValueError("displacement_sigma needs an unsheared lower side")
 
     def lift(x: float) -> float:   # psi+(x)
-        return 0.0 if sys.psi_plus is None else psi(sys.psi_plus, x)
+        return 0.0 if psi_plus is None else psi(psi_plus, x)
     run = integrate_smooth(hat, "lower", (from_x, 0.0))
     if run.terminal.kind != "sigma-cross":
         raise NoArrival(

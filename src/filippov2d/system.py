@@ -109,9 +109,9 @@ class PwsSystem:
     window: Window
     meta: NormalFormMeta | None = None
     # set by build_unfolded on a sheared system: the transition system the
-    # shear conjugates it to, and the upper profile psi+ (None: zero)
-    transition: PwsSystem | None = field(default=None, repr=False)
-    psi_plus: PsiSpec | None = None
+    # shear conjugates it to, with the upper profile psi+ (None: zero)
+    transition: Tuple[PwsSystem, PsiSpec | None] | None = field(
+        default=None, repr=False)
     _g_scales: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -172,13 +172,8 @@ def sliding_field(sys: PwsSystem, x: float) -> float:
     component scale. Each side is one side-function call, so a sheared
     side evaluates psi once (h and a(x) read g alone: one .value each).
     """
-    return _sliding_velocity(x, *_side_fn(*sys.upper())(x, 0.0),
-                             *_side_fn(*sys.lower())(x, 0.0))
-
-
-def _sliding_velocity(x: float, fp: float, gp: float, fm: float,
-                      gm: float) -> float:
-    """sliding_field from both sides' (f, g) at (x, 0)."""
+    fp, gp = _side_fn(*sys.upper())(x, 0.0)
+    fm, gm = _side_fn(*sys.lower())(x, 0.0)
     if gp * gm >= 0.0:
         raise NotSliding(f"h(x) >= 0 at x={x}; not in a sliding segment")
     den = gm - gp

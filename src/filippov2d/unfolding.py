@@ -252,8 +252,9 @@ def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
     f_m, g_m = _sheared_side(b.f_minus, b.phi_minus, spec.lambda_minus,
                              spec.psi_minus, trans.lower())
     return PwsSystem(f_p, g_p, f_m, g_m, b.window,
-                     NormalFormMeta(b.m_plus, b.m_minus), trans,
-                     None if zero_psi(spec.psi_plus) else spec.psi_plus)
+                     NormalFormMeta(b.m_plus, b.m_minus),
+                     (trans, None if zero_psi(spec.psi_plus)
+                      else spec.psi_plus))
 
 
 def admissible_k_family(d: int, base_gap: float, shrink: float = 0.5,

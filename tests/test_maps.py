@@ -183,7 +183,7 @@ def test_displacement_through_the_shear_is_the_direct_one(x):
     # D flown on the transition system equals the sheared system's own
     # composition: lower Sigma transit, then the upper section transit
     system = _thm4_55_ell1_scan_system()
-    assert system.transition is not None and system.psi_plus is not None
+    assert system.transition is not None and system.transition[1] is not None
     low = integrate_smooth(system, "lower", (x, 0.0))
     direct = _flow_to_section(system, (low.terminal.x, 0.0), x)
     d = displacement_sigma(system, x)
