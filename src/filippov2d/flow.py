@@ -6,8 +6,8 @@ window. Only ``integrate_pws`` (its remaining time) and the crossing-cycle
 witness (a window capped at its seed) pass other values.
 
 Every smooth arc is integrated by one kernel, ``_transit``: a loop over the
-accepted steps of a ``scipy.integrate.DOP853`` stepper. After each step it
-checks a fixed set of stops from the step's ends and the slopes the stepper
+accepted steps of a ``numerics.DOP853`` stepper. After each step it checks
+a fixed set of stops from the step's ends and the slopes the stepper
 already holds there (FSAL):
 
 * exit lines: Sigma (a transit in one half-plane, ``integrate_smooth``)
@@ -67,9 +67,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
-from scipy.integrate import DOP853, solve_ivp
-from scipy.optimize import brentq
 
+from .numerics import DOP853, brentq, solve_ivp
 from .system import (PwsSystem, Window, _side_fn, h_value, sliding_field,
                      NotSliding, DegenerateDenominator)
 
@@ -174,8 +173,7 @@ def _nudge_off_sigma(rhs, x0: float, side: str) -> Tuple[float, float, float]:
     h = _NUDGE_FIRST_STEP
     state = (x0, 0.0)
     for _ in range(80):
-        sol = solve_ivp(rhs, (0.0, h), state, method="DOP853",
-                        rtol=RTOL, atol=ATOL * 1e-2)
+        sol = solve_ivp(rhs, (0.0, h), state, rtol=RTOL, atol=ATOL * 1e-2)
         xe, ye = sol.y[0, -1], sol.y[1, -1]
         if abs(ye) >= _NUDGE_FLOOR:
             if ye * sgn < 0:
@@ -221,7 +219,7 @@ def _step_poly(dense) -> np.ndarray:
     """A DOP853 step's interpolant as power-series coefficients in
     tau = (t - t_old) / h, shape (8, n): one column per state component."""
     c = np.zeros((8, len(dense.y_old)))
-    for i, row in enumerate(dense.F[::-1]):   # scipy's nested tau, 1-tau form
+    for i, row in enumerate(dense.F[::-1]):   # DenseOutput's nested tau/1-tau
         c[0] += row
         shifted = np.roll(c, 1, axis=0)
         c = shifted if i % 2 == 0 else c - shifted

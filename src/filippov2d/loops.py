@@ -40,12 +40,12 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cutoffs import PsiSpec
 from .flow import (Arc, Event, SmoothRun, Trajectory, TransitFailure,
                    integrate_smooth, sliding_arc)
 from .maps import _flow_to_section, displacement_sigma
+from .numerics import brentq
 from .system import PwsSystem, Window, h_value
 from .tangency import multiplicity_at
 from .unfolding import (CanonicalBase, UnfoldingSpec, build_transition,

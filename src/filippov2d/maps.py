@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-# this module calls neither solve_ivp nor multiplicity_at; both stay bound
-# here because perfbench/tracing.py wraps them on every layer
-from scipy.integrate import solve_ivp  # noqa: F401
-
 from .cutoffs import psi
 from .system import PwsSystem
+# this module calls neither numerics.solve_ivp nor multiplicity_at; both
+# stay bound here because perfbench/tracing.py wraps them on every layer
+from .numerics import solve_ivp  # noqa: F401
 from .tangency import multiplicity_at  # noqa: F401
 from .flow import TransitFailure, _leg_budget, _transit, integrate_smooth
 

@@ -38,15 +38,14 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
-# this module calls no solve_ivp; it stays bound here because
-# perfbench/tracing.py wraps it on every layer
-from scipy.integrate import solve_ivp  # noqa: F401
-
 from .cutoffs import PsiSpec, _psi_core, psi_jet, zero_psi
 from . import fieldexpr
 from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
                         as_field, differentiate, expr_jet, jet_mul,
                         jet_variable)
+# this module calls no numerics.solve_ivp; it stays bound here because
+# perfbench/tracing.py wraps it on every layer
+from .numerics import solve_ivp  # noqa: F401
 from .system import NormalFormMeta, PwsSystem, Window
 
 

@@ -12,7 +12,7 @@ from filippov2d import (PsiSpec, RootNotBracketed, StepUnderflow,
                         UnfoldingSpec, VerificationFailed,
                         build_unfolded, canonical_base,
                         canonical_critical_loop, displacement_sigma, loops,
-                        scenario_thm3, scenario_thm4, scenario_thm5)
+                        numerics, scenario_thm3, scenario_thm4, scenario_thm5)
 from filippov2d.loops import CLOSURE_TOL, _negative_cluster, _pinned_knots
 
 
@@ -52,7 +52,7 @@ def test_no_sign_change_is_no_root():
 def test_loops_polishes_through_one_brentq_call():
     # perfbench counts polish evaluations by wrapping loops.brentq
     assert len(re.findall(r"\bbrentq\(", inspect.getsource(loops))) == 1
-    assert loops.brentq is scipy.optimize.brentq
+    assert loops.brentq is numerics.brentq
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
