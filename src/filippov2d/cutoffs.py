@@ -26,11 +26,11 @@ from typing import Optional, Tuple
 from .fieldexpr import Jet, jet_constant, jet_div, jet_exp, jet_variable
 
 _ETA_SAT = 700.0  # exp saturation guard
+_KNOT_TOL = 1e-14
 
 
 def _cutoff_core(x: float, r1: float, r2: float) -> Tuple[float, float]:
-    if not (r1 < r2):
-        raise ValueError("cutoff needs r1 < r2")
+    """(s, s') of cutoff_up at x; r1 < r2 is the caller's to check."""
     if x <= r1:
         return 0.0, 0.0
     if x >= r2:
@@ -55,17 +55,23 @@ def _cutoff_core(x: float, r1: float, r2: float) -> Tuple[float, float]:
     return s, d1
 
 
+def _checked_cutoff(x: float, r1: float, r2: float) -> Tuple[float, float]:
+    if not (r1 < r2):
+        raise ValueError("cutoff needs r1 < r2")
+    return _cutoff_core(x, r1, r2)
+
+
 def cutoff_up(x: float, r1: float, r2: float) -> float:
-    return _cutoff_core(x, r1, r2)[0]
+    return _checked_cutoff(x, r1, r2)[0]
 
 
 def cutoff_down(x: float, r1: float, r2: float) -> float:
-    return 1.0 - _cutoff_core(x, r1, r2)[0]
+    return 1.0 - _checked_cutoff(x, r1, r2)[0]
 
 
 def cutoff_jet(x: float, r1: float, r2: float, order: int) -> Jet:
     """Jet of cutoff_up at x; flat where _cutoff_core is (or saturates)."""
-    s, _ = _cutoff_core(x, r1, r2)
+    s, _ = _checked_cutoff(x, r1, r2)
     if not r1 < x < r2:
         return jet_constant(s, order)
     one = jet_constant(1.0, order)
@@ -106,6 +112,9 @@ class PsiSpec:
                  tuple(hs[j // 2] if j % 2 else 0.0 for j in range(len(ks))))
         set_once(self, "_ascending",
                  all(a < b for a, b in zip(ks[:-1], ks[1:])))
+        # how near a knot x is taken to be at it (_psi_piece)
+        set_once(self, "_knot_tols",
+                 tuple(_KNOT_TOL * max(1.0, abs(k)) for k in ks))
 
     @property
     def fallback_height(self) -> float:
@@ -124,24 +133,21 @@ class PsiSpec:
         return self.r1, self.r2
 
 
-_KNOT_TOL = 1e-14
-
-
 def _psi_piece(spec: PsiSpec, x: float):
     """(h, r1, r2, falling): psi = h * cutoff_up(x; r1, r2) near x (h *
     cutoff_down if falling), or the constant h if r1 is None: off the
     support and within _KNOT_TOL of a knot, where all derivatives vanish.
     Bisection finds the knots on either side of x; only those two take the
     tolerance test, the lower one first."""
-    if not spec.in_knot_domain():
+    if not spec._ascending:
         if spec.r1 is None or spec.r2 is None:
             raise ValueError("degenerate knots need a fallback (r1, r2) window")
         return spec.fallback_height, spec.r1, spec.r2, False
     ks = spec.knots
     j = bisect_left(ks, x)   # ks[j - 1] < x <= ks[j]
-    if j and x - ks[j - 1] <= _KNOT_TOL * max(1.0, abs(ks[j - 1])):
+    if j and x - ks[j - 1] <= spec._knot_tols[j - 1]:
         return spec.knot_heights[j - 1], None, None, False
-    if j < len(ks) and ks[j] - x <= _KNOT_TOL * max(1.0, abs(ks[j])):
+    if j < len(ks) and ks[j] - x <= spec._knot_tols[j]:
         return spec.knot_heights[j], None, None, False
     if j == 0 or j == len(ks):   # off the support (or x is nan)
         return 0.0, None, None, False
@@ -153,6 +159,7 @@ def _psi_core(spec: PsiSpec, x: float) -> Tuple[float, float]:
     h, r1, r2, falling = _psi_piece(spec, x)
     if r1 is None:
         return h, 0.0
+    # r1 < r2: knots ascend strictly, and PsiSpec checked the fallback window
     s, d1 = _cutoff_core(x, r1, r2)
     if falling:
         return h * (1.0 - s), -h * d1

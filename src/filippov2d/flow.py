@@ -8,16 +8,18 @@ witness (a window capped at its seed) pass other values.
 Every smooth arc is integrated by one kernel, ``_transit``: a loop over the
 accepted steps of a ``numerics.DOP853`` stepper. After each step it checks
 a fixed set of stops from the step's ends and the slopes the stepper
-already holds there (FSAL):
+already holds there (FSAL), each read once as Python floats:
 
 * exit lines: Sigma (a transit in one half-plane, ``integrate_smooth``)
   and the window padded by 1e-9 of its larger side;
 * a vertical line x = x_at (``maps._flow_to_section``, upper field),
   crossed either way: the first crossing other than the start point ends
   the transit (as a tangent hit when not transversal);
-* turns of y (g changes sign, or the step's cubic Hermite interpolant
-  turns): a turn toward Sigma whose height, integrated onto its abscissa,
-  is within 1e-8 is a touch, a graze of Sigma; one beyond it is a dip;
+* turns of y (g changes sign, or the slope of the step's cubic Hermite
+  interpolant does at one of 33 samples, computed with the float
+  operations of numpy's ``polyval`` in its order): a turn toward Sigma
+  whose height, integrated onto its abscissa, is within 1e-8 is a touch,
+  a graze of Sigma; one beyond it is a dip;
 * the time budget.
 
 Only a step where one may fire builds the dense output, to locate the
@@ -131,6 +133,7 @@ _TOUCH_TOL = 1e-8          # |y| of a g-zero inside a step that counts as a touc
 _TRANSVERSAL_TOL = 1e-6    # relative normal speed of an accepted section hit
 _MAX_CONTACTS = 64         # Sigma contacts that restart one transit
 _GRID = np.linspace(0.0, 1.0, 33)   # samples of a step polynomial
+_TAUS = _GRID.tolist()
 _MAX_ARCS = 200            # arcs of one integrate_pws trajectory
 
 
@@ -243,6 +246,15 @@ def _exits(coef: np.ndarray, lo: float, hi: float) -> List[float]:
             for i in np.flatnonzero((v[:-1] >= 0.0) & (v[1:] < 0.0))]
 
 
+def _turns(c0: float, c1: float, c2: float) -> bool:
+    """Whether c0 * (c0 + c1 tau + c2 tau^2) < 0 at a tau of _GRID: the
+    operations of polyval's Horner scheme, in its order, on floats."""
+    for tau in _TAUS:
+        if c0 * (c0 + (c1 + (c2 + tau * 0.0) * tau) * tau) < 0.0:
+            return True
+    return False
+
+
 def _minima(c: np.ndarray, sgn: float, slope) -> List[float]:
     """Where sgn * y has a minimum along a step polynomial c: brackets from
     its y', then Brent's method on slope(x, y), the field's sgn * y'."""
@@ -282,7 +294,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
     fg = _side_fn(*sys.side(side))   # the only field evaluation in a transit
 
     def rhs(t, s):
-        fv, gv = fg(*s.tolist())
+        fv, gv = fg(*s)
         return time_sign * fv, time_sign * gv
 
     # exit lines (n1, n2, level): the orbit stays where n1 x + n2 y >= level;
@@ -333,14 +345,15 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
             t_a, z_a, f_a = solver.t, solver.y, solver.f
             _step(solver)
             t_b, z_b, h = solver.t, solver.y, solver.t - t_a
+            (xa, ya), (xb, yb) = z_a.tolist(), z_b.tolist()
             fired = [(line, kind) for line, kind in exits
-                     if line[0] * z_b[0] + line[1] * z_b[1] < line[2]
-                     <= line[0] * z_a[0] + line[1] * z_a[1]]
+                     if line[0] * xb + line[1] * yb < line[2]
+                     <= line[0] * xa + line[1] * ya]
             # y may turn: the slope of its cubic Hermite interpolant (end
             # slopes d0, d1 times the step) changes sign
-            dy, d0, d1 = z_b[1] - z_a[1], h * f_a[1], h * solver.f[1]
-            turned = x_at is None and bool(np.any(d0 * polyval(_GRID, (
-                d0, 6 * dy - 4 * d0 - 2 * d1, 3 * (d0 + d1 - 2 * dy))) < 0.0))
+            dy, d0, d1 = yb - ya, h * f_a.item(1), h * solver.f.item(1)
+            turned = x_at is None and _turns(
+                d0, 6 * dy - 4 * d0 - 2 * d1, 3 * (d0 + d1 - 2 * dy))
             stops = []   # (tau, kind, line) on the step polynomial c
             if fired or turned:
                 c = _step_poly(solver.dense_output())
@@ -380,7 +393,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
                     # an arrival is not the start point
                     if on_line_at_start and t_e <= 1e-9:
                         continue
-                    fz, gz = rhs(0.0, p)
+                    fz, gz = rhs(0.0, p.tolist())
                     kind = ("section-hit" if abs(fz)
                             > _TRANSVERSAL_TOL * math.hypot(fz, gz)
                             else "tangent-hit")
@@ -400,10 +413,9 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
                     return finish(t_c, float(z_c[0]), 0.0 if kind ==
                                   "sigma-cross" else float(z_c[1]), kind)
             if contact is None:
-                samples.append((t_b, z_b[0], z_b[1]))
+                samples.append((t_b, xb, yb))
                 if solver.status == "finished":
-                    return finish(t_b, float(z_b[0]), float(z_b[1]),
-                                  "time-end")
+                    return finish(t_b, xb, yb, "time-end")
 
         # a tangential contact with Sigma: fly on past it, or under graze
         # chaining end the leg there, stop, or restart a new leg from it

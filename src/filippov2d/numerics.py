@@ -43,12 +43,15 @@ control integration over an interval on it, and ``brentq`` Brent's root
 finder (Algorithms for Minimization without Derivatives, 1973, ch. 4).
 
 Each reproduces SciPy's code path bit for bit: the same tableau, the same
-numpy operations in the same order on the same array slices (``np.dot`` on
-the stage slices, as BLAS rounds them), the same initial step selection
-and step-size control, and the same float operations and error messages
-in Brent's method. Only what this package calls is ported: real 1-D states,
-scalar-returning right-hand sides, no ``max_step``, events, ``t_eval``,
-extra arguments or vectorized evaluation.
+reductions on the same array slices (the dot products of the stage slices
+with the tableau rows, and the norm's ``x.dot(x)``, as BLAS rounds them),
+the same initial step selection and step-size control, and the same float
+operations and error messages in Brent's method. The scalar arithmetic
+around the reductions (stage states, times, step sizes, error weights)
+runs on Python floats, which IEEE-754 rounds as numpy does. Only what this
+package calls is ported: real 1-D states, scalar-returning right-hand
+sides, no ``max_step``, events, ``t_eval``, extra arguments or vectorized
+evaluation.
 """
 
 from __future__ import annotations
@@ -260,16 +263,16 @@ MAX_FACTOR = 10    # largest increase of the step size
 ERROR_EXPONENT = -1 / 8   # -1 / (error estimator order 7 + 1)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-# (a[:s], c) of stages s = 1..11 of a step and 13..15 of its dense output:
-# the same views of A and C that SciPy's loops take
-_STEP_STAGES = [(A[s, :s], C[s]) for s in range(1, N_STAGES)]
-_DENSE_STAGES = [(A[s, :s], C[s])
+# (s, a[:s], c) of stages s = 1..11 of a step and 13..15 of its dense
+# output: the rows of A that SciPy's loops take, and C[s] as a float
+_STEP_STAGES = [(s, A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
+_DENSE_STAGES = [(s, A[s, :s], float(C[s]))
                  for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
 
 def _norm(x: np.ndarray) -> float:
-    """The RMS norm."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    """The RMS norm (numpy's norm of a 1-D float array is sqrt(x.dot(x)))."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -289,7 +292,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     # Check t0+h0*direction doesn't take us beyond t_bound
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    f1 = fun(t0 + h0 * direction, y1.tolist())
     d2 = _norm((f1 - f0) / scale) / h0
 
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -330,6 +333,7 @@ class DOP853:
     t_bound ('finished'). ``t``, ``y`` and ``f`` are the state and slope at
     the step's end, ``t_old`` its start, ``nfev`` the right-hand side
     evaluations so far; ``dense_output()`` interpolates the last step.
+    ``fun(t, y)`` receives the state as a list of floats.
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None):
@@ -341,18 +345,20 @@ class DOP853:
         self.nfev = 0
         self.t_old, self.t, self.y, self.y_old = None, t0, y0, None
         self.t_bound, self.rtol, self.atol = t_bound, rtol, atol
-        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+        self.direction = -1.0 if t_bound < t0 else 1.0
         self.status = "running"
-        self.f = self.fun(self.t, self.y)
+        self.f = self.fun(self.t, y0.tolist())
         if first_step is None:
             self.h_abs = _initial_step(self.fun, self.t, self.y, t_bound,
                                        self.f, self.direction, rtol, atol)
         else:
             self.h_abs = first_step
         self.h_previous = None
-        # stages 0..12 of a step, 13..15 of its dense output
-        self.K_extended = np.empty((N_STAGES_EXTENDED, y0.size))
-        self.K = self.K_extended[:N_STAGES + 1]
+        # stages 0..12 of a step, 13..15 of its dense output, and the
+        # transposed views K[:s].T that the stage sums take
+        K = self.K_extended = np.empty((N_STAGES_EXTENDED, y0.size))
+        self.K = K[:N_STAGES + 1]
+        self._KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
 
     def fun(self, t, y) -> np.ndarray:
         self.nfev += 1
@@ -376,9 +382,10 @@ class DOP853:
 
     def _step_impl(self) -> bool:
         t = self.t
-        y = self.y
+        y = self.y.tolist()
+        direction = self.direction
 
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
 
         step_accepted = False
@@ -388,19 +395,17 @@ class DOP853:
             if h_abs < min_step:
                 return False
 
-            h = h_abs * self.direction
+            h = h_abs * direction
             t_new = t + h
 
-            if self.direction * (t_new - self.t_bound) > 0:
+            if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
 
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
             y_new, f_new = self._rk_step(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) \
-                * self.rtol
-            error_norm = self._estimate_error_norm(h, scale)
+            error_norm = self._estimate_error_norm(h, y, y_new)
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -421,10 +426,10 @@ class DOP853:
                 step_rejected = True
 
         self.h_previous = h
-        self.y_old = y
+        self.y_old = self.y
 
         self.t = t_new
-        self.y = y_new
+        self.y = np.array(y_new)
 
         self.h_abs = h_abs
         self.f = f_new
@@ -432,37 +437,43 @@ class DOP853:
         return True
 
     def _rk_step(self, t, y, h):
-        K = self.K
+        """A step of size h from (t, y): the new state (floats), its slope."""
+        K, KT, fun = self.K, self._KT, self._fun
         K[0] = self.f
-        for s, (a, c) in enumerate(_STEP_STAGES, start=1):
-            dy = np.dot(K[:s].T, a) * h
-            K[s] = self.fun(t + c * h, y + dy)
+        for s, a, c in _STEP_STAGES:
+            dy = KT[s].dot(a).tolist()
+            K[s] = fun(t + c * h, [y_i + d_i * h for y_i, d_i in zip(y, dy)])
 
-        y_new = y + h * np.dot(K[:-1].T, B)
-        f_new = self.fun(t + h, y_new)
+        b = KT[N_STAGES].dot(B).tolist()
+        y_new = [y_i + h * b_i for y_i, b_i in zip(y, b)]
+        f_new = np.asarray(fun(t + h, y_new), dtype=float)
 
         K[-1] = f_new
+        self.nfev += N_STAGES
 
         return y_new, f_new
 
-    def _estimate_error_norm(self, h, scale):
-        K = self.K
-        err5 = np.dot(K.T, E5) / scale
-        err3 = np.dot(K.T, E3) / scale
-        err5_norm_2 = np.linalg.norm(err5)**2
-        err3_norm_2 = np.linalg.norm(err3)**2
+    def _estimate_error_norm(self, h, y, y_new):
+        # max(|y_new|, |y|) is NaN where y_new is, as np.maximum's is
+        scale = np.array([self.atol + max(abs(b), abs(a)) * self.rtol
+                          for a, b in zip(y, y_new)])
+        KT = self._KT[N_STAGES + 1]
+        err5 = KT.dot(E5) / scale
+        err3 = KT.dot(E3) / scale
+        err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+        err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
     def dense_output(self) -> DenseOutput:
         """The interpolant of the last step (one that moved t)."""
-        K = self.K_extended
+        K, KT = self.K_extended, self._KT
         h = self.h_previous
-        for s, (a, c) in enumerate(_DENSE_STAGES, start=N_STAGES + 1):
-            dy = np.dot(K[:s].T, a) * h
-            K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
+        for s, a, c in _DENSE_STAGES:
+            dy = KT[s].dot(a) * h
+            K[s] = self.fun(self.t_old + c * h, (self.y_old + dy).tolist())
 
         F = np.empty((INTERPOLATOR_POWER, len(self.y_old)))
 

@@ -5,11 +5,11 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from filippov2d import (PsiSpec, cutoff_down, cutoff_jet, cutoff_up, cutoffs,
                         psi, psi_dx, psi_jet, psi_sup_norms, zero_psi)
-from filippov2d.cutoffs import _KNOT_TOL, _cutoff_core, _psi_piece
+from filippov2d.cutoffs import _KNOT_TOL, _cutoff_core, _psi_core, _psi_piece
 
 
 def cutoff_up_d1(x, r1, r2):
@@ -174,8 +174,19 @@ def _psi_piece_by_scan(spec, x):
     return 0.0, None, None, False
 
 
+def _psi_core_by_scan(spec, x):
+    """psi and psi' from the scan's piece and the cutoff's closed form."""
+    h, r1, r2, falling = _psi_piece_by_scan(spec, x)
+    if r1 is None:
+        return h, 0.0
+    s, d1 = _cutoff_core(x, r1, r2)
+    return (h * (1.0 - s), -h * d1) if falling else (h * s, h * d1)
+
+
 def _assert_piece_matches_scan(spec, x):
     assert _psi_piece(spec, x) == _psi_piece_by_scan(spec, x)
+    assert [v.hex() for v in _psi_core(spec, x)] \
+        == [v.hex() for v in _psi_core_by_scan(spec, x)]
     got = psi_jet(spec, x, 3)
     with mock.patch.object(cutoffs, "_psi_piece", _psi_piece_by_scan):
         want = psi_jet(spec, x, 3)
@@ -196,6 +207,8 @@ def ascending_specs(draw):
 
 
 @given(ascending_specs(), st.floats(-50.0, 50.0))
+@example(PsiSpec(1, (0.0, 1.0, 2.0, 0.4)), 1e-3)    # eta = 999: saturated,
+@example(PsiSpec(1, (0.0, 1.0, 2.0, 0.4)), 0.999)   # and eta = -999
 @settings(max_examples=200, deadline=None)
 def test_psi_piece_bisection_matches_the_scan(spec, x):
     assert spec.in_knot_domain()
@@ -212,6 +225,7 @@ def test_psi_piece_bisection_matches_the_scan(spec, x):
 
 
 @given(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0))
+@example(0.3, 0.25, 0.2)
 @settings(max_examples=100, deadline=None)
 def test_psi_piece_fallback_matches_the_scan(k, h, x):
     knots = (k, k, k + 1.0)   # not strictly ascending

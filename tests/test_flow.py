@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from hypothesis import given, settings, strategies as st
 
 from filippov2d import (CanonicalBase, PsiSpec, UnfoldingSpec, Window,
@@ -244,6 +245,35 @@ def test_flow_entry_points_take_the_system_first():
     for fn in (flow.integrate_smooth, maps._flow_to_section, flow.sliding_arc,
                flow.integrate_pws, flow.step_filippov):
         assert next(iter(inspect.signature(fn).parameters)) == "sys", fn
+
+
+def _turns_by_polyval(c0, c1, c2):
+    """The turn test as numpy states it: c0 * (c0 + c1 tau + c2 tau^2) < 0
+    at some tau of the grid."""
+    with np.errstate(all="ignore"):
+        return bool(np.any(c0 * polyval(flow._GRID, (c0, c1, c2)) < 0.0))
+
+
+def test_turn_test_decides_as_polyval_does():
+    rng = np.random.default_rng(14)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                -1e-310, 1e300, -1e300, 1.7e308, -1.7e308, 1.0, -1.0]
+    triples = [tuple(specials[i] for i in rng.integers(len(specials), size=3))
+               for _ in range(400)]
+    for _ in range(2000):   # signs, mantissas and exponents at random
+        signs, mants = rng.choice((-1.0, 1.0), 3), rng.uniform(1.0, 10.0, 3)
+        exps = rng.integers(-330, 300, 3)
+        triples.append(tuple(float(s * m) * 10.0 ** int(e)
+                             for s, m, e in zip(signs, mants, exps)))
+    triples += [tuple(v) for v in rng.normal(0.0, 1.0, (500, 3))]
+    for k in range(33):   # zeros exactly on a grid point, double and simple
+        tau = k / 32
+        triples += [(tau * tau, -2.0 * tau, 1.0),
+                    (-tau * tau, 2.0 * tau, -1.0),
+                    (tau, -1.0, 0.0), (-tau, 1.0, -0.0)]
+    decisions = [flow._turns(*c) for c in triples]
+    assert decisions == [_turns_by_polyval(*c) for c in triples]
+    assert any(decisions) and not all(decisions)
 
 
 def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):

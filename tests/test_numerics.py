@@ -19,10 +19,13 @@ import scipy.optimize
 
 import filippov2d
 from filippov2d import StepUnderflow, flow, numerics
+from filippov2d.cutoffs import PsiSpec
+from filippov2d.system import Window
+from filippov2d.unfolding import CanonicalBase, UnfoldingSpec, build_unfolded
 
 
 def planar(t, z):
-    x, y = z.tolist()
+    x, y = map(float, z)   # ours passes a list, SciPy an array
     return 1.0 + 0.2 * y, x * x - 0.3 + 0.1 * x * y
 
 
@@ -38,6 +41,22 @@ def henon(s, w):
     return np.append(v, 1.0) / v[0]
 
 
+def _sheared_side():
+    """The upper side of a system sheared by a psi bump on [-0.6, 0], as
+    one (x, y) -> (f, g) function: its steep flanks make the stepper
+    reject steps."""
+    window = Window(-1.0, 1.0, -1.0, 1.0)
+    base = CanonicalBase.from_strings("1 + 0.2*y", "1", 0, "-1", "-1", 0,
+                                      window)
+    system = build_unfolded(UnfoldingSpec(
+        base, psi_plus=PsiSpec(1, (-0.6, -0.3, 0.0, 0.01))))
+    side = flow._side_fn(*system.side("upper"))
+
+    def sheared(t, z):
+        return side(*map(float, z))
+    return sheared
+
+
 CASES = {
     "2d-forward": (planar, 0.0, [-0.9, 0.1], 3.0, None),
     "2d-backward": (planar, 3.0, [0.4, -0.2], 0.0, None),
@@ -45,7 +64,9 @@ CASES = {
     "1d-sliding": (sliding, 0.0, [0.1], 20.0, None),
     "3d-landing": (henon, -1.15, [0.05, 0.02, 1.5], 0.0, 1.15),
     "3d-landing-own-step": (henon, -1.15, [0.05, 0.02, 1.5], 0.0, None),
+    "2d-sheared": (_sheared_side(), 0.0, [-0.9, 0.1], 1.5, None),
 }
+REJECTS = {"2d-sheared"}   # cases whose run must reject a step
 
 
 def _steppers(fun, t0, y0, t_bound, first_step):
@@ -66,18 +87,22 @@ def _assert_same_dense(ours, theirs):
 def test_stepper_is_scipys_step_for_step(case):
     ours, theirs = _steppers(*CASES[case])
     assert ours.h_abs == theirs.h_abs and ours.nfev == theirs.nfev
-    steps = 0
+    steps = rejected = 0
     while theirs.status == "running":
+        nfev = theirs.nfev
         assert ours.step() == theirs.step()
+        rejected += theirs.nfev - nfev > numerics.N_STAGES
         assert ours.status == theirs.status
         assert ours.t == theirs.t and ours.t_old == theirs.t_old
         assert (ours.y == theirs.y).all() and (ours.f == theirs.f).all()
         assert ours.nfev == theirs.nfev
+        assert ours.h_abs == theirs.h_abs
         if steps % 3 == 0:
             _assert_same_dense(ours, theirs)
         steps += 1
     assert theirs.status == "finished" and steps > 3
     assert ours.nfev == theirs.nfev
+    assert rejected or case not in REJECTS
 
 
 def test_too_small_a_step_fails_as_scipys_does():
