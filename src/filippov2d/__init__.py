@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .fieldexpr import (EvalDomainError, ParseError, ScalarField, as_field,
                         compile_expr, differentiate, evaluate, expr_jet,
                         parse_expr, to_str)
-from .system import (DegenerateDenominator, NormalFormMeta, NotSliding,
-                     PwsSystem, SigmaDecomposition, Window, WindowMismatch,
+from .system import (DegenerateDenominator, NotSliding, PwsSystem,
+                     SigmaDecomposition, Window, WindowMismatch,
                      decompose_sigma, h_value, sliding_convex_coefficient,
                      sliding_field, system_distance)
 from .tangency import (BoundViolation, IndeterminateMultiplicity,
@@ -27,9 +27,8 @@ from .flow import (Arc, AmbiguousTangency, Event, SmoothRun, StepUnderflow,
                    integrate_smooth, read_trajectory_csv, sliding_arc,
                    trajectory_to_csv)
 from .maps import NoArrival, TangentialArrival, displacement_sigma
-from .loops import (CensusMismatch, HarvestFailure, LoopCensus, LoopRecord,
-                    NotClosed, RangeError, RootNotBracketed,
-                    TangentOrbitCensus, VerificationFailed, canonical_base,
+from .loops import (CensusMismatch, LoopCensus, LoopRecord, RangeError,
+                    VerificationFailed, canonical_base,
                     canonical_critical_loop, classify_loop,
                     find_crossing_cycles, read_census_csv, scenario_thm2,
                     scenario_thm3, scenario_thm4, scenario_thm5,

@@ -11,7 +11,15 @@ Config files are line-oriented ``section.key = value`` with sections
 {upper, lower, scenario, output}. Field expressions are quoted strings;
 everything else is plain decimal / bare words. See load_config.
 
-Exit codes: 0 success, 2 malformed config, 1 anything else (a
+``run`` looks scenario.theorem 2-5 up in one table (_SCENARIOS): the
+theorem's loops.scenario_thmN returns a LoopCensus that already meets its
+theorem's relation, and run writes its witnesses and plain orbits. With
+theorem 1 or none it scans the configured system and pencils a few plain
+orbits. A tangent point count other than scenario.expect_tangent_points
+raises CensusMismatch.
+
+Exit codes: 0 success, 2 malformed config, 1 anything else (a refusal,
+a failed certificate, a broken relation or a transit failure; a
 diagnostics.txt with the traceback is left in the output directory).
 """
 
@@ -36,10 +44,10 @@ from .flow import (Trajectory, TransitFailure, integrate_pws,
 from .unfolding import CanonicalBase, UnfoldingSpec, build_transition, \
     build_unfolded
 from .cutoffs import cutoff_up
-from .loops import (LoopCensus, LoopRecord, RangeError, canonical_base,
-                    canonical_critical_loop, scenario_thm2, scenario_thm3,
-                    scenario_thm4, scenario_thm5, write_census_csv,
-                    read_census_csv)
+from .loops import (CensusMismatch, LoopCensus, LoopRecord, _counts_field,
+                    canonical_base, canonical_critical_loop, scenario_thm2,
+                    scenario_thm3, scenario_thm4, scenario_thm5,
+                    write_census_csv, read_census_csv)
 
 TANGENT_CSV_VERSION = "filippov2d-tangent-points-v1"
 
@@ -415,6 +423,39 @@ def _pencil(sys: PwsSystem, n: int = 6) -> List[Trajectory]:
     return out
 
 
+def _count_lines(census: LoopCensus) -> List[str]:
+    return [f"beta_c={census.beta_c}", f"beta_s={census.beta_s}",
+            f"beta_cro_1={census.beta_cro.get(1, 0)}",
+            f"beta_cri_1={census.beta_cri.get(1, 0)}"]
+
+
+def _loop_lines(census: LoopCensus) -> List[str]:
+    rec = census.witnesses[0][1]
+    return [f"loop_kind={rec.kind}",
+            f"tangent_touches={rec.tangent_touch_count}"]
+
+
+def _tangent_orbit_lines(census: LoopCensus) -> List[str]:
+    return [f"tangent_orbits={census.tangent_orbits.get(census.ell, 0)}",
+            "contact_groups=" + _counts_field(census.tangent_orbits)]
+
+
+# theorem -> (its census for a config and the delta keyword, the summary
+# lines of that census). Each lambda looks its scenario_thmN up in this
+# module when it runs, so a wrapper bound here later is the one called.
+_SCENARIOS = {
+    2: (lambda cfg, kw: scenario_thm2(
+            7 if cfg.upper.m is None else cfg.upper.m, cfg.visibility,
+            cfg.ell, **kw), _tangent_orbit_lines),
+    3: (lambda cfg, kw: scenario_thm3(_canonical_for(cfg), cfg.ell,
+                                      cfg.kind, **kw), _loop_lines),
+    4: (lambda cfg, kw: scenario_thm4(_canonical_for(cfg), cfg.ell, **kw),
+        _count_lines),
+    5: (lambda cfg, kw: scenario_thm5(_canonical_for(cfg), cfg.ell, **kw),
+        _count_lines),
+}
+
+
 def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
     """Execute the configured scenario and write every artifact.
 
@@ -425,84 +466,39 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
     traj_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        censuses: List[LoopCensus] = []
-        witnesses: List[Tuple[str, LoopRecord]] = []
-        plain: List[Trajectory] = []
-        summary: List[str] = []
-
-        if cfg.theorem == 2:
-            m_p = cfg.upper.m if cfg.upper.m is not None else 7
-            kwargs = {} if cfg.delta is None else {"delta": cfg.delta}
-            spec, tc = scenario_thm2(m_p, cfg.visibility, cfg.ell, **kwargs)
-            sys_final = build_unfolded(spec)
-            census = LoopCensus("thm2", m_p, 0, cfg.ell)
-            censuses.append(census)
-            plain.extend(tc.orbits)
-            got = tc.counts.get(cfg.ell, 0)
-            offset = 1 if cfg.visibility == "V" else -1
-            want = (m_p + offset) // (2 * cfg.ell)
-            summary.append(f"tangent_orbits={got}")
-            summary.append(
-                "contact_groups=" + ";".join(
-                    f"{k}:{v}" for k, v in sorted(tc.counts.items())))
-            if got != want:
-                raise RangeError(
-                    f"tangent orbit count {got} differs from {want}")
-        elif cfg.theorem == 3:
-            base = _canonical_for(cfg)
-            kwargs = {} if cfg.delta is None else {"delta": cfg.delta}
-            spec4, rec = scenario_thm3(base, cfg.ell, cfg.kind, **kwargs)
-            sys_final = build_unfolded(spec4)
-            census = LoopCensus("thm3", base.m_plus, base.m_minus, cfg.ell)
-            if cfg.kind == "crossing":
-                census.beta_cro[cfg.ell] = 1
-            else:
-                census.beta_cri[cfg.ell] = 1
-            census.witnesses.append((f"{cfg.kind}_l{cfg.ell}", rec))
-            censuses.append(census)
-            summary.append(f"loop_kind={rec.kind}")
-            summary.append(f"tangent_touches={rec.tangent_touch_count}")
-        elif cfg.theorem in (4, 5):
-            base = _canonical_for(cfg)
-            kwargs = {} if cfg.delta is None else {"delta": cfg.delta}
-            scenario = scenario_thm4 if cfg.theorem == 4 else scenario_thm5
-            census = scenario(base, cfg.ell, **kwargs)
+        if cfg.theorem in _SCENARIOS:
+            scenario, summarize = _SCENARIOS[cfg.theorem]
+            census = scenario(
+                cfg, {} if cfg.delta is None else {"delta": cfg.delta})
             sys_final = build_unfolded(census.spec)
-            censuses.append(census)
-            summary.append(f"beta_c={census.beta_c}")
-            summary.append(f"beta_s={census.beta_s}")
-            summary.append(f"beta_cro_1={census.beta_cro.get(1, 0)}")
-            summary.append(f"beta_cri_1={census.beta_cri.get(1, 0)}")
+            summary = summarize(census)
         else:
             # plain scan (scenario.theorem = 1 or omitted): tangencies of
             # the configured system, optionally after a lambda unfolding
             sys_final = _configured_system(cfg)
             census = LoopCensus("scan", cfg.upper.m or 0, cfg.lower.m or 0,
-                                cfg.ell)
-            censuses.append(census)
-            plain.extend(_pencil(sys_final))
+                                cfg.ell, orbits=_pencil(sys_final))
+            summary = []
 
         scan = find_tangent_points(sys_final)
         summary.append(f"tangent_points={len(scan.records)}")
         if cfg.expect_tangent_points is not None \
                 and len(scan.records) != cfg.expect_tangent_points:
-            raise RangeError(
+            raise CensusMismatch(
                 f"found {len(scan.records)} tangent points, "
                 f"config expects {cfg.expect_tangent_points}")
 
-        for census in censuses:
-            witnesses.extend(census.witnesses)
-        for tag, rec in witnesses:
+        for tag, rec in census.witnesses:
             name = _safe_tag(tag) + ".csv"
             trajectory_to_csv(rec.trajectory, traj_dir / name)
-        for i, traj in enumerate(plain):
+        for i, traj in enumerate(census.orbits):
             trajectory_to_csv(traj, traj_dir / f"orbit_{i:02d}.csv")
 
-        write_census_csv(out / "census.csv", censuses,
-                         witnesses_paths=["trajectories"] * len(censuses))
+        write_census_csv(out / "census.csv", [census],
+                         witnesses_paths=["trajectories"])
         write_tangent_points_csv(out / "tangent_points.csv", scan)
-        svg = render_portrait(sys_final, scan, plain,
-                              [rec for _, rec in witnesses])
+        svg = render_portrait(sys_final, scan, census.orbits,
+                              [rec for _, rec in census.witnesses])
         (out / "portrait.svg").write_text(svg)
         for line in summary:
             print(line)

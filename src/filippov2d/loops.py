@@ -10,16 +10,31 @@ they meet the switching line. On top of that sit the census builders:
   integration-verified witnesses;
 * scenario_thm2 .. scenario_thm5 -- preconfigured unfoldings realising
   prescribed counts of tangent orbits, nonsliding/critical loops, sliding
-  loops and crossing limit cycles.
+  loops and crossing limit cycles. Each returns its LoopCensus and checks
+  its theorem's relation between (m, ell) and those counts itself.
 
 Nothing here is synthesised from closed-form orbit formulas: every record
 returned carries a trajectory that was actually integrated, so a successful
 return certifies the advertised geometry up to the stated tolerances.
 
+A scenario either returns its census or raises one of three classes:
+
+* RangeError -- a refusal: the parameter it names is outside the range
+  the construction supports;
+* VerificationFailed -- a certificate or a stage failed (a loop that does
+  not close, a root that is not bracketed, orbit data that could not be
+  harvested), and the message names it;
+* CensusMismatch -- every certificate held, but the counts break the
+  theorem's relation.
+
+A transit that cannot continue raises the flow layer's TransitFailure
+family (a Sigma transit that ends off Sigma: maps.NoArrival), which the
+scans skip and a scenario lets through.
+
 Every root is a zero of a closure gap (the displacement, a landing gap),
 bracketed by a sign change of a scan and polished by brentq in _root. It
 must leave |gap| <= CLOSURE_TOL: a sign change made by a jump of the gap
-raises RootNotBracketed before any witness is integrated on it.
+raises VerificationFailed before any witness is integrated on it.
 
 Searches and certificates fly on different systems of one unfolding. The
 displacement (_displacement: the flank dips, the scans and their polish)
@@ -44,7 +59,7 @@ import numpy as np
 from .cutoffs import PsiSpec
 from .flow import (Arc, Event, SmoothRun, Trajectory, TransitFailure,
                    integrate_smooth, sliding_arc)
-from .maps import _flow_to_section, displacement_sigma
+from .maps import NoArrival, _flow_to_section, displacement_sigma
 from .numerics import brentq
 from .system import PwsSystem, Window, h_value
 from .tangency import multiplicity_at
@@ -55,29 +70,17 @@ CLOSURE_TOL = 1e-8
 _CONTACT_TOL = 1e-6   # x-distance of a tangent junction from a zero of g
 
 
-class NotClosed(Exception):
-    """Trajectory endpoints do not coincide within the closure tolerance."""
-
-
-class VerificationFailed(Exception):
-    """An assembled loop failed one of its integration checks."""
-
-
 class RangeError(Exception):
     """Scenario parameter outside the range the construction supports."""
 
 
-class HarvestFailure(Exception):
-    """Orbit data needed to size a perturbation could not be collected."""
-
-
-class RootNotBracketed(Exception):
-    """A closure gap has no sign change where expected, or its sign change
-    holds no zero."""
+class VerificationFailed(Exception):
+    """A certificate or a stage failed; the message names it."""
 
 
 class CensusMismatch(Exception):
-    """Assembled loop counts disagree with the scenario targets."""
+    """A census breaks its theorem's relation between (m, ell) and the
+    counts."""
 
 
 # --------------------------------------------------------------------------
@@ -97,7 +100,7 @@ class LoopRecord:
 
 @dataclass
 class LoopCensus:
-    """Loop counts of one scenario run, with integrated witnesses."""
+    """Counts of one scenario run, with integrated witnesses and orbits."""
 
     scenario: str
     m_plus: int
@@ -107,17 +110,10 @@ class LoopCensus:
     beta_s: int = 0
     beta_cro: Dict[int, int] = field(default_factory=dict)
     beta_cri: Dict[int, int] = field(default_factory=dict)
+    tangent_orbits: Dict[int, int] = field(default_factory=dict)  # by contacts
     witnesses: List[Tuple[str, LoopRecord]] = field(default_factory=list)
+    orbits: List[Trajectory] = field(default_factory=list)  # plain, no loops
     spec: Optional[UnfoldingSpec] = None   # the unfolding it was taken on
-
-
-@dataclass
-class TangentOrbitCensus:
-    """Orbits through visible tangencies, grouped by contact count."""
-
-    counts: Dict[int, int]
-    orbits: List[Trajectory]
-    visible_points: Tuple[float, ...]
 
 
 # --------------------------------------------------------------------------
@@ -153,22 +149,22 @@ def classify_loop(traj: Trajectory) -> LoopRecord:
     without a tangent switching point give crossing-nonsliding; purely
     transversal loops come back crossing-periodic (find_crossing_cycles
     upgrades isolated ones to crossing-limit-cycle); loops that never
-    change half-plane are grazing. Raises NotClosed when the endpoints
-    differ by more than CLOSURE_TOL. A junction counts as tangent when it
-    sits within _CONTACT_TOL (in x) of a zero of the active side's g;
-    contacts closer than that count once.
+    change half-plane are grazing. Raises VerificationFailed when the
+    endpoints differ by more than CLOSURE_TOL. A junction counts as
+    tangent when it sits within _CONTACT_TOL (in x) of a zero of the
+    active side's g; contacts closer than that count once.
     """
     sys = traj.system
     if sys is None:
         raise ValueError("classify_loop needs trajectory.system to be set")
     arcs = traj.arcs
     if not arcs:
-        raise NotClosed("trajectory has no arcs")
+        raise VerificationFailed("trajectory has no arcs")
     x0, y0 = traj.start()
     x1, y1 = traj.end()
     residual = math.hypot(x1 - x0, y1 - y0)
     if residual > CLOSURE_TOL:
-        raise NotClosed(
+        raise VerificationFailed(
             f"endpoints ({x0:.12g}, {y0:.3e}) vs ({x1:.12g}, {y1:.3e}) "
             f"differ by {residual:.3e} > {CLOSURE_TOL:.1e}")
     scale_up = sys.sigma_g_scale("upper")
@@ -207,12 +203,12 @@ def classify_loop(traj: Trajectory) -> LoopRecord:
 
 
 def _landed(run: SmoothRun) -> float:
-    """Where a transit from Sigma crossed back to it; HarvestFailure if it
-    ended any other way."""
+    """Where a transit from Sigma crossed back to it; NoArrival if it ended
+    any other way."""
     if run.terminal.kind != "sigma-cross":
         leg = run.legs[0]
-        raise HarvestFailure(f"{leg.kind} transit from x={leg.x[0]:.6g} "
-                             f"ended with {run.terminal.kind}")
+        raise NoArrival(f"{leg.kind} transit from x={leg.x[0]:.6g} "
+                        f"ended with {run.terminal.kind}")
     return run.terminal.x
 
 
@@ -235,11 +231,11 @@ def _signed_area(arcs: Sequence[Arc]) -> float:
 def _evaluable(f: Callable[[float], float],
                xs: Iterable[float]) -> Iterator[Tuple[float, float]]:
     """(x, f(x)) for each x of xs in turn, leaving out every point whose
-    transit or harvest fails."""
+    transit fails."""
     for x in xs:
         try:
             yield float(x), f(float(x))
-        except (TransitFailure, HarvestFailure):
+        except TransitFailure:
             continue
 
 
@@ -252,7 +248,7 @@ def _root(stage: str, f: Callable[[float], float],
     method returns a point it evaluated, so f(root) is read back from its
     own evaluations: the root must leave |f(root)| <= CLOSURE_TOL, which a
     sign change made by a jump of f does not. No sign change, or a root
-    that breaks that contract, raises RootNotBracketed naming the stage.
+    that breaks that contract, raises VerificationFailed naming the stage.
     """
     scanned: List[Tuple[float, float]] = []
     for x, v in samples:
@@ -262,7 +258,7 @@ def _root(stage: str, f: Callable[[float], float],
     else:
         span = (f"in [{scanned[0][0]:.9g}, {scanned[-1][0]:.9g}]"
                 if scanned else "at no evaluable point")
-        raise RootNotBracketed(
+        raise VerificationFailed(
             f"{stage}: no sign change over {len(scanned)} points {span}")
     a, b = sorted((scanned[-1][0], x))
     seen: Dict[float, float] = {}
@@ -273,7 +269,7 @@ def _root(stage: str, f: Callable[[float], float],
 
     root = float(brentq(gap, a, b, xtol=1e-13, rtol=4e-15))
     if abs(seen[root]) > CLOSURE_TOL:
-        raise RootNotBracketed(
+        raise VerificationFailed(
             f"{stage}: the sign change in ({a:.9g}, {b:.9g}) holds no zero:"
             f" the gap at {root:.12g} is {seen[root]:.3e}")
     return root
@@ -467,7 +463,7 @@ def find_crossing_cycles(sys: PwsSystem,
         try:
             root = _root("crossing cycle", disp,
                          [(pts[a_i], va), (pts[a_i + 1], vb)])
-        except (TransitFailure, RootNotBracketed):
+        except (TransitFailure, VerificationFailed):
             continue
         if not down(root):
             continue
@@ -519,7 +515,7 @@ def _pin_data(hat: PwsSystem, lam: Sequence[float]) -> List[_Pin]:
         anchor = y if i == 1 else _flow_to_section(
             hat, (conj, 0.0), lam[0]).y
         if y <= 0.0 or anchor <= 0.0:
-            raise HarvestFailure(
+            raise VerificationFailed(
                 f"pin at {tp:.6g}: orbit heights not positive "
                 f"({y:.3e}, {anchor:.3e})")
         pins.append(_Pin(tp, conj, y, anchor))
@@ -652,7 +648,7 @@ def _flank_dip(sys: PwsSystem, left: float, peak: float) -> float:
     xs = peak - np.geomspace(0.5 * span, 1e-5 * span, 48)
     vals = [v for _, v in _evaluable(_displacement(sys), xs)]
     if not vals:
-        raise HarvestFailure(
+        raise VerificationFailed(
             f"displacement not evaluable left of the peak at {peak:.6g}")
     return min(vals)
 
@@ -663,7 +659,7 @@ def _flank_dip(sys: PwsSystem, left: float, peak: float) -> float:
 
 def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
                   delta: float = 0.4, window: Optional[Window] = None,
-                  ) -> Tuple[UnfoldingSpec, TangentOrbitCensus]:
+                  ) -> LoopCensus:
     """Unfold (1, +-x^m) into a positive cluster with grouped tangent orbits.
 
     The tangency splits into simple points at i*delta. A plateau shear pins
@@ -671,7 +667,10 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
     orbit grazes exactly those; bumps past the last full group are raised
     high enough to force separate single-contact orbits. The census walks
     every visible point, follows its orbit both ways through grazes, and
-    groups the deduplicated orbits by contact count.
+    groups the deduplicated orbits by contact count (tangent_orbits; the
+    orbits themselves go to orbits). There must be (m + 1) // (2 ell)
+    orbits with ell contacts when O is visible, (m - 1) // (2 ell) when it
+    is invisible; CensusMismatch otherwise.
 
     Supports the invisible case fully and the visible one on a best-effort
     basis; the half-plane cases of even multiplicity are out of range.
@@ -693,10 +692,13 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
                         -ymax, ymax)
     phi = "-1" if invis else "1"
     base = CanonicalBase.from_strings("1", phi, m_plus, "-1", "-1", 0, window)
+    census = LoopCensus("thm2", m_plus, 0, ell,
+                        spec=UnfoldingSpec(base, lam, ()))
     if d == 0:
-        # multiplicity 1, invisible: the lone split point stays invisible
-        return UnfoldingSpec(base, lam, ()), TangentOrbitCensus({}, [], ())
-    hat = build_transition(UnfoldingSpec(base, lam, ()))
+        # multiplicity 1, invisible: the lone split point stays invisible,
+        # and (m - 1) // (2 ell) = 0 orbits are due
+        return census
+    hat = build_transition(census.spec)
     vis_pts = tuple(lam[2 * i - 1] for i in range(1, d + 1)) if invis \
         else tuple(lam[2 * i - 2] for i in range(1, d + 1))
     anchor = vis_pts[0]
@@ -718,16 +720,15 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
             h_n = _flow_to_section(hat, (anchor, seeds[j - 1]),
                                    vis_pts[n - 1]).y
         if h_n <= 0.0:
-            raise HarvestFailure(
+            raise VerificationFailed(
                 f"reference orbit {j} dips to {h_n:.3e} over "
                 f"x={vis_pts[n - 1]:.6g}")
         heights.append(h_n)
     psi = PsiSpec(d, knots + tuple(heights))
-    spec = UnfoldingSpec(base, lam, (), psi_plus=psi)
-    sys4 = build_unfolded(spec)
+    census.spec = UnfoldingSpec(base, lam, (), psi_plus=psi)
+    sys4 = build_unfolded(census.spec)
 
-    counts: Dict[int, int] = {}
-    orbits: List[Trajectory] = []
+    counts = census.tangent_orbits
     seen: set = set()
     for v in vis_pts:
         touch_xs = {float(v)}
@@ -736,15 +737,16 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
             run = integrate_smooth(sys4, "upper", (v, 0.0), time_sign=sign,
                                    chain=True)
             if run.terminal.kind not in ("sigma-cross", "window-exit"):
-                raise HarvestFailure(f"orbit through {v:.6g} ended {way} "
-                                     f"with {run.terminal.kind}")
+                raise VerificationFailed(
+                    f"orbit through {v:.6g} ended {way} "
+                    f"with {run.terminal.kind}")
             touch_xs.update(float(ev.x) for ev in run.touches)
             legs[way] = run.legs
         key_idx = []
         for tx in touch_xs:
             k = int(np.argmin([abs(tx - l) for l in lam]))
             if abs(tx - lam[k]) > 0.25 * delta:
-                raise HarvestFailure(
+                raise VerificationFailed(
                     f"contact at {tx:.6g} is not near any split point")
             key_idx.append(k)
         key = tuple(sorted(set(key_idx)))
@@ -752,9 +754,13 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
             continue
         seen.add(key)
         counts[len(key)] = counts.get(len(key), 0) + 1
-        orbits.append(_stitch_orbit(sys4, legs["backward"], legs["forward"],
-                                    sorted(touch_xs)))
-    return spec, TangentOrbitCensus(counts, orbits, vis_pts)
+        census.orbits.append(_stitch_orbit(
+            sys4, legs["backward"], legs["forward"], sorted(touch_xs)))
+    got = counts.get(ell, 0)
+    want = (m_plus + (-1 if invis else 1)) // (2 * ell)
+    if got != want:
+        raise CensusMismatch(f"tangent orbit count {got} differs from {want}")
+    return census
 
 
 def _stitch_orbit(sys: PwsSystem, bw_arcs: List[Arc], fw_arcs: List[Arc],
@@ -798,7 +804,7 @@ def _plateau_psi(height: float, p_x: float) -> PsiSpec:
 
 
 def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
-                  delta: float = 0.08) -> Tuple[UnfoldingSpec, LoopRecord]:
+                  delta: float = 0.08) -> LoopCensus:
     """One nonsliding loop with exactly ell tangential contacts.
 
     Splits the upper tangency into a negative cluster and pins the first
@@ -807,7 +813,9 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     past them). kind='crossing' lets the orbit cross transversally after
     its last graze; kind='critical' drops it at the ell-th contact. A
     lower plateau shear, its height a root of the landing gap, closes the
-    loop at the upper orbit's backward crossing.
+    loop at the upper orbit's backward crossing. The census holds that one
+    loop: beta_cro[ell] = 1 or beta_cri[ell] = 1, its witness tagged
+    "{kind}_l{ell}".
     """
     m = base.m_plus
     if m < 1 or m % 2 == 0:
@@ -832,7 +840,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     for i in range(1, d + 1):
         h_ref = _flow_to_section(hat, (p_ref, 0.0), lam[2 * i - 2]).y
         if h_ref <= 0.0:
-            raise HarvestFailure(
+            raise VerificationFailed(
                 f"reference orbit height {h_ref:.3e} over "
                 f"x={lam[2 * i - 2]:.6g} is not positive")
         heights.append(h_ref if i <= ell else 2.0 * h_ref)
@@ -913,7 +921,10 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
         raise VerificationFailed(
             f"classified {rec.kind} with {rec.tangent_touch_count} contacts,"
             f" expected {want} with {ell}")
-    return spec4, rec
+    census = LoopCensus("thm3", m, base.m_minus, ell, spec=spec4,
+                        witnesses=[(f"{kind}_l{ell}", rec)])
+    (census.beta_cro if kind == "crossing" else census.beta_cri)[ell] = 1
+    return census
 
 
 # --------------------------------------------------------------------------
@@ -1047,7 +1058,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
                       for x in (tp + h_fd, tp - h_fd))
         slope = abs(p_hi - p_lo) / (2.0 * h_fd)
         if g_conj <= 0.0 or slope <= 0.0:
-            raise HarvestFailure(
+            raise VerificationFailed(
                 f"conjugate-point geometry degenerate at x={tp:.6g}")
         rates.append(1.0 / (g_conj * slope))
 
@@ -1068,7 +1079,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
         xs = np.linspace(tp + pad, hi - pad, 160)
         try:
             return _root("pseudo-equilibrium", num, _evaluable(num, xs)) - tp
-        except RootNotBracketed:
+        except VerificationFailed:
             return hi - tp
 
     cap = min((_exit_span(i) / rates[i - 1] for i in range(1, n + 1)),
@@ -1077,7 +1088,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
     lower_by = []
     for i in range(n + 1, d + 1):
         if dips[i - 1] >= 0.0:
-            raise HarvestFailure(
+            raise VerificationFailed(
                 f"no displacement dip resolved at the peak "
                 f"x={lam[2 * i - 2]:.6g} (min {dips[i - 1]:.3e})")
         lower_by.append(0.35 * abs(dips[i - 1]))
@@ -1087,7 +1098,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
         h_i = p.height + (raise_by[i - 1] if i <= n
                           else -lower_by[i - n - 1])
         if h_i <= 0.0:
-            raise HarvestFailure(
+            raise VerificationFailed(
                 f"perturbed height at x={p.tp:.6g} is not positive")
         heights.append(h_i)
     spec5 = UnfoldingSpec(base, lam, lam_m, PsiSpec(d, knots + tuple(heights)))

@@ -93,13 +93,6 @@ class Window:
                 and self.y_lo - pad <= y <= self.y_hi + pad)
 
 
-@dataclass(frozen=True)
-class NormalFormMeta:
-    """Tangency orders (m+, m-) at the origin for canonical-form systems."""
-    m_plus: int
-    m_minus: int
-
-
 @dataclass
 class PwsSystem:
     f_plus: ScalarFunc
@@ -107,7 +100,6 @@ class PwsSystem:
     f_minus: ScalarFunc
     g_minus: ScalarFunc
     window: Window
-    meta: NormalFormMeta | None = None
     # set by build_unfolded on a sheared system: the transition system the
     # shear conjugates it to, with the upper profile psi+ (None: zero)
     transition: Tuple[PwsSystem, PsiSpec | None] | None = field(
@@ -115,10 +107,10 @@ class PwsSystem:
     _g_scales: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def from_strings(cls, f_plus, g_plus, f_minus, g_minus, window,
-                     meta=None) -> "PwsSystem":
+    def from_strings(cls, f_plus, g_plus, f_minus, g_minus,
+                     window) -> "PwsSystem":
         return cls(as_field(f_plus), as_field(g_plus),
-                   as_field(f_minus), as_field(g_minus), window, meta)
+                   as_field(f_minus), as_field(g_minus), window)
 
     def upper(self) -> Tuple[ScalarFunc, ScalarFunc]:
         return self.f_plus, self.g_plus

@@ -46,7 +46,7 @@ from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
 # this module calls no numerics.solve_ivp; it stays bound here because
 # perfbench/tracing.py wraps it on every layer
 from .numerics import solve_ivp  # noqa: F401
-from .system import NormalFormMeta, PwsSystem, Window
+from .system import PwsSystem, Window
 
 
 @dataclass
@@ -71,8 +71,7 @@ class CanonicalBase:
     def system(self) -> PwsSystem:
         gp = _g_expr(self.phi_plus, [0.0] * self.m_plus)
         gm = _g_expr(self.phi_minus, [0.0] * self.m_minus)
-        return PwsSystem(self.f_plus, gp, self.f_minus, gm, self.window,
-                         NormalFormMeta(self.m_plus, self.m_minus))
+        return PwsSystem(self.f_plus, gp, self.f_minus, gm, self.window)
 
 
 def _monic_product_expr(lambdas: Sequence[float]) -> Expr:
@@ -117,8 +116,7 @@ def build_transition(spec: UnfoldingSpec) -> PwsSystem:
     b = spec.base
     return PwsSystem(
         b.f_plus, _g_expr(b.phi_plus, spec.lambda_plus),
-        b.f_minus, _g_expr(b.phi_minus, spec.lambda_minus),
-        b.window, NormalFormMeta(b.m_plus, b.m_minus))
+        b.f_minus, _g_expr(b.phi_minus, spec.lambda_minus), b.window)
 
 
 def _shear_jets(psi_spec: PsiSpec, x: float, y: float,
@@ -251,9 +249,8 @@ def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
     f_m, g_m = _sheared_side(b.f_minus, b.phi_minus, spec.lambda_minus,
                              spec.psi_minus, trans.lower())
     return PwsSystem(f_p, g_p, f_m, g_m, b.window,
-                     NormalFormMeta(b.m_plus, b.m_minus),
-                     (trans, None if zero_psi(spec.psi_plus)
-                      else spec.psi_plus))
+                     transition=(trans, None if zero_psi(spec.psi_plus)
+                                 else spec.psi_plus))
 
 
 def admissible_k_family(d: int, base_gap: float, shrink: float = 0.5,

@@ -48,6 +48,16 @@ def test_run_thm2_writes_every_artifact(tmp_path, capsys):
     assert (row["scenario"], row["m_plus"], row["ell"]) == ("thm2", 3, 1)
 
 
+def test_tangent_point_count_off_the_config_is_a_census_mismatch(tmp_path,
+                                                                capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, THM2 + "scenario.expect_tangent_points = 4\n")
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    message = "CensusMismatch: found 3 tangent points, config expects 4"
+    assert capsys.readouterr().err.startswith(f"error: {message}\n")
+    assert (out / "diagnostics.txt").read_text().startswith(message)
+
+
 def test_portrait_builds_the_canonical_base_for_theorem_configs(tmp_path):
     cfg = write_config(tmp_path, THM3_55)
     out = tmp_path / "out"

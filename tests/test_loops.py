@@ -1,5 +1,6 @@
 """Loop assembly and the scenario censuses built on it."""
 
+import dataclasses
 import inspect
 import re
 
@@ -8,11 +9,13 @@ import pytest
 import scipy.optimize
 from scipy.integrate import solve_ivp
 
-from filippov2d import (PsiSpec, RootNotBracketed, StepUnderflow,
+import filippov2d
+from filippov2d import (CensusMismatch, PsiSpec, RangeError, StepUnderflow,
                         UnfoldingSpec, VerificationFailed,
                         build_unfolded, canonical_base,
                         canonical_critical_loop, displacement_sigma, loops,
-                        numerics, scenario_thm3, scenario_thm4, scenario_thm5)
+                        numerics, scenario_thm2, scenario_thm3, scenario_thm4,
+                        scenario_thm5)
 from filippov2d.loops import CLOSURE_TOL, _negative_cluster, _pinned_knots
 
 
@@ -20,6 +23,17 @@ def _hex_fingerprint(rec):
     """Switching abscissae and closure residual as exact float.hex."""
     return ([x.hex() for x, _ in rec.switching_points],
             rec.closure_residual.hex())
+
+
+def test_loops_fails_in_three_classes():
+    # a refusal, a failed certificate or stage, a broken relation
+    defined = {obj for obj in vars(loops).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == loops.__name__}
+    assert defined == {RangeError, VerificationFailed, CensusMismatch}
+    assert not {"HarvestFailure", "RootNotBracketed", "NotClosed",
+                "TangentOrbitCensus",
+                "NormalFormMeta"} & set(filippov2d.__all__)
 
 
 def test_root_of_a_smooth_gap_is_brentqs_root():
@@ -35,7 +49,7 @@ def test_root_of_a_smooth_gap_is_brentqs_root():
 def test_sign_change_without_a_zero_is_no_root():
     def step(x):
         return 1.0 if x < 0.3 else -1.0
-    with pytest.raises(RootNotBracketed, match=re.escape(
+    with pytest.raises(VerificationFailed, match=re.escape(
             "jump: the sign change in (0, 1) holds no zero")):
         loops._root("jump", step, [(0.0, 1.0), (1.0, -1.0)])
 
@@ -43,7 +57,7 @@ def test_sign_change_without_a_zero_is_no_root():
 def test_no_sign_change_is_no_root():
     def f(x):
         return x * x + 1.0
-    with pytest.raises(RootNotBracketed, match=re.escape(
+    with pytest.raises(VerificationFailed, match=re.escape(
             "parabola: no sign change over 5 points in [-1, 1]")):
         loops._root("parabola", f,
                     loops._evaluable(f, np.linspace(-1.0, 1.0, 5)))
@@ -65,8 +79,35 @@ def test_canonical_loop_is_critical_with_one_contact(m):
     assert rec.closure_residual <= CLOSURE_TOL
 
 
+@pytest.mark.parametrize("m, visibility, ell", [
+    (3, "I", 1), (5, "I", 2), (7, "V", 1), (7, "V", 2), (7, "V", 4)])
+def test_thm2_tangent_orbits_follow_the_paper_count(m, visibility, ell):
+    census = scenario_thm2(m, visibility, ell)
+    offset = 1 if visibility == "V" else -1
+    assert census.tangent_orbits == {ell: (m + offset) // (2 * ell)}
+    assert (census.scenario, census.m_plus, census.m_minus, census.ell) == \
+        ("thm2", m, 0, ell)
+    assert len(census.orbits) == census.tangent_orbits[ell]
+
+
+def test_thm2_census_off_the_paper_count_is_a_mismatch(monkeypatch):
+    # with its grazes dropped, each orbit of (5, I, 2) meets one split point
+    integrate_smooth = loops.integrate_smooth
+
+    def no_touches(*args, **kwargs):
+        return dataclasses.replace(integrate_smooth(*args, **kwargs),
+                                   touches=[])
+    monkeypatch.setattr(loops, "integrate_smooth", no_touches)
+    with pytest.raises(CensusMismatch, match=re.escape(
+            "tangent orbit count 0 differs from 1")):
+        scenario_thm2(5, "I", 2)
+
+
 def test_thm3_critical_loop_with_two_contacts():
-    _, rec = scenario_thm3(canonical_base(5, 5), 2, "critical")
+    census = scenario_thm3(canonical_base(5, 5), 2, "critical")
+    assert census.beta_cri == {2: 1} and census.beta_cro == {}
+    [(tag, rec)] = census.witnesses
+    assert tag == "critical_l2"
     assert rec.kind == "critical"
     assert rec.tangent_touch_count == 2
     assert _hex_fingerprint(rec) == (
@@ -85,7 +126,7 @@ def test_thm3_jump_of_the_landing_gap_is_no_lower_shear(monkeypatch):
             upper_legs.append(kwargs.get("time_sign", 1.0))
         return integrate_smooth(sys, side, start, **kwargs)
     monkeypatch.setattr(loops, "integrate_smooth", recording)
-    with pytest.raises(RootNotBracketed) as err:
+    with pytest.raises(VerificationFailed) as err:
         scenario_thm3(canonical_base(7, 7), 2, "critical")
     stage, a, b, root, residual = re.fullmatch(
         r"(.+): the sign change in \((\S+), (\S+)\) holds no zero: "
@@ -176,6 +217,29 @@ def test_cycle_witness_polish_stays_in_the_window(monkeypatch):
         loops._crossing_cycle_witness(system, -0.10289492812919601)
     assert starts
     assert all(w.x_lo <= x <= w.x_hi for x in starts), starts
+
+
+def test_cycle_witness_polish_stops_at_a_seed_that_does_not_land(
+        monkeypatch):
+    # q = -0.35 misses by -0.039, so the secant seeds at -0.3305, inside
+    # the window; that seed's lower transit is made to leave the window,
+    # and the polish keeps q's own legs, which do not close
+    lower_runs = []
+    integrate_smooth = loops.integrate_smooth
+
+    def second_lower_leaves(sys, side, start, **kwargs):
+        run = integrate_smooth(sys, side, start, **kwargs)
+        if side == "lower":
+            lower_runs.append(start[0])
+            if len(lower_runs) == 2:
+                run = dataclasses.replace(run, terminal=dataclasses.replace(
+                    run.terminal, kind="window-exit"))
+        return run
+    monkeypatch.setattr(loops, "integrate_smooth", second_lower_leaves)
+    with pytest.raises(VerificationFailed, match=re.escape(
+            "cycle through x=-0.35 fails to close")):
+        loops._crossing_cycle_witness(_thm5_33_ell1_system(), -0.35)
+    assert lower_runs == [-0.35, pytest.approx(-0.3305, abs=1e-4)]
 
 
 def _x_integrated_height(system, x0, x1):
