@@ -11,17 +11,15 @@ from .fieldexpr import (EvalDomainError, ParseError, ScalarField, as_field,
                         compile_expr, differentiate, evaluate, expr_jet,
                         parse_expr, to_str)
 from .system import (DegenerateDenominator, NotSliding, PwsSystem,
-                     SigmaDecomposition, Window, WindowMismatch,
-                     decompose_sigma, h_value, sliding_convex_coefficient,
-                     sliding_field, system_distance)
-from .tangency import (BoundViolation, IndeterminateMultiplicity,
-                       TangencyScan, TangentPointRecord,
-                       ZeroLeadingCoefficient, count_bifurcating,
+                     SigmaDecomposition, Window, decompose_sigma, h_value,
+                     sliding_convex_coefficient, sliding_field)
+from .tangency import (IndeterminateMultiplicity, TangencyScan,
+                       TangentPointRecord, ZeroLeadingCoefficient,
                        find_tangent_points, multiplicity_at, visibility)
-from .cutoffs import (PsiSpec, cutoff_down, cutoff_jet, cutoff_up, psi,
-                      psi_dx, psi_jet, psi_sup_norms, zero_psi)
-from .unfolding import (CanonicalBase, UnfoldingSpec, admissible_k_family,
-                        build_transition, build_unfolded)
+from .cutoffs import (PsiSpec, cutoff_jet, cutoff_up, psi, psi_jet,
+                      zero_psi)
+from .unfolding import (CanonicalBase, UnfoldingSpec, build_transition,
+                        build_unfolded)
 from .flow import (Arc, AmbiguousTangency, Event, SmoothRun, StepUnderflow,
                    Trajectory, TransitFailure, integrate_pws,
                    integrate_smooth, read_trajectory_csv, sliding_arc,

@@ -3,7 +3,6 @@
 cutoff_up(x; r1, r2) is the C-infinity step that is exactly 0 for x <= r1,
 exactly 1 for x >= r2 and 1 / (1 + exp(eta)) in between, with
 eta = 1/(x - r1) + 1/(x - r2). All derivatives vanish at r1 and r2.
-cutoff_down is its complement.
 
 psi assembles d plateau bumps from a knot vector k of length 3d+1: knots
 k_1 < ... < k_{2d+1}, then d plateau heights. Bump i rises on
@@ -63,10 +62,6 @@ def _checked_cutoff(x: float, r1: float, r2: float) -> Tuple[float, float]:
 
 def cutoff_up(x: float, r1: float, r2: float) -> float:
     return _checked_cutoff(x, r1, r2)[0]
-
-
-def cutoff_down(x: float, r1: float, r2: float) -> float:
-    return 1.0 - _checked_cutoff(x, r1, r2)[0]
 
 
 def cutoff_jet(x: float, r1: float, r2: float, order: int) -> Jet:
@@ -135,7 +130,7 @@ class PsiSpec:
 
 def _psi_piece(spec: PsiSpec, x: float):
     """(h, r1, r2, falling): psi = h * cutoff_up(x; r1, r2) near x (h *
-    cutoff_down if falling), or the constant h if r1 is None: off the
+    (1 - cutoff_up) if falling), or the constant h if r1 is None: off the
     support and within _KNOT_TOL of a knot, where all derivatives vanish.
     Bisection finds the knots on either side of x; only those two take the
     tolerance test, the lower one first."""
@@ -170,10 +165,6 @@ def psi(spec: PsiSpec, x: float) -> float:
     return _psi_core(spec, x)[0]
 
 
-def psi_dx(spec: PsiSpec, x: float) -> float:
-    return _psi_core(spec, x)[1]
-
-
 def psi_jet(spec: PsiSpec, x: float, order: int) -> Jet:
     """Jet of psi at x up to `order`."""
     h, r1, r2, falling = _psi_piece(spec, x)
@@ -183,14 +174,6 @@ def psi_jet(spec: PsiSpec, x: float, order: int) -> Jet:
     if falling:
         s = [1.0 - s[0]] + [-c for c in s[1:]]
     return [h * c for c in s]
-
-
-def psi_sup_norms(spec: PsiSpec, n: int = 4001) -> Tuple[float, float, float]:
-    """Sampled sup of |psi|, |psi'|, |psi''| over the support."""
-    a, b = spec.support()
-    jets = [psi_jet(spec, a + (b - a) * i / n, 2) for i in range(n + 1)]
-    s0, s1, c2 = (max(abs(j[k]) for j in jets) for k in range(3))
-    return s0, s1, 2.0 * c2
 
 
 def zero_psi(spec_like: Optional[PsiSpec]) -> bool:

@@ -1,8 +1,7 @@
 """Closed-form scalar fields on the (x, y) plane.
 
 A tiny expression language (polynomials in x, y plus sin/cos/exp/log,
-integer powers). Fields compile the exact symbolic first partials
-(`differentiate`) for grid callers. Higher x-derivatives come from
+integer powers). Fields compile their values; every derivative comes from
 truncated Taylor jets (Griewank & Walther, *Evaluating Derivatives*,
 ch. 13): [a_0, ..., a_n], a_k = h^(k)(x0) / k!, for t -> h(x0 + t).
 `expr_jet` takes x and y as input jets, so y + psi(x) can be substituted.
@@ -400,6 +399,12 @@ def _fmt_num(v: float) -> str:
 # Differentiation (exact, closed over the language)
 
 def differentiate(e: Expr, var: str) -> Expr:
+    """The exact symbolic partial of e in var, as a tree.
+
+    The package computes derivatives with jets (`expr_jet`) and does not
+    call this. It has two readers: the jet tests, which hold `expr_jet` to
+    it as the symbolic reference, and perfbench's tracer, which binds it.
+    """
     if var not in VARIABLES:
         raise ValueError(f"unknown variable {var!r}")
     if isinstance(e, Num):
@@ -590,13 +595,12 @@ def evaluate(e: Expr, x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ScalarField: an expression, its compiled value and first partials, and jets
+# ScalarField: an expression, its compiled value, and jets
 
 class ScalarField:
     """A scalar function of (x, y) backed by an expression tree.
 
-    value, dx and dy are compiled on first use (dx and dy from the exact
-    symbolic first partials), and so is each side function that
+    The value is compiled on first use, and so is each side function that
     :meth:`side_with` pairs it into; x-derivatives of any order come from
     :meth:`x_jet`, so e.g. the 12th x-derivative of a degree-8 polynomial
     is exactly zero, not noise.
@@ -610,26 +614,14 @@ class ScalarField:
         if not isinstance(expr, Expr):
             raise TypeError("ScalarField wants an Expr, string or number")
         self.expr = expr
-        self._compiled = {}   # '', 'x', 'y' (see _fn) or a side's g
-
-    def _fn(self, var: str):
-        """The compiled value ('') or first partial in var ('x' or 'y')."""
-        fn = self._compiled.get(var)
-        if fn is None:
-            fn = compile_expr(differentiate(self.expr, var) if var
-                              else self.expr)
-            self._compiled[var] = fn
-        return fn
+        self._compiled = {}   # '' (the value) or a side's g
 
     # -- ScalarFunc protocol -------------------------------------------------
     def value(self, x: float, y: float) -> float:
-        return self._fn("")(x, y)
-
-    def dx(self, x: float, y: float) -> float:
-        return self._fn("x")(x, y)
-
-    def dy(self, x: float, y: float) -> float:
-        return self._fn("y")(x, y)
+        fn = self._compiled.get("")
+        if fn is None:
+            fn = self._compiled[""] = compile_expr(self.expr)
+        return fn(x, y)
 
     def side_with(self, g):
         """The compiled ``(x, y) -> (self, g)`` of a side whose g is a

@@ -131,13 +131,14 @@ def _dedup_sorted(xs: Sequence[float]) -> List[float]:
 def _grazes(g_field, x: float, scale: float) -> bool:
     """True when x sits within _CONTACT_TOL of a zero of g along the line.
 
-    Uses the first-order distance |g| / |g'|, which separates junctions
+    Uses the first-order distance |g| / |g_x|, g_x read from g's order-1
+    x-jet on either field kind, which separates junctions
     localized onto a tangency (distance ~ solver precision) from shallow
     transversal crossings near one (distance ~ the dip width) far more
     reliably than any fixed threshold on |g| itself.
     """
     g0 = g_field.value(x, 0.0)
-    g1 = g_field.dx(x, 0.0)
+    g1 = g_field.x_jet(x, 0.0, 1)[1]
     return abs(g0) <= max(abs(g1) * _CONTACT_TOL, 1e-12 * scale)
 
 
@@ -501,7 +502,6 @@ class _Pin:
     tp: float        # tangency the bump peaks at
     conj: float      # landing of the lower transit from the tangency
     height: float    # upper orbit height over its own tangency
-    anchor: float    # same orbit's height over the first split point
 
 
 def _pin_data(hat: PwsSystem, lam: Sequence[float]) -> List[_Pin]:
@@ -518,7 +518,7 @@ def _pin_data(hat: PwsSystem, lam: Sequence[float]) -> List[_Pin]:
             raise VerificationFailed(
                 f"pin at {tp:.6g}: orbit heights not positive "
                 f"({y:.3e}, {anchor:.3e})")
-        pins.append(_Pin(tp, conj, y, anchor))
+        pins.append(_Pin(tp, conj, y))
     return pins
 
 

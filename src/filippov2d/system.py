@@ -30,17 +30,13 @@ _NEWTON_STEPS = 40
 
 
 class ScalarFunc(Protocol):
-    """A field component: value, first partials and the Taylor jet in x.
+    """A field component: its value and its Taylor jet in x.
 
     Expression and sheared fields also offer side_with(g): the compiled
     (x, y) -> (self, g) that _side_fn hands to the flow and the sliding
     field, one call per point."""
 
     def value(self, x: float, y: float) -> float: ...
-
-    def dx(self, x: float, y: float) -> float: ...
-
-    def dy(self, x: float, y: float) -> float: ...
 
     def x_jet(self, x: float, y: float, order: int) -> list[float]: ...
 
@@ -57,10 +53,6 @@ def _side_fn(f, g):
         def fn(x, y):
             return f_value(x, y), g_value(x, y)
     return fn
-
-
-class WindowMismatch(ValueError):
-    pass
 
 
 class NotSliding(ValueError):
@@ -87,10 +79,6 @@ class Window:
     @property
     def width(self) -> float:
         return self.x_hi - self.x_lo
-
-    def contains(self, x: float, y: float, pad: float = 0.0) -> bool:
-        return (self.x_lo - pad <= x <= self.x_hi + pad
-                and self.y_lo - pad <= y <= self.y_hi + pad)
 
 
 @dataclass
@@ -181,18 +169,6 @@ class SigmaDecomposition:
     sliding: List[Tuple[float, float]]
     tangency_candidates: List[float]
     flat_intervals: List[Tuple[float, float]]
-
-    def kind_at(self, x: float) -> str:
-        for a, b in self.sliding:
-            if a < x < b:
-                return "sliding"
-        for a, b in self.crossing:
-            if a < x < b:
-                return "crossing"
-        for a, b in self.flat_intervals:
-            if a <= x <= b:
-                return "flat"
-        return "boundary"
 
 
 def _newton_zero(g, x: float, lo: float, hi: float) -> float | None:
@@ -307,31 +283,3 @@ def decompose_sigma(sys: PwsSystem) -> SigmaDecomposition:
         else:
             flat.append((a, b))
     return SigmaDecomposition(crossing, sliding, merged, flat)
-
-
-def system_distance(a: PwsSystem, b: PwsSystem, n_grid: int = 201) -> float:
-    """C^1-style distance: sum over the four component pairs of the grid max
-    of |df| + |df_x| + |df_y| on the (shared) window.
-
-    Grid maxima are lower bounds for the true sup; 201 x 201 is the
-    documented default resolution.
-    """
-    wa, wb = a.window, b.window
-    if (wa.x_lo, wa.x_hi, wa.y_lo, wa.y_hi) != (wb.x_lo, wb.x_hi, wb.y_lo, wb.y_hi):
-        raise WindowMismatch(f"windows differ: {wa} vs {wb}")
-    xs = [wa.x_lo + wa.width * i / (n_grid - 1) for i in range(n_grid)]
-    ys = [wa.y_lo + (wa.y_hi - wa.y_lo) * j / (n_grid - 1) for j in range(n_grid)]
-    pairs = [(a.f_plus, b.f_plus), (a.g_plus, b.g_plus),
-             (a.f_minus, b.f_minus), (a.g_minus, b.g_minus)]
-    total = 0.0
-    for fa, fb in pairs:
-        worst = 0.0
-        for x in xs:
-            for y in ys:
-                d = (abs(fa.value(x, y) - fb.value(x, y))
-                     + abs(fa.dx(x, y) - fb.dx(x, y))
-                     + abs(fa.dy(x, y) - fb.dy(x, y)))
-                if d > worst:
-                    worst = d
-        total += worst
-    return total

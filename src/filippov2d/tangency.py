@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .system import PwsSystem, SigmaDecomposition, decompose_sigma
 
@@ -34,10 +34,6 @@ class IndeterminateMultiplicity(ArithmeticError):
 
 class ZeroLeadingCoefficient(ArithmeticError):
     pass
-
-
-class BoundViolation(AssertionError):
-    """An unfolding produced more tangencies than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -154,27 +150,3 @@ def find_tangent_points(sys: PwsSystem) -> TangencyScan:
         label = (vis_p or ".") + (vis_m or ".")
         records.append(TangentPointRecord(x0, m_p, m_m, vis_p, vis_m, label))
     return TangencyScan(records, boundary, dec)
-
-
-def count_bifurcating(sys_unfolded: PwsSystem, base: TangentPointRecord,
-                      radius: float) -> Tuple[int, List[TangentPointRecord]]:
-    """Count tangent points of an unfolded system near a base tangency.
-
-    Returns (ell, records) for the tangencies within |x - x0| <= radius and
-    enforces the budget: ell <= m+ + m- and, side by side, the multiplicities
-    of the bifurcating points sum to at most the base multiplicity.
-    """
-    scan = find_tangent_points(sys_unfolded)
-    near = [r for r in scan.records if abs(r.x0 - base.x0) <= radius]
-    ell = len(near)
-    budget = base.m_plus + base.m_minus
-    if ell > budget:
-        raise BoundViolation(
-            f"{ell} tangencies bifurcated from a point with m+ + m- = {budget}")
-    sum_p = sum(max(r.m_plus, 0) for r in near)
-    sum_m = sum(max(r.m_minus, 0) for r in near)
-    if sum_p > base.m_plus or sum_m > base.m_minus:
-        raise BoundViolation(
-            f"per-side multiplicity sums ({sum_p}, {sum_m}) exceed "
-            f"({base.m_plus}, {base.m_minus})")
-    return ell, near

@@ -28,20 +28,20 @@ Because psi has vanishing derivatives at its knots, placing knots at the
 lambda values keeps those points tangencies of the unfolded system with
 their types intact.
 
-Values and dy are closed-form; x-derivatives of any order (dx included)
-come from `x_jet`, which feeds y + psi(x) to fieldexpr.expr_jet.
+Values are closed-form; x-derivatives of any order come from `x_jet`,
+which feeds y + psi(x) to fieldexpr.expr_jet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .cutoffs import PsiSpec, _psi_core, psi_jet, zero_psi
 from . import fieldexpr
 from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
-                        as_field, differentiate, expr_jet, jet_mul,
+                        as_field, expr_jet, jet_mul,
                         jet_variable)
 # this module calls no numerics.solve_ivp; it stays bound here because
 # perfbench/tracing.py wraps it on every layer
@@ -167,9 +167,9 @@ class ShearedField:
     a and b are ScalarFields, and the product and the b term are left out
     when there are no lambdas or no b.
 
-    value and dy are compiled from _compile_sheared on first use, and so is
+    The value is compiled from _compile_sheared on first use, and so is
     the side function that :meth:`side_with` pairs two fields of one
-    profile into."""
+    profile into; x-derivatives of any order come from :meth:`x_jet`."""
 
     def __init__(self, a, spec: PsiSpec, lambdas: Sequence[float] = (),
                  b=None):
@@ -178,32 +178,24 @@ class ShearedField:
         self._lambdas = tuple(float(v) for v in lambdas)
         self._b = b
         self._a_hat = _g_expr(a, self._lambdas).expr  # a * P, unsheared
-        self._compiled = {}   # '' (value), 'y' (dy) or a side's g
+        self._compiled = {}   # '' (value) or a side's g
 
-    def _terms(self, var: str = ""):
-        """(a, lambdas, b) trees of the value (''), or of d/dy ('y')."""
-        def tree(fld):
-            return differentiate(fld.expr, var) if var else fld.expr
-        return (tree(self._a), self._lambdas,
-                None if self._b is None else tree(self._b))
+    def _terms(self):
+        """The (a, lambdas, b) trees of the value."""
+        return (self._a.expr, self._lambdas,
+                None if self._b is None else self._b.expr)
 
     def _fn(self, key):
-        """The compiled value (''), d/dy ('y') or side with the g `key`."""
+        """The compiled value ('') or side with the g `key`."""
         fn = self._compiled.get(key)
         if fn is None:
-            terms = [self._terms(key)] if isinstance(key, str) \
+            terms = [self._terms()] if isinstance(key, str) \
                 else [self._terms(), key._terms()]
             fn = self._compiled[key] = _compile_sheared(self._spec, terms)
         return fn
 
     def value(self, x: float, y: float) -> float:
         return self._fn("")(x, y)
-
-    def dx(self, x: float, y: float) -> float:
-        return self.x_jet(x, y, 1)[1]
-
-    def dy(self, x: float, y: float) -> float:
-        return self._fn("y")(x, y)
 
     def side_with(self, g):
         """The compiled ``(x, y) -> (self, g)`` of a side whose g is sheared
@@ -251,22 +243,3 @@ def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
     return PwsSystem(f_p, g_p, f_m, g_m, b.window,
                      transition=(trans, None if zero_psi(spec.psi_plus)
                                  else spec.psi_plus))
-
-
-def admissible_k_family(d: int, base_gap: float, shrink: float = 0.5,
-                        steps: int = 8, C: float = 1.0,
-                        x_start: float = 0.0) -> List[PsiSpec]:
-    """Shrinking ladder of admissible plateau profiles.
-
-    Step s uses equal knot gaps g_s = base_gap * shrink^s and plateau
-    heights C * g_s^5, realizing heights = o(gap^4) along the ladder.
-    """
-    if not (0.0 < shrink < 1.0):
-        raise ValueError("shrink must be in (0, 1)")
-    out = []
-    for s in range(steps):
-        gap = base_gap * shrink ** s
-        knots = tuple(x_start + i * gap for i in range(2 * d + 1))
-        heights = tuple(C * gap ** 5 for _ in range(d))
-        out.append(PsiSpec(d, knots + heights))
-    return out

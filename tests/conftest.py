@@ -4,11 +4,6 @@ import pytest
 from filippov2d import PwsSystem, Window
 
 
-@pytest.fixture
-def win11():
-    return Window(-1.0, 1.0, -1.0, 1.0)
-
-
 def make_sys(f_p, g_p, f_m, g_m, window=None):
     if window is None:
         window = Window(-1.0, 1.0, -1.0, 1.0)

@@ -10,9 +10,9 @@ import scipy.optimize
 from scipy.integrate import solve_ivp
 
 import filippov2d
-from filippov2d import (CensusMismatch, PsiSpec, RangeError, StepUnderflow,
-                        UnfoldingSpec, VerificationFailed,
-                        build_unfolded, canonical_base,
+from filippov2d import (CensusMismatch, PsiSpec, RangeError, ScalarField,
+                        StepUnderflow, UnfoldingSpec, VerificationFailed,
+                        build_transition, build_unfolded, canonical_base,
                         canonical_critical_loop, displacement_sigma, loops,
                         numerics, scenario_thm2, scenario_thm3, scenario_thm4,
                         scenario_thm5)
@@ -154,6 +154,24 @@ def test_thm4_census_and_witness_closure():
         "critical@x=-0.1": (["-0x1.ffffe1cd04623p-1", "-0x1.999999999999ap-4"],
                             "0x0.0p+0"),
     }
+
+
+def test_grazes_decides_alike_on_expression_and_sheared_g():
+    # an expression g: the (3,3) canonical base split at the negative
+    # cluster; a sheared g: the thm4 (5,5) ell=1 unfolding
+    lam = _negative_cluster(3, 0.1)
+    plain = build_transition(UnfoldingSpec(canonical_base(3, 3), lam,
+                                           (0.0,) * 3))
+    spec = scenario_thm4(canonical_base(5, 5), 1).spec
+    sheared = build_unfolded(spec)
+    assert isinstance(plain.g_plus, ScalarField)
+    assert not isinstance(sheared.g_plus, ScalarField)
+    for system, zeros in ((plain, lam), (sheared, spec.lambda_plus)):
+        g, scale = system.g_plus, system.sigma_g_scale("upper")
+        for zero in zeros:
+            for side in (-1.0, 1.0):
+                assert loops._grazes(g, zero + side * 1e-9, scale)
+                assert not loops._grazes(g, zero + side * 1e-4, scale)
 
 
 def test_thm5_sliding_loops_and_crossing_cycles():

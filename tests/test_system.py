@@ -1,13 +1,12 @@
-"""Two-zone system layer: h, sliding field, region split, distance."""
+"""Two-zone system layer: h, sliding field, region split."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filippov2d import (DegenerateDenominator, NotSliding, PsiSpec,
-                        PwsSystem, UnfoldingSpec, Window, WindowMismatch,
+from filippov2d import (NotSliding, PsiSpec, UnfoldingSpec, Window,
                         build_unfolded, canonical_base, decompose_sigma,
                         h_value, sliding_convex_coefficient, sliding_field,
-                        system_distance, unfolding)
+                        unfolding)
 from filippov2d.loops import _negative_cluster, _pinned_knots, _plateau_psi
 from conftest import make_sys
 
@@ -70,33 +69,11 @@ def test_decompose_quadratic():
     assert spans[1][0] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_decompose_kind_lookup():
+def test_decompose_sliding_and_crossing_halves():
     s = make_sys("1", "x", "1", "1")
     dec = decompose_sigma(s)
-    assert dec.kind_at(-0.5) == "sliding"
-    assert dec.kind_at(0.5) == "crossing"
-
-
-def test_distance_identity_and_shift(win11):
-    a = make_sys("1", "x", "1", "1")
-    assert system_distance(a, a) == 0.0
-    b = make_sys("1 + 0.3", "x", "1", "1")
-    assert system_distance(a, b) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_distance_linear_perturbation():
-    eps = 1e-3
-    a = make_sys("1", "x", "1", "1")
-    b = make_sys(f"1 + {eps!r} * x", "x", "1", "1")
-    # max over the window of |eps x| plus the constant x-partial eps
-    assert system_distance(a, b) == pytest.approx(2 * eps, rel=1e-12)
-
-
-def test_distance_window_mismatch():
-    a = make_sys("1", "x", "1", "1")
-    b = make_sys("1", "x", "1", "1", window=Window(-2, 2, -1, 1))
-    with pytest.raises(WindowMismatch):
-        system_distance(a, b)
+    assert dec.sliding == [(-1.0, pytest.approx(0.0, abs=1e-12))]
+    assert dec.crossing == [(pytest.approx(0.0, abs=1e-12), 1.0)]
 
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -117,22 +94,6 @@ def test_convex_combination_on_random_sliding_systems(c0, c1, c2, c3, x):
         sliding_field(s, x), abs=1e-10)
 
 
-@given(st.lists(small, min_size=6, max_size=6))
-@settings(max_examples=40, deadline=None)
-def test_distance_is_a_pseudometric_on_samples(cs):
-    a = make_sys("1", f"x + {cs[0]!r}", "1", f"1 + {cs[1]!r} * x")
-    b = make_sys("1", f"x + {cs[2]!r}", "1", f"1 + {cs[3]!r} * x")
-    c = make_sys("1", f"x + {cs[4]!r}", "1", f"1 + {cs[5]!r} * x")
-    n = 41  # coarse grid is fine for the metric axioms
-    dab = system_distance(a, b, n)
-    dba = system_distance(b, a, n)
-    dac = system_distance(a, c, n)
-    dbc = system_distance(b, c, n)
-    assert system_distance(a, a, n) == 0.0
-    assert dab == pytest.approx(dba, rel=1e-12, abs=1e-12)
-    assert dac <= dab + dbc + 1e-12
-
-
 def test_candidates_track_h_sign_changes():
     s = make_sys("1", "(x - 0.3) * (x + 0.62)", "1", "1 + x^2")
     dec = decompose_sigma(s)
@@ -147,9 +108,7 @@ def test_window_validation():
         Window(1.0, -1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         Window(-1.0, 1.0, 0.5, 1.0)  # Sigma must be interior
-    w = Window(-1.0, 1.0, -1.0, 1.0)
-    assert w.contains(0.0, 0.0)
-    assert not w.contains(2.0, 0.0)
+    assert Window(-1.0, 1.0, -1.0, 1.0).width == 2.0
 
 
 @pytest.mark.parametrize("x, want", [

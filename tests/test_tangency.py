@@ -1,4 +1,4 @@
-"""Tangency detection: multiplicity, visibility, bifurcation counting."""
+"""Tangency detection: multiplicity, visibility, split tangencies."""
 
 import inspect
 import math
@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from filippov2d import (BoundViolation, IndeterminateMultiplicity,
-                        TangentPointRecord, ZeroLeadingCoefficient,
-                        count_bifurcating, decompose_sigma,
+from filippov2d import (IndeterminateMultiplicity, ZeroLeadingCoefficient,
                         find_tangent_points, multiplicity_at, visibility)
 from filippov2d import system, tangency
 from filippov2d.fieldexpr import ScalarField
@@ -132,34 +130,19 @@ def _record(sys):
     return recs[0]
 
 
-def test_count_bifurcating_cubic_split():
+def test_cubic_split_gives_three_simple_tangencies():
     base = _record(make_sys("1", "x^3", "1", "1"))
     assert (base.m_plus, base.m_minus) == (3, 0)
-    unf = make_sys("1", "(x + 0.1) * x * (x - 0.1)", "1", "1")
-    ell, near = count_bifurcating(unf, base, 0.5)
-    assert ell == 3
-    assert [r.m_plus for r in near] == [1, 1, 1]
-    assert [r.vis_plus for r in near] == ["V", "I", "V"]
+    recs = find_tangent_points(
+        make_sys("1", "(x + 0.1) * x * (x - 0.1)", "1", "1")).records
+    assert [r.m_plus for r in recs] == [1, 1, 1]
+    assert [r.vis_plus for r in recs] == ["V", "I", "V"]
 
 
-def test_count_bifurcating_identity_and_double_root():
-    base = _record(make_sys("1", "x^3", "1", "1"))
-    ell, near = count_bifurcating(make_sys("1", "x^3", "1", "1"), base, 0.5)
-    assert ell == 1 and (near[0].m_plus, near[0].m_minus) == (3, 0)
-
-    base2 = _record(make_sys("1", "x^2", "1", "1"))
-    unf2 = make_sys("1", "(x - 0.05)^2", "1", "1")
-    ell2, near2 = count_bifurcating(unf2, base2, 0.5)
-    assert ell2 == 1
-    assert near2[0].x0 == pytest.approx(0.05, abs=1e-7)
-    assert (near2[0].m_plus, near2[0].m_minus) == (2, 0)
-
-
-def test_count_bifurcating_enforces_budget():
-    fake = TangentPointRecord(0.0, 1, 0, "V", None, "V.")
-    unf = make_sys("1", "(x + 0.1) * x * (x - 0.1)", "1", "1")
-    with pytest.raises(BoundViolation):
-        count_bifurcating(unf, fake, 0.5)
+def test_shifted_double_root_keeps_its_multiplicity():
+    rec = _record(make_sys("1", "(x - 0.05)^2", "1", "1"))
+    assert rec.x0 == pytest.approx(0.05, abs=1e-7)
+    assert (rec.m_plus, rec.m_minus) == (2, 0)
 
 
 @given(st.lists(st.floats(-0.6, 0.6), min_size=4, max_size=4, unique=True))

@@ -1,4 +1,4 @@
-"""Transition systems, sheared unfoldings, admissible plateau ladders."""
+"""Transition systems and sheared unfoldings."""
 
 import math
 
@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filippov2d import (CanonicalBase, PsiSpec, UnfoldingSpec, Window,
-                        admissible_k_family, build_transition, build_unfolded,
-                        canonical_base, psi, psi_dx, psi_sup_norms,
-                        system_distance)
+                        build_transition, build_unfolded, canonical_base)
+from filippov2d.cutoffs import _psi_core
 from filippov2d.loops import _negative_cluster, _pinned_knots, _plateau_psi
 
 W = Window(-1.0, 1.0, -1.0, 1.0)
@@ -88,11 +87,11 @@ def test_unfolded_keeps_tangencies_at_lambda_knots():
     bump = PsiSpec(1, (-0.4, -0.2, 0.0, 2e-4))
     unf = build_unfolded(UnfoldingSpec(cubic_base(), lam, (), psi_plus=bump))
     for li in lam:
-        assert psi_dx(bump, li) == 0.0
+        assert _psi_core(bump, li)[1] == 0.0
         assert unf.g_plus.value(li, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_unfolded_partials_match_finite_differences():
+def test_unfolded_x_partials_match_finite_differences():
     lam = (-0.3, 0.05, 0.4)
     bump = PsiSpec(1, (-0.2, 0.0, 0.2, 5e-3))
     unf = build_unfolded(UnfoldingSpec(cubic_base(), lam, (), psi_plus=bump))
@@ -100,46 +99,8 @@ def test_unfolded_partials_match_finite_differences():
     for x, y in ((-0.1, 0.3), (0.1, -0.2), (0.35, 0.0), (-0.19, 0.44)):
         for fld in (unf.f_plus, unf.g_plus):
             fx = (fld.value(x + h, y) - fld.value(x - h, y)) / (2 * h)
-            fy = (fld.value(x, y + h) - fld.value(x, y - h)) / (2 * h)
-            assert fld.dx(x, y) == pytest.approx(fx, rel=2e-5, abs=1e-8)
-            assert fld.dy(x, y) == pytest.approx(fy, rel=2e-5, abs=1e-8)
-
-
-def test_admissible_family_shrinks_fast():
-    fam = admissible_k_family(1, 0.4, 0.5, steps=3)
-    sups = [psi_sup_norms(s) for s in fam]
-    assert sups[1][0] <= sups[0][0] / 30   # gap^5 height law
-    assert sups[2][0] <= sups[1][0] / 30
-    assert sups[1][1] <= sups[0][1]        # slopes decrease too
-    assert sups[2][1] <= sups[1][1]
-
-
-def test_admissible_family_slope_bound():
-    C = 1.0
-    for s, spec in enumerate(admissible_k_family(2, 0.4, 0.5, steps=5, C=C)):
-        gap = 0.4 * 0.5 ** s
-        _, s1, _ = psi_sup_norms(spec)
-        assert s1 <= 8 * C * gap ** 3 + 1e-15
-
-
-def test_admissible_family_zero_heights():
-    fam = admissible_k_family(1, 0.4, 0.5, steps=3, C=0.0)
-    for spec in fam:
-        assert psi_sup_norms(spec) == (0.0, 0.0, 0.0)
-
-
-def test_distance_to_base_decreases_along_family():
-    base = cubic_base()
-    ref = base.system()
-    prev = None
-    for spec in admissible_k_family(1, 0.2, 0.5, steps=4):
-        unf = build_unfolded(UnfoldingSpec(base, (0.0,) * 3, (),
-                                           psi_plus=spec))
-        rho = system_distance(unf, ref, n_grid=61)
-        if prev is not None:
-            assert rho <= prev
-        prev = rho
-    assert prev < 1e-3
+            assert fld.x_jet(x, y, 1)[1] == pytest.approx(fx, rel=2e-5,
+                                                          abs=1e-8)
 
 
 def sheared_both_sides_spec():
@@ -156,77 +117,77 @@ def sheared_both_sides_spec():
         _plateau_psi(-0.0021, -0.45))
 
 
-# value, dx, dy, then x_jet(x, y, 6), as float.hex: how the sheared
+# value, then x_jet(x, y, 6), as float.hex: how the sheared
 # components are organised must not move a single bit of what they return
 SHEARED_PINS = [
     ((-0.28, 0.013), 'f_plus', (
-        '0x1.020c49ba5e354p+0', '0x1.dffffffffffffp-1', '0x1.0000000000000p-1',
+        '0x1.020c49ba5e354p+0',
         '0x1.020c49ba5e354p+0', '0x1.dffffffffffffp-1', '0x1.645a1cac08382p-37',
         '-0x1.da8c5fffffff3p+16', '-0x1.6147ae147ae83p-19', '0x1.18cfdbb3c7ff3p+34',
         '0x1.29374bc6a7f57p-1',
     )),
     ((-0.28, 0.013), 'g_plus', (
-        '-0x1.e3d840189b5bep+0', '-0x1.c1faedf9c5704p+0', '-0x1.dffecac329ad1p-1',
+        '-0x1.e3d840189b5bep+0',
         '-0x1.e3d840189b5c0p+0', '-0x1.c1faedf9c5704p+0', '0x1.66c23069ae43dp+19',
         '0x1.bce350a081f81p+19', '-0x1.61d2b38b2941bp+37', '-0x1.17ea343a2ca6dp+38',
         '0x1.287158e5cd194p+55',
     )),
     ((-0.28, 0.013), 'f_minus', (
-        '-0x1.003ba3443d46bp+0', '0x1.a9fbe76c8b439p-9', '-0x1.1eb851eb851ecp-4',
+        '-0x1.003ba3443d46bp+0',
         '-0x1.003ba3443d46bp+0', '0x1.a9fbe76c8b439p-9', '0x1.c2012ffbcd238p-53',
         '0x1.598b863f97158p-43', '0x1.7ced3eaba07d8p-34', '0x1.408efe4e937a1p-25',
         '0x1.ab7da11585273p-17',
     )),
     ((-0.28, 0.013), 'g_minus', (
-        '-0x1.cc11e3079f62bp-8', '0x1.d02011b8fd02bp-4', '-0x1.525e9e504a8bep-8',
+        '-0x1.cc11e3079f62bp-8',
         '-0x1.cc11e3079f62bp-8', '0x1.d02011b8fd02bp-4', '-0x1.5c4f4bc2afaf6p-1',
         '0x1.a94ab1bf9068bp+0', '-0x1.c7e3eb5427f8dp-3', '-0x1.6e36f5ebc28b6p+2',
         '0x1.a917bb3b7b535p+2',
     )),
     ((-0.19, -0.021), 'f_plus', (
-        '0x1.fa9fbea08547ap-1', '-0x1.ecb925e6d5fa1p-18', '0x1.0000000000000p-1',
+        '0x1.fa9fbea08547ap-1',
         '0x1.fa9fbea08547ap-1', '-0x1.ecb925e6d5fa1p-18', '0x1.624ea399c8031p-8',
         '-0x1.4b3d1548e5a91p+1', '0x1.c54d68e610afap+9', '-0x1.e4d7dafc87717p+17',
         '0x1.a6cd074317cefp+25',
     )),
     ((-0.19, -0.021), 'g_plus', (
-        '0x1.2beff49a5d66cp-15', '-0x1.6189972a86000p-6', '-0x1.bf712c77a32ccp-20',
+        '0x1.2beff49a5d66cp-15',
         '0x1.2beff49a5d66cp-15', '-0x1.6189972a86000p-6', '0x1.eb1876efec25dp+3',
         '-0x1.c08bdcc6cec1fp+12', '0x1.2bd86a27e7b2fp+21', '-0x1.39c56b213bbbap+29',
         '0x1.0c2e06c4abd1fp+37',
     )),
     ((-0.19, -0.021), 'f_minus', (
-        '-0x1.ff702e665fe13p-1', '-0x1.7a78467dfd44dp-8', '-0x1.851eb851eb852p-5',
+        '-0x1.ff702e665fe13p-1',
         '-0x1.ff702e665fe13p-1', '-0x1.7a78467dfd44dp-8', '-0x1.8abd2ead61491p-19',
         '0x1.4361023504944p-11', '-0x1.72d073ebf855bp-4', '0x1.3be25f2f3551fp+3',
         '-0x1.9e742e7de5530p+9',
     )),
     ((-0.19, -0.021), 'g_minus', (
-        '-0x1.2aad46ef0d0b5p-10', '0x1.d0c35ecdb4571p-6', '-0x1.8576150f0e556p-11',
+        '-0x1.2aad46ef0d0b5p-10',
         '-0x1.2aad46ef0d0b5p-10', '0x1.d0c35ecdb4571p-6', '-0x1.3b4a42df2036bp-2',
         '0x1.10f16e155d05dp+3', '-0x1.efb4202f41dc0p+9', '0x1.801b85a7f72a6p+16',
         '-0x1.c86572f3974ffp+22',
     )),
     ((-0.05, 0.004), 'f_plus', (
-        '0x1.00e560371a127p+0', '-0x1.ecb925e6d5f7fp-19', '0x1.0000000000000p-1',
+        '0x1.00e560371a127p+0',
         '0x1.00e560371a127p+0', '-0x1.ecb925e6d5f7fp-19', '-0x1.624ea399c8018p-9',
         '-0x1.4b3d1548e5a78p+0', '-0x1.c54d68e610ad7p+8', '-0x1.e4d7dafc876efp+16',
         '-0x1.a6cd074317ccap+24',
     )),
     ((-0.05, 0.004), 'g_plus', (
-        '0x1.65e38487abf24p-12', '0x1.e1609939888fbp-6', '-0x1.e1a3d76c12751p-14',
+        '0x1.65e38487abf24p-12',
         '0x1.65e38487abf24p-12', '0x1.e1609939888fbp-6', '0x1.03196524222dbp+3',
         '0x1.c72a3100cea1ap+11', '0x1.3016e79edd80bp+20', '0x1.3e35e5c71d53bp+28',
         '0x1.0ff9593838428p+36',
     )),
     ((-0.05, 0.004), 'f_minus', (
-        '-0x1.00018e757928ep+0', '0x1.f212d77318fc6p-12', '-0x1.999999999999ap-7',
+        '-0x1.00018e757928ep+0',
         '-0x1.00018e757928ep+0', '0x1.f212d77318fc6p-12', '0x0.0p+0',
         '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
         '0x0.0p+0',
     )),
     ((-0.05, 0.004), 'g_minus', (
-        '-0x1.da6f3b90e98bdp-20', '0x1.6e107ed344b63p-13', '-0x1.f75104d551d6cp-21',
+        '-0x1.da6f3b90e98bdp-20',
         '-0x1.da6f3b90e98bdp-20', '0x1.6e107ed344b63p-13', '-0x1.c0fa9c12f09dbp-8',
         '0x1.0fa6defc7a399p-3', '-0x1.3d2a305532618p+0', '0x1.f3edfa43fe5cap+1',
         '0x1.c000000000000p+2',
@@ -240,7 +201,7 @@ def test_sheared_components_are_pinned(point, comp, want):
     system = build_unfolded(spec)
     fld = getattr(system, comp)
     x, y = point
-    got = [fld.value(x, y), fld.dx(x, y), fld.dy(x, y)] + fld.x_jet(x, y, 6)
+    got = [fld.value(x, y)] + fld.x_jet(x, y, 6)
     assert [v.hex() for v in got] == list(want)
     # the side functions the flow calls return the same values bit for
     # bit: a sheared side these pins, a plain (transition) side its .value
