@@ -30,6 +30,15 @@ def test_cutoff_plateau_values():
     assert cutoff_up(0.5, 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_cutoff_pair_sums_to_one_inside():
+    # the falling step psi uses, 1 - s, is the rising step reflected
+    for r1, r2 in ((0.0, 1.0), (-0.3, 0.5)):
+        for t in (0.1, 0.25, 0.5, 0.77, 0.9):
+            x = r1 + t * (r2 - r1)
+            assert cutoff_up(x, r1, r2) + cutoff_up(r1 + r2 - x, r1, r2) \
+                == pytest.approx(1.0, abs=1e-15)
+
+
 def test_cutoff_monotone():
     xs = [i / 50 for i in range(51)]
     vals = [cutoff_up(x, 0.0, 1.0) for x in xs]
@@ -110,6 +119,31 @@ def test_psi_dx_matches_finite_difference(x):
     h = 1e-7
     fd = (psi(spec, x + h) - psi(spec, x - h)) / (2 * h)
     assert psi_dx(spec, x) == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def _sup(fn, spec, n=2000):
+    lo, hi = spec.support()
+    return max(abs(fn(spec, lo + (hi - lo) * i / n)) for i in range(n + 1))
+
+
+def test_psi_heights_and_slopes_scale_with_the_gap():
+    big = PsiSpec(1, (0.0, 0.4, 0.8, 0.4 ** 5))
+    small = PsiSpec(1, (0.0, 0.2, 0.4, 0.2 ** 5))
+    s0, s1, s2 = (_sup(fn, big) for fn in (psi, psi_dx, psi_dxx))
+    t0, t1, t2 = (_sup(fn, small) for fn in (psi, psi_dx, psi_dxx))
+    assert t0 <= s0 / 30   # heights scale as gap^5
+    assert t1 <= s1 / 7    # slopes as gap^3
+    assert t2 <= s2        # curvatures as gap
+
+
+def test_symmetric_bump_is_even_about_its_peak():
+    # the fall is the rise reflected: psi even, psi' odd about the peak
+    spec = PsiSpec(1, (-0.2, 0.1, 0.4, 0.03))
+    for t in (0.01, 0.07, 0.15, 0.29, 0.35):
+        assert psi(spec, 0.1 + t) == pytest.approx(psi(spec, 0.1 - t),
+                                                   rel=1e-12, abs=1e-17)
+        assert psi_dx(spec, 0.1 + t) == pytest.approx(
+            -psi_dx(spec, 0.1 - t), rel=1e-9, abs=1e-15)
 
 
 def test_psi_fallback_branch():

@@ -120,6 +120,17 @@ def test_symbolic_dx_matches_finite_difference(src, x, y):
     assert abs(dx - fd) <= 1e-5 * (1.0 + abs(dx))
 
 
+@given(poly_exprs(), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+@settings(max_examples=100, deadline=None)
+def test_field_x_jet_matches_finite_difference(src, x, y):
+    # the order-1 jet is the g_x that loops._grazes reads
+    f = as_field(src)
+    h = 1e-5
+    fd = (f.value(x + h, y) - f.value(x - h, y)) / (2 * h)
+    dx = f.x_jet(x, y, 1)[1]
+    assert abs(dx - fd) <= 1e-5 * (1.0 + abs(dx))
+
+
 @given(poly_exprs(), poly_exprs(), coef, coef,
        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 @settings(max_examples=60, deadline=None)

@@ -174,6 +174,49 @@ def test_grazes_decides_alike_on_expression_and_sheared_g():
                 assert not loops._grazes(g, zero + side * 1e-4, scale)
 
 
+def test_grazes_reads_the_x_distance_not_the_size_of_g():
+    # a crossing of g = k (x - 0.3): inside _CONTACT_TOL in x it grazes,
+    # outside it does not, however steep or shallow g is
+    for k in (50.0, 0.02):
+        g = filippov2d.as_field(f"{k!r} * (x - 0.3)")
+        assert loops._grazes(g, 0.3 + 0.5 * loops._CONTACT_TOL, 1.0)
+        assert not loops._grazes(g, 0.3 + 2.0 * loops._CONTACT_TOL, 1.0)
+
+
+def test_grazes_rejects_a_dip_that_misses_zero():
+    # g_x vanishes at the bottom of both dips; only the one that touches
+    # zero grazes there
+    assert loops._grazes(filippov2d.as_field("x^2"), 0.0, 1.0)
+    assert not loops._grazes(filippov2d.as_field("x^2 + 1e-6"), 0.0, 1.0)
+
+
+def test_pin_data_checks_both_orbit_heights(monkeypatch):
+    # one pin per bump: its tangency, landing and upper orbit height; the
+    # second bump's anchor height over lam[0] must be positive too
+    lam = (-0.5, -0.4, -0.3)
+    Hit = dataclasses.make_dataclass("Hit", ["y"])
+    sections, heights = [], []
+    monkeypatch.setattr(loops, "integrate_smooth", lambda *a, **k: None)
+    monkeypatch.setattr(loops, "_landed", lambda traj: 0.7)
+
+    def flow_to_section(hat, p, x):
+        sections.append(x)
+        return Hit(heights.pop(0))
+
+    monkeypatch.setattr(loops, "_flow_to_section", flow_to_section)
+    heights[:] = [0.2, 0.1, 0.3]
+    pins = loops._pin_data(None, lam)
+    assert sections == [-0.5, -0.3, -0.5]
+    assert [(p.tp, p.conj, p.height) for p in pins] == [
+        (-0.5, 0.7, 0.2), (-0.3, 0.7, 0.1)]
+    # a height at pin 1, a height at pin 2, an anchor at pin 2
+    for bad in ([0.0], [0.2, -1e-9, 0.3], [0.2, 0.1, -1e-9]):
+        heights[:] = bad
+        with pytest.raises(VerificationFailed,
+                           match="orbit heights not positive"):
+            loops._pin_data(None, lam)
+
+
 def test_thm5_sliding_loops_and_crossing_cycles():
     # thm5 (3,3) ell=0: both bumps raised, so each pinned orbit slides to
     # an exit solved on the landing gap, and the scan polishes two cycles

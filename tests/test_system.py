@@ -49,6 +49,14 @@ def test_decompose_linear_fold():
     assert (c, d) == pytest.approx((0.0, 1.0), abs=1e-9)
 
 
+def test_decompose_mirrored_fold():
+    # g+ = -x: the upper field points down on the right, so the halves swap
+    dec = decompose_sigma(make_sys("1", "-x", "1", "1"))
+    assert dec.sliding == [(pytest.approx(0.0, abs=1e-12), 1.0)]
+    assert dec.crossing == [(-1.0, pytest.approx(0.0, abs=1e-12))]
+    assert dec.tangency_candidates == [pytest.approx(0.0, abs=1e-10)]
+
+
 def test_decompose_trivial_crossing():
     dec = decompose_sigma(make_sys("1", "1", "1", "1"))
     assert dec.tangency_candidates == []

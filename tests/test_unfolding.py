@@ -117,6 +117,17 @@ def sheared_both_sides_spec():
         _plateau_psi(-0.0021, -0.45))
 
 
+def test_sheared_x_partials_match_finite_differences_on_both_sides():
+    unf = build_unfolded(sheared_both_sides_spec())
+    h = 1e-6
+    for x, y in ((-0.28, 0.013), (-0.19, -0.021), (-0.6, 0.2),
+                 (0.3, -0.4)):
+        for fld in (unf.f_plus, unf.g_plus, unf.f_minus, unf.g_minus):
+            fx = (fld.value(x + h, y) - fld.value(x - h, y)) / (2 * h)
+            assert fld.x_jet(x, y, 1)[1] == pytest.approx(fx, rel=2e-5,
+                                                          abs=1e-8)
+
+
 # value, then x_jet(x, y, 6), as float.hex: how the sheared
 # components are organised must not move a single bit of what they return
 SHEARED_PINS = [
