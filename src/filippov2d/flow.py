@@ -29,8 +29,8 @@ Henon step (Physica D 5, 1982) in the line coordinate s, dz/ds = F / (F.n),
 finishes on the line, carrying the time; the interpolant's error never
 reaches a reported point. Tangential contacts keep the polynomial's root:
 the orbit flies past them, or with graze chaining each ends a leg, one
-``Arc`` per leg, and the flow restarts from (x, 0) until one lands near
-``stop_at``.
+``Arc`` per leg, and the flow restarts from (x, 0) until one lands within
+a fixed 1e-6 in x of ``stop_at`` (a tangent arrival).
 
 A transit evaluates its side's field through one callable (x, y) -> (f, g)
 with Python floats, one call per RHS point: expression and sheared sides
@@ -132,6 +132,7 @@ _NUDGE_FIRST_STEP = 1e-8   # first micro-step of the nudge, grown 4x per try
 _TOUCH_TOL = 1e-8          # |y| of a g-zero inside a step that counts as a touch
 _TRANSVERSAL_TOL = 1e-6    # relative normal speed of an accepted section hit
 _MAX_CONTACTS = 64         # Sigma contacts that restart one transit
+_ARRIVAL_TOL = 1e-6        # x-distance from stop_at of a touch that ends a chain
 _GRID = np.linspace(0.0, 1.0, 33)   # samples of a step polynomial
 _TAUS = _GRID.tolist()
 _MAX_ARCS = 200            # arcs of one integrate_pws trajectory
@@ -142,18 +143,6 @@ class SmoothRun:
     legs: List[Arc]          # one per leg; several only under graze chaining
     touches: List[Event]
     terminal: Event
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.concatenate([a.t for a in self.legs])
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.concatenate([a.x for a in self.legs])
-
-    @property
-    def y(self) -> np.ndarray:
-        return np.concatenate([a.y for a in self.legs])
 
 
 def _own_sign(side: str) -> float:
@@ -279,8 +268,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
              t_max: Optional[float] = None, window: Optional[Window] = None,
              time_sign: float = 1.0, tangency_tol: float = 0.0,
              chain: bool = False, stop_at: Optional[float] = None,
-             stop_tol: float = 0.0, t_offset: float = 0.0,
-             x_at: Optional[float] = None) -> SmoothRun:
+             t_offset: float = 0.0, x_at: Optional[float] = None) -> SmoothRun:
     """The one smooth-transit loop (module docstring) on the field of
     `side`: a Sigma transit in that half-plane, or with x_at a transit to
     the vertical line x = x_at. Times count from t_offset; each leg has the
@@ -422,7 +410,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
         t_touch, x_touch = contact
         touches.append(Event(t_leg0 + t_touch, x_touch, 0.0, "tangency-touch"))
         if chain:
-            if stop_at is not None and abs(x_touch - stop_at) <= stop_tol:
+            if stop_at is not None and abs(x_touch - stop_at) <= _ARRIVAL_TOL:
                 return finish(t_touch, x_touch, 0.0, "tangent-arrival")
             close_leg(t_touch, x_touch, 0.0)
             t_leg0, t_touch, samples = t_leg0 + t_touch, 0.0, []
@@ -446,7 +434,6 @@ def integrate_smooth(sys: PwsSystem, side: str, start: Tuple[float, float],
                      tangency_tol: float = 1e-7,
                      chain: bool = False,
                      stop_at: Optional[float] = None,
-                     stop_tol: float = 1e-6,
                      t_offset: float = 0.0) -> SmoothRun:
     """One smooth transit of the `side` field of sys in its half-plane,
     with Sigma event handling, in sys.window with the leg budget unless
@@ -459,12 +446,11 @@ def integrate_smooth(sys: PwsSystem, side: str, start: Tuple[float, float],
 
     With chain=True every touch ends a leg and the flow restarts from the
     touch point on Sigma; the transit ends at the first touch within
-    stop_tol of stop_at, when one is given. Times count from t_offset.
+    1e-6 of stop_at, when one is given. Times count from t_offset.
     """
     return _transit(sys, side, start, t_max=t_max, window=window,
                     time_sign=time_sign, tangency_tol=tangency_tol,
-                    chain=chain, stop_at=stop_at, stop_tol=stop_tol,
-                    t_offset=t_offset)
+                    chain=chain, stop_at=stop_at, t_offset=t_offset)
 
 
 def sliding_arc(sys: PwsSystem, x_start: float, *,
@@ -515,7 +501,7 @@ def sliding_arc(sys: PwsSystem, x_start: float, *,
 
 @dataclass
 class StepDecision:
-    action: str          # 'cross' | 'slide' | 'continue' | 'stop'
+    action: str          # 'cross' | 'slide' | 'continue'
     side: Optional[str]  # target side for 'cross'/'continue'
 
 
@@ -601,15 +587,12 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
                 break
             # Sigma contact: transversal or tangential exit
             dec = step_filippov(sys, x, side)
-            if dec.action == "cross" or dec.action == "continue":
-                pending = ("smooth", dec.side)
-                y = 0.0
-            elif dec.action == "slide":
+            if dec.action == "slide":
                 events.append(Event(t_used, x, 0.0, "sliding-entry"))
                 pending = ("slide", None)
-                y = 0.0
             else:
-                break
+                pending = ("smooth", dec.side)
+            y = 0.0
         else:
             ts, xs, term = sliding_arc(sys, x, t_max=t_max - t_used)
             arcs.append(Arc("sliding", ts + t_used, xs, np.zeros_like(xs)))

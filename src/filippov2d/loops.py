@@ -17,6 +17,15 @@ Nothing here is synthesised from closed-form orbit formulas: every record
 returned carries a trajectory that was actually integrated, so a successful
 return certifies the advertised geometry up to the stated tolerances.
 
+Every loop reported goes through one certificate, _certify, which its
+witness builder ends in: given the witness's name, legs and events, it
+runs classify_loop, the one closure check, and compares the loop's kind
+and tangential contact count with the expected ones. It fails in three
+ways, each a VerificationFailed naming the witness: the endpoints miss by
+more than CLOSURE_TOL, the kind differs, or the contact count does. A leg
+that does not end as its plan says (a crossing, a tangent arrival after n
+contacts) fails before, with a message naming the leg.
+
 A scenario either returns its census or raises one of three classes:
 
 * RangeError -- a refusal: the parameter it names is outside the range
@@ -213,6 +222,55 @@ def _landed(run: SmoothRun) -> float:
     return run.terminal.x
 
 
+def _certify(sys: PwsSystem, name: str, legs: List[Arc], events: List[Event],
+             kind: Optional[str] = None,
+             contacts: Optional[int] = None) -> LoopRecord:
+    """The one certificate of a loop witness (module docstring): the events
+    sorted by time, classify_loop, then the expected kind and contact count,
+    where given."""
+    events.sort(key=lambda ev: ev.t)
+    try:
+        rec = classify_loop(Trajectory(legs, events, system=sys))
+    except VerificationFailed as err:
+        raise VerificationFailed(f"{name} fails to close: {err}") from None
+    if kind not in (None, rec.kind) \
+            or contacts not in (None, rec.tangent_touch_count):
+        want = kind if contacts is None else f"{kind} with {contacts}"
+        raise VerificationFailed(
+            f"{name} classified {rec.kind} with {rec.tangent_touch_count}"
+            f" contacts, expected {want}")
+    return rec
+
+
+def _entry_crossing(sys: PwsSystem, tp: float) -> float:
+    """Where the upper orbit arriving at (tp, 0) crossed Sigma last: its
+    backward leg, which must cross back without grazing on the way."""
+    bw = integrate_smooth(sys, "upper", (tp, 0.0), time_sign=-1.0,
+                          chain=True)
+    if bw.terminal.kind != "sigma-cross" or bw.touches:
+        raise VerificationFailed(
+            f"backward upper leg from {tp:.6g} ended with {bw.terminal.kind}"
+            f" after {len(bw.touches)} contacts, expected sigma-cross after 0")
+    return float(bw.terminal.x)
+
+
+def _tangent_arrival(sys: PwsSystem, name: str, x0: float, tp: float, *,
+                     contacts: Optional[int] = None,
+                     t_offset: float = 0.0) -> SmoothRun:
+    """The graze-chained upper leg from (x0, 0) that must arrive
+    tangentially at the tangency tp, after `contacts` contacts of Sigma
+    (the arrival included) when given."""
+    up = integrate_smooth(sys, "upper", (x0, 0.0), chain=True, stop_at=tp,
+                          t_offset=t_offset)
+    n = len(up.touches)
+    if up.terminal.kind != "tangent-arrival" or contacts not in (None, n):
+        after = "" if contacts is None else f" after {contacts}"
+        raise VerificationFailed(
+            f"{name}: {up.terminal.kind} after {n} contacts, expected "
+            f"tangent arrival{after}")
+    return up
+
+
 def _displacement(sys: PwsSystem) -> Callable[[float], float]:
     """x -> the displacement of sys at (x, 0), as every scan reads it:
     flown on sys's transition system (maps.displacement_sigma)."""
@@ -321,20 +379,12 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
     """
     base = canonical_base(m_plus, m_minus, a, k1, k2, window)
     sys = base.system()
-    up = integrate_smooth(sys, "upper", (-a, 0.0), chain=True, stop_at=0.0)
-    if up.terminal.kind != "tangent-arrival":
-        raise VerificationFailed(
-            f"upper arc ended with {up.terminal.kind} at x={up.terminal.x:.6g}"
-            f"; expected a tangential arrival at 0")
+    up = _tangent_arrival(sys, f"upper arc from {-a:.6g}", -a, 0.0)
     t1 = up.terminal.t
     down = integrate_smooth(sys, "lower", (up.terminal.x, 0.0), t_offset=t1)
     if down.terminal.kind != "sigma-cross":
         raise VerificationFailed(
             f"lower arc ended with {down.terminal.kind}; expected a crossing")
-    gap = abs(down.terminal.x + a)
-    if gap > CLOSURE_TOL:
-        raise VerificationFailed(
-            f"lower arc lands at {down.terminal.x:.12g}, {gap:.2e} from -a")
     if h_value(sys, -a) <= 0.0:
         raise VerificationFailed("the point -a is not a crossing point")
     mp = multiplicity_at(sys.g_plus, 1.0, 0.0)
@@ -346,12 +396,8 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
     if _signed_area(arcs) >= 0.0:
         raise VerificationFailed("loop is not traversed clockwise")
     events = [Event(t1, up.terminal.x, 0.0, "tangency-touch"), down.terminal]
-    rec = classify_loop(Trajectory(arcs, events, system=sys))
-    if rec.kind != "critical" or rec.tangent_touch_count != 1:
-        raise VerificationFailed(
-            f"classified {rec.kind} with {rec.tangent_touch_count} contacts;"
-            f" expected critical with exactly one")
-    return sys, rec
+    return sys, _certify(sys, f"canonical loop through {-a:.6g}", arcs,
+                         events, "critical", 1)
 
 
 # --------------------------------------------------------------------------
@@ -410,14 +456,10 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float) -> LoopRecord:
 
     low, up = best
     term = up.terminal
-    gap = math.hypot(term.x - q, term.y)
-    if gap > CLOSURE_TOL:
-        raise VerificationFailed(
-            f"cycle through x={q:.9g} fails to close: gap {gap:.2e}")
     events = [low.terminal] + up.touches \
         + [Event(term.t, term.x, 0.0, "sigma-cross")]
-    events.sort(key=lambda ev: ev.t)
-    rec = classify_loop(Trajectory(low.legs + up.legs, events, system=sys))
+    rec = _certify(sys, f"cycle through x={q:.9g}", low.legs + up.legs,
+                   events)
     if rec.kind == "crossing-periodic":
         rec.kind = "crossing-limit-cycle"
     return rec
@@ -531,24 +573,10 @@ def _critical_witness(sys: PwsSystem,
     """
     low = integrate_smooth(sys, "lower", (tp, 0.0))
     conj = _landed(low)
-    up = integrate_smooth(sys, "upper", (conj, 0.0), chain=True, stop_at=tp,
-                          t_offset=low.terminal.t)
-    term = up.terminal
-    if term.kind != "tangent-arrival":
-        raise VerificationFailed(
-            f"upper leg from {conj:.9g} ended with {term.kind} at "
-            f"x={term.x:.9g} instead of reaching the tangency at {tp:.6g}")
-    gap = abs(term.x - tp)
-    if gap > CLOSURE_TOL:
-        raise VerificationFailed(
-            f"loop at {tp:.6g} fails to close: gap {gap:.2e}")
-    events = [low.terminal] + up.touches
-    events.sort(key=lambda ev: ev.t)
-    rec = classify_loop(Trajectory(low.legs + up.legs, events, system=sys))
-    if rec.kind != "critical":
-        raise VerificationFailed(
-            f"loop at {tp:.6g} classified {rec.kind}, expected critical")
-    return rec, conj
+    up = _tangent_arrival(sys, f"upper leg from {conj:.9g} to {tp:.6g}",
+                          conj, tp, t_offset=low.terminal.t)
+    return _certify(sys, f"loop at {tp:.6g}", low.legs + up.legs,
+                    [low.terminal] + up.touches, "critical"), conj
 
 
 def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
@@ -563,15 +591,7 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     changes sign: the root can sit anywhere from a hair right of tp to most
     of the gap. Returns (record, sliding exit abscissa).
     """
-    bw = integrate_smooth(sys, "upper", (tp, 0.0), time_sign=-1.0,
-                          chain=True)
-    if bw.terminal.kind != "sigma-cross":
-        raise VerificationFailed(
-            f"backward upper leg from {tp:.6g} ended with {bw.terminal.kind}")
-    if bw.touches:
-        raise VerificationFailed(
-            "backward upper leg grazed other tangencies; clearances too thin")
-    x_left = float(bw.terminal.x)
+    x_left = _entry_crossing(sys, tp)
 
     def land_gap(q: float) -> float:
         return _landed(integrate_smooth(sys, "lower", (q, 0.0))) - x_left
@@ -594,12 +614,8 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     if h_value(sys, q_s) >= 0.0:
         raise VerificationFailed(
             f"exit point {q_s:.9g} is not inside the sliding segment")
-    up = integrate_smooth(sys, "upper", (x_left, 0.0), chain=True,
-                          stop_at=tp)
-    if up.terminal.kind != "tangent-arrival" or len(up.touches) != 1:
-        raise VerificationFailed(
-            f"upper leg ended with {up.terminal.kind} at x={up.terminal.x:.9g}"
-            f" instead of the tangency at {tp:.6g}")
+    up = _tangent_arrival(sys, f"upper leg from {x_left:.9g} to {tp:.6g}",
+                          x_left, tp, contacts=1)
     nudge = min(1e-9, (q_s - tp) * 1e-3)
     ts, xs, sl_term = sliding_arc(sys, tp + nudge, x_stop=q_s)
     if sl_term.kind != "target-reached":
@@ -609,21 +625,14 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     t1 = up.terminal.t
     t2 = t1 + float(ts[-1])
     low = integrate_smooth(sys, "lower", (q_s, 0.0), t_offset=t2)
-    land = _landed(low)
-    if abs(land - x_left) > CLOSURE_TOL:
-        raise VerificationFailed(
-            f"sliding loop at {tp:.6g} fails to close: "
-            f"{abs(land - x_left):.2e}")
+    _landed(low)   # NoArrival unless it crosses back to Sigma
     xs = np.asarray(xs)
     arcs = up.legs + [Arc("sliding", np.asarray(ts) + t1, xs,
                           np.zeros_like(xs))] + low.legs
     events = [Event(t1, up.terminal.x, 0.0, "tangency-touch"),
               Event(t2, q_s, 0.0, "sliding-exit"), low.terminal]
-    rec = classify_loop(Trajectory(arcs, events, system=sys))
-    if rec.kind != "sliding-loop":
-        raise VerificationFailed(
-            f"loop at {tp:.6g} classified {rec.kind}, expected sliding-loop")
-    return rec, q_s
+    return _certify(sys, f"sliding loop at {tp:.6g}", arcs, events,
+                    "sliding-loop"), q_s
 
 
 def _displacement_root(sys: PwsSystem, a: float, b: float) -> float:
@@ -787,8 +796,7 @@ def _stitch_orbit(sys: PwsSystem, bw_arcs: List[Arc], fw_arcs: List[Arc],
             if g < best_gap:
                 best_gap, best_t = g, float(a.t[i])
         events.append(Event(best_t, float(tx), 0.0, "tangency-touch"))
-    events.sort(key=lambda ev: ev.t)
-    return Trajectory(arcs, events, system=sys)
+    return Trajectory(arcs, sorted(events, key=lambda ev: ev.t), system=sys)
 
 
 # --------------------------------------------------------------------------
@@ -847,14 +855,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     psi_p = PsiSpec(d, knots + tuple(heights))
     up_sys = build_unfolded(UnfoldingSpec(base, lam, lam_m, psi_plus=psi_p))
 
-    bw = integrate_smooth(up_sys, "upper", (lam[0], 0.0), time_sign=-1.0,
-                          chain=True)
-    if bw.terminal.kind != "sigma-cross":
-        raise VerificationFailed(
-            f"backward upper leg ended with {bw.terminal.kind}")
-    if bw.touches:
-        raise VerificationFailed("backward upper leg grazed the cluster")
-    p_plus = float(bw.terminal.x)
+    p_plus = _entry_crossing(up_sys, lam[0])
 
     if kind == "crossing":
         fw = integrate_smooth(up_sys, "upper", (lam[0], 0.0), chain=True)
@@ -891,36 +892,24 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     spec4 = UnfoldingSpec(base, lam, lam_m, psi_p, _plateau_psi(y0, p_plus))
     sys4 = build_unfolded(spec4)
 
-    up = integrate_smooth(sys4, "upper", (p_plus, 0.0), chain=True,
-                          stop_at=None if kind == "crossing" else x_drop,
-                          stop_tol=0.25 * delta)
-    term, touches = up.terminal, up.touches
     if kind == "crossing":
-        if term.kind != "sigma-cross":
+        up = integrate_smooth(sys4, "upper", (p_plus, 0.0), chain=True)
+        if up.terminal.kind != "sigma-cross" or len(up.touches) != ell:
             raise VerificationFailed(
-                f"witness upper leg ended with {term.kind}")
-        if len(touches) != ell:
-            raise VerificationFailed(
-                f"witness made {len(touches)} contacts, expected {ell}")
-    elif term.kind != "tangent-arrival" or len(touches) != ell:
-        raise VerificationFailed(
-            f"witness upper leg: {term.kind} after {len(touches)} "
-            f"contacts, expected tangent arrival after {ell}")
+                f"witness upper leg: {up.terminal.kind} after "
+                f"{len(up.touches)} contacts, expected sigma-cross after {ell}")
+    else:
+        up = _tangent_arrival(sys4, "witness upper leg", p_plus, x_drop,
+                              contacts=ell)
+    term = up.terminal
     low = integrate_smooth(sys4, "lower", (term.x, 0.0), t_offset=term.t)
-    land = _landed(low)
-    if abs(land - p_plus) > CLOSURE_TOL:
-        raise VerificationFailed(
-            f"loop fails to close: landing gap {abs(land - p_plus):.2e}")
-    events = touches + [low.terminal]
+    _landed(low)   # NoArrival unless it crosses back to Sigma
+    events = up.touches + [low.terminal]
     if kind == "crossing":
         events.append(Event(term.t, term.x, 0.0, "sigma-cross"))
-    events.sort(key=lambda ev: ev.t)
-    rec = classify_loop(Trajectory(up.legs + low.legs, events, system=sys4))
     want = "crossing-nonsliding" if kind == "crossing" else "critical"
-    if rec.kind != want or rec.tangent_touch_count != ell:
-        raise VerificationFailed(
-            f"classified {rec.kind} with {rec.tangent_touch_count} contacts,"
-            f" expected {want} with {ell}")
+    rec = _certify(sys4, f"{kind} loop from {p_plus:.9g}", up.legs + low.legs,
+                   events, want, ell)
     census = LoopCensus("thm3", m, base.m_minus, ell, spec=spec4,
                         witnesses=[(f"{kind}_l{ell}", rec)])
     (census.beta_cro if kind == "crossing" else census.beta_cri)[ell] = 1

@@ -4,7 +4,8 @@ A section is a vertical line x = x_at. A section transit
 (_flow_to_section) is a configuration of the flow kernel, flow._transit:
 it flows the upper field in its system's window with the system's leg
 budget and stops at the first crossing of the line other than its start,
-landed on the line by a Henon step.
+landed on the line by a Henon step. It returns that crossing, the
+transit's terminal flow.Event (kind section-hit).
 
 displacement_sigma composes a lower Sigma transit (flow.integrate_smooth,
 the only call of that name in this module) with an upper section transit
@@ -27,7 +28,8 @@ from .system import PwsSystem
 # stay bound here because perfbench/tracing.py wraps them on every layer
 from .numerics import solve_ivp  # noqa: F401
 from .tangency import multiplicity_at  # noqa: F401
-from .flow import TransitFailure, _leg_budget, _transit, integrate_smooth
+from .flow import (Event, TransitFailure, _leg_budget, _transit,
+                   integrate_smooth)
 
 
 class NoArrival(TransitFailure):
@@ -38,21 +40,15 @@ class TangentialArrival(TransitFailure):
     pass
 
 
-@dataclass
-class Arrival:
-    t: float
-    x: float
-    y: float
-
-
 def _flow_to_section(sys: PwsSystem, start: Tuple[float, float],
-                     x_at: float) -> Arrival:
+                     x_at: float) -> Event:
     """Flow the upper field of sys forward until it crosses the vertical
     line x = x_at.
 
-    The transit stops at that first crossing. It raises TangentialArrival
-    when the crossing is tangential to the line, and NoArrival when the
-    orbit leaves the window or uses up the leg budget first.
+    The transit stops at that first crossing and returns its terminal
+    section-hit Event. It raises TangentialArrival when the crossing is
+    tangential to the line, and NoArrival when the orbit leaves the window
+    or uses up the leg budget first.
     """
     run = _transit(sys, "upper", start, x_at=x_at)
     hit = run.terminal
@@ -62,7 +58,7 @@ def _flow_to_section(sys: PwsSystem, start: Tuple[float, float],
     if hit.kind != "section-hit":
         raise NoArrival("orbit never crossed the target section "
                         f"within t={_leg_budget(sys)}: {hit.kind}")
-    return Arrival(hit.t, hit.x, hit.y)
+    return hit
 
 
 @dataclass

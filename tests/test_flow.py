@@ -27,8 +27,8 @@ def test_constant_flow_reaches_time_end():
     run = integrate_smooth(upper_sys("1", "0"), "upper", (0.0, 1.0),
                            t_max=1.0)
     assert run.terminal.kind == "time-end"
-    assert run.x[-1] == pytest.approx(1.0, abs=1e-12)
-    assert run.y[-1] == pytest.approx(1.0, abs=1e-12)
+    assert run.terminal.x == pytest.approx(1.0, abs=1e-12)
+    assert run.terminal.y == pytest.approx(1.0, abs=1e-12)
     assert run.touches == []
 
 
@@ -220,10 +220,12 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 
 def test_no_function_takes_integration_settings():
-    # the tolerances are module constants (flow.RTOL/ATOL,
+    # the tolerances are module constants (flow.RTOL/ATOL, the 1e-6
+    # distance from stop_at that ends a chained transit,
     # loops.CLOSURE_TOL), the leg budget follows from the system's window,
     # and the step length is the integrator's own choice
-    knobs = {"rtol", "atol", "t_leg", "t_budget", "closure_tol", "max_step"}
+    knobs = {"rtol", "atol", "t_leg", "t_budget", "closure_tol", "max_step",
+             "stop_tol"}
     hits = []
     for mod in (flow, maps, loops, unfolding):
         for obj in vars(mod).values():

@@ -303,6 +303,56 @@ def test_cycle_witness_polish_stops_at_a_seed_that_does_not_land(
     assert lower_runs == [-0.35, pytest.approx(-0.3305, abs=1e-4)]
 
 
+# thm5 (3,3) ell=1's first crossing cycle: its witness closes to 6e-13
+_CYCLE_SEED = float.fromhex("-0x1.933b70744fa64p-2")
+
+
+@pytest.mark.parametrize("name, build", [
+    ("canonical loop through -1", lambda: canonical_critical_loop(1, 1)),
+    ("cycle through x=-0.39378143", lambda: loops._crossing_cycle_witness(
+        _thm5_33_ell1_system(), _CYCLE_SEED)),
+    ("loop at 0", lambda: loops._critical_witness(
+        canonical_base(1, 1).system(), 0.0)),
+    ("sliding loop at -0.3", lambda: scenario_thm5(canonical_base(3, 3), 0)),
+    (r"critical loop from -\S+",
+     lambda: scenario_thm3(canonical_base(3, 3), 1, "critical")),
+], ids=["canonical", "cycle", "critical", "sliding", "thm3"])
+def test_every_witness_closure_failure_names_its_witness(monkeypatch, name,
+                                                         build):
+    # every leg's last sample is moved 1e-6 in x, its terminal event is
+    # left as flown; each witness closed to far below 1e-6 unstubbed, so
+    # its certificate reads a gap of 1e-6
+    integrate_smooth = loops.integrate_smooth
+
+    def off_by_a_micron(*args, **kwargs):
+        run = integrate_smooth(*args, **kwargs)
+        last = run.legs[-1]
+        x = last.x.copy()
+        x[-1] += 1e-6
+        return dataclasses.replace(
+            run, legs=run.legs[:-1] + [dataclasses.replace(last, x=x)])
+    monkeypatch.setattr(loops, "integrate_smooth", off_by_a_micron)
+    with pytest.raises(VerificationFailed, match=(
+            f"^{name} fails to close: endpoints .* differ by "
+            r"1\.000e-06 > 1\.0e-08$")):
+        build()
+
+
+def test_certificate_names_a_wrong_kind_or_contact_count():
+    system, rec = canonical_critical_loop(1, 1)
+    arcs, events = rec.trajectory.arcs, list(rec.trajectory.events)
+    with pytest.raises(VerificationFailed, match=re.escape(
+            "probe classified critical with 1 contacts, expected "
+            "sliding-loop")):
+        loops._certify(system, "probe", arcs, events, "sliding-loop")
+    with pytest.raises(VerificationFailed, match=re.escape(
+            "probe classified critical with 1 contacts, expected critical "
+            "with 2")):
+        loops._certify(system, "probe", arcs, events, "critical", 2)
+    assert loops._certify(system, "probe", arcs, events, "critical",
+                          1).kind == "critical"
+
+
 def _x_integrated_height(system, x0, x1):
     # reference: the upper orbit from (x0, 0) as a graph, dy/dx = g/f,
     # integrated knot to knot so that no step straddles a knot of psi
