@@ -9,7 +9,10 @@ check              built-in self-test battery (seeded)
 
 Config files are line-oriented ``section.key = value`` with sections
 {upper, lower, scenario, output}. Field expressions are quoted strings;
-everything else is plain decimal / bare words. See load_config.
+everything else is plain decimal / bare words. The keys (load_config):
+upper/lower f, g, phi, m; scenario theorem, ell, delta, kind, visibility,
+window, lambda_plus, lambda_minus, expect_tangent_points; output dir.
+Without both phi sides, theorems 3-5 unfold loops.canonical_base.
 
 ``run`` looks scenario.theorem 2-5 up in one table (_SCENARIOS): the
 theorem's loops.scenario_thmN returns a LoopCensus that already meets its
@@ -82,9 +85,6 @@ class RunConfig:
     delta: Optional[float] = None
     kind: str = "crossing"
     visibility: str = "I"
-    a: float = 1.0
-    k1: float = 1.0
-    k2: float = -1.0
     window: Optional[Window] = None
     lambda_plus: Tuple[float, ...] = ()
     lambda_minus: Tuple[float, ...] = ()
@@ -95,9 +95,8 @@ class RunConfig:
 _SECTIONS = {
     "upper": {"f", "g", "phi", "m"},
     "lower": {"f", "g", "phi", "m"},
-    "scenario": {"theorem", "ell", "delta", "kind", "visibility",
-                 "a", "k1", "k2", "window", "lambda_plus",
-                 "lambda_minus", "expect_tangent_points"},
+    "scenario": {"theorem", "ell", "delta", "kind", "visibility", "window",
+                 "lambda_plus", "lambda_minus", "expect_tangent_points"},
     "output": {"dir"},
 }
 
@@ -197,11 +196,10 @@ def load_config(path) -> RunConfig:
             cfg.ell = _int_value(raw, where)
             if cfg.ell < 0:
                 raise ConfigError(f"{where}: scenario.ell must be >= 0")
-        elif key in ("delta", "a", "k1", "k2"):
-            val = _float_value(raw, where)
-            if key == "delta" and val <= 0.0:
-                raise ConfigError(f"{where}: scenario.{key} must be > 0")
-            setattr(cfg, key, val)
+        elif key == "delta":
+            cfg.delta = _float_value(raw, where)
+            if cfg.delta <= 0.0:
+                raise ConfigError(f"{where}: scenario.delta must be > 0")
         elif key == "kind":
             word = raw.strip().lower()
             aliases = {"cro": "crossing", "crossing": "crossing",
@@ -247,20 +245,15 @@ def load_config(path) -> RunConfig:
         if side.phi is not None and side.m is None:
             raise ConfigError(
                 f"{path.name}: section {name!r} sets phi without m")
-    if not (cfg.a > 0.0 and cfg.k1 > 0.0 and cfg.k2 < 0.0):
-        raise ConfigError(
-            f"{path.name}: need scenario.a > 0, k1 > 0, k2 < 0")
     return cfg
 
 
 def _config_window(cfg: RunConfig) -> Window:
-    if cfg.window is not None:
-        return cfg.window
-    return Window(-1.75 * cfg.a, 0.75 * cfg.a, -2.0, 2.0)
+    return cfg.window or Window(-1.75, 0.75, -2.0, 2.0)
 
 
 def _canonical_for(cfg: RunConfig) -> CanonicalBase:
-    """Canonical base from explicit phi sides, else from (m, a, k1, k2)."""
+    """Canonical base from explicit phi sides, else from the multiplicities."""
     if cfg.upper.phi is not None and cfg.lower.phi is not None:
         return CanonicalBase.from_strings(
             cfg.upper.f, cfg.upper.phi, cfg.upper.m or 0,
@@ -268,7 +261,7 @@ def _canonical_for(cfg: RunConfig) -> CanonicalBase:
             _config_window(cfg))
     m_p = cfg.upper.m if cfg.upper.m is not None else 1
     m_m = cfg.lower.m if cfg.lower.m is not None else m_p
-    return canonical_base(m_p, m_m, cfg.a, cfg.k1, cfg.k2, cfg.window)
+    return canonical_base(m_p, m_m, cfg.window)
 
 
 def _configured_system(cfg: RunConfig) -> PwsSystem:
@@ -456,6 +449,15 @@ _SCENARIOS = {
 }
 
 
+def _failed(out: Path, exc: Exception) -> int:
+    """Exit 1 from run/portrait's except: traceback to out/diagnostics.txt."""
+    diag = out / "diagnostics.txt"
+    diag.write_text(f"{type(exc).__name__}: {exc}\n\n{traceback.format_exc()}")
+    print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+    print(f"diagnostics written to {diag}", file=_sys.stderr)
+    return 1
+
+
 def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
     """Execute the configured scenario and write every artifact.
 
@@ -505,13 +507,7 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
         print(f"artifacts written to {out}")
         return 0
     except Exception as exc:  # noqa: BLE001 - every failure goes to disk
-        out.mkdir(parents=True, exist_ok=True)
-        diag = out / "diagnostics.txt"
-        diag.write_text(
-            f"{type(exc).__name__}: {exc}\n\n{traceback.format_exc()}")
-        print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
-        print(f"diagnostics written to {diag}", file=_sys.stderr)
-        return 1
+        return _failed(out, exc)
 
 
 def run_portrait(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
@@ -524,12 +520,8 @@ def run_portrait(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
         (out / "portrait.svg").write_text(svg)
         print(f"portrait written to {out / 'portrait.svg'}")
         return 0
-    except Exception as exc:  # noqa: BLE001
-        diag = out / "diagnostics.txt"
-        diag.write_text(
-            f"{type(exc).__name__}: {exc}\n\n{traceback.format_exc()}")
-        print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
-        return 1
+    except Exception as exc:  # noqa: BLE001 - every failure goes to disk
+        return _failed(out, exc)
 
 
 # --------------------------------------------------------------------------
@@ -587,7 +579,7 @@ def _check_cutoff() -> Optional[str]:
 def _check_canonical() -> Optional[str]:
     from .maps import _flow_to_section
 
-    sys_c, rec = canonical_critical_loop(1, 1, 1.0, 1.0, -1.0)
+    sys_c, rec = canonical_critical_loop(1, 1)
     if rec.kind != "critical":
         return f"canonical loop classified {rec.kind}"
     hit = _flow_to_section(sys_c, (-1.0, 0.0), -2.0 / 3.0)

@@ -22,9 +22,15 @@ witness builder ends in: given the witness's name, legs and events, it
 runs classify_loop, the one closure check, and compares the loop's kind
 and tangential contact count with the expected ones. It fails in three
 ways, each a VerificationFailed naming the witness: the endpoints miss by
-more than CLOSURE_TOL, the kind differs, or the contact count does. A leg
-that does not end as its plan says (a crossing, a tangent arrival after n
-contacts) fails before, with a message naming the leg.
+more than CLOSURE_TOL, the kind differs, or the contact count does.
+
+Before that, _leg flies every leg of the canonical loop, _critical_witness,
+_sliding_witness, _entry_crossing and thm3, and raises VerificationFailed
+naming the leg unless it ends as planned (a crossing or a tangent arrival,
+after n contacts where n is planned). Scans, harvests and the crossing-
+cycle witness read a landing through _landed, whose NoArrival _evaluable
+skips and find_crossing_cycles does not: a cycle leg that does not land
+fails the census instead of dropping the root. thm2's walk checks inline.
 
 A scenario either returns its census or raises one of three classes:
 
@@ -242,39 +248,35 @@ def _certify(sys: PwsSystem, name: str, legs: List[Arc], events: List[Event],
     return rec
 
 
+def _leg(sys: PwsSystem, name: str, side: str, x0: float, *,
+         end: str = "sigma-cross", contacts: Optional[int] = None,
+         **transit) -> SmoothRun:
+    """One witness leg: the `side` transit of integrate_smooth from (x0, 0),
+    with `transit` passed on. It must end with `end` (sigma-cross or
+    tangent-arrival) after `contacts` contacts of Sigma when given;
+    VerificationFailed naming the leg otherwise."""
+    run = integrate_smooth(sys, side, (x0, 0.0), **transit)
+    n = len(run.touches)
+    if run.terminal.kind != end or contacts not in (None, n):
+        after = "" if contacts is None else f" after {contacts}"
+        want = "tangent arrival" if end == "tangent-arrival" else end
+        raise VerificationFailed(
+            f"{name}: {run.terminal.kind} after {n} contacts, expected "
+            f"{want}{after}")
+    return run
+
+
 def _entry_crossing(sys: PwsSystem, tp: float) -> float:
     """Where the upper orbit arriving at (tp, 0) crossed Sigma last: its
     backward leg, which must cross back without grazing on the way."""
-    bw = integrate_smooth(sys, "upper", (tp, 0.0), time_sign=-1.0,
-                          chain=True)
-    if bw.terminal.kind != "sigma-cross" or bw.touches:
-        raise VerificationFailed(
-            f"backward upper leg from {tp:.6g} ended with {bw.terminal.kind}"
-            f" after {len(bw.touches)} contacts, expected sigma-cross after 0")
-    return float(bw.terminal.x)
-
-
-def _tangent_arrival(sys: PwsSystem, name: str, x0: float, tp: float, *,
-                     contacts: Optional[int] = None,
-                     t_offset: float = 0.0) -> SmoothRun:
-    """The graze-chained upper leg from (x0, 0) that must arrive
-    tangentially at the tangency tp, after `contacts` contacts of Sigma
-    (the arrival included) when given."""
-    up = integrate_smooth(sys, "upper", (x0, 0.0), chain=True, stop_at=tp,
-                          t_offset=t_offset)
-    n = len(up.touches)
-    if up.terminal.kind != "tangent-arrival" or contacts not in (None, n):
-        after = "" if contacts is None else f" after {contacts}"
-        raise VerificationFailed(
-            f"{name}: {up.terminal.kind} after {n} contacts, expected "
-            f"tangent arrival{after}")
-    return up
+    return float(_leg(sys, f"backward upper leg from {tp:.6g}", "upper", tp,
+                      contacts=0, time_sign=-1.0, chain=True).terminal.x)
 
 
 def _displacement(sys: PwsSystem) -> Callable[[float], float]:
     """x -> the displacement of sys at (x, 0), as every scan reads it:
     flown on sys's transition system (maps.displacement_sigma)."""
-    return lambda x: displacement_sigma(sys, float(x)).value
+    return lambda x: displacement_sigma(sys, float(x))
 
 
 def _signed_area(arcs: Sequence[Arc]) -> float:
@@ -338,55 +340,44 @@ def _root(stage: str, f: Callable[[float], float],
 # canonical loop
 
 
-def _hill_height(m: int, a: float, k: float) -> float:
-    xh = -(m + 1) * a / (m + 2)
-    return abs(k * xh ** (m + 1) * (xh + a))
+def _hill_height(m: int) -> float:
+    xh = -(m + 1) / (m + 2)
+    return abs(xh ** (m + 1) * (xh + 1.0))
 
 
-def canonical_base(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
-                   k1: float = 1.0, k2: float = -1.0,
+def canonical_base(m_plus: int = 1, m_minus: int = 1,
                    window: Optional[Window] = None) -> CanonicalBase:
-    """Base system with one odd tangency per side at O and a crossing at -a.
+    """Base system with one odd tangency per side at O and a crossing at -1.
 
-    Upper orbits are graphs of k1 * x^(m+1) * (x + a) + const with f = +1;
-    lower orbits mirror them with k2 < 0 and f = -1, so the arcs through
-    (-a, 0) and the origin bound a closed two-arc loop.
+    The shape is fixed: upper orbits are graphs of x^(m+1) * (x + 1) +
+    const with f = +1, lower orbits mirror them with f = -1, so the arcs
+    through (-1, 0) and the origin bound a closed two-arc loop.
     """
     if m_plus < 1 or m_plus % 2 == 0 or m_minus < 1 or m_minus % 2 == 0:
         raise ValueError("multiplicities must be odd and >= 1")
-    if not (a > 0.0 and k1 > 0.0 and k2 < 0.0):
-        raise ValueError("need a > 0, k1 > 0, k2 < 0")
     if window is None:
-        amp = max(_hill_height(m_plus, a, k1), _hill_height(m_minus, a, -k2))
-        pad = 4.0 * amp + 0.05 * a
-        window = Window(-1.75 * a, 0.75 * a, -pad, pad)
-    phi_p = f"{k1!r} * ({m_plus + 2}*x + {(m_plus + 1) * a!r})"
-    phi_m = f"{-k2!r} * ({m_minus + 2}*x + {(m_minus + 1) * a!r})"
+        pad = 4.0 * max(_hill_height(m_plus), _hill_height(m_minus)) + 0.05
+        window = Window(-1.75, 0.75, -pad, pad)
+    phi_p = f"1.0 * ({m_plus + 2}*x + {m_plus + 1}.0)"
+    phi_m = f"1.0 * ({m_minus + 2}*x + {m_minus + 1}.0)"
     return CanonicalBase.from_strings("1", phi_p, m_plus,
                                       "-1", phi_m, m_minus, window)
 
 
-def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
-                            k1: float = 1.0, k2: float = -1.0,
-                            window: Optional[Window] = None,
+def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1,
                             ) -> Tuple[PwsSystem, LoopRecord]:
-    """Assemble and verify the two-arc loop through (-a, 0) and the origin.
+    """Assemble and verify the two-arc loop through (-1, 0) and the origin.
 
     The upper leg must arrive tangentially at the origin, the lower leg
-    must cross back at -a, the circuit must run clockwise, and the origin
-    multiplicities must come out as requested; any failure raises
-    VerificationFailed with the offending measurement.
+    must cross back (at -1, a crossing, or the certificate fails), the
+    circuit must run clockwise, and the origin multiplicities must come
+    out as requested; any failure raises VerificationFailed.
     """
-    base = canonical_base(m_plus, m_minus, a, k1, k2, window)
-    sys = base.system()
-    up = _tangent_arrival(sys, f"upper arc from {-a:.6g}", -a, 0.0)
+    sys = canonical_base(m_plus, m_minus).system()
+    up = _leg(sys, "upper arc from -1", "upper", -1.0, end="tangent-arrival",
+              chain=True, stop_at=0.0)
     t1 = up.terminal.t
-    down = integrate_smooth(sys, "lower", (up.terminal.x, 0.0), t_offset=t1)
-    if down.terminal.kind != "sigma-cross":
-        raise VerificationFailed(
-            f"lower arc ended with {down.terminal.kind}; expected a crossing")
-    if h_value(sys, -a) <= 0.0:
-        raise VerificationFailed("the point -a is not a crossing point")
+    down = _leg(sys, "lower arc from 0", "lower", up.terminal.x, t_offset=t1)
     mp = multiplicity_at(sys.g_plus, 1.0, 0.0)
     mm = multiplicity_at(sys.g_minus, -1.0, 0.0)
     if (mp, mm) != (m_plus, m_minus):
@@ -396,8 +387,8 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1, a: float = 1.0,
     if _signed_area(arcs) >= 0.0:
         raise VerificationFailed("loop is not traversed clockwise")
     events = [Event(t1, up.terminal.x, 0.0, "tangency-touch"), down.terminal]
-    return sys, _certify(sys, f"canonical loop through {-a:.6g}", arcs,
-                         events, "critical", 1)
+    return sys, _certify(sys, "canonical loop through -1", arcs, events,
+                         "critical", 1)
 
 
 # --------------------------------------------------------------------------
@@ -571,10 +562,11 @@ def _critical_witness(sys: PwsSystem,
     Returns (record, crossing abscissa). The upper leg may graze earlier
     tangencies; it must arrive tangentially at tp itself.
     """
-    low = integrate_smooth(sys, "lower", (tp, 0.0))
-    conj = _landed(low)
-    up = _tangent_arrival(sys, f"upper leg from {conj:.9g} to {tp:.6g}",
-                          conj, tp, t_offset=low.terminal.t)
+    low = _leg(sys, f"lower leg from {tp:.6g}", "lower", tp)
+    conj = low.terminal.x
+    up = _leg(sys, f"upper leg from {conj:.9g} to {tp:.6g}", "upper", conj,
+              end="tangent-arrival", chain=True, stop_at=tp,
+              t_offset=low.terminal.t)
     return _certify(sys, f"loop at {tp:.6g}", low.legs + up.legs,
                     [low.terminal] + up.touches, "critical"), conj
 
@@ -614,8 +606,9 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     if h_value(sys, q_s) >= 0.0:
         raise VerificationFailed(
             f"exit point {q_s:.9g} is not inside the sliding segment")
-    up = _tangent_arrival(sys, f"upper leg from {x_left:.9g} to {tp:.6g}",
-                          x_left, tp, contacts=1)
+    up = _leg(sys, f"upper leg from {x_left:.9g} to {tp:.6g}", "upper",
+              x_left, end="tangent-arrival", contacts=1, chain=True,
+              stop_at=tp)
     nudge = min(1e-9, (q_s - tp) * 1e-3)
     ts, xs, sl_term = sliding_arc(sys, tp + nudge, x_stop=q_s)
     if sl_term.kind != "target-reached":
@@ -624,8 +617,7 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
             f"before reaching {q_s:.9g}")
     t1 = up.terminal.t
     t2 = t1 + float(ts[-1])
-    low = integrate_smooth(sys, "lower", (q_s, 0.0), t_offset=t2)
-    _landed(low)   # NoArrival unless it crosses back to Sigma
+    low = _leg(sys, f"lower leg from {q_s:.9g}", "lower", q_s, t_offset=t2)
     xs = np.asarray(xs)
     arcs = up.legs + [Arc("sliding", np.asarray(ts) + t1, xs,
                           np.zeros_like(xs))] + low.legs
@@ -667,8 +659,7 @@ def _flank_dip(sys: PwsSystem, left: float, peak: float) -> float:
 
 
 def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
-                  delta: float = 0.4, window: Optional[Window] = None,
-                  ) -> LoopCensus:
+                  delta: float = 0.4) -> LoopCensus:
     """Unfold (1, +-x^m) into a positive cluster with grouped tangent orbits.
 
     The tangency splits into simple points at i*delta. A plateau shear pins
@@ -695,10 +686,8 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
     if ell < 1 or (d > 0 and ell > d):
         raise RangeError(f"ell={ell} outside 1..{max(d, 1)}")
     lam = _positive_cluster(m_plus, delta)
-    if window is None:
-        ymax = 2.0 + (m_plus + 3) * delta
-        window = Window(-(m_plus + 1) * delta, (m_plus + 3) * delta,
-                        -ymax, ymax)
+    ymax = 2.0 + (m_plus + 3) * delta
+    window = Window(-(m_plus + 1) * delta, (m_plus + 3) * delta, -ymax, ymax)
     phi = "-1" if invis else "1"
     base = CanonicalBase.from_strings("1", phi, m_plus, "-1", "-1", 0, window)
     census = LoopCensus("thm2", m_plus, 0, ell,
@@ -858,20 +847,15 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     p_plus = _entry_crossing(up_sys, lam[0])
 
     if kind == "crossing":
-        fw = integrate_smooth(up_sys, "upper", (lam[0], 0.0), chain=True)
-        if fw.terminal.kind != "sigma-cross":
-            raise VerificationFailed(
-                f"forward upper leg ended with {fw.terminal.kind}")
+        # the start at lam[0] is the first of its ell contacts
+        fw = _leg(up_sys, f"forward upper leg from {lam[0]:.6g}", "upper",
+                  lam[0], contacts=ell - 1, chain=True)
         x_drop = float(fw.terminal.x)
         lo = lam[2 * ell - 1]
         hi = lam[2 * ell] if 2 * ell < m else 0.0
         if not (lo < x_drop < hi):
             raise VerificationFailed(
                 f"forward crossing {x_drop:.9g} outside ({lo:.6g}, {hi:.6g})")
-        if 1 + len(fw.touches) != ell:
-            raise VerificationFailed(
-                f"forward leg made {1 + len(fw.touches)} contacts, "
-                f"expected {ell}")
     else:
         x_drop = lam[2 * ell - 2]
 
@@ -892,18 +876,13 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     spec4 = UnfoldingSpec(base, lam, lam_m, psi_p, _plateau_psi(y0, p_plus))
     sys4 = build_unfolded(spec4)
 
-    if kind == "crossing":
-        up = integrate_smooth(sys4, "upper", (p_plus, 0.0), chain=True)
-        if up.terminal.kind != "sigma-cross" or len(up.touches) != ell:
-            raise VerificationFailed(
-                f"witness upper leg: {up.terminal.kind} after "
-                f"{len(up.touches)} contacts, expected sigma-cross after {ell}")
-    else:
-        up = _tangent_arrival(sys4, "witness upper leg", p_plus, x_drop,
-                              contacts=ell)
+    arrival = {} if kind == "crossing" else {"end": "tangent-arrival",
+                                              "stop_at": x_drop}
+    up = _leg(sys4, "witness upper leg", "upper", p_plus, contacts=ell,
+              chain=True, **arrival)
     term = up.terminal
-    low = integrate_smooth(sys4, "lower", (term.x, 0.0), t_offset=term.t)
-    _landed(low)   # NoArrival unless it crosses back to Sigma
+    low = _leg(sys4, f"lower leg from {term.x:.9g}", "lower", term.x,
+               t_offset=term.t)
     events = up.touches + [low.terminal]
     if kind == "crossing":
         events.append(Event(term.t, term.x, 0.0, "sigma-cross"))

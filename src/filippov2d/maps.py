@@ -19,7 +19,6 @@ is u - psi+(x). An unsheared system is its own transition with psi+ = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .cutoffs import psi
@@ -61,15 +60,7 @@ def _flow_to_section(sys: PwsSystem, start: Tuple[float, float],
     return hit
 
 
-@dataclass
-class DisplacementSample:
-    value: float
-    conjugate_x: float
-    t_lower: float
-    t_upper: float
-
-
-def displacement_sigma(sys: PwsSystem, from_x: float) -> DisplacementSample:
+def displacement_sigma(sys: PwsSystem, from_x: float) -> float:
     """Signed vertical loop-closure gap at the line x = from_x.
 
     Lower transit: one smooth arc of the lower subsystem from (from_x, 0)
@@ -98,5 +89,4 @@ def displacement_sigma(sys: PwsSystem, from_x: float) -> DisplacementSample:
             f"lower transit from x={from_x} ended with {run.terminal.kind}")
     p_conj = run.terminal.x
     arr = _flow_to_section(hat, (p_conj, lift(p_conj)), from_x)
-    return DisplacementSample(arr.y - lift(from_x), p_conj, run.terminal.t,
-                              arr.t)
+    return arr.y - lift(from_x)

@@ -168,7 +168,6 @@ class SigmaDecomposition:
     crossing: List[Tuple[float, float]]
     sliding: List[Tuple[float, float]]
     tangency_candidates: List[float]
-    flat_intervals: List[Tuple[float, float]]
 
 
 def _newton_zero(g, x: float, lo: float, hi: float) -> float | None:
@@ -233,7 +232,7 @@ def decompose_sigma(sys: PwsSystem) -> SigmaDecomposition:
     sign change, and zeros sitting where the other factor is tiny, where h
     is numerically mush, detectable. Candidates closer than
     max(MERGE_TOL, 1e-9 width) are merged at their mean. Stretches where
-    both factors vanish are reported as flat.
+    both factors vanish are flat: neither crossing nor sliding.
     """
     w = sys.window
     n = SCAN_CELLS
@@ -280,6 +279,4 @@ def decompose_sigma(sys: PwsSystem) -> SigmaDecomposition:
             crossing.append((a, b))
         elif hm < 0:
             sliding.append((a, b))
-        else:
-            flat.append((a, b))
-    return SigmaDecomposition(crossing, sliding, merged, flat)
+    return SigmaDecomposition(crossing, sliding, merged)

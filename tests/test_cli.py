@@ -58,6 +58,21 @@ def test_tangent_point_count_off_the_config_is_a_census_mismatch(tmp_path,
     assert (out / "diagnostics.txt").read_text().startswith(message)
 
 
+@pytest.mark.parametrize("command", ["run", "portrait"])
+def test_run_and_portrait_fail_alike(tmp_path, capsys, monkeypatch, command):
+    def fails(system):
+        raise ZeroDivisionError("probe")
+    monkeypatch.setattr(cli, "find_tangent_points", fails)
+    out = tmp_path / "out"
+    assert main([command, write_config(tmp_path, THM2), "--out",
+                 str(out)]) == 1
+    diag = out / "diagnostics.txt"
+    assert capsys.readouterr().err == (
+        f"error: ZeroDivisionError: probe\ndiagnostics written to {diag}\n")
+    assert diag.read_text().startswith(
+        "ZeroDivisionError: probe\n\nTraceback")
+
+
 def test_portrait_builds_the_canonical_base_for_theorem_configs(tmp_path):
     cfg = write_config(tmp_path, THM3_55)
     out = tmp_path / "out"
@@ -79,7 +94,7 @@ def test_removed_flags_are_rejected(tmp_path, argv):
     assert ei.value.code == 2
 
 
-@pytest.mark.parametrize("key", ["tol", "alpha"])
+@pytest.mark.parametrize("key", ["tol", "alpha", "a", "k1", "k2"])
 def test_tolerance_is_no_config_key(tmp_path, capsys, key):
     cfg = write_config(tmp_path, THM2 + f"scenario.{key} = 1e-8\n")
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -13,9 +13,9 @@ import filippov2d
 from filippov2d import (CensusMismatch, PsiSpec, RangeError, ScalarField,
                         StepUnderflow, UnfoldingSpec, VerificationFailed,
                         build_transition, build_unfolded, canonical_base,
-                        canonical_critical_loop, displacement_sigma, loops,
-                        numerics, scenario_thm2, scenario_thm3, scenario_thm4,
-                        scenario_thm5)
+                        canonical_critical_loop, displacement_sigma,
+                        integrate_smooth, loops, numerics, scenario_thm2,
+                        scenario_thm3, scenario_thm4, scenario_thm5)
 from filippov2d.loops import CLOSURE_TOL, _negative_cluster, _pinned_knots
 
 
@@ -77,6 +77,18 @@ def test_canonical_loop_is_critical_with_one_contact(m):
     assert rec.kind == "critical"
     assert rec.tangent_touch_count == 1
     assert rec.closure_residual <= CLOSURE_TOL
+
+
+def test_canonical_family_has_one_shape():
+    # the base is fixed: crossing at -1, both hills x^(m+1) (x + 1); only
+    # canonical_base takes a window, thm2 builds its own from m and delta
+    builders = (canonical_base, canonical_critical_loop, scenario_thm2,
+                scenario_thm3, scenario_thm4, scenario_thm5)
+    params = {fn.__name__: set(inspect.signature(fn).parameters)
+              for fn in builders}
+    assert [n for n, p in params.items() if p & {"a", "k1", "k2"}] == []
+    assert [n for n, p in params.items() if "window" in p] == \
+        ["canonical_base"]
 
 
 @pytest.mark.parametrize("m, visibility, ell", [
@@ -154,6 +166,61 @@ def test_thm4_census_and_witness_closure():
         "critical@x=-0.1": (["-0x1.ffffe1cd04623p-1", "-0x1.999999999999ap-4"],
                             "0x0.0p+0"),
     }
+
+
+# The passing thm2-thm4 rows of the scenario matrix at default delta and
+# their censuses. thm2 (m, visibility, ell): tangent_orbits; thm3 (m, ell,
+# kind): the loop's kind and contacts; thm4 (m, ell): (beta_cro[1],
+# beta_cri[1]). thm3 at m = 7 and thm4 (7, 7) ell=0 fail and stay out.
+_CENSUS_ROWS = [
+    ("thm2", (3, "I", 1), {1: 1}),
+    ("thm2", (3, "V", 1), {1: 2}),
+    ("thm2", (3, "V", 2), {2: 1}),
+    ("thm2", (5, "I", 1), {1: 2}),
+    ("thm2", (5, "I", 2), {2: 1}),
+    ("thm2", (5, "V", 1), {1: 3}),
+    ("thm2", (5, "V", 2), {1: 1, 2: 1}),
+    ("thm2", (5, "V", 3), {3: 1}),
+    ("thm2", (7, "I", 1), {1: 3}),
+    ("thm2", (7, "I", 2), {1: 1, 2: 1}),
+    ("thm2", (7, "I", 3), {3: 1}),
+    ("thm2", (7, "V", 1), {1: 4}),
+    ("thm2", (7, "V", 2), {2: 2}),
+    ("thm2", (7, "V", 3), {1: 1, 3: 1}),
+    ("thm2", (7, "V", 4), {4: 1}),
+    ("thm3", (3, 1, "critical"), ("critical", 1)),
+    ("thm3", (3, 2, "critical"), ("critical", 2)),
+    ("thm3", (3, 1, "crossing"), ("crossing-nonsliding", 1)),
+    ("thm3", (5, 1, "critical"), ("critical", 1)),
+    ("thm3", (5, 2, "critical"), ("critical", 2)),
+    ("thm3", (5, 3, "critical"), ("critical", 3)),
+    ("thm3", (5, 1, "crossing"), ("crossing-nonsliding", 1)),
+    ("thm3", (5, 2, "crossing"), ("crossing-nonsliding", 2)),
+    ("thm4", (3, 0), (1, 1)),
+    ("thm4", (3, 1), (0, 2)),
+    ("thm4", (5, 0), (2, 1)),
+    ("thm4", (5, 1), (1, 2)),
+    ("thm4", (5, 2), (0, 3)),
+    ("thm4", (7, 1), (2, 2)),
+    ("thm4", (7, 2), (1, 3)),
+    ("thm4", (7, 3), (0, 4)),
+]
+
+
+@pytest.mark.parametrize("theorem, args, want", _CENSUS_ROWS,
+                         ids=[f"{t}-{a}" for t, a, _ in _CENSUS_ROWS])
+def test_scenario_matrix_rows_keep_their_census(theorem, args, want):
+    if theorem == "thm2":
+        got = scenario_thm2(*args).tangent_orbits
+    elif theorem == "thm3":
+        m, ell, kind = args
+        [(_, rec)] = scenario_thm3(canonical_base(m, m), ell, kind).witnesses
+        got = (rec.kind, rec.tangent_touch_count)
+    else:
+        m, ell = args
+        census = scenario_thm4(canonical_base(m, m), ell)
+        got = (census.beta_cro.get(1, 0), census.beta_cri.get(1, 0))
+    assert got == want
 
 
 def test_grazes_decides_alike_on_expression_and_sheared_g():
@@ -338,6 +405,29 @@ def test_every_witness_closure_failure_names_its_witness(monkeypatch, name,
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: scenario_thm5(canonical_base(3, 3), 0),
+    lambda: scenario_thm3(canonical_base(3, 3), 1, "critical"),
+], ids=["sliding", "thm3"])
+def test_a_closing_lower_leg_that_does_not_land_names_its_leg(monkeypatch,
+                                                              build):
+    # of the lower transits these scenarios fly, only the loop's closing
+    # leg starts later than t = 0; it is made to end at the window's edge
+    integrate_smooth = loops.integrate_smooth
+
+    def closing_leg_leaves(sys, side, start, **kwargs):
+        run = integrate_smooth(sys, side, start, **kwargs)
+        if side == "lower" and kwargs.get("t_offset"):
+            run = dataclasses.replace(run, terminal=dataclasses.replace(
+                run.terminal, kind="window-exit"))
+        return run
+    monkeypatch.setattr(loops, "integrate_smooth", closing_leg_leaves)
+    with pytest.raises(VerificationFailed, match=(
+            r"^lower leg from -0\.\d+: window-exit after 0 contacts, "
+            r"expected sigma-cross$")):
+        build()
+
+
 def test_certificate_names_a_wrong_kind_or_contact_count():
     system, rec = canonical_critical_loop(1, 1)
     arcs, events = rec.trajectory.arcs, list(rec.trajectory.events)
@@ -373,6 +463,7 @@ def test_displacement_next_to_a_bump_peak_is_positive_and_smooth():
     system = _thm5_33_ell1_system()
     for x in np.linspace(-0.1035, -0.0995, 41):
         d = displacement_sigma(system, float(x))
-        assert d.value > 0.0
-        ref = _x_integrated_height(system, d.conjugate_x, float(x))
-        assert d.value == pytest.approx(ref, abs=1e-11), x
+        assert d > 0.0
+        land = integrate_smooth(system, "lower", (float(x), 0.0)).terminal.x
+        ref = _x_integrated_height(system, land, float(x))
+        assert d == pytest.approx(ref, abs=1e-11), x
