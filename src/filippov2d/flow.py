@@ -48,7 +48,7 @@ below the nudge floor with atol = 1e-2 * ATOL). loops.CLOSURE_TOL and the
 counts it certifies rest on these values; nothing widens them.
 
 integrate_pws chains arcs forward in time with a deterministic default
-policy:
+policy, step_filippov (the side the next arc leaves on; None: it slides):
 
 * transversal crossing -> switch half-plane;
 * arrival on the boundary of an attracting sliding segment -> slide;
@@ -499,20 +499,18 @@ def sliding_arc(sys: PwsSystem, x_start: float, *,
     return np.array(ts), np.array(xs), Event(ts[-1], xs[-1], 0.0, kind)
 
 
-@dataclass
-class StepDecision:
-    action: str          # 'cross' | 'slide' | 'continue'
-    side: Optional[str]  # target side for 'cross'/'continue'
-
-
 def step_filippov(sys: PwsSystem, x: float,
-                  arriving_from: Optional[str]) -> StepDecision:
-    """Deterministic continuation at a Sigma point.
+                  arriving_from: Optional[str]) -> Optional[str]:
+    """Deterministic continuation at a Sigma point: the side the orbit
+    leaves on, or None when it slides.
 
     arriving_from is the half-plane the orbit came from (None when starting
     fresh on Sigma). Uses the sign pattern of (g+, g-) at x with the
-    system's tangency tolerance; raises AmbiguousTangency when the signs
-    sit below resolution in a conflicting pattern.
+    system's tangency tolerance; raises AmbiguousTangency when both sides
+    are tangent. Where one side is tangent, an orbit from the other side
+    stays on the tangent side; any other crosses where the far field enters
+    its half-plane, and else slides (arriving from the tangent side) or
+    takes off along the tangent side (a fresh start).
     """
     gp = sys.g_plus.value(x, 0.0)
     gm = sys.g_minus.value(x, 0.0)
@@ -526,30 +524,18 @@ def step_filippov(sys: PwsSystem, x: float,
 
     if not p_zero and not m_zero:
         if gp * gm > 0:  # crossing region
-            return StepDecision("cross", "upper" if gp > 0 else "lower")
-        # sliding region (attracting or repelling): stay on Sigma
-        return StepDecision("slide", None)
+            return "upper" if gp > 0 else "lower"
+        return None   # sliding region (attracting or repelling)
 
-    # exactly one side tangent
     tangent_side = "upper" if p_zero else "lower"
     other = "lower" if p_zero else "upper"
     g_other = gm if p_zero else gp
     other_enters_own = (g_other < 0) if other == "lower" else (g_other > 0)
-    if arriving_from == tangent_side:
-        # tangential departure from its own half-plane
-        if other_enters_own:
-            return StepDecision("cross", other)
-        # both fields point at Sigma around the contact: attracting sliding
-        return StepDecision("slide", None)
-    if arriving_from is None:
-        if other_enters_own:
-            return StepDecision("cross", other)
-        # far side pushes back: take off along the tangent side
-        return StepDecision("continue", tangent_side)
-    # arriving transversally from the other side onto a tangency of this side
-    if other_enters_own and arriving_from != other:
-        return StepDecision("cross", other)
-    return StepDecision("continue", tangent_side)
+    if arriving_from == other:
+        return tangent_side
+    if other_enters_own:
+        return other
+    return None if arriving_from == tangent_side else tangent_side
 
 
 def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
@@ -560,20 +546,15 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
     events: List[Event] = []
     t_used = 0.0
 
+    # the side of the next smooth arc; None: the next arc slides
     side: Optional[str]
     if abs(y) > _NUDGE_FLOOR:
         side = "upper" if y > 0 else "lower"
-        pending = ("smooth", side)
     else:
-        dec = step_filippov(sys, x, None)
-        if dec.action == "slide":
-            pending = ("slide", None)
-        else:
-            pending = ("smooth", dec.side)
+        side = step_filippov(sys, x, None)
 
     while len(arcs) < _MAX_ARCS and t_used < t_max:
-        if pending[0] == "smooth":
-            side = pending[1]
+        if side is not None:
             run = integrate_smooth(sys, side, (x, y), t_max=t_max - t_used,
                                    tangency_tol=1e-7 * sys.sigma_g_scale(side),
                                    t_offset=t_used)
@@ -586,12 +567,9 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
             if term.kind in ("window-exit", "time-end"):
                 break
             # Sigma contact: transversal or tangential exit
-            dec = step_filippov(sys, x, side)
-            if dec.action == "slide":
+            side = step_filippov(sys, x, side)
+            if side is None:
                 events.append(Event(t_used, x, 0.0, "sliding-entry"))
-                pending = ("slide", None)
-            else:
-                pending = ("smooth", dec.side)
             y = 0.0
         else:
             ts, xs, term = sliding_arc(sys, x, t_max=t_max - t_used)
@@ -601,13 +579,11 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
             x, y = term.x, 0.0
             if term.kind in ("window-exit", "time-end", "pseudo-equilibrium"):
                 break
-            # boundary tangent point: decide takeoff/cross
-            dec = step_filippov(sys, x, None)
-            if dec.action in ("cross", "continue"):
-                events.append(Event(t_used, x, 0.0, "sliding-exit"))
-                pending = ("smooth", dec.side)
-            else:
+            # boundary tangent point: take off or cross, or stay stuck
+            side = step_filippov(sys, x, None)
+            if side is None:
                 break
+            events.append(Event(t_used, x, 0.0, "sliding-exit"))
     return Trajectory(arcs, events, sys)
 
 

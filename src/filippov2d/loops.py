@@ -28,9 +28,15 @@ Before that, _leg flies every leg of the canonical loop, _critical_witness,
 _sliding_witness, _entry_crossing and thm3, and raises VerificationFailed
 naming the leg unless it ends as planned (a crossing or a tangent arrival,
 after n contacts where n is planned). Scans, harvests and the crossing-
-cycle witness read a landing through _landed, whose NoArrival _evaluable
-skips and find_crossing_cycles does not: a cycle leg that does not land
-fails the census instead of dropping the root. thm2's walk checks inline.
+cycle witness read a landing through maps._landed, whose NoArrival
+_evaluable skips and find_crossing_cycles does not: a cycle leg that does
+not land fails the census instead of dropping the root. thm2's walk checks
+inline, and walks each tangent orbit once: from no point a counted orbit
+touches, since by uniqueness that orbit is the one through the point.
+
+Every plateau bump height is a pin, _pin: the height of the transition
+system's upper orbit over the bump's peak, VerificationFailed unless it is
+positive. Every thm3-thm5 unfolding is laid out by _pinned.
 
 A scenario either returns its census or raises one of three classes:
 
@@ -74,7 +80,7 @@ import numpy as np
 from .cutoffs import PsiSpec
 from .flow import (Arc, Event, SmoothRun, Trajectory, TransitFailure,
                    integrate_smooth, sliding_arc)
-from .maps import NoArrival, _flow_to_section, displacement_sigma
+from .maps import _flow_to_section, _landed, displacement_sigma
 from .numerics import brentq
 from .system import PwsSystem, Window, h_value
 from .tangency import multiplicity_at
@@ -216,16 +222,6 @@ def classify_loop(traj: Trajectory) -> LoopRecord:
     else:
         kind = "crossing-periodic"
     return LoopRecord(traj, kind, tuple(switching), ell, residual)
-
-
-def _landed(run: SmoothRun) -> float:
-    """Where a transit from Sigma crossed back to it; NoArrival if it ended
-    any other way."""
-    if run.terminal.kind != "sigma-cross":
-        leg = run.legs[0]
-        raise NoArrival(f"{leg.kind} transit from x={leg.x[0]:.6g} "
-                        f"ended with {run.terminal.kind}")
-    return run.terminal.x
 
 
 def _certify(sys: PwsSystem, name: str, legs: List[Arc], events: List[Event],
@@ -530,6 +526,31 @@ def _pinned_knots(lam: Sequence[float], delta: float) -> Tuple[float, ...]:
     return (lam[0] - 2.0 * delta,) + tuple(lam) + (0.0,)
 
 
+def _pinned(base: CanonicalBase, lam: Sequence[float], delta: float,
+            heights: Sequence[float] = (),
+            psi_minus: Optional[PsiSpec] = None) -> UnfoldingSpec:
+    """The unfolding of thm3-thm5: the upper cluster lam, the lower cluster
+    at O, and one plateau bump of each given height on _pinned_knots (no
+    heights: the transition spec)."""
+    psi_plus = PsiSpec(len(heights), _pinned_knots(lam, delta)
+                       + tuple(heights)) if heights else None
+    return UnfoldingSpec(base, lam, (0.0,) * base.m_minus, psi_plus,
+                         psi_minus)
+
+
+def _pin(hat: PwsSystem, start: Tuple[float, float], peak: float) -> float:
+    """Height over x = peak of hat's upper orbit from start: the height
+    that pins a plateau bump peaking there to that orbit. It must be
+    positive; VerificationFailed naming the start, the peak and the height
+    otherwise."""
+    y = _flow_to_section(hat, start, peak).y
+    if y <= 0.0:
+        raise VerificationFailed(
+            f"pin from ({start[0]:.9g}, {start[1]:.3e}) over x={peak:.6g}: "
+            f"height {y:.3e} is not positive")
+    return y
+
+
 @dataclass
 class _Pin:
     tp: float        # tangency the bump peaks at
@@ -537,21 +558,18 @@ class _Pin:
     height: float    # upper orbit height over its own tangency
 
 
-def _pin_data(hat: PwsSystem, lam: Sequence[float]) -> List[_Pin]:
-    """Per-bump pin heights measured on the transition system."""
-    d = (len(lam) + 1) // 2
+def _pin_data(hat: PwsSystem, peaks: Sequence[float],
+              first: float) -> List[_Pin]:
+    """The pin of each bump peaking at one of peaks, measured on the
+    transition system: the upper orbit from the landing of the lower
+    transit from the peak. That orbit must also pass positively over
+    first, the first peak."""
     pins: List[_Pin] = []
-    for i in range(1, d + 1):
-        tp = lam[2 * i - 2]
+    for tp in peaks:
         conj = _landed(integrate_smooth(hat, "lower", (tp, 0.0)))
-        y = _flow_to_section(hat, (conj, 0.0), tp).y
-        anchor = y if i == 1 else _flow_to_section(
-            hat, (conj, 0.0), lam[0]).y
-        if y <= 0.0 or anchor <= 0.0:
-            raise VerificationFailed(
-                f"pin at {tp:.6g}: orbit heights not positive "
-                f"({y:.3e}, {anchor:.3e})")
-        pins.append(_Pin(tp, conj, y))
+        pins.append(_Pin(tp, conj, _pin(hat, (conj, 0.0), tp)))
+        if tp != first:
+            _pin(hat, (conj, 0.0), first)
     return pins
 
 
@@ -666,9 +684,9 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
     one reference orbit per group of ell consecutive visible points, so the
     orbit grazes exactly those; bumps past the last full group are raised
     high enough to force separate single-contact orbits. The census walks
-    every visible point, follows its orbit both ways through grazes, and
-    groups the deduplicated orbits by contact count (tangent_orbits; the
-    orbits themselves go to orbits). There must be (m + 1) // (2 ell)
+    each visible point no counted orbit touches, follows its orbit both
+    ways through grazes, and groups the orbits by contact count
+    (tangent_orbits; the orbits themselves go to orbits). There must be (m + 1) // (2 ell)
     orbits with ell contacts when O is visible, (m - 1) // (2 ell) when it
     is invisible; CensusMismatch otherwise.
 
@@ -707,28 +725,21 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
     seeds = [delta ** m_plus * (1.0 + n * delta) for n in range(1, d + 1)]
     full = (d // ell) * ell
     heights: List[float] = []
-    for n in range(1, d + 1):
+    for n, v in enumerate(vis_pts, start=1):
         if n > full:
             heights.append(2.0 * delta ** m_plus)
             continue
-        j = (n - 1) // ell + 1
-        if vis_pts[n - 1] == anchor:
-            h_n = seeds[j - 1]
-        else:
-            h_n = _flow_to_section(hat, (anchor, seeds[j - 1]),
-                                   vis_pts[n - 1]).y
-        if h_n <= 0.0:
-            raise VerificationFailed(
-                f"reference orbit {j} dips to {h_n:.3e} over "
-                f"x={vis_pts[n - 1]:.6g}")
-        heights.append(h_n)
+        seed = seeds[(n - 1) // ell]
+        heights.append(seed if v == anchor else _pin(hat, (anchor, seed), v))
     psi = PsiSpec(d, knots + tuple(heights))
     census.spec = UnfoldingSpec(base, lam, (), psi_plus=psi)
     sys4 = build_unfolded(census.spec)
 
     counts = census.tangent_orbits
-    seen: set = set()
+    touched: set = set()   # split points the counted orbits touch
     for v in vis_pts:
+        if lam.index(v) in touched:
+            continue   # by uniqueness, the orbit through v is counted
         touch_xs = {float(v)}
         legs = {}
         for sign, way in ((1.0, "forward"), (-1.0, "backward")):
@@ -740,20 +751,17 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
                     f"with {run.terminal.kind}")
             touch_xs.update(float(ev.x) for ev in run.touches)
             legs[way] = run.legs
-        key_idx = []
+        points = set()   # split points this orbit touches
         for tx in touch_xs:
             k = int(np.argmin([abs(tx - l) for l in lam]))
             if abs(tx - lam[k]) > 0.25 * delta:
                 raise VerificationFailed(
                     f"contact at {tx:.6g} is not near any split point")
-            key_idx.append(k)
-        key = tuple(sorted(set(key_idx)))
-        if key in seen:
-            continue
-        seen.add(key)
-        counts[len(key)] = counts.get(len(key), 0) + 1
-        census.orbits.append(_stitch_orbit(
-            sys4, legs["backward"], legs["forward"], sorted(touch_xs)))
+            points.add(k)
+        touched |= points
+        counts[len(points)] = counts.get(len(points), 0) + 1
+        census.orbits.append(_stitch_orbit(sys4, legs["backward"],
+                                           legs["forward"]))
     got = counts.get(ell, 0)
     want = (m_plus + (-1 if invis else 1)) // (2 * ell)
     if got != want:
@@ -761,9 +769,12 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
     return census
 
 
-def _stitch_orbit(sys: PwsSystem, bw_arcs: List[Arc], fw_arcs: List[Arc],
-                  touch_xs: Sequence[float]) -> Trajectory:
-    """Join a backward and a forward transit into one forward trajectory."""
+def _stitch_orbit(sys: PwsSystem, bw_arcs: List[Arc],
+                  fw_arcs: List[Arc]) -> Trajectory:
+    """Join a backward and a forward chained transit from a point of Sigma
+    into one forward trajectory. Every junction of its arcs is a touch:
+    the start between the two transits, and each touch that ended a leg
+    of either."""
     arcs: List[Arc] = []
     t0 = 0.0
     for a in reversed(bw_arcs):
@@ -776,16 +787,9 @@ def _stitch_orbit(sys: PwsSystem, bw_arcs: List[Arc], fw_arcs: List[Arc],
         t_loc = np.asarray(a.t) - float(fw_arcs[0].t[0])
         arcs.append(Arc(a.kind, t_loc + t0, np.asarray(a.x),
                         np.asarray(a.y)))
-    events = []
-    for tx in touch_xs:
-        best_t, best_gap = 0.0, math.inf
-        for a in arcs:
-            i = int(np.argmin(np.abs(np.asarray(a.x) - tx)))
-            g = abs(float(a.x[i]) - tx) + abs(float(a.y[i]))
-            if g < best_gap:
-                best_gap, best_t = g, float(a.t[i])
-        events.append(Event(best_t, float(tx), 0.0, "tangency-touch"))
-    return Trajectory(arcs, sorted(events, key=lambda ev: ev.t), system=sys)
+    events = [Event(float(a.t[-1]), float(a.x[-1]), 0.0, "tangency-touch")
+              for a in arcs[:-1]]
+    return Trajectory(arcs, events, system=sys)
 
 
 # --------------------------------------------------------------------------
@@ -828,21 +832,11 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     else:
         raise ValueError("kind must be 'crossing' or 'critical'")
     lam = _negative_cluster(m, delta)
-    lam_m = (0.0,) * base.m_minus
-    hat = build_transition(UnfoldingSpec(base, lam, lam_m))
+    hat = build_transition(_pinned(base, lam, delta))
     p_ref = _landed(integrate_smooth(hat, "lower", (lam[0], 0.0)))
-    d = (m + 1) // 2
-    knots = _pinned_knots(lam, delta)
-    heights = []
-    for i in range(1, d + 1):
-        h_ref = _flow_to_section(hat, (p_ref, 0.0), lam[2 * i - 2]).y
-        if h_ref <= 0.0:
-            raise VerificationFailed(
-                f"reference orbit height {h_ref:.3e} over "
-                f"x={lam[2 * i - 2]:.6g} is not positive")
-        heights.append(h_ref if i <= ell else 2.0 * h_ref)
-    psi_p = PsiSpec(d, knots + tuple(heights))
-    up_sys = build_unfolded(UnfoldingSpec(base, lam, lam_m, psi_plus=psi_p))
+    heights = [_pin(hat, (p_ref, 0.0), tp) * (1.0 if i < ell else 2.0)
+               for i, tp in enumerate(lam[::2])]
+    up_sys = build_unfolded(_pinned(base, lam, delta, heights))
 
     p_plus = _entry_crossing(up_sys, lam[0])
 
@@ -860,8 +854,8 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
         x_drop = lam[2 * ell - 2]
 
     def gap(y: float) -> float:
-        sys_y = build_unfolded(UnfoldingSpec(base, lam, lam_m, psi_p,
-                                             _plateau_psi(y, p_plus)))
+        sys_y = build_unfolded(_pinned(base, lam, delta, heights,
+                                       _plateau_psi(y, p_plus)))
         return _landed(integrate_smooth(sys_y, "lower", (x_drop, 0.0))) \
             - p_plus
 
@@ -870,10 +864,10 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     g0, y0 = gap(0.0), 0.0
     if abs(g0) > 1e-12:
         step = math.copysign(max(1e-9, 0.25 * abs(g0)), -g0)
-        heights = (step * 2.0 ** k for k in range(40))
+        shears = (step * 2.0 ** k for k in range(40))
         y0 = _root("lower shear", gap,
-                   itertools.chain([(0.0, g0)], _evaluable(gap, heights)))
-    spec4 = UnfoldingSpec(base, lam, lam_m, psi_p, _plateau_psi(y0, p_plus))
+                   itertools.chain([(0.0, g0)], _evaluable(gap, shears)))
+    spec4 = _pinned(base, lam, delta, heights, _plateau_psi(y0, p_plus))
     sys4 = build_unfolded(spec4)
 
     arrival = {} if kind == "crossing" else {"end": "tangent-arrival",
@@ -905,7 +899,7 @@ def scenario_thm4(base: CanonicalBase, ell: int, *,
     bumps converted into single-contact crossing loops.
 
     The last ell+1 plateau bumps are pinned to their own conjugate orbits.
-    Walking leftward, each remaining bump is re-pinned to the orbit of the
+    Walking leftward, each remaining bump is pinned to the orbit of the
     crossing cycle that bifurcates in the gap to its right, which turns
     that cycle into a crossing loop grazing the bump's peak.
     """
@@ -918,24 +912,19 @@ def scenario_thm4(base: CanonicalBase, ell: int, *,
     d = (m + 1) // 2
     n = d - ell
     lam = _negative_cluster(m, delta)
-    lam_m = (0.0,) * base.m_minus
-    hat = build_transition(UnfoldingSpec(base, lam, lam_m))
-    pins = _pin_data(hat, lam)
-    knots = _pinned_knots(lam, delta)
-    heights = [0.0] * d
-    for i in range(n, d + 1):
-        heights[i - 1] = pins[i - 1].height
+    hat = build_transition(_pinned(base, lam, delta))
+    heights = [0.0] * (n - 1) + [
+        p.height for p in _pin_data(hat, lam[2 * n - 2::2], lam[0])]
 
     qs: List[float] = []
     for j in range(n - 1, 0, -1):
-        sys_j = build_unfolded(UnfoldingSpec(
-            base, lam, lam_m, PsiSpec(d, knots + tuple(heights))))
+        sys_j = build_unfolded(_pinned(base, lam, delta, heights))
         q = _displacement_root(sys_j, lam[2 * j - 1], lam[2 * j])
         qs.append(q)
         p_q = _landed(integrate_smooth(hat, "lower", (q, 0.0)))
-        heights[j - 1] = _flow_to_section(hat, (p_q, 0.0), lam[2 * j - 2]).y
+        heights[j - 1] = _pin(hat, (p_q, 0.0), lam[2 * j - 2])
 
-    spec4 = UnfoldingSpec(base, lam, lam_m, PsiSpec(d, knots + tuple(heights)))
+    spec4 = _pinned(base, lam, delta, heights)
     sys4 = build_unfolded(spec4)
     census = LoopCensus("thm4", m, base.m_minus, ell, spec=spec4)
 
@@ -1003,14 +992,12 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
         raise RangeError(f"ell={ell} outside 0..{d}")
     n = d - ell
     lam = _negative_cluster(m, delta)
-    lam_m = (0.0,) * base.m_minus
-    hat = build_transition(UnfoldingSpec(base, lam, lam_m))
-    pins = _pin_data(hat, lam)
+    hat = build_transition(_pinned(base, lam, delta))
+    pins = _pin_data(hat, lam[::2], lam[0])
     knots = _pinned_knots(lam, delta)
 
-    pinned = build_unfolded(UnfoldingSpec(
-        base, lam, lam_m,
-        PsiSpec(d, knots + tuple(p.height for p in pins))))
+    pinned = build_unfolded(_pinned(base, lam, delta,
+                                    [p.height for p in pins]))
     dips = [_flank_dip(pinned, knots[2 * i - 2], lam[2 * i - 2])
             for i in range(1, d + 1)]
 
@@ -1069,7 +1056,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
             raise VerificationFailed(
                 f"perturbed height at x={p.tp:.6g} is not positive")
         heights.append(h_i)
-    spec5 = UnfoldingSpec(base, lam, lam_m, PsiSpec(d, knots + tuple(heights)))
+    spec5 = _pinned(base, lam, delta, heights)
     sys4 = build_unfolded(spec5)
 
     census = LoopCensus("thm5", m, base.m_minus, ell, spec=spec5)

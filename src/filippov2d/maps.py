@@ -8,8 +8,9 @@ landed on the line by a Henon step. It returns that crossing, the
 transit's terminal flow.Event (kind section-hit).
 
 displacement_sigma composes a lower Sigma transit (flow.integrate_smooth,
-the only call of that name in this module) with an upper section transit
-back to the vertical line through the start: its zeros are closed-loop
+the only call of that name in this module, read through _landed, the one
+landing check, which loops shares) with an upper section transit back to
+the vertical line through the start: its zeros are closed-loop
 certificates. It flies both legs on the system's transition system, the
 one build_unfolded sheared: under u = y + psi+(x) the sheared upper flow
 is exactly the transition flow, whose field is a plain expression with no
@@ -27,7 +28,7 @@ from .system import PwsSystem
 # stay bound here because perfbench/tracing.py wraps them on every layer
 from .numerics import solve_ivp  # noqa: F401
 from .tangency import multiplicity_at  # noqa: F401
-from .flow import (Event, TransitFailure, _leg_budget, _transit,
+from .flow import (Event, SmoothRun, TransitFailure, _leg_budget, _transit,
                    integrate_smooth)
 
 
@@ -37,6 +38,16 @@ class NoArrival(TransitFailure):
 
 class TangentialArrival(TransitFailure):
     pass
+
+
+def _landed(run: SmoothRun) -> float:
+    """Where a transit from Sigma crossed back to it; NoArrival if it ended
+    any other way."""
+    if run.terminal.kind != "sigma-cross":
+        leg = run.legs[0]
+        raise NoArrival(f"{leg.kind} transit from x={leg.x[0]:.6g} "
+                        f"ended with {run.terminal.kind}")
+    return run.terminal.x
 
 
 def _flow_to_section(sys: PwsSystem, start: Tuple[float, float],
@@ -83,10 +94,6 @@ def displacement_sigma(sys: PwsSystem, from_x: float) -> float:
 
     def lift(x: float) -> float:   # psi+(x)
         return 0.0 if psi_plus is None else psi(psi_plus, x)
-    run = integrate_smooth(hat, "lower", (from_x, 0.0))
-    if run.terminal.kind != "sigma-cross":
-        raise NoArrival(
-            f"lower transit from x={from_x} ended with {run.terminal.kind}")
-    p_conj = run.terminal.x
+    p_conj = _landed(integrate_smooth(hat, "lower", (from_x, 0.0)))
     arr = _flow_to_section(hat, (p_conj, lift(p_conj)), from_x)
     return arr.y - lift(from_x)

@@ -242,6 +242,34 @@ def test_no_function_takes_integration_settings():
     assert hits == []
 
 
+# (g+, g-) at x = 0 -> the side an orbit leaves on (None: it slides), by
+# the side it arrives from: upper, lower, or None (a fresh start on Sigma)
+_DECISIONS = [
+    ("1", "1", ("upper", "upper", "upper")),     # crossing up
+    ("-1", "-1", ("lower", "lower", "lower")),   # crossing down
+    ("-1", "1", (None, None, None)),             # attracting sliding
+    ("1", "-1", (None, None, None)),             # repelling sliding
+    ("x", "-1", ("lower", "upper", "lower")),    # upper tangent, g- enters
+    ("x", "1", (None, "upper", "upper")),        # upper tangent, g- pushes
+    ("1", "x", ("lower", "upper", "upper")),     # lower tangent, g+ enters
+    ("-1", "x", ("lower", None, "lower")),       # lower tangent, g+ pushes
+]
+
+
+@pytest.mark.parametrize("g_p, g_m, want", _DECISIONS,
+                         ids=[f"{p},{m}" for p, m, _ in _DECISIONS])
+def test_step_filippov_decision_table(g_p, g_m, want):
+    s = make_sys("1", g_p, "1", g_m)
+    got = tuple(flow.step_filippov(s, 0.0, side)
+                for side in ("upper", "lower", None))
+    assert got == want
+
+
+def test_step_filippov_refuses_a_double_tangency():
+    with pytest.raises(flow.AmbiguousTangency, match="double tangency"):
+        flow.step_filippov(make_sys("1", "x", "1", "x"), 0.0, None)
+
+
 def test_flow_entry_points_take_the_system_first():
     # a transit reads its fields, window and leg budget from its system
     for fn in (flow.integrate_smooth, maps._flow_to_section, flow.sliding_arc,

@@ -1,5 +1,6 @@
 """Loop assembly and the scenario censuses built on it."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -258,8 +259,8 @@ def test_grazes_rejects_a_dip_that_misses_zero():
 
 
 def test_pin_data_checks_both_orbit_heights(monkeypatch):
-    # one pin per bump: its tangency, landing and upper orbit height; the
-    # second bump's anchor height over lam[0] must be positive too
+    # one pin per given peak: its tangency, landing and upper orbit height;
+    # a pin past the first peak lam[0] must pass positively over it too
     lam = (-0.5, -0.4, -0.3)
     Hit = dataclasses.make_dataclass("Hit", ["y"])
     sections, heights = [], []
@@ -272,16 +273,91 @@ def test_pin_data_checks_both_orbit_heights(monkeypatch):
 
     monkeypatch.setattr(loops, "_flow_to_section", flow_to_section)
     heights[:] = [0.2, 0.1, 0.3]
-    pins = loops._pin_data(None, lam)
+    pins = loops._pin_data(None, lam[::2], lam[0])
     assert sections == [-0.5, -0.3, -0.5]
     assert [(p.tp, p.conj, p.height) for p in pins] == [
         (-0.5, 0.7, 0.2), (-0.3, 0.7, 0.1)]
+    # only the peaks given are pinned
+    sections[:], heights[:] = [], [0.1, 0.3]
+    assert [p.tp for p in loops._pin_data(None, lam[2:], lam[0])] == [-0.3]
+    assert sections == [-0.3, -0.5]
     # a height at pin 1, a height at pin 2, an anchor at pin 2
-    for bad in ([0.0], [0.2, -1e-9, 0.3], [0.2, 0.1, -1e-9]):
-        heights[:] = bad
-        with pytest.raises(VerificationFailed,
-                           match="orbit heights not positive"):
-            loops._pin_data(None, lam)
+    for bad, x in (([0.0], -0.5), ([0.2, -1e-9, 0.3], -0.3),
+                   ([0.2, 0.1, -1e-9], -0.5)):
+        heights[:] = list(bad)
+        with pytest.raises(VerificationFailed, match=re.escape(
+                f"pin from (0.7, 0.000e+00) over x={x:g}: height "
+                f"{min(bad):.3e} is not positive")):
+            loops._pin_data(None, lam[::2], lam[0])
+
+
+def test_thm4_repin_refuses_a_height_that_is_not_positive(monkeypatch):
+    # thm4 (5,5) ell=0 re-pins bump 2 to the orbit of the cycle found right
+    # of it; that one section transit is made to come back below Sigma
+    flow_to_section = loops._flow_to_section
+    displacement_root = loops._displacement_root
+    roots = []
+
+    def root_found(*args):
+        roots.append(displacement_root(*args))
+        return roots[-1]
+
+    def sinking_repin(hat, start, x):
+        hit = flow_to_section(hat, start, x)
+        return dataclasses.replace(hit, y=-1e-9) if roots else hit
+    monkeypatch.setattr(loops, "_displacement_root", root_found)
+    monkeypatch.setattr(loops, "_flow_to_section", sinking_repin)
+    with pytest.raises(VerificationFailed, match=(
+            r"^pin from \(-0\.\d+, 0\.000e\+00\) over x=-0\.3: "
+            r"height -1\.000e-09 is not positive$")):
+        scenario_thm4(canonical_base(5, 5), 0)
+    assert len(roots) == 1
+
+
+def _recorded(monkeypatch, name):
+    """Record the arguments of every call of loops.<name>."""
+    calls = []
+    fn = getattr(loops, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(loops, name, recording)
+    return calls
+
+
+def test_thm2_walks_each_orbit_once(monkeypatch):
+    # (7, V, 4): one orbit grazes all four visible points; walked forward
+    # and backward from the first, and from no point it touches
+    transits = _recorded(monkeypatch, "integrate_smooth")
+    census = scenario_thm2(7, "V", 4)
+    assert census.tangent_orbits == {4: 1}
+    assert [(args[1], args[2]) for args in transits] == [
+        ("upper", (0.4, 0.0))] * 2
+
+
+def test_thm4_pins_only_the_bumps_it_keeps(monkeypatch):
+    # (5,5) ell=0 keeps bump 3's own pin (its height and its anchor over
+    # the first peak) and re-pins bumps 2 and 1 to their crossing cycles
+    sections = _recorded(monkeypatch, "_flow_to_section")
+    scenario_thm4(canonical_base(5, 5), 0)
+    assert [round(args[2], 9) for args in sections] == \
+        [-0.1, -0.5, -0.3, -0.5]
+
+
+def test_every_pin_and_unfolding_layout_has_one_site():
+    # every plateau height comes from _pin, and every thm3-thm5 unfolding
+    # from _pinned, so a change to either is one edit
+    tree = ast.parse(inspect.getsource(loops))
+
+    def callers(name):
+        return {getattr(stmt, "name", "<module>") for stmt in tree.body
+                for node in ast.walk(stmt) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name}
+    assert callers("_flow_to_section") == {"_pin"}
+    assert callers("UnfoldingSpec") == {"_pinned", "scenario_thm2"}
+    assert sum(ast.unparse(node) == "(0.0,) * base.m_minus"
+               for node in ast.walk(tree)) == 1
 
 
 def test_thm5_sliding_loops_and_crossing_cycles():

@@ -4,13 +4,12 @@ import math
 
 import pytest
 
-from filippov2d import (PsiSpec, PwsSystem, NoArrival, TangentialArrival,
+from filippov2d import (PwsSystem, NoArrival, TangentialArrival,
                         UnfoldingSpec, Window, build_transition,
                         build_unfolded, displacement_sigma, integrate_smooth,
                         loops)
 from filippov2d.fieldexpr import ScalarField
-from filippov2d.loops import (_negative_cluster, _pinned_knots, _plateau_psi,
-                              canonical_base)
+from filippov2d.loops import _negative_cluster, _plateau_psi, canonical_base
 from filippov2d.maps import _flow_to_section
 from conftest import make_sys
 
@@ -161,11 +160,10 @@ def _thm4_55_ell1_scan_system():
     # bumps 2 and 3 pinned to their own orbits, bump 1 still flat
     base = canonical_base(5, 5)
     lam = _negative_cluster(5, 0.1)
-    pins = loops._pin_data(build_transition(
-        UnfoldingSpec(base, lam, (0.0,) * 5)), lam)
-    heights = (0.0, pins[1].height, pins[2].height)
-    return build_unfolded(UnfoldingSpec(
-        base, lam, (0.0,) * 5, PsiSpec(3, _pinned_knots(lam, 0.1) + heights)))
+    pins = loops._pin_data(build_transition(loops._pinned(base, lam, 0.1)),
+                           lam[2::2], lam[0])
+    return build_unfolded(loops._pinned(
+        base, lam, 0.1, [0.0] + [p.height for p in pins]))
 
 
 @pytest.mark.parametrize("x", [-0.398, -0.3595, -0.3515, -0.34375, -0.32,
