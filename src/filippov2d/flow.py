@@ -16,21 +16,31 @@ already holds there (FSAL), each read once as Python floats:
   crossed either way: the first crossing other than the start point ends
   the transit (as a tangent hit when not transversal);
 * turns of y (g changes sign, or the slope of the step's cubic Hermite
-  interpolant does at one of 33 samples, computed with the float
-  operations of numpy's ``polyval`` in its order): a turn toward Sigma
-  whose height, integrated onto its abscissa, is within 1e-8 is a touch,
-  a graze of Sigma; one beyond it is a dip;
+  interpolant does at one of 33 samples): a turn toward Sigma whose
+  height, integrated onto its abscissa, is within 1e-8 is a touch, a
+  graze of Sigma; one beyond it is a dip;
 * the time budget.
 
 Only a step where one may fire builds the dense output, to locate the
-earliest stop on the step polynomial. A transversal stop on a line is then
-landed: the step is integrated again to the polynomial's estimate, and a
-Henon step (Physica D 5, 1982) in the line coordinate s, dz/ds = F / (F.n),
-finishes on the line, carrying the time; the interpolant's error never
-reaches a reported point. Tangential contacts keep the polynomial's root:
-the orbit flies past them, or with graze chaining each ends a leg, one
-``Arc`` per leg, and the flow restarts from (x, 0) until one lands within
-a fixed 1e-6 in x of ``stop_at`` (a tangent arrival).
+earliest stop on the step polynomial. Once a line fires every line is
+searched, since a step may cross one and come back; Sigma only when it
+fired or y dipped across it, as a turn that stays off Sigma crosses
+nothing. The search runs on Python floats with the float operations of
+numpy's ``polyval`` and ``polyder``, and of a roll-and-subtract expansion
+of the dense output, in their order: it gives their values bit for bit.
+Two exact early exits skip a scan whose answer is already known: the turn
+test when the Hermite slope's constant term outweighs the other two, and a
+line's 33-point scan when the polynomial's constant term outweighs the sum
+of the others' magnitudes, so that no sample on [0, 1] can be negative.
+
+A transversal stop on a line is then landed: the step is integrated again
+to the polynomial's estimate, and a Henon step (Physica D 5, 1982) in the
+line coordinate s, dz/ds = F / (F.n), finishes on the line, carrying the
+time; the interpolant's error never reaches a reported point. Tangential
+contacts keep the polynomial's root: the orbit flies past them, or with
+graze chaining each ends a leg, one ``Arc`` per leg, and the flow
+restarts from (x, 0) until one lands within a fixed 1e-6 in x of
+``stop_at`` (a tangent arrival).
 
 A transit evaluates its side's field through one callable (x, y) -> (f, g)
 with Python floats, one call per RHS point: expression and sheared sides
@@ -68,7 +78,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .numerics import DOP853, brentq, solve_ivp
 from .system import (PwsSystem, Window, _side_fn, h_value, sliding_field,
@@ -133,8 +142,7 @@ _TOUCH_TOL = 1e-8          # |y| of a g-zero inside a step that counts as a touc
 _TRANSVERSAL_TOL = 1e-6    # relative normal speed of an accepted section hit
 _MAX_CONTACTS = 64         # Sigma contacts that restart one transit
 _ARRIVAL_TOL = 1e-6        # x-distance from stop_at of a touch that ends a chain
-_GRID = np.linspace(0.0, 1.0, 33)   # samples of a step polynomial
-_TAUS = _GRID.tolist()
+_GRID = [k / 32 for k in range(33)]   # samples of a step polynomial
 _MAX_ARCS = 200            # arcs of one integrate_pws trajectory
 
 
@@ -200,23 +208,40 @@ def _land(rhs, t_a: float, z_a: np.ndarray, t_e: float,
     n1, n2, level = line
 
     def fun(s, w):
-        v = np.asarray(rhs(w[-1], w[:-1]))
-        return np.append(v, 1.0) / (n1 * v[0] + n2 * v[1])
+        f, g = rhs(w[2], w[:2])
+        d = n1 * f + n2 * g
+        if d == 0.0:   # numpy's quotients (inf or nan), not ZeroDivisionError
+            return np.divide((f, g, 1.0), d)
+        return f / d, g / d, 1.0 / d
     z = _run_to(rhs, t_a, z_a, t_e)
     w = _run_to(fun, n1 * z[0] + n2 * z[1] - level, np.append(z, t_e), 0.0)
     return float(w[-1]), w[:-1]
 
 
-def _step_poly(dense) -> np.ndarray:
+def _step_poly(dense) -> List[List[float]]:
     """A DOP853 step's interpolant as power-series coefficients in
-    tau = (t - t_old) / h, shape (8, n): one column per state component."""
-    c = np.zeros((8, len(dense.y_old)))
-    for i, row in enumerate(dense.F[::-1]):   # DenseOutput's nested tau/1-tau
-        c[0] += row
-        shifted = np.roll(c, 1, axis=0)
-        c = shifted if i % 2 == 0 else c - shifted
-    c[0] += dense.y_old
-    return c
+    tau = (t - t_old) / h: 8 floats per state component, lowest first.
+    DenseOutput's nested tau / 1 - tau form is expanded with the float
+    operations of a roll-and-subtract over an (8, n) array, in its order."""
+    out = []
+    for rows, y_old in zip(dense.F.T.tolist(), dense.y_old.tolist()):
+        c = [0.0] * 8
+        for i, row in enumerate(reversed(rows)):
+            c[0] += row
+            shifted = [c[7]] + c[:7]
+            c = shifted if i % 2 == 0 else [a - b for a, b in zip(c, shifted)]
+        c[0] += y_old
+        out.append(c)
+    return out
+
+
+def _horner(c: List[float], u: float) -> float:
+    """c[0] + c[1] u + ... at u: the float operations of numpy's
+    ``polyval`` (Horner's scheme), in its order."""
+    v = c[-1] + u * 0.0
+    for a in c[-2::-1]:
+        v = a + v * u
+    return v
 
 
 def _root(fun, a: float, b: float) -> float:
@@ -227,31 +252,45 @@ def _root(fun, a: float, b: float) -> float:
         return b
 
 
-def _exits(coef: np.ndarray, lo: float, hi: float) -> List[float]:
-    """Where a step polynomial goes from >= 0 to < 0 on [lo, hi], in order."""
-    taus = lo + (hi - lo) * _GRID
-    v = polyval(taus, coef)
-    return [_root(lambda u: polyval(u, coef), taus[i], taus[i + 1])
-            for i in np.flatnonzero((v[:-1] >= 0.0) & (v[1:] < 0.0))]
+def _exits(coef: List[float], lo: float, hi: float) -> List[float]:
+    """Where a step polynomial goes from >= 0 to < 0 on [lo, hi], in order.
+
+    No scan when coef[0] outweighs the sum of the other coefficients'
+    magnitudes: for 0 <= tau <= 1 every Horner value then stays positive,
+    rounding included."""
+    if coef[0] > (1.0 + 1e-13) * sum(abs(a) for a in coef[1:]):
+        return []
+    taus = [lo + (hi - lo) * tau for tau in _GRID]
+    v = [_horner(coef, tau) for tau in taus]
+    return [_root(lambda u: _horner(coef, u), taus[i], taus[i + 1])
+            for i in range(len(v) - 1) if v[i] >= 0.0 > v[i + 1]]
 
 
 def _turns(c0: float, c1: float, c2: float) -> bool:
-    """Whether c0 * (c0 + c1 tau + c2 tau^2) < 0 at a tau of _GRID: the
-    operations of polyval's Horner scheme, in its order, on floats."""
-    for tau in _TAUS:
+    """Whether c0 * (c0 + c1 tau + c2 tau^2) < 0 at a tau of _GRID, with
+    the float operations of ``_horner``. False at once when |c0| outweighs
+    |c1| + |c2|: the quadratic then keeps the sign of c0 on [0, 1]."""
+    if abs(c0) > (1.0 + 1e-12) * (abs(c1) + abs(c2)):
+        return False
+    for tau in _GRID:
         if c0 * (c0 + (c1 + (c2 + tau * 0.0) * tau) * tau) < 0.0:
             return True
     return False
 
 
-def _minima(c: np.ndarray, sgn: float, slope) -> List[float]:
+def _minima(c: List[List[float]], sgn: float, slope) -> List[float]:
     """Where sgn * y has a minimum along a step polynomial c: brackets from
     its y', then Brent's method on slope(x, y), the field's sgn * y'."""
+    cx, cy = c
+
     def slope_at(u):
-        return slope(*polyval(u, c).tolist())
-    v = sgn * polyval(_GRID, polyder(c[:, 1]))
+        return slope(_horner(cx, u), _horner(cy, u))
+    dy = [j * cy[j] for j in range(1, 8)]
+    v = [sgn * _horner(dy, tau) for tau in _GRID]
     out = []
-    for i in np.flatnonzero((v[:-1] < 0.0) & (v[1:] >= 0.0)):
+    for i in range(len(v) - 1):
+        if not v[i] < 0.0 <= v[i + 1]:
+            continue
         for a, b in ((i, i + 1), (max(i - 1, 0), min(i + 2, len(v) - 1))):
             if slope_at(_GRID[a]) < 0.0 <= slope_at(_GRID[b]):
                 out.append(_root(slope_at, _GRID[a], _GRID[b]))
@@ -344,13 +383,13 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
                 d0, 6 * dy - 4 * d0 - 2 * d1, 3 * (d0 + d1 - 2 * dy))
             stops = []   # (tau, kind, line) on the step polynomial c
             if fired or turned:
-                c = _step_poly(solver.dense_output())
+                c = cx, cy = _step_poly(solver.dense_output())
                 lo, dip = 0.0, None
                 # y turns toward Sigma in this step: a touch, or a dip
                 # across it, judged by y integrated onto the turn's abscissa
                 for tau in _minima(c, sgn, lambda x, y: sgn * time_sign
                                    * fg(x, y)[1]) if turned else ():
-                    x_g = float(polyval(tau, c[:, 0]))
+                    x_g = _horner(cx, tau)
                     y_g = _land(rhs, t_a, z_a, t_a + tau * h,
                                 (1.0, 0.0, x_g))[1][1] * sgn
                     if abs(y_g) <= _TOUCH_TOL and t_a + tau * h > t_seg:
@@ -360,42 +399,46 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
                         dip = tau
                         break
                 # a line may be crossed and recrossed inside one step, so
-                # once one fires every line is searched (Sigma after the
-                # touches and up to a dip)
+                # once one fires every line is searched; Sigma only when it
+                # fired or y dipped across it (after the touches, up to the
+                # dip): a turn that stays off Sigma is no crossing
                 for line, kind in exits if fired or dip is not None else ():
+                    crossed = (line, kind) in fired
+                    if kind == "sigma" and not crossed and dip is None:
+                        continue
                     span = (lo, 1.0 if dip is None else dip) \
                         if kind == "sigma" else (0.0, 1.0)
-                    coef = line[0] * c[:, 0] + line[1] * c[:, 1]
+                    coef = [line[0] * a + line[1] * b
+                            for a, b in zip(cx, cy)]
                     coef[0] -= line[2]
                     roots = _exits(coef, *span)
                     if kind != "section":   # (hi: rounding lost the root)
                         roots = roots[:1] or [span[1]] * (
-                            (line, kind) in fired
-                            or kind == "sigma" and dip is not None)
+                            crossed or kind == "sigma")
                     stops += [(tau, kind, line) for tau in roots]
 
             for tau, kind, line in sorted(stops, key=lambda s: s[0]):
                 t_e = t_a + tau * h
-                p = polyval(tau, c)
+                px, py = _horner(cx, tau), _horner(cy, tau)
                 if kind == "section":
                     # an arrival is not the start point
                     if on_line_at_start and t_e <= 1e-9:
                         continue
-                    fz, gz = rhs(0.0, p.tolist())
+                    fz, gz = rhs(0.0, (px, py))
                     kind = ("section-hit" if abs(fz)
                             > _TRANSVERSAL_TOL * math.hypot(fz, gz)
                             else "tangent-hit")
                 elif kind == "sigma" \
-                        and abs(fg(float(p[0]), 0.0)[1]) > tangency_tol:
+                        and abs(fg(px, 0.0)[1]) > tangency_tol:
                     kind = "sigma-cross"
                 if kind == "touch" and not chain:
-                    touches.append(Event(t_leg0 + t_e, float(p[0]),
-                                         float(p[1]), "tangency-touch"))
+                    touches.append(Event(t_leg0 + t_e, px, py,
+                                         "tangency-touch"))
                 elif kind in ("touch", "sigma"):   # a tangential contact
-                    contact = (t_e, float(p[0]))
+                    contact = (t_e, px)
                     break
                 elif kind == "tangent-hit":
-                    return finish(t_e, float(p[0]), float(p[1]), kind)
+                    return finish(t_e, px, py, kind)
                 else:   # a transversal stop on a line
                     t_c, z_c = _land(rhs, t_a, z_a, t_e, line)
                     return finish(t_c, float(z_c[0]), 0.0 if kind ==

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 from hypothesis import given, settings, strategies as st
 
 from filippov2d import (CanonicalBase, PsiSpec, UnfoldingSpec, Window,
@@ -284,18 +284,24 @@ def _turns_by_polyval(c0, c1, c2):
         return bool(np.any(c0 * polyval(flow._GRID, (c0, c1, c2)) < 0.0))
 
 
-def test_turn_test_decides_as_polyval_does():
-    rng = np.random.default_rng(14)
+def _extremes(rng, n):
+    """n-tuples of extreme floats: special values, random signs, mantissas
+    and exponents (under- and overflowing too), and normal draws."""
     specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                 -1e-310, 1e300, -1e300, 1.7e308, -1.7e308, 1.0, -1.0]
-    triples = [tuple(specials[i] for i in rng.integers(len(specials), size=3))
-               for _ in range(400)]
+    out = [tuple(specials[i] for i in rng.integers(len(specials), size=n))
+           for _ in range(400)]
     for _ in range(2000):   # signs, mantissas and exponents at random
-        signs, mants = rng.choice((-1.0, 1.0), 3), rng.uniform(1.0, 10.0, 3)
-        exps = rng.integers(-330, 300, 3)
-        triples.append(tuple(float(s * m) * 10.0 ** int(e)
-                             for s, m, e in zip(signs, mants, exps)))
-    triples += [tuple(v) for v in rng.normal(0.0, 1.0, (500, 3))]
+        signs, mants = rng.choice((-1.0, 1.0), n), rng.uniform(1.0, 10.0, n)
+        exps = rng.integers(-330, 300, n)
+        out.append(tuple(float(s * m) * 10.0 ** int(e)
+                         for s, m, e in zip(signs, mants, exps)))
+    return out + [tuple(v) for v in rng.normal(0.0, 1.0, (500, n))]
+
+
+def test_turn_test_decides_as_polyval_does():
+    rng = np.random.default_rng(14)
+    triples = _extremes(rng, 3)
     for k in range(33):   # zeros exactly on a grid point, double and simple
         tau = k / 32
         triples += [(tau * tau, -2.0 * tau, 1.0),
@@ -304,6 +310,241 @@ def test_turn_test_decides_as_polyval_does():
     decisions = [flow._turns(*c) for c in triples]
     assert decisions == [_turns_by_polyval(*c) for c in triples]
     assert any(decisions) and not all(decisions)
+
+
+def test_grid_is_numpys_linspace():
+    assert flow._GRID == np.linspace(0.0, 1.0, 33).tolist()
+
+
+def test_horner_is_polyval_bit_for_bit():
+    rng = np.random.default_rng(20)
+    points = flow._GRID + [0.3, 1.0 + 2.0 ** -52, -0.7, 1e-300, 5e-324,
+                           -0.0, 1e300, -1e300, math.inf, -math.inf,
+                           math.nan]
+    with np.errstate(all="ignore"):
+        for c in _extremes(rng, 8):
+            for u in rng.choice(points, 6).tolist():
+                assert flow._horner(list(c), u).hex() \
+                    == float(polyval(u, np.array(c))).hex(), (c, u)
+
+
+def _step_poly_by_roll(dense):
+    """The step polynomial as numpy builds it, an (8, n) array: one roll
+    and one subtraction of rows per coefficient row of the dense output."""
+    c = np.zeros((8, len(dense.y_old)))
+    for i, row in enumerate(dense.F[::-1]):
+        c[0] += row
+        shifted = np.roll(c, 1, axis=0)
+        c = shifted if i % 2 == 0 else c - shifted
+    c[0] += dense.y_old
+    return c
+
+
+def _dense_outputs(monkeypatch, run):
+    """Every step's dense output of the DOP853 steppers that run() starts
+    in flow."""
+    dense = []
+
+    class Recorded(flow.DOP853):
+        def step(self):
+            message = super().step()
+            if self.status != "failed" and self.t != self.t_old:
+                dense.append(self.dense_output())
+            return message
+    monkeypatch.setattr(flow, "DOP853", Recorded)
+    run()
+    monkeypatch.undo()
+    return dense
+
+
+def _sheared_upper_sys():
+    """A system whose upper side is sheared by a plateau bump of psi on
+    [-0.6, 0]; its upper orbit from (-0.9, 0.1) rises through the bump."""
+    base = CanonicalBase.from_strings("1 + 0.2*y", "1", 0, "-1", "-1", 0,
+                                      Window(-1.0, 1.0, -1.0, 1.0))
+    return build_unfolded(UnfoldingSpec(
+        base, psi_plus=PsiSpec(1, (-0.6, -0.3, 0.0, 0.01))))
+
+
+# (system, upper start) of transits whose steps the event search reads:
+# through the sheared bump to the window edge; over two turns of
+# y' = sin(3x) above Sigma to the window edge; across Sigma
+_TRANSITS = [(_sheared_upper_sys, (-0.9, 0.1)),
+             (lambda: upper_sys("1", "sin(3 * x)"), (-1.0, 0.7)),
+             (lambda: upper_sys("1", "sin(3 * x)"), (-1.0, 0.35))]
+
+
+def _real_dense_outputs(monkeypatch):
+    """Dense outputs of the _TRANSITS (2-D), their Henon landings on lines
+    (3-D) and a sliding arc (1-D)."""
+    sliding = make_sys("1 + x * x", "x - 0.5", "0.5", "1",
+                       window=Window(-2.0, 2.0, -2.0, 2.0))
+    dense = _dense_outputs(monkeypatch, lambda: flow.sliding_arc(
+        sliding, -0.9))
+    for system, start in _TRANSITS:
+        dense += _dense_outputs(monkeypatch, lambda: integrate_smooth(
+            system(), "upper", start, t_max=10.0))
+    return dense
+
+
+def test_step_poly_is_the_roll_construction_bit_for_bit(monkeypatch):
+    dense = _real_dense_outputs(monkeypatch)
+    dims = [len(d.y_old) for d in dense]
+    assert {1, 2, 3} <= set(dims) and min(map(dims.count, (1, 2, 3))) >= 3
+    for d in dense:
+        ours = [[v.hex() for v in comp] for comp in flow._step_poly(d)]
+        theirs = [[v.hex() for v in comp]
+                  for comp in _step_poly_by_roll(d).T.tolist()]
+        assert ours == theirs
+
+
+def _exits_by_polyval(coef, lo, hi):
+    """flow._exits as numpy states it, with no early exit."""
+    coef = np.array(coef)
+    taus = lo + (hi - lo) * np.array(flow._GRID)
+    v = polyval(taus, coef)
+    return [flow._root(lambda u: polyval(u, coef), taus[i], taus[i + 1])
+            for i in np.flatnonzero((v[:-1] >= 0.0) & (v[1:] < 0.0))]
+
+
+def _minima_by_polyval(c, sgn, slope):
+    """flow._minima as numpy states it, on an (8, 2) array c."""
+    grid = np.array(flow._GRID)
+
+    def slope_at(u):
+        return slope(*polyval(u, c).tolist())
+    v = sgn * polyval(grid, polyder(c[:, 1]))
+    out = []
+    for i in np.flatnonzero((v[:-1] < 0.0) & (v[1:] >= 0.0)):
+        for a, b in ((i, i + 1), (max(i - 1, 0), min(i + 2, len(v) - 1))):
+            if slope_at(grid[a]) < 0.0 <= slope_at(grid[b]):
+                out.append(flow._root(slope_at, grid[a], grid[b]))
+                break
+    return out
+
+
+def _hexes(xs):
+    return [float(x).hex() for x in xs]
+
+
+def test_exits_and_minima_are_polyval_bit_for_bit(monkeypatch):
+    # the step polynomials of the _TRANSITS against lines through each
+    # step and Sigma, and random polynomials
+    rng = np.random.default_rng(21)
+    found = {"exits": 0, "minima": 0}
+
+    def check_exits(coef, spans):
+        for lo, hi in spans:
+            ours = flow._exits(coef, lo, hi)
+            assert _hexes(ours) == _hexes(_exits_by_polyval(coef, lo, hi))
+            found["exits"] += bool(ours)
+
+    def check_minima(c, slopes):
+        for sgn, slope in slopes:
+            ours = flow._minima(c, sgn, slope)
+            assert _hexes(ours) \
+                == _hexes(_minima_by_polyval(np.array(c).T, sgn, slope))
+            found["minima"] += bool(ours)
+
+    for build, start in _TRANSITS:
+        system = build()
+        fg = flow._side_fn(*system.side("upper"))
+        slopes = [(sgn, lambda x, y, sgn=sgn: sgn * fg(x, y)[1])
+                  for sgn in (1.0, -1.0)]
+        dense = _dense_outputs(monkeypatch, lambda: integrate_smooth(
+            system, "upper", start, t_max=10.0))
+        for c in (flow._step_poly(d) for d in dense if len(d.y_old) == 2):
+            cx, cy = c
+            spans = [(0.0, 1.0), tuple(sorted(rng.uniform(0.0, 1.0, 2)))]
+            # lines through the middle of the step, and Sigma
+            for n1, n2, level in ((1.0, 0.0, (cx[0] + sum(cx)) / 2),
+                                  (0.0, -1.0, -(cy[0] + sum(cy)) / 2),
+                                  (0.0, 1.0, 0.0)):
+                coef = [n1 * a + n2 * b for a, b in zip(cx, cy)]
+                coef[0] -= level
+                check_exits(coef, spans)
+            check_minima(c, slopes)
+    for _ in range(300):
+        coef = rng.normal(0.0, 1.0, 8) * rng.uniform(0.0, 2.0, 8) ** 4
+        check_exits(coef.tolist(), [(0.0, 1.0), (0.1, 0.9)])
+        c = [[0.0, 1.0] + [0.0] * 6, coef.tolist()]   # x = tau
+
+        def slope(x, y, d=polyder(coef)):
+            return float(polyval(x, d))
+        check_minima(c, [(1.0, slope), (-1.0, lambda x, y: -slope(x, y))])
+    assert found["exits"] >= 100 and found["minima"] >= 100, found
+
+
+def _exits_outcome(exits, coef, lo, hi):
+    """The exits found, as float.hex, or the exception raised: Brent's
+    method can divide by zero on subnormal values, and does so alike on
+    either side."""
+    try:
+        with np.errstate(all="ignore"):
+            return _hexes(exits(coef, lo, hi))
+    except ZeroDivisionError as err:
+        return type(err)
+
+
+def _ulps(x, k):
+    """x moved k ulps (toward +inf when k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def test_early_exits_agree_with_the_full_scan():
+    # coefficients at the bounds of both early exits, a few ulps either
+    # side, half of them with every other coefficient pulling toward zero
+    # (the worst case, at tau = 1), at normal, tiny, subnormal and huge
+    # scales; then infinities and nans
+    rng = np.random.default_rng(22)
+    exits_taken = turns_taken = 0
+    cases = []
+    for _ in range(500):
+        scale = rng.choice([1.0, 1e-300, 5e-324, 1e300])
+        tail = [float(v) for v in rng.integers(1, 1000, 7) * scale] \
+            if scale == 5e-324 else (rng.uniform(0.0, 1.0, 7) * scale).tolist()
+        if rng.uniform() < 0.5:
+            tail = [-v for v in tail]
+        else:
+            tail = [v * s for v, s in
+                    zip(tail, rng.choice((-1.0, 1.0), 7).tolist())]
+        cases.append(tail)
+    for tail in cases:
+        s_exits = (1.0 + 1e-13) * sum(abs(a) for a in tail)
+        s_turns = (1.0 + 1e-12) * (abs(tail[0]) + abs(tail[1]))
+        for k in range(-4, 5):
+            c0 = _ulps(s_exits, k)
+            lo, hi = (0.0, 1.0) if k % 2 else sorted(rng.uniform(0.0, 1.0, 2))
+            coef = [c0] + tail
+            assert _exits_outcome(flow._exits, coef, lo, hi) \
+                == _exits_outcome(_exits_by_polyval, coef, lo, hi), coef
+            exits_taken += c0 > s_exits
+            for sign in (1.0, -1.0):
+                c = (sign * _ulps(s_turns, k), tail[0], tail[1])
+                assert flow._turns(*c) == _turns_by_polyval(*c), c
+                turns_taken += abs(c[0]) > s_turns
+    specials = [[math.inf] + [-1.0] * 7, [1.0, -math.inf] + [0.0] * 6,
+                [math.inf, math.inf] + [-1.0] * 6, [math.nan] + [0.0] * 7,
+                [1.0, math.nan] + [0.0] * 6, [5e-324] + [-0.0] * 7,
+                [1e-323, -5e-324] + [0.0] * 6, [1.7e308] + [-1.7e307] * 7]
+    for coef in specials:
+        assert _exits_outcome(flow._exits, coef, 0.0, 1.0) \
+            == _exits_outcome(_exits_by_polyval, coef, 0.0, 1.0), coef
+        for c in (coef[:3], [coef[1], coef[0], coef[2]]):
+            assert flow._turns(*c) == _turns_by_polyval(*c), c
+    assert exits_taken > 1000 and turns_taken > 2000, (exits_taken,
+                                                       turns_taken)
+
+
+def test_a_landing_with_no_normal_speed_fails_as_a_step_underflow():
+    # F.n = 0 on the line's normal: the Henon field divides by zero; its
+    # quotients are numpy's (inf or nan), so every step is rejected until
+    # the stepper gives up, and no ZeroDivisionError escapes
+    with np.errstate(all="ignore"), pytest.raises(flow.StepUnderflow):
+        flow._land(lambda t, s: (0.0, 1.0), 0.0, np.array([0.0, 0.0]), 0.1,
+                   (1.0, 0.0, 1.0))
 
 
 def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):

@@ -446,6 +446,30 @@ def test_cycle_witness_polish_stops_at_a_seed_that_does_not_land(
     assert lower_runs == [-0.35, pytest.approx(-0.3305, abs=1e-4)]
 
 
+@pytest.mark.parametrize("q", [-0.11, -0.1025])
+def test_a_capped_upper_return_runs_to_its_cap(q):
+    # the cycle witness's upper return from q's landing, capped at x = q:
+    # it turns toward Sigma over the bump peaks, stays above it and leaves
+    # the cap (whose exit line lies 1e-9 of the window's larger side out);
+    # the window lines that fire on the way must not send a search for a
+    # Sigma root the orbit never reaches
+    system = _thm5_33_ell1_system()
+    w = system.window
+    low = integrate_smooth(system, "lower", (q, 0.0))
+    cap = filippov2d.Window(w.x_lo, q, w.y_lo, w.y_hi)
+    up = integrate_smooth(system, "upper", (low.terminal.x, 0.0),
+                          window=cap, chain=True, t_offset=low.terminal.t)
+    assert up.terminal.kind == "window-exit"
+    assert abs(up.terminal.x - q) <= 2e-9
+
+
+def test_a_cycle_seed_whose_return_rides_above_sigma_fails_by_name():
+    # q = -0.11's upper return ends at its cap 1.6e-2 above Sigma
+    with pytest.raises(VerificationFailed, match=re.escape(
+            "cycle through x=-0.11 fails to close")):
+        loops._crossing_cycle_witness(_thm5_33_ell1_system(), -0.11)
+
+
 # thm5 (3,3) ell=1's first crossing cycle: its witness closes to 6e-13
 _CYCLE_SEED = float.fromhex("-0x1.933b70744fa64p-2")
 

@@ -194,8 +194,19 @@ assert cli.main(["check", "--seed", "1"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
+# numpy loads numpy.polynomial (about 1 MB resident) only when asked: the
+# event search evaluates its step polynomials on floats
+POLYNOMIAL_GUARD = """
+import sys
+from filippov2d import cli
+assert cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+"""
 
-def test_a_run_and_a_check_import_no_scipy(tmp_path):
+
+def _run_thm2(tmp_path, script):
+    """The last line that script prints in a fresh interpreter, given a
+    thm2 m=3 config and an output directory."""
     cfg = tmp_path / "thm2.cfg"
     cfg.write_text("upper.m = 3\nscenario.theorem = 2\nscenario.ell = 1\n"
                    "scenario.visibility = I\n")
@@ -203,7 +214,14 @@ def test_a_run_and_a_check_import_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", GUARD, str(cfg), str(tmp_path / "out")],
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
         capture_output=True, text=True, check=True, env=env).stdout
-    assert out.splitlines()[-1] == "[]"
+    return out.splitlines()[-1]
 
+
+def test_a_run_and_a_check_import_no_scipy(tmp_path):
+    assert _run_thm2(tmp_path, GUARD) == "[]"
+
+
+def test_a_run_loads_no_numpy_polynomial(tmp_path):
+    assert _run_thm2(tmp_path, POLYNOMIAL_GUARD) == "[]"
