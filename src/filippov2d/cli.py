@@ -21,6 +21,12 @@ theorem 1 or none it scans the configured system and pencils a few plain
 orbits. A tangent point count other than scenario.expect_tangent_points
 raises CensusMismatch.
 
+census.csv, tangent_points.csv and trajectories/*.csv are one table shape,
+written by _write_table and read by _read_table: a '# <version>' line, a
+header row, then one row per record, its fields comma-joined and each line
+ending in a newline. No field holds a comma: every field is a number, a
+kind word or a 'contacts:count;...' list.
+
 Exit codes: 0 success, 2 malformed config, 1 anything else (a refusal,
 a failed certificate, a broken relation or a transit failure; a
 diagnostics.txt with the traceback is left in the output directory).
@@ -33,7 +39,7 @@ import sys as _sys
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,17 +48,13 @@ from .fieldexpr import ParseError, ScalarField, parse_expr
 from .system import (PwsSystem, Window, decompose_sigma, h_value,  # noqa: F401
                      sliding_convex_coefficient, sliding_field)
 from .tangency import TangencyScan, find_tangent_points
-from .flow import (Trajectory, TransitFailure, integrate_pws,
-                   read_trajectory_csv, trajectory_to_csv)
+from .flow import Trajectory, TransitFailure, integrate_pws
 from .unfolding import CanonicalBase, UnfoldingSpec, build_transition, \
     build_unfolded
 from .cutoffs import cutoff_up
-from .loops import (CensusMismatch, LoopCensus, LoopRecord, _counts_field,
-                    canonical_base, canonical_critical_loop, scenario_thm2,
-                    scenario_thm3, scenario_thm4, scenario_thm5,
-                    write_census_csv, read_census_csv)
-
-TANGENT_CSV_VERSION = "filippov2d-tangent-points-v1"
+from .loops import (CensusMismatch, LoopCensus, LoopRecord, canonical_base,
+                    canonical_critical_loop, scenario_thm2, scenario_thm3,
+                    scenario_thm4, scenario_thm5)
 
 
 class ConfigError(ValueError):
@@ -286,16 +288,85 @@ def _configured_system(cfg: RunConfig) -> PwsSystem:
 
 
 # --------------------------------------------------------------------------
-# tangent point CSV
+# artifact tables
+
+TRAJECTORY_CSV_VERSION = "filippov2d-trajectory-v1"
+CENSUS_CSV_VERSION = "filippov2d-census-v2"
+TANGENT_CSV_VERSION = "filippov2d-tangent-points-v1"
+
+
+def _write_table(path, version: str, header: Sequence[str],
+                 rows: Iterable[Sequence[object]]) -> None:
+    """Stream the table of the module docstring; fields go through str."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {version}\n{','.join(header)}\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def _read_table(path, version: str) -> Tuple[List[str], List[List[str]]]:
+    """(header, rows) of a table, blank lines skipped; ValueError when its
+    first line is not '# <version>'."""
+    with open(path) as fh:
+        lines = [line for line in fh.read().splitlines() if line]
+    if len(lines) < 2 or lines[0] != f"# {version}":
+        raise ValueError(f"{path}: not a {version} table")
+    header, *rows = (line.split(",") for line in lines[1:])
+    return header, rows
+
+
+def trajectory_to_csv(traj: Trajectory, path) -> None:
+    """One row per sample: t, x, y, its arc's kind and index, and the kind
+    of an event at that time."""
+    ev_by_t = {round(e.t, 12): e.kind for e in traj.events}
+    _write_table(path, TRAJECTORY_CSV_VERSION,
+                 ("t", "x", "y", "arc_kind", "arc_index", "event"),
+                 ((t, x, y, arc.kind, i, ev_by_t.get(round(t, 12), ""))
+                  for i, arc in enumerate(traj.arcs)
+                  for t, x, y in zip(arc.t.tolist(), arc.x.tolist(),
+                                     arc.y.tolist())))
+
+
+def read_trajectory_csv(path):
+    """Round-trip reader: returns (version, header, rows)."""
+    return (TRAJECTORY_CSV_VERSION, *_read_table(path, TRAJECTORY_CSV_VERSION))
+
+
+def _counts_field(counts: Dict[int, int]) -> str:
+    """{contacts: count} as 'contacts:count' pairs joined by ';'."""
+    return ";".join(f"{k}:{v}" for k, v in sorted(counts.items()))
+
+
+def write_census_csv(path, censuses: Sequence[LoopCensus], *,
+                     witnesses_paths: Optional[Sequence[str]] = None) -> None:
+    """One row per census; beta_cro and beta_cri keep every contact count
+    (column format 'contacts:count;...', empty when there are none)."""
+    _write_table(path, CENSUS_CSV_VERSION,
+                 ("scenario", "m_plus", "m_minus", "ell", "beta_c", "beta_s",
+                  "beta_cro", "beta_cri", "witnesses_path"),
+                 ((c.scenario, c.m_plus, c.m_minus, c.ell, c.beta_c, c.beta_s,
+                   _counts_field(c.beta_cro), _counts_field(c.beta_cri),
+                   witnesses_paths[i] if witnesses_paths else "")
+                  for i, c in enumerate(censuses)))
+
+
+def read_census_csv(path) -> List[Dict[str, object]]:
+    header, rows = _read_table(path, CENSUS_CSV_VERSION)
+    out: List[Dict[str, object]] = [dict(zip(header, row)) for row in rows]
+    for row in out:
+        for key in ("m_plus", "m_minus", "ell", "beta_c", "beta_s"):
+            row[key] = int(row[key])  # type: ignore[arg-type]
+        for key in ("beta_cro", "beta_cri"):
+            pairs = (item.split(":") for item in row[key].split(";") if item)
+            row[key] = {int(k): int(v) for k, v in pairs}
+    return out
 
 
 def write_tangent_points_csv(path, scan: TangencyScan) -> None:
-    lines = [f"# {TANGENT_CSV_VERSION}",
-             "x,m_plus,m_minus,vis_plus,vis_minus,label"]
-    for r in scan.records:
-        lines.append(",".join((f"{r.x0!r}", str(r.m_plus), str(r.m_minus),
-                               r.vis_plus or "", r.vis_minus or "", r.label)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, TANGENT_CSV_VERSION,
+                 ("x", "m_plus", "m_minus", "vis_plus", "vis_minus", "label"),
+                 ((r.x0, r.m_plus, r.m_minus, r.vis_plus or "",
+                   r.vis_minus or "", r.label) for r in scan.records))
 
 
 # --------------------------------------------------------------------------
@@ -397,13 +468,15 @@ def _safe_tag(tag: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in tag)
 
 
-def _pencil(sys: PwsSystem, n: int = 6) -> List[Trajectory]:
-    """A few forward orbits seeded across the top and bottom edges.
+def _pencil(sys: PwsSystem) -> List[Trajectory]:
+    """Forward orbits from six seeds across the top and six across the
+    bottom edge.
 
     An orbit the flow cannot continue (a TransitFailure) or whose field
     meets a domain error (ArithmeticError, ValueError) is left out.
     """
     w = sys.window
+    n = 6
     out = []
     t_max = 3.0 * (w.x_hi - w.x_lo)
     for i in range(n):
@@ -597,10 +670,10 @@ def _check_roundtrip(tmp: Path) -> Optional[str]:
     traj = integrate_pws(canonical_base(1, 1).system(), (-0.5, 0.5),
                          t_max=1.0)
     trajectory_to_csv(traj, tmp / "orbit.csv")
-    version, header, rows = read_trajectory_csv(tmp / "orbit.csv")
+    _, header, rows = read_trajectory_csv(tmp / "orbit.csv")
     n_in = sum(len(a.t) for a in traj.arcs)
-    if version != "filippov2d-trajectory-v1" or header[0] != "t":
-        return f"unexpected trajectory csv shape: {version}, {header[:3]}"
+    if header[0] != "t":
+        return f"unexpected trajectory csv header: {header[:3]}"
     if len(rows) != n_in:
         return f"trajectory csv kept {len(rows)} of {n_in} samples"
     return None

@@ -2,8 +2,9 @@
 
 Every transit takes its system: the fields of the side it flows, the
 system's window and a leg budget of 6 * width + 30 time units of that
-window. Only ``integrate_pws`` (its remaining time) and the crossing-cycle
-witness (a window capped at its seed) pass other values.
+window. Only ``integrate_pws`` passes another budget (its remaining time);
+the crossing-cycle witness caps its return at its seed by flying it on a
+system whose window ends there.
 
 Every smooth arc is integrated by one kernel, ``_transit``: a loop over the
 accepted steps of a ``numerics.DOP853`` stepper. After each step it checks
@@ -72,7 +73,6 @@ Sigma; loop-witness builders override the policy with explicit leg plans.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -80,7 +80,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .numerics import DOP853, brentq, solve_ivp
-from .system import (PwsSystem, Window, _side_fn, h_value, sliding_field,
+from .system import (PwsSystem, _side_fn, h_value, sliding_field,
                      NotSliding, DegenerateDenominator)
 
 
@@ -304,19 +304,19 @@ def _leg_budget(sys: PwsSystem) -> float:
 
 
 def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
-             t_max: Optional[float] = None, window: Optional[Window] = None,
-             time_sign: float = 1.0, tangency_tol: float = 0.0,
-             chain: bool = False, stop_at: Optional[float] = None,
-             t_offset: float = 0.0, x_at: Optional[float] = None) -> SmoothRun:
+             t_max: Optional[float] = None, time_sign: float = 1.0,
+             tangency_tol: float = 0.0, chain: bool = False,
+             stop_at: Optional[float] = None, t_offset: float = 0.0,
+             x_at: Optional[float] = None) -> SmoothRun:
     """The one smooth-transit loop (module docstring) on the field of
     `side`: a Sigma transit in that half-plane, or with x_at a transit to
     the vertical line x = x_at. Times count from t_offset; each leg has the
     budget t_max (default: the system's leg budget) and the transit stops
-    at the edges of `window` (default: the system's). Terminal kinds:
+    at the edges of the system's window. Terminal kinds:
     sigma-cross, tangent-arrival, tangent-exit, section-hit, tangent-hit,
     window-exit, time-end."""
     t_max = _leg_budget(sys) if t_max is None else t_max
-    w = sys.window if window is None else window
+    w = sys.window
     x, y = float(start[0]), float(start[1])
     fg = _side_fn(*sys.side(side))   # the only field evaluation in a transit
 
@@ -472,7 +472,6 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
 
 def integrate_smooth(sys: PwsSystem, side: str, start: Tuple[float, float],
                      *, t_max: Optional[float] = None,
-                     window: Optional[Window] = None,
                      time_sign: float = 1.0,
                      tangency_tol: float = 1e-7,
                      chain: bool = False,
@@ -480,7 +479,7 @@ def integrate_smooth(sys: PwsSystem, side: str, start: Tuple[float, float],
                      t_offset: float = 0.0) -> SmoothRun:
     """One smooth transit of the `side` field of sys in its half-plane,
     with Sigma event handling, in sys.window with the leg budget unless
-    t_max or window says otherwise.
+    t_max says otherwise.
 
     Returns the legs, all tangential touch events and the terminal event,
     one of: sigma-cross, tangent-arrival (graze chaining reached stop_at),
@@ -491,9 +490,9 @@ def integrate_smooth(sys: PwsSystem, side: str, start: Tuple[float, float],
     touch point on Sigma; the transit ends at the first touch within
     1e-6 of stop_at, when one is given. Times count from t_offset.
     """
-    return _transit(sys, side, start, t_max=t_max, window=window,
-                    time_sign=time_sign, tangency_tol=tangency_tol,
-                    chain=chain, stop_at=stop_at, t_offset=t_offset)
+    return _transit(sys, side, start, t_max=t_max, time_sign=time_sign,
+                    tangency_tol=tangency_tol, chain=chain, stop_at=stop_at,
+                    t_offset=t_offset)
 
 
 def sliding_arc(sys: PwsSystem, x_start: float, *,
@@ -628,33 +627,3 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
                 break
             events.append(Event(t_used, x, 0.0, "sliding-exit"))
     return Trajectory(arcs, events, sys)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-TRAJECTORY_CSV_VERSION = "filippov2d-trajectory-v1"
-
-
-def trajectory_to_csv(traj: Trajectory, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {TRAJECTORY_CSV_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "arc_kind", "arc_index", "event"])
-        ev_by_t = {round(e.t, 12): e.kind for e in traj.events}
-        for i, arc in enumerate(traj.arcs):
-            for t, x, y in zip(arc.t, arc.x, arc.y):
-                ev = ev_by_t.get(round(float(t), 12), "")
-                writer.writerow([repr(float(t)), repr(float(x)),
-                                 repr(float(y)), arc.kind, i, ev])
-
-
-def read_trajectory_csv(path: str):
-    """Round-trip reader: returns (version, header, rows)."""
-    with open(path) as fh:
-        first = fh.readline().strip()
-        version = first.lstrip("# ").strip()
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader]
-    return version, header, rows

@@ -71,7 +71,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -405,11 +404,12 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float) -> LoopRecord:
     def legs(qq: float):
         low = integrate_smooth(sys, "lower", (qq, 0.0))
         land = _landed(low)
-        # the upper return ends at the line x = qq at the latest, so one
-        # still above Sigma there gives a signed miss too: its height
+        # the upper return flies on a system capped at the line x = qq, so
+        # one still above Sigma there gives a signed miss too: its height
         cap = Window(w.x_lo, min(w.x_hi, float(qq)), w.y_lo, w.y_hi)
-        up = integrate_smooth(sys, "upper", (land, 0.0), window=cap,
-                              chain=True, t_offset=low.terminal.t)
+        up = integrate_smooth(PwsSystem(*sys.upper(), *sys.lower(), cap),
+                              "upper", (land, 0.0), chain=True,
+                              t_offset=low.terminal.t)
         term = up.terminal
         if term.kind == "sigma-cross":
             miss = term.x - qq
@@ -998,8 +998,6 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
 
     pinned = build_unfolded(_pinned(base, lam, delta,
                                     [p.height for p in pins]))
-    dips = [_flank_dip(pinned, knots[2 * i - 2], lam[2 * i - 2])
-            for i in range(1, d + 1)]
 
     # d(exit)/d(raise) for each raised bump: raising the peak lowers the
     # entry crossing by raise/g(conj), and the exit must drag the lower
@@ -1042,11 +1040,12 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
     raise_by = [0.1 * cap] * n
     lower_by = []
     for i in range(n + 1, d + 1):
-        if dips[i - 1] >= 0.0:
+        dip = _flank_dip(pinned, knots[2 * i - 2], lam[2 * i - 2])
+        if dip >= 0.0:
             raise VerificationFailed(
                 f"no displacement dip resolved at the peak "
-                f"x={lam[2 * i - 2]:.6g} (min {dips[i - 1]:.3e})")
-        lower_by.append(0.35 * abs(dips[i - 1]))
+                f"x={lam[2 * i - 2]:.6g} (min {dip:.3e})")
+        lower_by.append(0.35 * abs(dip))
 
     heights = []
     for i, p in enumerate(pins, start=1):
@@ -1086,51 +1085,3 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
             f"(beta_s, beta_c) = ({census.beta_s}, {census.beta_c}), "
             f"expected ({n}, >= {want_c})")
     return census
-
-
-# --------------------------------------------------------------------------
-# census files
-
-
-CENSUS_CSV_HEADER = "# filippov2d-census-v2"
-_CENSUS_COLUMNS = ("scenario", "m_plus", "m_minus", "ell", "beta_c",
-                   "beta_s", "beta_cro", "beta_cri", "witnesses_path")
-
-
-def _counts_field(counts: Dict[int, int]) -> str:
-    """{contacts: count} as 'contacts:count' pairs joined by ';'."""
-    return ";".join(f"{k}:{v}" for k, v in sorted(counts.items()))
-
-
-def _parse_counts(text: str) -> Dict[int, int]:
-    pairs = (item.split(":") for item in text.split(";") if item)
-    return {int(k): int(v) for k, v in pairs}
-
-
-def write_census_csv(path, censuses: Sequence[LoopCensus], *,
-                     witnesses_paths: Optional[Sequence[str]] = None) -> None:
-    """One row per census; beta_cro and beta_cri keep every contact count
-    (column format 'contacts:count;...', empty when there are none)."""
-    lines = [CENSUS_CSV_HEADER, ",".join(_CENSUS_COLUMNS)]
-    for i, c in enumerate(censuses):
-        wp = witnesses_paths[i] if witnesses_paths else ""
-        lines.append(",".join(str(v) for v in (
-            c.scenario, c.m_plus, c.m_minus, c.ell, c.beta_c, c.beta_s,
-            _counts_field(c.beta_cro), _counts_field(c.beta_cri), wp)))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_census_csv(path) -> List[Dict[str, object]]:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(CENSUS_CSV_HEADER):
-        raise ValueError(f"{path}: missing {CENSUS_CSV_HEADER[2:]} header line")
-    names = lines[1].split(",")
-    out: List[Dict[str, object]] = []
-    for ln in lines[2:]:
-        row: Dict[str, object] = dict(zip(names, ln.split(",")))
-        for key in ("m_plus", "m_minus", "ell", "beta_c", "beta_s"):
-            row[key] = int(row[key])  # type: ignore[arg-type]
-        for key in ("beta_cro", "beta_cri"):
-            row[key] = _parse_counts(row[key])  # type: ignore[arg-type]
-        out.append(row)
-    return out

@@ -569,11 +569,13 @@ def brentq(f, a, b, xtol, rtol, maxiter=100, disp=True) -> float:
                 # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:
-                # extrapolate
+                # extrapolate; a denominator that underflows to 0 makes
+                # C's step inf or NaN, which bisects below
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
+                        else math.inf)
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre = scur

@@ -8,8 +8,8 @@ import pytest
 from numpy.polynomial.polynomial import polyder, polyval
 from hypothesis import given, settings, strategies as st
 
-from filippov2d import (CanonicalBase, PsiSpec, UnfoldingSpec, Window,
-                        build_unfolded, flow, h_value, integrate_pws,
+from filippov2d import (CanonicalBase, PsiSpec, PwsSystem, UnfoldingSpec,
+                        Window, build_unfolded, flow, h_value, integrate_pws,
                         integrate_smooth, loops, maps, read_trajectory_csv,
                         sliding_convex_coefficient, trajectory_to_csv,
                         unfolding)
@@ -98,15 +98,19 @@ def test_resting_orbit_runs_out_the_leg_budget_of_its_window(window):
                                            abs=1e-12)
 
 
-def test_window_argument_overrides_the_system_window():
-    # the system's window reaches x = 4; the one passed in stops at 0.3
-    # (a window's exit lines lie 1e-9 of its larger side outside it)
-    capped = Window(BIG.x_lo, 0.3, BIG.y_lo, BIG.y_hi)
-    run = integrate_smooth(upper_sys("1", "0"), "upper", (0.0, 0.5),
-                           window=capped)
+def test_a_capped_system_stops_its_transit_at_the_cap():
+    # the system's window reaches x = 4; a copy capped at x = 0.3 stops the
+    # same flow there (a window's exit lines lie 1e-9 of its larger side
+    # outside it): a transit takes its window from its system alone
+    s = upper_sys("1", "0")
+    capped = PwsSystem(*s.upper(), *s.lower(),
+                       Window(BIG.x_lo, 0.3, BIG.y_lo, BIG.y_hi))
+    run = integrate_smooth(capped, "upper", (0.0, 0.5))
     assert run.terminal.kind == "window-exit"
     assert run.terminal.x == pytest.approx(0.3 + 8e-9, abs=1e-12)
     assert run.terminal.t == pytest.approx(0.3 + 8e-9, abs=1e-12)
+    for fn in (flow.integrate_smooth, flow._transit):
+        assert "window" not in inspect.signature(fn).parameters
 
 
 def sliding_sys(speed_src, window=Window(-2.0, 2.0, -2.0, 2.0)):

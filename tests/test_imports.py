@@ -4,6 +4,9 @@ and every name the package exports is read somewhere in the package.
 The exception to both is a name that perfbench/tracing.py rebinds on its
 module to trace a layer boundary: the tracer needs the binding even when
 the package no longer calls it.
+
+Files are read and written in cli alone, and cli imports no private name
+of another package module.
 """
 
 import ast
@@ -91,3 +94,49 @@ def test_the_export_check_skips_the_definition():
     assert not _reads(ast.parse(recursive), "f")
     assert _reads(ast.parse(recursive + "print(f)\n"), "f")
     assert _reads(ast.parse("import m\nm.f()\n"), "f")
+
+
+FILE_MODULES = {"csv", "pathlib", "tempfile"}
+FILE_CALLS = {"open", "read_text", "write_text"}
+
+
+def _file_io(tree: ast.AST):
+    """Every file-module import and file call in the tree, by line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module.split(".")[0]]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            names = [getattr(func, "id", getattr(func, "attr", None))]
+        else:
+            continue
+        yield from (f"{name} (line {node.lineno})" for name in names
+                    if name in FILE_MODULES | FILE_CALLS)
+
+
+def test_only_cli_touches_files():
+    # cli writes and reads every artifact (census, tangent points,
+    # trajectories, portrait, diagnostics) and the config file
+    hits = {path.stem: list(_file_io(ast.parse(path.read_text())))
+            for path in MODULES if path.stem != "cli"}
+    assert {stem: found for stem, found in hits.items() if found} == {}
+    assert list(_file_io(ast.parse(
+        "import csv\nfrom pathlib import Path\nPath('a').write_text('')\n"
+        "open('b')\n"))) == ["csv (line 1)", "pathlib (line 2)",
+                              "write_text (line 3)", "open (line 4)"]
+
+
+# the check battery's probe of the canonical arc height, which goes with
+# the battery
+CLI_PRIVATE_IMPORTS = {"_flow_to_section"}
+
+
+def test_cli_imports_no_private_name_of_the_package():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [f"{a.name} (line {node.lineno})" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for a in node.names if a.name.startswith("_")
+               and a.name not in CLI_PRIVATE_IMPORTS]
+    assert private == []

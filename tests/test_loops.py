@@ -11,12 +11,13 @@ import scipy.optimize
 from scipy.integrate import solve_ivp
 
 import filippov2d
-from filippov2d import (CensusMismatch, PsiSpec, RangeError, ScalarField,
-                        StepUnderflow, UnfoldingSpec, VerificationFailed,
-                        build_transition, build_unfolded, canonical_base,
-                        canonical_critical_loop, displacement_sigma,
-                        integrate_smooth, loops, numerics, scenario_thm2,
-                        scenario_thm3, scenario_thm4, scenario_thm5)
+from filippov2d import (CensusMismatch, PsiSpec, PwsSystem, RangeError,
+                        ScalarField, StepUnderflow, UnfoldingSpec,
+                        VerificationFailed, build_transition, build_unfolded,
+                        canonical_base, canonical_critical_loop,
+                        displacement_sigma, integrate_smooth, loops, numerics,
+                        scenario_thm2, scenario_thm3, scenario_thm4,
+                        scenario_thm5)
 from filippov2d.loops import CLOSURE_TOL, _negative_cluster, _pinned_knots
 
 
@@ -345,6 +346,15 @@ def test_thm4_pins_only_the_bumps_it_keeps(monkeypatch):
         [-0.1, -0.5, -0.3, -0.5]
 
 
+@pytest.mark.parametrize("ell, peaks", [(0, []), (1, [-0.1])])
+def test_thm5_flies_only_the_flank_dips_it_reads(monkeypatch, ell, peaks):
+    # (3,3): a raised bump reads no dip; a lowered one gives up a share of
+    # its own, so ell=1 flies bump 2's alone
+    dips = _recorded(monkeypatch, "_flank_dip")
+    scenario_thm5(canonical_base(3, 3), ell)
+    assert [round(args[2], 9) for args in dips] == peaks
+
+
 def test_every_pin_and_unfolding_layout_has_one_site():
     # every plateau height comes from _pin, and every thm3-thm5 unfolding
     # from _pinned, so a change to either is one edit
@@ -456,9 +466,10 @@ def test_a_capped_upper_return_runs_to_its_cap(q):
     system = _thm5_33_ell1_system()
     w = system.window
     low = integrate_smooth(system, "lower", (q, 0.0))
-    cap = filippov2d.Window(w.x_lo, q, w.y_lo, w.y_hi)
-    up = integrate_smooth(system, "upper", (low.terminal.x, 0.0),
-                          window=cap, chain=True, t_offset=low.terminal.t)
+    capped = PwsSystem(*system.upper(), *system.lower(),
+                       filippov2d.Window(w.x_lo, q, w.y_lo, w.y_hi))
+    up = integrate_smooth(capped, "upper", (low.terminal.x, 0.0),
+                          chain=True, t_offset=low.terminal.t)
     assert up.terminal.kind == "window-exit"
     assert abs(up.terminal.x - q) <= 2e-9
 

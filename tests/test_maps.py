@@ -36,6 +36,14 @@ def test_cubic_contact_arrival_matches_quadrature():
         assert hit.y == pytest.approx((1.0 - r ** 4) / 4.0, abs=1e-11)
 
 
+def test_canonical_upper_arc_peaks_at_4_27():
+    # canonical (1,1): the upper orbit from the crossing at -1 is
+    # y = x^2 (x + 1), whose peak on (-1, 0) is 4/27 at x = -2/3
+    hit = _flow_to_section(canonical_base(1, 1).system(), (-1.0, 0.0),
+                           -2.0 / 3.0)
+    assert abs(hit.y - 4.0 / 27.0) <= 1e-9
+
+
 def test_tangential_arrival_detected():
     # field (3 y^2, 1) from (-1, -1): the orbit x = y^3 crosses the line
     # x = 0 at the origin with zero horizontal speed, so the crossing fires

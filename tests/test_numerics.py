@@ -186,6 +186,20 @@ def test_brentq_fails_as_scipys_does():
         == scipy.optimize.brentq(cubic, 2.0, 2.5, **kw)
 
 
+def test_brentq_bisects_where_its_step_denominator_underflows():
+    # subnormal values: the extrapolation's denominator rounds to 0, where
+    # C's step is inf or NaN and bisects
+    c = [1.6635e-320, -2.03e-322, -1.527e-321, -1.17e-321, -2.925e-321,
+         -4.21e-321, -3.256e-321, -3.36e-321]
+
+    def poly(u):
+        return flow._horner(c, u)
+    kw = dict(xtol=1e-15, rtol=1e-15, maxiter=400)
+    root = numerics.brentq(poly, 0.96875, 1.0, **kw)
+    assert root == scipy.optimize.brentq(poly, 0.96875, 1.0, **kw) \
+        == 0.9998321533203072
+
+
 GUARD = """
 import sys
 from filippov2d import cli
