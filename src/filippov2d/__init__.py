@@ -20,15 +20,15 @@ from .cutoffs import (PsiSpec, cutoff_jet, cutoff_up, psi, psi_jet,
                       zero_psi)
 from .unfolding import (CanonicalBase, UnfoldingSpec, build_transition,
                         build_unfolded)
-from .flow import (Arc, AmbiguousTangency, Event, SmoothRun, StepUnderflow,
-                   Trajectory, TransitFailure, integrate_pws,
-                   integrate_smooth, sliding_arc)
+from .flow import (Arc, AmbiguousTangency, Event, StepUnderflow, Trajectory,
+                   TransitFailure, integrate_pws, integrate_smooth,
+                   sliding_arc)
 from .maps import NoArrival, TangentialArrival, displacement_sigma
 from .loops import (CensusMismatch, LoopCensus, LoopRecord, RangeError,
                     VerificationFailed, canonical_base,
-                    canonical_critical_loop, classify_loop,
-                    find_crossing_cycles, scenario_thm2, scenario_thm3,
-                    scenario_thm4, scenario_thm5)
+                    canonical_critical_loop, find_crossing_cycles,
+                    scenario_thm2, scenario_thm3, scenario_thm4,
+                    scenario_thm5)
 from .cli import (ConfigError, RunConfig, load_config, read_census_csv,
                   read_trajectory_csv, render_portrait, run_scenario,
                   trajectory_to_csv, write_census_csv,

@@ -10,9 +10,11 @@ check              built-in self-test battery (seeded)
 Config files are line-oriented ``section.key = value`` with sections
 {upper, lower, scenario, output}. Field expressions are quoted strings;
 everything else is plain decimal / bare words. The keys (load_config):
-upper/lower f, g, phi, m; scenario theorem, ell, delta, kind, visibility,
-window, lambda_plus, lambda_minus, expect_tangent_points; output dir.
-Without both phi sides, theorems 3-5 unfold loops.canonical_base.
+upper/lower f, phi, m (a side's g is x^m * phi); scenario theorem, ell,
+delta, kind, visibility, window, lambda_plus, lambda_minus,
+expect_tangent_points; output dir. A scan run (theorem 1 or none) needs
+phi and m on both sides; without both phi sides, theorems 3-5 unfold
+loops.canonical_base.
 
 ``run`` looks scenario.theorem 2-5 up in one table (_SCENARIOS): the
 theorem's loops.scenario_thmN returns a LoopCensus that already meets its
@@ -68,14 +70,8 @@ class ConfigError(ValueError):
 @dataclass
 class SideConfig:
     f: str
-    g: Optional[str] = None
     phi: Optional[str] = None
     m: Optional[int] = None
-
-    def g_expr(self) -> str:
-        if self.g is not None:
-            return self.g
-        return f"x^{self.m} * ({self.phi})" if self.m else f"({self.phi})"
 
 
 @dataclass
@@ -95,8 +91,8 @@ class RunConfig:
 
 
 _SECTIONS = {
-    "upper": {"f", "g", "phi", "m"},
-    "lower": {"f", "g", "phi", "m"},
+    "upper": {"f", "phi", "m"},
+    "lower": {"f", "phi", "m"},
     "scenario": {"theorem", "ell", "delta", "kind", "visibility", "window",
                  "lambda_plus", "lambda_minus", "expect_tangent_points"},
     "output": {"dir"},
@@ -145,8 +141,8 @@ def load_config(path) -> RunConfig:
     """Parse and validate a line-oriented run configuration.
 
     Every non-blank, non-comment line must read ``section.key = value``;
-    errors carry the file name and line number. Each side needs either a
-    full g expression or a (phi, m) pair.
+    errors carry the file name and line number. A side's g is
+    x^m * phi: a scan run (theorem 1 or none) needs phi and m on both.
     """
     path = Path(path)
     if not path.exists():
@@ -178,8 +174,6 @@ def load_config(path) -> RunConfig:
             side = upper if section == "upper" else lower
             if key == "f":
                 side.f = _expr_value(raw, where)
-            elif key == "g":
-                side.g = _expr_value(raw, where)
             elif key == "phi":
                 side.phi = _expr_value(raw, where)
             else:
@@ -237,13 +231,9 @@ def load_config(path) -> RunConfig:
     # run needs concrete vector fields in the config.
     needs_fields = cfg.theorem in (None, 1)
     for name, side in (("upper", upper), ("lower", lower)):
-        if side.g is not None and side.phi is not None:
+        if needs_fields and side.phi is None:
             raise ConfigError(
-                f"{path.name}: section {name!r} sets both g and phi; "
-                f"use one form")
-        if needs_fields and side.g is None and side.phi is None:
-            raise ConfigError(
-                f"{path.name}: section {name!r} needs g, or phi with m")
+                f"{path.name}: section {name!r} needs phi with m")
         if side.phi is not None and side.m is None:
             raise ConfigError(
                 f"{path.name}: section {name!r} sets phi without m")
@@ -267,24 +257,14 @@ def _canonical_for(cfg: RunConfig) -> CanonicalBase:
 
 
 def _configured_system(cfg: RunConfig) -> PwsSystem:
-    """The system a config describes, before any scenario unfolds it.
-
-    lambdas set: the transition system; explicit g or phi on both sides:
-    those fields; otherwise (bare m, as theorem configs have) the
-    canonical base.
-    """
+    """The system a config describes, before any scenario unfolds it: the
+    canonical base of _canonical_for, split at the lambdas when they are
+    set (the transition system)."""
+    base = _canonical_for(cfg)
     if cfg.lambda_plus or cfg.lambda_minus:
-        base = _canonical_for(cfg)
         lam_m = cfg.lambda_minus or (0.0,) * (cfg.lower.m or 0)
         return build_transition(UnfoldingSpec(base, cfg.lambda_plus, lam_m))
-    if all(side.g is not None or side.phi is not None
-           for side in (cfg.upper, cfg.lower)):
-        return PwsSystem(ScalarField(cfg.upper.f),
-                         ScalarField(cfg.upper.g_expr()),
-                         ScalarField(cfg.lower.f),
-                         ScalarField(cfg.lower.g_expr()),
-                         _config_window(cfg))
-    return _canonical_for(cfg).system()
+    return base.system()
 
 
 # --------------------------------------------------------------------------
@@ -376,9 +356,7 @@ _VIEW_W, _VIEW_H = 800, 600
 
 _KIND_COLORS = {
     "crossing-limit-cycle": "#1a73e8",
-    "crossing-periodic": "#6ab7ff",
     "sliding-loop": "#e8710a",
-    "grazing": "#188038",
     "crossing-nonsliding": "#7b1fa2",
     "critical": "#c2185b",
 }

@@ -50,7 +50,14 @@ fields falls back to a ``.value`` call on each.
 
 Sliding arcs step the scalar Filippov field along Sigma on the same
 stepper and stop at sliding-region boundaries (tangent points), at window
-exits, or when the sliding speed collapses (pseudo-equilibrium).
+exits, at a given exit abscissa (sliding-exit), or when the sliding speed
+collapses (pseudo-equilibrium).
+
+Every entry point returns one record of a flown path, a Trajectory: its
+arcs in order and its events in time order, the last being its terminal
+(integrate_smooth, a section transit, sliding_arc and integrate_pws
+alike; a section transit keeps no arc). Times count from the t_offset a
+transit or sliding arc is given.
 
 Tolerances are fixed contracts, not options: every DOP853 integration,
 steps and landings alike, runs at rtol = RTOL = 1e-10 and atol = ATOL =
@@ -120,9 +127,15 @@ class Arc:
 
 @dataclass
 class Trajectory:
+    """A flown path: its arcs in order and its events, the last of which
+    is the terminal, the event the path ended with."""
+
     arcs: List[Arc]
     events: List[Event]
-    system: Optional[PwsSystem] = None
+
+    @property
+    def terminal(self) -> Event:
+        return self.events[-1]
 
     def start(self) -> Tuple[float, float]:
         return self.arcs[0].start()
@@ -144,13 +157,6 @@ _MAX_CONTACTS = 64         # Sigma contacts that restart one transit
 _ARRIVAL_TOL = 1e-6        # x-distance from stop_at of a touch that ends a chain
 _GRID = [k / 32 for k in range(33)]   # samples of a step polynomial
 _MAX_ARCS = 200            # arcs of one integrate_pws trajectory
-
-
-@dataclass
-class SmoothRun:
-    legs: List[Arc]          # one per leg; several only under graze chaining
-    touches: List[Event]
-    terminal: Event
 
 
 def _own_sign(side: str) -> float:
@@ -307,7 +313,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
              t_max: Optional[float] = None, time_sign: float = 1.0,
              tangency_tol: float = 0.0, chain: bool = False,
              stop_at: Optional[float] = None, t_offset: float = 0.0,
-             x_at: Optional[float] = None) -> SmoothRun:
+             x_at: Optional[float] = None) -> Trajectory:
     """The one smooth-transit loop (module docstring) on the field of
     `side`: a Sigma transit in that half-plane, or with x_at a transit to
     the vertical line x = x_at. Times count from t_offset; each leg has the
@@ -344,11 +350,11 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
     samples = [(0.0, x, y)]   # (leg time, x, y) of the current leg
     t_leg0 = t_offset         # start time of the current leg
 
-    def finish(t_end: float, xe: float, ye: float, kind: str) -> SmoothRun:
-        if x_at is not None:
-            return SmoothRun([], [], Event(t_end, xe, ye, kind))
-        close_leg(t_end, xe, ye)
-        return SmoothRun(legs, touches, Event(t_leg0 + t_end, xe, ye, kind))
+    def finish(t_end: float, xe: float, ye: float, kind: str) -> Trajectory:
+        if x_at is None:   # a section transit keeps its terminal alone
+            close_leg(t_end, xe, ye)
+        return Trajectory(legs, touches + [Event(t_leg0 + t_end, xe, ye,
+                                                 kind)])
 
     def close_leg(t_end: float, xe: float, ye: float) -> None:
         if samples[-1][0] != t_end:   # the end point is the leg's last sample
@@ -476,15 +482,15 @@ def integrate_smooth(sys: PwsSystem, side: str, start: Tuple[float, float],
                      tangency_tol: float = 1e-7,
                      chain: bool = False,
                      stop_at: Optional[float] = None,
-                     t_offset: float = 0.0) -> SmoothRun:
+                     t_offset: float = 0.0) -> Trajectory:
     """One smooth transit of the `side` field of sys in its half-plane,
     with Sigma event handling, in sys.window with the leg budget unless
     t_max says otherwise.
 
-    Returns the legs, all tangential touch events and the terminal event,
-    one of: sigma-cross, tangent-arrival (graze chaining reached stop_at),
-    tangent-exit (tangential departure from the half-plane), window-exit,
-    time-end.
+    Returns its legs as arcs and its events: every tangential touch, then
+    the terminal, one of: sigma-cross, tangent-arrival (graze chaining
+    reached stop_at; its touch is the event before it), tangent-exit
+    (tangential departure from the half-plane), window-exit, time-end.
 
     With chain=True every touch ends a leg and the flow restarts from the
     touch point on Sigma; the transit ends at the first touch within
@@ -497,14 +503,16 @@ def integrate_smooth(sys: PwsSystem, side: str, start: Tuple[float, float],
 
 def sliding_arc(sys: PwsSystem, x_start: float, *,
                 t_max: Optional[float] = None,
-                x_stop: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, Event]:
+                x_stop: Optional[float] = None,
+                t_offset: float = 0.0) -> Trajectory:
     """Integrate the sliding field from a point inside a sliding segment.
 
-    Stops at the segment boundary (h -> 0), a window edge, the time budget
-    (default: the system's leg budget), a pseudo-equilibrium (the sliding
-    speed collapses below 1e-9), or -- when x_stop is given -- at the
-    prescribed abscissa.
-    Returns (t, x, terminal_event); y is identically 0 on the arc.
+    Stops at the segment boundary (sliding-boundary: h -> 0), a window
+    edge (window-exit), the time budget (default: the system's leg budget;
+    time-end, or pseudo-equilibrium where the sliding speed has collapsed
+    below 1e-9), or -- when x_stop is given -- at that abscissa
+    (sliding-exit). Returns one sliding arc, y identically 0, and its
+    terminal event; times count from t_offset.
     """
     w = sys.window
     t_max = _leg_budget(sys) if t_max is None else t_max
@@ -521,7 +529,7 @@ def sliding_arc(sys: PwsSystem, x_start: float, *,
              (lambda x: w.x_hi - x, "window-exit")]
     if x_stop is not None:
         ahead = 1.0 if x_stop >= x_start else -1.0
-        stops.append((lambda x: ahead * (x_stop - x), "target-reached"))
+        stops.append((lambda x: ahead * (x_stop - x), "sliding-exit"))
     solver = DOP853(rhs, 0.0, [x_start], t_max, rtol=RTOL, atol=ATOL)
     ts, xs, kind = [0.0], [float(x_start)], "time-end"
     while solver.status == "running" and kind == "time-end":
@@ -533,12 +541,14 @@ def sliding_arc(sys: PwsSystem, x_start: float, *,
             dense = solver.dense_output()
             t_b, kind = min((_root(lambda t: fn(dense(t)[0]), t_a, t_b), kind)
                             for fn, kind in fired)
-            x_b = x_stop if kind == "target-reached" else float(dense(t_b)[0])
+            x_b = x_stop if kind == "sliding-exit" else float(dense(t_b)[0])
         ts.append(t_b)
         xs.append(x_b)
     if kind == "time-end" and abs(rhs(0.0, (xs[-1],))[0]) <= 1e-9:
         kind = "pseudo-equilibrium"
-    return np.array(ts), np.array(xs), Event(ts[-1], xs[-1], 0.0, kind)
+    return Trajectory([Arc("sliding", np.array(ts) + t_offset, np.array(xs),
+                           np.zeros(len(xs)))],
+                      [Event(ts[-1] + t_offset, xs[-1], 0.0, kind)])
 
 
 def step_filippov(sys: PwsSystem, x: float,
@@ -600,30 +610,24 @@ def integrate_pws(sys: PwsSystem, start: Tuple[float, float], *,
             run = integrate_smooth(sys, side, (x, y), t_max=t_max - t_used,
                                    tangency_tol=1e-7 * sys.sigma_g_scale(side),
                                    t_offset=t_used)
-            arcs.extend(run.legs)
-            events.extend(run.touches)
-            term = run.terminal
-            events.append(term)
-            t_used = term.t
-            x, y = term.x, term.y
-            if term.kind in ("window-exit", "time-end"):
-                break
-            # Sigma contact: transversal or tangential exit
-            side = step_filippov(sys, x, side)
-            if side is None:
-                events.append(Event(t_used, x, 0.0, "sliding-entry"))
-            y = 0.0
         else:
-            ts, xs, term = sliding_arc(sys, x, t_max=t_max - t_used)
-            arcs.append(Arc("sliding", ts + t_used, xs, np.zeros_like(xs)))
-            events.append(Event(term.t + t_used, term.x, 0.0, term.kind))
-            t_used += term.t
-            x, y = term.x, 0.0
-            if term.kind in ("window-exit", "time-end", "pseudo-equilibrium"):
-                break
+            run = sliding_arc(sys, x, t_max=t_max - t_used, t_offset=t_used)
+        arcs += run.arcs
+        events += run.events
+        term = run.terminal
+        t_used, x, y = term.t, term.x, term.y
+        if term.kind in ("window-exit", "time-end", "pseudo-equilibrium"):
+            break
+        if side is None:
             # boundary tangent point: take off or cross, or stay stuck
             side = step_filippov(sys, x, None)
             if side is None:
                 break
             events.append(Event(t_used, x, 0.0, "sliding-exit"))
-    return Trajectory(arcs, events, sys)
+        else:
+            # Sigma contact: transversal or tangential exit
+            side = step_filippov(sys, x, side)
+            if side is None:
+                events.append(Event(t_used, x, 0.0, "sliding-entry"))
+        y = 0.0
+    return Trajectory(arcs, events)

@@ -18,11 +18,16 @@ returned carries a trajectory that was actually integrated, so a successful
 return certifies the advertised geometry up to the stated tolerances.
 
 Every loop reported goes through one certificate, _certify, which its
-witness builder ends in: given the witness's name, legs and events, it
-runs classify_loop, the one closure check, and compares the loop's kind
-and tangential contact count with the expected ones. It fails in three
-ways, each a VerificationFailed naming the witness: the endpoints miss by
-more than CLOSURE_TOL, the kind differs, or the contact count does.
+witness builder ends in: given the witness's name and the runs it flew
+(flow.Trajectory records: its legs, and a sliding stretch), it joins
+their arcs and events into the loop, makes the one closure check and
+classifies the loop as one of sliding-loop, critical,
+crossing-nonsliding or crossing-limit-cycle, with its tangential contact
+count; it compares both with the expected ones. It fails in three ways,
+each a VerificationFailed naming the witness: the endpoints miss by more
+than CLOSURE_TOL, the kind differs, or the contact count does. Only the
+crossing-cycle witness edits a run first: an upper return that ends at
+its cap becomes a crossing there.
 
 Before that, _leg flies every leg of the canonical loop, _critical_witness,
 _sliding_witness, _entry_crossing and thm3, and raises VerificationFailed
@@ -77,8 +82,8 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from .cutoffs import PsiSpec
-from .flow import (Arc, Event, SmoothRun, Trajectory, TransitFailure,
-                   integrate_smooth, sliding_arc)
+from .flow import (Arc, Event, Trajectory, TransitFailure, integrate_smooth,
+                   sliding_arc)
 from .maps import _flow_to_section, _landed, displacement_sigma
 from .numerics import brentq
 from .system import PwsSystem, Window, h_value
@@ -162,96 +167,74 @@ def _grazes(g_field, x: float, scale: float) -> bool:
     return abs(g0) <= max(abs(g1) * _CONTACT_TOL, 1e-12 * scale)
 
 
-def classify_loop(traj: Trajectory) -> LoopRecord:
-    """Validate closure and classify a loop by its switching-line contacts.
+def _certify(sys: PwsSystem, name: str, runs: Sequence[Trajectory],
+             kind: Optional[str] = None,
+             contacts: Optional[int] = None) -> LoopRecord:
+    """The one certificate of a loop witness (module docstring).
 
-    Kind precedence: any sliding arc makes a sliding-loop; otherwise a
-    tangent switching point makes the loop critical; tangential touches
-    without a tangent switching point give crossing-nonsliding; purely
-    transversal loops come back crossing-periodic (find_crossing_cycles
-    upgrades isolated ones to crossing-limit-cycle); loops that never
-    change half-plane are grazing. Raises VerificationFailed when the
-    endpoints differ by more than CLOSURE_TOL. A junction counts as
-    tangent when it sits within _CONTACT_TOL (in x) of a zero of the
-    active side's g; contacts closer than that count once.
+    The loop is the runs' arcs in order, with their events in time order
+    less tangent arrivals (the touch before each is already an event).
+    Its endpoints must agree within CLOSURE_TOL. It is a sliding-loop when
+    it has a sliding arc, else critical when a switching point (a junction
+    of arcs on different sides) is tangent, else crossing-nonsliding when
+    it touches Sigma, else a crossing-limit-cycle. A junction is tangent
+    within _CONTACT_TOL (in x) of a zero of an adjoining side's g; its
+    touches and tangent switching points closer than that count as one
+    contact. The kind and contact count must be the expected ones, where
+    given; VerificationFailed naming the witness otherwise.
     """
-    sys = traj.system
-    if sys is None:
-        raise ValueError("classify_loop needs trajectory.system to be set")
-    arcs = traj.arcs
+    arcs = [arc for run in runs for arc in run.arcs]
+    events = sorted((ev for run in runs for ev in run.events
+                     if ev.kind != "tangent-arrival"), key=lambda ev: ev.t)
+    traj = Trajectory(arcs, events)
     if not arcs:
-        raise VerificationFailed("trajectory has no arcs")
-    x0, y0 = traj.start()
-    x1, y1 = traj.end()
+        raise VerificationFailed(f"{name} fails to close: trajectory has "
+                                 "no arcs")
+    (x0, y0), (x1, y1) = traj.start(), traj.end()
     residual = math.hypot(x1 - x0, y1 - y0)
     if residual > CLOSURE_TOL:
         raise VerificationFailed(
-            f"endpoints ({x0:.12g}, {y0:.3e}) vs ({x1:.12g}, {y1:.3e}) "
-            f"differ by {residual:.3e} > {CLOSURE_TOL:.1e}")
-    scale_up = sys.sigma_g_scale("upper")
-    scale_dn = sys.sigma_g_scale("lower")
+            f"{name} fails to close: endpoints ({x0:.12g}, {y0:.3e}) vs "
+            f"({x1:.12g}, {y1:.3e}) differ by {residual:.3e} > "
+            f"{CLOSURE_TOL:.1e}")
     switching: List[Tuple[float, str]] = []
-    touch_xs: List[float] = [ev.x for ev in traj.touch_events()]
-    n = len(arcs)
-    for i in range(n):
-        a, b = arcs[i], arcs[(i + 1) % n]
+    touch_xs = [ev.x for ev in traj.touch_events()]
+    for a, b in zip(arcs, arcs[1:] + arcs[:1]):
         xj = float(a.x[-1])
         if a.kind == b.kind:
-            # consecutive same-side arcs meet in a grazing contact
+            # consecutive same-side arcs meet in a touch of Sigma
             if a.kind in ("upper", "lower") and abs(float(a.y[-1])) <= 1e-7:
                 touch_xs.append(xj)
             continue
-        involved = {a.kind, b.kind}
-        tangent = False
-        if "upper" in involved:
-            tangent |= _grazes(sys.g_plus, xj, scale_up)
-        if "lower" in involved:
-            tangent |= _grazes(sys.g_minus, xj, scale_dn)
+        tangent = any(_grazes(g, xj, sys.sigma_g_scale(side))
+                      for side, g in (("upper", sys.g_plus),
+                                      ("lower", sys.g_minus))
+                      if side in (a.kind, b.kind))
         switching.append((xj, "tangent" if tangent else "crossing"))
     touch_xs.extend(x for x, lbl in switching if lbl == "tangent")
     ell = len(_dedup_sorted(touch_xs))
     if any(a.kind == "sliding" for a in arcs):
-        kind = "sliding-loop"
-    elif not switching:
-        kind = "grazing"
+        got = "sliding-loop"
     elif any(lbl == "tangent" for _, lbl in switching):
-        kind = "critical"
-    elif ell > 0:
-        kind = "crossing-nonsliding"
+        got = "critical"
     else:
-        kind = "crossing-periodic"
-    return LoopRecord(traj, kind, tuple(switching), ell, residual)
-
-
-def _certify(sys: PwsSystem, name: str, legs: List[Arc], events: List[Event],
-             kind: Optional[str] = None,
-             contacts: Optional[int] = None) -> LoopRecord:
-    """The one certificate of a loop witness (module docstring): the events
-    sorted by time, classify_loop, then the expected kind and contact count,
-    where given."""
-    events.sort(key=lambda ev: ev.t)
-    try:
-        rec = classify_loop(Trajectory(legs, events, system=sys))
-    except VerificationFailed as err:
-        raise VerificationFailed(f"{name} fails to close: {err}") from None
-    if kind not in (None, rec.kind) \
-            or contacts not in (None, rec.tangent_touch_count):
+        got = "crossing-nonsliding" if ell > 0 else "crossing-limit-cycle"
+    if kind not in (None, got) or contacts not in (None, ell):
         want = kind if contacts is None else f"{kind} with {contacts}"
         raise VerificationFailed(
-            f"{name} classified {rec.kind} with {rec.tangent_touch_count}"
-            f" contacts, expected {want}")
-    return rec
+            f"{name} classified {got} with {ell} contacts, expected {want}")
+    return LoopRecord(traj, got, tuple(switching), ell, residual)
 
 
 def _leg(sys: PwsSystem, name: str, side: str, x0: float, *,
          end: str = "sigma-cross", contacts: Optional[int] = None,
-         **transit) -> SmoothRun:
+         **transit) -> Trajectory:
     """One witness leg: the `side` transit of integrate_smooth from (x0, 0),
     with `transit` passed on. It must end with `end` (sigma-cross or
     tangent-arrival) after `contacts` contacts of Sigma when given;
     VerificationFailed naming the leg otherwise."""
     run = integrate_smooth(sys, side, (x0, 0.0), **transit)
-    n = len(run.touches)
+    n = len(run.touch_events())
     if run.terminal.kind != end or contacts not in (None, n):
         after = "" if contacts is None else f" after {contacts}"
         want = "tangent arrival" if end == "tangent-arrival" else end
@@ -263,7 +246,7 @@ def _leg(sys: PwsSystem, name: str, side: str, x0: float, *,
 
 def _entry_crossing(sys: PwsSystem, tp: float) -> float:
     """Where the upper orbit arriving at (tp, 0) crossed Sigma last: its
-    backward leg, which must cross back without grazing on the way."""
+    backward leg, which must cross back with no touch on the way."""
     return float(_leg(sys, f"backward upper leg from {tp:.6g}", "upper", tp,
                       contacts=0, time_sign=-1.0, chain=True).terminal.x)
 
@@ -371,18 +354,16 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1,
     sys = canonical_base(m_plus, m_minus).system()
     up = _leg(sys, "upper arc from -1", "upper", -1.0, end="tangent-arrival",
               chain=True, stop_at=0.0)
-    t1 = up.terminal.t
-    down = _leg(sys, "lower arc from 0", "lower", up.terminal.x, t_offset=t1)
+    down = _leg(sys, "lower arc from 0", "lower", up.terminal.x,
+                t_offset=up.terminal.t)
     mp = multiplicity_at(sys.g_plus, 1.0, 0.0)
     mm = multiplicity_at(sys.g_minus, -1.0, 0.0)
     if (mp, mm) != (m_plus, m_minus):
         raise VerificationFailed(
             f"origin multiplicities ({mp}, {mm}) != ({m_plus}, {m_minus})")
-    arcs = up.legs + down.legs
-    if _signed_area(arcs) >= 0.0:
+    if _signed_area(up.arcs + down.arcs) >= 0.0:
         raise VerificationFailed("loop is not traversed clockwise")
-    events = [Event(t1, up.terminal.x, 0.0, "tangency-touch"), down.terminal]
-    return sys, _certify(sys, "canonical loop through -1", arcs, events,
+    return sys, _certify(sys, "canonical loop through -1", (up, down),
                          "critical", 1)
 
 
@@ -443,13 +424,10 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float) -> LoopRecord:
 
     low, up = best
     term = up.terminal
-    events = [low.terminal] + up.touches \
-        + [Event(term.t, term.x, 0.0, "sigma-cross")]
-    rec = _certify(sys, f"cycle through x={q:.9g}", low.legs + up.legs,
-                   events)
-    if rec.kind == "crossing-periodic":
-        rec.kind = "crossing-limit-cycle"
-    return rec
+    if term.kind == "window-exit":   # ends at the cap: close it on Sigma
+        up = Trajectory(up.arcs, up.events[:-1]
+                        + [Event(term.t, term.x, 0.0, "sigma-cross")])
+    return _certify(sys, f"cycle through x={q:.9g}", (low, up))
 
 
 def find_crossing_cycles(sys: PwsSystem,
@@ -466,8 +444,8 @@ def find_crossing_cycles(sys: PwsSystem,
     above CLOSURE_TOL marks a jump, not a zero, and is dropped before any
     witness leg is integrated. Every other root is certified by integrating
     the actual loop, and dropped if that loop does not close. Returned
-    cycles that graze a tangency stay classified crossing-nonsliding;
-    plain ones are upgraded to crossing-limit-cycle.
+    cycles that graze a tangency are classified crossing-nonsliding,
+    plain ones crossing-limit-cycle.
     """
     def down(x: float) -> bool:
         return h_value(sys, x) > 0.0 and sys.g_minus.value(x, 0.0) < 0.0
@@ -585,8 +563,7 @@ def _critical_witness(sys: PwsSystem,
     up = _leg(sys, f"upper leg from {conj:.9g} to {tp:.6g}", "upper", conj,
               end="tangent-arrival", chain=True, stop_at=tp,
               t_offset=low.terminal.t)
-    return _certify(sys, f"loop at {tp:.6g}", low.legs + up.legs,
-                    [low.terminal] + up.touches, "critical"), conj
+    return _certify(sys, f"loop at {tp:.6g}", (low, up), "critical"), conj
 
 
 def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
@@ -628,20 +605,15 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
               x_left, end="tangent-arrival", contacts=1, chain=True,
               stop_at=tp)
     nudge = min(1e-9, (q_s - tp) * 1e-3)
-    ts, xs, sl_term = sliding_arc(sys, tp + nudge, x_stop=q_s)
-    if sl_term.kind != "target-reached":
+    slide = sliding_arc(sys, tp + nudge, x_stop=q_s, t_offset=up.terminal.t)
+    sl_term = slide.terminal
+    if sl_term.kind != "sliding-exit":
         raise VerificationFailed(
             f"sliding leg ended with {sl_term.kind} at x={sl_term.x:.9g} "
             f"before reaching {q_s:.9g}")
-    t1 = up.terminal.t
-    t2 = t1 + float(ts[-1])
-    low = _leg(sys, f"lower leg from {q_s:.9g}", "lower", q_s, t_offset=t2)
-    xs = np.asarray(xs)
-    arcs = up.legs + [Arc("sliding", np.asarray(ts) + t1, xs,
-                          np.zeros_like(xs))] + low.legs
-    events = [Event(t1, up.terminal.x, 0.0, "tangency-touch"),
-              Event(t2, q_s, 0.0, "sliding-exit"), low.terminal]
-    return _certify(sys, f"sliding loop at {tp:.6g}", arcs, events,
+    low = _leg(sys, f"lower leg from {q_s:.9g}", "lower", q_s,
+               t_offset=sl_term.t)
+    return _certify(sys, f"sliding loop at {tp:.6g}", (up, slide, low),
                     "sliding-loop"), q_s
 
 
@@ -749,8 +721,8 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
                 raise VerificationFailed(
                     f"orbit through {v:.6g} ended {way} "
                     f"with {run.terminal.kind}")
-            touch_xs.update(float(ev.x) for ev in run.touches)
-            legs[way] = run.legs
+            touch_xs.update(float(ev.x) for ev in run.touch_events())
+            legs[way] = run.arcs
         points = set()   # split points this orbit touches
         for tx in touch_xs:
             k = int(np.argmin([abs(tx - l) for l in lam]))
@@ -760,7 +732,7 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
             points.add(k)
         touched |= points
         counts[len(points)] = counts.get(len(points), 0) + 1
-        census.orbits.append(_stitch_orbit(sys4, legs["backward"],
+        census.orbits.append(_stitch_orbit(legs["backward"],
                                            legs["forward"]))
     got = counts.get(ell, 0)
     want = (m_plus + (-1 if invis else 1)) // (2 * ell)
@@ -769,8 +741,7 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
     return census
 
 
-def _stitch_orbit(sys: PwsSystem, bw_arcs: List[Arc],
-                  fw_arcs: List[Arc]) -> Trajectory:
+def _stitch_orbit(bw_arcs: List[Arc], fw_arcs: List[Arc]) -> Trajectory:
     """Join a backward and a forward chained transit from a point of Sigma
     into one forward trajectory. Every junction of its arcs is a touch:
     the start between the two transits, and each touch that ended a leg
@@ -789,7 +760,7 @@ def _stitch_orbit(sys: PwsSystem, bw_arcs: List[Arc],
                         np.asarray(a.y)))
     events = [Event(float(a.t[-1]), float(a.x[-1]), 0.0, "tangency-touch")
               for a in arcs[:-1]]
-    return Trajectory(arcs, events, system=sys)
+    return Trajectory(arcs, events)
 
 
 # --------------------------------------------------------------------------
@@ -877,12 +848,9 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     term = up.terminal
     low = _leg(sys4, f"lower leg from {term.x:.9g}", "lower", term.x,
                t_offset=term.t)
-    events = up.touches + [low.terminal]
-    if kind == "crossing":
-        events.append(Event(term.t, term.x, 0.0, "sigma-cross"))
     want = "crossing-nonsliding" if kind == "crossing" else "critical"
-    rec = _certify(sys4, f"{kind} loop from {p_plus:.9g}", up.legs + low.legs,
-                   events, want, ell)
+    rec = _certify(sys4, f"{kind} loop from {p_plus:.9g}", (up, low), want,
+                   ell)
     census = LoopCensus("thm3", m, base.m_minus, ell, spec=spec4,
                         witnesses=[(f"{kind}_l{ell}", rec)])
     (census.beta_cro if kind == "crossing" else census.beta_cri)[ell] = 1
@@ -901,7 +869,7 @@ def scenario_thm4(base: CanonicalBase, ell: int, *,
     The last ell+1 plateau bumps are pinned to their own conjugate orbits.
     Walking leftward, each remaining bump is pinned to the orbit of the
     crossing cycle that bifurcates in the gap to its right, which turns
-    that cycle into a crossing loop grazing the bump's peak.
+    that cycle into a crossing loop that touches the bump's peak.
     """
     m = base.m_plus
     if m < 3 or m % 2 == 0:

@@ -28,7 +28,7 @@ from .system import PwsSystem
 # stay bound here because perfbench/tracing.py wraps them on every layer
 from .numerics import solve_ivp  # noqa: F401
 from .tangency import multiplicity_at  # noqa: F401
-from .flow import (Event, SmoothRun, TransitFailure, _leg_budget, _transit,
+from .flow import (Event, Trajectory, TransitFailure, _leg_budget, _transit,
                    integrate_smooth)
 
 
@@ -40,11 +40,11 @@ class TangentialArrival(TransitFailure):
     pass
 
 
-def _landed(run: SmoothRun) -> float:
+def _landed(run: Trajectory) -> float:
     """Where a transit from Sigma crossed back to it; NoArrival if it ended
     any other way."""
     if run.terminal.kind != "sigma-cross":
-        leg = run.legs[0]
+        leg = run.arcs[0]
         raise NoArrival(f"{leg.kind} transit from x={leg.x[0]:.6g} "
                         f"ended with {run.terminal.kind}")
     return run.terminal.x
@@ -60,8 +60,7 @@ def _flow_to_section(sys: PwsSystem, start: Tuple[float, float],
     tangential to the line, and NoArrival when the orbit leaves the window
     or uses up the leg budget first.
     """
-    run = _transit(sys, "upper", start, x_at=x_at)
-    hit = run.terminal
+    hit = _transit(sys, "upper", start, x_at=x_at).terminal
     if hit.kind == "tangent-hit":
         raise TangentialArrival(
             f"arrival at ({hit.x:.6g},{hit.y:.6g}) is tangential to the section")

@@ -1,10 +1,12 @@
 """The command-line driver: exit codes, artifacts, flags, census files."""
 
 import hashlib
+import re
 
 import pytest
 
-from filippov2d import LoopCensus, cli, read_census_csv, write_census_csv
+from filippov2d import (LoopCensus, cli, integrate_pws, read_census_csv,
+                        write_census_csv)
 from filippov2d.cli import load_config, main
 from conftest import make_sys
 
@@ -34,6 +36,57 @@ def test_bad_window_is_a_config_error(tmp_path, capsys, bounds):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: run.cfg:5: scenario.window: ")
+
+
+# each bad line after a comment line (line 1), and its refusal; the last
+# two configs are complete only at their end, so no line is named
+_REFUSALS = [
+    ('upper.f = 1', "run.cfg:2: expression values must be quoted strings"),
+    ('upper.f = "1 +"', "run.cfg:2: unexpected end of input (at byte 3)"),
+    ("upper.m = x", "run.cfg:2: expected an integer, got ' x'"),
+    ("scenario.delta = abc", "run.cfg:2: expected a number, got ' abc'"),
+    ("scenario.lambda_plus =", "run.cfg:2: expected numbers"),
+    ('upper.f "1"', "run.cfg:2: expected 'section.key = value'"),
+    ("upper = 1", "run.cfg:2: keys are written section.key"),
+    ('middle.f = "1"', "run.cfg:2: unknown section 'middle'"),
+    ('upper.g = "1"', "run.cfg:2: unknown key 'g' in section 'upper'"),
+    ("upper.m = -1", "run.cfg:2: upper.m must be >= 0, got -1"),
+    ("scenario.theorem = 6", "run.cfg:2: scenario.theorem must be 1..5"),
+    ("scenario.ell = -1", "run.cfg:2: scenario.ell must be >= 0"),
+    ("scenario.delta = 0", "run.cfg:2: scenario.delta must be > 0"),
+    ("scenario.kind = loop", "run.cfg:2: scenario.kind must be cro or cri"),
+    ("scenario.visibility = X",
+     "run.cfg:2: scenario.visibility must be one of V I L R"),
+    ("scenario.window = 1 2 3",
+     "run.cfg:2: scenario.window wants x_lo x_hi y_lo y_hi"),
+    ('scenario.theorem = 1\nupper.phi = "1"\nupper.m = 0',
+     "run.cfg: section 'lower' needs phi with m"),
+    ('upper.phi = "1"', "run.cfg: section 'upper' sets phi without m"),
+]
+
+
+@pytest.mark.parametrize("line, message", _REFUSALS,
+                         ids=[m.split(": ", 1)[1] for _, m in _REFUSALS])
+def test_every_config_refusal_exits_2_with_its_message(tmp_path, capsys,
+                                                       line, message):
+    cfg = write_config(tmp_path, f"# a comment line\n{line}\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_scan_config_scans_the_tangent_points_of_its_g(tmp_path, capsys):
+    # m = 0 and no lambdas: each side's g is its phi, one simple zero each
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, 'scenario.theorem = 1\n'
+                       'upper.f = "1"\nupper.phi = "x - 0.25"\nupper.m = 0\n'
+                       'lower.f = "-1"\nlower.phi = "x + 0.5"\nlower.m = 0\n')
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert "tangent_points=2" in capsys.readouterr().out.splitlines()
+    _, rows = cli._read_table(out / "tangent_points.csv",
+                              cli.TANGENT_CSV_VERSION)
+    assert [(float(r[0]), r[1], r[2]) for r in rows] == [
+        (pytest.approx(-0.5, abs=1e-9), "0", "1"),
+        (pytest.approx(0.25, abs=1e-9), "1", "0")]
 
 
 def test_run_thm2_writes_every_artifact(tmp_path, capsys):
@@ -118,6 +171,22 @@ def test_census_round_trips_every_contact_count(tmp_path):
     assert second["beta_cro"] == {1: 1}
     assert second["beta_cri"] == {1: 2, 3: 1}
     assert second["witnesses_path"] == "b"
+
+
+def test_census_reader_refuses_another_table(tmp_path):
+    # a trajectory table, and a census table whose version line has one
+    # character more
+    orbit = tmp_path / "orbit.csv"
+    cli.trajectory_to_csv(integrate_pws(make_sys("1", "1", "1", "1"),
+                                        (0.0, 0.5), t_max=0.1), orbit)
+    census = tmp_path / "census.csv"
+    write_census_csv(census, [LoopCensus("thm3", 5, 5, 2)])
+    census.write_text(census.read_text().replace("-v2\n", "-v2x\n", 1))
+    assert census.read_text().startswith("# filippov2d-census-v2x\n")
+    for path in (orbit, census):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not a filippov2d-census-v2 table")):
+            read_census_csv(path)
 
 
 def test_pencil_drops_an_orbit_whose_field_fails():

@@ -1,5 +1,6 @@
 """Event-driven integration: smooth arcs, crossings, sliding, export."""
 
+import dataclasses
 import inspect
 import math
 
@@ -29,7 +30,7 @@ def test_constant_flow_reaches_time_end():
     assert run.terminal.kind == "time-end"
     assert run.terminal.x == pytest.approx(1.0, abs=1e-12)
     assert run.terminal.y == pytest.approx(1.0, abs=1e-12)
-    assert run.touches == []
+    assert run.touch_events() == []
 
 
 def test_parabolic_contact_at_sqrt_two():
@@ -119,11 +120,12 @@ def sliding_sys(speed_src, window=Window(-2.0, 2.0, -2.0, 2.0)):
 
 
 def test_sliding_arc_stops_at_the_window_edge():
-    t, x, end = flow.sliding_arc(sliding_sys("1"), 0.0)
+    run = flow.sliding_arc(sliding_sys("1"), 0.0)
+    [arc], end = run.arcs, run.terminal
     assert end.kind == "window-exit"
     assert end.x == pytest.approx(2.0, abs=1e-12)
     assert end.t == pytest.approx(2.0, abs=1e-10)
-    assert np.all(np.diff(x) > 0.0) and np.all(np.diff(t) > 0.0)
+    assert np.all(np.diff(arc.x) > 0.0) and np.all(np.diff(arc.t) > 0.0)
 
 
 @pytest.mark.parametrize("window", [Window(-2.0, 2.0, -2.0, 2.0), BIG])
@@ -131,24 +133,47 @@ def test_sliding_arc_runs_out_the_leg_budget_of_its_window(window):
     # at speed 1e-3 the arc moves 0.05-0.08 before its budget
     # 6 * width + 30 runs out
     budget = 6.0 * window.width + 30.0
-    _, _, end = flow.sliding_arc(sliding_sys("0.001", window), 0.0)
+    end = flow.sliding_arc(sliding_sys("0.001", window), 0.0).terminal
     assert end.kind == "time-end"
     assert end.t == pytest.approx(budget, abs=1e-12)
     assert end.x == pytest.approx(1e-3 * budget, abs=1e-12)
 
 
 def test_sliding_arc_lands_on_x_stop():
-    _, _, end = flow.sliding_arc(sliding_sys("1"), 0.0, x_stop=0.5)
-    assert end.kind == "target-reached"
+    end = flow.sliding_arc(sliding_sys("1"), 0.0, x_stop=0.5).terminal
+    assert end.kind == "sliding-exit"
     assert end.x == 0.5
     assert end.t == pytest.approx(0.5, abs=1e-10)
+
+
+def test_sliding_arc_counts_time_from_its_offset():
+    # one sliding arc on Sigma and its terminal, both shifted by t_offset
+    here = flow.sliding_arc(sliding_sys("1"), 0.0, x_stop=0.5)
+    later = flow.sliding_arc(sliding_sys("1"), 0.0, x_stop=0.5, t_offset=2.0)
+    [arc], [end] = later.arcs, later.events
+    assert arc.kind == "sliding" and not arc.y.any()
+    assert arc.t.tolist() == (here.arcs[0].t + 2.0).tolist()
+    assert arc.x.tolist() == here.arcs[0].x.tolist()
+    assert end == dataclasses.replace(here.terminal,
+                                      t=here.terminal.t + 2.0)
+
+
+def test_sliding_arc_stalls_at_a_pseudo_equilibrium():
+    # f+ = f- = -x: the sliding speed -x decays toward the origin and never
+    # reaches it; when the budget 6 * 4 + 30 runs out it is below 1e-9
+    s = make_sys("0 - x", "0 - 1", "0 - x", "1",
+                 window=Window(-2.0, 2.0, -2.0, 2.0))
+    end = flow.sliding_arc(s, 0.5).terminal
+    assert end.kind == "pseudo-equilibrium"
+    assert end.t == pytest.approx(54.0, abs=1e-12)
+    assert abs(end.x) <= 1e-9
 
 
 def test_sliding_arc_stops_at_the_segment_boundary():
     # g+ = x - 0.5 < 0 below x = 0.5 and g- = 1: the segment ends at 0.5,
     # and the sliding speed (g- f+ - g+ f-) / (g- - g+) is 1 throughout
     s = make_sys("1", "x - 0.5", "1", "1", window=Window(-2, 2, -2, 2))
-    _, _, end = flow.sliding_arc(s, 0.0)
+    end = flow.sliding_arc(s, 0.0).terminal
     assert end.kind == "sliding-boundary"
     assert end.x == pytest.approx(0.5, abs=1e-9)
     assert end.t == pytest.approx(0.5, abs=1e-9)
@@ -171,6 +196,26 @@ def test_pws_fall_and_slide():
     x_entry = next(e.x for e in traj.events if e.kind == "sliding-entry")
     assert h_value(s, x_entry) < 0
     assert t_entry == pytest.approx(0.5, abs=1e-9)
+
+
+def test_pws_from_a_crossing_point_of_sigma_leaves_upward():
+    # g+ = g- = 1 at the start: step_filippov(sys, x, None) picks the upper
+    # side, and the orbit leaves as one upper arc from (0, 0)
+    s = make_sys("1", "1", "1", "1", window=Window(-2, 2, -2, 2))
+    traj = integrate_pws(s, (0.0, 0.0), t_max=0.5)
+    [arc] = traj.arcs
+    assert arc.kind == "upper" and arc.start() == (0.0, 0.0)
+    assert traj.terminal.kind == "time-end"
+    assert traj.terminal.t == pytest.approx(0.5, abs=1e-12)
+
+
+def test_pws_from_a_sliding_point_of_sigma_slides():
+    # g+ = -1, g- = 1: the start slides at speed f = 1 to x = 1 by t = 1
+    traj = integrate_pws(sliding_sys("1"), (0.0, 0.0), t_max=1.0)
+    assert [arc.kind for arc in traj.arcs] == ["sliding"]
+    assert [ev.kind for ev in traj.events] == ["time-end"]
+    assert traj.terminal.t == pytest.approx(1.0, abs=1e-12)
+    assert traj.terminal.x == pytest.approx(1.0, abs=1e-10)
 
 
 def test_pws_crossing_connects_halves():

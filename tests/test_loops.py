@@ -109,8 +109,8 @@ def test_thm2_census_off_the_paper_count_is_a_mismatch(monkeypatch):
     integrate_smooth = loops.integrate_smooth
 
     def no_touches(*args, **kwargs):
-        return dataclasses.replace(integrate_smooth(*args, **kwargs),
-                                   touches=[])
+        run = integrate_smooth(*args, **kwargs)
+        return dataclasses.replace(run, events=[run.terminal])
     monkeypatch.setattr(loops, "integrate_smooth", no_touches)
     with pytest.raises(CensusMismatch, match=re.escape(
             "tangent orbit count 0 differs from 1")):
@@ -315,6 +315,12 @@ def test_thm4_repin_refuses_a_height_that_is_not_positive(monkeypatch):
     assert len(roots) == 1
 
 
+def _ending(run, kind):
+    """run with its terminal event turned into one of the given kind."""
+    return dataclasses.replace(run, events=run.events[:-1] + [
+        dataclasses.replace(run.terminal, kind=kind)])
+
+
 def _recorded(monkeypatch, name):
     """Record the arguments of every call of loops.<name>."""
     calls = []
@@ -357,7 +363,9 @@ def test_thm5_flies_only_the_flank_dips_it_reads(monkeypatch, ell, peaks):
 
 def test_every_pin_and_unfolding_layout_has_one_site():
     # every plateau height comes from _pin, and every thm3-thm5 unfolding
-    # from _pinned, so a change to either is one edit
+    # from _pinned, so a change to either is one edit; a witness's runs are
+    # joined by _certify alone: only thm2's stitched orbits build arcs and
+    # events, and the cycle's capped return its crossing
     tree = ast.parse(inspect.getsource(loops))
 
     def callers(name):
@@ -366,6 +374,10 @@ def test_every_pin_and_unfolding_layout_has_one_site():
                 and isinstance(node.func, ast.Name) and node.func.id == name}
     assert callers("_flow_to_section") == {"_pin"}
     assert callers("UnfoldingSpec") == {"_pinned", "scenario_thm2"}
+    assert callers("Arc") == {"_stitch_orbit"}
+    assert callers("Event") == {"_stitch_orbit", "_crossing_cycle_witness"}
+    assert callers("Trajectory") == {"_certify", "_stitch_orbit",
+                                     "_crossing_cycle_witness"}
     assert sum(ast.unparse(node) == "(0.0,) * base.m_minus"
                for node in ast.walk(tree)) == 1
 
@@ -446,8 +458,7 @@ def test_cycle_witness_polish_stops_at_a_seed_that_does_not_land(
         if side == "lower":
             lower_runs.append(start[0])
             if len(lower_runs) == 2:
-                run = dataclasses.replace(run, terminal=dataclasses.replace(
-                    run.terminal, kind="window-exit"))
+                run = _ending(run, "window-exit")
         return run
     monkeypatch.setattr(loops, "integrate_smooth", second_lower_leaves)
     with pytest.raises(VerificationFailed, match=re.escape(
@@ -504,11 +515,11 @@ def test_every_witness_closure_failure_names_its_witness(monkeypatch, name,
 
     def off_by_a_micron(*args, **kwargs):
         run = integrate_smooth(*args, **kwargs)
-        last = run.legs[-1]
+        last = run.arcs[-1]
         x = last.x.copy()
         x[-1] += 1e-6
         return dataclasses.replace(
-            run, legs=run.legs[:-1] + [dataclasses.replace(last, x=x)])
+            run, arcs=run.arcs[:-1] + [dataclasses.replace(last, x=x)])
     monkeypatch.setattr(loops, "integrate_smooth", off_by_a_micron)
     with pytest.raises(VerificationFailed, match=(
             f"^{name} fails to close: endpoints .* differ by "
@@ -529,8 +540,7 @@ def test_a_closing_lower_leg_that_does_not_land_names_its_leg(monkeypatch,
     def closing_leg_leaves(sys, side, start, **kwargs):
         run = integrate_smooth(sys, side, start, **kwargs)
         if side == "lower" and kwargs.get("t_offset"):
-            run = dataclasses.replace(run, terminal=dataclasses.replace(
-                run.terminal, kind="window-exit"))
+            run = _ending(run, "window-exit")
         return run
     monkeypatch.setattr(loops, "integrate_smooth", closing_leg_leaves)
     with pytest.raises(VerificationFailed, match=(
@@ -541,17 +551,48 @@ def test_a_closing_lower_leg_that_does_not_land_names_its_leg(monkeypatch,
 
 def test_certificate_names_a_wrong_kind_or_contact_count():
     system, rec = canonical_critical_loop(1, 1)
-    arcs, events = rec.trajectory.arcs, list(rec.trajectory.events)
+    runs = [rec.trajectory]
     with pytest.raises(VerificationFailed, match=re.escape(
             "probe classified critical with 1 contacts, expected "
             "sliding-loop")):
-        loops._certify(system, "probe", arcs, events, "sliding-loop")
+        loops._certify(system, "probe", runs, "sliding-loop")
     with pytest.raises(VerificationFailed, match=re.escape(
             "probe classified critical with 1 contacts, expected critical "
             "with 2")):
-        loops._certify(system, "probe", arcs, events, "critical", 2)
-    assert loops._certify(system, "probe", arcs, events, "critical",
+        loops._certify(system, "probe", runs, "critical", 2)
+    assert loops._certify(system, "probe", runs, "critical",
                           1).kind == "critical"
+
+
+@pytest.mark.parametrize("build, kinds", [
+    (lambda: canonical_critical_loop(1, 1)[1],
+     ["tangency-touch", "sigma-cross"]),
+    (lambda: scenario_thm5(canonical_base(3, 3), 0).witnesses[0][1],
+     ["tangency-touch", "sliding-exit", "sigma-cross"]),
+    (lambda: scenario_thm3(canonical_base(3, 3), 1,
+                           "crossing").witnesses[0][1],
+     ["tangency-touch", "sigma-cross", "sigma-cross"]),
+], ids=["canonical", "sliding", "thm3-crossing"])
+def test_certificate_keeps_every_event_but_tangent_arrivals(build, kinds):
+    # a tangent arrival's touch is already an event; a thm3 crossing
+    # witness keeps the sigma-cross that ends its upper leg
+    rec = build()
+    times = [ev.t for ev in rec.trajectory.events]
+    assert [ev.kind for ev in rec.trajectory.events] == kinds
+    assert times == sorted(times)
+
+
+def test_cycle_witness_kind_comes_from_the_certificate(monkeypatch):
+    certified = []
+    certify = loops._certify
+
+    def recording(*args, **kwargs):
+        certified.append(certify(*args, **kwargs))
+        return certified[-1]
+    monkeypatch.setattr(loops, "_certify", recording)
+    rec = loops._crossing_cycle_witness(_thm5_33_ell1_system(), _CYCLE_SEED)
+    assert len(certified) == 1 and certified[0] is rec
+    assert rec.kind == "crossing-limit-cycle"
 
 
 def _x_integrated_height(system, x0, x1):
