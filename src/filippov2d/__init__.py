@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .fieldexpr import (EvalDomainError, ParseError, ScalarField, as_field,
                         compile_expr, differentiate, evaluate, expr_jet,
-                        parse_expr, to_str)
+                        parse_expr)
 from .system import (DegenerateDenominator, NotSliding, PwsSystem,
                      SigmaDecomposition, Window, decompose_sigma, h_value,
                      sliding_convex_coefficient, sliding_field)

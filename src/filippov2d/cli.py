@@ -5,15 +5,17 @@ Subcommands
 run <config>       execute the configured scenario, write census.csv,
                    tangent_points.csv, trajectories/*.csv, portrait.svg
 portrait <config>  render the configured system without running a census
+                   (both write into --out, by default ./out)
 check              built-in self-test battery (seeded)
 
-Config files are line-oriented ``section.key = value`` with sections
-{upper, lower, scenario, output}. Field expressions are quoted strings;
-everything else is plain decimal / bare words. The keys (load_config):
+Config files are line-oriented ``section.key = value`` with the sections
+upper, lower and scenario; where artifacts go is --out's alone. Field
+expressions are quoted strings; everything else is plain decimal / bare
+words, surrounding spaces ignored. The keys (load_config):
 upper/lower f, phi, m (a side's g is x^m * phi); scenario theorem, ell,
 delta, kind, visibility, window, lambda_plus, lambda_minus,
-expect_tangent_points; output dir. A scan run (theorem 1 or none) needs
-phi and m on both sides; without both phi sides, theorems 3-5 unfold
+expect_tangent_points. A scan run (theorem 1 or none) needs phi and m on
+both sides; without both phi sides, theorems 3-5 unfold
 loops.canonical_base.
 
 ``run`` looks scenario.theorem 2-5 up in one table (_SCENARIOS): the
@@ -87,7 +89,6 @@ class RunConfig:
     lambda_plus: Tuple[float, ...] = ()
     lambda_minus: Tuple[float, ...] = ()
     expect_tangent_points: Optional[int] = None
-    out_dir: str = "out"
 
 
 _SECTIONS = {
@@ -95,12 +96,10 @@ _SECTIONS = {
     "lower": {"f", "phi", "m"},
     "scenario": {"theorem", "ell", "delta", "kind", "visibility", "window",
                  "lambda_plus", "lambda_minus", "expect_tangent_points"},
-    "output": {"dir"},
 }
 
 
 def _unquote(raw: str, where: str) -> str:
-    raw = raw.strip()
     if len(raw) >= 2 and raw[0] in "\"'" and raw[-1] == raw[0]:
         return raw[1:-1]
     raise ConfigError(f"{where}: expression values must be quoted strings")
@@ -117,7 +116,7 @@ def _expr_value(raw: str, where: str) -> str:
 
 def _int_value(raw: str, where: str) -> int:
     try:
-        return int(raw.strip())
+        return int(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: expected an integer, got {raw!r}") \
             from exc
@@ -125,7 +124,7 @@ def _int_value(raw: str, where: str) -> int:
 
 def _float_value(raw: str, where: str) -> float:
     try:
-        return float(raw.strip())
+        return float(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from exc
 
@@ -158,8 +157,7 @@ def load_config(path) -> RunConfig:
         where = f"{path.name}:{lineno}"
         if "=" not in stripped:
             raise ConfigError(f"{where}: expected 'section.key = value'")
-        lhs, raw = stripped.split("=", 1)
-        lhs = lhs.strip()
+        lhs, raw = (part.strip() for part in stripped.split("=", 1))
         if "." not in lhs:
             raise ConfigError(f"{where}: keys are written section.key")
         section, key = lhs.split(".", 1)
@@ -181,8 +179,6 @@ def load_config(path) -> RunConfig:
                 if side.m < 0:
                     raise ConfigError(
                         f"{where}: {section}.m must be >= 0, got {side.m}")
-        elif section == "output":
-            cfg.out_dir = raw.strip().strip("\"'")
         elif key == "theorem":
             cfg.theorem = _int_value(raw, where)
             if cfg.theorem not in (1, 2, 3, 4, 5):
@@ -197,7 +193,7 @@ def load_config(path) -> RunConfig:
             if cfg.delta <= 0.0:
                 raise ConfigError(f"{where}: scenario.delta must be > 0")
         elif key == "kind":
-            word = raw.strip().lower()
+            word = raw.lower()
             aliases = {"cro": "crossing", "crossing": "crossing",
                        "cri": "critical", "critical": "critical"}
             if word not in aliases:
@@ -205,7 +201,7 @@ def load_config(path) -> RunConfig:
                     f"{where}: scenario.kind must be cro or cri")
             cfg.kind = aliases[word]
         elif key == "visibility":
-            word = raw.strip().upper()
+            word = raw.upper()
             if word not in ("V", "I", "L", "R"):
                 raise ConfigError(
                     f"{where}: scenario.visibility must be one of V I L R")
@@ -509,12 +505,12 @@ def _failed(out: Path, exc: Exception) -> int:
     return 1
 
 
-def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
+def run_scenario(cfg: RunConfig, *, out_dir: str = "out") -> int:
     """Execute the configured scenario and write every artifact.
 
     Returns the process exit status: 0 when all asserted counts match.
     """
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir)
     traj_dir = out / "trajectories"
     traj_dir.mkdir(parents=True, exist_ok=True)
 
@@ -561,8 +557,8 @@ def run_scenario(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
         return _failed(out, exc)
 
 
-def run_portrait(cfg: RunConfig, *, out_dir: Optional[str] = None) -> int:
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+def run_portrait(cfg: RunConfig, *, out_dir: str = "out") -> int:
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
         sys_final = _configured_system(cfg)
@@ -695,11 +691,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a configured scenario")
     p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default="out", help="output directory")
 
     p_por = sub.add_parser("portrait", help="render the configured system")
     p_por.add_argument("config")
-    p_por.add_argument("--out", default=None)
+    p_por.add_argument("--out", default="out")
 
     p_chk = sub.add_parser("check", help="run the self-test battery")
     p_chk.add_argument("--seed", type=int, default=0)

@@ -14,8 +14,10 @@ Grammar (ASCII, whitespace-insensitive)::
     base   := number | 'x' | 'y' | func '(' expr ')' | '(' expr ')' | '-' base
 
 `parse_expr` reports syntax errors with the byte offset of the offending
-token.  Simplification is deliberately light: constant folding and the
-0/1 identities only, enough to keep derivative trees readable.
+token, and every node keeps the offset of its operator or first token for
+`EvalDomainError`. Trees are not printed back to text. The smart
+constructors (constant folding and the 0/1 identities only) keep the
+derivative trees of `differentiate`, the jets' symbolic reference, small.
 """
 
 from __future__ import annotations
@@ -187,6 +189,9 @@ def powi(a: Expr, n: int) -> Expr:
 # ---------------------------------------------------------------------------
 # Parser
 
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})   # loosest first
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
@@ -215,35 +220,20 @@ class _Parser:
             raise self.error("unexpected trailing input")
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                p = self.i
-                self.i += 1
-                e = Add(e, self.term(), pos=p)
-            elif c == "-":
-                p = self.i
-                self.i += 1
-                e = Sub(e, self.term(), pos=p)
-            else:
-                return e
-
-    def term(self) -> Expr:
+    def expr(self, level: int = 0) -> Expr:
+        """Factors joined by the operators of `_BINARY[level:]`, each
+        left-associative; an operator's right operand takes only the
+        levels that bind tighter."""
         e = self.factor()
         while True:
             c = self.peek()
-            if c == "*":
-                p = self.i
-                self.i += 1
-                e = Mul(e, self.factor(), pos=p)
-            elif c == "/":
-                p = self.i
-                self.i += 1
-                e = Div(e, self.factor(), pos=p)
-            else:
+            lv = next((k for k in range(level, len(_BINARY))
+                       if c in _BINARY[k]), None)
+            if lv is None:
                 return e
+            p = self.i
+            self.i += 1
+            e = _BINARY[lv][c](e, self.expr(lv + 1), pos=p)
 
     def factor(self) -> Expr:
         e = self.base()
@@ -337,62 +327,6 @@ def parse_expr(src: str) -> Expr:
         if ord(ch) > 127:
             raise ParseError("non-ASCII character", j)
     return _Parser(src).parse()
-
-
-# ---------------------------------------------------------------------------
-# Printing (round-trips through parse_expr structurally)
-
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Pow):
-        return _PREC_POW
-    if isinstance(e, Neg):
-        return 0
-    if isinstance(e, Num) and e.value < 0:
-        return 0
-    return _PREC_ATOM
-
-
-def _wrap(e: Expr, need: int) -> str:
-    s = to_str(e)
-    return f"({s})" if _prec(e) < need else s
-
-
-def to_str(e: Expr) -> str:
-    if isinstance(e, Num):
-        v = e.value
-        if v < 0:
-            return "-" + _fmt_num(-v)
-        return _fmt_num(v)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Add):
-        return f"{_wrap(e.a, _PREC_ADD)} + {_wrap(e.b, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.a, _PREC_ADD)} - {_wrap(e.b, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.a, _PREC_MUL)}*{_wrap(e.b, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.a, _PREC_MUL)}/{_wrap(e.b, _PREC_MUL + 1)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}"
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.a, _PREC_ATOM)}"
-    if isinstance(e, Call):
-        return f"{e.fn}({to_str(e.arg)})"
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +571,6 @@ class ScalarField:
         """Jet of t -> f(x + t, y) up to `order`."""
         return expr_jet(self.expr, jet_variable(x, order),
                         jet_constant(y, order))
-
-    def __repr__(self):
-        return f"ScalarField({to_str(self.expr)!r})"
 
 
 def as_field(obj) -> ScalarField:

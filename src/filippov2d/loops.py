@@ -178,10 +178,12 @@ def _certify(sys: PwsSystem, name: str, runs: Sequence[Trajectory],
     it has a sliding arc, else critical when a switching point (a junction
     of arcs on different sides) is tangent, else crossing-nonsliding when
     it touches Sigma, else a crossing-limit-cycle. A junction is tangent
-    within _CONTACT_TOL (in x) of a zero of an adjoining side's g; its
-    touches and tangent switching points closer than that count as one
-    contact. The kind and contact count must be the expected ones, where
-    given; VerificationFailed naming the witness otherwise.
+    within _CONTACT_TOL (in x) of a zero of an adjoining side's g. The
+    contacts are the touch events and the tangent switching points, those
+    closer than _CONTACT_TOL counting as one; a junction of same-side arcs
+    ends a chained leg at a contact, which is a touch event already. The
+    kind and contact count must be the expected ones, where given;
+    VerificationFailed naming the witness otherwise.
     """
     arcs = [arc for run in runs for arc in run.arcs]
     events = sorted((ev for run in runs for ev in run.events
@@ -202,9 +204,7 @@ def _certify(sys: PwsSystem, name: str, runs: Sequence[Trajectory],
     for a, b in zip(arcs, arcs[1:] + arcs[:1]):
         xj = float(a.x[-1])
         if a.kind == b.kind:
-            # consecutive same-side arcs meet in a touch of Sigma
-            if a.kind in ("upper", "lower") and abs(float(a.y[-1])) <= 1e-7:
-                touch_xs.append(xj)
+            # consecutive same-side arcs meet at a touch event of Sigma
             continue
         tangent = any(_grazes(g, xj, sys.sigma_g_scale(side))
                       for side, g in (("upper", sys.g_plus),

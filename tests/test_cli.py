@@ -43,12 +43,13 @@ def test_bad_window_is_a_config_error(tmp_path, capsys, bounds):
 _REFUSALS = [
     ('upper.f = 1', "run.cfg:2: expression values must be quoted strings"),
     ('upper.f = "1 +"', "run.cfg:2: unexpected end of input (at byte 3)"),
-    ("upper.m = x", "run.cfg:2: expected an integer, got ' x'"),
-    ("scenario.delta = abc", "run.cfg:2: expected a number, got ' abc'"),
+    ("upper.m = x", "run.cfg:2: expected an integer, got 'x'"),
+    ("scenario.delta = abc", "run.cfg:2: expected a number, got 'abc'"),
     ("scenario.lambda_plus =", "run.cfg:2: expected numbers"),
     ('upper.f "1"', "run.cfg:2: expected 'section.key = value'"),
     ("upper = 1", "run.cfg:2: keys are written section.key"),
     ('middle.f = "1"', "run.cfg:2: unknown section 'middle'"),
+    ('output.dir = "x"', "run.cfg:2: unknown section 'output'"),
     ('upper.g = "1"', "run.cfg:2: unknown key 'g' in section 'upper'"),
     ("upper.m = -1", "run.cfg:2: upper.m must be >= 0, got -1"),
     ("scenario.theorem = 6", "run.cfg:2: scenario.theorem must be 1..5"),

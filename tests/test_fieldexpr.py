@@ -1,14 +1,15 @@
 """Expression layer: parsing, evaluation, exact differentiation."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filippov2d.fieldexpr import (Add, Call, EvalDomainError, Mul, Num,
-                                  ParseError, Pow, ScalarField, Var,
+from filippov2d.fieldexpr import (Add, Call, EvalDomainError, Expr, Mul,
+                                  Num, ParseError, Pow, ScalarField, Var,
                                   as_field, compile_expr, differentiate,
-                                  evaluate, parse_expr, to_str)
+                                  evaluate, parse_expr)
 
 
 def test_parse_identity_var():
@@ -46,10 +47,12 @@ def test_eval_trivia():
 
 
 def test_eval_domain_errors():
-    with pytest.raises(EvalDomainError):
-        evaluate(parse_expr("x/y"), 1.0, 0.0)
-    with pytest.raises(EvalDomainError):
-        evaluate(parse_expr("log(x)"), -1.0, 0.0)
+    with pytest.raises(EvalDomainError) as ei:
+        evaluate(parse_expr("1 + x/y"), 1.0, 0.0)
+    assert ei.value.offset == 5            # the '/'
+    with pytest.raises(EvalDomainError) as ei:
+        evaluate(parse_expr("2*log(x)"), -1.0, 0.0)
+    assert ei.value.offset == 2            # the 'log'
 
 
 def test_parse_errors_carry_offset():
@@ -83,11 +86,36 @@ def test_fifth_derivative_of_quintic_times_linear():
     assert evaluate(e, 0.0, 0.0) == pytest.approx(120.0, abs=1e-12)
 
 
-def test_print_parse_round_trip():
-    for src in ("x", "1 - 2*x + x^3", "sin(x)*exp(y)", "-(x + y)^4 / 3",
-                "x*y - y/x + cos(x*y)", "2.5e-3 * x^6"):
-        e = parse_expr(src)
-        assert parse_expr(to_str(e)) == e
+def _shape(e):
+    """(node type, pos, fields...) all the way down: `pos` is compare=False
+    on the nodes, so tree equality alone does not see it."""
+    return (type(e).__name__, e.pos) + tuple(
+        _shape(v) if isinstance(v, Expr) else v
+        for v in (getattr(e, f.name) for f in dataclasses.fields(e)
+                  if f.name != "pos"))
+
+
+@pytest.mark.parametrize("src, shape", [
+    ("2 - 3 - 4",
+     ("Sub", 6, ("Sub", 2, ("Num", 0, 2.0), ("Num", 4, 3.0)),
+      ("Num", 8, 4.0))),
+    ("1/2/3*4-5+6",
+     ("Add", 9,
+      ("Sub", 7,
+       ("Mul", 5,
+        ("Div", 3, ("Div", 1, ("Num", 0, 1.0), ("Num", 2, 2.0)),
+         ("Num", 4, 3.0)),
+        ("Num", 6, 4.0)),
+       ("Num", 8, 5.0)),
+      ("Num", 10, 6.0))),
+    ("-x^2", ("Pow", 2, ("Neg", 0, ("Var", 1, "x")), 2)),
+    ("x*-y", ("Mul", 1, ("Var", 0, "x"), ("Neg", 2, ("Var", 3, "y")))),
+    ("sin(x)*exp(y)",
+     ("Mul", 6, ("Call", 0, "sin", ("Var", 4, "x")),
+      ("Call", 7, "exp", ("Var", 11, "y")))),
+])
+def test_parser_trees_keep_the_offset_of_every_node(src, shape):
+    assert _shape(parse_expr(src)) == shape
 
 
 coef = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
