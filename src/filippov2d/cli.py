@@ -469,6 +469,11 @@ def _count_lines(census: LoopCensus) -> List[str]:
             f"beta_cri_1={census.beta_cri.get(1, 0)}"]
 
 
+def _cycle_lines(census: LoopCensus) -> List[str]:
+    return _count_lines(census) + [
+        f"dropped_cycles={len(census.dropped_cycles)}"]
+
+
 def _loop_lines(census: LoopCensus) -> List[str]:
     rec = census.witnesses[0][1]
     return [f"loop_kind={rec.kind}",
@@ -492,7 +497,7 @@ _SCENARIOS = {
     4: (lambda cfg, kw: scenario_thm4(_canonical_for(cfg), cfg.ell, **kw),
         _count_lines),
     5: (lambda cfg, kw: scenario_thm5(_canonical_for(cfg), cfg.ell, **kw),
-        _count_lines),
+        _cycle_lines),
 }
 
 

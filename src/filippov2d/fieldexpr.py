@@ -14,7 +14,10 @@ Grammar (ASCII, whitespace-insensitive)::
     base   := number | 'x' | 'y' | func '(' expr ')' | '(' expr ')' | '-' base
 
 `parse_expr` reports syntax errors with the byte offset of the offending
-token, and every node keeps the offset of its operator or first token for
+token, and refuses input nested deeper than `_MAX_NESTING` parentheses,
+calls and signs (each level costs the recursive parser at most three
+frames, so the limit keeps it inside Python's recursion limit). Every
+node keeps the offset of its operator or first token for
 `EvalDomainError`. Trees are not printed back to text. The smart
 constructors (constant folding and the 0/1 identities only) keep the
 derivative trees of `differentiate`, the jets' symbolic reference, small.
@@ -22,6 +25,7 @@ derivative trees of `differentiate`, the jets' symbolic reference, small.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -190,12 +194,14 @@ def powi(a: Expr, n: int) -> Expr:
 # Parser
 
 _BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})   # loosest first
+_MAX_NESTING = 200   # levels of parentheses, calls and signs
 
 
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.i = 0
+        self.depth = 0   # open parentheses, calls and signs
 
     def error(self, msg: str, offset=None) -> ParseError:
         return ParseError(msg, self.i if offset is None else offset)
@@ -220,20 +226,34 @@ class _Parser:
             raise self.error("unexpected trailing input")
         return e
 
-    def expr(self, level: int = 0) -> Expr:
-        """Factors joined by the operators of `_BINARY[level:]`, each
-        left-associative; an operator's right operand takes only the
-        levels that bind tighter."""
-        e = self.factor()
+    @contextlib.contextmanager
+    def nested(self, offset: int):
+        """One level deeper, opened at offset; refused past _MAX_NESTING."""
+        if self.depth == _MAX_NESTING:
+            raise self.error(f"nested deeper than {_MAX_NESTING} levels",
+                             offset)
+        self.depth += 1
+        yield
+        self.depth -= 1
+
+    def expr(self) -> Expr:
+        """Factors joined by the operators of `_BINARY`, each level
+        left-associative and binding tighter than the one before: an
+        operator stack, reduced down to each new operator's level."""
+        terms, ops = [self.factor()], []   # ops: (level, node class, pos)
         while True:
             c = self.peek()
-            lv = next((k for k in range(level, len(_BINARY))
-                       if c in _BINARY[k]), None)
+            lv = next((k for k, table in enumerate(_BINARY) if c in table),
+                      None)
+            while ops and (lv is None or ops[-1][0] >= lv):
+                _, node, p = ops.pop()
+                b = terms.pop()
+                terms.append(node(terms.pop(), b, pos=p))
             if lv is None:
-                return e
-            p = self.i
+                return terms[0]
+            ops.append((lv, _BINARY[lv][c], self.i))
             self.i += 1
-            e = _BINARY[lv][c](e, self.expr(lv + 1), pos=p)
+            terms.append(self.factor())
 
     def factor(self) -> Expr:
         e = self.base()
@@ -268,10 +288,12 @@ class _Parser:
             raise self.error("non-ASCII character")
         if c == "-":
             self.i += 1
-            return Neg(self.base(), pos=start)
+            with self.nested(start):
+                return Neg(self.base(), pos=start)
         if c == "(":
             self.i += 1
-            e = self.expr()
+            with self.nested(start):
+                e = self.expr()
             self.expect(")")
             return e
         if c.isdigit() or c == ".":
@@ -315,7 +337,8 @@ class _Parser:
             return Var(name, pos=start)
         if name in FUNCTIONS:
             self.expect("(")
-            arg = self.expr()
+            with self.nested(self.i - 1):
+                arg = self.expr()
             self.expect(")")
             return Call(name, arg, pos=start)
         raise self.error(f"unknown identifier {name!r}", start)

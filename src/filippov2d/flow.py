@@ -196,7 +196,7 @@ def _step(solver) -> None:
         raise StepUnderflow(f"integrator failed near {solver.y}: {message}")
 
 
-def _run_to(fun, s0: float, w0, s1: float) -> np.ndarray:
+def _run_to(fun, s0: float, w0, s1: float) -> List[float]:
     """Integrate dw/ds = fun(s, w) from (s0, w0) to s1; one step first."""
     solver = DOP853(fun, s0, w0, s1, rtol=RTOL, atol=ATOL,
                     first_step=abs(s1 - s0) or None)
@@ -205,8 +205,8 @@ def _run_to(fun, s0: float, w0, s1: float) -> np.ndarray:
     return solver.y
 
 
-def _land(rhs, t_a: float, z_a: np.ndarray, t_e: float,
-          line: Tuple[float, float, float]) -> Tuple[float, np.ndarray]:
+def _land(rhs, t_a: float, z_a: List[float], t_e: float,
+          line: Tuple[float, float, float]) -> Tuple[float, List[float]]:
     """Land a step from (t_a, z_a) on the line n1 x + n2 y = level near
     time t_e: integrate again to t_e, then a Henon step (Physica D 5, 1982)
     in the line coordinate s, dz/ds = F / (F.n) and dt/ds = 1 / (F.n).
@@ -220,7 +220,7 @@ def _land(rhs, t_a: float, z_a: np.ndarray, t_e: float,
             return np.divide((f, g, 1.0), d)
         return f / d, g / d, 1.0 / d
     z = _run_to(rhs, t_a, z_a, t_e)
-    w = _run_to(fun, n1 * z[0] + n2 * z[1] - level, np.append(z, t_e), 0.0)
+    w = _run_to(fun, n1 * z[0] + n2 * z[1] - level, z + [t_e], 0.0)
     return float(w[-1]), w[:-1]
 
 
@@ -230,7 +230,7 @@ def _step_poly(dense) -> List[List[float]]:
     DenseOutput's nested tau / 1 - tau form is expanded with the float
     operations of a roll-and-subtract over an (8, n) array, in its order."""
     out = []
-    for rows, y_old in zip(dense.F.T.tolist(), dense.y_old.tolist()):
+    for rows, y_old in zip(dense.F, dense.y_old):
         c = [0.0] * 8
         for i, row in enumerate(reversed(rows)):
             c[0] += row
@@ -366,7 +366,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
     if x_at is None and abs(y) < _NUDGE_FLOOR:
         x, y, t = _nudge_off_sigma(rhs, x, side)
         samples.append((t, x, y))
-    z = np.array([x, y])
+    z = [x, y]
 
     for _contact in range(_MAX_CONTACTS):
         if t >= t_max:
@@ -378,13 +378,13 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
             t_a, z_a, f_a = solver.t, solver.y, solver.f
             _step(solver)
             t_b, z_b, h = solver.t, solver.y, solver.t - t_a
-            (xa, ya), (xb, yb) = z_a.tolist(), z_b.tolist()
+            (xa, ya), (xb, yb) = z_a, z_b
             fired = [(line, kind) for line, kind in exits
                      if line[0] * xb + line[1] * yb < line[2]
                      <= line[0] * xa + line[1] * ya]
             # y may turn: the slope of its cubic Hermite interpolant (end
             # slopes d0, d1 times the step) changes sign
-            dy, d0, d1 = yb - ya, h * f_a.item(1), h * solver.f.item(1)
+            dy, d0, d1 = yb - ya, h * f_a[1], h * solver.f[1]
             turned = x_at is None and _turns(
                 d0, 6 * dy - 4 * d0 - 2 * d1, 3 * (d0 + d1 - 2 * dy))
             stops = []   # (tau, kind, line) on the step polynomial c
@@ -472,7 +472,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
             return finish(t_touch, x_touch, 0.0, "tangent-exit")
         t = t_touch + dt
         samples.append((t, x, y))
-        z = np.array([x, y])
+        z = [x, y]
     raise AmbiguousTangency("too many tangential contacts in one transit")
 
 

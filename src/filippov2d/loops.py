@@ -76,8 +76,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -100,7 +100,14 @@ class RangeError(Exception):
 
 
 class VerificationFailed(Exception):
-    """A certificate or a stage failed; the message names it."""
+    """A certificate or a stage failed; the message names it. A failed
+    root polish or cycle closure also keeps where it ended (at) and its gap
+    there (NaN otherwise)."""
+
+    def __init__(self, message: str, at: float = math.nan,
+                 gap: float = math.nan):
+        super().__init__(message)
+        self.at, self.gap = at, gap
 
 
 class CensusMismatch(Exception):
@@ -123,6 +130,17 @@ class LoopRecord:
     closure_residual: float
 
 
+class DroppedRoot(NamedTuple):
+    """A displacement root that find_crossing_cycles did not keep: its
+    abscissa (the bracket's start when the polish could not fly), the stage
+    that dropped it -- polish (_root found no zero) or witness (the loop did
+    not close) -- and the gap it was left with (NaN when none was flown)."""
+
+    q: float
+    stage: str
+    gap: float
+
+
 @dataclass
 class LoopCensus:
     """Counts of one scenario run, with integrated witnesses and orbits."""
@@ -137,6 +155,7 @@ class LoopCensus:
     beta_cri: Dict[int, int] = field(default_factory=dict)
     tangent_orbits: Dict[int, int] = field(default_factory=dict)  # by contacts
     witnesses: List[Tuple[str, LoopRecord]] = field(default_factory=list)
+    dropped_cycles: List[DroppedRoot] = field(default_factory=list)  # thm5
     orbits: List[Trajectory] = field(default_factory=list)  # plain, no loops
     spec: Optional[UnfoldingSpec] = None   # the unfolding it was taken on
 
@@ -310,7 +329,8 @@ def _root(stage: str, f: Callable[[float], float],
     if abs(seen[root]) > CLOSURE_TOL:
         raise VerificationFailed(
             f"{stage}: the sign change in ({a:.9g}, {b:.9g}) holds no zero:"
-            f" the gap at {root:.12g} is {seen[root]:.3e}")
+            f" the gap at {root:.12g} is {seen[root]:.3e}",
+            root, seen[root])
     return root
 
 
@@ -427,11 +447,15 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float) -> LoopRecord:
     if term.kind == "window-exit":   # ends at the cap: close it on Sigma
         up = Trajectory(up.arcs, up.events[:-1]
                         + [Event(term.t, term.x, 0.0, "sigma-cross")])
-    return _certify(sys, f"cycle through x={q:.9g}", (low, up))
+    try:
+        return _certify(sys, f"cycle through x={q:.9g}", (low, up))
+    except VerificationFailed as exc:   # keep the best miss as its gap
+        raise VerificationFailed(str(exc), gap=f0) from None
 
 
-def find_crossing_cycles(sys: PwsSystem,
-                         scan_points: Sequence[float]) -> List[LoopRecord]:
+def find_crossing_cycles(
+        sys: PwsSystem, scan_points: Sequence[float]
+) -> Tuple[List[LoopRecord], List[DroppedRoot]]:
     """Isolated crossing cycles found as sign changes of the displacement.
 
     The displacement at x is the height gap, over the vertical line at x,
@@ -443,9 +467,9 @@ def find_crossing_cycles(sys: PwsSystem,
     points is polished by _root: one whose displacement at the root is
     above CLOSURE_TOL marks a jump, not a zero, and is dropped before any
     witness leg is integrated. Every other root is certified by integrating
-    the actual loop, and dropped if that loop does not close. Returned
-    cycles that graze a tangency are classified crossing-nonsliding,
-    plain ones crossing-limit-cycle.
+    the actual loop, and dropped if that loop does not close. Returns the
+    cycles, those that graze a tangency classified crossing-nonsliding,
+    plain ones crossing-limit-cycle, and a DroppedRoot for each drop.
     """
     def down(x: float) -> bool:
         return h_value(sys, x) > 0.0 and sys.g_minus.value(x, 0.0) < 0.0
@@ -455,12 +479,11 @@ def find_crossing_cycles(sys: PwsSystem,
     found = dict(_evaluable(disp, filter(down, pts)))
     vals = np.array([found.get(float(x), np.nan) for x in pts])
     finite = np.isfinite(vals)
-    if not finite.any():
-        return []
-    if np.mean(np.abs(vals[finite]) < 1e-11) > 0.9:
-        return []
+    if not finite.any() or np.mean(np.abs(vals[finite]) < 1e-11) > 0.9:
+        return [], []
 
     roots: List[float] = []
+    dropped: List[DroppedRoot] = []
     for a_i in range(len(pts) - 1):
         # only adjacent grid points may bracket: a pair spanning a filtered
         # (sliding) stretch would hand brentq a zero that is not a cycle;
@@ -471,7 +494,11 @@ def find_crossing_cycles(sys: PwsSystem,
         try:
             root = _root("crossing cycle", disp,
                          [(pts[a_i], va), (pts[a_i + 1], vb)])
-        except (TransitFailure, VerificationFailed):
+        except TransitFailure:
+            dropped.append(DroppedRoot(float(pts[a_i]), "polish", math.nan))
+            continue
+        except VerificationFailed as exc:
+            dropped.append(DroppedRoot(exc.at, "polish", exc.gap))
             continue
         if not down(root):
             continue
@@ -482,9 +509,9 @@ def find_crossing_cycles(sys: PwsSystem,
     for q in roots:
         try:
             cycles.append(_crossing_cycle_witness(sys, q))
-        except VerificationFailed:
-            continue
-    return cycles
+        except VerificationFailed as exc:
+            dropped.append(DroppedRoot(q, "witness", exc.gap))
+    return cycles, dropped
 
 
 # --------------------------------------------------------------------------
@@ -1041,7 +1068,8 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
         peak = lam[2 * i - 2]
         span = peak - knots[2 * i - 2]
         scan.append(peak - np.geomspace(0.6 * span, 1e-6 * span, 80))
-    cycles = find_crossing_cycles(sys4, np.concatenate(scan))
+    cycles, census.dropped_cycles = find_crossing_cycles(
+        sys4, np.concatenate(scan))
     for rec in cycles:
         x_c = rec.switching_points[0][0] if rec.switching_points else 0.0
         census.witnesses.append((f"cycle@x={x_c:.9g}", rec))

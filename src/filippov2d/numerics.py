@@ -42,22 +42,29 @@ Ordinary Differential Equations I, Sec. II), ``solve_ivp`` a fixed-step-
 control integration over an interval on it, and ``brentq`` Brent's root
 finder (Algorithms for Minimization without Derivatives, 1973, ch. 4).
 
-Each reproduces SciPy's code path bit for bit: the same tableau, the same
-reductions on the same array slices (the dot products of the stage slices
-with the tableau rows, and the norm's ``x.dot(x)``, as BLAS rounds them),
-the same initial step selection and step-size control, and the same float
-operations and error messages in Brent's method. The scalar arithmetic
-around the reductions (stage states, times, step sizes, error weights)
-runs on Python floats, which IEEE-754 rounds as numpy does. Only what this
-package calls is ported: real 1-D states, scalar-returning right-hand
-sides, no ``max_step``, events, ``t_eval``, extra arguments or vectorized
-evaluation.
+Each follows SciPy's code path: the same tableau, initial step selection
+and step-size control, and Brent's method with the same float operations
+and error messages, bit for bit. The stepper runs on Python floats: one
+function per state dimension, generated from the tableau on first use,
+sums the stages, the solution, the error estimates and the dense output
+term by term in stage order. SciPy takes those sums as BLAS reductions,
+whose rounding no fixed float order reproduces, so the stepper is held to
+SciPy within named bounds instead (tests/test_numerics.py): from the same
+(t, y, f, h) a step's state, slope, error norm and dense coefficients lie
+within 16 ulp of each value's rounding scale, the sum of its terms'
+magnitudes, and a whole run ends within its own tolerance atol + rtol |y|
+of SciPy's. The error estimates sum terms that cancel to about 1e-5 of
+their size, so a run's step sizes differ from SciPy's by about 1e-6
+relative. Only what this package calls is ported: real states (of 1, 2
+or 3 components here), no ``max_step``, events, ``t_eval``, extra
+arguments or vectorized evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -263,16 +270,13 @@ MAX_FACTOR = 10    # largest increase of the step size
 ERROR_EXPONENT = -1 / 8   # -1 / (error estimator order 7 + 1)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-# (s, a[:s], c) of stages s = 1..11 of a step and 13..15 of its dense
-# output: the rows of A that SciPy's loops take, and C[s] as a float
-_STEP_STAGES = [(s, A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
-_DENSE_STAGES = [(s, A[s, :s], float(C[s]))
-                 for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
-
-def _norm(x: np.ndarray) -> float:
-    """The RMS norm (numpy's norm of a 1-D float array is sqrt(x.dot(x)))."""
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
+def _rms(xs) -> float:
+    """The RMS norm, the squares summed in order."""
+    total = 0.0
+    for x in xs:
+        total += x * x
+    return math.sqrt(total) / len(xs) ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -282,46 +286,97 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     if interval_length == 0.0:
         return 0.0
 
-    scale = atol + np.abs(y0) * rtol
-    d0 = _norm(y0 / scale)
-    d1 = _norm(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    # Check t0+h0*direction doesn't take us beyond t_bound
-    h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1.tolist())
-    d2 = _norm((f1 - f0) / scale) / h0
-
+    scale = [atol + abs(y) * rtol for y in y0]
+    d0 = _rms([y / s for y, s in zip(y0, scale)])
+    d1 = _rms([f / s for f, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)   # not beyond t_bound
+    y1 = [y + h0 * direction * f for y, f in zip(y0, f0)]
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-
     return min(100 * h0, h1, interval_length)
 
 
+@functools.cache
+def _generated(n: int):
+    """DOP853's (step, dense) functions for states of n components, with
+    every tableau sum unrolled into float arithmetic (zero entries
+    skipped, terms in stage order); compiled on first use.
+
+    ``step(fun, t, y, f, h, rtol, atol)`` returns the new state, its
+    slope, the error norm and the 13 stage slopes k{s}_{i}, flat;
+    ``dense(fun, t_old, y_old, y, h, K)`` the rows of F, 7 a component.
+    """
+    comps = range(n)
+
+    def ks(s):   # unpacking targets of stage s
+        return "".join(f"k{s}_{i}, " for i in comps)
+
+    def dot(i, coefs):   # sum over j of k{j}_{i} * coefs[j]
+        return " + ".join(f"k{j}_{i} * {a!r}"
+                          for j, a in enumerate(coefs.tolist()) if a)
+
+    def stage(s):   # stage s from the state y{i} at time t
+        state = ", ".join(f"y{i} + ({dot(i, A[s, :s])}) * h" for i in comps)
+        return f" {ks(s)}= fun(t + {float(C[s])!r} * h, [{state}])"
+
+    def sq(v):   # numpy's norm squared: sqrt(x.dot(x)) ** 2
+        return f"sqrt({' + '.join(f'{v}{i} * {v}{i}' for i in comps)}) ** 2"
+
+    ys, zs = ("".join(f"{v}{i}, " for i in comps) for v in "yz")
+    slopes = "".join(ks(s) for s in range(N_STAGES + 1))
+    rows = ", ".join(
+        f"[q{i}, h * k0_{i} - q{i}, 2 * q{i} - h * (k12_{i} + k0_{i}), "
+        + ", ".join(f"h * ({dot(i, d)})" for d in D) + "]" for i in comps)
+    step = [
+        "def step(fun, t, y, f, h, rtol, atol):",
+        f" {ys}= y", f" {ks(0)}= f",
+        *(stage(s) for s in range(1, N_STAGES)),
+        *(f" z{i} = y{i} + h * ({dot(i, B)})" for i in comps),
+        f" {ks(N_STAGES)}= fun(t + h, [{zs}])",
+        # max(|z|, |y|) is NaN where z is, as np.maximum's is
+        *(f" s{i} = atol + max(abs(z{i}), abs(y{i})) * rtol" for i in comps),
+        *(f" e{i} = ({dot(i, E5)}) / s{i}" for i in comps),
+        *(f" d{i} = ({dot(i, E3)}) / s{i}" for i in comps),
+        f" e = {sq('e')}", f" d = {sq('d')}",
+        f" err = abs(h) * e / sqrt((e + 0.01 * d) * {n}) if e or d else 0.0",
+        f" return [{zs}], [{ks(N_STAGES)}], err, ({slopes})"]
+    dense = [
+        "def dense(fun, t, y, z, h, K):",
+        f" {ys}= y", f" {zs}= z", f" {slopes}= K",
+        *(stage(s) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)),
+        *(f" q{i} = z{i} - y{i}" for i in comps),
+        f" return [{rows}]"]
+    names = {"sqrt": math.sqrt}
+    for lines in (step, dense):   # one at a time: half the compiler's memory
+        code = compile("\n".join(lines), f"<DOP853 n={n}>", "exec")
+        exec(code, names)  # noqa: S102 - generated from the tableau above
+    return names["step"], names["dense"]
+
+
 class DenseOutput:
-    """A step's interpolant: y(t) from the coefficients F, nested in
-    tau = (t - t_old) / h and 1 - tau, plus y_old."""
+    """A step's interpolant: y(t) from the coefficients F (a list of 7
+    per state component), nested in tau = (t - t_old) / h and 1 - tau,
+    plus y_old."""
 
     def __init__(self, t_old, t, y_old, F):
         self.t_old, self.t, self.h = t_old, t, t - t_old
         self.y_old, self.F = y_old, F
 
-    def __call__(self, t) -> np.ndarray:
+    def __call__(self, t) -> List[float]:
         x = (t - self.t_old) / self.h
-        y = np.zeros_like(self.y_old)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y
+        out = []
+        for rows, y_old in zip(self.F, self.y_old):
+            y = 0.0
+            for i, f in enumerate(reversed(rows)):
+                y += f
+                y *= x if i % 2 == 0 else 1 - x
+            out.append(y + y_old)
+        return out
 
 
 class DOP853:
@@ -331,38 +386,37 @@ class DOP853:
     smaller than the spacing of floats near t sets ``status`` to 'failed'
     and returns ``TOO_SMALL_STEP``. ``status`` is 'running' until t reaches
     t_bound ('finished'). ``t``, ``y`` and ``f`` are the state and slope at
-    the step's end, ``t_old`` its start, ``nfev`` the right-hand side
-    evaluations so far; ``dense_output()`` interpolates the last step.
-    ``fun(t, y)`` receives the state as a list of floats.
+    the step's end (lists of floats), ``t_old`` its start, ``nfev`` the
+    right-hand side evaluations so far; ``dense_output()`` interpolates
+    the last step. ``fun(t, y)`` receives the state as a list of floats
+    and returns the slope as a sequence of as many. Each step is SciPy's
+    within 16 ulp of each value's rounding scale (module docstring).
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None):
-        y0 = np.asarray(y0).astype(float, copy=False)
-        if not np.isfinite(y0).all():
+        y0 = [float(v) for v in y0]
+        if not all(map(math.isfinite, y0)):
             raise ValueError(
                 "All components of the initial state `y0` must be finite.")
         self._fun = fun
+        self._rk_step, self._rk_dense = _generated(len(y0))
         self.nfev = 0
         self.t_old, self.t, self.y, self.y_old = None, t0, y0, None
         self.t_bound, self.rtol, self.atol = t_bound, rtol, atol
         self.direction = -1.0 if t_bound < t0 else 1.0
         self.status = "running"
-        self.f = self.fun(self.t, y0.tolist())
+        self.f = self.fun(self.t, y0)
         if first_step is None:
             self.h_abs = _initial_step(self.fun, self.t, self.y, t_bound,
                                        self.f, self.direction, rtol, atol)
         else:
             self.h_abs = first_step
         self.h_previous = None
-        # stages 0..12 of a step, 13..15 of its dense output, and the
-        # transposed views K[:s].T that the stage sums take
-        K = self.K_extended = np.empty((N_STAGES_EXTENDED, y0.size))
-        self.K = K[:N_STAGES + 1]
-        self._KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
+        self._K = None   # the stage slopes of the last step, for its dense
 
-    def fun(self, t, y) -> np.ndarray:
+    def fun(self, t, y) -> List[float]:
         self.nfev += 1
-        return np.asarray(self._fun(t, y), dtype=float)
+        return [float(v) for v in self._fun(t, y)]
 
     def step(self):
         if self.status != "running":
@@ -381,110 +435,39 @@ class DOP853:
         return None
 
     def _step_impl(self) -> bool:
-        t = self.t
-        y = self.y.tolist()
-        direction = self.direction
-
+        t, y, direction = self.t, self.y, self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
-
-        step_accepted = False
         step_rejected = False
-
-        while not step_accepted:
+        while True:
             if h_abs < min_step:
                 return False
-
             h = h_abs * direction
             t_new = t + h
-
             if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
-
             h = t_new - t
             h_abs = abs(h)
-
-            y_new, f_new = self._rk_step(t, y, h)
-            error_norm = self._estimate_error_norm(h, y, y_new)
-
+            y_new, f_new, error_norm, K = self._rk_step(
+                self._fun, t, y, self.f, h, self.rtol, self.atol)
+            self.nfev += N_STAGES
             if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR,
-                                 SAFETY * error_norm ** ERROR_EXPONENT)
-
-                if step_rejected:
-                    factor = min(1, factor)
-
-                h_abs *= factor
-
-                step_accepted = True
-            else:
-                h_abs *= max(MIN_FACTOR,
-                             SAFETY * error_norm ** ERROR_EXPONENT)
-                step_rejected = True
-
-        self.h_previous = h
-        self.y_old = self.y
-
-        self.t = t_new
-        self.y = np.array(y_new)
-
-        self.h_abs = h_abs
-        self.f = f_new
-
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            step_rejected = True
+        factor = MAX_FACTOR if error_norm == 0 else min(
+            MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+        if step_rejected:
+            factor = min(1, factor)
+        self.h_previous, self.y_old, self.t, self.y = h, y, t_new, y_new
+        self.h_abs, self.f, self._K = h_abs * factor, f_new, K
         return True
-
-    def _rk_step(self, t, y, h):
-        """A step of size h from (t, y): the new state (floats), its slope."""
-        K, KT, fun = self.K, self._KT, self._fun
-        K[0] = self.f
-        for s, a, c in _STEP_STAGES:
-            dy = KT[s].dot(a).tolist()
-            K[s] = fun(t + c * h, [y_i + d_i * h for y_i, d_i in zip(y, dy)])
-
-        b = KT[N_STAGES].dot(B).tolist()
-        y_new = [y_i + h * b_i for y_i, b_i in zip(y, b)]
-        f_new = np.asarray(fun(t + h, y_new), dtype=float)
-
-        K[-1] = f_new
-        self.nfev += N_STAGES
-
-        return y_new, f_new
-
-    def _estimate_error_norm(self, h, y, y_new):
-        # max(|y_new|, |y|) is NaN where y_new is, as np.maximum's is
-        scale = np.array([self.atol + max(abs(b), abs(a)) * self.rtol
-                          for a, b in zip(y, y_new)])
-        KT = self._KT[N_STAGES + 1]
-        err5 = KT.dot(E5) / scale
-        err3 = KT.dot(E3) / scale
-        err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
-        err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
-        if err5_norm_2 == 0 and err3_norm_2 == 0:
-            return 0.0
-        denom = err5_norm_2 + 0.01 * err3_norm_2
-        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
     def dense_output(self) -> DenseOutput:
         """The interpolant of the last step (one that moved t)."""
-        K, KT = self.K_extended, self._KT
-        h = self.h_previous
-        for s, a, c in _DENSE_STAGES:
-            dy = KT[s].dot(a) * h
-            K[s] = self.fun(self.t_old + c * h, (self.y_old + dy).tolist())
-
-        F = np.empty((INTERPOLATOR_POWER, len(self.y_old)))
-
-        f_old = K[0]
-        delta_y = self.y - self.y_old
-
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(D, K)
-
+        F = self._rk_dense(self._fun, self.t_old, self.y_old, self.y,
+                           self.h_previous, self._K)
+        self.nfev += N_STAGES_EXTENDED - N_STAGES - 1   # stages 13..15
         return DenseOutput(self.t_old, self.t, self.y_old, F)
 
 
@@ -499,14 +482,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> IvpResult:
     of its own choosing; a step that fails ends the run where it stands."""
     t0, tf = map(float, t_span)
     solver = DOP853(fun, t0, y0, tf, rtol=rtol, atol=atol)
-    ts, ys = [t0], [y0]
+    ts, ys = [t0], [solver.y]
     while solver.status == "running":
         solver.step()
         if solver.status == "failed":
             break
         ts.append(solver.t)
         ys.append(solver.y)
-    return IvpResult(np.array(ts), np.vstack(ys).T, solver.nfev)
+    return IvpResult(np.array(ts), np.array(ys).T, solver.nfev)
 
 
 # -- the root finder ----------------------------------------------------------

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from filippov2d import (LoopCensus, cli, integrate_pws, read_census_csv,
-                        write_census_csv)
+from filippov2d import (LoopCensus, VerificationFailed, cli, integrate_pws,
+                        loops, read_census_csv, write_census_csv)
 from filippov2d.cli import load_config, main
 from conftest import make_sys
 
@@ -63,6 +63,8 @@ _REFUSALS = [
     ('scenario.theorem = 1\nupper.phi = "1"\nupper.m = 0',
      "run.cfg: section 'lower' needs phi with m"),
     ('upper.phi = "1"', "run.cfg: section 'upper' sets phi without m"),
+    ('upper.f = "' + "(" * 400 + "1" + ")" * 400 + '"',
+     "run.cfg:2: nested deeper than 200 levels (at byte 200)"),
 ]
 
 
@@ -88,6 +90,16 @@ def test_scan_config_scans_the_tangent_points_of_its_g(tmp_path, capsys):
     assert [(float(r[0]), r[1], r[2]) for r in rows] == [
         (pytest.approx(-0.5, abs=1e-9), "0", "1"),
         (pytest.approx(0.25, abs=1e-9), "1", "0")]
+
+
+def test_a_field_nested_200_deep_still_runs(tmp_path, capsys):
+    deep = "(" * 200 + "1" + ")" * 200
+    cfg = write_config(tmp_path, 'scenario.theorem = 1\n'
+                       f'upper.f = "{deep}"\nupper.phi = "x - 0.25"\n'
+                       'upper.m = 0\nlower.f = "-1"\n'
+                       'lower.phi = "x + 0.5"\nlower.m = 0\n')
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "tangent_points=2" in capsys.readouterr().out.splitlines()
 
 
 def test_run_thm2_writes_every_artifact(tmp_path, capsys):
@@ -207,28 +219,51 @@ def test_pencil_lets_a_programming_error_through(monkeypatch):
         cli._pencil(make_sys("1", "0", "1", "0"))
 
 
+def test_thm5_run_reports_its_dropped_cycle_roots(tmp_path, capsys,
+                                                 monkeypatch):
+    # thm5 (3,3) ell=0 finds two cycles; the first root's witness fails
+    witness, seeds = loops._crossing_cycle_witness, []
+
+    def failing(sys, q):
+        seeds.append(q)
+        if len(seeds) == 1:
+            raise VerificationFailed(f"cycle through x={q}: open")
+        return witness(sys, q)
+    monkeypatch.setattr(loops, "_crossing_cycle_witness", failing)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "upper.m = 3\nlower.m = 3\n"
+                       "scenario.theorem = 5\nscenario.ell = 0\n")
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {"beta_c=1", "beta_s=2", "dropped_cycles=1"} <= set(lines)
+    header, rows = cli._read_table(out / "census.csv", cli.CENSUS_CSV_VERSION)
+    assert header[:6] == ["scenario", "m_plus", "m_minus", "ell", "beta_c",
+                          "beta_s"]
+    assert rows[0][:6] == ["thm5", "3", "3", "0", "1", "2"]
+
+
 # sha1 of every artifact of two short runs: any change in the numerics of
 # a transit, a witness or the artifact writers shows up here
 ARTIFACT_SHA1 = {
     "thm4_55_l1": (THM3_55.replace("theorem = 3", "theorem = 4")
                    + "scenario.ell = 1\n", {
         "census.csv": "ee2c7a3202c661ca5e9a96713364b6c425c89130",
-        "portrait.svg": "1bd8a18572d818d33be71fd3069829af452584c9",
+        "portrait.svg": "93af0ad399152c2445e83fcd9077cfe89de0bab1",
         "tangent_points.csv": "9b7593e2f9188096fb282e2b3464c4138687de66",
         "trajectories/critical_x_-0.1.csv":
-            "e060e95f98941a5fe8fa522a131e05bb2d35eede",
+            "50feb5195fde38a0ffeb0e4a3868003e92b07bfa",
         "trajectories/critical_x_-0.3.csv":
-            "ed1386fb9e6cece7bee41f1b8f5019cd52515107",
+            "9473da41ae1493611baef6bfdc7d52a8058d167b",
         "trajectories/crossing_x_-0.344864283.csv":
-            "f6cdef0334a7338e6feed4e04d834c0968b6e79c",
+            "183ef82828a4661ed3bf1b14ea59c3d37af191b0",
     }),
     "thm3_55_cri_l2": (THM3_55 + "scenario.ell = 2\n"
                        "scenario.kind = critical\n", {
         "census.csv": "57c10c45f87e85a92b704cea877c11b8293cd990",
-        "portrait.svg": "d38fdda1ef6530e363f7e2fa2bdf484e92e5b363",
+        "portrait.svg": "e9f0978c103078ca4ef53b9263ec250c89787391",
         "tangent_points.csv": "47cf0286d5c2ce8a491da6d35d96f8560993cf1d",
         "trajectories/critical_l2.csv":
-            "841fe20205697207578d029c8f91895547b5a0fb",
+            "82138c956d18e9299488b6167f754510d7cc403a",
     }),
 }
 

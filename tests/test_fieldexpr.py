@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from filippov2d import fieldexpr
 from filippov2d.fieldexpr import (Add, Call, EvalDomainError, Expr, Mul,
                                   Num, ParseError, Pow, ScalarField, Var,
                                   as_field, compile_expr, differentiate,
@@ -67,6 +68,22 @@ def test_parse_errors_carry_offset():
         parse_expr("x^(1/2)")
     with pytest.raises(ParseError):
         parse_expr("")
+
+
+@pytest.mark.parametrize("opener, closer, offset", [
+    ("(", ")", 200), ("sin(", ")", 803), ("-", "", 200),
+    ("x + x * (", ")", 1808)])
+def test_nesting_past_the_limit_is_a_parse_error(opener, closer, offset):
+    # each level of parentheses, calls or signs costs the parser at most
+    # three frames, operators included: 200 levels parse and evaluate, the
+    # 201st is refused at its parenthesis or sign
+    src = opener * 200 + "x" + closer * 200
+    assert fieldexpr._MAX_NESTING == 200
+    assert math.isfinite(evaluate(parse_expr(src), 0.5, 0.0))
+    with pytest.raises(ParseError, match="nested deeper than 200 levels") \
+            as ei:
+        parse_expr(opener + src + closer)
+    assert ei.value.offset == offset
 
 
 def test_power_rule():

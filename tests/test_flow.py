@@ -381,7 +381,7 @@ def _step_poly_by_roll(dense):
     """The step polynomial as numpy builds it, an (8, n) array: one roll
     and one subtraction of rows per coefficient row of the dense output."""
     c = np.zeros((8, len(dense.y_old)))
-    for i, row in enumerate(dense.F[::-1]):
+    for i, row in enumerate(np.transpose(dense.F)[::-1]):
         c[0] += row
         shifted = np.roll(c, 1, axis=0)
         c = shifted if i % 2 == 0 else c - shifted

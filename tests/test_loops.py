@@ -125,7 +125,7 @@ def test_thm3_critical_loop_with_two_contacts():
     assert rec.kind == "critical"
     assert rec.tangent_touch_count == 2
     assert _hex_fingerprint(rec) == (
-        ["-0x1.eb851eb851eb8p-3", "-0x1.feb9037202ffbp-1"],
+        ["-0x1.eb851eb851eb8p-3", "-0x1.feb9037202ff4p-1"],
         "0x1.0000000000000p-52")
 
 
@@ -161,11 +161,11 @@ def test_thm4_census_and_witness_closure():
     for _, rec in census.witnesses:
         assert rec.closure_residual <= CLOSURE_TOL
     assert {tag: _hex_fingerprint(rec) for tag, rec in census.witnesses} == {
-        "critical@x=-0.5": (["-0x1.fbcc15d16a070p-1", "-0x1.0000000000000p-1"],
+        "critical@x=-0.5": (["-0x1.fbcc15d16a06ep-1", "-0x1.0000000000000p-1"],
                             "0x0.0p+0"),
-        "critical@x=-0.3": (["-0x1.ffbce87db4711p-1", "-0x1.3333333333334p-2"],
+        "critical@x=-0.3": (["-0x1.ffbce87db470dp-1", "-0x1.3333333333334p-2"],
                             "0x0.0p+0"),
-        "critical@x=-0.1": (["-0x1.ffffe1cd04623p-1", "-0x1.999999999999ap-4"],
+        "critical@x=-0.1": (["-0x1.ffffe1cd0461dp-1", "-0x1.999999999999ap-4"],
                             "0x0.0p+0"),
     }
 
@@ -390,19 +390,66 @@ def test_thm5_sliding_loops_and_crossing_cycles():
     for _, rec in census.witnesses:
         assert rec.closure_residual <= CLOSURE_TOL
     assert {tag: _hex_fingerprint(rec) for tag, rec in census.witnesses} == {
-        "sliding@x=-0.3": (["-0x1.3333333333334p-2", "-0x1.331849b42a0eap-2",
-                            "-0x1.fd0844875388fp-1"], "0x1.0000000000000p-51"),
-        "sliding@x=-0.1": (["-0x1.999999999999ap-4", "-0x1.914ae9c0791f2p-4",
-                            "-0x1.fff51a8b88669p-1"], "0x0.0p+0"),
-        "cycle@x=-0.984508645": (["-0x1.f8118462c2f55p-1",
-                                  "-0x1.930b06d91a882p-2"],
-                                 "0x1.6760000000000p-41"),
-        "cycle@x=-0.999636903": (["-0x1.ffd0687e4aef5p-1",
-                                  "-0x1.25c1bb1c7077bp-3"],
-                                 "0x1.d0fd000000000p-37"),
+        "sliding@x=-0.3": (["-0x1.3333333333334p-2", "-0x1.331849b42a2f4p-2",
+                            "-0x1.fd0844875386fp-1"], "0x1.0000000000000p-53"),
+        "sliding@x=-0.1": (["-0x1.999999999999ap-4", "-0x1.914ae9c05cbb3p-4",
+                            "-0x1.fff51a8b8868dp-1"], "0x1.0000000000000p-52"),
+        "cycle@x=-0.984508645": (["-0x1.f8118462c2f4cp-1",
+                                  "-0x1.930b06d91a874p-2"],
+                                 "0x1.6790000000000p-41"),
+        "cycle@x=-0.999636903": (["-0x1.ffd0687e4aee3p-1",
+                                  "-0x1.25c1bb1c70764p-3"],
+                                 "0x1.d110000000000p-37"),
     }
     assert [rec.kind for _, rec in census.witnesses] == \
         ["sliding-loop"] * 2 + ["crossing-limit-cycle"] * 2
+    assert census.dropped_cycles == []
+
+
+def test_thm5_records_each_cycle_root_it_drops(monkeypatch):
+    # thm5 (3,3) ell=0 polishes two cycle roots; whichever stage fails on
+    # the first of them, its census keeps one cycle and records the drop
+    witness, polish = loops._crossing_cycle_witness, loops._root
+    seeds = []
+
+    def failing_witness(sys, q):
+        seeds.append(q)
+        if len(seeds) == 1:
+            raise VerificationFailed(f"cycle through x={q}: open", gap=3e-8)
+        return witness(sys, q)
+    monkeypatch.setattr(loops, "_crossing_cycle_witness", failing_witness)
+    census = scenario_thm5(canonical_base(3, 3), 0)
+    assert census.beta_c == 1 and len(seeds) == 2
+    assert census.dropped_cycles == [(seeds[0], "witness", 3e-8)]
+    monkeypatch.undo()
+
+    brackets = []
+
+    def failing_polish(stage, f, samples):
+        if stage == "crossing cycle":
+            brackets.append(samples[0][0])
+            if len(brackets) == 1:
+                raise VerificationFailed("no zero", -0.9, 2e-3)
+        return polish(stage, f, samples)
+    monkeypatch.setattr(loops, "_root", failing_polish)
+    census = scenario_thm5(canonical_base(3, 3), 0)
+    assert census.beta_c == 1 and len(brackets) == 2
+    assert census.dropped_cycles == [(-0.9, "polish", 2e-3)]
+    monkeypatch.undo()
+
+    # a closure that fails inside the witness keeps the witness's miss
+    certify, names = loops._certify, []
+
+    def failing_certify(sys, name, *args, **kwargs):
+        if name.startswith("cycle through"):
+            names.append(name)
+            if len(names) == 1:
+                raise VerificationFailed(f"{name} fails to close")
+        return certify(sys, name, *args, **kwargs)
+    monkeypatch.setattr(loops, "_certify", failing_certify)
+    [(q, stage, gap)] = scenario_thm5(canonical_base(3, 3), 0).dropped_cycles
+    assert stage == "witness" and names[0] == f"cycle through x={q:.9g}"
+    assert abs(gap) <= 0.5 * CLOSURE_TOL
 
 
 def test_thm5_77_ell2_census():

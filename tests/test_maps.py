@@ -151,10 +151,10 @@ def test_section_transit_stops_at_its_hit():
 
 
 @pytest.mark.parametrize("x, value", [
-    (-0.7, "-0x1.0680000000000p-52"),
-    (-0.5, "-0x1.b540000000000p-52"),
-    (-0.3, "0x1.fa5a2b5a20ddcp-55"),
-    (-0.1, "0x1.84877c98a222dp-52"),
+    (-0.7, "-0x1.8e00000000000p-54"),
+    (-0.5, "-0x1.8000000000000p-51"),
+    (-0.3, "-0x1.53a4ba94bbe44p-52"),
+    (-0.1, "-0x1.6b57c3675ddd3p-52"),
 ])
 def test_displacement_on_canonical_base_is_pinned(x, value):
     # canonical (5,5) orbits are closed, so these are rounding residues:
