@@ -39,13 +39,12 @@ diagnostics.txt with the traceback is left in the output directory).
 from __future__ import annotations
 
 import argparse
+import random
 import sys as _sys
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .fieldexpr import ParseError, ScalarField, parse_expr
 # decompose_sigma stays bound here for tracers that wrap it by module
@@ -299,8 +298,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
                  ("t", "x", "y", "arc_kind", "arc_index", "event"),
                  ((t, x, y, arc.kind, i, ev_by_t.get(round(t, 12), ""))
                   for i, arc in enumerate(traj.arcs)
-                  for t, x, y in zip(arc.t.tolist(), arc.x.tolist(),
-                                     arc.y.tolist())))
+                  for t, x, y in zip(arc.t, arc.x, arc.y)))
 
 
 def read_trajectory_csv(path):
@@ -580,9 +578,9 @@ def run_portrait(cfg: RunConfig, *, out_dir: str = "out") -> int:
 # self-test battery
 
 
-def _random_system(rng: np.random.Generator) -> PwsSystem:
+def _random_system(rng: random.Random) -> PwsSystem:
     """A random polynomial system with a guaranteed sliding stretch."""
-    c = [float(v) for v in rng.uniform(-2.0, 2.0, size=6)]
+    c = [rng.uniform(-2.0, 2.0) for _ in range(6)]
     f_p = f"{1.0 + abs(c[0])!r} + {c[1]!r}*x"
     f_m = f"{-(1.0 + abs(c[2]))!r} + {c[3]!r}*x"
     g_p = f"{1.0 + abs(c[4])!r} + x*x"
@@ -593,14 +591,13 @@ def _random_system(rng: np.random.Generator) -> PwsSystem:
 
 
 def _check_convex(seed: int) -> Optional[str]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     systems = [_random_system(rng) for _ in range(20)]
-    xs = rng.uniform(-2.0, 2.0, size=(20, 500))
+    xs = [[rng.uniform(-2.0, 2.0) for _ in range(500)] for _ in range(20)]
 
     def worst(sys_i: PwsSystem, row) -> float:
         bad = 0.0
         for x in row:
-            x = float(x)
             if h_value(sys_i, x) >= 0.0:
                 continue
             lam = sliding_convex_coefficient(sys_i, x)

@@ -195,6 +195,7 @@ def powi(a: Expr, n: int) -> Expr:
 
 _BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})   # loosest first
 _MAX_NESTING = 200   # levels of parentheses, calls and signs
+_MAX_DEPTH = 3 * _MAX_NESTING   # operations on one path of a tree
 
 
 class _Parser:
@@ -322,9 +323,12 @@ class _Parser:
                     self.i += 1
         text = s[start:self.i]
         try:
-            return Num(float(text), pos=start)
+            value = float(text)
         except ValueError:
             raise self.error(f"malformed number {text!r}", start) from None
+        if value == math.inf:   # no float holds it, nor does generated code
+            raise self.error(f"number {text!r} out of range", start)
+        return Num(value, pos=start)
 
     def identifier(self) -> Expr:
         self.skip_ws()
@@ -349,7 +353,23 @@ def parse_expr(src: str) -> Expr:
     for j, ch in enumerate(src):
         if ord(ch) > 127:
             raise ParseError("non-ASCII character", j)
-    return _Parser(src).parse()
+    tree = _Parser(src).parse()
+    _check_depth(tree)
+    return tree
+
+
+def _check_depth(tree: Expr) -> None:
+    """Refuse a tree with more than _MAX_DEPTH operations on one path, at
+    the operation that passes it: every walk of a tree (compiling it, its
+    jets, Python's compiler) recurses once an operation."""
+    stack = [(tree, 0)]   # (node, operations above it)
+    while stack:
+        node, above = stack.pop()
+        below = [v for v in vars(node).values() if isinstance(v, Expr)]
+        if below and above == _MAX_DEPTH:
+            raise ParseError(f"operations nested deeper than {_MAX_DEPTH} "
+                             "levels", node.pos)
+        stack += [(child, above + 1) for child in below]
 
 
 # ---------------------------------------------------------------------------
@@ -404,26 +424,34 @@ def differentiate(e: Expr, var: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Compiled evaluation
 
-def _codegen(e: Expr) -> str:
+# Python's binding strength of each node as _codegen writes it: + - 1,
+# * / 2 (the operator table's levels), a sign 3, ** 4, atoms 5
+_INFIX = {node: (op, lv + 1) for lv, table in enumerate(_BINARY)
+          for op, node in table.items()}
+
+
+def _codegen(e: Expr, binds: int = 0) -> str:
+    """Python source of e where its place binds as tightly as `binds`,
+    parenthesized only where Python's precedence and left associativity
+    need it: Python parses it to the tree e, so it evaluates in e's order,
+    and it nests no deeper in parentheses than the source e came from."""
     if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Add):
-        return f"({_codegen(e.a)} + {_codegen(e.b)})"
-    if isinstance(e, Sub):
-        return f"({_codegen(e.a)} - {_codegen(e.b)})"
-    if isinstance(e, Mul):
-        return f"({_codegen(e.a)} * {_codegen(e.b)})"
-    if isinstance(e, Div):
-        return f"({_codegen(e.a)} / {_codegen(e.b)})"
-    if isinstance(e, Pow):
-        return f"({_codegen(e.base)} ** {e.exponent})"
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.a)})"
-    if isinstance(e, Call):
-        return f"_{e.fn}({_codegen(e.arg)})"
-    raise TypeError(f"not an Expr: {e!r}")
+        src = repr(e.value)
+        own = 3 if src.startswith("-") else 5   # a negative one is a sign
+    elif isinstance(e, Var):
+        src, own = e.name, 5
+    elif isinstance(e, Call):
+        src, own = f"_{e.fn}({_codegen(e.arg)})", 5
+    elif isinstance(e, Pow):   # ** binds its base tighter than a sign
+        src, own = f"{_codegen(e.base, 5)} ** {e.exponent}", 4
+    elif isinstance(e, Neg):
+        src, own = f"-{_codegen(e.a, 3)}", 3
+    elif type(e) in _INFIX:
+        op, own = _INFIX[type(e)]
+        src = f"{_codegen(e.a, own)} {op} {_codegen(e.b, own + 1)}"
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    return f"({src})" if own < binds else src
 
 
 CODEGEN_NAMES = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
@@ -438,9 +466,11 @@ def compile_expr(*trees: Expr):
     Domain errors surface as the usual Python arithmetic exceptions here;
     use :func:`evaluate` when reporting matters.
     """
-    body = ", ".join(_codegen(e) for e in trees)
-    src = f"lambda x, y: ({body})" if len(trees) > 1 else f"lambda x, y: {body}"
-    return eval(src, dict(CODEGEN_NAMES))  # noqa: S307 - from our own AST
+    names = dict(CODEGEN_NAMES)
+    # a bare tuple after return: no parentheses beyond the trees' own
+    src = f"def fn(x, y):\n return {', '.join(_codegen(e) for e in trees)}"
+    exec(src, names)  # noqa: S102 - from our own AST
+    return names["fn"]
 
 
 # ---------------------------------------------------------------------------

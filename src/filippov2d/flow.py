@@ -84,8 +84,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .numerics import DOP853, brentq, solve_ivp
 from .system import (PwsSystem, _side_fn, h_value, sliding_field,
                      NotSliding, DegenerateDenominator)
@@ -114,15 +112,15 @@ class Event:
 @dataclass
 class Arc:
     kind: str                # 'upper' | 'lower' | 'sliding'
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    t: Tuple[float, ...]     # the samples' times, increasing
+    x: Tuple[float, ...]     # and their points (x, y)
+    y: Tuple[float, ...]
 
     def start(self) -> Tuple[float, float]:
-        return float(self.x[0]), float(self.y[0])
+        return self.x[0], self.y[0]
 
     def end(self) -> Tuple[float, float]:
-        return float(self.x[-1]), float(self.y[-1])
+        return self.x[-1], self.y[-1]
 
 
 @dataclass
@@ -180,12 +178,12 @@ def _nudge_off_sigma(rhs, x0: float, side: str) -> Tuple[float, float, float]:
     state = (x0, 0.0)
     for _ in range(80):
         sol = solve_ivp(rhs, (0.0, h), state, rtol=RTOL, atol=ATOL * 1e-2)
-        xe, ye = sol.y[0, -1], sol.y[1, -1]
+        xe, ye = sol.y[0][-1], sol.y[1][-1]
         if abs(ye) >= _NUDGE_FLOOR:
             if ye * sgn < 0:
                 raise AmbiguousTangency(
                     f"orbit from ({x0}, 0) leaves into the other half-plane")
-            return float(xe), float(ye), h
+            return xe, ye, h
         h *= 4.0
     raise AmbiguousTangency(f"orbit from ({x0}, 0) will not leave Sigma")
 
@@ -205,6 +203,14 @@ def _run_to(fun, s0: float, w0, s1: float) -> List[float]:
     return solver.y
 
 
+def _by_zero(values: Tuple[float, ...], zero: float) -> Tuple[float, ...]:
+    """Each value divided by a signed zero as IEEE division (and numpy)
+    does it, where Python raises ZeroDivisionError: an inf signed by both
+    signs, or nan for 0 / 0 and nan / 0."""
+    inf = math.copysign(math.inf, zero)
+    return tuple(v * inf for v in values)
+
+
 def _land(rhs, t_a: float, z_a: List[float], t_e: float,
           line: Tuple[float, float, float]) -> Tuple[float, List[float]]:
     """Land a step from (t_a, z_a) on the line n1 x + n2 y = level near
@@ -216,8 +222,8 @@ def _land(rhs, t_a: float, z_a: List[float], t_e: float,
     def fun(s, w):
         f, g = rhs(w[2], w[:2])
         d = n1 * f + n2 * g
-        if d == 0.0:   # numpy's quotients (inf or nan), not ZeroDivisionError
-            return np.divide((f, g, 1.0), d)
+        if d == 0.0:
+            return _by_zero((f, g, 1.0), d)
         return f / d, g / d, 1.0 / d
     z = _run_to(rhs, t_a, z_a, t_e)
     w = _run_to(fun, n1 * z[0] + n2 * z[1] - level, z + [t_e], 0.0)
@@ -359,8 +365,8 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
     def close_leg(t_end: float, xe: float, ye: float) -> None:
         if samples[-1][0] != t_end:   # the end point is the leg's last sample
             samples.append((t_end, xe, ye))
-        t_all, x_all, y_all = (np.array(c) for c in zip(*samples))
-        legs.append(Arc(side, t_all + t_leg0, x_all, y_all))
+        t_all, x_all, y_all = zip(*samples)
+        legs.append(Arc(side, tuple(t + t_leg0 for t in t_all), x_all, y_all))
 
     t = 0.0
     if x_at is None and abs(y) < _NUDGE_FLOOR:
@@ -546,8 +552,8 @@ def sliding_arc(sys: PwsSystem, x_start: float, *,
         xs.append(x_b)
     if kind == "time-end" and abs(rhs(0.0, (xs[-1],))[0]) <= 1e-9:
         kind = "pseudo-equilibrium"
-    return Trajectory([Arc("sliding", np.array(ts) + t_offset, np.array(xs),
-                           np.zeros(len(xs)))],
+    return Trajectory([Arc("sliding", tuple(t + t_offset for t in ts),
+                           tuple(xs), (0.0,) * len(xs))],
                       [Event(ts[-1] + t_offset, xs[-1], 0.0, kind)])
 
 

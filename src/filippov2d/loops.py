@@ -79,8 +79,6 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
-import numpy as np
-
 from .cutoffs import PsiSpec
 from .flow import (Arc, Event, Trajectory, TransitFailure, integrate_smooth,
                    sliding_arc)
@@ -277,9 +275,31 @@ def _displacement(sys: PwsSystem) -> Callable[[float], float]:
 
 
 def _signed_area(arcs: Sequence[Arc]) -> float:
-    x = np.concatenate([np.asarray(a.x) for a in arcs])
-    y = np.concatenate([np.asarray(a.y) for a in arcs])
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    """The shoelace area of the closed polygon through the arcs' samples:
+    positive when it runs counterclockwise."""
+    x = [v for a in arcs for v in a.x]
+    y = [v for a in arcs for v in a.y]
+    return 0.5 * math.fsum(x[i - 1] * y[i] - x[i] * y[i - 1]
+                           for i in range(len(x)))
+
+
+def _linspace(a: float, b: float, n: int) -> List[float]:
+    """n evenly spaced points from a to b, both included: numpy's
+    ``linspace``, whose float operations (i * step + a, then b) it repeats
+    bit for bit."""
+    step = (b - a) / (n - 1)
+    return [i * step + a for i in range(n - 1)] + [b]
+
+
+def _geomspace(a: float, b: float, n: int) -> List[float]:
+    """n points from a > 0 to b > 0 in geometric progression, both
+    included: numpy's ``geomspace`` (10 to the powers of a _linspace of
+    log10 a to log10 b) on the platform's libm. numpy takes its own SIMD
+    log10 and power on some CPUs, so its grids are within a few ulp of
+    these, not bit for bit."""
+    pts = [10.0 ** p for p in _linspace(math.log10(a), math.log10(b), n)]
+    pts[0], pts[-1] = a, b
+    return pts
 
 
 # --------------------------------------------------------------------------
@@ -475,11 +495,11 @@ def find_crossing_cycles(
         return h_value(sys, x) > 0.0 and sys.g_minus.value(x, 0.0) < 0.0
 
     disp = _displacement(sys)
-    pts = np.unique(np.asarray([float(p) for p in scan_points]))
+    pts = sorted({float(p) for p in scan_points})
     found = dict(_evaluable(disp, filter(down, pts)))
-    vals = np.array([found.get(float(x), np.nan) for x in pts])
-    finite = np.isfinite(vals)
-    if not finite.any() or np.mean(np.abs(vals[finite]) < 1e-11) > 0.9:
+    vals = [found.get(x, math.nan) for x in pts]
+    finite = [v for v in vals if math.isfinite(v)]
+    if not finite or sum(abs(v) < 1e-11 for v in finite) / len(finite) > 0.9:
         return [], []
 
     roots: List[float] = []
@@ -652,10 +672,8 @@ def _displacement_root(sys: PwsSystem, a: float, b: float) -> float:
     coarse sweep with a geometric tail clustering toward b.
     """
     gap = b - a
-    xs = np.unique(np.concatenate([
-        np.linspace(a + 0.02 * gap, b - 0.05 * gap, 25),
-        b - np.geomspace(0.05 * gap, 2e-5 * gap, 30),
-    ]))
+    xs = sorted({*_linspace(a + 0.02 * gap, b - 0.05 * gap, 25),
+                 *(b - u for u in _geomspace(0.05 * gap, 2e-5 * gap, 30))})
     disp = _displacement(sys)
     return _root("displacement", disp, _evaluable(disp, xs))
 
@@ -663,7 +681,7 @@ def _displacement_root(sys: PwsSystem, a: float, b: float) -> float:
 def _flank_dip(sys: PwsSystem, left: float, peak: float) -> float:
     """Most negative displacement value on the approach to a pinned peak."""
     span = peak - left
-    xs = peak - np.geomspace(0.5 * span, 1e-5 * span, 48)
+    xs = [peak - u for u in _geomspace(0.5 * span, 1e-5 * span, 48)]
     vals = [v for _, v in _evaluable(_displacement(sys), xs)]
     if not vals:
         raise VerificationFailed(
@@ -752,7 +770,7 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
             legs[way] = run.arcs
         points = set()   # split points this orbit touches
         for tx in touch_xs:
-            k = int(np.argmin([abs(tx - l) for l in lam]))
+            k = min(range(len(lam)), key=lambda i: abs(tx - lam[i]))
             if abs(tx - lam[k]) > 0.25 * delta:
                 raise VerificationFailed(
                     f"contact at {tx:.6g} is not near any split point")
@@ -776,16 +794,14 @@ def _stitch_orbit(bw_arcs: List[Arc], fw_arcs: List[Arc]) -> Trajectory:
     arcs: List[Arc] = []
     t0 = 0.0
     for a in reversed(bw_arcs):
-        t_loc = np.asarray(a.t) - float(a.t[0])
-        tt = t0 + (t_loc[-1] - t_loc)[::-1]
-        arcs.append(Arc(a.kind, tt, np.asarray(a.x)[::-1],
-                        np.asarray(a.y)[::-1]))
-        t0 = float(tt[-1])
+        t_loc = [t - a.t[0] for t in a.t]
+        tt = tuple(t0 + (t_loc[-1] - t) for t in reversed(t_loc))
+        arcs.append(Arc(a.kind, tt, a.x[::-1], a.y[::-1]))
+        t0 = tt[-1]
     for a in fw_arcs:
-        t_loc = np.asarray(a.t) - float(fw_arcs[0].t[0])
-        arcs.append(Arc(a.kind, t_loc + t0, np.asarray(a.x),
-                        np.asarray(a.y)))
-    events = [Event(float(a.t[-1]), float(a.x[-1]), 0.0, "tangency-touch")
+        arcs.append(Arc(a.kind, tuple((t - fw_arcs[0].t[0]) + t0 for t in a.t),
+                        a.x, a.y))
+    events = [Event(a.t[-1], a.x[-1], 0.0, "tangency-touch")
               for a in arcs[:-1]]
     return Trajectory(arcs, events)
 
@@ -1024,7 +1040,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
                     - pinned.f_minus.value(x, 0.0)
                     * pinned.g_plus.value(x, 0.0))
 
-        xs = np.linspace(tp + pad, hi - pad, 160)
+        xs = _linspace(tp + pad, hi - pad, 160)
         try:
             return _root("pseudo-equilibrium", num, _evaluable(num, xs)) - tp
         except VerificationFailed:
@@ -1062,14 +1078,12 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
         census.witnesses.append((f"sliding@x={tp:.6g}", rec))
     census.beta_s = n
 
-    scan = [np.linspace(knots[0] + 0.02 * delta, lam[-1] - 0.02 * delta,
-                        8 * m)]
+    scan = _linspace(knots[0] + 0.02 * delta, lam[-1] - 0.02 * delta, 8 * m)
     for i in range(1, d + 1):
         peak = lam[2 * i - 2]
         span = peak - knots[2 * i - 2]
-        scan.append(peak - np.geomspace(0.6 * span, 1e-6 * span, 80))
-    cycles, census.dropped_cycles = find_crossing_cycles(
-        sys4, np.concatenate(scan))
+        scan += [peak - u for u in _geomspace(0.6 * span, 1e-6 * span, 80)]
+    cycles, census.dropped_cycles = find_crossing_cycles(sys4, scan)
     for rec in cycles:
         x_c = rec.switching_points[0][0] if rec.switching_points else 0.0
         census.witnesses.append((f"cycle@x={x_c:.9g}", rec))

@@ -42,56 +42,59 @@ Ordinary Differential Equations I, Sec. II), ``solve_ivp`` a fixed-step-
 control integration over an interval on it, and ``brentq`` Brent's root
 finder (Algorithms for Minimization without Derivatives, 1973, ch. 4).
 
-Each follows SciPy's code path: the same tableau, initial step selection
-and step-size control, and Brent's method with the same float operations
-and error messages, bit for bit. The stepper runs on Python floats: one
-function per state dimension, generated from the tableau on first use,
-sums the stages, the solution, the error estimates and the dense output
-term by term in stage order. SciPy takes those sums as BLAS reductions,
-whose rounding no fixed float order reproduces, so the stepper is held to
-SciPy within named bounds instead (tests/test_numerics.py): from the same
-(t, y, f, h) a step's state, slope, error norm and dense coefficients lie
-within 16 ulp of each value's rounding scale, the sum of its terms'
-magnitudes, and a whole run ends within its own tolerance atol + rtol |y|
-of SciPy's. The error estimates sum terms that cancel to about 1e-5 of
-their size, so a run's step sizes differ from SciPy's by about 1e-6
-relative. Only what this package calls is ported: real states (of 1, 2
-or 3 components here), no ``max_step``, events, ``t_eval``, extra
-arguments or vectorized evaluation.
+Each follows SciPy's code path: the same tableau (SciPy's coefficient
+lines, filling dicts keyed (row, column) and lists of Python floats),
+initial step selection and step-size control, and Brent's method with the
+same float operations and error messages, bit for bit. The stepper runs
+on Python floats: one function per state dimension, generated from the
+tableau on first use, sums the stages, the solution, the error estimates
+and the dense output term by term in stage order. SciPy takes those sums
+as BLAS reductions, whose rounding no fixed float order reproduces, so the
+stepper is held to SciPy within named bounds instead
+(tests/test_numerics.py): from the same (t, y, f, h) a step's state,
+slope, error norm and dense coefficients lie within 16 ulp of each
+value's rounding scale, the sum of its terms' magnitudes, and a whole run
+ends within its own tolerance atol + rtol |y| of SciPy's. The error
+estimates sum terms that cancel to about 1e-5 of their size, so a run's
+step sizes differ from SciPy's by about 1e-6 relative. Only what this
+package calls is ported: real states (of 1, 2 or 3 components here), no
+``max_step``, events, ``t_eval``, extra arguments or vectorized
+evaluation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import List, NamedTuple
-
-import numpy as np
+import sys
+from typing import Dict, List, NamedTuple, Tuple
 
 # -- the DOP853 tableau, as in SciPy's dop853_coefficients -------------------
+# SciPy's coefficient lines as they are: A and D hold the nonzero entries
+# keyed (row, column), C, E3 and E5 are lists of floats
 
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
 INTERPOLATOR_POWER = 7
 
-C = np.array([0.0,
-              0.526001519587677318785587544488e-01,
-              0.789002279381515978178381316732e-01,
-              0.118350341907227396726757197510,
-              0.281649658092772603273242802490,
-              0.333333333333333333333333333333,
-              0.25,
-              0.307692307692307692307692307692,
-              0.651282051282051282051282051282,
-              0.6,
-              0.857142857142857142857142857142,
-              1.0,
-              1.0,
-              0.1,
-              0.2,
-              0.777777777777777777777777777778])
+C = [0.0,
+     0.526001519587677318785587544488e-01,
+     0.789002279381515978178381316732e-01,
+     0.118350341907227396726757197510,
+     0.281649658092772603273242802490,
+     0.333333333333333333333333333333,
+     0.25,
+     0.307692307692307692307692307692,
+     0.651282051282051282051282051282,
+     0.6,
+     0.857142857142857142857142857142,
+     1.0,
+     1.0,
+     0.1,
+     0.2,
+     0.777777777777777777777777777778]
 
-A = np.zeros((N_STAGES_EXTENDED, N_STAGES_EXTENDED))
+A: Dict[Tuple[int, int], float] = {}
 A[1, 0] = 5.26001519587677318785587544488e-2
 
 A[2, 0] = 1.97250569845378994544595329183e-2
@@ -190,15 +193,19 @@ A[15, 13] = 2.9475147891527723389556272149
 A[15, 14] = -9.15095847217987001081870187138
 
 
-B = A[N_STAGES, :N_STAGES]
+def _row(table: Dict[Tuple[int, int], float], i: int, n: int) -> List[float]:
+    """Row i of a tableau matrix, its first n entries."""
+    return [table.get((i, j), 0.0) for j in range(n)]
 
-E3 = np.zeros(N_STAGES + 1)
-E3[:-1] = B.copy()
+
+B = _row(A, N_STAGES, N_STAGES)
+
+E3 = B + [0.0]
 E3[0] -= 0.244094488188976377952755905512
 E3[8] -= 0.733846688281611857341361741547
 E3[11] -= 0.220588235294117647058823529412e-1
 
-E5 = np.zeros(N_STAGES + 1)
+E5 = [0.0] * (N_STAGES + 1)
 E5[0] = 0.1312004499419488073250102996e-1
 E5[5] = -0.1225156446376204440720569753e+1
 E5[6] = -0.4957589496572501915214079952
@@ -209,7 +216,7 @@ E5[10] = 0.8192320648511571246570742613e-1
 E5[11] = -0.2235530786388629525884427845e-1
 
 # First 3 coefficients are computed separately.
-D = np.zeros((INTERPOLATOR_POWER - 3, N_STAGES_EXTENDED))
+D: Dict[Tuple[int, int], float] = {}
 D[0, 0] = -0.84289382761090128651353491142e+1
 D[0, 5] = 0.56671495351937776962531783590
 D[0, 6] = -0.30689499459498916912797304727e+1
@@ -318,11 +325,12 @@ def _generated(n: int):
 
     def dot(i, coefs):   # sum over j of k{j}_{i} * coefs[j]
         return " + ".join(f"k{j}_{i} * {a!r}"
-                          for j, a in enumerate(coefs.tolist()) if a)
+                          for j, a in enumerate(coefs) if a)
 
     def stage(s):   # stage s from the state y{i} at time t
-        state = ", ".join(f"y{i} + ({dot(i, A[s, :s])}) * h" for i in comps)
-        return f" {ks(s)}= fun(t + {float(C[s])!r} * h, [{state}])"
+        state = ", ".join(f"y{i} + ({dot(i, _row(A, s, s))}) * h"
+                          for i in comps)
+        return f" {ks(s)}= fun(t + {C[s]!r} * h, [{state}])"
 
     def sq(v):   # numpy's norm squared: sqrt(x.dot(x)) ** 2
         return f"sqrt({' + '.join(f'{v}{i} * {v}{i}' for i in comps)}) ** 2"
@@ -331,14 +339,16 @@ def _generated(n: int):
     slopes = "".join(ks(s) for s in range(N_STAGES + 1))
     rows = ", ".join(
         f"[q{i}, h * k0_{i} - q{i}, 2 * q{i} - h * (k12_{i} + k0_{i}), "
-        + ", ".join(f"h * ({dot(i, d)})" for d in D) + "]" for i in comps)
+        + ", ".join(f"h * ({dot(i, _row(D, r, N_STAGES_EXTENDED))})"
+                    for r in range(INTERPOLATOR_POWER - 3)) + "]"
+        for i in comps)
     step = [
         "def step(fun, t, y, f, h, rtol, atol):",
         f" {ys}= y", f" {ks(0)}= f",
         *(stage(s) for s in range(1, N_STAGES)),
         *(f" z{i} = y{i} + h * ({dot(i, B)})" for i in comps),
         f" {ks(N_STAGES)}= fun(t + h, [{zs}])",
-        # max(|z|, |y|) is NaN where z is, as np.maximum's is
+        # max(|z|, |y|) is NaN where z is, as SciPy's np.maximum is
         *(f" s{i} = atol + max(abs(z{i}), abs(y{i})) * rtol" for i in comps),
         *(f" e{i} = ({dot(i, E5)}) / s{i}" for i in comps),
         *(f" d{i} = ({dot(i, E3)}) / s{i}" for i in comps),
@@ -472,8 +482,8 @@ class DOP853:
 
 
 class IvpResult(NamedTuple):
-    t: np.ndarray      # accepted step ends, t_span[0] first
-    y: np.ndarray      # states at t, one column each
+    t: List[float]         # accepted step ends, t_span[0] first
+    y: List[List[float]]   # one list per state component: its values at t
     nfev: int
 
 
@@ -489,12 +499,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> IvpResult:
             break
         ts.append(solver.t)
         ys.append(solver.y)
-    return IvpResult(np.array(ts), np.array(ys).T, solver.nfev)
+    return IvpResult(ts, [list(c) for c in zip(*ys)], solver.nfev)
 
 
 # -- the root finder ----------------------------------------------------------
 
-_RTOL_MIN = 4 * np.finfo(float).eps
+_RTOL_MIN = 4 * sys.float_info.epsilon
 
 
 def brentq(f, a, b, xtol, rtol, maxiter=100, disp=True) -> float:

@@ -65,6 +65,10 @@ _REFUSALS = [
     ('upper.phi = "1"', "run.cfg: section 'upper' sets phi without m"),
     ('upper.f = "' + "(" * 400 + "1" + ")" * 400 + '"',
      "run.cfg:2: nested deeper than 200 levels (at byte 200)"),
+    ('upper.f = "2 * 1e999"', "run.cfg:2: number '1e999' out of range "
+     "(at byte 4)"),
+    ('upper.phi = "' + " + ".join(["x"] * 602) + '"',
+     "run.cfg:2: operations nested deeper than 600 levels (at byte 2)"),
 ]
 
 
@@ -96,6 +100,21 @@ def test_a_field_nested_200_deep_still_runs(tmp_path, capsys):
     deep = "(" * 200 + "1" + ")" * 200
     cfg = write_config(tmp_path, 'scenario.theorem = 1\n'
                        f'upper.f = "{deep}"\nupper.phi = "x - 0.25"\n'
+                       'upper.m = 0\nlower.f = "-1"\n'
+                       'lower.phi = "x + 0.5"\nlower.m = 0\n')
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "tangent_points=2" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("f, phi", [
+    ("1", "x" + " + 0" * 250 + " - 0.25"),   # 251 operations deep
+    ("1 + 0 * (" + "x + x * (" * 199 + "x" + ")" * 200, "x - 0.25"),
+], ids=["sum of 252 terms", "200 levels of x + x * (...)"])
+def test_a_deep_field_runs(tmp_path, capsys, f, phi):
+    # each side compiles (f, g) as one function whose code nests no deeper
+    # in parentheses than the field's source
+    cfg = write_config(tmp_path, 'scenario.theorem = 1\n'
+                       f'upper.f = "{f}"\nupper.phi = "{phi}"\n'
                        'upper.m = 0\nlower.f = "-1"\n'
                        'lower.phi = "x + 0.5"\nlower.m = 0\n')
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0

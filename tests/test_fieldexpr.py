@@ -1,5 +1,6 @@
 """Expression layer: parsing, evaluation, exact differentiation."""
 
+import ast
 import dataclasses
 import math
 
@@ -84,6 +85,67 @@ def test_nesting_past_the_limit_is_a_parse_error(opener, closer, offset):
             as ei:
         parse_expr(opener + src + closer)
     assert ei.value.offset == offset
+
+
+@pytest.mark.parametrize("opener, closer", [
+    ("(", ")"), ("sin(", ")"), ("-", ""), ("x + x * (", ")"),
+    ("-x^2 / (", ")")])
+def test_every_tree_the_parser_takes_compiles(opener, closer):
+    # 200 levels, two side functions in one: the generated code nests no
+    # deeper in parentheses than the source (Python allows 200)
+    e = parse_expr(opener * 200 + "x" + closer * 200)
+    assert compile_expr(e, e)(0.5, 0.25) == (evaluate(e, 0.5, 0.25),) * 2
+
+
+def test_a_tree_deeper_than_600_operations_is_a_parse_error():
+    # each walk of a tree recurses once an operation: 600 on one path
+    # compile and evaluate, the 601st is refused at its operator
+    src = " + ".join(["x"] * 601)
+    assert compile_expr(parse_expr(src))(1.0, 0.0) == 601.0
+    with pytest.raises(ParseError, match="operations nested deeper than "
+                       "600 levels") as ei:
+        parse_expr(src + " + x")
+    assert ei.value.offset == 2
+    # three operations a level, 200 levels: taken
+    e = parse_expr("(x + x * x^2 + " * 200 + "x" + ")" * 200)
+    assert compile_expr(e)(0.5, 0.0) == evaluate(e, 0.5, 0.0)
+
+
+def _parenthesized(e: Expr) -> str:
+    """Python source of e with every operation in parentheses: the order
+    of evaluation spelt out."""
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Call):
+        return f"_{e.fn}({_parenthesized(e.arg)})"
+    if isinstance(e, Pow):
+        return f"({_parenthesized(e.base)} ** {e.exponent})"
+    if isinstance(e, fieldexpr.Neg):
+        return f"(-{_parenthesized(e.a)})"
+    op = {Add: "+", fieldexpr.Sub: "-", Mul: "*", fieldexpr.Div: "/"}
+    return f"({_parenthesized(e.a)} {op[type(e)]} {_parenthesized(e.b)})"
+
+
+_leaves = st.sampled_from(["x", "y", "2", "0.5", "3e-2", "7"])
+sources = st.recursive(_leaves, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(" + - * / ".split()), inner).map(
+        " ".join),
+    inner.map("({})".format), inner.map("-{}".format),
+    st.tuples(inner, st.integers(-3, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+    st.tuples(st.sampled_from(fieldexpr.FUNCTIONS), inner).map(
+        lambda t: f"{t[0]}({t[1]})")), max_leaves=24)
+
+
+@given(sources)
+@settings(max_examples=300, deadline=None)
+def test_generated_code_is_the_tree_in_its_order(src):
+    # Python parses the generated code to the same syntax tree as the
+    # fully parenthesized source: the same operations in the same order
+    e = parse_expr(src)
+    assert ast.dump(ast.parse(fieldexpr._codegen(e), mode="eval")) \
+        == ast.dump(ast.parse(_parenthesized(e), mode="eval"))
 
 
 def test_power_rule():

@@ -3,6 +3,8 @@
 import dataclasses
 import inspect
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -151,9 +153,9 @@ def test_sliding_arc_counts_time_from_its_offset():
     here = flow.sliding_arc(sliding_sys("1"), 0.0, x_stop=0.5)
     later = flow.sliding_arc(sliding_sys("1"), 0.0, x_stop=0.5, t_offset=2.0)
     [arc], [end] = later.arcs, later.events
-    assert arc.kind == "sliding" and not arc.y.any()
-    assert arc.t.tolist() == (here.arcs[0].t + 2.0).tolist()
-    assert arc.x.tolist() == here.arcs[0].x.tolist()
+    assert arc.kind == "sliding" and not any(arc.y)
+    assert arc.t == tuple(t + 2.0 for t in here.arcs[0].t)
+    assert arc.x == here.arcs[0].x
     assert end == dataclasses.replace(here.terminal,
                                       t=here.terminal.t + 2.0)
 
@@ -589,11 +591,25 @@ def test_early_exits_agree_with_the_full_scan():
 
 def test_a_landing_with_no_normal_speed_fails_as_a_step_underflow():
     # F.n = 0 on the line's normal: the Henon field divides by zero; its
-    # quotients are numpy's (inf or nan), so every step is rejected until
+    # quotients are IEEE's (inf or nan), so every step is rejected until
     # the stepper gives up, and no ZeroDivisionError escapes
     with np.errstate(all="ignore"), pytest.raises(flow.StepUnderflow):
         flow._land(lambda t, s: (0.0, 1.0), 0.0, np.array([0.0, 0.0]), 0.1,
                    (1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_quotient_by_zero_is_numpys_bit_for_bit(zero):
+    # the Henon field's quotients where F.n = 0, with no ZeroDivisionError
+    # and no warning: numpy's, NaN payloads and signs included
+    values = (1.0, -1.0, 0.0, -0.0, math.nan, -math.nan, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = flow._by_zero(values, zero)
+    with np.errstate(all="ignore"):
+        theirs = np.divide(values, zero).tolist()
+    assert [struct.pack("<d", v) for v in ours] \
+        == [struct.pack("<d", v) for v in theirs]
 
 
 def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):

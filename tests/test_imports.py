@@ -6,7 +6,8 @@ module to trace a layer boundary: the tracer needs the binding even when
 the package no longer calls it.
 
 Files are read and written in cli alone, and cli imports no private name
-of another package module.
+of another package module. The package depends on the standard library
+alone: no module imports anything else.
 """
 
 import ast
@@ -140,3 +141,30 @@ def test_cli_imports_no_private_name_of_the_package():
                for a in node.names if a.name.startswith("_")
                and a.name not in CLI_PRIVATE_IMPORTS]
     assert private == []
+
+
+def _outside_stdlib(tree: ast.AST):
+    """Every import, at any depth, of a top-level module that is neither
+    the standard library's nor the package's own (a relative import)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        yield from (f"{name} (line {node.lineno})" for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", [PACKAGE / "__init__.py", *MODULES],
+                         ids=lambda p: p.stem)
+def test_the_package_imports_only_the_standard_library(path):
+    assert list(_outside_stdlib(ast.parse(path.read_text()))) == []
+
+
+def test_the_stdlib_check_sees_a_third_party_import():
+    tree = ast.parse("import math, numpy as np\nfrom . import flow\n"
+                     "def f():\n    from scipy.optimize import brentq\n")
+    assert list(_outside_stdlib(tree)) == ["numpy (line 1)",
+                                           "scipy.optimize (line 4)"]

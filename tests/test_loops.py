@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +64,57 @@ def test_no_sign_change_is_no_root():
             "parabola: no sign change over 5 points in [-1, 1]")):
         loops._root("parabola", f,
                     loops._evaluable(f, np.linspace(-1.0, 1.0, 5)))
+
+
+@pytest.fixture(scope="module")
+def scan_grid_calls():
+    """(a, b, n, caller) of every _linspace and _geomspace call of thm4
+    (3,3) ell=0 and thm5 (3,3) ell=1: _displacement_root's, _exit_span's
+    and thm5's cycle scan, with the flank dips' and tails' geometric
+    grids."""
+    calls = {"_linspace": [], "_geomspace": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, seen in calls.items():
+            def recorded(a, b, n, grid=getattr(loops, name), seen=seen):
+                seen.append((a, b, n, sys._getframe(1).f_code.co_name))
+                return grid(a, b, n)
+            mp.setattr(loops, name, recorded)
+        scenario_thm4(canonical_base(3, 3), 0)
+        scenario_thm5(canonical_base(3, 3), 1)
+    return calls
+
+
+def test_linspace_is_numpys_bit_for_bit(scan_grid_calls):
+    calls = scan_grid_calls["_linspace"]
+    assert {f for *_, f in calls} >= {"_displacement_root", "_exit_span",
+                                      "scenario_thm5"}
+    rng = np.random.default_rng(25)
+    scale = 10.0 ** rng.integers(-8, 8, size=(2000, 2))
+    ab = rng.uniform(-1.0, 1.0, size=(2000, 2)) * scale
+    cases = [(a, b, n, "") for (a, b), n
+             in zip(ab.tolist(), rng.integers(2, 200, 2000).tolist())]
+    for a, b, n, _ in calls + cases:
+        assert [v.hex() for v in loops._linspace(a, b, n)] \
+            == [v.hex() for v in np.linspace(a, b, n).tolist()], (a, b, n)
+
+
+def test_geomspace_is_numpys_within_1e_13(scan_grid_calls):
+    # not bit for bit: numpy's log10 and power take SIMD paths on some
+    # CPUs that round differently from libm (loops._geomspace)
+    calls = scan_grid_calls["_geomspace"]
+    assert {f for *_, f in calls} >= {"_displacement_root", "_flank_dip",
+                                      "scenario_thm5"}
+    rng = np.random.default_rng(26)
+    ab = 10.0 ** rng.uniform(-12.0, 12.0, size=(500, 2))
+    cases = [(a, b, n, "") for (a, b), n
+             in zip(ab.tolist(), rng.integers(2, 200, 500).tolist())]
+    for a, b, n, _ in calls + cases:
+        ours = loops._geomspace(a, b, n)
+        assert len(ours) == n and (ours[0], ours[-1]) == (a, b)
+        steps = np.diff(ours) * np.sign(b - a)
+        assert (steps > 0.0).all(), (a, b, n)
+        assert np.allclose(ours, np.geomspace(a, b, n), rtol=1e-13,
+                           atol=0.0), (a, b, n)
 
 
 def test_loops_polishes_through_one_brentq_call():
@@ -563,8 +615,7 @@ def test_every_witness_closure_failure_names_its_witness(monkeypatch, name,
     def off_by_a_micron(*args, **kwargs):
         run = integrate_smooth(*args, **kwargs)
         last = run.arcs[-1]
-        x = last.x.copy()
-        x[-1] += 1e-6
+        x = last.x[:-1] + (last.x[-1] + 1e-6,)
         return dataclasses.replace(
             run, arcs=run.arcs[:-1] + [dataclasses.replace(last, x=x)])
     monkeypatch.setattr(loops, "integrate_smooth", off_by_a_micron)

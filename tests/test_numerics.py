@@ -212,17 +212,18 @@ def test_nudge_integration_is_scipys_solve_ivp():
         theirs = scipy.integrate.solve_ivp(
             rhs, (0.0, h), (-0.2, 0.0), method="DOP853", rtol=flow.RTOL,
             atol=flow.ATOL * 1e-2)
-        assert ours.t.shape == theirs.t.shape and ours.nfev == theirs.nfev
+        assert len(ours.t) == len(theirs.t) and ours.nfev == theirs.nfev
         assert ours.t[0] == theirs.t[0] and ours.t[-1] == theirs.t[-1] == h
-        end, want = ours.y[:, -1], theirs.y[:, -1]
+        assert [len(c) for c in ours.y] == [len(ours.t)] * 2
+        end, want = np.array([c[-1] for c in ours.y]), theirs.y[:, -1]
         tol = flow.ATOL * 1e-2 + flow.RTOL * np.abs(want)
         assert (np.abs(end - want) <= RUN_BOUND * tol).all()
 
 
 def test_the_generated_step_is_the_one_stepper_path():
     # numerics reduces no array (no .dot), its stepper code never names
-    # numpy, and the only arrays it keeps are the tableau: the generic
-    # array path cannot come back beside the generated one
+    # numpy, and the only tables it keeps are the tableau: no stage table
+    # of a generic path can come back beside the generated one
     tree = ast.parse(inspect.getsource(numerics))
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "dot"]
@@ -233,17 +234,29 @@ def test_the_generated_step_is_the_one_stepper_path():
     assert len(stepper) == 5
     assert not [node.lineno for stmt in stepper for node in ast.walk(stmt)
                 if isinstance(node, ast.Name) and node.id == "np"]
-    arrays = sorted(name for name, value in vars(numerics).items()
-                    if isinstance(value, np.ndarray))
-    assert arrays == ["A", "B", "C", "D", "E3", "E5"]
-    assert not [name for name, value in vars(numerics).items()
-                if isinstance(value, (list, tuple)) and value]   # tables
+    tables = sorted(name for name, value in vars(numerics).items()
+                    if not name.startswith("__")
+                    and isinstance(value, (list, tuple, dict, np.ndarray))
+                    and len(value))
+    assert tables == ["A", "B", "C", "D", "E3", "E5"]
     solver = numerics.DOP853(planar, 0.0, [-0.9, 0.1], 1.0,
                              rtol=flow.RTOL, atol=flow.ATOL)
     solver.step()
     dense = solver.dense_output()
     assert not [name for name, value in {**vars(solver), **vars(dense)}.items()
                 if isinstance(value, np.ndarray)]
+
+
+def test_the_tableau_is_scipys_float_for_float():
+    # A and D keep the nonzero entries of SciPy's matrices, C, B, E3 and
+    # E5 its vectors, each float equal to SciPy's
+    from scipy.integrate._ivp import dop853_coefficients as theirs
+    for ours, want in ((numerics.A, theirs.A), (numerics.D, theirs.D)):
+        assert ours == {(i, j): float(v) for (i, j), v
+                        in np.ndenumerate(want) if v}
+    for name in ("B", "C", "E3", "E5"):
+        assert getattr(numerics, name) == getattr(theirs, name).tolist()
+        assert all(type(v) is float for v in getattr(numerics, name))
 
 
 def _brackets(seed=13, n=60):
@@ -317,13 +330,14 @@ assert cli.main(["check", "--seed", "1"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
-# numpy loads numpy.polynomial (about 1 MB resident) only when asked: the
-# event search evaluates its step polynomials on floats
-POLYNOMIAL_GUARD = """
+# the package computes on Python floats: importing numpy alone would cost
+# a run's interpreter about 0.13 s and 13 MB resident
+NUMPY_GUARD = """
 import sys
 from filippov2d import cli
 assert cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
-print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+assert cli.main(["check", "--seed", "1"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
 
 
@@ -346,5 +360,5 @@ def test_a_run_and_a_check_import_no_scipy(tmp_path):
     assert _run_thm2(tmp_path, GUARD) == "[]"
 
 
-def test_a_run_loads_no_numpy_polynomial(tmp_path):
-    assert _run_thm2(tmp_path, POLYNOMIAL_GUARD) == "[]"
+def test_a_run_and_a_check_import_no_numpy(tmp_path):
+    assert _run_thm2(tmp_path, NUMPY_GUARD) == "[]"
