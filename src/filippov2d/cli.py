@@ -15,8 +15,10 @@ words, surrounding spaces ignored. The keys (load_config):
 upper/lower f, phi, m (a side's g is x^m * phi); scenario theorem, ell,
 delta, kind, visibility, window, lambda_plus, lambda_minus,
 expect_tangent_points. A scan run (theorem 1 or none) needs phi and m on
-both sides; without both phi sides, theorems 3-5 unfold
-loops.canonical_base.
+both sides, and m entries in a lambda list (zeros when unset). A key the
+run would not read is refused: a lambda list for theorems 2-5, f or phi
+for theorem 2, and for theorems 3-5 unless both sides set phi (without
+them, theorems 3-5 unfold loops.canonical_base).
 
 ``run`` looks scenario.theorem 2-5 up in one table (_SCENARIOS): the
 theorem's loops.scenario_thmN returns a LoopCensus that already meets its
@@ -148,6 +150,7 @@ def load_config(path) -> RunConfig:
     upper = SideConfig(f="1")
     lower = SideConfig(f="-1")
     cfg = RunConfig(upper=upper, lower=lower)
+    seen: Dict[str, str] = {}   # "section.key" -> where it was last set
 
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -166,6 +169,7 @@ def load_config(path) -> RunConfig:
         if key not in _SECTIONS[section]:
             raise ConfigError(
                 f"{where}: unknown key {key!r} in section {section!r}")
+        seen[f"{section}.{key}"] = where
 
         if section in ("upper", "lower"):
             side = upper if section == "upper" else lower
@@ -221,45 +225,50 @@ def load_config(path) -> RunConfig:
         elif key == "expect_tangent_points":
             cfg.expect_tangent_points = _int_value(raw, where)
 
-    # Theorems 2-5 synthesise both fields from the canonical family, so a
-    # bare upper.m (or nothing at all) is a complete side there; only a scan
-    # run needs concrete vector fields in the config.
+    # theorems 2-5 synthesise their fields: a bare upper.m is a whole config
     needs_fields = cfg.theorem in (None, 1)
-    for name, side in (("upper", upper), ("lower", lower)):
+    for name, side, key in (("upper", upper, "lambda_plus"),
+                            ("lower", lower, "lambda_minus")):
         if needs_fields and side.phi is None:
             raise ConfigError(
                 f"{path.name}: section {name!r} needs phi with m")
         if side.phi is not None and side.m is None:
             raise ConfigError(
                 f"{path.name}: section {name!r} sets phi without m")
+        lam = getattr(cfg, key)
+        if needs_fields and lam and len(lam) != side.m:
+            raise ConfigError(
+                f"{seen['scenario.' + key]}: scenario.{key} needs "
+                f"{name}.m = {side.m} entries, got {len(lam)}")
+    if not needs_fields:   # refuse the keys the theorem would not read
+        fields_read = cfg.theorem != 2 and None not in (upper.phi, lower.phi)
+        for key, where in seen.items():
+            if key.startswith("scenario.lambda") or (
+                    not fields_read and key.endswith((".f", ".phi"))):
+                raise ConfigError(
+                    f"{where}: theorem {cfg.theorem} does not read {key}")
     return cfg
-
-
-def _config_window(cfg: RunConfig) -> Window:
-    return cfg.window or Window(-1.75, 0.75, -2.0, 2.0)
 
 
 def _canonical_for(cfg: RunConfig) -> CanonicalBase:
     """Canonical base from explicit phi sides, else from the multiplicities."""
     if cfg.upper.phi is not None and cfg.lower.phi is not None:
         return CanonicalBase.from_strings(
-            cfg.upper.f, cfg.upper.phi, cfg.upper.m or 0,
-            cfg.lower.f, cfg.lower.phi, cfg.lower.m or 0,
-            _config_window(cfg))
+            cfg.upper.f, cfg.upper.phi, cfg.upper.m,
+            cfg.lower.f, cfg.lower.phi, cfg.lower.m,
+            cfg.window or Window(-1.75, 0.75, -2.0, 2.0))
     m_p = cfg.upper.m if cfg.upper.m is not None else 1
     m_m = cfg.lower.m if cfg.lower.m is not None else m_p
     return canonical_base(m_p, m_m, cfg.window)
 
 
 def _configured_system(cfg: RunConfig) -> PwsSystem:
-    """The system a config describes, before any scenario unfolds it: the
-    canonical base of _canonical_for, split at the lambdas when they are
-    set (the transition system)."""
+    """The config's system before any scenario unfolds it: _canonical_for's
+    base split at the lambdas (a missing list is all zeros)."""
     base = _canonical_for(cfg)
-    if cfg.lambda_plus or cfg.lambda_minus:
-        lam_m = cfg.lambda_minus or (0.0,) * (cfg.lower.m or 0)
-        return build_transition(UnfoldingSpec(base, cfg.lambda_plus, lam_m))
-    return base.system()
+    return build_transition(UnfoldingSpec(
+        base, cfg.lambda_plus or (0.0,) * base.m_plus,
+        cfg.lambda_minus or (0.0,) * base.m_minus))
 
 
 # --------------------------------------------------------------------------

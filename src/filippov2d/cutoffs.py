@@ -2,7 +2,9 @@
 
 cutoff_up(x; r1, r2) is the C-infinity step that is exactly 0 for x <= r1,
 exactly 1 for x >= r2 and 1 / (1 + exp(eta)) in between, with
-eta = 1/(x - r1) + 1/(x - r2). All derivatives vanish at r1 and r2.
+eta = 1/(x - r1) + 1/(x - r2). It is exactly flat (0 or 1, all derivatives
+0) at r1 and r2 and wherever |eta| >= 700, within about 1/700 of either:
+psi is exactly flat at and next to its knots by the cutoff alone.
 
 psi assembles d plateau bumps from a knot vector k of length 3d+1: knots
 k_1 < ... < k_{2d+1}, then d plateau heights. Bump i rises on
@@ -25,7 +27,6 @@ from typing import Optional, Tuple
 from .fieldexpr import Jet, jet_constant, jet_div, jet_exp, jet_variable
 
 _ETA_SAT = 700.0  # exp saturation guard
-_KNOT_TOL = 1e-14
 
 
 def _cutoff_core(x: float, r1: float, r2: float) -> Tuple[float, float]:
@@ -102,14 +103,8 @@ class PsiSpec:
         set_once = object.__setattr__   # frozen: derived once, here
         set_once(self, "knots", ks)
         set_once(self, "heights", hs)
-        # psi's constant value at each knot: 0 at the feet, h_i at peak i
-        set_once(self, "knot_heights",
-                 tuple(hs[j // 2] if j % 2 else 0.0 for j in range(len(ks))))
         set_once(self, "_ascending",
                  all(a < b for a, b in zip(ks[:-1], ks[1:])))
-        # how near a knot x is taken to be at it (_psi_piece)
-        set_once(self, "_knot_tols",
-                 tuple(_KNOT_TOL * max(1.0, abs(k)) for k in ks))
 
     @property
     def fallback_height(self) -> float:
@@ -129,21 +124,16 @@ class PsiSpec:
 
 
 def _psi_piece(spec: PsiSpec, x: float):
-    """(h, r1, r2, falling): psi = h * cutoff_up(x; r1, r2) near x (h *
-    (1 - cutoff_up) if falling), or the constant h if r1 is None: off the
-    support and within _KNOT_TOL of a knot, where all derivatives vanish.
-    Bisection finds the knots on either side of x; only those two take the
-    tolerance test, the lower one first."""
+    """(h, r1, r2, falling): psi = h * cutoff_up(x; r1, r2) on the piece
+    (r1, r2] that bisection finds x in (h * (1 - cutoff_up) if falling),
+    or 0 with r1 None off the support. No knot takes a tolerance test:
+    the cutoff alone is flat next to a knot (module docstring)."""
     if not spec._ascending:
         if spec.r1 is None or spec.r2 is None:
             raise ValueError("degenerate knots need a fallback (r1, r2) window")
         return spec.fallback_height, spec.r1, spec.r2, False
     ks = spec.knots
     j = bisect_left(ks, x)   # ks[j - 1] < x <= ks[j]
-    if j and x - ks[j - 1] <= spec._knot_tols[j - 1]:
-        return spec.knot_heights[j - 1], None, None, False
-    if j < len(ks) and ks[j] - x <= spec._knot_tols[j]:
-        return spec.knot_heights[j], None, None, False
     if j == 0 or j == len(ks):   # off the support (or x is nan)
         return 0.0, None, None, False
     # bump (j - 1) // 2 rises on an even piece j - 1 and falls on an odd one

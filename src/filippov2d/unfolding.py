@@ -5,18 +5,17 @@ tangency of multiplicity m at the origin on each side with g-factor phi
 bounded away from zero. Two perturbation layers are applied:
 
 * transition: replace x^m by the product prod_i (x - lambda_i), splitting
-  the base tangency into simple ones at the lambda values;
-* shear: compose with the vertical shear y -> y + psi(x) built from smooth
-  plateau profiles. Both components of a sheared side are one formula,
+  the base tangency into simple ones at the lambda values: the fields
+  f^ = f and g^ = phi * prod(x - lambda_i) of build_transition;
+* shear: compose the transition side with the vertical shear
+  y -> y + psi(x) built from smooth plateau profiles. Both components of
+  a sheared side read the transition's fields at u = y + psi(x),
 
-      F(x, y) = a(x, u) * prod(x - lambda_i) - b(x, u) * psi'(x),
-      u = y + psi(x),
+      f~(x, y) = f^(x, u),   g~(x, y) = g^(x, u) - f^(x, u) * psi'(x).
 
-  with f~ = f(x, u) (a = f, no lambdas, no b) and
-  g~ = phi(x, u) * prod(x - lambda_i) - f(x, u) * psi'(x) (a = phi,
-  b = f). ShearedField is that formula, compiled to Python source; the
-  side function of a sheared pair evaluates psi, psi', u and f(x, u) once
-  for both components, so one flow RHS point evaluates psi once.
+  ShearedField is that formula, compiled to Python source; the side
+  function of a sheared pair evaluates psi, psi', u and f^(x, u) once for
+  both components, so one flow RHS point evaluates psi once.
 
 The shear is an exact conjugacy between the transition flow and the
 unfolded flow: gamma~(t; x0, y0 - psi(x0)) = gamma^(t; x0, y0) shifted by
@@ -41,8 +40,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from .cutoffs import PsiSpec, _psi_core, psi_jet, zero_psi
 from . import fieldexpr
 from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
-                        as_field, expr_jet, jet_mul,
-                        jet_variable)
+                        as_field, expr_jet, jet_mul, jet_variable)
 # this module calls no numerics.solve_ivp; it stays bound here because
 # perfbench/tracing.py wraps it on every layer
 from .numerics import solve_ivp  # noqa: F401
@@ -69,29 +67,18 @@ class CanonicalBase:
                    window)
 
     def system(self) -> PwsSystem:
-        gp = _g_expr(self.phi_plus, [0.0] * self.m_plus)
-        gm = _g_expr(self.phi_minus, [0.0] * self.m_minus)
-        return PwsSystem(self.f_plus, gp, self.f_minus, gm, self.window)
+        """The base system: the transition of the zero split."""
+        return build_transition(UnfoldingSpec(
+            self, (0.0,) * self.m_plus, (0.0,) * self.m_minus))
 
 
 def _monic_product_expr(lambdas: Sequence[float]) -> Expr:
-    """prod (x - lambda_i) as an expression; x^m when all lambdas vanish."""
-    m = len(lambdas)
+    """prod (x - lambda_i) as an expression, left to right (m >= 1); a zero
+    lambda's factor is x, and the product x^m when all lambdas vanish."""
     x = Var("x")
-    if m == 0:
-        return Num(1.0)
-    if all(l == 0.0 for l in lambdas):
-        return x if m == 1 else Pow(x, m)
-    out: Expr | None = None
-    for l in lambdas:
-        factor = x if l == 0.0 else Sub(x, Num(float(l)))
-        out = factor if out is None else Mul(out, factor)
-    return out
-
-
-def _g_expr(phi: ScalarField, lambdas: Sequence[float]) -> ScalarField:
-    return ScalarField(Mul(phi.expr, _monic_product_expr(lambdas))
-                       if len(lambdas) else phi.expr)
+    if not any(lambdas):
+        return x if len(lambdas) == 1 else Pow(x, len(lambdas))
+    return reduce(Mul, (Sub(x, Num(l)) if l else x for l in lambdas))
 
 
 @dataclass
@@ -103,28 +90,21 @@ class UnfoldingSpec:
     psi_minus: Optional[PsiSpec] = None
 
     def __post_init__(self):
-        self.lambda_plus = tuple(float(v) for v in self.lambda_plus)
-        self.lambda_minus = tuple(float(v) for v in self.lambda_minus)
-        if len(self.lambda_plus) != self.base.m_plus:
-            raise ValueError(f"lambda_plus needs {self.base.m_plus} entries")
-        if len(self.lambda_minus) != self.base.m_minus:
-            raise ValueError(f"lambda_minus needs {self.base.m_minus} entries")
+        for key, m in (("lambda_plus", self.base.m_plus),
+                       ("lambda_minus", self.base.m_minus)):
+            setattr(self, key, tuple(float(v) for v in getattr(self, key)))
+            if len(getattr(self, key)) != m:
+                raise ValueError(f"{key} needs {m} entries")
 
 
 def build_transition(spec: UnfoldingSpec) -> PwsSystem:
     """The lambda-layer only: g-sides become phi * prod(x - lambda_i)."""
     b = spec.base
-    return PwsSystem(
-        b.f_plus, _g_expr(b.phi_plus, spec.lambda_plus),
-        b.f_minus, _g_expr(b.phi_minus, spec.lambda_minus), b.window)
-
-
-def _shear_jets(psi_spec: PsiSpec, x: float, y: float,
-                order: int) -> Tuple[Jet, Jet, Jet]:
-    """Input jets x + t and y + psi(x + t), and the jet of psi'(x + t)."""
-    p = psi_jet(psi_spec, x, order + 1)
-    return (jet_variable(x, order), [y + p[0]] + p[1:-1],
-            [k * p[k] for k in range(1, order + 2)])
+    g_plus, g_minus = (ScalarField(Mul(phi.expr, _monic_product_expr(lam))
+                                   if lam else phi.expr)
+                       for phi, lam in ((b.phi_plus, spec.lambda_plus),
+                                        (b.phi_minus, spec.lambda_minus)))
+    return PwsSystem(b.f_plus, g_plus, b.f_minus, g_minus, b.window)
 
 
 _SHEARED_SOURCE = """def fn(x, y):
@@ -134,64 +114,47 @@ _SHEARED_SOURCE = """def fn(x, y):
 """
 
 
-def _compile_sheared(spec: PsiSpec, terms) -> Callable:
-    """One generated fn(x, y) for components a(x, u) * prod(x - l_i) -
-    b(x, u) * psi'(x), u = y + psi(x), one (a, lambdas, b) tree triple
-    each (b may be None): psi and psi' are evaluated once, u is formed
-    once and each distinct tree is evaluated once, at (x, u). Returns the
-    value of one component, or the tuple of several."""
+def _compile_sheared(spec: PsiSpec, fields) -> Callable:
+    """One generated fn(x, y) for sheared fields of one profile: psi, psi'
+    and u once, and each distinct transition field once, at (x, u); the
+    value of one field, or the tuple of several."""
     local = {}   # id of a tree -> (the name of its value, the tree)
 
-    def name(tree: Expr) -> Var:
-        return Var(local.setdefault(id(tree), (f"v{len(local)}", tree))[0])
-    outs = []
-    for a, lambdas, b in terms:
-        out = name(a)
-        if lambdas:   # left to right, in the order the factors are given
-            out = Mul(out, reduce(Mul, (Sub(Var("x"), Num(l))
-                                        for l in lambdas)))
-        if b is not None:
-            out = Sub(out, Mul(name(b), Var("dp")))
-        outs.append(out)
+    def name(tree: Expr) -> str:
+        return local.setdefault(id(tree), (f"v{len(local)}", tree))[0]
+    outs = [name(fl._hat.expr) if fl._f is None
+            else f"{name(fl._hat.expr)} - {name(fl._f.expr)} * dp"
+            for fl in fields]
     lets = "".join(f"    {v} = {fieldexpr._codegen(t)}\n"
                    for v, t in local.values())
-    src = _SHEARED_SOURCE.format(lets=lets, out=", ".join(
-        fieldexpr._codegen(e) for e in outs))
+    src = _SHEARED_SOURCE.format(lets=lets, out=", ".join(outs))
     scope = dict(fieldexpr.CODEGEN_NAMES, _psi_core=_psi_core, _spec=spec)
     exec(src, scope)  # noqa: S102 - source generated from our own AST
     return scope["fn"]
 
 
 class ShearedField:
-    """F(x, y) = a(x, u) * prod(x - l_i) - b(x, u) * psi'(x), u = y + psi(x);
-    a and b are ScalarFields, and the product and the b term are left out
-    when there are no lambdas or no b.
+    """A transition field hat sheared by the profile psi:
+    F(x, y) = hat(x, u) - f(x, u) * psi'(x), u = y + psi(x), where f is
+    the side's transition f for g~ and None (no psi' term) for f~.
 
     The value is compiled from _compile_sheared on first use, and so is
     the side function that :meth:`side_with` pairs two fields of one
     profile into; x-derivatives of any order come from :meth:`x_jet`."""
 
-    def __init__(self, a, spec: PsiSpec, lambdas: Sequence[float] = (),
-                 b=None):
-        self._a = a
+    def __init__(self, hat: ScalarField, spec: PsiSpec,
+                 f: Optional[ScalarField] = None):
+        self._hat = hat
         self._spec = spec
-        self._lambdas = tuple(float(v) for v in lambdas)
-        self._b = b
-        self._a_hat = _g_expr(a, self._lambdas).expr  # a * P, unsheared
+        self._f = f
         self._compiled = {}   # '' (value) or a side's g
-
-    def _terms(self):
-        """The (a, lambdas, b) trees of the value."""
-        return (self._a.expr, self._lambdas,
-                None if self._b is None else self._b.expr)
 
     def _fn(self, key):
         """The compiled value ('') or side with the g `key`."""
         fn = self._compiled.get(key)
         if fn is None:
-            terms = [self._terms()] if isinstance(key, str) \
-                else [self._terms(), key._terms()]
-            fn = self._compiled[key] = _compile_sheared(self._spec, terms)
+            fields = (self,) if isinstance(key, str) else (self, key)
+            fn = self._compiled[key] = _compile_sheared(self._spec, fields)
         return fn
 
     def value(self, x: float, y: float) -> float:
@@ -205,22 +168,23 @@ class ShearedField:
         return self._fn(g)
 
     def x_jet(self, x: float, y: float, order: int) -> Jet:
-        xj, u, dp = _shear_jets(self._spec, x, y, order)
-        a_jet = expr_jet(self._a_hat, xj, u)
-        if self._b is None:
-            return a_jet
-        b_dp = jet_mul(expr_jet(self._b.expr, xj, u), dp)
-        return [a - b for a, b in zip(a_jet, b_dp)]
+        p = psi_jet(self._spec, x, order + 1)
+        xj, u = jet_variable(x, order), [y + p[0]] + p[1:-1]
+        hat_jet = expr_jet(self._hat.expr, xj, u)
+        if self._f is None:
+            return hat_jet
+        dp = [k * p[k] for k in range(1, order + 2)]
+        f_dp = jet_mul(expr_jet(self._f.expr, xj, u), dp)
+        return [a - b for a, b in zip(hat_jet, f_dp)]
 
 
-def _sheared_side(f, phi, lambdas: Sequence[float],
-                  psi_spec: Optional[PsiSpec], plain):
-    """(f~, g~) of one side, sheared by one profile; `plain`, the
-    transition pair, when the profile is zero."""
+def _sheared_side(side, psi_spec: Optional[PsiSpec]):
+    """(f~, g~): the transition side (f^, g^) sheared by psi_spec, or the
+    side itself when psi_spec is zero."""
     if zero_psi(psi_spec):
-        return plain
-    return (ShearedField(f, psi_spec),
-            ShearedField(phi, psi_spec, lambdas, f))
+        return side
+    f, g = side
+    return ShearedField(f, psi_spec), ShearedField(g, psi_spec, f)
 
 
 def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
@@ -232,14 +196,11 @@ def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
     keeps that transition system and psi+ (None when zero); an unsheared
     side is the transition's own pair.
     """
-    b = spec.base
     trans = build_transition(spec)
     if zero_psi(spec.psi_plus) and zero_psi(spec.psi_minus):
         return trans
-    f_p, g_p = _sheared_side(b.f_plus, b.phi_plus, spec.lambda_plus,
-                             spec.psi_plus, trans.upper())
-    f_m, g_m = _sheared_side(b.f_minus, b.phi_minus, spec.lambda_minus,
-                             spec.psi_minus, trans.lower())
-    return PwsSystem(f_p, g_p, f_m, g_m, b.window,
+    f_p, g_p = _sheared_side(trans.upper(), spec.psi_plus)
+    f_m, g_m = _sheared_side(trans.lower(), spec.psi_minus)
+    return PwsSystem(f_p, g_p, f_m, g_m, trans.window,
                      transition=(trans, None if zero_psi(spec.psi_plus)
                                  else spec.psi_plus))

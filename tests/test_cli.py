@@ -40,6 +40,9 @@ def test_bad_window_is_a_config_error(tmp_path, capsys, bounds):
 
 # each bad line after a comment line (line 1), and its refusal; the last
 # two configs are complete only at their end, so no line is named
+# a scan config on lines 2-6: upper.m = 3, lower.m = 1
+_SCAN = ('scenario.theorem = 1\nupper.phi = "1"\nupper.m = 3\n'
+         'lower.phi = "1"\nlower.m = 1\n')
 _REFUSALS = [
     ('upper.f = 1', "run.cfg:2: expression values must be quoted strings"),
     ('upper.f = "1 +"', "run.cfg:2: unexpected end of input (at byte 3)"),
@@ -69,6 +72,18 @@ _REFUSALS = [
      "(at byte 4)"),
     ('upper.phi = "' + " + ".join(["x"] * 602) + '"',
      "run.cfg:2: operations nested deeper than 600 levels (at byte 2)"),
+    (_SCAN + "scenario.lambda_plus = -0.1 0.1",
+     "run.cfg:7: scenario.lambda_plus needs upper.m = 3 entries, got 2"),
+    (_SCAN + "scenario.lambda_minus = -0.1 0.1",
+     "run.cfg:7: scenario.lambda_minus needs lower.m = 1 entries, got 2"),
+    ('scenario.theorem = 2\nupper.f = "2"',
+     "run.cfg:3: theorem 2 does not read upper.f"),
+    ('scenario.theorem = 4\nupper.m = 5\nupper.f = "2"',
+     "run.cfg:4: theorem 4 does not read upper.f"),
+    ('scenario.theorem = 5\nlower.phi = "1"\nlower.m = 3',
+     "run.cfg:3: theorem 5 does not read lower.phi"),
+    ("scenario.theorem = 3\nscenario.lambda_minus = 0.1",
+     "run.cfg:3: theorem 3 does not read scenario.lambda_minus"),
 ]
 
 
@@ -94,6 +109,23 @@ def test_scan_config_scans_the_tangent_points_of_its_g(tmp_path, capsys):
     assert [(float(r[0]), r[1], r[2]) for r in rows] == [
         (pytest.approx(-0.5, abs=1e-9), "0", "1"),
         (pytest.approx(0.25, abs=1e-9), "1", "0")]
+
+
+def test_scan_config_without_one_lambda_list_splits_that_side_at_0(
+        tmp_path, capsys):
+    # upper.m = 1 with no lambda_plus: g+ = x, a tangency at 0
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, 'scenario.theorem = 1\nupper.phi = "1"\n'
+                       'upper.m = 1\nlower.phi = "1"\nlower.m = 2\n'
+                       'scenario.lambda_minus = -0.5 0.25\n')
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert "tangent_points=3" in capsys.readouterr().out.splitlines()
+    _, rows = cli._read_table(out / "tangent_points.csv",
+                              cli.TANGENT_CSV_VERSION)
+    assert [(float(r[0]), r[1], r[2]) for r in rows] == [
+        (pytest.approx(-0.5, abs=1e-9), "0", "1"),
+        (pytest.approx(0.0, abs=1e-9), "1", "0"),
+        (pytest.approx(0.25, abs=1e-9), "0", "1")]
 
 
 def test_a_field_nested_200_deep_still_runs(tmp_path, capsys):
@@ -282,7 +314,7 @@ ARTIFACT_SHA1 = {
         "portrait.svg": "e9f0978c103078ca4ef53b9263ec250c89787391",
         "tangent_points.csv": "47cf0286d5c2ce8a491da6d35d96f8560993cf1d",
         "trajectories/critical_l2.csv":
-            "82138c956d18e9299488b6167f754510d7cc403a",
+            "055f564c9b99f9c3bf6a38027472e266c4a054ac",
     }),
 }
 

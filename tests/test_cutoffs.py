@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from filippov2d import (PsiSpec, cutoff_jet, cutoff_up, cutoffs, psi,
                         psi_jet, zero_psi)
-from filippov2d.cutoffs import _KNOT_TOL, _cutoff_core, _psi_core, _psi_piece
+from filippov2d.cutoffs import _cutoff_core, _psi_core, _psi_piece
+from filippov2d.loops import (_negative_cluster, _pinned_knots,
+                              _positive_cluster)
 
 
 def cutoff_up_d1(x, r1, r2):
@@ -175,26 +177,18 @@ def test_psi_spec_support_and_heights():
 
 
 def _psi_piece_by_scan(spec, x):
-    """The linear knot scan that _psi_piece's bisection replaced: every
-    knot takes the tolerance test, in order."""
+    """The linear piece scan that _psi_piece's bisection replaced: x's
+    piece is the first (left, right] that holds it, none off the support;
+    no knot takes a tolerance test."""
     if not spec.in_knot_domain():
         if spec.r1 is None or spec.r2 is None:
             raise ValueError("degenerate knots need a fallback (r1, r2) window")
         return spec.fallback_height, spec.r1, spec.r2, False
     ks = spec.knots
-    hs = spec.heights
-    for j, kj in enumerate(ks):
-        if abs(x - kj) <= _KNOT_TOL * max(1.0, abs(kj)):
-            return (hs[j // 2] if j % 2 == 1 else 0.0), None, None, False
-    if x <= ks[0] or x >= ks[-1]:
-        return 0.0, None, None, False
-    for i in range(spec.d):
-        left, peak, right = ks[2 * i], ks[2 * i + 1], ks[2 * i + 2]
-        if left < x <= peak:
-            return hs[i], left, peak, False
-        if peak < x <= right:
-            return hs[i], peak, right, True
-    return 0.0, None, None, False
+    pieces = [(spec.heights[i // 2], ks[i], ks[i + 1], i % 2 == 1)
+              for i in range(2 * spec.d)]
+    return next((p for p in pieces if p[1] < x <= p[2]),
+                (0.0, None, None, False))
 
 
 def _psi_core_by_scan(spec, x):
@@ -218,8 +212,7 @@ def _assert_piece_matches_scan(spec, x):
 
 @st.composite
 def ascending_specs(draw):
-    # gaps far above the knot tolerance, so at most one knot lies within
-    # it of any x ("the knot at x" is then well defined)
+    # gaps far above 1e-14, the offsets the test takes around each knot
     d = draw(st.integers(1, 3))
     start = draw(st.floats(-20.0, 20.0))
     gaps = draw(st.lists(st.floats(1e-6, 3.0), min_size=2 * d,
@@ -238,8 +231,8 @@ def test_psi_piece_bisection_matches_the_scan(spec, x):
     ks = spec.knots
     xs = [x, ks[0] - 1.0, ks[-1] + 1.0]   # x, and off the support
     xs += [0.5 * (a + b) for a, b in zip(ks, ks[1:])]   # inside each piece
-    for k in ks:   # at each knot, at its tolerance and just beyond it
-        tol = _KNOT_TOL * max(1.0, abs(k))
+    for k in ks:   # at each knot, 1e-14 (relative) off it and beyond
+        tol = 1e-14 * max(1.0, abs(k))
         xs += [k, k - tol, k + tol, math.nextafter(k - tol, -math.inf),
                math.nextafter(k + tol, math.inf), k - 2.0 * tol,
                k + 2.0 * tol]
@@ -257,3 +250,36 @@ def test_psi_piece_fallback_matches_the_scan(k, h, x):
     for piece in (_psi_piece, _psi_piece_by_scan):
         with pytest.raises(ValueError, match="fallback"):
             piece(bare, x)
+
+
+def _scenario_profiles(delta):
+    """The knots of every thm2-thm5 plateau profile at m = 3, 5, 7, with
+    made-up positive heights: thm2's invisible and visible clusters and
+    the pinned knots of thm3-thm5."""
+    for m in (3, 5, 7):
+        pos, neg = _positive_cluster(m, delta), _negative_cluster(m, delta)
+        for knots in (pos, (0.5 * delta,) + pos + (pos[-1] + 0.5 * delta,),
+                      _pinned_knots(neg, delta)):
+            d = (len(knots) - 1) // 2
+            yield PsiSpec(d, tuple(knots) + tuple(10.0 ** -(i + 3)
+                                                  for i in range(d)))
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
+def test_psi_is_flat_at_every_scenario_knot_by_the_cutoff_alone(delta):
+    # at a knot, its 8 nextafter neighbours each way and 1e-14 (relative)
+    # off it, psi is exactly its knot value (0 at a foot, h at a peak),
+    # psi' is 0 and the jet is constant, with no knot snapping
+    for spec in _scenario_profiles(delta):
+        for j, k in enumerate(spec.knots):
+            want = spec.heights[j // 2] if j % 2 else 0.0
+            tol = 1e-14 * max(1.0, abs(k))
+            xs = [k, k - tol, k + tol]
+            for way in (-math.inf, math.inf):
+                x = k
+                for _ in range(8):
+                    x = math.nextafter(x, way)
+                    xs.append(x)
+            for x in xs:
+                assert _psi_core(spec, x) == (want, 0.0), (spec, x)
+                assert psi_jet(spec, x, 8) == [want] + [0.0] * 8, (spec, x)

@@ -1,15 +1,20 @@
 """Transition systems and sheared unfoldings."""
 
+import ast
+import inspect
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from filippov2d import (CanonicalBase, PsiSpec, UnfoldingSpec, Window,
-                        build_transition, build_unfolded, canonical_base)
-from filippov2d.cutoffs import _psi_core
+                        build_transition, build_unfolded, canonical_base,
+                        scenario_thm3, scenario_thm4, scenario_thm5, unfolding)
+from filippov2d.cutoffs import _psi_core, zero_psi
 from filippov2d.loops import _negative_cluster, _pinned_knots, _plateau_psi
+from filippov2d.system import _side_fn
 
 W = Window(-1.0, 1.0, -1.0, 1.0)
 
@@ -198,7 +203,7 @@ SHEARED_PINS = [
         '0x0.0p+0',
     )),
     ((-0.05, 0.004), 'g_minus', (
-        '-0x1.da6f3b90e98bdp-20',
+        '-0x1.da6f3b90e98bcp-20',
         '-0x1.da6f3b90e98bdp-20', '0x1.6e107ed344b63p-13', '-0x1.c0fa9c12f09dbp-8',
         '0x1.0fa6defc7a399p-3', '-0x1.3d2a305532618p+0', '0x1.f3edfa43fe5cap+1',
         '0x1.c000000000000p+2',
@@ -223,3 +228,45 @@ def test_sheared_components_are_pinned(point, comp, want):
                         (plain, getattr(plain, comp).value(x, y).hex())):
         f, g = sys_.side(which)
         assert f.side_with(g)(x, y)[i].hex() == value
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda: scenario_thm3(canonical_base(5, 5), 2, "critical"),
+    lambda: scenario_thm4(canonical_base(5, 5), 1),
+    lambda: scenario_thm5(canonical_base(3, 3), 1),
+], ids=["thm3_55_cri_l2", "thm4_55_l1", "thm5_33_l1"])
+def test_sheared_sides_are_the_transition_sides_at_u_bit_for_bit(scenario):
+    # the conjugacy itself: on each sheared side of a scenario's final
+    # system, (f~, g~)(x, y) = (f^, g^ - f^ * psi')(x, y + psi(x)), with
+    # (f^, g^) the transition system's own side function
+    spec = scenario().spec
+    system = build_unfolded(spec)
+    hat, _ = system.transition
+    rng = random.Random(26)
+    w = system.window
+    for which, psi_spec in (("upper", spec.psi_plus),
+                            ("lower", spec.psi_minus)):
+        if zero_psi(psi_spec):
+            assert system.side(which) == hat.side(which)
+            continue
+        sheared, plain = _side_fn(*system.side(which)), _side_fn(
+            *hat.side(which))
+        for _ in range(2000):
+            x, y = rng.uniform(w.x_lo, w.x_hi), rng.uniform(-0.2, 0.2)
+            p, dp = _psi_core(psi_spec, x)
+            f, g = plain(x, y + p)
+            assert [v.hex() for v in sheared(x, y)] \
+                == [f.hex(), (g - f * dp).hex()], (which, x, y)
+
+
+def test_the_lambda_product_and_the_sheared_fields_have_one_builder():
+    # build_transition's product is the only lambda product: a sheared
+    # field reads its transition fields instead of building its own
+    tree = ast.parse(inspect.getsource(unfolding))
+
+    def callers(name):
+        return {getattr(stmt, "name", "<module>") for stmt in tree.body
+                for node in ast.walk(stmt) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name}
+    assert callers("ShearedField") == {"_sheared_side"}
+    assert callers("Sub") == callers("Pow") == {"_monic_product_expr"}
