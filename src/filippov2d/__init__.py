@@ -28,7 +28,7 @@ from .loops import (CensusMismatch, LoopCensus, LoopRecord, RangeError,
                     VerificationFailed, canonical_base,
                     canonical_critical_loop, find_crossing_cycles,
                     scenario_thm2, scenario_thm3, scenario_thm4,
-                    scenario_thm5)
+                    scenario_thm5, thm2_base)
 from .cli import (ConfigError, RunConfig, load_config, read_census_csv,
                   read_trajectory_csv, render_portrait, run_scenario,
                   trajectory_to_csv, write_census_csv,

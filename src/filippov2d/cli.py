@@ -8,17 +8,20 @@ portrait <config>  render the configured system without running a census
                    (both write into --out, by default ./out)
 check              built-in self-test battery (seeded)
 
-Config files are line-oriented ``section.key = value`` with the sections
-upper, lower and scenario; where artifacts go is --out's alone. Field
-expressions are quoted strings; everything else is plain decimal / bare
-words, surrounding spaces ignored. The keys (load_config):
-upper/lower f, phi, m (a side's g is x^m * phi); scenario theorem, ell,
-delta, kind, visibility, window, lambda_plus, lambda_minus,
-expect_tangent_points. A scan run (theorem 1 or none) needs phi and m on
-both sides, and m entries in a lambda list (zeros when unset). A key the
-run would not read is refused: a lambda list for theorems 2-5, f or phi
-for theorem 2, and for theorems 3-5 unless both sides set phi (without
-them, theorems 3-5 unfold loops.canonical_base).
+Config files are line-oriented ``section.key = value``, each key on one
+line at most; --out alone says where artifacts go. Field expressions are
+quoted strings; everything else is plain decimal / bare words, surrounding
+spaces ignored. A config picks a run, a scan (1: scenario.theorem 1 or
+unset) or theorem 2-5, and load_config refuses every key (_KEYS) that run
+does not read; a starred run reads its key only when both sides set phi:
+    upper.f upper.phi lower.f lower.phi: 1 3* 4* 5*
+    upper.m lower.m scenario.theorem scenario.expect_tangent_points: 1 2 3 4 5
+    scenario.ell scenario.delta: 2 3 4 5; scenario.window: 1 3 4 5
+    scenario.kind: 3; scenario.visibility: 2
+    scenario.lambda_plus scenario.lambda_minus: 1
+A side's g is x^m * phi. Every run needs upper.m, and every run but
+theorem 2 (which accepts lower.m unread) lower.m; a scan needs phi on both
+sides, and m entries in a lambda list (zeros when unset).
 
 ``run`` looks scenario.theorem 2-5 up in one table (_SCENARIOS): the
 theorem's loops.scenario_thmN returns a LoopCensus that already meets its
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fieldexpr import ParseError, ScalarField, parse_expr
+from .fieldexpr import ScalarField, parse_expr
 # decompose_sigma stays bound here for tracers that wrap it by module
 from .system import (PwsSystem, Window, decompose_sigma, h_value,  # noqa: F401
                      sliding_convex_coefficient, sliding_field)
@@ -59,7 +62,7 @@ from .unfolding import CanonicalBase, UnfoldingSpec, build_transition, \
 from .cutoffs import cutoff_up
 from .loops import (CensusMismatch, LoopCensus, LoopRecord, canonical_base,
                     canonical_critical_loop, scenario_thm2, scenario_thm3,
-                    scenario_thm4, scenario_thm5)
+                    scenario_thm4, scenario_thm5, thm2_base)
 
 
 class ConfigError(ValueError):
@@ -92,66 +95,83 @@ class RunConfig:
     expect_tangent_points: Optional[int] = None
 
 
-_SECTIONS = {
-    "upper": {"f", "phi", "m"},
-    "lower": {"f", "phi", "m"},
-    "scenario": {"theorem", "ell", "delta", "kind", "visibility", "window",
-                 "lambda_plus", "lambda_minus", "expect_tangent_points"},
+def _expr(raw: str) -> str:
+    if len(raw) < 2 or raw[0] not in "\"'" or raw[-1] != raw[0]:
+        raise ValueError("expression values must be quoted strings")
+    parse_expr(raw[1:-1])
+    return raw[1:-1]
+
+
+def _number(convert, noun: str):
+    def parse(raw: str):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValueError(f"expected {noun}, got {raw!r}") from None
+    return parse
+
+
+_int, _float = _number(int, "an integer"), _number(float, "a number")
+
+
+def _floats(raw: str) -> Tuple[float, ...]:
+    parts = raw.replace(",", " ").split()
+    if not parts:
+        raise ValueError("expected numbers")
+    return tuple(map(_float, parts))
+
+
+def _window(raw: str) -> Window:
+    bounds = _floats(raw)
+    if len(bounds) != 4:
+        raise ValueError("scenario.window wants x_lo x_hi y_lo y_hi")
+    try:
+        return Window(*bounds)
+    except ValueError as exc:
+        raise ValueError(f"scenario.window: {exc}") from None
+
+
+_KINDS = {"cro": "crossing", "crossing": "crossing",
+          "cri": "critical", "critical": "critical"}
+_COUNT = (lambda n: n >= 0, ">= 0, got {}")
+_ALL, _THEOREMS, _WITH_PHI = (1, 2, 3, 4, 5), (2, 3, 4, 5), (3, 4, 5)
+
+# section.key -> (parser, test, runs, runs_with_phi): the parser raises
+# ValueError; a value failing test = (ok, rule) is refused as '<key> must
+# be <rule>' (the value fills a {}); runs read the key (1 is a scan), and
+# runs_with_phi read it only when both sides set phi.
+_KEYS = {
+    "upper.f": (_expr, None, (1,), _WITH_PHI),
+    "upper.phi": (_expr, None, (1,), _WITH_PHI),
+    "upper.m": (_int, _COUNT, _ALL, ()),
+    "lower.f": (_expr, None, (1,), _WITH_PHI),
+    "lower.phi": (_expr, None, (1,), _WITH_PHI),
+    # theorem 2 has no lower multiplicity, but accepts lower.m unread: the
+    # benchmark's thm2 configs set it, and their round trip reads it back
+    "lower.m": (_int, _COUNT, _ALL, ()),
+    "scenario.theorem": (_int, (lambda n: 1 <= n <= 5, "1..5"), _ALL, ()),
+    "scenario.ell": (_int, (lambda n: n >= 0, ">= 0"), _THEOREMS, ()),
+    "scenario.delta": (_float, (lambda d: d > 0.0, "> 0"), _THEOREMS, ()),
+    "scenario.kind": (lambda raw: _KINDS.get(raw.lower()),
+                      (bool, "cro or cri"), (3,), ()),
+    "scenario.visibility": (str.upper, (lambda v: v in ("V", "I", "L", "R"),
+                                        "one of V I L R"), (2,), ()),
+    "scenario.window": (_window, None, (1, 3, 4, 5), ()),
+    "scenario.lambda_plus": (_floats, None, (1,), ()),
+    "scenario.lambda_minus": (_floats, None, (1,), ()),
+    "scenario.expect_tangent_points": (_int, _COUNT, _ALL, ()),
 }
 
 
-def _unquote(raw: str, where: str) -> str:
-    if len(raw) >= 2 and raw[0] in "\"'" and raw[-1] == raw[0]:
-        return raw[1:-1]
-    raise ConfigError(f"{where}: expression values must be quoted strings")
-
-
-def _expr_value(raw: str, where: str) -> str:
-    text = _unquote(raw, where)
-    try:
-        parse_expr(text)
-    except ParseError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return text
-
-
-def _int_value(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}") \
-            from exc
-
-
-def _float_value(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected a number, got {raw!r}") from exc
-
-
-def _floats_value(raw: str, where: str) -> Tuple[float, ...]:
-    parts = raw.replace(",", " ").split()
-    if not parts:
-        raise ConfigError(f"{where}: expected numbers")
-    return tuple(_float_value(p, where) for p in parts)
-
-
 def load_config(path) -> RunConfig:
-    """Parse and validate a line-oriented run configuration.
-
-    Every non-blank, non-comment line must read ``section.key = value``;
-    errors carry the file name and line number. A side's g is
-    x^m * phi: a scan run (theorem 1 or none) needs phi and m on both.
-    """
+    """Parse each line through its key's parser and test in _KEYS, then
+    refuse every key the run does not read and every side lacking what the
+    run needs; a ConfigError names the file, and the line if there is one."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{path}: no such config file")
-    upper = SideConfig(f="1")
-    lower = SideConfig(f="-1")
-    cfg = RunConfig(upper=upper, lower=lower)
-    seen: Dict[str, str] = {}   # "section.key" -> where it was last set
-
+    cfg = RunConfig(upper=SideConfig(f="1"), lower=SideConfig(f="-1"))
+    set_on: Dict[str, int] = {}   # "section.key" -> the line that set it
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -162,104 +182,63 @@ def load_config(path) -> RunConfig:
         lhs, raw = (part.strip() for part in stripped.split("=", 1))
         if "." not in lhs:
             raise ConfigError(f"{where}: keys are written section.key")
-        section, key = lhs.split(".", 1)
-        section, key = section.strip(), key.strip()
-        if section not in _SECTIONS:
-            raise ConfigError(f"{where}: unknown section {section!r}")
-        if key not in _SECTIONS[section]:
+        section, name = (part.strip() for part in lhs.split(".", 1))
+        key = f"{section}.{name}"
+        if key not in _KEYS:
+            if section not in {k.split(".")[0] for k in _KEYS}:
+                raise ConfigError(f"{where}: unknown section {section!r}")
             raise ConfigError(
-                f"{where}: unknown key {key!r} in section {section!r}")
-        seen[f"{section}.{key}"] = where
-
-        if section in ("upper", "lower"):
-            side = upper if section == "upper" else lower
-            if key == "f":
-                side.f = _expr_value(raw, where)
-            elif key == "phi":
-                side.phi = _expr_value(raw, where)
-            else:
-                side.m = _int_value(raw, where)
-                if side.m < 0:
-                    raise ConfigError(
-                        f"{where}: {section}.m must be >= 0, got {side.m}")
-        elif key == "theorem":
-            cfg.theorem = _int_value(raw, where)
-            if cfg.theorem not in (1, 2, 3, 4, 5):
-                raise ConfigError(
-                    f"{where}: scenario.theorem must be 1..5")
-        elif key == "ell":
-            cfg.ell = _int_value(raw, where)
-            if cfg.ell < 0:
-                raise ConfigError(f"{where}: scenario.ell must be >= 0")
-        elif key == "delta":
-            cfg.delta = _float_value(raw, where)
-            if cfg.delta <= 0.0:
-                raise ConfigError(f"{where}: scenario.delta must be > 0")
-        elif key == "kind":
-            word = raw.lower()
-            aliases = {"cro": "crossing", "crossing": "crossing",
-                       "cri": "critical", "critical": "critical"}
-            if word not in aliases:
-                raise ConfigError(
-                    f"{where}: scenario.kind must be cro or cri")
-            cfg.kind = aliases[word]
-        elif key == "visibility":
-            word = raw.upper()
-            if word not in ("V", "I", "L", "R"):
-                raise ConfigError(
-                    f"{where}: scenario.visibility must be one of V I L R")
-            cfg.visibility = word
-        elif key == "window":
-            bounds = _floats_value(raw, where)
-            if len(bounds) != 4:
-                raise ConfigError(
-                    f"{where}: scenario.window wants x_lo x_hi y_lo y_hi")
-            try:
-                cfg.window = Window(*bounds)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: scenario.window: {exc}") from exc
-        elif key == "lambda_plus":
-            cfg.lambda_plus = _floats_value(raw, where)
-        elif key == "lambda_minus":
-            cfg.lambda_minus = _floats_value(raw, where)
-        elif key == "expect_tangent_points":
-            cfg.expect_tangent_points = _int_value(raw, where)
-
-    # theorems 2-5 synthesise their fields: a bare upper.m is a whole config
-    needs_fields = cfg.theorem in (None, 1)
-    for name, side, key in (("upper", upper, "lambda_plus"),
-                            ("lower", lower, "lambda_minus")):
-        if needs_fields and side.phi is None:
+                f"{where}: unknown key {name!r} in section {section!r}")
+        if key in set_on:
+            raise ConfigError(
+                f"{where}: {key} is already set on line {set_on[key]}")
+        parse, test, _, _ = _KEYS[key]
+        try:
+            value = parse(raw)
+            if test and not test[0](value):
+                raise ValueError(f"{key} must be {test[1].format(value)}")
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        setattr(cfg if section == "scenario" else getattr(cfg, section),
+                name, value)
+        set_on[key] = lineno
+    run, phis = cfg.theorem or 1, (cfg.upper.phi, cfg.lower.phi)
+    for key, at in set_on.items():
+        _, _, runs, runs_with_phi = _KEYS[key]
+        if run not in runs and (run not in runs_with_phi or None in phis):
+            who = "a scan" if run == 1 else f"theorem {run}"
+            raise ConfigError(f"{path.name}:{at}: {who} does not read {key}")
+    for name, side, key in (("upper", cfg.upper, "lambda_plus"),
+                            ("lower", cfg.lower, "lambda_minus")):
+        lam = getattr(cfg, key)
+        if run == 1 and side.phi is None:
             raise ConfigError(
                 f"{path.name}: section {name!r} needs phi with m")
-        if side.phi is not None and side.m is None:
+        if side.m is None and (name == "upper" or run != 2):
+            raise ConfigError(f"{path.name}: section {name!r} " + (
+                "needs m" if side.phi is None else "sets phi without m"))
+        if lam and len(lam) != side.m:
             raise ConfigError(
-                f"{path.name}: section {name!r} sets phi without m")
-        lam = getattr(cfg, key)
-        if needs_fields and lam and len(lam) != side.m:
-            raise ConfigError(
-                f"{seen['scenario.' + key]}: scenario.{key} needs "
-                f"{name}.m = {side.m} entries, got {len(lam)}")
-    if not needs_fields:   # refuse the keys the theorem would not read
-        fields_read = cfg.theorem != 2 and None not in (upper.phi, lower.phi)
-        for key, where in seen.items():
-            if key.startswith("scenario.lambda") or (
-                    not fields_read and key.endswith((".f", ".phi"))):
-                raise ConfigError(
-                    f"{where}: theorem {cfg.theorem} does not read {key}")
+                f"{path.name}:{set_on['scenario.' + key]}: scenario.{key} "
+                f"needs {name}.m = {side.m} entries, got {len(lam)}")
     return cfg
 
 
+def _delta(cfg: RunConfig) -> Dict[str, float]:
+    return {} if cfg.delta is None else {"delta": cfg.delta}
+
+
 def _canonical_for(cfg: RunConfig) -> CanonicalBase:
-    """Canonical base from explicit phi sides, else from the multiplicities."""
+    """The configured run's base: thm2_base for theorem 2, else one from
+    explicit phi sides, else canonical_base of the multiplicities."""
+    if cfg.theorem == 2:
+        return thm2_base(cfg.upper.m, cfg.visibility, **_delta(cfg))
     if cfg.upper.phi is not None and cfg.lower.phi is not None:
         return CanonicalBase.from_strings(
             cfg.upper.f, cfg.upper.phi, cfg.upper.m,
             cfg.lower.f, cfg.lower.phi, cfg.lower.m,
             cfg.window or Window(-1.75, 0.75, -2.0, 2.0))
-    m_p = cfg.upper.m if cfg.upper.m is not None else 1
-    m_m = cfg.lower.m if cfg.lower.m is not None else m_p
-    return canonical_base(m_p, m_m, cfg.window)
+    return canonical_base(cfg.upper.m, cfg.lower.m, cfg.window)
 
 
 def _configured_system(cfg: RunConfig) -> PwsSystem:
@@ -496,9 +475,8 @@ def _tangent_orbit_lines(census: LoopCensus) -> List[str]:
 # lines of that census). Each lambda looks its scenario_thmN up in this
 # module when it runs, so a wrapper bound here later is the one called.
 _SCENARIOS = {
-    2: (lambda cfg, kw: scenario_thm2(
-            7 if cfg.upper.m is None else cfg.upper.m, cfg.visibility,
-            cfg.ell, **kw), _tangent_orbit_lines),
+    2: (lambda cfg, kw: scenario_thm2(cfg.upper.m, cfg.visibility, cfg.ell,
+                                      **kw), _tangent_orbit_lines),
     3: (lambda cfg, kw: scenario_thm3(_canonical_for(cfg), cfg.ell,
                                       cfg.kind, **kw), _loop_lines),
     4: (lambda cfg, kw: scenario_thm4(_canonical_for(cfg), cfg.ell, **kw),
@@ -529,16 +507,15 @@ def run_scenario(cfg: RunConfig, *, out_dir: str = "out") -> int:
     try:
         if cfg.theorem in _SCENARIOS:
             scenario, summarize = _SCENARIOS[cfg.theorem]
-            census = scenario(
-                cfg, {} if cfg.delta is None else {"delta": cfg.delta})
+            census = scenario(cfg, _delta(cfg))
             sys_final = build_unfolded(census.spec)
             summary = summarize(census)
         else:
             # plain scan (scenario.theorem = 1 or omitted): tangencies of
             # the configured system, optionally after a lambda unfolding
             sys_final = _configured_system(cfg)
-            census = LoopCensus("scan", cfg.upper.m or 0, cfg.lower.m or 0,
-                                cfg.ell, orbits=_pencil(sys_final))
+            census = LoopCensus("scan", cfg.upper.m, cfg.lower.m, cfg.ell,
+                                orbits=_pencil(sys_final))
             summary = []
 
         scan = find_tangent_points(sys_final)

@@ -693,6 +693,22 @@ def _flank_dip(sys: PwsSystem, left: float, peak: float) -> float:
 # scenario: grouped tangent orbits of a one-sided cluster
 
 
+def thm2_base(m_plus: int, visibility_of_O: str = "I", *,
+              delta: float = 0.4) -> CanonicalBase:
+    """thm2's base: (1, -+x^m) above Sigma (O invisible/visible), (-1, -1)
+    below, in a window holding the split points i*delta."""
+    if m_plus < 1 or m_plus % 2 == 0:
+        raise RangeError(f"odd m_plus required, got {m_plus}")
+    if visibility_of_O in ("L", "R"):
+        raise RangeError("visibility case not supported by this construction")
+    if visibility_of_O not in ("I", "V"):
+        raise ValueError(f"unknown visibility {visibility_of_O!r}")
+    ymax = 2.0 + (m_plus + 3) * delta
+    window = Window(-(m_plus + 1) * delta, (m_plus + 3) * delta, -ymax, ymax)
+    phi = "-1" if visibility_of_O == "I" else "1"
+    return CanonicalBase.from_strings("1", phi, m_plus, "-1", "-1", 0, window)
+
+
 def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
                   delta: float = 0.4) -> LoopCensus:
     """Unfold (1, +-x^m) into a positive cluster with grouped tangent orbits.
@@ -710,21 +726,12 @@ def scenario_thm2(m_plus: int, visibility_of_O: str = "I", ell: int = 1, *,
     Supports the invisible case fully and the visible one on a best-effort
     basis; the half-plane cases of even multiplicity are out of range.
     """
-    if m_plus < 1 or m_plus % 2 == 0:
-        raise RangeError(f"odd m_plus required, got {m_plus}")
-    if visibility_of_O in ("L", "R"):
-        raise RangeError("visibility case not supported by this construction")
-    if visibility_of_O not in ("I", "V"):
-        raise ValueError(f"unknown visibility {visibility_of_O!r}")
+    base = thm2_base(m_plus, visibility_of_O, delta=delta)
     invis = visibility_of_O == "I"
     d = (m_plus - 1) // 2 if invis else (m_plus + 1) // 2
     if ell < 1 or (d > 0 and ell > d):
         raise RangeError(f"ell={ell} outside 1..{max(d, 1)}")
     lam = _positive_cluster(m_plus, delta)
-    ymax = 2.0 + (m_plus + 3) * delta
-    window = Window(-(m_plus + 1) * delta, (m_plus + 3) * delta, -ymax, ymax)
-    phi = "-1" if invis else "1"
-    base = CanonicalBase.from_strings("1", phi, m_plus, "-1", "-1", 0, window)
     census = LoopCensus("thm2", m_plus, 0, ell,
                         spec=UnfoldingSpec(base, lam, ()))
     if d == 0:

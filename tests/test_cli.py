@@ -38,11 +38,12 @@ def test_bad_window_is_a_config_error(tmp_path, capsys, bounds):
     assert err.startswith("config error: run.cfg:5: scenario.window: ")
 
 
-# each bad line after a comment line (line 1), and its refusal; the last
-# two configs are complete only at their end, so no line is named
+# each bad line after a comment line (line 1), and its refusal; a side
+# that lacks what its run needs is seen only at the end, so no line is named
 # a scan config on lines 2-6: upper.m = 3, lower.m = 1
 _SCAN = ('scenario.theorem = 1\nupper.phi = "1"\nupper.m = 3\n'
          'lower.phi = "1"\nlower.m = 1\n')
+_M55 = "upper.m = 5\nlower.m = 5\n"   # lines 2-3, then the theorem on 4
 _REFUSALS = [
     ('upper.f = 1', "run.cfg:2: expression values must be quoted strings"),
     ('upper.f = "1 +"', "run.cfg:2: unexpected end of input (at byte 3)"),
@@ -84,6 +85,35 @@ _REFUSALS = [
      "run.cfg:3: theorem 5 does not read lower.phi"),
     ("scenario.theorem = 3\nscenario.lambda_minus = 0.1",
      "run.cfg:3: theorem 3 does not read scenario.lambda_minus"),
+    (_SCAN + "scenario.ell = 4",
+     "run.cfg:7: a scan does not read scenario.ell"),
+    (_SCAN + "scenario.delta = 0.3",
+     "run.cfg:7: a scan does not read scenario.delta"),
+    (_SCAN + "scenario.kind = critical",
+     "run.cfg:7: a scan does not read scenario.kind"),
+    (_SCAN + "scenario.visibility = V",
+     "run.cfg:7: a scan does not read scenario.visibility"),
+    ("scenario.theorem = 2\nupper.m = 3\nscenario.window = -1 1 -1 1",
+     "run.cfg:4: theorem 2 does not read scenario.window"),
+    ("scenario.theorem = 2\nupper.m = 3\nscenario.kind = cri",
+     "run.cfg:4: theorem 2 does not read scenario.kind"),
+    (_M55 + "scenario.theorem = 3\nscenario.visibility = V",
+     "run.cfg:5: theorem 3 does not read scenario.visibility"),
+    (_M55 + "scenario.theorem = 4\nscenario.kind = critical",
+     "run.cfg:5: theorem 4 does not read scenario.kind"),
+    (_M55 + "scenario.theorem = 4\nscenario.visibility = V",
+     "run.cfg:5: theorem 4 does not read scenario.visibility"),
+    (_M55 + "scenario.theorem = 5\nscenario.kind = cro",
+     "run.cfg:5: theorem 5 does not read scenario.kind"),
+    (_M55 + "scenario.theorem = 5\nscenario.visibility = I",
+     "run.cfg:5: theorem 5 does not read scenario.visibility"),
+    ("upper.m = 1\nupper.m = 3",
+     "run.cfg:3: upper.m is already set on line 2"),
+    ("scenario.expect_tangent_points = -1",
+     "run.cfg:2: scenario.expect_tangent_points must be >= 0, got -1"),
+    ("scenario.theorem = 4\nscenario.ell = 1",
+     "run.cfg: section 'upper' needs m"),
+    ("scenario.theorem = 3\nupper.m = 5", "run.cfg: section 'lower' needs m"),
 ]
 
 
@@ -195,6 +225,30 @@ def test_portrait_builds_the_canonical_base_for_theorem_configs(tmp_path):
     out = tmp_path / "out"
     assert main(["portrait", cfg, "--out", str(out)]) == 0
     assert (out / "portrait.svg").read_text().startswith("<svg")
+
+
+def test_portrait_of_theorem_2_draws_its_base(tmp_path):
+    # thm2_base(3, "I"): one (3,0) point at x = 0, invisible from above, in
+    # the window (-1.6, 2.4), so 1.6 / 4.0 of the 800 px across
+    out = tmp_path / "out"
+    assert main(["portrait", write_config(tmp_path, THM2), "--out",
+                 str(out)]) == 0
+    markers = re.findall(r'<text x="([^"]+)"[^>]*>([^<]*)</text>',
+                         (out / "portrait.svg").read_text())
+    assert markers == [("320.00", "(3,0) I/-")]
+
+
+def test_the_module_docstring_lists_every_key_with_its_runs():
+    # an indented docstring line holds 'keys: runs' groups joined by '; '
+    listed = {}
+    for line in cli.__doc__.splitlines():
+        for group in line.split("; ") if re.match(r"    \w", line) else ():
+            keys, runs = re.fullmatch(r" *([a-z_. ]+): ([\d* ]+)",
+                                      group).groups()
+            listed.update(dict.fromkeys(keys.split(), runs))
+    assert listed == {
+        key: " ".join([str(r) for r in runs] + [f"{r}*" for r in with_phi])
+        for key, (_, _, runs, with_phi) in cli._KEYS.items()}
 
 
 @pytest.mark.parametrize("argv", [

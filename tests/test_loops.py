@@ -18,7 +18,7 @@ from filippov2d import (CensusMismatch, PsiSpec, PwsSystem, RangeError,
                         canonical_base, canonical_critical_loop,
                         displacement_sigma, integrate_smooth, loops, numerics,
                         scenario_thm2, scenario_thm3, scenario_thm4,
-                        scenario_thm5)
+                        scenario_thm5, thm2_base)
 from filippov2d.loops import CLOSURE_TOL, _negative_cluster, _pinned_knots
 
 
@@ -135,9 +135,9 @@ def test_canonical_loop_is_critical_with_one_contact(m):
 
 def test_canonical_family_has_one_shape():
     # the base is fixed: crossing at -1, both hills x^(m+1) (x + 1); only
-    # canonical_base takes a window, thm2 builds its own from m and delta
-    builders = (canonical_base, canonical_critical_loop, scenario_thm2,
-                scenario_thm3, scenario_thm4, scenario_thm5)
+    # canonical_base takes a window, thm2_base builds its own from m, delta
+    builders = (canonical_base, canonical_critical_loop, thm2_base,
+                scenario_thm2, scenario_thm3, scenario_thm4, scenario_thm5)
     params = {fn.__name__: set(inspect.signature(fn).parameters)
               for fn in builders}
     assert [n for n, p in params.items() if p & {"a", "k1", "k2"}] == []
@@ -258,6 +258,14 @@ _CENSUS_ROWS = [
     ("thm4", (7, 1), (2, 2)),
     ("thm4", (7, 2), (1, 3)),
     ("thm4", (7, 3), (0, 4)),
+    ("thm5", (3, 0), (2, 2, 0)),
+    ("thm5", (3, 1), (1, 3, 0)),
+    ("thm5", (3, 2), (0, 4, 0)),
+    ("thm5", (5, 0), (3, 3, 0)),
+    ("thm5", (5, 1), (2, 4, 0)),
+    # a crossing cycle whose witness misses closure by 1.1e-8 is dropped
+    ("thm5", (5, 2), (1, 4, 1)),
+    ("thm5", (5, 3), (0, 6, 0)),
 ]
 
 
@@ -270,10 +278,14 @@ def test_scenario_matrix_rows_keep_their_census(theorem, args, want):
         m, ell, kind = args
         [(_, rec)] = scenario_thm3(canonical_base(m, m), ell, kind).witnesses
         got = (rec.kind, rec.tangent_touch_count)
-    else:
+    elif theorem == "thm4":
         m, ell = args
         census = scenario_thm4(canonical_base(m, m), ell)
         got = (census.beta_cro.get(1, 0), census.beta_cri.get(1, 0))
+    else:
+        m, ell = args
+        census = scenario_thm5(canonical_base(m, m), ell)
+        got = (census.beta_s, census.beta_c, len(census.dropped_cycles))
     assert got == want
 
 
