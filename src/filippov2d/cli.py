@@ -34,7 +34,7 @@ census.csv, tangent_points.csv and trajectories/*.csv are one table shape,
 written by _write_table and read by _read_table: a '# <version>' line, a
 header row, then one row per record, its fields comma-joined and each line
 ending in a newline. No field holds a comma: every field is a number, a
-kind word or a 'contacts:count;...' list.
+kind word, a 'contacts:count;...' list or empty (a scan's ell).
 
 Exit codes: 0 success, 2 malformed config, 1 anything else (a refusal,
 a failed certificate, a broken relation or a transit failure; a
@@ -302,11 +302,13 @@ def _counts_field(counts: Dict[int, int]) -> str:
 def write_census_csv(path, censuses: Sequence[LoopCensus], *,
                      witnesses_paths: Optional[Sequence[str]] = None) -> None:
     """One row per census; beta_cro and beta_cri keep every contact count
-    (column format 'contacts:count;...', empty when there are none)."""
+    (column format 'contacts:count;...', empty when there are none), and
+    ell is empty for a census that reads none (a scan)."""
     _write_table(path, CENSUS_CSV_VERSION,
                  ("scenario", "m_plus", "m_minus", "ell", "beta_c", "beta_s",
                   "beta_cro", "beta_cri", "witnesses_path"),
-                 ((c.scenario, c.m_plus, c.m_minus, c.ell, c.beta_c, c.beta_s,
+                 ((c.scenario, c.m_plus, c.m_minus,
+                   "" if c.ell is None else c.ell, c.beta_c, c.beta_s,
                    _counts_field(c.beta_cro), _counts_field(c.beta_cri),
                    witnesses_paths[i] if witnesses_paths else "")
                   for i, c in enumerate(censuses)))
@@ -316,8 +318,9 @@ def read_census_csv(path) -> List[Dict[str, object]]:
     header, rows = _read_table(path, CENSUS_CSV_VERSION)
     out: List[Dict[str, object]] = [dict(zip(header, row)) for row in rows]
     for row in out:
-        for key in ("m_plus", "m_minus", "ell", "beta_c", "beta_s"):
+        for key in ("m_plus", "m_minus", "beta_c", "beta_s"):
             row[key] = int(row[key])  # type: ignore[arg-type]
+        row["ell"] = int(row["ell"]) if row["ell"] else None  # type: ignore
         for key in ("beta_cro", "beta_cri"):
             pairs = (item.split(":") for item in row[key].split(";") if item)
             row[key] = {int(k): int(v) for k, v in pairs}
@@ -514,7 +517,7 @@ def run_scenario(cfg: RunConfig, *, out_dir: str = "out") -> int:
             # plain scan (scenario.theorem = 1 or omitted): tangencies of
             # the configured system, optionally after a lambda unfolding
             sys_final = _configured_system(cfg)
-            census = LoopCensus("scan", cfg.upper.m, cfg.lower.m, cfg.ell,
+            census = LoopCensus("scan", cfg.upper.m, cfg.lower.m, None,
                                 orbits=_pencil(sys_final))
             summary = []
 

@@ -15,11 +15,18 @@ is used instead (r1, r2 supplied separately).
 The flow reads psi and psi' in closed form: s' = q * nu2 with
 s = cutoff_up, q = s(1 - s), nu2 = 1/(x-r1)^2 + 1/(x-r2)^2. cutoff_jet
 and psi_jet give derivatives of any order as Taylor jets (fieldexpr).
+
+That float arithmetic is one psi template, Python source (_CUTOFF behind
+the piece lookup of _psi_source): _cutoff_core, each profile's _psi_core
+(compiled on first use) and every sheared side function
+(unfolding._compile_sheared, which evaluates psi inline, with no call)
+are generated from it, so they give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import textwrap
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -29,30 +36,43 @@ from .fieldexpr import Jet, jet_constant, jet_div, jet_exp, jet_variable
 _ETA_SAT = 700.0  # exp saturation guard
 
 
-def _cutoff_core(x: float, r1: float, r2: float) -> Tuple[float, float]:
-    """(s, s') of cutoff_up at x; r1 < r2 is the caller's to check."""
-    if x <= r1:
-        return 0.0, 0.0
-    if x >= r2:
-        return 1.0, 0.0
+# the psi template (module docstring), source on x: _CUTOFF sets (s, d1)
+# to cutoff_up and its x-derivative on (r1, r2); _psi_source puts the
+# piece lookup in front and leaves (p, dp) = (psi, psi')
+_CUTOFF = f"""\
+if x <= r1:
+    s = d1 = 0.0
+elif x >= r2:
+    s, d1 = 1.0, 0.0
+else:
     t1 = 1.0 / (x - r1)
     t2 = 1.0 / (x - r2)
     eta = t1 + t2
-    if eta >= _ETA_SAT:
-        return 0.0, 0.0
-    if eta <= -_ETA_SAT:
-        return 1.0, 0.0
-    if eta >= 0.0:
-        u = math.exp(-eta)
+    if eta >= {_ETA_SAT!r}:
+        s = d1 = 0.0
+    elif eta <= {-_ETA_SAT!r}:
+        s, d1 = 1.0, 0.0
+    elif eta >= 0.0:
+        u = _exp(-eta)
         s = u / (1.0 + u)
-        q = u / (1.0 + u) ** 2
+        d1 = (t1 * t1 + t2 * t2) * (u / (1.0 + u) ** 2)
     else:
-        e = math.exp(eta)
+        e = _exp(eta)
         s = 1.0 / (1.0 + e)
-        q = e / (1.0 + e) ** 2
-    nu2 = t1 * t1 + t2 * t2
-    d1 = nu2 * q
-    return s, d1
+        d1 = (t1 * t1 + t2 * t2) * (e / (1.0 + e) ** 2)
+"""
+
+
+def _compiled(args: str, body: str, out: str, names: dict):
+    """``fn(args)``: body, then return out; body reads names."""
+    scope = dict(names, _exp=math.exp)
+    src = f"def fn({args}):\n{textwrap.indent(body, ' ')} return {out}\n"
+    exec(src, scope)  # noqa: S102 - generated from the templates here
+    return scope["fn"]
+
+
+# (s, s') of cutoff_up at x; r1 < r2 is the caller's to check
+_cutoff_core = _compiled("x, r1, r2", _CUTOFF, "s, d1", {})
 
 
 def _checked_cutoff(x: float, r1: float, r2: float) -> Tuple[float, float]:
@@ -140,15 +160,42 @@ def _psi_piece(spec: PsiSpec, x: float):
     return spec.heights[(j - 1) // 2], ks[j - 1], ks[j], j % 2 == 0
 
 
+def _psi_source(spec: PsiSpec) -> Tuple[str, dict]:
+    """The source that sets (p, dp) to psi and psi' of spec at x, and the
+    names it reads: _CUTOFF on the piece of x, as _psi_piece finds it
+    (bisect_left on the knots, or the fallback window). r1 < r2 on every
+    piece: knots ascend strictly, and PsiSpec checked the window."""
+    if not spec._ascending:
+        if spec.r1 is None or spec.r2 is None:
+            return ('raise ValueError("degenerate knots need a fallback '
+                    '(r1, r2) window")\n', {})
+        return ("h, r1, r2 = _h, _r1, _r2\n" + _CUTOFF
+                + "p, dp = h * s, h * d1\n",
+                {"_h": spec.fallback_height, "_r1": spec.r1, "_r2": spec.r2})
+    # x in (ks[j - 1], ks[j]]: bump (j - 1) // 2 rises on an odd j and
+    # falls on an even one; off the support (or at nan) psi is 0
+    piece = ("h = _heights[(j - 1) // 2]\nr1 = _knots[j - 1]\n"
+             "r2 = _knots[j]\n" + _CUTOFF + "if j % 2:\n"
+             "    p, dp = h * s, h * d1\n"
+             "else:\n"
+             "    p, dp = h * (1.0 - s), -h * d1\n")
+    return (f"j = _bisect_left(_knots, x)\n"
+            f"if j == 0 or j == {len(spec.knots)}:\n"
+            "    p = dp = 0.0\n"
+            "else:\n" + textwrap.indent(piece, "    "),
+            {"_knots": spec.knots, "_heights": spec.heights,
+             "_bisect_left": bisect_left})
+
+
 def _psi_core(spec: PsiSpec, x: float) -> Tuple[float, float]:
-    h, r1, r2, falling = _psi_piece(spec, x)
-    if r1 is None:
-        return h, 0.0
-    # r1 < r2: knots ascend strictly, and PsiSpec checked the fallback window
-    s, d1 = _cutoff_core(x, r1, r2)
-    if falling:
-        return h * (1.0 - s), -h * d1
-    return h * s, h * d1
+    """(psi, psi') of spec at x: its function compiled from _psi_source,
+    on first use."""
+    fn = spec.__dict__.get("_psi_fn")
+    if fn is None:
+        body, names = _psi_source(spec)
+        fn = _compiled("x", body, "p, dp", names)
+        object.__setattr__(spec, "_psi_fn", fn)
+    return fn(x)
 
 
 def psi(spec: PsiSpec, x: float) -> float:

@@ -44,9 +44,12 @@ restarts from (x, 0) until one lands within a fixed 1e-6 in x of
 ``stop_at`` (a tangent arrival).
 
 A transit evaluates its side's field through one callable (x, y) -> (f, g)
-with Python floats, one call per RHS point: expression and sheared sides
-compile their pair into one function (``side_with``), any other pair of
-fields falls back to a ``.value`` call on each.
+with Python floats: expression and sheared sides compile their pair into
+one function (``side_with``), any other pair of fields falls back to a
+``.value`` call on each. The stepper calls the side itself: a forward
+transit hands that function to DOP853 as it is (the fields are
+autonomous, ``numerics``), and a backward one wraps it once to negate
+both components.
 
 Sliding arcs step the scalar Filippov field along Sigma on the same
 stepper and stop at sliding-region boundaries (tangent points), at window
@@ -195,7 +198,7 @@ def _step(solver) -> None:
 
 
 def _run_to(fun, s0: float, w0, s1: float) -> List[float]:
-    """Integrate dw/ds = fun(s, w) from (s0, w0) to s1; one step first."""
+    """Integrate dw/ds = fun(*w) from (s0, w0) to s1; one step first."""
     solver = DOP853(fun, s0, w0, s1, rtol=RTOL, atol=ATOL,
                     first_step=abs(s1 - s0) or None)
     while solver.status == "running":
@@ -219,8 +222,8 @@ def _land(rhs, t_a: float, z_a: List[float], t_e: float,
     Returns the landing time and state."""
     n1, n2, level = line
 
-    def fun(s, w):
-        f, g = rhs(w[2], w[:2])
+    def fun(x, y, t):
+        f, g = rhs(x, y)
         d = n1 * f + n2 * g
         if d == 0.0:
             return _by_zero((f, g, 1.0), d)
@@ -331,10 +334,12 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
     w = sys.window
     x, y = float(start[0]), float(start[1])
     fg = _side_fn(*sys.side(side))   # the only field evaluation in a transit
-
-    def rhs(t, s):
-        fv, gv = fg(*s)
-        return time_sign * fv, time_sign * gv
+    if time_sign == 1.0:
+        rhs = fg   # the stepper calls the side itself
+    else:
+        def rhs(x, y):
+            fv, gv = fg(x, y)
+            return time_sign * fv, time_sign * gv
 
     # exit lines (n1, n2, level): the orbit stays where n1 x + n2 y >= level;
     # a section is a line exited either way
@@ -436,7 +441,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
                     # an arrival is not the start point
                     if on_line_at_start and t_e <= 1e-9:
                         continue
-                    fz, gz = rhs(0.0, (px, py))
+                    fz, gz = rhs(px, py)
                     kind = ("section-hit" if abs(fz)
                             > _TRANSVERSAL_TOL * math.hypot(fz, gz)
                             else "tangent-hit")
@@ -523,9 +528,9 @@ def sliding_arc(sys: PwsSystem, x_start: float, *,
     w = sys.window
     t_max = _leg_budget(sys) if t_max is None else t_max
 
-    def rhs(t, s):
+    def rhs(x):
         try:
-            return (sliding_field(sys, float(s[0])),)
+            return (sliding_field(sys, x),)
         except (NotSliding, DegenerateDenominator):
             return (0.0,)
 
@@ -550,7 +555,7 @@ def sliding_arc(sys: PwsSystem, x_start: float, *,
             x_b = x_stop if kind == "sliding-exit" else float(dense(t_b)[0])
         ts.append(t_b)
         xs.append(x_b)
-    if kind == "time-end" and abs(rhs(0.0, (xs[-1],))[0]) <= 1e-9:
+    if kind == "time-end" and abs(rhs(xs[-1])[0]) <= 1e-9:
         kind = "pseudo-equilibrium"
     return Trajectory([Arc("sliding", tuple(t + t_offset for t in ts),
                            tuple(xs), (0.0,) * len(xs))],

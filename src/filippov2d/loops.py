@@ -146,7 +146,7 @@ class LoopCensus:
     scenario: str
     m_plus: int
     m_minus: int
-    ell: int
+    ell: Optional[int]   # None for a scan, which reads no ell
     beta_c: int = 0
     beta_s: int = 0
     beta_cro: Dict[int, int] = field(default_factory=dict)

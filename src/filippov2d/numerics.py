@@ -60,6 +60,13 @@ step sizes differ from SciPy's by about 1e-6 relative. Only what this
 package calls is ported: real states (of 1, 2 or 3 components here), no
 ``max_step``, events, ``t_eval``, extra arguments or vectorized
 evaluation.
+
+Every field this package integrates is autonomous, so the right-hand side
+is called as ``fun(*y)``: the state's n components as separate floats, no
+time and no list, returning the n slopes. Each stage line of the generated
+step is one such call, ``k{s}_0, k{s}_1, = fun(y0 + (...) * h, y1 + (...)
+* h)``, so a caller that hands over a field's own compiled function
+(flow's forward transits) pays no wrapper per stage.
 """
 
 from __future__ import annotations
@@ -299,7 +306,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)   # not beyond t_bound
     y1 = [y + h0 * direction * f for y, f in zip(y0, f0)]
-    f1 = fun(t0 + h0 * direction, y1)
+    f1 = fun(y1)
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -314,9 +321,11 @@ def _generated(n: int):
     every tableau sum unrolled into float arithmetic (zero entries
     skipped, terms in stage order); compiled on first use.
 
-    ``step(fun, t, y, f, h, rtol, atol)`` returns the new state, its
-    slope, the error norm and the 13 stage slopes k{s}_{i}, flat;
-    ``dense(fun, t_old, y_old, y, h, K)`` the rows of F, 7 a component.
+    Each stage is one call ``fun(y0 + (...) * h, y1 + (...) * h, ...)``
+    of the autonomous field, unpacked into its n slopes.
+    ``step(fun, y, f, h, rtol, atol)`` returns the new state, its slope,
+    the error norm and the 13 stage slopes k{s}_{i}, flat;
+    ``dense(fun, y_old, y, h, K)`` the rows of F, 7 a component.
     """
     comps = range(n)
 
@@ -327,10 +336,10 @@ def _generated(n: int):
         return " + ".join(f"k{j}_{i} * {a!r}"
                           for j, a in enumerate(coefs) if a)
 
-    def stage(s):   # stage s from the state y{i} at time t
+    def stage(s):   # stage s from the state y{i}
         state = ", ".join(f"y{i} + ({dot(i, _row(A, s, s))}) * h"
                           for i in comps)
-        return f" {ks(s)}= fun(t + {C[s]!r} * h, [{state}])"
+        return f" {ks(s)}= fun({state})"
 
     def sq(v):   # numpy's norm squared: sqrt(x.dot(x)) ** 2
         return f"sqrt({' + '.join(f'{v}{i} * {v}{i}' for i in comps)}) ** 2"
@@ -343,11 +352,11 @@ def _generated(n: int):
                     for r in range(INTERPOLATOR_POWER - 3)) + "]"
         for i in comps)
     step = [
-        "def step(fun, t, y, f, h, rtol, atol):",
+        "def step(fun, y, f, h, rtol, atol):",
         f" {ys}= y", f" {ks(0)}= f",
         *(stage(s) for s in range(1, N_STAGES)),
         *(f" z{i} = y{i} + h * ({dot(i, B)})" for i in comps),
-        f" {ks(N_STAGES)}= fun(t + h, [{zs}])",
+        f" {ks(N_STAGES)}= fun({zs})",
         # max(|z|, |y|) is NaN where z is, as SciPy's np.maximum is
         *(f" s{i} = atol + max(abs(z{i}), abs(y{i})) * rtol" for i in comps),
         *(f" e{i} = ({dot(i, E5)}) / s{i}" for i in comps),
@@ -356,7 +365,7 @@ def _generated(n: int):
         f" err = abs(h) * e / sqrt((e + 0.01 * d) * {n}) if e or d else 0.0",
         f" return [{zs}], [{ks(N_STAGES)}], err, ({slopes})"]
     dense = [
-        "def dense(fun, t, y, z, h, K):",
+        "def dense(fun, y, z, h, K):",
         f" {ys}= y", f" {zs}= z", f" {slopes}= K",
         *(stage(s) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)),
         *(f" q{i} = z{i} - y{i}" for i in comps),
@@ -398,9 +407,10 @@ class DOP853:
     t_bound ('finished'). ``t``, ``y`` and ``f`` are the state and slope at
     the step's end (lists of floats), ``t_old`` its start, ``nfev`` the
     right-hand side evaluations so far; ``dense_output()`` interpolates
-    the last step. ``fun(t, y)`` receives the state as a list of floats
-    and returns the slope as a sequence of as many. Each step is SciPy's
-    within 16 ulp of each value's rounding scale (module docstring).
+    the last step. The field is autonomous: ``fun(*y)`` receives the
+    state's components as floats and returns the slope's as many. Each
+    step is SciPy's within 16 ulp of each value's rounding scale (module
+    docstring).
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, first_step=None):
@@ -415,7 +425,7 @@ class DOP853:
         self.t_bound, self.rtol, self.atol = t_bound, rtol, atol
         self.direction = -1.0 if t_bound < t0 else 1.0
         self.status = "running"
-        self.f = self.fun(self.t, y0)
+        self.f = self.fun(y0)
         if first_step is None:
             self.h_abs = _initial_step(self.fun, self.t, self.y, t_bound,
                                        self.f, self.direction, rtol, atol)
@@ -424,9 +434,9 @@ class DOP853:
         self.h_previous = None
         self._K = None   # the stage slopes of the last step, for its dense
 
-    def fun(self, t, y) -> List[float]:
+    def fun(self, y) -> List[float]:
         self.nfev += 1
-        return [float(v) for v in self._fun(t, y)]
+        return [float(v) for v in self._fun(*y)]
 
     def step(self):
         if self.status != "running":
@@ -459,7 +469,7 @@ class DOP853:
             h = t_new - t
             h_abs = abs(h)
             y_new, f_new, error_norm, K = self._rk_step(
-                self._fun, t, y, self.f, h, self.rtol, self.atol)
+                self._fun, y, self.f, h, self.rtol, self.atol)
             self.nfev += N_STAGES
             if error_norm < 1:
                 break
@@ -475,8 +485,8 @@ class DOP853:
 
     def dense_output(self) -> DenseOutput:
         """The interpolant of the last step (one that moved t)."""
-        F = self._rk_dense(self._fun, self.t_old, self.y_old, self.y,
-                           self.h_previous, self._K)
+        F = self._rk_dense(self._fun, self.y_old, self.y, self.h_previous,
+                           self._K)
         self.nfev += N_STAGES_EXTENDED - N_STAGES - 1   # stages 13..15
         return DenseOutput(self.t_old, self.t, self.y_old, F)
 
@@ -488,7 +498,7 @@ class IvpResult(NamedTuple):
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol) -> IvpResult:
-    """Integrate dy/dt = fun(t, y) from y0 over t_span on DOP853 with steps
+    """Integrate dy/dt = fun(*y) from y0 over t_span on DOP853 with steps
     of its own choosing; a step that fails ends the run where it stands."""
     t0, tf = map(float, t_span)
     solver = DOP853(fun, t0, y0, tf, rtol=rtol, atol=atol)

@@ -13,9 +13,12 @@ bounded away from zero. Two perturbation layers are applied:
 
       f~(x, y) = f^(x, u),   g~(x, y) = g^(x, u) - f^(x, u) * psi'(x).
 
-  ShearedField is that formula, compiled to Python source; the side
-  function of a sheared pair evaluates psi, psi', u and f^(x, u) once for
-  both components, so one flow RHS point evaluates psi once.
+  ShearedField is that formula, compiled to Python source with psi's
+  own arithmetic inline: the one psi template of cutoffs, so a sheared
+  value rounds as cutoffs._psi_core does, bit for bit, and calls no psi
+  function. The side function of a sheared pair evaluates psi, psi', u
+  and f^(x, u) once for both components, so one flow RHS point evaluates
+  psi once.
 
 The shear is an exact conjugacy between the transition flow and the
 unfolded flow: gamma~(t; x0, y0 - psi(x0)) = gamma^(t; x0, y0) shifted by
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional, Sequence, Tuple
 
-from .cutoffs import PsiSpec, _psi_core, psi_jet, zero_psi
+from .cutoffs import PsiSpec, _compiled, _psi_source, psi_jet, zero_psi
 from . import fieldexpr
 from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
                         as_field, expr_jet, jet_mul, jet_variable)
@@ -107,17 +110,11 @@ def build_transition(spec: UnfoldingSpec) -> PwsSystem:
     return PwsSystem(b.f_plus, g_plus, b.f_minus, g_minus, b.window)
 
 
-_SHEARED_SOURCE = """def fn(x, y):
-    p, dp = _psi_core(_spec, x)
-    y = y + p
-{lets}    return {out}
-"""
-
-
 def _compile_sheared(spec: PsiSpec, fields) -> Callable:
-    """One generated fn(x, y) for sheared fields of one profile: psi, psi'
-    and u once, and each distinct transition field once, at (x, u); the
-    value of one field, or the tuple of several."""
+    """One generated fn(x, y) for sheared fields of one profile: psi and
+    psi' inline from the psi template (cutoffs._psi_source), u once, and
+    each distinct transition field once, at (x, u); the value of one
+    field, or the tuple of several."""
     local = {}   # id of a tree -> (the name of its value, the tree)
 
     def name(tree: Expr) -> str:
@@ -125,12 +122,11 @@ def _compile_sheared(spec: PsiSpec, fields) -> Callable:
     outs = [name(fl._hat.expr) if fl._f is None
             else f"{name(fl._hat.expr)} - {name(fl._f.expr)} * dp"
             for fl in fields]
-    lets = "".join(f"    {v} = {fieldexpr._codegen(t)}\n"
+    psi, names = _psi_source(spec)
+    lets = "".join(f"{v} = {fieldexpr._codegen(t)}\n"
                    for v, t in local.values())
-    src = _SHEARED_SOURCE.format(lets=lets, out=", ".join(outs))
-    scope = dict(fieldexpr.CODEGEN_NAMES, _psi_core=_psi_core, _spec=spec)
-    exec(src, scope)  # noqa: S102 - source generated from our own AST
-    return scope["fn"]
+    return _compiled("x, y", f"{psi}y = y + p\n{lets}", ", ".join(outs),
+                     dict(fieldexpr.CODEGEN_NAMES, **names))
 
 
 class ShearedField:

@@ -20,6 +20,12 @@ def write_config(tmp_path, text):
 THM2 = "upper.m = 3\nscenario.theorem = 2\nscenario.ell = 1\n" \
        "scenario.visibility = I\n"
 THM3_55 = "upper.m = 5\nlower.m = 5\nscenario.theorem = 3\n"
+# a scan of a 5+3 split of x^5 above and x^3 below (f = 1 and -1)
+SCAN_53 = ('upper.f = "1"\nupper.phi = "1 + 0.341*x"\nupper.m = 5\n'
+           'lower.f = "-1"\nlower.phi = "1 + 0.228*x"\nlower.m = 3\n'
+           "scenario.lambda_plus = -1.3535 -0.8237 -0.6046 -0.1675 0.3283\n"
+           "scenario.lambda_minus = -1.1189 -0.3811 0.0542\n"
+           "scenario.window = -1.75 0.75 -0.25 0.25\n")
 
 
 def test_bad_config_exits_with_2(tmp_path, capsys):
@@ -291,6 +297,22 @@ def test_census_round_trips_every_contact_count(tmp_path):
     assert second["witnesses_path"] == "b"
 
 
+def test_a_scan_census_leaves_ell_empty(tmp_path, capsys):
+    # a scan reads no ell: its census row has an empty ell cell, read back
+    # as None, and a census with an ell keeps it
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, SCAN_53), "--out",
+                 str(out)]) == 0
+    assert (out / "census.csv").read_text().splitlines()[2] \
+        == "scan,5,3,,0,0,,,trajectories"
+    row, = read_census_csv(out / "census.csv")
+    assert row["ell"] is None and row["m_minus"] == 3
+    path = tmp_path / "both.csv"
+    write_census_csv(path, [LoopCensus("scan", 1, 1, None),
+                            LoopCensus("thm3", 5, 5, 0)])
+    assert [r["ell"] for r in read_census_csv(path)] == [None, 0]
+
+
 def test_census_reader_refuses_another_table(tmp_path):
     # a trajectory table, and a census table whose version line has one
     # character more
@@ -369,6 +391,36 @@ ARTIFACT_SHA1 = {
         "tangent_points.csv": "47cf0286d5c2ce8a491da6d35d96f8560993cf1d",
         "trajectories/critical_l2.csv":
             "055f564c9b99f9c3bf6a38027472e266c4a054ac",
+    }),
+    # backward-time chained walks over a knot-bump psi
+    "thm2_3V_l1": (THM2.replace("= I", "= V"), {
+        "census.csv": "a066d82282b9e9d04bb485333230d18661dd0490",
+        "portrait.svg": "2917098fa3aad90bc8bb083ae894caf823d2435b",
+        "tangent_points.csv": "a0368434a13e9550e2c712bad5f0e9d727638761",
+        "trajectories/orbit_00.csv":
+            "9a2a20195a9c3089c9b880e516a442c56c78d58a",
+        "trajectories/orbit_01.csv":
+            "4d5edba52048419398d8a55eedf7cf1ded8a2a1a",
+    }),
+    # a 5+3 split scan: its pencil's orbits cross Sigma, and one slides
+    "scan_53": (SCAN_53, {
+        "census.csv": "4c5a0635236cf19a0acac02a622522df2cbadb8c",
+        "portrait.svg": "9886614e41b8d30a29d6b0720dffb54f95a48c3c",
+        "tangent_points.csv": "74e230f424da6ec87b5d18ae9624ad9dd354095e",
+        **{f"trajectories/orbit_{i:02d}.csv": digest for i, digest in
+           enumerate([
+               "3b81a7a1ba5ac584a65812fbaa5bf1ac72f36de1",
+               "0c88d34bbca96ab107479598e0854b91f9576d2a",
+               "448288420745ad6d957601899e59137fae680a0b",
+               "acce060ee2eb803dfb16af76ac6b048808c824fc",
+               "42862b0e34c6c94ce7cd620b56a549a0e5b79c48",
+               "b8c758db2addf82a37add9bbf9582ebd641ba7e6",
+               "9a5cfb14308758402c5c7cb0c390e6ba84459d08",
+               "7a299ac83b003a630f068c1f90b8585d60fd5b22",
+               "c00b054de208edef972f450e84bb59f2fe232859",
+               "390c409c58bbbd11ddc10e6f4ed548b0d96da915",
+               "334984e04753bab24afdbc3a38a3be0ed072a325",
+               "07ee174d50dc584e4b6d82d45bfbb6d2235b7663"])},
     }),
 }
 

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from filippov2d import (PsiSpec, cutoff_jet, cutoff_up, cutoffs, psi,
                         psi_jet, zero_psi)
 from filippov2d.cutoffs import _cutoff_core, _psi_core, _psi_piece
+from filippov2d.fieldexpr import as_field
 from filippov2d.loops import (_negative_cluster, _pinned_knots,
-                              _positive_cluster)
+                              _plateau_psi, _positive_cluster)
+from filippov2d.unfolding import ShearedField
 
 
 def cutoff_up_d1(x, r1, r2):
@@ -191,12 +193,38 @@ def _psi_piece_by_scan(spec, x):
                 (0.0, None, None, False))
 
 
+def _cutoff_by_formula(x, r1, r2):
+    """(s, s') of the cutoff written as a function that returns early: the
+    closed form the psi template's generated code is held to."""
+    if x <= r1:
+        return 0.0, 0.0
+    if x >= r2:
+        return 1.0, 0.0
+    t1 = 1.0 / (x - r1)
+    t2 = 1.0 / (x - r2)
+    eta = t1 + t2
+    if eta >= 700.0:
+        return 0.0, 0.0
+    if eta <= -700.0:
+        return 1.0, 0.0
+    if eta >= 0.0:
+        u = math.exp(-eta)
+        s = u / (1.0 + u)
+        q = u / (1.0 + u) ** 2
+    else:
+        e = math.exp(eta)
+        s = 1.0 / (1.0 + e)
+        q = e / (1.0 + e) ** 2
+    nu2 = t1 * t1 + t2 * t2
+    return s, nu2 * q
+
+
 def _psi_core_by_scan(spec, x):
     """psi and psi' from the scan's piece and the cutoff's closed form."""
     h, r1, r2, falling = _psi_piece_by_scan(spec, x)
     if r1 is None:
         return h, 0.0
-    s, d1 = _cutoff_core(x, r1, r2)
+    s, d1 = _cutoff_by_formula(x, r1, r2)
     return (h * (1.0 - s), -h * d1) if falling else (h * s, h * d1)
 
 
@@ -263,6 +291,57 @@ def _scenario_profiles(delta):
             d = (len(knots) - 1) // 2
             yield PsiSpec(d, tuple(knots) + tuple(10.0 ** -(i + 3)
                                                   for i in range(d)))
+
+
+def _sheared_psi(spec):
+    """x -> (p, dp) as a compiled sheared side reads psi and psi': its f~
+    is u = -0.0 + p, and its g~ is -0.0 - (-1) * dp, each exactly p or
+    dp, signed zeros included."""
+    f = ShearedField(as_field("y"), spec)
+    side = f.side_with(ShearedField(as_field("-0.0"), spec, as_field("-1")))
+    return lambda x: side(x, -0.0)
+
+
+def _template_points(spec):
+    """Off the support (nan and the infinities too), at each knot or window
+    edge and 1 ulp either side, and 2^-i of each piece's width in from
+    both its ends, down through the saturated band |eta| >= 700."""
+    edges = spec.knots if spec.in_knot_domain() else (spec.r1, spec.r2)
+    xs = [edges[0] - 1.0, edges[-1] + 1.0, -math.inf, math.inf, math.nan]
+    for k in edges:
+        xs += [k, math.nextafter(k, -math.inf), math.nextafter(k, math.inf)]
+    for a, b in zip(edges, edges[1:]):
+        xs += [x for i in range(1, 48) for x in (a + (b - a) * 2.0 ** -i,
+                                                 b - (b - a) * 2.0 ** -i)]
+    return xs
+
+
+_TEMPLATE_SPECS = {
+    "scenario-knots": next(_scenario_profiles(0.1)),
+    "two-bumps": PsiSpec(2, (-1.0, -0.6, -0.5, 0.2, 0.3, 0.02, -0.7)),
+    "plateau-fallback": _plateau_psi(-0.0021, -0.45),
+    "fallback-window": PsiSpec(1, (0.3, 0.3, 1.3, 0.25), r1=-1.0, r2=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TEMPLATE_SPECS))
+def test_psi_template_gives_the_closed_forms_bits(name):
+    # _psi_core and a sheared side, both generated from the psi template,
+    # against the scan's piece and the cutoff written as a function, as
+    # float.hex: knot bumps and fallback windows, at and next to each
+    # knot, through the saturated band and off the support
+    spec = _TEMPLATE_SPECS[name]
+    side, saturated = _sheared_psi(spec), 0
+    for x in _template_points(spec):
+        want = [v.hex() for v in _psi_core_by_scan(spec, x)]
+        assert [v.hex() for v in _psi_core(spec, x)] == want, x
+        assert [v.hex() for v in side(x)] == want, x
+        _, r1, r2, _ = _psi_piece_by_scan(spec, x)
+        if r1 is not None and r1 < x < r2:
+            assert [v.hex() for v in _cutoff_core(x, r1, r2)] \
+                == [v.hex() for v in _cutoff_by_formula(x, r1, r2)], x
+            saturated += abs(1.0 / (x - r1) + 1.0 / (x - r2)) >= 700.0
+    assert saturated > 10
 
 
 @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])

@@ -12,10 +12,10 @@ from numpy.polynomial.polynomial import polyder, polyval
 from hypothesis import given, settings, strategies as st
 
 from filippov2d import (CanonicalBase, PsiSpec, PwsSystem, UnfoldingSpec,
-                        Window, build_unfolded, flow, h_value, integrate_pws,
-                        integrate_smooth, loops, maps, read_trajectory_csv,
-                        sliding_convex_coefficient, trajectory_to_csv,
-                        unfolding)
+                        Window, build_unfolded, cutoffs, flow, h_value,
+                        integrate_pws, integrate_smooth, loops, maps,
+                        read_trajectory_csv, sliding_convex_coefficient,
+                        trajectory_to_csv, unfolding)
 from conftest import make_sys
 
 BIG = Window(-4.0, 4.0, -4.0, 4.0)
@@ -594,7 +594,7 @@ def test_a_landing_with_no_normal_speed_fails_as_a_step_underflow():
     # quotients are IEEE's (inf or nan), so every step is rejected until
     # the stepper gives up, and no ZeroDivisionError escapes
     with np.errstate(all="ignore"), pytest.raises(flow.StepUnderflow):
-        flow._land(lambda t, s: (0.0, 1.0), 0.0, np.array([0.0, 0.0]), 0.1,
+        flow._land(lambda x, y: (0.0, 1.0), 0.0, np.array([0.0, 0.0]), 0.1,
                    (1.0, 0.0, 1.0))
 
 
@@ -612,43 +612,66 @@ def test_a_quotient_by_zero_is_numpys_bit_for_bit(zero):
         == [struct.pack("<d", v) for v in theirs]
 
 
-def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):
-    # a sheared upper side with g~ = 1 - (1 + 0.2 u) psi' > 0 (psi' stays
-    # below 0.3 on this 0.01 plateau): the orbit from (-0.9, 0.1) rises
-    # through the bump without turning and leaves the window, so every
-    # field evaluation is a DOP853 stepper's (the transit's, then the two
-    # of its landing on the window edge)
-    psi_calls, psi_per_call, steppers = [], [], []
-    psi_core = unfolding._psi_core
-
-    def counted_psi(spec, x):
-        psi_calls.append(x)
-        return psi_core(spec, x)
-    monkeypatch.setattr(unfolding, "_psi_core", counted_psi)
+def _recorded_steppers(monkeypatch):
+    """Every DOP853 stepper flow starts from here on, in order."""
+    steppers = []
 
     class Recorded(flow.DOP853):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             steppers.append(self)
     monkeypatch.setattr(flow, "DOP853", Recorded)
+    return steppers
 
-    window = Window(-1.0, 1.0, -1.0, 1.0)
-    base = CanonicalBase.from_strings("1 + 0.2*y", "1", 0, "-1", "-1", 0,
-                                      window)
-    system = build_unfolded(UnfoldingSpec(
-        base, psi_plus=PsiSpec(1, (-0.6, -0.3, 0.0, 0.01))))
+
+def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):
+    # a sheared upper side with g~ = 1 - (1 + 0.2 u) psi' > 0 (psi' stays
+    # below 0.3 on this 0.01 plateau): the orbit from (-0.9, 0.1) rises
+    # through the bump without turning and leaves the window, so every
+    # field evaluation is a DOP853 stepper's (the transit's, then the two
+    # of its landing on the window edge); the side evaluates psi inline,
+    # its generated source holding psi's body once and calling no psi
+    bodies, side_calls = [], []
+    compiled = unfolding._compiled
+
+    def recorded(args, body, out, names):
+        bodies.append(body)
+        return compiled(args, body, out, names)
+    monkeypatch.setattr(unfolding, "_compiled", recorded)
+    steppers = _recorded_steppers(monkeypatch)
+    system = _sheared_upper_sys()
     f, g = system.side("upper")
     side = flow._side_fn(f, g)
 
     def counted_side(x, y):
-        before = len(psi_calls)
-        out = side(x, y)
-        psi_per_call.append(len(psi_calls) - before)
-        return out
+        side_calls.append(x)
+        return side(x, y)
     monkeypatch.setattr(flow, "_side_fn", lambda f, g: counted_side)
     run = integrate_smooth(system, "upper", (-0.9, 0.1), t_max=10.0)
     assert run.terminal.kind == "window-exit"
     assert len(steppers) == 3
-    assert len(psi_per_call) == sum(s.nfev for s in steppers)
-    assert set(psi_per_call) == {1}
-    assert min(psi_calls) < -0.3 < max(psi_calls)   # through the bump
+    assert len(side_calls) == sum(s.nfev for s in steppers)
+    assert min(side_calls) < -0.3 < max(side_calls)   # through the bump
+    [body] = bodies
+    psi_body, _ = cutoffs._psi_source(f._spec)
+    assert body.startswith(psi_body) and body.count(psi_body) == 1
+    assert "psi" not in body
+
+
+@pytest.mark.parametrize("system", [_sheared_upper_sys(),
+                                    upper_sys("1 + 0.2*y", "1 - x")],
+                         ids=["sheared", "expression"])
+def test_a_forward_transit_steps_on_the_compiled_side_itself(monkeypatch,
+                                                             system):
+    # forward, the stepper calls f.side_with(g) with no wrapper between;
+    # backward, one wrapper negates it
+    steppers = _recorded_steppers(monkeypatch)
+    f, g = system.side("upper")
+    for time_sign in (1.0, -1.0):
+        steppers.clear()
+        integrate_smooth(system, "upper", (-0.9, 0.1), t_max=1.0,
+                         time_sign=time_sign)
+        assert (steppers[0]._fun is f.side_with(g)) == (time_sign == 1.0)
+        if time_sign == -1.0:
+            fv, gv = f.side_with(g)(-0.9, 0.1)
+            assert steppers[0]._fun(-0.9, 0.1) == (-fv, -gv)

@@ -222,10 +222,13 @@ def test_thm4_census_and_witness_closure():
     }
 
 
-# The passing thm2-thm4 rows of the scenario matrix at default delta and
+# The passing thm2-thm5 rows of the scenario matrix at default delta and
 # their censuses. thm2 (m, visibility, ell): tangent_orbits; thm3 (m, ell,
 # kind): the loop's kind and contacts; thm4 (m, ell): (beta_cro[1],
-# beta_cri[1]). thm3 at m = 7 and thm4 (7, 7) ell=0 fail and stay out.
+# beta_cri[1]); thm5 (m, ell): (beta_s, beta_c, len(dropped_cycles)). For
+# thm3-thm5, m is the base's (m+, m-), or one int when they are equal.
+# thm3 at m = 7 and thm4 (7, 7) ell=0 fail and stay out; the (5, 3) and
+# (3, 5) rows are every ell each of those bases takes.
 _CENSUS_ROWS = [
     ("thm2", (3, "I", 1), {1: 1}),
     ("thm2", (3, "V", 1), {1: 2}),
@@ -250,6 +253,14 @@ _CENSUS_ROWS = [
     ("thm3", (5, 3, "critical"), ("critical", 3)),
     ("thm3", (5, 1, "crossing"), ("crossing-nonsliding", 1)),
     ("thm3", (5, 2, "crossing"), ("crossing-nonsliding", 2)),
+    ("thm3", ((5, 3), 1, "critical"), ("critical", 1)),
+    ("thm3", ((5, 3), 2, "critical"), ("critical", 2)),
+    ("thm3", ((5, 3), 3, "critical"), ("critical", 3)),
+    ("thm3", ((5, 3), 1, "crossing"), ("crossing-nonsliding", 1)),
+    ("thm3", ((5, 3), 2, "crossing"), ("crossing-nonsliding", 2)),
+    ("thm3", ((3, 5), 1, "critical"), ("critical", 1)),
+    ("thm3", ((3, 5), 2, "critical"), ("critical", 2)),
+    ("thm3", ((3, 5), 1, "crossing"), ("crossing-nonsliding", 1)),
     ("thm4", (3, 0), (1, 1)),
     ("thm4", (3, 1), (0, 2)),
     ("thm4", (5, 0), (2, 1)),
@@ -258,6 +269,11 @@ _CENSUS_ROWS = [
     ("thm4", (7, 1), (2, 2)),
     ("thm4", (7, 2), (1, 3)),
     ("thm4", (7, 3), (0, 4)),
+    ("thm4", ((5, 3), 0), (2, 1)),
+    ("thm4", ((5, 3), 1), (1, 2)),
+    ("thm4", ((5, 3), 2), (0, 3)),
+    ("thm4", ((3, 5), 0), (1, 1)),
+    ("thm4", ((3, 5), 1), (0, 2)),
     ("thm5", (3, 0), (2, 2, 0)),
     ("thm5", (3, 1), (1, 3, 0)),
     ("thm5", (3, 2), (0, 4, 0)),
@@ -272,19 +288,18 @@ _CENSUS_ROWS = [
 @pytest.mark.parametrize("theorem, args, want", _CENSUS_ROWS,
                          ids=[f"{t}-{a}" for t, a, _ in _CENSUS_ROWS])
 def test_scenario_matrix_rows_keep_their_census(theorem, args, want):
+    ms = args[0] if isinstance(args[0], tuple) else (args[0], args[0])
     if theorem == "thm2":
         got = scenario_thm2(*args).tangent_orbits
     elif theorem == "thm3":
-        m, ell, kind = args
-        [(_, rec)] = scenario_thm3(canonical_base(m, m), ell, kind).witnesses
+        _, ell, kind = args
+        [(_, rec)] = scenario_thm3(canonical_base(*ms), ell, kind).witnesses
         got = (rec.kind, rec.tangent_touch_count)
     elif theorem == "thm4":
-        m, ell = args
-        census = scenario_thm4(canonical_base(m, m), ell)
+        census = scenario_thm4(canonical_base(*ms), args[1])
         got = (census.beta_cro.get(1, 0), census.beta_cri.get(1, 0))
     else:
-        m, ell = args
-        census = scenario_thm5(canonical_base(m, m), ell)
+        census = scenario_thm5(canonical_base(*ms), args[1])
         got = (census.beta_s, census.beta_c, len(census.dropped_cycles))
     assert got == want
 

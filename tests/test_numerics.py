@@ -32,7 +32,7 @@ from filippov2d.unfolding import CanonicalBase, UnfoldingSpec, build_unfolded
 
 
 def planar(t, z):
-    x, y = map(float, z)   # ours passes a list, SciPy an array
+    x, y = map(float, z)   # ours passes a tuple, SciPy an array
     return 1.0 + 0.2 * y, x * x - 0.3 + 0.1 * x * y
 
 
@@ -84,9 +84,15 @@ STEP_BOUND = 16 * 2.0 ** -52
 RUN_BOUND = 1.0
 
 
+def _autonomous(fun):
+    """SciPy's fun(t, y) as ours calls a field: fun(*y), no time."""
+    return lambda *y: fun(0.0, y)
+
+
 def _steppers(fun, t0, y0, t_bound, first_step):
     kw = dict(rtol=flow.RTOL, atol=flow.ATOL, first_step=first_step)
-    return (numerics.DOP853(fun, t0, np.array(y0), t_bound, **kw),
+    return (numerics.DOP853(_autonomous(fun), t0, np.array(y0), t_bound,
+                            **kw),
             scipy.integrate.DOP853(fun, t0, np.array(y0), t_bound, **kw))
 
 
@@ -153,9 +159,9 @@ def test_stepper_is_scipys_step_for_step(case):
     generated, trials = ours._rk_step, []
 
     def checked(*args):   # every trial step, rejected ones included
-        out = generated(*args)
-        _check_step(theirs, *args[:5], out)
-        trials.append(args[1])
+        out = generated(*args)   # (fun, y, f, h, rtol, atol), from ours.t
+        _check_step(theirs, fun, ours.t, *args[1:4], out)
+        trials.append(ours.t)
         return out
     ours._rk_step = checked
     accepted = 0
@@ -207,7 +213,7 @@ def test_nudge_integration_is_scipys_solve_ivp():
         fv, gv = planar(t, s)
         return -fv, -gv
     for h in (1e-8, 4e-8, 1e-3, 0.5):
-        ours = numerics.solve_ivp(rhs, (0.0, h), (-0.2, 0.0),
+        ours = numerics.solve_ivp(_autonomous(rhs), (0.0, h), (-0.2, 0.0),
                                   rtol=flow.RTOL, atol=flow.ATOL * 1e-2)
         theirs = scipy.integrate.solve_ivp(
             rhs, (0.0, h), (-0.2, 0.0), method="DOP853", rtol=flow.RTOL,
@@ -239,7 +245,7 @@ def test_the_generated_step_is_the_one_stepper_path():
                     and isinstance(value, (list, tuple, dict, np.ndarray))
                     and len(value))
     assert tables == ["A", "B", "C", "D", "E3", "E5"]
-    solver = numerics.DOP853(planar, 0.0, [-0.9, 0.1], 1.0,
+    solver = numerics.DOP853(_autonomous(planar), 0.0, [-0.9, 0.1], 1.0,
                              rtol=flow.RTOL, atol=flow.ATOL)
     solver.step()
     dense = solver.dense_output()

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from filippov2d import (NotSliding, PsiSpec, UnfoldingSpec, Window,
                         build_unfolded, canonical_base, decompose_sigma,
-                        h_value, sliding_convex_coefficient, sliding_field,
-                        unfolding)
+                        cutoffs, h_value, sliding_convex_coefficient,
+                        sliding_field, unfolding)
 from filippov2d.loops import _negative_cluster, _pinned_knots, _plateau_psi
 from conftest import make_sys
 
@@ -129,22 +129,29 @@ def test_window_validation():
 ])
 def test_sliding_point_calls_each_sheared_side_once(monkeypatch, x, want):
     # thm5 (3,3) ell=1's bumps above, a plateau shear below: h, the convex
-    # coefficient and the sliding field each evaluate psi once per side,
-    # with the values of one .value call per component, bit for bit
-    calls = []
-    psi_core = unfolding._psi_core
-
-    def counted(spec, x):
-        calls.append(x)
-        return psi_core(spec, x)
-    monkeypatch.setattr(unfolding, "_psi_core", counted)
+    # coefficient and the sliding field each call one compiled sheared
+    # function per side, whose source holds psi's body once, with the
+    # values of one .value call per component, bit for bit
     lam = _negative_cluster(3, 0.1)
     heights = (float.fromhex("0x1.33905d00237bdp-6"),
                float.fromhex("0x1.7b98654fdce00p-8"))
+    upper = PsiSpec(2, _pinned_knots(lam, 0.1) + heights)
+    lower = _plateau_psi(-0.0021, -0.45)   # the fallback window
+    psi_bodies = [cutoffs._psi_source(spec)[0] for spec in (upper, lower)]
+    calls = []
+    compiled = unfolding._compiled
+
+    def counted(args, body, out, names):
+        assert sorted(body.count(psi) for psi in psi_bodies) == [0, 1]
+        fn = compiled(args, body, out, names)
+
+        def call(x, y):
+            calls.append(x)
+            return fn(x, y)
+        return call
+    monkeypatch.setattr(unfolding, "_compiled", counted)
     system = build_unfolded(UnfoldingSpec(
-        canonical_base(3, 3), lam, (0.0,) * 3,
-        PsiSpec(2, _pinned_knots(lam, 0.1) + heights),
-        _plateau_psi(-0.0021, -0.45)))
+        canonical_base(3, 3), lam, (0.0,) * 3, upper, lower))
     got, per_call = [], []
     for fn in (h_value, sliding_convex_coefficient, sliding_field):
         before = len(calls)
