@@ -20,7 +20,12 @@ That float arithmetic is one psi template, Python source (_CUTOFF behind
 the piece lookup of _psi_source): _cutoff_core, each profile's _psi_core
 (compiled on first use) and every sheared side function
 (unfolding._compile_sheared, which evaluates psi inline, with no call)
-are generated from it, so they give the same bits.
+are generated from it, so they give the same bits. A source is compiled
+once (fieldexpr.generated_fn): profiles of one knot count share one code
+object, their knots and heights being globals of each function's own.
+
+cutoff_jet and psi_jet are prefix-stable like every fieldexpr jet: the
+order-n jet is the head of any higher-order one, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .fieldexpr import Jet, jet_constant, jet_div, jet_exp, jet_variable
+from .fieldexpr import (Jet, generated_fn, jet_constant, jet_div, jet_exp,
+                        jet_variable)
 
 _ETA_SAT = 700.0  # exp saturation guard
 
@@ -64,11 +70,10 @@ else:
 
 
 def _compiled(args: str, body: str, out: str, names: dict):
-    """``fn(args)``: body, then return out; body reads names."""
-    scope = dict(names, _exp=math.exp)
+    """``fn(args)``: body, then return out; body reads names (its own
+    globals, while one source shares one code object: generated_fn)."""
     src = f"def fn({args}):\n{textwrap.indent(body, ' ')} return {out}\n"
-    exec(src, scope)  # noqa: S102 - generated from the templates here
-    return scope["fn"]
+    return generated_fn(src, dict(names, _exp=math.exp))
 
 
 # (s, s') of cutoff_up at x; r1 < r2 is the caller's to check

@@ -5,6 +5,14 @@ integer powers). Fields compile their values; every derivative comes from
 truncated Taylor jets (Griewank & Walther, *Evaluating Derivatives*,
 ch. 13): [a_0, ..., a_n], a_k = h^(k)(x0) / k!, for t -> h(x0 + t).
 `expr_jet` takes x and y as input jets, so y + psi(x) can be substituted.
+Every jet recurrence computes a_k from its inputs to order k alone, so
+a jet's head is the lower-order jet, bit for bit, and callers read only
+the orders they need.
+
+Every generated source of the package (values and sides here, psi and
+sheared sides in cutoffs and unfolding, flow's step expansion) goes
+through `generated_fn`, which compiles one text once: fields with one
+source share one code object, each with its own globals.
 
 Grammar (ASCII, whitespace-insensitive)::
 
@@ -26,8 +34,10 @@ derivative trees of `differentiate`, the jets' symbolic reference, small.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
+from operator import mul as _mul
 
 FUNCTIONS = ("sin", "cos", "exp", "log")
 VARIABLES = ("x", "y")
@@ -457,6 +467,26 @@ def _codegen(e: Expr, binds: int = 0) -> str:
 CODEGEN_NAMES = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
                  "_log": math.log}   # what _codegen's calls resolve to
 
+# generated sources whose code objects are kept: more than one run
+# compiles (about 30 for a graze config, 150 for a pass of classify's
+# scans)
+_CODE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(src: str):
+    """The code object of a generated source, compiled once per text (as
+    exec compiles a string: filename '<string>')."""
+    return compile(src, "<string>", "exec")
+
+
+def generated_fn(src: str, names: dict):
+    """The function ``fn`` that the generated source src defines, run in
+    names (its own globals): every field, profile and side with one source
+    shares one code object, and each keeps its own globals."""
+    exec(_code(src), names)  # noqa: S102 - generated by this package
+    return names["fn"]
+
 
 def compile_expr(*trees: Expr):
     """Compile trees to one fast ``fn(x, y)`` callable: the value of a
@@ -466,11 +496,9 @@ def compile_expr(*trees: Expr):
     Domain errors surface as the usual Python arithmetic exceptions here;
     use :func:`evaluate` when reporting matters.
     """
-    names = dict(CODEGEN_NAMES)
     # a bare tuple after return: no parentheses beyond the trees' own
     src = f"def fn(x, y):\n return {', '.join(_codegen(e) for e in trees)}"
-    exec(src, names)  # noqa: S102 - from our own AST
-    return names["fn"]
+    return generated_fn(src, dict(CODEGEN_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +517,8 @@ def jet_variable(value: float, order: int) -> Jet:
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+    """Coefficient k is sum over i of a[i] * b[k - i], i = 0..k in turn."""
+    return [sum(map(_mul, a[:k + 1], b[k::-1])) for k in range(len(a))]
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
@@ -601,13 +630,16 @@ class ScalarField:
         if not isinstance(expr, Expr):
             raise TypeError("ScalarField wants an Expr, string or number")
         self.expr = expr
-        self._compiled = {}   # '' (the value) or a side's g
+        self._compiled = {}   # a side's g -> the side function
 
     # -- ScalarFunc protocol -------------------------------------------------
     def value(self, x: float, y: float) -> float:
-        fn = self._compiled.get("")
+        """The compiled value. The first call binds it on the instance in
+        place of this method, so a later lookup of .value finds it; a bound
+        method taken before then reads it there."""
+        fn = self.__dict__.get("value")
         if fn is None:
-            fn = self._compiled[""] = compile_expr(self.expr)
+            self.value = fn = compile_expr(self.expr)
         return fn(x, y)
 
     def side_with(self, g):

@@ -26,9 +26,12 @@ Only a step where one may fire builds the dense output, to locate the
 earliest stop on the step polynomial. Once a line fires every line is
 searched, since a step may cross one and come back; Sigma only when it
 fired or y dipped across it, as a turn that stays off Sigma crosses
-nothing. The search runs on Python floats with the float operations of
-numpy's ``polyval`` and ``polyder``, and of a roll-and-subtract expansion
-of the dense output, in their order: it gives their values bit for bit.
+nothing. The 33-point scan of a line stops at its first root, which is
+all a Sigma or window line reads; a section reads every root. The search
+runs on Python floats with the float operations of numpy's ``polyval``
+and ``polyder``, and of a roll-and-subtract expansion of the dense
+output, in their order (Horner's scheme unrolled, the expansion generated
+once as straight-line code): it gives their values bit for bit.
 Two exact early exits skip a scan whose answer is already known: the turn
 test when the Hermite slope's constant term outweighs the other two, and a
 line's 33-point scan when the polynomial's constant term outweighs the sum
@@ -44,9 +47,10 @@ restarts from (x, 0) until one lands within a fixed 1e-6 in x of
 ``stop_at`` (a tangent arrival).
 
 A transit evaluates its side's field through one callable (x, y) -> (f, g)
-with Python floats: expression and sheared sides compile their pair into
-one function (``side_with``), any other pair of fields falls back to a
-``.value`` call on each. The stepper calls the side itself: a forward
+with Python floats, which the system makes once and keeps
+(``PwsSystem.side_fn``): expression and sheared sides compile their pair
+into one function (``side_with``), any other pair of fields falls back to
+a ``.value`` call on each. The stepper calls the side itself: a forward
 transit hands that function to DOP853 as it is (the fields are
 autonomous, ``numerics``), and a backward one wraps it once to negate
 both components.
@@ -87,9 +91,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .fieldexpr import generated_fn
 from .numerics import DOP853, brentq, solve_ivp
-from .system import (PwsSystem, _side_fn, h_value, sliding_field,
-                     NotSliding, DegenerateDenominator)
+from .system import (PwsSystem, h_value, sliding_field, NotSliding,
+                     DegenerateDenominator)
 
 
 class TransitFailure(RuntimeError):
@@ -233,30 +238,57 @@ def _land(rhs, t_a: float, z_a: List[float], t_e: float,
     return float(w[-1]), w[:-1]
 
 
+def _roll_source() -> str:
+    """Straight-line source of fn(r0, ..., r6, y): the 8 power-series
+    coefficients of one component's DenseOutput rows r and y_old, by a
+    roll-and-subtract over 8 coefficients (c[0] += row, then the roll;
+    every odd row also subtracts the roll from c), once per row from the
+    last, then c[0] += y. Every float operation of it is written, in its
+    order, 0.0 + r included; only a - 0.0, which is a bit for bit, is
+    left out."""
+    lines, c = [], ["0.0"] * 8
+
+    def op(a: str, sign: str, b: str) -> str:
+        if b == "0.0":   # only ever subtracted
+            return a
+        lines.append(f" c{len(lines)} = {a} {sign} {b}\n")
+        return f"c{len(lines) - 1}"
+    for i in range(7):
+        c[0] = op(c[0], "+", f"r{6 - i}")
+        shifted = [c[7]] + c[:7]
+        c = shifted if i % 2 == 0 else [op(a, "-", b)
+                                        for a, b in zip(c, shifted)]
+    c[0] = op(c[0], "+", "y")
+    return (f"def fn({', '.join(f'r{i}' for i in range(7))}, y):\n"
+            + "".join(lines) + f" return [{', '.join(c)}]\n")
+
+
+_expand = generated_fn(_roll_source(), {})
+
+
 def _step_poly(dense) -> List[List[float]]:
     """A DOP853 step's interpolant as power-series coefficients in
     tau = (t - t_old) / h: 8 floats per state component, lowest first.
     DenseOutput's nested tau / 1 - tau form is expanded with the float
-    operations of a roll-and-subtract over an (8, n) array, in its order."""
-    out = []
-    for rows, y_old in zip(dense.F, dense.y_old):
-        c = [0.0] * 8
-        for i, row in enumerate(reversed(rows)):
-            c[0] += row
-            shifted = [c[7]] + c[:7]
-            c = shifted if i % 2 == 0 else [a - b for a, b in zip(c, shifted)]
-        c[0] += y_old
-        out.append(c)
-    return out
+    operations of a roll-and-subtract over an (8, n) array, in its order
+    (_roll_source)."""
+    return [_expand(*rows, y_old) for rows, y_old in zip(dense.F,
+                                                         dense.y_old)]
 
 
 def _horner(c: List[float], u: float) -> float:
-    """c[0] + c[1] u + ... at u: the float operations of numpy's
-    ``polyval`` (Horner's scheme), in its order."""
-    v = c[-1] + u * 0.0
-    for a in c[-2::-1]:
-        v = a + v * u
-    return v
+    """c[0] + c[1] u + ... + c[7] u^7 at u: the float operations of
+    numpy's ``polyval`` (Horner's scheme), in its order, unrolled."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    return c0 + (c1 + (c2 + (c3 + (c4 + (c5 + (c6 + (
+        c7 + u * 0.0) * u) * u) * u) * u) * u) * u) * u
+
+
+def _horner_slope(d: List[float], u: float) -> float:
+    """_horner for the 7 coefficients of a step polynomial's derivative."""
+    d0, d1, d2, d3, d4, d5, d6 = d
+    return d0 + (d1 + (d2 + (d3 + (d4 + (d5 + (
+        d6 + u * 0.0) * u) * u) * u) * u) * u) * u
 
 
 def _root(fun, a: float, b: float) -> float:
@@ -267,18 +299,28 @@ def _root(fun, a: float, b: float) -> float:
         return b
 
 
-def _exits(coef: List[float], lo: float, hi: float) -> List[float]:
-    """Where a step polynomial goes from >= 0 to < 0 on [lo, hi], in order.
+def _exits(coef: List[float], lo: float, hi: float,
+           first: bool = False) -> List[float]:
+    """Where a step polynomial goes from >= 0 to < 0 on [lo, hi], in order;
+    with first, only the first: the scan stops at the root it returns.
 
     No scan when coef[0] outweighs the sum of the other coefficients'
     magnitudes: for 0 <= tau <= 1 every Horner value then stays positive,
     rounding included."""
     if coef[0] > (1.0 + 1e-13) * sum(abs(a) for a in coef[1:]):
         return []
-    taus = [lo + (hi - lo) * tau for tau in _GRID]
-    v = [_horner(coef, tau) for tau in taus]
-    return [_root(lambda u: _horner(coef, u), taus[i], taus[i + 1])
-            for i in range(len(v) - 1) if v[i] >= 0.0 > v[i + 1]]
+    out = []
+    u_a = lo + (hi - lo) * _GRID[0]
+    v_a = _horner(coef, u_a)
+    for tau in _GRID[1:]:
+        u_b = lo + (hi - lo) * tau
+        v_b = _horner(coef, u_b)
+        if v_a >= 0.0 > v_b:
+            out.append(_root(lambda u: _horner(coef, u), u_a, u_b))
+            if first:
+                break
+        u_a, v_a = u_b, v_b
+    return out
 
 
 def _turns(c0: float, c1: float, c2: float) -> bool:
@@ -301,7 +343,7 @@ def _minima(c: List[List[float]], sgn: float, slope) -> List[float]:
     def slope_at(u):
         return slope(_horner(cx, u), _horner(cy, u))
     dy = [j * cy[j] for j in range(1, 8)]
-    v = [sgn * _horner(dy, tau) for tau in _GRID]
+    v = [sgn * _horner_slope(dy, tau) for tau in _GRID]
     out = []
     for i in range(len(v) - 1):
         if not v[i] < 0.0 <= v[i + 1]:
@@ -333,7 +375,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
     t_max = _leg_budget(sys) if t_max is None else t_max
     w = sys.window
     x, y = float(start[0]), float(start[1])
-    fg = _side_fn(*sys.side(side))   # the only field evaluation in a transit
+    fg = sys.side_fn(side)   # the only field evaluation in a transit
     if time_sign == 1.0:
         rhs = fg   # the stepper calls the side itself
     else:
@@ -428,9 +470,10 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
                     coef = [line[0] * a + line[1] * b
                             for a, b in zip(cx, cy)]
                     coef[0] -= line[2]
-                    roots = _exits(coef, *span)
+                    # only a section reads every root
+                    roots = _exits(coef, *span, first=kind != "section")
                     if kind != "section":   # (hi: rounding lost the root)
-                        roots = roots[:1] or [span[1]] * (
+                        roots = roots or [span[1]] * (
                             crossed or kind == "sigma")
                     stops += [(tau, kind, line) for tau in roots]
 

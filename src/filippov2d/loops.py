@@ -322,7 +322,8 @@ def _root(stage: str, f: Callable[[float], float],
     """Zero of the closure gap f at the first sign change of samples.
 
     samples are (x, f(x)) pairs in scan order. The first two successive
-    ones of opposite sign bracket the root, which brentq polishes. Brent's
+    ones of opposite sign bracket the root, which brentq polishes; its
+    f(a) and f(b) are the scan's own values, not evaluated again. Brent's
     method returns a point it evaluated, so f(root) is read back from its
     own evaluations: the root must leave |f(root)| <= CLOSURE_TOL, which a
     sign change made by a jump of f does not. No sign change, or a root
@@ -339,10 +340,12 @@ def _root(stage: str, f: Callable[[float], float],
         raise VerificationFailed(
             f"{stage}: no sign change over {len(scanned)} points {span}")
     a, b = sorted((scanned[-1][0], x))
-    seen: Dict[float, float] = {}
+    seen: Dict[float, float] = {scanned[-1][0]: scanned[-1][1], x: v}
 
     def gap(t: float) -> float:
-        seen[t] = ft = f(t)
+        ft = seen.get(t)
+        if ft is None:
+            seen[t] = ft = f(t)
         return ft
 
     root = float(brentq(gap, a, b, xtol=1e-13, rtol=4e-15))

@@ -33,26 +33,12 @@ class ScalarFunc(Protocol):
     """A field component: its value and its Taylor jet in x.
 
     Expression and sheared fields also offer side_with(g): the compiled
-    (x, y) -> (self, g) that _side_fn hands to the flow and the sliding
-    field, one call per point."""
+    (x, y) -> (self, g) that PwsSystem.side_fn hands to the flow and the
+    sliding field, one call per point."""
 
     def value(self, x: float, y: float) -> float: ...
 
     def x_jet(self, x: float, y: float, order: int) -> list[float]: ...
-
-
-def _side_fn(f, g):
-    """One callable (x, y) -> (f, g) for a side: the pair's compiled side
-    function when f offers one for g (expression and sheared sides), else
-    one .value call on each."""
-    pair = getattr(f, "side_with", None)
-    fn = pair(g) if pair is not None else None
-    if fn is None:
-        f_value, g_value = f.value, g.value
-
-        def fn(x, y):
-            return f_value(x, y), g_value(x, y)
-    return fn
 
 
 class NotSliding(ValueError):
@@ -93,6 +79,8 @@ class PwsSystem:
     transition: Tuple[PwsSystem, PsiSpec | None] | None = field(
         default=None, repr=False)
     _g_scales: dict = field(default_factory=dict, repr=False)
+    _side_fns: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @classmethod
     def from_strings(cls, f_plus, g_plus, f_minus, g_minus,
@@ -112,6 +100,21 @@ class PwsSystem:
         if which == "lower":
             return self.lower()
         raise ValueError("side must be 'upper' or 'lower'")
+
+    def side_fn(self, which: str):
+        """The side's one callable (x, y) -> (f, g), made on first use and
+        kept: the pair's compiled side function when f offers one for g
+        (expression and sheared sides), else one .value call on each."""
+        fn = self._side_fns.get(which)
+        if fn is None:
+            f, g = self.side(which)
+            pair = getattr(f, "side_with", None)
+            fn = pair(g) if pair is not None else None
+            if fn is None:
+                def fn(x, y):
+                    return f.value(x, y), g.value(x, y)
+            self._side_fns[which] = fn
+        return fn
 
     def sigma_g_scale(self, which: str) -> float:
         """1 + max |g(x, 0)| over a coarse Sigma sample; tolerance scale."""
@@ -152,8 +155,8 @@ def sliding_field(sys: PwsSystem, x: float) -> float:
     component scale. Each side is one side-function call, so a sheared
     side evaluates psi once (h and a(x) read g alone: one .value each).
     """
-    fp, gp = _side_fn(*sys.upper())(x, 0.0)
-    fm, gm = _side_fn(*sys.lower())(x, 0.0)
+    fp, gp = sys.side_fn("upper")(x, 0.0)
+    fm, gm = sys.side_fn("lower")(x, 0.0)
     if gp * gm >= 0.0:
         raise NotSliding(f"h(x) >= 0 at x={x}; not in a sliding segment")
     den = gm - gp

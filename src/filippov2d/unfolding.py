@@ -136,32 +136,35 @@ class ShearedField:
 
     The value is compiled from _compile_sheared on first use, and so is
     the side function that :meth:`side_with` pairs two fields of one
-    profile into; x-derivatives of any order come from :meth:`x_jet`."""
+    profile into; x-derivatives of any order come from :meth:`x_jet`,
+    whose coefficient k reads psi's jet to order k + 1 alone (prefix-stable,
+    as fieldexpr's jets are)."""
 
     def __init__(self, hat: ScalarField, spec: PsiSpec,
                  f: Optional[ScalarField] = None):
         self._hat = hat
         self._spec = spec
         self._f = f
-        self._compiled = {}   # '' (value) or a side's g
-
-    def _fn(self, key):
-        """The compiled value ('') or side with the g `key`."""
-        fn = self._compiled.get(key)
-        if fn is None:
-            fields = (self,) if isinstance(key, str) else (self, key)
-            fn = self._compiled[key] = _compile_sheared(self._spec, fields)
-        return fn
+        self._compiled = {}   # a side's g -> the side function
 
     def value(self, x: float, y: float) -> float:
-        return self._fn("")(x, y)
+        """The compiled value. The first call binds it on the instance in
+        place of this method, so a later lookup of .value finds it; a bound
+        method taken before then reads it there."""
+        fn = self.__dict__.get("value")
+        if fn is None:
+            self.value = fn = _compile_sheared(self._spec, (self,))
+        return fn(x, y)
 
     def side_with(self, g):
         """The compiled ``(x, y) -> (self, g)`` of a side whose g is sheared
         by the same profile (None otherwise)."""
         if not (isinstance(g, ShearedField) and g._spec is self._spec):
             return None
-        return self._fn(g)
+        fn = self._compiled.get(g)
+        if fn is None:
+            fn = self._compiled[g] = _compile_sheared(self._spec, (self, g))
+        return fn
 
     def x_jet(self, x: float, y: float, order: int) -> Jet:
         p = psi_jet(self._spec, x, order + 1)

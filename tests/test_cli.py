@@ -402,6 +402,22 @@ ARTIFACT_SHA1 = {
         "trajectories/orbit_01.csv":
             "4d5edba52048419398d8a55eedf7cf1ded8a2a1a",
     }),
+    # crossing cycles certified by closure: their witnesses move with any
+    # change of a scan root, however small
+    "thm5_33_l1": ("upper.m = 3\nlower.m = 3\nscenario.theorem = 5\n"
+                   "scenario.ell = 1\n", {
+        "census.csv": "ea641ca93aa510cfec6bc7e872710f29ef37d2e2",
+        "portrait.svg": "28955f38458a846c3749fa55e165a5247cc0ae4d",
+        "tangent_points.csv": "6423dc8164629e04ec550277098c898b20fae0d9",
+        "trajectories/cycle_x_-0.984482637.csv":
+            "516b9670b7085710238d05fbcf1d0b51ce59c4dc",
+        "trajectories/cycle_x_-0.999641505.csv":
+            "b34b6faafc33014c89e428ac72c44d4c2dc99e19",
+        "trajectories/cycle_x_-0.999837682.csv":
+            "0ae4562cf1f41c743f8bbc62eafd41d798803ce4",
+        "trajectories/sliding_x_-0.3.csv":
+            "f37a379a981748aed640d29c81aec87f80c183be",
+    }),
     # a 5+3 split scan: its pencil's orbits cross Sigma, and one slides
     "scan_53": (SCAN_53, {
         "census.csv": "4c5a0635236cf19a0acac02a622522df2cbadb8c",

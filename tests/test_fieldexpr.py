@@ -3,15 +3,17 @@
 import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filippov2d import fieldexpr
+from filippov2d import PsiSpec, cutoffs, fieldexpr
 from filippov2d.fieldexpr import (Add, Call, EvalDomainError, Expr, Mul,
                                   Num, ParseError, Pow, ScalarField, Var,
                                   as_field, compile_expr, differentiate,
                                   evaluate, parse_expr)
+from filippov2d.unfolding import ShearedField
 
 
 def test_parse_identity_var():
@@ -279,3 +281,46 @@ def test_call_nodes_round_trip():
     e = parse_expr("log(exp(x))")
     assert isinstance(e, Call)
     assert evaluate(e, 0.7, 0.0) == pytest.approx(0.7, rel=1e-12)
+
+
+def test_fields_with_one_source_share_one_code_object():
+    # two parses of one text, two profiles of one knot count, two sheared
+    # values over them: one code object each, in functions of their own
+    # (own globals: knots and heights are not in the source)
+    a, b = ScalarField("x * y - 1.5"), ScalarField("x * y - 1.5")
+    assert a.value(2.0, 1.0) == b.value(2.0, 1.0) == 0.5
+    specs = [PsiSpec(1, (-0.6, -0.3, 0.0, h)) for h in (0.01, 0.02)]
+    psi = [cutoffs._psi_core(spec, -0.3)[0] for spec in specs]
+    assert psi == [0.01, 0.02]   # the bumps' peaks
+    sheared = [ShearedField(a, spec) for spec in specs]
+    assert sheared[0].value(-0.3, 1.0) != sheared[1].value(-0.3, 1.0)
+    for f, g in ((a.value, b.value), tuple(s.__dict__["_psi_fn"]
+                                           for s in specs),
+                 tuple(s.value for s in sheared)):
+        assert f is not g and f.__globals__ is not g.__globals__
+        assert f.__code__ is g.__code__
+        assert f.__code__.co_filename == "<string>"
+
+
+def test_every_generated_source_is_compiled_through_one_cache():
+    # exec( and compile( appear only in fieldexpr's cached helper and in
+    # the DOP853 generator (compiled once per state size)
+    allowed = {("fieldexpr", "_code"), ("fieldexpr", "generated_fn"),
+               ("numerics", "_generated")}
+    found = set()
+    for path in Path(fieldexpr.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Name) \
+                    and node.func.id in ("exec", "compile"):
+                # the innermost function around the call
+                owner = max((d for d in defs if d.lineno <= node.lineno
+                             <= d.end_lineno), key=lambda d: d.lineno,
+                            default=None)
+                found.add((path.stem, owner and owner.name))
+    assert found == allowed
+    assert isinstance(fieldexpr._CODE_CACHE_SIZE, int)
+    assert fieldexpr._code.cache_info().maxsize == fieldexpr._CODE_CACHE_SIZE

@@ -4,11 +4,12 @@ import dataclasses
 import inspect
 import math
 import struct
+import types
 import warnings
 
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyder, polyfromroots, polyval
 from hypothesis import given, settings, strategies as st
 
 from filippov2d import (CanonicalBase, PsiSpec, PwsSystem, UnfoldingSpec,
@@ -367,16 +368,30 @@ def test_grid_is_numpys_linspace():
     assert flow._GRID == np.linspace(0.0, 1.0, 33).tolist()
 
 
+def _with_specials(rng, n):
+    """_extremes with infinities and nans mixed in, one or two a tuple."""
+    out = []
+    for c in _extremes(rng, n):
+        c = list(c)
+        for i in rng.integers(n, size=rng.integers(1, 3)).tolist():
+            c[i] = rng.choice([math.inf, -math.inf, math.nan]).item()
+        out.append(tuple(c))
+    return out
+
+
 def test_horner_is_polyval_bit_for_bit():
+    # the unrolled schemes of the step polynomial (8 coefficients) and its
+    # y' (7), on signed zeros, subnormals, huge values, infinities and nans
     rng = np.random.default_rng(20)
     points = flow._GRID + [0.3, 1.0 + 2.0 ** -52, -0.7, 1e-300, 5e-324,
                            -0.0, 1e300, -1e300, math.inf, -math.inf,
                            math.nan]
     with np.errstate(all="ignore"):
-        for c in _extremes(rng, 8):
-            for u in rng.choice(points, 6).tolist():
-                assert flow._horner(list(c), u).hex() \
-                    == float(polyval(u, np.array(c))).hex(), (c, u)
+        for horner, n in ((flow._horner, 8), (flow._horner_slope, 7)):
+            for c in _extremes(rng, n) + _with_specials(rng, n)[::2]:
+                for u in rng.choice(points, 4).tolist():
+                    assert horner(list(c), u).hex() \
+                        == float(polyval(u, np.array(c))).hex(), (c, u)
 
 
 def _step_poly_by_roll(dense):
@@ -449,6 +464,24 @@ def test_step_poly_is_the_roll_construction_bit_for_bit(monkeypatch):
         assert ours == theirs
 
 
+def test_step_poly_is_the_roll_construction_on_extreme_rows():
+    # rows of 1-, 2- and 3-component dense outputs drawn from extreme
+    # floats, infinities and nans: the straight-line expansion is the
+    # (8, n) roll-and-subtract, float.hex for float.hex
+    rng = np.random.default_rng(30)
+    rows = _extremes(rng, 8)[::3] + _with_specials(rng, 8)[::3]
+    with np.errstate(all="ignore"):
+        for i in range(0, len(rows) - 3, 3):
+            n = 1 + i % 3
+            dense = types.SimpleNamespace(
+                F=[list(r[:7]) for r in rows[i:i + n]],
+                y_old=[r[7] for r in rows[i:i + n]])
+            ours = [[v.hex() for v in comp] for comp in flow._step_poly(dense)]
+            theirs = [[v.hex() for v in comp]
+                      for comp in _step_poly_by_roll(dense).T.tolist()]
+            assert ours == theirs, dense
+
+
 def _exits_by_polyval(coef, lo, hi):
     """flow._exits as numpy states it, with no early exit."""
     coef = np.array(coef)
@@ -482,13 +515,17 @@ def test_exits_and_minima_are_polyval_bit_for_bit(monkeypatch):
     # the step polynomials of the _TRANSITS against lines through each
     # step and Sigma, and random polynomials
     rng = np.random.default_rng(21)
-    found = {"exits": 0, "minima": 0}
+    found = {"exits": 0, "minima": 0, "several": 0}
 
     def check_exits(coef, spans):
         for lo, hi in spans:
             ours = flow._exits(coef, lo, hi)
             assert _hexes(ours) == _hexes(_exits_by_polyval(coef, lo, hi))
+            # the scan that stops at its first root returns the head
+            assert _hexes(flow._exits(coef, lo, hi, first=True)) \
+                == _hexes(ours[:1])
             found["exits"] += bool(ours)
+            found["several"] += len(ours) > 1
 
     def check_minima(c, slopes):
         for sgn, slope in slopes:
@@ -499,7 +536,7 @@ def test_exits_and_minima_are_polyval_bit_for_bit(monkeypatch):
 
     for build, start in _TRANSITS:
         system = build()
-        fg = flow._side_fn(*system.side("upper"))
+        fg = system.side_fn("upper")
         slopes = [(sgn, lambda x, y, sgn=sgn: sgn * fg(x, y)[1])
                   for sgn in (1.0, -1.0)]
         dense = _dense_outputs(monkeypatch, lambda: integrate_smooth(
@@ -515,6 +552,12 @@ def test_exits_and_minima_are_polyval_bit_for_bit(monkeypatch):
                 coef[0] -= level
                 check_exits(coef, spans)
             check_minima(c, slopes)
+    for k in range(4, 8):   # 2-4 exits: roots spread over [0, 1]
+        for _ in range(10):
+            roots = (np.arange(k) + rng.uniform(0.2, 0.8, k)) / k
+            coef = np.zeros(8)
+            coef[:k + 1] = (-1.0) ** k * polyfromroots(roots)
+            check_exits(coef.tolist(), [(0.0, 1.0), (0.1, 0.9)])
     for _ in range(300):
         coef = rng.normal(0.0, 1.0, 8) * rng.uniform(0.0, 2.0, 8) ** 4
         check_exits(coef.tolist(), [(0.0, 1.0), (0.1, 0.9)])
@@ -524,6 +567,7 @@ def test_exits_and_minima_are_polyval_bit_for_bit(monkeypatch):
             return float(polyval(x, d))
         check_minima(c, [(1.0, slope), (-1.0, lambda x, y: -slope(x, y))])
     assert found["exits"] >= 100 and found["minima"] >= 100, found
+    assert found["several"] >= 10, found
 
 
 def _exits_outcome(exits, coef, lo, hi):
@@ -640,13 +684,13 @@ def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):
     monkeypatch.setattr(unfolding, "_compiled", recorded)
     steppers = _recorded_steppers(monkeypatch)
     system = _sheared_upper_sys()
-    f, g = system.side("upper")
-    side = flow._side_fn(f, g)
+    f, _ = system.side("upper")
+    side = system.side_fn("upper")
 
     def counted_side(x, y):
         side_calls.append(x)
         return side(x, y)
-    monkeypatch.setattr(flow, "_side_fn", lambda f, g: counted_side)
+    monkeypatch.setattr(system, "side_fn", lambda which: counted_side)
     run = integrate_smooth(system, "upper", (-0.9, 0.1), t_max=10.0)
     assert run.terminal.kind == "window-exit"
     assert len(steppers) == 3

@@ -123,6 +123,30 @@ def test_loops_polishes_through_one_brentq_call():
     assert loops.brentq is numerics.brentq
 
 
+def test_no_displacement_is_evaluated_twice(monkeypatch):
+    # thm4 (5,5) ell=1's scans and their brentq polish: the bracket's ends
+    # are the scan's own values, so brentq's f(a) and f(b) fly nothing
+    flown = []   # (system, x), holding each system so no id is reused
+    displacement = loops.displacement_sigma
+
+    def recorded(sys, x):
+        flown.append((sys, x))
+        return displacement(sys, x)
+    monkeypatch.setattr(loops, "displacement_sigma", recorded)
+    polished = []
+    brentq = loops.brentq
+
+    def counted(f, a, b, **kwargs):
+        polished.append((a, b))
+        return brentq(f, a, b, **kwargs)
+    monkeypatch.setattr(loops, "brentq", counted)
+    census = scenario_thm4(canonical_base(5, 5), 1)
+    assert (census.beta_cro.get(1, 0), census.beta_cri.get(1, 0)) == (1, 2)
+    keys = [(id(sys), x) for sys, x in flown]
+    assert polished and len(keys) > 20
+    assert len(set(keys)) == len(keys)
+
+
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_canonical_loop_is_critical_with_one_contact(m):
     # m = 3: one accepted step holds both zeros of g+ (the hill top and the
@@ -282,6 +306,16 @@ _CENSUS_ROWS = [
     # a crossing cycle whose witness misses closure by 1.1e-8 is dropped
     ("thm5", (5, 2), (1, 4, 1)),
     ("thm5", (5, 3), (0, 6, 0)),
+    ("thm5", (7, 1), (3, 5, 0)),
+    ("thm5", (7, 3), (1, 7, 0)),
+    ("thm5", (7, 4), (0, 8, 0)),
+    ("thm5", ((5, 3), 0), (3, 2, 0)),
+    ("thm5", ((5, 3), 1), (2, 3, 0)),
+    ("thm5", ((5, 3), 2), (1, 4, 0)),
+    ("thm5", ((5, 3), 3), (0, 5, 0)),
+    ("thm5", ((3, 5), 0), (2, 2, 0)),
+    ("thm5", ((3, 5), 1), (1, 3, 0)),
+    ("thm5", ((3, 5), 2), (0, 4, 0)),
 ]
 
 

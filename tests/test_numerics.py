@@ -57,7 +57,7 @@ def _sheared_side():
                                       window)
     system = build_unfolded(UnfoldingSpec(
         base, psi_plus=PsiSpec(1, (-0.6, -0.3, 0.0, 0.01))))
-    side = flow._side_fn(*system.side("upper"))
+    side = system.side_fn("upper")
 
     def sheared(t, z):
         return side(*map(float, z))

@@ -2,6 +2,8 @@
 
 import inspect
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,13 @@ from scipy.integrate import solve_ivp
 
 from filippov2d import (IndeterminateMultiplicity, ZeroLeadingCoefficient,
                         find_tangent_points, multiplicity_at, visibility)
-from filippov2d import system, tangency
+from filippov2d import (build_unfolded, canonical_base, cli,
+                        scenario_thm4, system, tangency)
 from filippov2d.fieldexpr import ScalarField
 from conftest import make_sys
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from generate import config_text, workload_specs  # noqa: E402
 
 
 def test_multiplicity_monomials():
@@ -30,6 +36,77 @@ def test_multiplicity_zero_when_g_nonzero():
 def test_multiplicity_flat_is_indeterminate():
     with pytest.raises(IndeterminateMultiplicity):
         multiplicity_at(ScalarField("0"), 1.0, 0.0)
+
+
+def _multiplicity_by_one_read(g, f_at, x0):
+    """multiplicity_at as one read of the order-MAX_ORDER jet."""
+    scale = max(1.0, abs(f_at))
+    for k, c in enumerate(g.x_jet(x0, 0.0, tangency.MAX_ORDER)):
+        v = c * math.factorial(k)
+        if abs(v) > tangency.EPS * scale:
+            return k
+        scale = max(scale, abs(v))
+    return None   # IndeterminateMultiplicity
+
+
+def _classify_seed1_systems(tmp_path):
+    """The systems of the classify benchmark workload's seed-1 scans."""
+    out = []
+    for spec in workload_specs("classify", 1):
+        if "check_seed" not in spec:
+            path = tmp_path / f"{spec['name']}.cfg"
+            path.write_text(config_text(spec))
+            out.append(cli._configured_system(cli.load_config(path)))
+    return out
+
+
+def test_multiplicity_reads_orders_on_demand_bit_for_bit(tmp_path):
+    # every tangency candidate of classify's seed-1 scans (expression
+    # fields) and of thm4 (5,5) ell=1's sheared system, both sides: the
+    # order-2 read first gives what one order-12 read gives
+    systems = _classify_seed1_systems(tmp_path)
+    systems.append(build_unfolded(scenario_thm4(canonical_base(5, 5),
+                                                1).spec))
+    degrees = set()
+    for s in systems:
+        for x0 in system.decompose_sigma(s).tangency_candidates:
+            for which in ("upper", "lower"):
+                f, g = s.side(which)
+                f_at = f.value(x0, 0.0)
+                want = _multiplicity_by_one_read(g, f_at, x0)
+                try:
+                    got = multiplicity_at(g, f_at, x0)
+                except IndeterminateMultiplicity:
+                    got = None
+                assert got == want, (x0, which)
+                degrees.add(got)
+    assert {0, 1, 3, 5, 7} <= degrees
+
+
+class _OrderCounting(ScalarField):
+    """A field recording the order of every jet it is asked for."""
+
+    def __init__(self, expr):
+        super().__init__(expr)
+        self.orders = []
+
+    def x_jet(self, x, y, order):
+        self.orders.append(order)
+        return super().x_jet(x, y, order)
+
+
+@pytest.mark.parametrize("src, x0, want, orders", [
+    ("1 + x", 0.0, 0, [2]), ("x - 0.5", 0.5, 1, [2]),
+    ("x^2 * (x - 1)", 0.0, 2, [2]), ("x^3", 0.0, 3, [2, 12]),
+    ("x^7 * (x + 1)", 0.0, 7, [2, 12]), ("0", 0.0, None, [2, 12])])
+def test_order_twelve_is_read_only_where_orders_to_two_vanish(src, x0, want,
+                                                               orders):
+    g = _OrderCounting(src)
+    try:
+        got = multiplicity_at(g, 1.0, x0)
+    except IndeterminateMultiplicity:
+        got = None
+    assert (got, g.orders) == (want, orders)
 
 
 def test_visibility_fold_cases():

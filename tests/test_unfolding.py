@@ -14,7 +14,6 @@ from filippov2d import (CanonicalBase, PsiSpec, UnfoldingSpec, Window,
                         scenario_thm3, scenario_thm4, scenario_thm5, unfolding)
 from filippov2d.cutoffs import _psi_core, zero_psi
 from filippov2d.loops import _negative_cluster, _pinned_knots, _plateau_psi
-from filippov2d.system import _side_fn
 
 W = Window(-1.0, 1.0, -1.0, 1.0)
 
@@ -249,8 +248,7 @@ def test_sheared_sides_are_the_transition_sides_at_u_bit_for_bit(scenario):
         if zero_psi(psi_spec):
             assert system.side(which) == hat.side(which)
             continue
-        sheared, plain = _side_fn(*system.side(which)), _side_fn(
-            *hat.side(which))
+        sheared, plain = system.side_fn(which), hat.side_fn(which)
         for _ in range(2000):
             x, y = rng.uniform(w.x_lo, w.x_hi), rng.uniform(-0.2, 0.2)
             p, dp = _psi_core(psi_spec, x)
