@@ -10,19 +10,21 @@ psi assembles d plateau bumps from a knot vector k of length 3d+1: knots
 k_1 < ... < k_{2d+1}, then d plateau heights. Bump i rises on
 (k_{2i-1}, k_{2i}] and falls on (k_{2i}, k_{2i+1}]. If the knots are not
 strictly ascending, the fallback branch k_{2d+2} * cutoff_up(x; r1, r2)
-is used instead (r1, r2 supplied separately).
+is used instead (r1, r2 supplied separately; a PsiSpec without them is
+refused at construction).
 
 The flow reads psi and psi' in closed form: s' = q * nu2 with
 s = cutoff_up, q = s(1 - s), nu2 = 1/(x-r1)^2 + 1/(x-r2)^2. cutoff_jet
 and psi_jet give derivatives of any order as Taylor jets (fieldexpr).
 
 That float arithmetic is one psi template, Python source (_CUTOFF behind
-the piece lookup of _psi_source): _cutoff_core, each profile's _psi_core
-(compiled on first use) and every sheared side function
-(unfolding._compile_sheared, which evaluates psi inline, with no call)
-are generated from it, so they give the same bits. A source is compiled
-once (fieldexpr.generated_fn): profiles of one knot count share one code
-object, their knots and heights being globals of each function's own.
+the piece lookup of _psi_source): _cutoff_core, each profile's psi
+function (compiled on first use and kept, PsiSpec._psi_fn) and every
+sheared side function (unfolding._compile_sheared, which evaluates psi
+inline, with no call) are generated from it, so they give the same bits.
+fieldexpr.generated_fn builds each of them and compiles a source once:
+profiles of one knot count share one code object, their knots and
+heights being globals of each function's own.
 
 cutoff_jet and psi_jet are prefix-stable like every fieldexpr jet: the
 order-n jet is the head of any higher-order one, bit for bit.
@@ -30,10 +32,10 @@ order-n jet is the head of any higher-order one, bit for bit.
 
 from __future__ import annotations
 
-import math
 import textwrap
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .fieldexpr import (Jet, generated_fn, jet_constant, jet_div, jet_exp,
@@ -69,15 +71,8 @@ else:
 """
 
 
-def _compiled(args: str, body: str, out: str, names: dict):
-    """``fn(args)``: body, then return out; body reads names (its own
-    globals, while one source shares one code object: generated_fn)."""
-    src = f"def fn({args}):\n{textwrap.indent(body, ' ')} return {out}\n"
-    return generated_fn(src, dict(names, _exp=math.exp))
-
-
 # (s, s') of cutoff_up at x; r1 < r2 is the caller's to check
-_cutoff_core = _compiled("x, r1, r2", _CUTOFF, "s, d1", {})
+_cutoff_core = generated_fn("x, r1, r2", _CUTOFF, "s, d1", {})
 
 
 def _checked_cutoff(x: float, r1: float, r2: float) -> Tuple[float, float]:
@@ -109,7 +104,8 @@ def cutoff_jet(x: float, r1: float, r2: float, order: int) -> Jet:
 @dataclass(frozen=True)
 class PsiSpec:
     """Plateau profile: d bumps, knot-and-height vector k (length 3d+1),
-    optional fallback window (r1, r2) used when the knots are degenerate."""
+    and a fallback window (r1, r2), used and required when the knots are
+    degenerate (not strictly ascending)."""
 
     d: int
     k: Tuple[float, ...]
@@ -130,6 +126,8 @@ class PsiSpec:
         set_once(self, "heights", hs)
         set_once(self, "_ascending",
                  all(a < b for a, b in zip(ks[:-1], ks[1:])))
+        if not self._ascending and (self.r1 is None or self.r2 is None):
+            raise ValueError("degenerate knots need a fallback (r1, r2) window")
 
     @property
     def fallback_height(self) -> float:
@@ -143,9 +141,13 @@ class PsiSpec:
     def support(self) -> Tuple[float, float]:
         if self.in_knot_domain():
             return self.knots[0], self.knots[-1]
-        if self.r1 is None or self.r2 is None:
-            raise ValueError("degenerate knots need a fallback (r1, r2) window")
         return self.r1, self.r2
+
+    @cached_property
+    def _psi_fn(self):
+        """x -> (psi, psi'): compiled from _psi_source on first use."""
+        body, names = _psi_source(self)
+        return generated_fn("x", body, "p, dp", names)
 
 
 def _psi_piece(spec: PsiSpec, x: float):
@@ -154,8 +156,6 @@ def _psi_piece(spec: PsiSpec, x: float):
     or 0 with r1 None off the support. No knot takes a tolerance test:
     the cutoff alone is flat next to a knot (module docstring)."""
     if not spec._ascending:
-        if spec.r1 is None or spec.r2 is None:
-            raise ValueError("degenerate knots need a fallback (r1, r2) window")
         return spec.fallback_height, spec.r1, spec.r2, False
     ks = spec.knots
     j = bisect_left(ks, x)   # ks[j - 1] < x <= ks[j]
@@ -171,9 +171,6 @@ def _psi_source(spec: PsiSpec) -> Tuple[str, dict]:
     (bisect_left on the knots, or the fallback window). r1 < r2 on every
     piece: knots ascend strictly, and PsiSpec checked the window."""
     if not spec._ascending:
-        if spec.r1 is None or spec.r2 is None:
-            return ('raise ValueError("degenerate knots need a fallback '
-                    '(r1, r2) window")\n', {})
         return ("h, r1, r2 = _h, _r1, _r2\n" + _CUTOFF
                 + "p, dp = h * s, h * d1\n",
                 {"_h": spec.fallback_height, "_r1": spec.r1, "_r2": spec.r2})
@@ -193,14 +190,8 @@ def _psi_source(spec: PsiSpec) -> Tuple[str, dict]:
 
 
 def _psi_core(spec: PsiSpec, x: float) -> Tuple[float, float]:
-    """(psi, psi') of spec at x: its function compiled from _psi_source,
-    on first use."""
-    fn = spec.__dict__.get("_psi_fn")
-    if fn is None:
-        body, names = _psi_source(spec)
-        fn = _compiled("x", body, "p, dp", names)
-        object.__setattr__(spec, "_psi_fn", fn)
-    return fn(x)
+    """(psi, psi') of spec at x."""
+    return spec._psi_fn(x)
 
 
 def psi(spec: PsiSpec, x: float) -> float:

@@ -9,10 +9,12 @@ Every jet recurrence computes a_k from its inputs to order k alone, so
 a jet's head is the lower-order jet, bit for bit, and callers read only
 the orders they need.
 
-Every generated source of the package (values and sides here, psi and
-sheared sides in cutoffs and unfolding, flow's step expansion) goes
-through `generated_fn`, which compiles one text once: fields with one
-source share one code object, each with its own globals.
+Every generated function of the package (values and sides here, psi
+and sheared sides in cutoffs and unfolding, flow's step expansion,
+numerics' DOP853 step) is built by `generated_fn` from a body and a
+return value: it alone writes the ``def`` header, compiles (once per
+text) and execs, so functions with one source share one code object,
+each with its own globals.
 
 Grammar (ASCII, whitespace-insensitive)::
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import textwrap
 from dataclasses import dataclass, field
 from operator import mul as _mul
 
@@ -480,12 +483,15 @@ def _code(src: str):
     return compile(src, "<string>", "exec")
 
 
-def generated_fn(src: str, names: dict):
-    """The function ``fn`` that the generated source src defines, run in
-    names (its own globals): every field, profile and side with one source
-    shares one code object, and each keeps its own globals."""
-    exec(_code(src), names)  # noqa: S102 - generated by this package
-    return names["fn"]
+def generated_fn(args: str, body: str, out: str, names: dict):
+    """``fn(args)``: the generated lines body, then ``return out``, run in
+    globals of its own (names and CODEGEN_NAMES). The package's one
+    builder of generated functions: every function with one source shares
+    one code object (_code)."""
+    src = f"def fn({args}):\n{textwrap.indent(body, ' ')} return {out}\n"
+    scope = dict(CODEGEN_NAMES, **names)
+    exec(_code(src), scope)  # noqa: S102 - generated by this package
+    return scope["fn"]
 
 
 def compile_expr(*trees: Expr):
@@ -497,8 +503,8 @@ def compile_expr(*trees: Expr):
     use :func:`evaluate` when reporting matters.
     """
     # a bare tuple after return: no parentheses beyond the trees' own
-    src = f"def fn(x, y):\n return {', '.join(_codegen(e) for e in trees)}"
-    return generated_fn(src, dict(CODEGEN_NAMES))
+    return generated_fn("x, y", "", ", ".join(_codegen(e) for e in trees),
+                        {})
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +622,10 @@ def evaluate(e: Expr, x: float, y: float) -> float:
 class ScalarField:
     """A scalar function of (x, y) backed by an expression tree.
 
-    The value is compiled on first use, and so is each side function that
-    :meth:`side_with` pairs it into; x-derivatives of any order come from
-    :meth:`x_jet`, so e.g. the 12th x-derivative of a degree-8 polynomial
-    is exactly zero, not noise.
+    The value is compiled on first use and kept; :meth:`side_with`
+    compiles a side function each call (PwsSystem.side_fn keeps it);
+    x-derivatives of any order come from :meth:`x_jet`, so e.g. the 12th
+    x-derivative of a degree-8 polynomial is exactly zero, not noise.
     """
 
     def __init__(self, expr):
@@ -630,27 +636,19 @@ class ScalarField:
         if not isinstance(expr, Expr):
             raise TypeError("ScalarField wants an Expr, string or number")
         self.expr = expr
-        self._compiled = {}   # a side's g -> the side function
 
     # -- ScalarFunc protocol -------------------------------------------------
-    def value(self, x: float, y: float) -> float:
-        """The compiled value. The first call binds it on the instance in
-        place of this method, so a later lookup of .value finds it; a bound
-        method taken before then reads it there."""
-        fn = self.__dict__.get("value")
-        if fn is None:
-            self.value = fn = compile_expr(self.expr)
-        return fn(x, y)
+    @functools.cached_property
+    def value(self):
+        """The compiled ``(x, y) -> value``."""
+        return compile_expr(self.expr)
 
     def side_with(self, g):
         """The compiled ``(x, y) -> (self, g)`` of a side whose g is a
-        ScalarField too (None otherwise); compiled once per partner."""
+        ScalarField too (None otherwise)."""
         if not isinstance(g, ScalarField):
             return None
-        fn = self._compiled.get(g)
-        if fn is None:
-            fn = self._compiled[g] = compile_expr(self.expr, g.expr)
-        return fn
+        return compile_expr(self.expr, g.expr)
 
     def x_jet(self, x: float, y: float, order: int) -> Jet:
         """Jet of t -> f(x + t, y) up to `order`."""

@@ -30,8 +30,10 @@ nothing. The 33-point scan of a line stops at its first root, which is
 all a Sigma or window line reads; a section reads every root. The search
 runs on Python floats with the float operations of numpy's ``polyval``
 and ``polyder``, and of a roll-and-subtract expansion of the dense
-output, in their order (Horner's scheme unrolled, the expansion generated
-once as straight-line code): it gives their values bit for bit.
+output, in their order (Horner's scheme unrolled, y' padded to its 8
+coefficients with a zero, and the expansion generated once as
+straight-line code by fieldexpr.generated_fn): it gives their values
+bit for bit.
 Two exact early exits skip a scan whose answer is already known: the turn
 test when the Hermite slope's constant term outweighs the other two, and a
 line's 33-point scan when the polynomial's constant term outweighs the sum
@@ -48,9 +50,9 @@ restarts from (x, 0) until one lands within a fixed 1e-6 in x of
 
 A transit evaluates its side's field through one callable (x, y) -> (f, g)
 with Python floats, which the system makes once and keeps
-(``PwsSystem.side_fn``): expression and sheared sides compile their pair
-into one function (``side_with``), any other pair of fields falls back to
-a ``.value`` call on each. The stepper calls the side itself: a forward
+(``PwsSystem.side_fn``, the one memo of a side function): expression and
+sheared sides compile their pair into one function (``side_with``), any
+other pair of fields falls back to a ``.value`` call on each. The stepper calls the side itself: a forward
 transit hands that function to DOP853 as it is (the fields are
 autonomous, ``numerics``), and a backward one wraps it once to negate
 both components.
@@ -238,20 +240,20 @@ def _land(rhs, t_a: float, z_a: List[float], t_e: float,
     return float(w[-1]), w[:-1]
 
 
-def _roll_source() -> str:
-    """Straight-line source of fn(r0, ..., r6, y): the 8 power-series
-    coefficients of one component's DenseOutput rows r and y_old, by a
-    roll-and-subtract over 8 coefficients (c[0] += row, then the roll;
-    every odd row also subtracts the roll from c), once per row from the
-    last, then c[0] += y. Every float operation of it is written, in its
-    order, 0.0 + r included; only a - 0.0, which is a bit for bit, is
-    left out."""
+def _roll_source() -> Tuple[str, str]:
+    """Straight-line body and return value of fn(r0, ..., r6, y): the 8
+    power-series coefficients of one component's DenseOutput rows r and
+    y_old, by a roll-and-subtract over 8 coefficients (c[0] += row, then
+    the roll; every odd row also subtracts the roll from c), once per row
+    from the last, then c[0] += y. Every float operation of it is
+    written, in its order, 0.0 + r included; only a - 0.0, which is a
+    bit for bit, is left out."""
     lines, c = [], ["0.0"] * 8
 
     def op(a: str, sign: str, b: str) -> str:
         if b == "0.0":   # only ever subtracted
             return a
-        lines.append(f" c{len(lines)} = {a} {sign} {b}\n")
+        lines.append(f"c{len(lines)} = {a} {sign} {b}\n")
         return f"c{len(lines) - 1}"
     for i in range(7):
         c[0] = op(c[0], "+", f"r{6 - i}")
@@ -259,11 +261,10 @@ def _roll_source() -> str:
         c = shifted if i % 2 == 0 else [op(a, "-", b)
                                         for a, b in zip(c, shifted)]
     c[0] = op(c[0], "+", "y")
-    return (f"def fn({', '.join(f'r{i}' for i in range(7))}, y):\n"
-            + "".join(lines) + f" return [{', '.join(c)}]\n")
+    return "".join(lines), f"[{', '.join(c)}]"
 
 
-_expand = generated_fn(_roll_source(), {})
+_expand = generated_fn("r0, r1, r2, r3, r4, r5, r6, y", *_roll_source(), {})
 
 
 def _step_poly(dense) -> List[List[float]]:
@@ -282,13 +283,6 @@ def _horner(c: List[float], u: float) -> float:
     c0, c1, c2, c3, c4, c5, c6, c7 = c
     return c0 + (c1 + (c2 + (c3 + (c4 + (c5 + (c6 + (
         c7 + u * 0.0) * u) * u) * u) * u) * u) * u) * u
-
-
-def _horner_slope(d: List[float], u: float) -> float:
-    """_horner for the 7 coefficients of a step polynomial's derivative."""
-    d0, d1, d2, d3, d4, d5, d6 = d
-    return d0 + (d1 + (d2 + (d3 + (d4 + (d5 + (
-        d6 + u * 0.0) * u) * u) * u) * u) * u) * u
 
 
 def _root(fun, a: float, b: float) -> float:
@@ -342,8 +336,8 @@ def _minima(c: List[List[float]], sgn: float, slope) -> List[float]:
 
     def slope_at(u):
         return slope(_horner(cx, u), _horner(cy, u))
-    dy = [j * cy[j] for j in range(1, 8)]
-    v = [sgn * _horner_slope(dy, tau) for tau in _GRID]
+    dy = [j * cy[j] for j in range(1, 8)] + [0.0]   # y', padded to 8
+    v = [sgn * _horner(dy, tau) for tau in _GRID]
     out = []
     for i in range(len(v) - 1):
         if not v[i] < 0.0 <= v[i + 1]:

@@ -399,8 +399,8 @@ def canonical_critical_loop(m_plus: int = 1, m_minus: int = 1,
               chain=True, stop_at=0.0)
     down = _leg(sys, "lower arc from 0", "lower", up.terminal.x,
                 t_offset=up.terminal.t)
-    mp = multiplicity_at(sys.g_plus, 1.0, 0.0)
-    mm = multiplicity_at(sys.g_minus, -1.0, 0.0)
+    mp, _ = multiplicity_at(sys.g_plus, 1.0, 0.0)
+    mm, _ = multiplicity_at(sys.g_minus, -1.0, 0.0)
     if (mp, mm) != (m_plus, m_minus):
         raise VerificationFailed(
             f"origin multiplicities ({mp}, {mm}) != ({m_plus}, {m_minus})")

@@ -76,6 +76,8 @@ import math
 import sys
 from typing import Dict, List, NamedTuple, Tuple
 
+from .fieldexpr import generated_fn
+
 # -- the DOP853 tableau, as in SciPy's dop853_coefficients -------------------
 # SciPy's coefficient lines as they are: A and D hold the nonzero entries
 # keyed (row, column), C, E3 and E5 are lists of floats
@@ -319,7 +321,8 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
 def _generated(n: int):
     """DOP853's (step, dense) functions for states of n components, with
     every tableau sum unrolled into float arithmetic (zero entries
-    skipped, terms in stage order); compiled on first use.
+    skipped, terms in stage order); built by fieldexpr.generated_fn on
+    first use.
 
     Each stage is one call ``fun(y0 + (...) * h, y1 + (...) * h, ...)``
     of the autonomous field, unpacked into its n slopes.
@@ -339,7 +342,7 @@ def _generated(n: int):
     def stage(s):   # stage s from the state y{i}
         state = ", ".join(f"y{i} + ({dot(i, _row(A, s, s))}) * h"
                           for i in comps)
-        return f" {ks(s)}= fun({state})"
+        return f"{ks(s)}= fun({state})\n"
 
     def sq(v):   # numpy's norm squared: sqrt(x.dot(x)) ** 2
         return f"sqrt({' + '.join(f'{v}{i} * {v}{i}' for i in comps)}) ** 2"
@@ -351,30 +354,26 @@ def _generated(n: int):
         + ", ".join(f"h * ({dot(i, _row(D, r, N_STAGES_EXTENDED))})"
                     for r in range(INTERPOLATOR_POWER - 3)) + "]"
         for i in comps)
-    step = [
-        "def step(fun, y, f, h, rtol, atol):",
-        f" {ys}= y", f" {ks(0)}= f",
+    step = "".join([
+        f"{ys}= y\n", f"{ks(0)}= f\n",
         *(stage(s) for s in range(1, N_STAGES)),
-        *(f" z{i} = y{i} + h * ({dot(i, B)})" for i in comps),
-        f" {ks(N_STAGES)}= fun({zs})",
+        *(f"z{i} = y{i} + h * ({dot(i, B)})\n" for i in comps),
+        f"{ks(N_STAGES)}= fun({zs})\n",
         # max(|z|, |y|) is NaN where z is, as SciPy's np.maximum is
-        *(f" s{i} = atol + max(abs(z{i}), abs(y{i})) * rtol" for i in comps),
-        *(f" e{i} = ({dot(i, E5)}) / s{i}" for i in comps),
-        *(f" d{i} = ({dot(i, E3)}) / s{i}" for i in comps),
-        f" e = {sq('e')}", f" d = {sq('d')}",
-        f" err = abs(h) * e / sqrt((e + 0.01 * d) * {n}) if e or d else 0.0",
-        f" return [{zs}], [{ks(N_STAGES)}], err, ({slopes})"]
-    dense = [
-        "def dense(fun, y, z, h, K):",
-        f" {ys}= y", f" {zs}= z", f" {slopes}= K",
+        *(f"s{i} = atol + max(abs(z{i}), abs(y{i})) * rtol\n" for i in comps),
+        *(f"e{i} = ({dot(i, E5)}) / s{i}\n" for i in comps),
+        *(f"d{i} = ({dot(i, E3)}) / s{i}\n" for i in comps),
+        f"e = {sq('e')}\n", f"d = {sq('d')}\n",
+        f"err = abs(h) * e / sqrt((e + 0.01 * d) * {n}) if e or d else 0.0\n"])
+    dense = "".join([
+        f"{ys}= y\n", f"{zs}= z\n", f"{slopes}= K\n",
         *(stage(s) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)),
-        *(f" q{i} = z{i} - y{i}" for i in comps),
-        f" return [{rows}]"]
+        *(f"q{i} = z{i} - y{i}\n" for i in comps)])
     names = {"sqrt": math.sqrt}
-    for lines in (step, dense):   # one at a time: half the compiler's memory
-        code = compile("\n".join(lines), f"<DOP853 n={n}>", "exec")
-        exec(code, names)  # noqa: S102 - generated from the tableau above
-    return names["step"], names["dense"]
+    # one at a time: half the compiler's memory
+    return (generated_fn("fun, y, f, h, rtol, atol", step,
+                         f"[{zs}], [{ks(N_STAGES)}], err, ({slopes})", names),
+            generated_fn("fun, y, z, h, K", dense, f"[{rows}]", names))
 
 
 class DenseOutput:

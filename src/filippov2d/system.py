@@ -32,9 +32,9 @@ _NEWTON_STEPS = 40
 class ScalarFunc(Protocol):
     """A field component: its value and its Taylor jet in x.
 
-    Expression and sheared fields also offer side_with(g): the compiled
-    (x, y) -> (self, g) that PwsSystem.side_fn hands to the flow and the
-    sliding field, one call per point."""
+    Expression and sheared fields also offer side_with(g), which compiles
+    the (x, y) -> (self, g) that PwsSystem.side_fn keeps and hands to the
+    flow and the sliding field, one call per point."""
 
     def value(self, x: float, y: float) -> float: ...
 
@@ -78,7 +78,9 @@ class PwsSystem:
     # shear conjugates it to, with the upper profile psi+ (None: zero)
     transition: Tuple[PwsSystem, PsiSpec | None] | None = field(
         default=None, repr=False)
-    _g_scales: dict = field(default_factory=dict, repr=False)
+    # made on first use and kept: sigma_g_scale's and side_fn's
+    _g_scales: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
     _side_fns: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -103,8 +105,9 @@ class PwsSystem:
 
     def side_fn(self, which: str):
         """The side's one callable (x, y) -> (f, g), made on first use and
-        kept: the pair's compiled side function when f offers one for g
-        (expression and sheared sides), else one .value call on each."""
+        kept (the one memo of a side function): the pair's compiled side
+        function when f offers one for g (expression and sheared sides),
+        else one .value call on each."""
         fn = self._side_fns.get(which)
         if fn is None:
             f, g = self.side(which)

@@ -17,14 +17,16 @@ multiplicity_at reads orders up to MAX_ORDER against the threshold EPS,
 on demand: the order-2 jet first, which decides every point of degree 2
 or less (most candidates are simple), and the order-MAX_ORDER jet only
 where orders 0-2 all vanish. Jets are prefix-stable (fieldexpr), so the
-answer is the one a single MAX_ORDER read gives, bit for bit.
+answer is the one a single MAX_ORDER read gives, bit for bit. The jet m
+is found in also gives g^(m), which multiplicity_at returns with m, so
+visibility's input costs no further jet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .system import PwsSystem, SigmaDecomposition, decompose_sigma
 
@@ -56,10 +58,12 @@ class BoundaryEquilibrium:
     side: str
 
 
-def multiplicity_at(g_field, f_at: float, x0: float) -> int:
-    """Order of the first non-vanishing x-derivative of g at (x0, 0).
+def multiplicity_at(g_field, f_at: float,
+                    x0: float) -> Tuple[int, float]:
+    """(m, g^(m)(x0, 0)): the order of the first non-vanishing x-derivative
+    of g at (x0, 0), and that derivative, read from the jet m was found in.
 
-    Returns 0 when g itself is nonzero (no tangency). The threshold is
+    m is 0 when g itself is nonzero (no tangency). The threshold is
     EPS scaled by max(1, |f|, derivative magnitudes seen so far) — scaling
     by *later* orders would let the enormous high-order derivatives of
     bump-type perturbations swallow a genuinely nonzero low-order one.
@@ -72,7 +76,7 @@ def multiplicity_at(g_field, f_at: float, x0: float) -> int:
         for c in g_field.x_jet(x0, 0.0, order)[k:]:
             v = c * math.factorial(k)
             if abs(v) > EPS * scale:
-                return k
+                return k, v
             scale = max(scale, abs(v))
             k += 1
     raise IndeterminateMultiplicity(
@@ -116,10 +120,9 @@ class TangencyScan:
 def _side_data(sys: PwsSystem, which: str, x0: float):
     f, g = sys.side(which)
     f_val = f.value(x0, 0.0)
-    m = multiplicity_at(g, f_val, x0)
+    m, gm = multiplicity_at(g, f_val, x0)
     vis = None
     if m >= 1 and f_val != 0.0:
-        gm = g.x_jet(x0, 0.0, m)[m] * math.factorial(m)
         vis = visibility(which, m, f_val, gm)
     return m, vis
 

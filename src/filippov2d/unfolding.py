@@ -18,7 +18,9 @@ bounded away from zero. Two perturbation layers are applied:
   value rounds as cutoffs._psi_core does, bit for bit, and calls no psi
   function. The side function of a sheared pair evaluates psi, psi', u
   and f^(x, u) once for both components, so one flow RHS point evaluates
-  psi once.
+  psi once. Both are built by fieldexpr.generated_fn, like every
+  generated function; a field keeps its value, and the system keeps its
+  side functions (PwsSystem.side_fn).
 
 The shear is an exact conjugacy between the transition flow and the
 unfolded flow: gamma~(t; x0, y0 - psi(x0)) = gamma^(t; x0, y0) shifted by
@@ -37,13 +39,14 @@ which feeds y + psi(x) to fieldexpr.expr_jet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence, Tuple
 
-from .cutoffs import PsiSpec, _compiled, _psi_source, psi_jet, zero_psi
+from .cutoffs import PsiSpec, _psi_source, psi_jet, zero_psi
 from . import fieldexpr
 from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
-                        as_field, expr_jet, jet_mul, jet_variable)
+                        as_field, expr_jet, generated_fn, jet_mul,
+                        jet_variable)
 # this module calls no numerics.solve_ivp; it stays bound here because
 # perfbench/tracing.py wraps it on every layer
 from .numerics import solve_ivp  # noqa: F401
@@ -125,8 +128,8 @@ def _compile_sheared(spec: PsiSpec, fields) -> Callable:
     psi, names = _psi_source(spec)
     lets = "".join(f"{v} = {fieldexpr._codegen(t)}\n"
                    for v, t in local.values())
-    return _compiled("x, y", f"{psi}y = y + p\n{lets}", ", ".join(outs),
-                     dict(fieldexpr.CODEGEN_NAMES, **names))
+    return generated_fn("x, y", f"{psi}y = y + p\n{lets}", ", ".join(outs),
+                        names)
 
 
 class ShearedField:
@@ -134,9 +137,9 @@ class ShearedField:
     F(x, y) = hat(x, u) - f(x, u) * psi'(x), u = y + psi(x), where f is
     the side's transition f for g~ and None (no psi' term) for f~.
 
-    The value is compiled from _compile_sheared on first use, and so is
-    the side function that :meth:`side_with` pairs two fields of one
-    profile into; x-derivatives of any order come from :meth:`x_jet`,
+    The value is compiled from _compile_sheared on first use and kept;
+    :meth:`side_with` compiles the side function of two fields of one
+    profile each call; x-derivatives of any order come from :meth:`x_jet`,
     whose coefficient k reads psi's jet to order k + 1 alone (prefix-stable,
     as fieldexpr's jets are)."""
 
@@ -145,26 +148,18 @@ class ShearedField:
         self._hat = hat
         self._spec = spec
         self._f = f
-        self._compiled = {}   # a side's g -> the side function
 
-    def value(self, x: float, y: float) -> float:
-        """The compiled value. The first call binds it on the instance in
-        place of this method, so a later lookup of .value finds it; a bound
-        method taken before then reads it there."""
-        fn = self.__dict__.get("value")
-        if fn is None:
-            self.value = fn = _compile_sheared(self._spec, (self,))
-        return fn(x, y)
+    @cached_property
+    def value(self):
+        """The compiled ``(x, y) -> value``."""
+        return _compile_sheared(self._spec, (self,))
 
     def side_with(self, g):
         """The compiled ``(x, y) -> (self, g)`` of a side whose g is sheared
         by the same profile (None otherwise)."""
         if not (isinstance(g, ShearedField) and g._spec is self._spec):
             return None
-        fn = self._compiled.get(g)
-        if fn is None:
-            fn = self._compiled[g] = _compile_sheared(self._spec, (self, g))
-        return fn
+        return _compile_sheared(self._spec, (self, g))
 
     def x_jet(self, x: float, y: float, order: int) -> Jet:
         p = psi_jet(self._spec, x, order + 1)

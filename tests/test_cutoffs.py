@@ -166,8 +166,8 @@ def test_psi_spec_validation():
         PsiSpec(1, (0.0, 1.0, 2.0))  # wrong length: needs 3d+1
     with pytest.raises(ValueError):
         PsiSpec(1, (0.3, 0.3, 0.3, 0.25), r1=1.0, r2=-1.0)
-    with pytest.raises(ValueError):
-        PsiSpec(1, (0.3, 0.3, 0.3, 0.25)).support()  # no fallback window
+    with pytest.raises(ValueError, match="fallback"):
+        PsiSpec(1, (0.3, 0.3, 0.3, 0.25))  # degenerate, no fallback window
 
 
 def test_psi_spec_support_and_heights():
@@ -183,8 +183,6 @@ def _psi_piece_by_scan(spec, x):
     piece is the first (left, right] that holds it, none off the support;
     no knot takes a tolerance test."""
     if not spec.in_knot_domain():
-        if spec.r1 is None or spec.r2 is None:
-            raise ValueError("degenerate knots need a fallback (r1, r2) window")
         return spec.fallback_height, spec.r1, spec.r2, False
     ks = spec.knots
     pieces = [(spec.heights[i // 2], ks[i], ks[i + 1], i % 2 == 1)
@@ -274,10 +272,8 @@ def test_psi_piece_bisection_matches_the_scan(spec, x):
 def test_psi_piece_fallback_matches_the_scan(k, h, x):
     knots = (k, k, k + 1.0)   # not strictly ascending
     _assert_piece_matches_scan(PsiSpec(1, knots + (h,), r1=-1.0, r2=1.0), x)
-    bare = PsiSpec(1, knots + (h,))
-    for piece in (_psi_piece, _psi_piece_by_scan):
-        with pytest.raises(ValueError, match="fallback"):
-            piece(bare, x)
+    with pytest.raises(ValueError, match="fallback"):
+        PsiSpec(1, knots + (h,))   # refused before any piece is read
 
 
 def _scenario_profiles(delta):

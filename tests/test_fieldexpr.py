@@ -294,8 +294,7 @@ def test_fields_with_one_source_share_one_code_object():
     assert psi == [0.01, 0.02]   # the bumps' peaks
     sheared = [ShearedField(a, spec) for spec in specs]
     assert sheared[0].value(-0.3, 1.0) != sheared[1].value(-0.3, 1.0)
-    for f, g in ((a.value, b.value), tuple(s.__dict__["_psi_fn"]
-                                           for s in specs),
+    for f, g in ((a.value, b.value), tuple(s._psi_fn for s in specs),
                  tuple(s.value for s in sheared)):
         assert f is not g and f.__globals__ is not g.__globals__
         assert f.__code__ is g.__code__
@@ -303,10 +302,10 @@ def test_fields_with_one_source_share_one_code_object():
 
 
 def test_every_generated_source_is_compiled_through_one_cache():
-    # exec( and compile( appear only in fieldexpr's cached helper and in
-    # the DOP853 generator (compiled once per state size)
-    allowed = {("fieldexpr", "_code"), ("fieldexpr", "generated_fn"),
-               ("numerics", "_generated")}
+    # exec( and compile( appear only in fieldexpr's cached helper and the
+    # one builder every generated function goes through (the DOP853 step
+    # included)
+    allowed = {("fieldexpr", "_code"), ("fieldexpr", "generated_fn")}
     found = set()
     for path in Path(fieldexpr.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -324,3 +323,28 @@ def test_every_generated_source_is_compiled_through_one_cache():
     assert found == allowed
     assert isinstance(fieldexpr._CODE_CACHE_SIZE, int)
     assert fieldexpr._code.cache_info().maxsize == fieldexpr._CODE_CACHE_SIZE
+
+
+def test_each_compiled_product_has_one_memo():
+    # values and psi functions are cached properties, side functions are
+    # kept by the system alone: no hand-written memo reads an instance's
+    # __dict__, and object.__setattr__ sets PsiSpec's derived fields alone
+    found = []
+    for path in Path(fieldexpr.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        scopes = [node for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = [d.name for d in scopes
+                     if d.lineno <= node.lineno <= d.end_lineno]
+            if node.attr == "get" and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "__dict__":
+                found.append(("__dict__.get", path.stem, owner))
+            if node.attr == "__setattr__" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "object":
+                found.append(("object.__setattr__", path.stem, owner))
+    assert found == [("object.__setattr__", "cutoffs",
+                      ["PsiSpec", "__post_init__"])]

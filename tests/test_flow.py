@@ -380,14 +380,16 @@ def _with_specials(rng, n):
 
 
 def test_horner_is_polyval_bit_for_bit():
-    # the unrolled schemes of the step polynomial (8 coefficients) and its
-    # y' (7), on signed zeros, subnormals, huge values, infinities and nans
+    # the unrolled scheme on the step polynomial (8 coefficients) and on
+    # its y' (7, padded with a zero, as _minima reads it), on signed zeros,
+    # subnormals, huge values, infinities and nans
     rng = np.random.default_rng(20)
     points = flow._GRID + [0.3, 1.0 + 2.0 ** -52, -0.7, 1e-300, 5e-324,
                            -0.0, 1e300, -1e300, math.inf, -math.inf,
                            math.nan]
     with np.errstate(all="ignore"):
-        for horner, n in ((flow._horner, 8), (flow._horner_slope, 7)):
+        for horner, n in ((flow._horner, 8),
+                          (lambda c, u: flow._horner(c + [0.0], u), 7)):
             for c in _extremes(rng, n) + _with_specials(rng, n)[::2]:
                 for u in rng.choice(points, 4).tolist():
                     assert horner(list(c), u).hex() \
@@ -676,12 +678,12 @@ def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):
     # of its landing on the window edge); the side evaluates psi inline,
     # its generated source holding psi's body once and calling no psi
     bodies, side_calls = [], []
-    compiled = unfolding._compiled
+    compiled = unfolding.generated_fn
 
     def recorded(args, body, out, names):
         bodies.append(body)
         return compiled(args, body, out, names)
-    monkeypatch.setattr(unfolding, "_compiled", recorded)
+    monkeypatch.setattr(unfolding, "generated_fn", recorded)
     steppers = _recorded_steppers(monkeypatch)
     system = _sheared_upper_sys()
     f, _ = system.side("upper")
@@ -707,15 +709,15 @@ def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):
                          ids=["sheared", "expression"])
 def test_a_forward_transit_steps_on_the_compiled_side_itself(monkeypatch,
                                                              system):
-    # forward, the stepper calls f.side_with(g) with no wrapper between;
-    # backward, one wrapper negates it
+    # forward, the stepper calls the system's compiled side with no wrapper
+    # between; backward, one wrapper negates it
     steppers = _recorded_steppers(monkeypatch)
-    f, g = system.side("upper")
+    side = system.side_fn("upper")
     for time_sign in (1.0, -1.0):
         steppers.clear()
         integrate_smooth(system, "upper", (-0.9, 0.1), t_max=1.0,
                          time_sign=time_sign)
-        assert (steppers[0]._fun is f.side_with(g)) == (time_sign == 1.0)
+        assert (steppers[0]._fun is side) == (time_sign == 1.0)
         if time_sign == -1.0:
-            fv, gv = f.side_with(g)(-0.9, 0.1)
+            fv, gv = side(-0.9, 0.1)
             assert steppers[0]._fun(-0.9, 0.1) == (-fv, -gv)

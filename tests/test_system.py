@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filippov2d import (NotSliding, PsiSpec, UnfoldingSpec, Window,
-                        build_unfolded, canonical_base, decompose_sigma,
+from filippov2d import (NotSliding, PsiSpec, PwsSystem, UnfoldingSpec,
+                        Window, build_unfolded, canonical_base, decompose_sigma,
                         cutoffs, h_value, sliding_convex_coefficient,
                         sliding_field, unfolding)
 from filippov2d.loops import _negative_cluster, _pinned_knots, _plateau_psi
@@ -111,6 +111,18 @@ def test_candidates_track_h_sign_changes():
         == dec.tangency_candidates
 
 
+def test_a_read_scale_leaves_a_system_equal_to_its_twin():
+    # sigma_g_scale and side_fn keep what they make on the system, outside
+    # its fields: two systems of the same fields stay equal after either
+    # reads
+    a = canonical_base(3, 3).system()
+    b = PwsSystem(*a.upper(), *a.lower(), a.window)
+    assert a == b
+    a.sigma_g_scale("upper")
+    a.side_fn("lower")
+    assert a == b and b == a
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         Window(1.0, -1.0, -1.0, 1.0)
@@ -139,7 +151,7 @@ def test_sliding_point_calls_each_sheared_side_once(monkeypatch, x, want):
     lower = _plateau_psi(-0.0021, -0.45)   # the fallback window
     psi_bodies = [cutoffs._psi_source(spec)[0] for spec in (upper, lower)]
     calls = []
-    compiled = unfolding._compiled
+    compiled = unfolding.generated_fn
 
     def counted(args, body, out, names):
         assert sorted(body.count(psi) for psi in psi_bodies) == [0, 1]
@@ -149,7 +161,7 @@ def test_sliding_point_calls_each_sheared_side_once(monkeypatch, x, want):
             calls.append(x)
             return fn(x, y)
         return call
-    monkeypatch.setattr(unfolding, "_compiled", counted)
+    monkeypatch.setattr(unfolding, "generated_fn", counted)
     system = build_unfolded(UnfoldingSpec(
         canonical_base(3, 3), lam, (0.0,) * 3, upper, lower))
     got, per_call = [], []

@@ -22,15 +22,16 @@ from generate import config_text, workload_specs  # noqa: E402
 
 
 def test_multiplicity_monomials():
-    assert multiplicity_at(ScalarField("x^3"), 1.0, 0.0) == 3
-    assert multiplicity_at(ScalarField("sin(x)"), 1.0, 0.0) == 1
+    # (m, g^(m)): the order and the derivative it stopped at
+    assert multiplicity_at(ScalarField("x^3"), 1.0, 0.0) == (3, 6.0)
+    assert multiplicity_at(ScalarField("sin(x)"), 1.0, 0.0) == (1, 1.0)
     g = ScalarField("x^2 * (x - 1)")
-    assert multiplicity_at(g, 1.0, 0.0) == 2
-    assert multiplicity_at(g, 1.0, 1.0) == 1
+    assert multiplicity_at(g, 1.0, 0.0) == (2, -2.0)
+    assert multiplicity_at(g, 1.0, 1.0) == (1, 1.0)
 
 
 def test_multiplicity_zero_when_g_nonzero():
-    assert multiplicity_at(ScalarField("1 + x"), 1.0, 0.0) == 0
+    assert multiplicity_at(ScalarField("1 + x"), 1.0, 0.0) == (0, 1.0)
 
 
 def test_multiplicity_flat_is_indeterminate():
@@ -44,7 +45,7 @@ def _multiplicity_by_one_read(g, f_at, x0):
     for k, c in enumerate(g.x_jet(x0, 0.0, tangency.MAX_ORDER)):
         v = c * math.factorial(k)
         if abs(v) > tangency.EPS * scale:
-            return k
+            return k, v
         scale = max(scale, abs(v))
     return None   # IndeterminateMultiplicity
 
@@ -79,7 +80,7 @@ def test_multiplicity_reads_orders_on_demand_bit_for_bit(tmp_path):
                 except IndeterminateMultiplicity:
                     got = None
                 assert got == want, (x0, which)
-                degrees.add(got)
+                degrees.add(got[0] if got else None)
     assert {0, 1, 3, 5, 7} <= degrees
 
 
@@ -103,10 +104,27 @@ def test_order_twelve_is_read_only_where_orders_to_two_vanish(src, x0, want,
                                                                orders):
     g = _OrderCounting(src)
     try:
-        got = multiplicity_at(g, 1.0, x0)
+        got, _ = multiplicity_at(g, 1.0, x0)
     except IndeterminateMultiplicity:
         got = None
     assert (got, g.orders) == (want, orders)
+
+
+@pytest.mark.parametrize("src, x0, want, orders", [
+    ("1 + x", 0.0, (0, None), [2]), ("x - 0.5", 0.5, (1, "V"), [2]),
+    ("x^2 * (1 - x)", 0.0, (2, "R"), [2]),
+    ("-x^3 * (x + 1)", 0.0, (3, "I"), [2, 12])])
+def test_a_classified_point_reads_its_g_jets_once(src, x0, want, orders):
+    # the side's visibility takes g's m-th derivative from the jet that
+    # multiplicity_at found m in: no jet is built again for it
+    g = _OrderCounting(src)
+    s = make_sys("1", "1", "-1", "1")
+    s.g_plus = g
+    assert (tangency._side_data(s, "upper", x0), g.orders) == (want, orders)
+    m, _ = want
+    if m:   # the derivative a fresh order-m jet gives, bit for bit
+        gm = g.x_jet(x0, 0.0, m)[m] * math.factorial(m)
+        assert visibility("upper", m, 1.0, gm) == want[1]
 
 
 def test_visibility_fold_cases():
