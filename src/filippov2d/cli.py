@@ -46,8 +46,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys as _sys
-import traceback
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -73,26 +71,28 @@ class ConfigError(ValueError):
 # configuration
 
 
-@dataclass
 class SideConfig:
-    f: str
-    phi: Optional[str] = None
-    m: Optional[int] = None
+    """One side's f, phi and m as the config sets them (None: unset)."""
+
+    def __init__(self, f: str, phi: Optional[str] = None,
+                 m: Optional[int] = None):
+        self.f, self.phi, self.m = f, phi, m
 
 
-@dataclass
 class RunConfig:
-    upper: SideConfig
-    lower: SideConfig
-    theorem: Optional[int] = None
-    ell: int = 1
-    delta: Optional[float] = None
-    kind: str = "crossing"
-    visibility: str = "I"
-    window: Optional[Window] = None
-    lambda_plus: Tuple[float, ...] = ()
-    lambda_minus: Tuple[float, ...] = ()
-    expect_tangent_points: Optional[int] = None
+    """What a config sets: both sides, and each scenario.* key as
+    load_config parses it (its default where unset)."""
+
+    def __init__(self, upper: SideConfig, lower: SideConfig):
+        self.upper, self.lower = upper, lower
+        self.theorem: Optional[int] = None
+        self.ell = 1
+        self.delta: Optional[float] = None
+        self.kind, self.visibility = "crossing", "I"
+        self.window: Optional[Window] = None
+        self.lambda_plus: Tuple[float, ...] = ()
+        self.lambda_minus: Tuple[float, ...] = ()
+        self.expect_tangent_points: Optional[int] = None
 
 
 def _expr(raw: str) -> str:
@@ -491,6 +491,7 @@ _SCENARIOS = {
 
 def _failed(out: Path, exc: Exception) -> int:
     """Exit 1 from run/portrait's except: traceback to out/diagnostics.txt."""
+    import traceback   # this failure path alone reads it
     diag = out / "diagnostics.txt"
     diag.write_text(f"{type(exc).__name__}: {exc}\n\n{traceback.format_exc()}")
     print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)

@@ -32,9 +32,7 @@ order-n jet is the head of any higher-order one, bit for bit.
 
 from __future__ import annotations
 
-import textwrap
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -101,32 +99,27 @@ def cutoff_jet(x: float, r1: float, r2: float, order: int) -> Jet:
     return jet_div(w if up else one, [1.0 + w[0]] + w[1:])
 
 
-@dataclass(frozen=True)
 class PsiSpec:
     """Plateau profile: d bumps, knot-and-height vector k (length 3d+1),
     and a fallback window (r1, r2), used and required when the knots are
-    degenerate (not strictly ascending)."""
+    degenerate (not strictly ascending). Checked and split into knots
+    and heights at construction; psi's function is compiled on first use
+    and kept (_psi_fn)."""
 
-    d: int
-    k: Tuple[float, ...]
-    r1: Optional[float] = None
-    r2: Optional[float] = None
-
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, k: Tuple[float, ...],
+                 r1: Optional[float] = None, r2: Optional[float] = None):
+        if d < 1:
             raise ValueError("need d >= 1")
-        if len(self.k) != 3 * self.d + 1:
+        if len(k) != 3 * d + 1:
             raise ValueError(
-                f"k must have length 3d+1 = {3 * self.d + 1}, got {len(self.k)}")
-        if self.r1 is not None and self.r2 is not None and not self.r1 < self.r2:
+                f"k must have length 3d+1 = {3 * d + 1}, got {len(k)}")
+        if r1 is not None and r2 is not None and not r1 < r2:
             raise ValueError("fallback window needs r1 < r2")
-        ks, hs = self.k[: 2 * self.d + 1], self.k[2 * self.d + 1:]
-        set_once = object.__setattr__   # frozen: derived once, here
-        set_once(self, "knots", ks)
-        set_once(self, "heights", hs)
-        set_once(self, "_ascending",
-                 all(a < b for a, b in zip(ks[:-1], ks[1:])))
-        if not self._ascending and (self.r1 is None or self.r2 is None):
+        self.d, self.k, self.r1, self.r2 = d, k, r1, r2
+        self.knots, self.heights = k[: 2 * d + 1], k[2 * d + 1:]
+        self._ascending = all(a < b for a, b in zip(self.knots[:-1],
+                                                     self.knots[1:]))
+        if not self._ascending and (r1 is None or r2 is None):
             raise ValueError("degenerate knots need a fallback (r1, r2) window")
 
     @property
@@ -184,7 +177,8 @@ def _psi_source(spec: PsiSpec) -> Tuple[str, dict]:
     return (f"j = _bisect_left(_knots, x)\n"
             f"if j == 0 or j == {len(spec.knots)}:\n"
             "    p = dp = 0.0\n"
-            "else:\n" + textwrap.indent(piece, "    "),
+            "else:\n" + "".join("    " + line
+                                 for line in piece.splitlines(True)),
             {"_knots": spec.knots, "_heights": spec.heights,
              "_bisect_left": bisect_left})
 

@@ -38,8 +38,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import textwrap
-from dataclasses import dataclass, field
 from operator import mul as _mul
 
 FUNCTIONS = ("sin", "cos", "exp", "log")
@@ -67,69 +65,74 @@ class EvalDomainError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
 class Expr:
-    pass
+    """A tree node: the values of its fields (_fields, one slot each) and
+    pos, the offset of its operator or first token (-1: not parsed).
+    Nodes are immutable; == and hash are per type and read the fields
+    alone, so Add(a, b) != Sub(a, b) and pos never decides equality."""
+
+    __slots__ = ("pos",)
+    _fields: tuple = ()
+
+    def __init__(self, *values, pos: int = -1):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {self._fields}")
+        for name, v in zip(self._fields + ("pos",), values + (pos,)):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = (f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
-    pos: int = field(default=-1, compare=False, repr=False)
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
-    pos: int = field(default=-1, compare=False, repr=False)
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    a: Expr
-    b: Expr
-    pos: int = field(default=-1, compare=False, repr=False)
+    __slots__ = _fields = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    a: Expr
-    b: Expr
-    pos: int = field(default=-1, compare=False, repr=False)
+    __slots__ = _fields = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    a: Expr
-    b: Expr
-    pos: int = field(default=-1, compare=False, repr=False)
+    __slots__ = _fields = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    a: Expr
-    b: Expr
-    pos: int = field(default=-1, compare=False, repr=False)
+    __slots__ = _fields = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
-    pos: int = field(default=-1, compare=False, repr=False)
+    __slots__ = _fields = ("base", "exponent")
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    a: Expr
-    pos: int = field(default=-1, compare=False, repr=False)
+    __slots__ = _fields = ("a",)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    fn: str
-    arg: Expr
-    pos: int = field(default=-1, compare=False, repr=False)
+    __slots__ = _fields = ("fn", "arg")
 
 
 ZERO = Num(0.0)
@@ -378,7 +381,7 @@ def _check_depth(tree: Expr) -> None:
     stack = [(tree, 0)]   # (node, operations above it)
     while stack:
         node, above = stack.pop()
-        below = [v for v in vars(node).values() if isinstance(v, Expr)]
+        below = [v for v in node._values() if isinstance(v, Expr)]
         if below and above == _MAX_DEPTH:
             raise ParseError(f"operations nested deeper than {_MAX_DEPTH} "
                              "levels", node.pos)
@@ -488,7 +491,8 @@ def generated_fn(args: str, body: str, out: str, names: dict):
     globals of its own (names and CODEGEN_NAMES). The package's one
     builder of generated functions: every function with one source shares
     one code object (_code)."""
-    src = f"def fn({args}):\n{textwrap.indent(body, ' ')} return {out}\n"
+    body = "".join(" " + line for line in body.splitlines(True))
+    src = f"def fn({args}):\n{body} return {out}\n"
     scope = dict(CODEGEN_NAMES, **names)
     exec(_code(src), scope)  # noqa: S102 - generated by this package
     return scope["fn"]
@@ -643,12 +647,14 @@ class ScalarField:
         """The compiled ``(x, y) -> value``."""
         return compile_expr(self.expr)
 
-    def side_with(self, g):
+    def side_with(self, g, negated: bool = False):
         """The compiled ``(x, y) -> (self, g)`` of a side whose g is a
-        ScalarField too (None otherwise)."""
+        ScalarField too, or with negated its ``(-self, -g)`` (None
+        otherwise)."""
         if not isinstance(g, ScalarField):
             return None
-        return compile_expr(self.expr, g.expr)
+        trees = self.expr, g.expr
+        return compile_expr(*(map(Neg, trees) if negated else trees))
 
     def x_jet(self, x: float, y: float, order: int) -> Jet:
         """Jet of t -> f(x + t, y) up to `order`."""

@@ -52,10 +52,10 @@ A transit evaluates its side's field through one callable (x, y) -> (f, g)
 with Python floats, which the system makes once and keeps
 (``PwsSystem.side_fn``, the one memo of a side function): expression and
 sheared sides compile their pair into one function (``side_with``), any
-other pair of fields falls back to a ``.value`` call on each. The stepper calls the side itself: a forward
-transit hands that function to DOP853 as it is (the fields are
-autonomous, ``numerics``), and a backward one wraps it once to negate
-both components.
+other pair of fields to a ``.value`` call on each. The stepper calls the
+side itself (the fields are autonomous, ``numerics``): a forward transit
+hands that function to DOP853 as it is, and a backward one the side's
+negation (-f, -g), generated and kept the same way.
 
 Sliding arcs step the scalar Filippov field along Sigma on the same
 stepper and stop at sliding-region boundaries (tangent points), at window
@@ -90,8 +90,7 @@ Sigma; loop-witness builders override the policy with explicit leg plans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .fieldexpr import generated_fn
 from .numerics import DOP853, brentq, solve_ivp
@@ -111,16 +110,14 @@ class AmbiguousTangency(TransitFailure):
     pass
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     t: float
     x: float
     y: float
     kind: str
 
 
-@dataclass
-class Arc:
+class Arc(NamedTuple):
     kind: str                # 'upper' | 'lower' | 'sliding'
     t: Tuple[float, ...]     # the samples' times, increasing
     x: Tuple[float, ...]     # and their points (x, y)
@@ -133,8 +130,7 @@ class Arc:
         return self.x[-1], self.y[-1]
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """A flown path: its arcs in order and its events, the last of which
     is the terminal, the event the path ended with."""
 
@@ -369,13 +365,9 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
     t_max = _leg_budget(sys) if t_max is None else t_max
     w = sys.window
     x, y = float(start[0]), float(start[1])
-    fg = sys.side_fn(side)   # the only field evaluation in a transit
-    if time_sign == 1.0:
-        rhs = fg   # the stepper calls the side itself
-    else:
-        def rhs(x, y):
-            fv, gv = fg(x, y)
-            return time_sign * fv, time_sign * gv
+    # the only field evaluation in a transit, which the stepper calls
+    # itself: the side, or backward its negation
+    rhs = sys.side_fn(side, time_sign)
 
     # exit lines (n1, n2, level): the orbit stays where n1 x + n2 y >= level;
     # a section is a line exited either way
@@ -440,8 +432,8 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
                 lo, dip = 0.0, None
                 # y turns toward Sigma in this step: a touch, or a dip
                 # across it, judged by y integrated onto the turn's abscissa
-                for tau in _minima(c, sgn, lambda x, y: sgn * time_sign
-                                   * fg(x, y)[1]) if turned else ():
+                for tau in _minima(c, sgn, lambda x, y: sgn
+                                   * rhs(x, y)[1]) if turned else ():
                     x_g = _horner(cx, tau)
                     y_g = _land(rhs, t_a, z_a, t_a + tau * h,
                                 (1.0, 0.0, x_g))[1][1] * sgn
@@ -483,7 +475,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
                             > _TRANSVERSAL_TOL * math.hypot(fz, gz)
                             else "tangent-hit")
                 elif kind == "sigma" \
-                        and abs(fg(px, 0.0)[1]) > tangency_tol:
+                        and abs(rhs(px, 0.0)[1]) > tangency_tol:
                     kind = "sigma-cross"
                 if kind == "touch" and not chain:
                     touches.append(Event(t_leg0 + t_e, px, py,

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -117,8 +116,7 @@ class CensusMismatch(Exception):
 # records
 
 
-@dataclass
-class LoopRecord:
+class LoopRecord(NamedTuple):
     """A verified closed orbit plus its switching-line fingerprint."""
 
     trajectory: Trajectory
@@ -139,23 +137,26 @@ class DroppedRoot(NamedTuple):
     gap: float
 
 
-@dataclass
 class LoopCensus:
-    """Counts of one scenario run, with integrated witnesses and orbits."""
+    """Counts of one scenario run, with integrated witnesses and orbits,
+    which the scenario fills in as it goes; ell is None for a scan, which
+    reads no ell."""
 
-    scenario: str
-    m_plus: int
-    m_minus: int
-    ell: Optional[int]   # None for a scan, which reads no ell
-    beta_c: int = 0
-    beta_s: int = 0
-    beta_cro: Dict[int, int] = field(default_factory=dict)
-    beta_cri: Dict[int, int] = field(default_factory=dict)
-    tangent_orbits: Dict[int, int] = field(default_factory=dict)  # by contacts
-    witnesses: List[Tuple[str, LoopRecord]] = field(default_factory=list)
-    dropped_cycles: List[DroppedRoot] = field(default_factory=list)  # thm5
-    orbits: List[Trajectory] = field(default_factory=list)  # plain, no loops
-    spec: Optional[UnfoldingSpec] = None   # the unfolding it was taken on
+    def __init__(self, scenario: str, m_plus: int, m_minus: int,
+                 ell: Optional[int], *,
+                 beta_cro: Optional[Dict[int, int]] = None,
+                 beta_cri: Optional[Dict[int, int]] = None,
+                 witnesses: Optional[List[Tuple[str, LoopRecord]]] = None,
+                 orbits: Optional[List[Trajectory]] = None,
+                 spec: Optional[UnfoldingSpec] = None):
+        self.scenario, self.m_plus, self.m_minus = scenario, m_plus, m_minus
+        self.ell, self.beta_c, self.beta_s = ell, 0, 0
+        self.beta_cro, self.beta_cri = beta_cro or {}, beta_cri or {}
+        self.tangent_orbits: Dict[int, int] = {}   # by contacts
+        self.witnesses = witnesses or []
+        self.dropped_cycles: List[DroppedRoot] = []   # thm5
+        self.orbits = orbits or []   # plain, no loops
+        self.spec = spec   # the unfolding it was taken on
 
 
 # --------------------------------------------------------------------------
@@ -428,12 +429,12 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float) -> LoopRecord:
     def legs(qq: float):
         low = integrate_smooth(sys, "lower", (qq, 0.0))
         land = _landed(low)
-        # the upper return flies on a system capped at the line x = qq, so
-        # one still above Sigma there gives a signed miss too: its height
+        # the upper return flies on sys capped at the line x = qq (with
+        # sys's compiled sides), so one still above Sigma there gives a
+        # signed miss too: its height
         cap = Window(w.x_lo, min(w.x_hi, float(qq)), w.y_lo, w.y_hi)
-        up = integrate_smooth(PwsSystem(*sys.upper(), *sys.lower(), cap),
-                              "upper", (land, 0.0), chain=True,
-                              t_offset=low.terminal.t)
+        up = integrate_smooth(sys.in_window(cap), "upper", (land, 0.0),
+                              chain=True, t_offset=low.terminal.t)
         term = up.terminal
         if term.kind == "sigma-cross":
             miss = term.x - qq
@@ -579,8 +580,7 @@ def _pin(hat: PwsSystem, start: Tuple[float, float], peak: float) -> float:
     return y
 
 
-@dataclass
-class _Pin:
+class _Pin(NamedTuple):
     tp: float        # tangency the bump peaks at
     conj: float      # landing of the lower transit from the tangency
     height: float    # upper orbit height over its own tangency

@@ -16,11 +16,10 @@ rounding without a multiplicity guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Protocol, Tuple
+from typing import List, NamedTuple, Protocol, Tuple
 
 from .cutoffs import PsiSpec
-from .fieldexpr import as_field
+from .fieldexpr import as_field, generated_fn
 
 # Sigma scan: grid cells across the window, the distance below which two
 # zeros are one candidate, and the cap on Newton steps from one seed
@@ -32,9 +31,10 @@ _NEWTON_STEPS = 40
 class ScalarFunc(Protocol):
     """A field component: its value and its Taylor jet in x.
 
-    Expression and sheared fields also offer side_with(g), which compiles
-    the (x, y) -> (self, g) that PwsSystem.side_fn keeps and hands to the
-    flow and the sliding field, one call per point."""
+    Expression and sheared fields also offer side_with(g, negated), which
+    compiles the (x, y) -> (self, g), or its negation, that
+    PwsSystem.side_fn keeps and hands to the flow and the sliding field,
+    one call per point."""
 
     def value(self, x: float, y: float) -> float: ...
 
@@ -49,40 +49,45 @@ class DegenerateDenominator(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
 class Window:
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
+    """The rectangle x_lo..x_hi by y_lo..y_hi, which must straddle Sigma."""
 
-    def __post_init__(self):
-        if not (self.x_lo < self.x_hi):
+    def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
+        if not (x_lo < x_hi):
             raise ValueError("window needs x_lo < x_hi")
-        if not (self.y_lo < 0.0 < self.y_hi):
+        if not (y_lo < 0.0 < y_hi):
             raise ValueError("window must straddle Sigma: y_lo < 0 < y_hi")
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
 
     @property
     def width(self) -> float:
         return self.x_hi - self.x_lo
 
 
-@dataclass
 class PwsSystem:
-    f_plus: ScalarFunc
-    g_plus: ScalarFunc
-    f_minus: ScalarFunc
-    g_minus: ScalarFunc
-    window: Window
-    # set by build_unfolded on a sheared system: the transition system the
-    # shear conjugates it to, with the upper profile psi+ (None: zero)
-    transition: Tuple[PwsSystem, PsiSpec | None] | None = field(
-        default=None, repr=False)
-    # made on first use and kept: sigma_g_scale's and side_fn's
-    _g_scales: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
-    _side_fns: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    """Both sides' fields and the window; on a sheared system (set by
+    build_unfolded) also the transition system the shear conjugates it to,
+    with the upper profile psi+ (None: zero). Systems compare by these
+    fields, not by the memos sigma_g_scale and side_fn keep."""
+
+    def __init__(self, f_plus: ScalarFunc, g_plus: ScalarFunc,
+                 f_minus: ScalarFunc, g_minus: ScalarFunc, window: Window,
+                 transition: Tuple[PwsSystem, PsiSpec | None] | None = None):
+        self.f_plus, self.g_plus = f_plus, g_plus
+        self.f_minus, self.g_minus = f_minus, g_minus
+        self.window, self.transition = window, transition
+        self._g_scales: dict = {}
+        self._side_fns: dict = {}
+
+    def __eq__(self, other):
+        return type(other) is PwsSystem and all(
+            v == vars(other)[k] for k, v in vars(self).items() if k[0] != "_")
+
+    def in_window(self, window: Window) -> PwsSystem:
+        """The four fields in window, with this system's side functions."""
+        out = PwsSystem(*self.upper(), *self.lower(), window)
+        out._side_fns = self._side_fns
+        return out
 
     @classmethod
     def from_strings(cls, f_plus, g_plus, f_minus, g_minus,
@@ -103,20 +108,25 @@ class PwsSystem:
             return self.lower()
         raise ValueError("side must be 'upper' or 'lower'")
 
-    def side_fn(self, which: str):
-        """The side's one callable (x, y) -> (f, g), made on first use and
-        kept (the one memo of a side function): the pair's compiled side
-        function when f offers one for g (expression and sheared sides),
-        else one .value call on each."""
-        fn = self._side_fns.get(which)
+    def side_fn(self, which: str, time_sign: float = 1.0):
+        """The side's one callable (x, y) -> (f, g), or with time_sign -1
+        its negation (-f, -g), which a backward transit steps on; each is
+        made on first use and kept (the one memo of a side function): the
+        pair's compiled side function when f offers one for g (expression
+        and sheared sides), else one .value call on each, generated."""
+        fn = self._side_fns.get((which, time_sign))
         if fn is None:
+            if time_sign not in (1.0, -1.0):
+                raise ValueError("time_sign must be 1 or -1")
             f, g = self.side(which)
+            negated = time_sign == -1.0
             pair = getattr(f, "side_with", None)
-            fn = pair(g) if pair is not None else None
+            fn = pair(g, negated) if pair is not None else None
             if fn is None:
-                def fn(x, y):
-                    return f.value(x, y), g.value(x, y)
-            self._side_fns[which] = fn
+                s = "-" if negated else ""
+                fn = generated_fn("x, y", "", f"{s}_f(x, y), {s}_g(x, y)",
+                                  {"_f": f.value, "_g": g.value})
+            self._side_fns[which, time_sign] = fn
         return fn
 
     def sigma_g_scale(self, which: str) -> float:
@@ -169,8 +179,7 @@ def sliding_field(sys: PwsSystem, x: float) -> float:
     return (fp * gm - fm * gp) / den
 
 
-@dataclass
-class SigmaDecomposition:
+class SigmaDecomposition(NamedTuple):
     crossing: List[Tuple[float, float]]
     sliding: List[Tuple[float, float]]
     tangency_candidates: List[float]

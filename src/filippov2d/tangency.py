@@ -25,8 +25,7 @@ visibility's input costs no further jet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .system import PwsSystem, SigmaDecomposition, decompose_sigma
 
@@ -42,8 +41,7 @@ class ZeroLeadingCoefficient(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class TangentPointRecord:
+class TangentPointRecord(NamedTuple):
     x0: float
     m_plus: int
     m_minus: int
@@ -52,8 +50,7 @@ class TangentPointRecord:
     label: str
 
 
-@dataclass(frozen=True)
-class BoundaryEquilibrium:
+class BoundaryEquilibrium(NamedTuple):
     x0: float
     side: str
 
@@ -110,8 +107,7 @@ def visibility(side: str, m: int, f_val: float, g_m_val: float) -> str:
     return "L" if c > 0 else "R"
 
 
-@dataclass
-class TangencyScan:
+class TangencyScan(NamedTuple):
     records: List[TangentPointRecord]
     boundary_equilibria: List[BoundaryEquilibrium]
     sigma: SigmaDecomposition

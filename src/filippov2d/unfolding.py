@@ -38,9 +38,8 @@ which feeds y + psi(x) to fieldexpr.expr_jet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cutoffs import PsiSpec, _psi_source, psi_jet, zero_psi
 from . import fieldexpr
@@ -53,8 +52,7 @@ from .numerics import solve_ivp  # noqa: F401
 from .system import PwsSystem, Window
 
 
-@dataclass
-class CanonicalBase:
+class CanonicalBase(NamedTuple):
     """Per-side data (f, phi, m) of a canonical two-tangency system."""
 
     f_plus: ScalarField
@@ -87,18 +85,19 @@ def _monic_product_expr(lambdas: Sequence[float]) -> Expr:
     return reduce(Mul, (Sub(x, Num(l)) if l else x for l in lambdas))
 
 
-@dataclass
 class UnfoldingSpec:
-    base: CanonicalBase
-    lambda_plus: Tuple[float, ...] = ()
-    lambda_minus: Tuple[float, ...] = ()
-    psi_plus: Optional[PsiSpec] = None
-    psi_minus: Optional[PsiSpec] = None
+    """The splits lambda_plus, lambda_minus (m_plus and m_minus floats,
+    checked at construction) and the shear profiles psi_plus, psi_minus
+    (None: zero) of an unfolding of base."""
 
-    def __post_init__(self):
-        for key, m in (("lambda_plus", self.base.m_plus),
-                       ("lambda_minus", self.base.m_minus)):
-            setattr(self, key, tuple(float(v) for v in getattr(self, key)))
+    def __init__(self, base: CanonicalBase, lambda_plus: Sequence[float] = (),
+                 lambda_minus: Sequence[float] = (),
+                 psi_plus: Optional[PsiSpec] = None,
+                 psi_minus: Optional[PsiSpec] = None):
+        self.base, self.psi_plus, self.psi_minus = base, psi_plus, psi_minus
+        for key, lam, m in (("lambda_plus", lambda_plus, base.m_plus),
+                            ("lambda_minus", lambda_minus, base.m_minus)):
+            setattr(self, key, tuple(float(v) for v in lam))
             if len(getattr(self, key)) != m:
                 raise ValueError(f"{key} needs {m} entries")
 
@@ -113,11 +112,12 @@ def build_transition(spec: UnfoldingSpec) -> PwsSystem:
     return PwsSystem(b.f_plus, g_plus, b.f_minus, g_minus, b.window)
 
 
-def _compile_sheared(spec: PsiSpec, fields) -> Callable:
+def _compile_sheared(spec: PsiSpec, fields,
+                     negated: bool = False) -> Callable:
     """One generated fn(x, y) for sheared fields of one profile: psi and
     psi' inline from the psi template (cutoffs._psi_source), u once, and
     each distinct transition field once, at (x, u); the value of one
-    field, or the tuple of several."""
+    field, or the tuple of several; with negated, their negations."""
     local = {}   # id of a tree -> (the name of its value, the tree)
 
     def name(tree: Expr) -> str:
@@ -125,6 +125,7 @@ def _compile_sheared(spec: PsiSpec, fields) -> Callable:
     outs = [name(fl._hat.expr) if fl._f is None
             else f"{name(fl._hat.expr)} - {name(fl._f.expr)} * dp"
             for fl in fields]
+    outs = [f"-({out})" for out in outs] if negated else outs
     psi, names = _psi_source(spec)
     lets = "".join(f"{v} = {fieldexpr._codegen(t)}\n"
                    for v, t in local.values())
@@ -154,12 +155,13 @@ class ShearedField:
         """The compiled ``(x, y) -> value``."""
         return _compile_sheared(self._spec, (self,))
 
-    def side_with(self, g):
+    def side_with(self, g, negated: bool = False):
         """The compiled ``(x, y) -> (self, g)`` of a side whose g is sheared
-        by the same profile (None otherwise)."""
+        by the same profile, or with negated its ``(-self, -g)`` (None
+        otherwise)."""
         if not (isinstance(g, ShearedField) and g._spec is self._spec):
             return None
-        return _compile_sheared(self._spec, (self, g))
+        return _compile_sheared(self._spec, (self, g), negated)
 
     def x_jet(self, x: float, y: float, order: int) -> Jet:
         p = psi_jet(self._spec, x, order + 1)

@@ -2,6 +2,8 @@
 
 import hashlib
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,10 @@ from filippov2d import (LoopCensus, VerificationFailed, cli, integrate_pws,
                         loops, read_census_csv, write_census_csv)
 from filippov2d.cli import load_config, main
 from conftest import make_sys
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from generate import config_text, round_trip_error  # noqa: E402
 
 
 def write_config(tmp_path, text):
@@ -130,6 +136,23 @@ def test_every_config_refusal_exits_2_with_its_message(tmp_path, capsys,
     cfg = write_config(tmp_path, f"# a comment line\n{line}\n")
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "thm2", "theorem": 2, "m": 3, "ell": 1, "visibility": "V"},
+    {"name": "thm3", "theorem": 3, "m": 5, "ell": 2, "kind": "critical",
+     "delta": 0.1},
+    {"name": "scan", "upper_phi": "1 + 0.25*x", "lower_phi": "1 + 0.5*x",
+     "lambda_plus": [-0.5, 0.25], "lambda_minus": [0.125],
+     "window": [-1.75, 0.75, -0.25, 0.25]}], ids=lambda s: s["name"])
+def test_a_loaded_config_serves_the_benchmarks_round_trip(tmp_path, spec):
+    # perfbench/generate.py::round_trip_error reads every field of a
+    # RunConfig and its SideConfigs back against the spec it wrote
+    path = tmp_path / "run.cfg"
+    path.write_text(config_text(spec))
+    cfg = load_config(path)
+    assert round_trip_error(spec, cfg) is None
+    assert round_trip_error({**spec, "m": 7, "lambda_plus": [0.0]}, cfg)
 
 
 def test_scan_config_scans_the_tangent_points_of_its_g(tmp_path, capsys):

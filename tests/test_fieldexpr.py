@@ -1,7 +1,6 @@
 """Expression layer: parsing, evaluation, exact differentiation."""
 
 import ast
-import dataclasses
 import math
 from pathlib import Path
 
@@ -168,12 +167,11 @@ def test_fifth_derivative_of_quintic_times_linear():
 
 
 def _shape(e):
-    """(node type, pos, fields...) all the way down: `pos` is compare=False
-    on the nodes, so tree equality alone does not see it."""
+    """(node type, pos, fields...) all the way down: nodes compare without
+    `pos`, so tree equality alone does not see it."""
     return (type(e).__name__, e.pos) + tuple(
         _shape(v) if isinstance(v, Expr) else v
-        for v in (getattr(e, f.name) for f in dataclasses.fields(e)
-                  if f.name != "pos"))
+        for v in (getattr(e, name) for name in e._fields))
 
 
 @pytest.mark.parametrize("src, shape", [
@@ -217,6 +215,32 @@ def poly_exprs(draw):
             t += f" * y^{j}"
         terms.append(t)
     return " + ".join(terms)
+
+
+def test_tree_nodes_compare_per_type_and_ignore_pos():
+    # one field tuple for two operators: still unequal, as the parser pins
+    # need; pos, the node's offset, enters neither == nor hash
+    a, b = Var("x"), Num(2.0)
+    assert Add(a, b) != fieldexpr.Sub(a, b) != Add(a, b)
+    assert Mul(a, b) != fieldexpr.Div(a, b)
+    assert Num(2.0) != Var("x") and Num(2.0) != 2.0
+    assert Add(a, b, pos=3) == Add(a, b) == Add(Var("x", pos=0), b, pos=7)
+    assert hash(Add(a, b, pos=3)) == hash(Add(Var("x", pos=5), b))
+    assert len({Num(1.0, pos=1), Num(1.0, pos=2), Num(3.0)}) == 2
+    assert Pow(a, 3, pos=4).pos == 4 and Pow(a, 3).pos == -1
+    assert repr(Add(a, b, pos=3)) == "Add(a=Var(name='x'), b=Num(value=2.0))"
+    with pytest.raises(TypeError, match="takes"):
+        Add(a)
+
+
+@pytest.mark.parametrize("name", ["a", "b", "pos", "other"])
+def test_a_tree_node_is_immutable(name):
+    node = Add(Var("x"), Num(1.0), pos=2)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(node, name, Num(0.0))
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(node, name)
+    assert node == Add(Var("x"), Num(1.0)) and node.pos == 2
 
 
 @given(poly_exprs(), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
@@ -328,7 +352,7 @@ def test_every_generated_source_is_compiled_through_one_cache():
 def test_each_compiled_product_has_one_memo():
     # values and psi functions are cached properties, side functions are
     # kept by the system alone: no hand-written memo reads an instance's
-    # __dict__, and object.__setattr__ sets PsiSpec's derived fields alone
+    # __dict__, and object.__setattr__ sets the fields of a tree node alone
     found = []
     for path in Path(fieldexpr.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -346,5 +370,5 @@ def test_each_compiled_product_has_one_memo():
                     and isinstance(node.value, ast.Name) \
                     and node.value.id == "object":
                 found.append(("object.__setattr__", path.stem, owner))
-    assert found == [("object.__setattr__", "cutoffs",
-                      ["PsiSpec", "__post_init__"])]
+    assert found == [("object.__setattr__", "fieldexpr",
+                      ["Expr", "__init__"])]

@@ -1,6 +1,5 @@
 """Event-driven integration: smooth arcs, crossings, sliding, export."""
 
-import dataclasses
 import inspect
 import math
 import struct
@@ -157,8 +156,7 @@ def test_sliding_arc_counts_time_from_its_offset():
     assert arc.kind == "sliding" and not any(arc.y)
     assert arc.t == tuple(t + 2.0 for t in here.arcs[0].t)
     assert arc.x == here.arcs[0].x
-    assert end == dataclasses.replace(here.terminal,
-                                      t=here.terminal.t + 2.0)
+    assert end == here.terminal._replace(t=here.terminal.t + 2.0)
 
 
 def test_sliding_arc_stalls_at_a_pseudo_equilibrium():
@@ -692,7 +690,8 @@ def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):
     def counted_side(x, y):
         side_calls.append(x)
         return side(x, y)
-    monkeypatch.setattr(system, "side_fn", lambda which: counted_side)
+    monkeypatch.setattr(system, "side_fn",
+                        lambda which, time_sign=1.0: counted_side)
     run = integrate_smooth(system, "upper", (-0.9, 0.1), t_max=10.0)
     assert run.terminal.kind == "window-exit"
     assert len(steppers) == 3
@@ -710,7 +709,7 @@ def test_transit_evaluates_its_side_once_per_stepper_rhs_call(monkeypatch):
 def test_a_forward_transit_steps_on_the_compiled_side_itself(monkeypatch,
                                                              system):
     # forward, the stepper calls the system's compiled side with no wrapper
-    # between; backward, one wrapper negates it
+    # between; backward, the side's compiled negation, kept on the system
     steppers = _recorded_steppers(monkeypatch)
     side = system.side_fn("upper")
     for time_sign in (1.0, -1.0):
@@ -718,6 +717,7 @@ def test_a_forward_transit_steps_on_the_compiled_side_itself(monkeypatch,
         integrate_smooth(system, "upper", (-0.9, 0.1), t_max=1.0,
                          time_sign=time_sign)
         assert (steppers[0]._fun is side) == (time_sign == 1.0)
+        assert steppers[0]._fun is system.side_fn("upper", time_sign)
         if time_sign == -1.0:
             fv, gv = side(-0.9, 0.1)
             assert steppers[0]._fun(-0.9, 0.1) == (-fv, -gv)

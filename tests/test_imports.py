@@ -56,6 +56,20 @@ def test_module_imports_are_used(path):
     assert unused == []
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    # a record is a NamedTuple, a __slots__ class or a plain class: the
+    # dataclasses import and its class bodies cost a run's start-up more
+    # than the records save
+    tree = ast.parse(path.read_text())
+    modules = [a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert "dataclasses" not in modules
+
+
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import csv\nfrom math import pi, tau\nprint(tau)\n")
     used = _used(tree)

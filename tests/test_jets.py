@@ -169,8 +169,8 @@ PINNED = PsiSpec(3, _pinned_knots(LAM, 0.1) + (0.003, 0.002, 0.0015))
 def sheared_55(f="1", phi="1*(7*x + 6)"):
     """A (5,5) base split at LAM and sheared by three plateaus; the
     defaults are canonical_base(5, 5)'s upper side."""
-    base = canonical_base(5, 5)
-    base.f_plus, base.phi_plus = ScalarField(f), ScalarField(phi)
+    base = canonical_base(5, 5)._replace(f_plus=ScalarField(f),
+                                         phi_plus=ScalarField(phi))
     return build_unfolded(UnfoldingSpec(base, LAM, (0.0,) * 5, PINNED))
 
 
@@ -204,8 +204,7 @@ def test_sheared_g_jet_matches_mpmath(x0):
 
 def test_sheared_f_jet_composes_y_plus_psi():
     spec = PsiSpec(1, (-0.2, 0.0, 0.2, 5e-3))
-    base = canonical_base(3, 3)
-    base.f_plus = ScalarField("1 + x*y^2")
+    base = canonical_base(3, 3)._replace(f_plus=ScalarField("1 + x*y^2"))
     sys_ = build_unfolded(UnfoldingSpec(base, (-0.3, 0.05, 0.4), (0.0,) * 3,
                                         psi_plus=spec))
     psi_f = mp_psi(spec)

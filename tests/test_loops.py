@@ -1,10 +1,10 @@
 """Loop assembly and the scenario censuses built on it."""
 
 import ast
-import dataclasses
 import inspect
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -186,7 +186,7 @@ def test_thm2_census_off_the_paper_count_is_a_mismatch(monkeypatch):
 
     def no_touches(*args, **kwargs):
         run = integrate_smooth(*args, **kwargs)
-        return dataclasses.replace(run, events=[run.terminal])
+        return run._replace(events=[run.terminal])
     monkeypatch.setattr(loops, "integrate_smooth", no_touches)
     with pytest.raises(CensusMismatch, match=re.escape(
             "tangent orbit count 0 differs from 1")):
@@ -376,14 +376,13 @@ def test_pin_data_checks_both_orbit_heights(monkeypatch):
     # one pin per given peak: its tangency, landing and upper orbit height;
     # a pin past the first peak lam[0] must pass positively over it too
     lam = (-0.5, -0.4, -0.3)
-    Hit = dataclasses.make_dataclass("Hit", ["y"])
     sections, heights = [], []
     monkeypatch.setattr(loops, "integrate_smooth", lambda *a, **k: None)
     monkeypatch.setattr(loops, "_landed", lambda traj: 0.7)
 
     def flow_to_section(hat, p, x):
         sections.append(x)
-        return Hit(heights.pop(0))
+        return SimpleNamespace(y=heights.pop(0))
 
     monkeypatch.setattr(loops, "_flow_to_section", flow_to_section)
     heights[:] = [0.2, 0.1, 0.3]
@@ -418,7 +417,7 @@ def test_thm4_repin_refuses_a_height_that_is_not_positive(monkeypatch):
 
     def sinking_repin(hat, start, x):
         hit = flow_to_section(hat, start, x)
-        return dataclasses.replace(hit, y=-1e-9) if roots else hit
+        return hit._replace(y=-1e-9) if roots else hit
     monkeypatch.setattr(loops, "_displacement_root", root_found)
     monkeypatch.setattr(loops, "_flow_to_section", sinking_repin)
     with pytest.raises(VerificationFailed, match=(
@@ -430,8 +429,8 @@ def test_thm4_repin_refuses_a_height_that_is_not_positive(monkeypatch):
 
 def _ending(run, kind):
     """run with its terminal event turned into one of the given kind."""
-    return dataclasses.replace(run, events=run.events[:-1] + [
-        dataclasses.replace(run.terminal, kind=kind)])
+    return run._replace(events=run.events[:-1] + [
+        run.terminal._replace(kind=kind)])
 
 
 def _recorded(monkeypatch, name):
@@ -605,6 +604,28 @@ def test_cycle_witness_polish_stays_in_the_window(monkeypatch):
     assert all(w.x_lo <= x <= w.x_hi for x in starts), starts
 
 
+def test_every_capped_return_steps_on_the_witness_systems_side(
+        monkeypatch):
+    # each secant step caps the upper return on a window of its own; the
+    # capped systems share the witness system's compiled upper side, so no
+    # step generates it again
+    system = _thm5_33_ell1_system()
+    uppers = []
+    integrate_smooth = loops.integrate_smooth
+
+    def recording(sys, side, start, **kwargs):
+        if side == "upper":
+            uppers.append(sys)
+        return integrate_smooth(sys, side, start, **kwargs)
+    monkeypatch.setattr(loops, "integrate_smooth", recording)
+    # q = -0.35 misses by -0.039; the secant closes the cycle at -0.3938
+    # after six more steps
+    loops._crossing_cycle_witness(system, -0.35)
+    assert len({s.window.x_hi for s in uppers}) == len(uppers) == 7
+    assert all(s.side_fn("upper") is system.side_fn("upper")
+               for s in uppers)
+
+
 def test_cycle_witness_polish_stops_at_a_seed_that_does_not_land(
         monkeypatch):
     # q = -0.35 misses by -0.039, so the secant seeds at -0.3305, inside
@@ -677,8 +698,7 @@ def test_every_witness_closure_failure_names_its_witness(monkeypatch, name,
         run = integrate_smooth(*args, **kwargs)
         last = run.arcs[-1]
         x = last.x[:-1] + (last.x[-1] + 1e-6,)
-        return dataclasses.replace(
-            run, arcs=run.arcs[:-1] + [dataclasses.replace(last, x=x)])
+        return run._replace(arcs=run.arcs[:-1] + [last._replace(x=x)])
     monkeypatch.setattr(loops, "integrate_smooth", off_by_a_micron)
     with pytest.raises(VerificationFailed, match=(
             f"^{name} fails to close: endpoints .* differ by "

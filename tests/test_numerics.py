@@ -368,3 +368,21 @@ def test_a_run_and_a_check_import_no_scipy(tmp_path):
 
 def test_a_run_and_a_check_import_no_numpy(tmp_path):
     assert _run_thm2(tmp_path, NUMPY_GUARD) == "[]"
+
+
+# start-up: modules that a run has no use for, or that serve one path
+# alone; dataclasses alone pulls in inspect, ast, dis and tokenize
+STARTUP_GUARD = """
+import sys
+bare = set(sys.modules)
+from filippov2d import cli
+added = set(sys.modules) - bare
+unwanted = {"dataclasses", "inspect", "ast", "dis", "traceback", "textwrap",
+            "linecache", "tokenize"}
+assert cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(added & unwanted), "dataclasses" in sys.modules)
+"""
+
+
+def test_importing_the_cli_loads_no_start_up_waste(tmp_path):
+    assert _run_thm2(tmp_path, STARTUP_GUARD) == "[] False"

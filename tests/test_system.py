@@ -1,5 +1,8 @@
 """Two-zone system layer: h, sliding field, region split."""
 
+import re
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,14 +123,56 @@ def test_a_read_scale_leaves_a_system_equal_to_its_twin():
     assert a == b
     a.sigma_g_scale("upper")
     a.side_fn("lower")
+    a.side_fn("upper", -1.0)
     assert a == b and b == a
+    # a system differs from one with another field, window or transition
+    assert a != PwsSystem(*a.upper(), a.g_minus, a.g_minus, a.window)
+    assert a != PwsSystem(*a.upper(), *a.lower(), Window(-1.0, 1.0, -1, 1))
+    sheared = PwsSystem(*a.upper(), *a.lower(), a.window, (b, None))
+    assert a != sheared and sheared == PwsSystem(*b.upper(), *b.lower(),
+                                                 a.window, (a, None))
+
+
+def test_a_system_in_another_window_shares_its_side_functions():
+    # the crossing-cycle witness caps its upper return on a new window at
+    # each secant step: the capped system keeps the fields and the compiled
+    # sides, and scales g over its own window
+    a = make_sys("1", "1 + x", "-1", "1")
+    cap = Window(-1.0, 0.0, -1.0, 1.0)
+    capped = a.in_window(cap)
+    assert capped == PwsSystem(*a.upper(), *a.lower(), cap)
+    assert capped.window is cap and a.window is not cap
+    for which, sign in (("upper", 1.0), ("lower", 1.0), ("upper", -1.0)):
+        assert capped.side_fn(which, sign) is a.side_fn(which, sign)
+    assert (a.sigma_g_scale("upper"), capped.sigma_g_scale("upper")) \
+        == (1.0 + 2.0, 1.0 + 1.0)   # max |1 + x| over each window
+
+
+def test_side_fn_keeps_the_side_and_its_negation():
+    # one memo per (side, time sign); a backward transit's side is the
+    # negation of the forward one, bit for bit, on every kind of pair
+    s = make_sys("1 + 0.5*y", "x - 0.25", "-1", "2")
+    # a g with no compiled side: the lower side is one .value call each
+    s.g_minus = SimpleNamespace(value=lambda x, y: 2.0 - x)
+    for which in ("upper", "lower"):
+        fwd, back = s.side_fn(which), s.side_fn(which, -1.0)
+        assert fwd is s.side_fn(which, 1.0) and back is s.side_fn(which, -1)
+        for x, y in ((0.3, 0.2), (-0.7, -0.1), (0.25, 0.0)):
+            f, g = fwd(x, y)
+            assert back(x, y) == (-f, -g)
+    with pytest.raises(ValueError, match="time_sign must be 1 or -1"):
+        s.side_fn("upper", 2.0)
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        Window(1.0, -1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        Window(-1.0, 1.0, 0.5, 1.0)  # Sigma must be interior
+    # Sigma must be interior; each refusal names the rule it applies
+    order, straddle = ("window needs x_lo < x_hi",
+                       "window must straddle Sigma: y_lo < 0 < y_hi")
+    for bounds, message in (((1.0, -1.0, -1.0, 1.0), order),
+                            ((-1.0, 1.0, 0.5, 1.0), straddle),
+                            ((-1.0, 1.0, -1.0, 0.0), straddle)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Window(*bounds)
     assert Window(-1.0, 1.0, -1.0, 1.0).width == 2.0
 
 
