@@ -259,12 +259,13 @@ TANGENT_CSV_VERSION = "filippov2d-tangent-points-v1"
 
 
 def _write_table(path, version: str, header: Sequence[str],
-                 rows: Iterable[Sequence[object]]) -> None:
-    """Stream the table of the module docstring; fields go through str."""
+                 rows: Iterable[Tuple[object, ...]]) -> None:
+    """Write the table of the module docstring in one call; each row is
+    one %s format per column, so its fields go through str."""
+    fmt = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(f"# {version}\n{','.join(header)}\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        fh.write(f"# {version}\n{','.join(header)}\n"
+                 + "".join([fmt % row for row in rows]))
 
 
 def _read_table(path, version: str) -> Tuple[List[str], List[List[str]]]:

@@ -194,18 +194,14 @@ def _nudge_off_sigma(rhs, x0: float, side: str) -> Tuple[float, float, float]:
     raise AmbiguousTangency(f"orbit from ({x0}, 0) will not leave Sigma")
 
 
-def _step(solver) -> None:
-    message = solver.step()
-    if solver.status == "failed":
-        raise StepUnderflow(f"integrator failed near {solver.y}: {message}")
-
-
 def _run_to(fun, s0: float, w0, s1: float) -> List[float]:
     """Integrate dw/ds = fun(*w) from (s0, w0) to s1; one step first."""
     solver = DOP853(fun, s0, w0, s1, rtol=RTOL, atol=ATOL,
                     first_step=abs(s1 - s0) or None)
     while solver.status == "running":
-        _step(solver)
+        if message := solver.step():
+            raise StepUnderflow(
+                f"integrator failed near {solver.y}: {message}")
     return solver.y
 
 
@@ -315,10 +311,9 @@ def _exits(coef: List[float], lo: float, hi: float,
 
 def _turns(c0: float, c1: float, c2: float) -> bool:
     """Whether c0 * (c0 + c1 tau + c2 tau^2) < 0 at a tau of _GRID, with
-    the float operations of ``_horner``. False at once when |c0| outweighs
-    |c1| + |c2|: the quadratic then keeps the sign of c0 on [0, 1]."""
-    if abs(c0) > (1.0 + 1e-12) * (abs(c1) + abs(c2)):
-        return False
+    the float operations of ``_horner``. The caller skips it when |c0|
+    outweighs |c1| + |c2|: the quadratic then keeps the sign of c0 on
+    [0, 1]."""
     for tau in _GRID:
         if c0 * (c0 + (c1 + (c2 + tau * 0.0) * tau) * tau) < 0.0:
             return True
@@ -343,6 +338,20 @@ def _minima(c: List[List[float]], sgn: float, slope) -> List[float]:
                 out.append(_root(slope_at, _GRID[a], _GRID[b]))
                 break
     return out
+
+
+def _fired(exits, box, x_at: Optional[float], z_a, z_b) -> list:
+    """The exit lines (line, kind) the step from z_a to z_b crosses, where
+    n1 x + n2 y < level at z_b and not at z_a. One bounding comparison
+    first: an end inside box (x_lo, x_hi, y_lo, y_hi), strictly on z_a's
+    side of a section x = x_at, crosses none."""
+    (xa, ya), (xb, yb) = z_a, z_b
+    if box[0] <= xb <= box[1] and box[2] <= yb <= box[3] and (
+            x_at is None or (xa - x_at) * (xb - x_at) > 0.0):
+        return []
+    return [(line, kind) for line, kind in exits
+            if line[0] * xb + line[1] * yb < line[2]
+            <= line[0] * xa + line[1] * ya]
 
 
 def _leg_budget(sys: PwsSystem) -> float:
@@ -384,6 +393,10 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
     exits += [(line, "window-exit") for line in (
         (1.0, 0.0, w.x_lo - pad), (-1.0, 0.0, -w.x_hi - pad),
         (0.0, 1.0, w.y_lo - pad), (0.0, -1.0, -w.y_hi - pad))]
+    # no line but a section's fires inside: the padded window, cut at Sigma
+    box = [w.x_lo - pad, w.x_hi + pad, w.y_lo - pad, w.y_hi + pad]
+    if x_at is None:
+        box[2 if sgn > 0.0 else 3] = 0.0
 
     legs, touches = [], []    # touches: every touch of Sigma, in order
     samples = [(0.0, x, y)]   # (leg time, x, y) of the current leg
@@ -415,17 +428,18 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
         contact = None   # (leg time, x) of a Sigma contact that restarts
         while contact is None:
             t_a, z_a, f_a = solver.t, solver.y, solver.f
-            _step(solver)
+            if message := solver.step():
+                raise StepUnderflow(
+                    f"integrator failed near {solver.y}: {message}")
             t_b, z_b, h = solver.t, solver.y, solver.t - t_a
-            (xa, ya), (xb, yb) = z_a, z_b
-            fired = [(line, kind) for line, kind in exits
-                     if line[0] * xb + line[1] * yb < line[2]
-                     <= line[0] * xa + line[1] * ya]
+            xb, yb = z_b
+            fired = _fired(exits, box, x_at, z_a, z_b)
             # y may turn: the slope of its cubic Hermite interpolant (end
             # slopes d0, d1 times the step) changes sign
-            dy, d0, d1 = yb - ya, h * f_a[1], h * solver.f[1]
-            turned = x_at is None and _turns(
-                d0, 6 * dy - 4 * d0 - 2 * d1, 3 * (d0 + d1 - 2 * dy))
+            dy, d0, d1 = yb - z_a[1], h * f_a[1], h * solver.f[1]
+            c1, c2 = 6 * dy - 4 * d0 - 2 * d1, 3 * (d0 + d1 - 2 * dy)
+            turned = x_at is None and abs(d0) <= (1.0 + 1e-12) * (
+                abs(c1) + abs(c2)) and _turns(d0, c1, c2)
             stops = []   # (tau, kind, line) on the step polynomial c
             if fired or turned:
                 c = cx, cy = _step_poly(solver.dense_output())
@@ -462,8 +476,9 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
                         roots = roots or [span[1]] * (
                             crossed or kind == "sigma")
                     stops += [(tau, kind, line) for tau in roots]
+                stops.sort(key=lambda s: s[0])
 
-            for tau, kind, line in sorted(stops, key=lambda s: s[0]):
+            for tau, kind, line in stops:
                 t_e = t_a + tau * h
                 px, py = _horner(cx, tau), _horner(cy, tau)
                 if kind == "section":
@@ -574,7 +589,9 @@ def sliding_arc(sys: PwsSystem, x_start: float, *,
     ts, xs, kind = [0.0], [float(x_start)], "time-end"
     while solver.status == "running" and kind == "time-end":
         t_a, x_a = solver.t, float(solver.y[0])
-        _step(solver)
+        if message := solver.step():
+            raise StepUnderflow(
+                f"integrator failed near {solver.y}: {message}")
         t_b, x_b = solver.t, float(solver.y[0])
         fired = [(fn, kind) for fn, kind in stops if fn(x_b) < 0.0 <= fn(x_a)]
         if fired:

@@ -171,18 +171,19 @@ def _dedup_sorted(xs: Sequence[float]) -> List[float]:
     return out
 
 
-def _grazes(g_field, x: float, scale: float) -> bool:
-    """True when x sits within _CONTACT_TOL of a zero of g along the line.
+def _grazes(sys: PwsSystem, side: str, x: float) -> bool:
+    """True when x sits within _CONTACT_TOL of a zero of the side's g.
 
-    Uses the first-order distance |g| / |g_x|, g_x read from g's order-1
-    x-jet on either field kind, which separates junctions
-    localized onto a tangency (distance ~ solver precision) from shallow
-    transversal crossings near one (distance ~ the dip width) far more
-    reliably than any fixed threshold on |g| itself.
+    Uses the first-order distance |g| / |g_x| (g from the side function,
+    g_x from g's order-1 x-jet on either field kind), which separates
+    junctions localized onto a tangency (distance ~ solver precision) from
+    shallow transversal crossings near one (distance ~ the dip width) far
+    more reliably than any fixed threshold on |g| itself.
     """
-    g0 = g_field.value(x, 0.0)
-    g1 = g_field.x_jet(x, 0.0, 1)[1]
-    return abs(g0) <= max(abs(g1) * _CONTACT_TOL, 1e-12 * scale)
+    g0 = sys.side_fn(side)(x, 0.0)[1]
+    g1 = sys.side(side)[1].x_jet(x, 0.0, 1)[1]
+    return abs(g0) <= max(abs(g1) * _CONTACT_TOL,
+                          1e-12 * sys.sigma_g_scale(side))
 
 
 def _certify(sys: PwsSystem, name: str, runs: Sequence[Trajectory],
@@ -224,9 +225,7 @@ def _certify(sys: PwsSystem, name: str, runs: Sequence[Trajectory],
         if a.kind == b.kind:
             # consecutive same-side arcs meet at a touch event of Sigma
             continue
-        tangent = any(_grazes(g, xj, sys.sigma_g_scale(side))
-                      for side, g in (("upper", sys.g_plus),
-                                      ("lower", sys.g_minus))
+        tangent = any(_grazes(sys, side, xj) for side in ("upper", "lower")
                       if side in (a.kind, b.kind))
         switching.append((xj, "tangent" if tangent else "crossing"))
     touch_xs.extend(x for x, lbl in switching if lbl == "tangent")

@@ -318,11 +318,11 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
 
 
 @functools.cache
-def _generated(n: int):
-    """DOP853's (step, dense) functions for states of n components, with
+def _generated(n: int, dense: bool = False):
+    """DOP853's step function for states of n components, or with dense
+    its dense function (built at a stepper's first dense_output()), with
     every tableau sum unrolled into float arithmetic (zero entries
-    skipped, terms in stage order); built by fieldexpr.generated_fn on
-    first use.
+    skipped, terms in stage order); built by fieldexpr.generated_fn.
 
     Each stage is one call ``fun(y0 + (...) * h, y1 + (...) * h, ...)``
     of the autonomous field, unpacked into its n slopes.
@@ -349,11 +349,17 @@ def _generated(n: int):
 
     ys, zs = ("".join(f"{v}{i}, " for i in comps) for v in "yz")
     slopes = "".join(ks(s) for s in range(N_STAGES + 1))
-    rows = ", ".join(
-        f"[q{i}, h * k0_{i} - q{i}, 2 * q{i} - h * (k12_{i} + k0_{i}), "
-        + ", ".join(f"h * ({dot(i, _row(D, r, N_STAGES_EXTENDED))})"
-                    for r in range(INTERPOLATOR_POWER - 3)) + "]"
-        for i in comps)
+    names = {"sqrt": math.sqrt}
+    if dense:
+        rows = ", ".join(
+            f"[q{i}, h * k0_{i} - q{i}, 2 * q{i} - h * (k12_{i} + k0_{i}), "
+            + ", ".join(f"h * ({dot(i, _row(D, r, N_STAGES_EXTENDED))})"
+                        for r in range(INTERPOLATOR_POWER - 3)) + "]"
+            for i in comps)
+        return generated_fn("fun, y, z, h, K", "".join([
+            f"{ys}= y\n", f"{zs}= z\n", f"{slopes}= K\n",
+            *(stage(s) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)),
+            *(f"q{i} = z{i} - y{i}\n" for i in comps)]), f"[{rows}]", names)
     step = "".join([
         f"{ys}= y\n", f"{ks(0)}= f\n",
         *(stage(s) for s in range(1, N_STAGES)),
@@ -365,15 +371,8 @@ def _generated(n: int):
         *(f"d{i} = ({dot(i, E3)}) / s{i}\n" for i in comps),
         f"e = {sq('e')}\n", f"d = {sq('d')}\n",
         f"err = abs(h) * e / sqrt((e + 0.01 * d) * {n}) if e or d else 0.0\n"])
-    dense = "".join([
-        f"{ys}= y\n", f"{zs}= z\n", f"{slopes}= K\n",
-        *(stage(s) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)),
-        *(f"q{i} = z{i} - y{i}\n" for i in comps)])
-    names = {"sqrt": math.sqrt}
-    # one at a time: half the compiler's memory
-    return (generated_fn("fun, y, f, h, rtol, atol", step,
-                         f"[{zs}], [{ks(N_STAGES)}], err, ({slopes})", names),
-            generated_fn("fun, y, z, h, K", dense, f"[{rows}]", names))
+    return generated_fn("fun, y, f, h, rtol, atol", step,
+                        f"[{zs}], [{ks(N_STAGES)}], err, ({slopes})", names)
 
 
 class DenseOutput:
@@ -418,7 +417,7 @@ class DOP853:
             raise ValueError(
                 "All components of the initial state `y0` must be finite.")
         self._fun = fun
-        self._rk_step, self._rk_dense = _generated(len(y0))
+        self._rk_step = _generated(len(y0))
         self.nfev = 0
         self.t_old, self.t, self.y, self.y_old = None, t0, y0, None
         self.t_bound, self.rtol, self.atol = t_bound, rtol, atol
@@ -441,26 +440,17 @@ class DOP853:
         if self.status != "running":
             raise RuntimeError("Attempt to step on a failed or finished "
                                "solver.")
-        t = self.t
+        t, y, direction = self.t, self.y, self.direction
         if t == self.t_bound:   # no integration
             self.t_old, self.t, self.status = t, self.t_bound, "finished"
             return None
-        if not self._step_impl():
-            self.status = "failed"
-            return TOO_SMALL_STEP
-        self.t_old = t
-        if self.direction * (self.t - self.t_bound) >= 0:
-            self.status = "finished"
-        return None
-
-    def _step_impl(self) -> bool:
-        t, y, direction = self.t, self.y, self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
         step_rejected = False
         while True:
             if h_abs < min_step:
-                return False
+                self.status = "failed"
+                return TOO_SMALL_STEP
             h = h_abs * direction
             t_new = t + h
             if direction * (t_new - self.t_bound) > 0:
@@ -480,12 +470,15 @@ class DOP853:
             factor = min(1, factor)
         self.h_previous, self.y_old, self.t, self.y = h, y, t_new, y_new
         self.h_abs, self.f, self._K = h_abs * factor, f_new, K
-        return True
+        self.t_old = t
+        if direction * (t_new - self.t_bound) >= 0:
+            self.status = "finished"
+        return None
 
     def dense_output(self) -> DenseOutput:
         """The interpolant of the last step (one that moved t)."""
-        F = self._rk_dense(self._fun, self.y_old, self.y, self.h_previous,
-                           self._K)
+        F = _generated(len(self.y), True)(self._fun, self.y_old, self.y,
+                                          self.h_previous, self._K)
         self.nfev += N_STAGES_EXTENDED - N_STAGES - 1   # stages 13..15
         return DenseOutput(self.t_old, self.t, self.y_old, F)
 

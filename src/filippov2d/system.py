@@ -11,11 +11,14 @@ of SCAN_CELLS cells only supplies seeds: the local minima of |g| and the
 mid-points of sign-change cells. From each seed, Newton's method runs on
 u = g/g_x (Schröder's modified Newton method), whose zeros are simple
 whatever g's multiplicity, so a k-fold zero off the grid is reached to
-rounding without a multiplicity guess.
+rounding without a multiplicity guess. Each zero is polished once. Every
+value the scan reads comes from PwsSystem.side_fn, so sides a transit
+compiled are scanned as they are, bit for bit as the fields' own .value.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, NamedTuple, Protocol, Tuple
 
 from .cutoffs import PsiSpec
@@ -133,13 +136,13 @@ class PwsSystem:
         """1 + max |g(x, 0)| over a coarse Sigma sample; tolerance scale."""
         got = self._g_scales.get(which)
         if got is None:
-            g = self.g_plus if which == "upper" else self.g_minus
+            side = self.side_fn(which)
             w = self.window
             n = 64
             m = 0.0
             for i in range(n + 1):
                 x = w.x_lo + (w.x_hi - w.x_lo) * i / n
-                m = max(m, abs(g.value(x, 0.0)))
+                m = max(m, abs(side(x, 0.0)[1]))
             got = 1.0 + m
             self._g_scales[which] = got
         return got
@@ -212,27 +215,35 @@ def _newton_zero(g, x: float, lo: float, hi: float) -> float | None:
     return x
 
 
-def _side_zeros(g, xs: List[float], vs: List[float],
-                tiny: float) -> List[float]:
-    """Zeros of one g(., 0) on the grid xs with values vs. The grid only
-    seeds: each local minimum of |g| (strict on the left, so a plateau of
-    equal values, g = 0 on the whole side, is one seed) and the mid-point
-    of each sign-change cell. From each seed _newton_zero runs; a zero it
-    reaches without leaving the window or two cells around its seed, with
-    |g| <= tiny, is kept."""
+def _side_zeros(sys: PwsSystem, which: str, xs: List[float],
+                vs: List[float], tiny: float) -> List[float]:
+    """Zeros of one side's g(., 0) on the grid xs with values vs. The grid
+    only seeds: each local minimum of |g| (strict on the left, so a
+    plateau of equal values, g = 0 on the whole side, is one seed), then
+    the mid-point of each sign-change cell that holds no zero kept yet.
+    From each seed _newton_zero runs; a zero it reaches without leaving
+    the window or two cells around its seed, with |g| <= tiny, is kept."""
+    g, side = sys.side(which)[1], sys.side_fn(which)
     n = len(xs) - 1
-    mag = [abs(v) for v in vs]
-    seeds = [xs[i] for i in range(n + 1)
-             if (i == 0 or mag[i] < mag[i - 1])
-             and (i == n or mag[i] <= mag[i + 1])]
-    seeds += [0.5 * (xs[i] + xs[i + 1]) for i in range(n)
-              if (vs[i] < 0.0 < vs[i + 1]) or (vs[i + 1] < 0.0 < vs[i])]
+    mag = [abs(v) for v in vs] + [math.inf]   # inf: past either end
+    seeds, cells = [], []
+    for i in range(n + 1):
+        if mag[i] < mag[i - 1] and mag[i] <= mag[i + 1]:
+            seeds.append(xs[i])
+        if i < n and (vs[i] < 0.0 < vs[i + 1] or vs[i + 1] < 0.0 < vs[i]):
+            cells.append((xs[i], xs[i + 1]))
     reach = 2.0 * (xs[-1] - xs[0]) / n
     out: List[float] = []
-    for s in seeds:
+
+    def polish(s: float) -> None:
         x = _newton_zero(g, s, max(xs[0], s - reach), min(xs[-1], s + reach))
-        if x is not None and abs(g.value(x, 0.0)) <= tiny:
+        if x is not None and abs(side(x, 0.0)[1]) <= tiny:
             out.append(x)
+    for s in seeds:
+        polish(s)
+    for a, b in cells:
+        if not any(a <= x <= b for x in out):
+            polish(0.5 * (a + b))
     return out
 
 
@@ -241,8 +252,9 @@ def decompose_sigma(sys: PwsSystem) -> SigmaDecomposition:
 
     Candidate tangencies are the zeros of each g(., 0) factor found
     separately by _side_zeros: a uniform grid of SCAN_CELLS cells seeds
-    Newton's method on g/g_x at each local minimum of |g| and each sign
-    change, and a zero it reaches within two cells of its seed is kept.
+    Newton's method on g/g_x at each local minimum of |g| and at each sign
+    change that holds no zero found from those, and a zero it reaches
+    within two cells of its seed is kept.
     Working per factor keeps double tangencies, where the product h has no
     sign change, and zeros sitting where the other factor is tiny, where h
     is numerically mush, detectable. Candidates closer than
@@ -252,27 +264,24 @@ def decompose_sigma(sys: PwsSystem) -> SigmaDecomposition:
     w = sys.window
     n = SCAN_CELLS
     xs = [w.x_lo + w.width * i / n for i in range(n + 1)]
-    vp = [sys.g_plus.value(x, 0.0) for x in xs]
-    vm = [sys.g_minus.value(x, 0.0) for x in xs]
+    up, down = sys.side_fn("upper"), sys.side_fn("lower")
+    vp = [up(x, 0.0)[1] for x in xs]
+    vm = [down(x, 0.0)[1] for x in xs]
     tiny_p = 1e-12 * max(1.0, max(abs(v) for v in vp))
     tiny_m = 1e-12 * max(1.0, max(abs(v) for v in vm))
 
     flat: List[Tuple[float, float]] = []
-    i = 0
-    while i <= n:
-        if abs(vp[i]) <= tiny_p and abs(vm[i]) <= tiny_m:
-            j = i
-            while j + 1 <= n and abs(vp[j + 1]) <= tiny_p \
-                    and abs(vm[j + 1]) <= tiny_m:
-                j += 1
-            if j > i + 1:
-                flat.append((xs[i], xs[j]))
-            i = j + 1
+    run = 0   # grid points in the current stretch where both g are tiny
+    for i, v in enumerate(vp + [math.inf]):   # inf ends the last stretch
+        if abs(v) <= tiny_p and abs(vm[i]) <= tiny_m:
+            run += 1
         else:
-            i += 1
+            if run > 2:
+                flat.append((xs[i - run], xs[i - 1]))
+            run = 0
 
-    candidates = _side_zeros(sys.g_plus, xs, vp, tiny_p) \
-        + _side_zeros(sys.g_minus, xs, vm, tiny_m)
+    candidates = _side_zeros(sys, "upper", xs, vp, tiny_p) \
+        + _side_zeros(sys, "lower", xs, vm, tiny_m)
     candidates.sort()
     merged: List[float] = []
     for c in candidates:
@@ -289,7 +298,8 @@ def decompose_sigma(sys: PwsSystem) -> SigmaDecomposition:
             continue
         if any(fa <= a and b <= fb for fa, fb in flat):
             continue
-        hm = h_value(sys, 0.5 * (a + b))
+        x = 0.5 * (a + b)
+        hm = up(x, 0.0)[1] * down(x, 0.0)[1]
         if hm > 0:
             crossing.append((a, b))
         elif hm < 0:

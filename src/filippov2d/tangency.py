@@ -19,7 +19,9 @@ or less (most candidates are simple), and the order-MAX_ORDER jet only
 where orders 0-2 all vanish. Jets are prefix-stable (fieldexpr), so the
 answer is the one a single MAX_ORDER read gives, bit for bit. The jet m
 is found in also gives g^(m), which multiplicity_at returns with m, so
-visibility's input costs no further jet.
+visibility's input costs no further jet. Values of f and g come from
+PwsSystem.side_fn, as decompose_sigma's do: sides a transit compiled are
+scanned without compiling anything.
 """
 
 from __future__ import annotations
@@ -114,9 +116,8 @@ class TangencyScan(NamedTuple):
 
 
 def _side_data(sys: PwsSystem, which: str, x0: float):
-    f, g = sys.side(which)
-    f_val = f.value(x0, 0.0)
-    m, gm = multiplicity_at(g, f_val, x0)
+    f_val = sys.side_fn(which)(x0, 0.0)[0]
+    m, gm = multiplicity_at(sys.side(which)[1], f_val, x0)
     vis = None
     if m >= 1 and f_val != 0.0:
         vis = visibility(which, m, f_val, gm)
@@ -136,9 +137,7 @@ def find_tangent_points(sys: PwsSystem) -> TangencyScan:
     for x0 in dec.tangency_candidates:
         skip = False
         for which in ("upper", "lower"):
-            f, g = sys.side(which)
-            g0 = g.value(x0, 0.0)
-            f0 = f.value(x0, 0.0)
+            f0, g0 = sys.side_fn(which)(x0, 0.0)
             gs = sys.sigma_g_scale(which)
             if abs(g0) <= 1e-7 * gs and abs(f0) <= 1e-9 * gs:
                 boundary.append(BoundaryEquilibrium(x0, which))

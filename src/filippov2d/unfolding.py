@@ -101,6 +101,18 @@ class UnfoldingSpec:
             if len(getattr(self, key)) != m:
                 raise ValueError(f"{key} needs {m} entries")
 
+    @cached_property
+    def _unfolded(self) -> PwsSystem:
+        """build_unfolded's system, built on first use and kept."""
+        trans = build_transition(self)
+        if zero_psi(self.psi_plus) and zero_psi(self.psi_minus):
+            return trans
+        f_p, g_p = _sheared_side(trans.upper(), self.psi_plus)
+        f_m, g_m = _sheared_side(trans.lower(), self.psi_minus)
+        return PwsSystem(f_p, g_p, f_m, g_m, trans.window,
+                         transition=(trans, None if zero_psi(self.psi_plus)
+                                     else self.psi_plus))
+
 
 def build_transition(spec: UnfoldingSpec) -> PwsSystem:
     """The lambda-layer only: g-sides become phi * prod(x - lambda_i)."""
@@ -184,19 +196,13 @@ def _sheared_side(side, psi_spec: Optional[PsiSpec]):
 
 
 def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
-    """Full unfolding (transition + shear).
+    """Full unfolding (transition + shear), built once per spec (with the
+    side functions its transits compiled).
 
-    With zero shear profiles this returns the transition system itself
+    With zero shear profiles this is the transition system itself
     (identical component objects), so a spec with lambda = 0 and zero psi
     reproduces the base system's values bit for bit. A sheared system
     keeps that transition system and psi+ (None when zero); an unsheared
     side is the transition's own pair.
     """
-    trans = build_transition(spec)
-    if zero_psi(spec.psi_plus) and zero_psi(spec.psi_minus):
-        return trans
-    f_p, g_p = _sheared_side(trans.upper(), spec.psi_plus)
-    f_m, g_m = _sheared_side(trans.lower(), spec.psi_minus)
-    return PwsSystem(f_p, g_p, f_m, g_m, trans.window,
-                     transition=(trans, None if zero_psi(spec.psi_plus)
-                                 else spec.psi_plus))
+    return spec._unfolded

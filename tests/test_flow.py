@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from filippov2d import (CanonicalBase, PsiSpec, PwsSystem, UnfoldingSpec,
                         Window, build_unfolded, cutoffs, flow, h_value,
                         integrate_pws, integrate_smooth, loops, maps,
-                        read_trajectory_csv, sliding_convex_coefficient,
-                        trajectory_to_csv, unfolding)
+                        numerics, read_trajectory_csv,
+                        sliding_convex_coefficient, trajectory_to_csv,
+                        unfolding)
 from conftest import make_sys
 
 BIG = Window(-4.0, 4.0, -4.0, 4.0)
@@ -721,3 +722,70 @@ def test_a_forward_transit_steps_on_the_compiled_side_itself(monkeypatch,
         if time_sign == -1.0:
             fv, gv = side(-0.9, 0.1)
             assert steppers[0]._fun(-0.9, 0.1) == (-fv, -gv)
+
+
+def _lines_fired(exits, z_a, z_b):
+    """The exit lines a step crosses, by each line's own comparison."""
+    (xa, ya), (xb, yb) = z_a, z_b
+    return [(line, kind) for line, kind in exits
+            if line[0] * xb + line[1] * yb < line[2]
+            <= line[0] * xa + line[1] * ya]
+
+
+def test_the_bounding_test_fires_as_the_lines_do(monkeypatch):
+    # the exit lines and box of real transits: an upper and a lower Sigma
+    # transit and a section transit from a point of its section. With step
+    # ends exactly on each line (and a float and 1e-10 to either side), on
+    # Sigma as +0.0 and -0.0, and on the section, the one bounding
+    # comparison fires exactly the lines the line-by-line test fires
+    seen, fired = {}, flow._fired
+
+    def record(exits, box, x_at, z_a, z_b):
+        seen.setdefault((x_at, tuple(box)), (exits, box, x_at, z_a))
+        return fired(exits, box, x_at, z_a, z_b)
+    monkeypatch.setattr(flow, "_fired", record)
+    system = make_sys("1", "0 - x", "1", "x")
+    integrate_smooth(system, "upper", (-0.5, 0.1))
+    integrate_smooth(system, "lower", (-0.5, -0.1))
+    flow._transit(system, "upper", (0.25, 0.5), x_at=0.25)
+    assert sorted(x_at is None for x_at, _ in seen) == [False, True, True]
+    crossed = 0
+    for exits, box, x_at, z_a in seen.values():
+        xs = [level / n1 for (n1, _, level), _ in exits if n1] + [z_a[0]]
+        ys = [level / n2 for (_, n2, level), _ in exits if n2] + [
+            z_a[1], 0.0, -0.0]
+        near = [v for c in (xs, ys) for u in c
+                for v in (u - 1e-10, math.nextafter(u, -1.0), u,
+                          math.nextafter(u, 1.0), u + 1e-10)]
+        ends = [(u, z_a[1]) for u in near] + [(z_a[0], v) for v in near]
+        assert x_at in (None, z_a[0])   # a section transit starts on it
+        for a in [z_a] + ends:
+            for b in ends:
+                want = _lines_fired(exits, a, b)
+                assert fired(exits, box, x_at, a, b) == want, (a, b)
+                crossed += bool(want)
+    assert crossed > 100
+
+
+def test_a_landing_leaves_the_3d_dense_function_uncompiled(monkeypatch):
+    # _land's second stepper (state and time over the line coordinate, 3
+    # components) never interpolates, so only step functions are built;
+    # a stepper builds its dense function at its first dense_output()
+    built, real = [], numerics.generated_fn
+
+    def recording(args, *rest):
+        built.append(args)
+        return real(args, *rest)
+    numerics._generated.cache_clear()
+    monkeypatch.setattr(numerics, "generated_fn", recording)
+    t, z = flow._land(lambda x, y: (1.0, 0.5 - x), 0.0, [-0.5, 0.1], 0.2,
+                      (1.0, 0.0, -0.25))
+    assert t == pytest.approx(0.25, abs=1e-12)
+    assert z[0] == pytest.approx(-0.25, abs=1e-12)
+    assert built == ["fun, y, f, h, rtol, atol"] * 2   # 2 and 3 components
+    solver = numerics.DOP853(lambda x, y, t: (1.0, 0.0, 1.0), 0.0,
+                             [0.0, 0.0, 0.0], 1.0, rtol=flow.RTOL,
+                             atol=flow.ATOL)
+    solver.step()
+    solver.dense_output()
+    assert built[2:] == ["fun, y, z, h, K"]

@@ -349,27 +349,33 @@ def test_grazes_decides_alike_on_expression_and_sheared_g():
     assert isinstance(plain.g_plus, ScalarField)
     assert not isinstance(sheared.g_plus, ScalarField)
     for system, zeros in ((plain, lam), (sheared, spec.lambda_plus)):
-        g, scale = system.g_plus, system.sigma_g_scale("upper")
         for zero in zeros:
-            for side in (-1.0, 1.0):
-                assert loops._grazes(g, zero + side * 1e-9, scale)
-                assert not loops._grazes(g, zero + side * 1e-4, scale)
+            for sign in (-1.0, 1.0):
+                assert loops._grazes(system, "upper", zero + sign * 1e-9)
+                assert not loops._grazes(system, "upper", zero + sign * 1e-4)
+
+
+def _upper_g(g: str) -> PwsSystem:
+    """A system whose upper g is g, on the window [-1, 1]^2."""
+    return PwsSystem.from_strings("1", g, "1", "-1",
+                                  filippov2d.Window(-1.0, 1.0, -1.0, 1.0))
 
 
 def test_grazes_reads_the_x_distance_not_the_size_of_g():
     # a crossing of g = k (x - 0.3): inside _CONTACT_TOL in x it grazes,
     # outside it does not, however steep or shallow g is
     for k in (50.0, 0.02):
-        g = filippov2d.as_field(f"{k!r} * (x - 0.3)")
-        assert loops._grazes(g, 0.3 + 0.5 * loops._CONTACT_TOL, 1.0)
-        assert not loops._grazes(g, 0.3 + 2.0 * loops._CONTACT_TOL, 1.0)
+        system = _upper_g(f"{k!r} * (x - 0.3)")
+        assert loops._grazes(system, "upper", 0.3 + 0.5 * loops._CONTACT_TOL)
+        assert not loops._grazes(system, "upper",
+                                 0.3 + 2.0 * loops._CONTACT_TOL)
 
 
 def test_grazes_rejects_a_dip_that_misses_zero():
     # g_x vanishes at the bottom of both dips; only the one that touches
     # zero grazes there
-    assert loops._grazes(filippov2d.as_field("x^2"), 0.0, 1.0)
-    assert not loops._grazes(filippov2d.as_field("x^2 + 1e-6"), 0.0, 1.0)
+    assert loops._grazes(_upper_g("x^2"), "upper", 0.0)
+    assert not loops._grazes(_upper_g("x^2 + 1e-6"), "upper", 0.0)
 
 
 def test_pin_data_checks_both_orbit_heights(monkeypatch):

@@ -1,5 +1,6 @@
 """Tangency detection: multiplicity, visibility, split tangencies."""
 
+import ast
 import inspect
 import math
 import sys
@@ -12,8 +13,9 @@ from scipy.integrate import solve_ivp
 
 from filippov2d import (IndeterminateMultiplicity, ZeroLeadingCoefficient,
                         find_tangent_points, multiplicity_at, visibility)
-from filippov2d import (build_unfolded, canonical_base, cli,
-                        scenario_thm4, system, tangency)
+from filippov2d import (build_unfolded, canonical_base, cli, cutoffs,
+                        fieldexpr, flow, loops, numerics, scenario_thm4,
+                        system, tangency, unfolding)
 from filippov2d.fieldexpr import ScalarField
 from conftest import make_sys
 
@@ -341,3 +343,74 @@ def test_six_fold_zero_next_to_a_grid_point():
 def test_side_with_g_identically_zero_gives_one_indeterminate_record():
     recs = find_tangent_points(make_sys("1", "0", "-1", "1")).records
     assert [(r.m_plus, r.m_minus, r.label) for r in recs] == [(-1, -1, "??")]
+
+
+def _thm4_55_l1_system():
+    """The sheared system thm4 (5,5) ell=1 certified."""
+    return build_unfolded(scenario_thm4(canonical_base(5, 5), 1).spec)
+
+
+def test_each_zero_is_polished_once(monkeypatch, tmp_path):
+    # the local minima of |g| seed first, and a sign-change cell that holds
+    # a zero found from them seeds no second Newton run: over classify's
+    # seed-1 scans, thm4 (5,5) ell=1's sheared system and simple zeros
+    # beside a 7-fold one, no two runs of one side's scan reach one float
+    reached, newton, side_zeros = [], system._newton_zero, system._side_zeros
+
+    def counted(*args):
+        reached.append(newton(*args))
+        return reached[-1]
+
+    def one_side(*args):
+        reached.clear()
+        zeros = side_zeros(*args)
+        got = [x for x in reached if x is not None]
+        assert len(got) == len(set(got)), args[1]
+        return zeros
+    monkeypatch.setattr(system, "_newton_zero", counted)
+    monkeypatch.setattr(system, "_side_zeros", one_side)
+    systems = _classify_seed1_systems(tmp_path) + [
+        _thm4_55_l1_system(),
+        _split_system([(-0.5, "upper", 1), (0.1234567, "upper", 7),
+                       (0.3, "lower", 1), (0.6, "lower", 1)])]
+    simple = sum(1 in (r.m_plus, r.m_minus)
+                 for s in systems for r in find_tangent_points(s).records)
+    assert simple >= 20
+
+
+def test_a_scan_of_compiled_sides_compiles_nothing(monkeypatch, tmp_path):
+    # once a system's side functions exist, find_tangent_points reads every
+    # value through them: it builds no generated function, on expression
+    # and sheared sides alike
+    systems = [_thm4_55_l1_system(), *_classify_seed1_systems(tmp_path)]
+    for s in systems:
+        s.side_fn("upper"), s.side_fn("lower")
+    built = []
+
+    def recording(real):
+        def generated_fn(*args):
+            built.append(args[0])
+            return real(*args)
+        return generated_fn
+    for module in (fieldexpr, system, unfolding, cutoffs, numerics, flow):
+        monkeypatch.setattr(module, "generated_fn",
+                            recording(module.generated_fn))
+    assert all(find_tangent_points(s).records for s in systems)
+    assert built == []
+
+
+def test_the_scan_reads_no_field_value():
+    # every value the scan and the junction test read comes through
+    # PwsSystem.side_fn, the one memo of a side function: no .value call
+    names = {"decompose_sigma", "_side_zeros", "sigma_g_scale",
+             "find_tangent_points", "_side_data", "_grazes"}
+    found = {}
+    for module in (system, tangency, loops):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                found[fn.name] = [
+                    node.lineno for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "value"]
+    assert found == dict.fromkeys(names, [])

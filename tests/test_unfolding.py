@@ -268,3 +268,16 @@ def test_the_lambda_product_and_the_sheared_fields_have_one_builder():
                 and isinstance(node.func, ast.Name) and node.func.id == name}
     assert callers("ShearedField") == {"_sheared_side"}
     assert callers("Sub") == callers("Pow") == {"_monic_product_expr"}
+
+
+def test_each_spec_is_unfolded_once():
+    # build_unfolded returns one system per spec, sheared or not, so a scan
+    # of the system a scenario certified reads the side functions its
+    # transits compiled
+    for spec in (UnfoldingSpec(cubic_base(), (-0.2, 0.0, 0.2)),
+                 UnfoldingSpec(cubic_base(), (-0.2, 0.0, 0.2), (),
+                               PsiSpec(1, (-0.6, -0.3, 0.0, 0.01)))):
+        system = build_unfolded(spec)
+        assert build_unfolded(spec) is system
+        assert system.side_fn("upper") is build_unfolded(spec).side_fn(
+            "upper")
