@@ -260,8 +260,7 @@ TANGENT_CSV_VERSION = "filippov2d-tangent-points-v1"
 
 def _write_table(path, version: str, header: Sequence[str],
                  rows: Iterable[Tuple[object, ...]]) -> None:
-    """Write the table of the module docstring in one call; each row is
-    one %s format per column, so its fields go through str."""
+    """Write the module docstring's table at once; fields go through %s."""
     fmt = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"# {version}\n{','.join(header)}\n"

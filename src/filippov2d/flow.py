@@ -160,6 +160,7 @@ _TRANSVERSAL_TOL = 1e-6    # relative normal speed of an accepted section hit
 _MAX_CONTACTS = 64         # Sigma contacts that restart one transit
 _ARRIVAL_TOL = 1e-6        # x-distance from stop_at of a touch that ends a chain
 _GRID = [k / 32 for k in range(33)]   # samples of a step polynomial
+_TURN_SLACK = 1.0 + 1e-12  # |c0| above it times |c1| + |c2|: y cannot turn
 _MAX_ARCS = 200            # arcs of one integrate_pws trajectory
 
 
@@ -311,9 +312,8 @@ def _exits(coef: List[float], lo: float, hi: float,
 
 def _turns(c0: float, c1: float, c2: float) -> bool:
     """Whether c0 * (c0 + c1 tau + c2 tau^2) < 0 at a tau of _GRID, with
-    the float operations of ``_horner``. The caller skips it when |c0|
-    outweighs |c1| + |c2|: the quadratic then keeps the sign of c0 on
-    [0, 1]."""
+    the float operations of ``_horner``; _transit skips it when |c0| tops
+    _TURN_SLACK (|c1| + |c2|), as the quadratic keeps c0's sign on [0, 1]."""
     for tau in _GRID:
         if c0 * (c0 + (c1 + (c2 + tau * 0.0) * tau) * tau) < 0.0:
             return True
@@ -341,10 +341,8 @@ def _minima(c: List[List[float]], sgn: float, slope) -> List[float]:
 
 
 def _fired(exits, box, x_at: Optional[float], z_a, z_b) -> list:
-    """The exit lines (line, kind) the step from z_a to z_b crosses, where
-    n1 x + n2 y < level at z_b and not at z_a. One bounding comparison
-    first: an end inside box (x_lo, x_hi, y_lo, y_hi), strictly on z_a's
-    side of a section x = x_at, crosses none."""
+    """The exit lines (line, kind) with n1 x + n2 y < level at z_b, not at z_a:
+    none, at one test, if z_b is in box and strictly on z_a's side of x_at."""
     (xa, ya), (xb, yb) = z_a, z_b
     if box[0] <= xb <= box[1] and box[2] <= yb <= box[3] and (
             x_at is None or (xa - x_at) * (xb - x_at) > 0.0):
@@ -393,10 +391,12 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
     exits += [(line, "window-exit") for line in (
         (1.0, 0.0, w.x_lo - pad), (-1.0, 0.0, -w.x_hi - pad),
         (0.0, 1.0, w.y_lo - pad), (0.0, -1.0, -w.y_hi - pad))]
-    # no line but a section's fires inside: the padded window, cut at Sigma
-    box = [w.x_lo - pad, w.x_hi + pad, w.y_lo - pad, w.y_hi + pad]
-    if x_at is None:
-        box[2 if sgn > 0.0 else 3] = 0.0
+    # (x_lo, x_hi, y_lo, y_hi) where every axis-aligned non-section line holds
+    box = [-math.inf, math.inf, -math.inf, math.inf]
+    for (n1, n2, level), kind in exits:
+        if kind != "section":
+            i = (0 if n1 else 2) + ((n1 or n2) < 0.0)
+            box[i] = min(box[i], -level) if i % 2 else max(box[i], level)
 
     legs, touches = [], []    # touches: every touch of Sigma, in order
     samples = [(0.0, x, y)]   # (leg time, x, y) of the current leg
@@ -438,7 +438,7 @@ def _transit(sys: PwsSystem, side: str, start: Tuple[float, float], *,
             # slopes d0, d1 times the step) changes sign
             dy, d0, d1 = yb - z_a[1], h * f_a[1], h * solver.f[1]
             c1, c2 = 6 * dy - 4 * d0 - 2 * d1, 3 * (d0 + d1 - 2 * dy)
-            turned = x_at is None and abs(d0) <= (1.0 + 1e-12) * (
+            turned = x_at is None and abs(d0) <= _TURN_SLACK * (
                 abs(c1) + abs(c2)) and _turns(d0, c1, c2)
             stops = []   # (tau, kind, line) on the step polynomial c
             if fired or turned:

@@ -180,10 +180,9 @@ def _grazes(sys: PwsSystem, side: str, x: float) -> bool:
     shallow transversal crossings near one (distance ~ the dip width) far
     more reliably than any fixed threshold on |g| itself.
     """
-    g0 = sys.side_fn(side)(x, 0.0)[1]
+    g0, scale = sys.side_fn(side)(x, 0.0)[1], sys.sigma_g_scale(side)
     g1 = sys.side(side)[1].x_jet(x, 0.0, 1)[1]
-    return abs(g0) <= max(abs(g1) * _CONTACT_TOL,
-                          1e-12 * sys.sigma_g_scale(side))
+    return abs(g0) <= max(abs(g1) * _CONTACT_TOL, 1e-12 * scale)
 
 
 def _certify(sys: PwsSystem, name: str, runs: Sequence[Trajectory],

@@ -11,9 +11,8 @@ of SCAN_CELLS cells only supplies seeds: the local minima of |g| and the
 mid-points of sign-change cells. From each seed, Newton's method runs on
 u = g/g_x (Schröder's modified Newton method), whose zeros are simple
 whatever g's multiplicity, so a k-fold zero off the grid is reached to
-rounding without a multiplicity guess. Each zero is polished once. Every
-value the scan reads comes from PwsSystem.side_fn, so sides a transit
-compiled are scanned as they are, bit for bit as the fields' own .value.
+rounding without a multiplicity guess; a simple zero is polished once.
+The scan reads every value through PwsSystem.side_fn, as transits do.
 """
 
 from __future__ import annotations
@@ -136,8 +135,7 @@ class PwsSystem:
         """1 + max |g(x, 0)| over a coarse Sigma sample; tolerance scale."""
         got = self._g_scales.get(which)
         if got is None:
-            side = self.side_fn(which)
-            w = self.window
+            side, w = self.side_fn(which), self.window
             n = 64
             m = 0.0
             for i in range(n + 1):
@@ -188,18 +186,18 @@ class SigmaDecomposition(NamedTuple):
     tangency_candidates: List[float]
 
 
-def _newton_zero(g, x: float, lo: float, hi: float) -> float | None:
+def _newton_zero(g, x: float, lo: float, hi: float) -> tuple | None:
     """Schröder's iteration from x: Newton's method on u = g/g_x, whose
     zeros are all simple whatever g's multiplicity there. The step
     u / u_x = q / (1 - 2 q c2/c1), q = c0/c1, is taken from g's order-2
     x-jet (c0, c1, c2) in ratios, because c1^2 underflows next to
     high-order zeros. A step below 1e-15 of |x| + (hi - lo) ends the
-    iteration; None once it leaves [lo, hi] or meets a critical point
-    of g."""
+    iteration: returns x with the c1 and c2 last read; None once it
+    leaves [lo, hi] or meets a critical point of g."""
     for _ in range(_NEWTON_STEPS):
         c0, c1, c2 = g.x_jet(x, 0.0, 2)
         if c0 == 0.0:
-            return x
+            return x, c1, c2
         if c1 == 0.0:
             return None
         q = c0 / c1
@@ -212,7 +210,7 @@ def _newton_zero(g, x: float, lo: float, hi: float) -> float | None:
             return None
         if abs(step) <= 1e-15 * (abs(x) + (hi - lo)):
             break
-    return x
+    return x, c1, c2
 
 
 def _side_zeros(sys: PwsSystem, which: str, xs: List[float],
@@ -220,7 +218,10 @@ def _side_zeros(sys: PwsSystem, which: str, xs: List[float],
     """Zeros of one side's g(., 0) on the grid xs with values vs. The grid
     only seeds: each local minimum of |g| (strict on the left, so a
     plateau of equal values, g = 0 on the whole side, is one seed), then
-    the mid-point of each sign-change cell that holds no zero kept yet.
+    the mid-point of each sign-change cell, unless a zero kept yet lies in
+    the cell with |g_x| > |g_xx| * cell: g is then monotone over the cell
+    to second order, so that zero is its only one (a double zero beside a
+    simple one still seeds the cell).
     From each seed _newton_zero runs; a zero it reaches without leaving
     the window or two cells around its seed, with |g| <= tiny, is kept."""
     g, side = sys.side(which)[1], sys.side_fn(which)
@@ -233,16 +234,19 @@ def _side_zeros(sys: PwsSystem, which: str, xs: List[float],
         if i < n and (vs[i] < 0.0 < vs[i + 1] or vs[i + 1] < 0.0 < vs[i]):
             cells.append((xs[i], xs[i + 1]))
     reach = 2.0 * (xs[-1] - xs[0]) / n
-    out: List[float] = []
+    out, lone = [], []   # the kept zeros, and those g is monotone around
 
     def polish(s: float) -> None:
-        x = _newton_zero(g, s, max(xs[0], s - reach), min(xs[-1], s + reach))
-        if x is not None and abs(side(x, 0.0)[1]) <= tiny:
+        got = _newton_zero(g, s, max(xs[0], s - reach), min(xs[-1], s + reach))
+        if got is not None and abs(side(got[0], 0.0)[1]) <= tiny:
+            x, c1, c2 = got
             out.append(x)
+            if abs(c1) > abs(c2) * reach:   # c2 = g_xx / 2, reach = 2 cells
+                lone.append(x)
     for s in seeds:
         polish(s)
     for a, b in cells:
-        if not any(a <= x <= b for x in out):
+        if not any(a <= x <= b for x in lone):
             polish(0.5 * (a + b))
     return out
 
@@ -252,9 +256,9 @@ def decompose_sigma(sys: PwsSystem) -> SigmaDecomposition:
 
     Candidate tangencies are the zeros of each g(., 0) factor found
     separately by _side_zeros: a uniform grid of SCAN_CELLS cells seeds
-    Newton's method on g/g_x at each local minimum of |g| and at each sign
-    change that holds no zero found from those, and a zero it reaches
-    within two cells of its seed is kept.
+    Newton's method on g/g_x at each local minimum of |g|, then at each
+    sign change no such zero explains, and a zero it reaches within two
+    cells of its seed is kept.
     Working per factor keeps double tangencies, where the product h has no
     sign change, and zeros sitting where the other factor is tiny, where h
     is numerically mush, detectable. Candidates closer than
@@ -299,7 +303,7 @@ def decompose_sigma(sys: PwsSystem) -> SigmaDecomposition:
         if any(fa <= a and b <= fb for fa, fb in flat):
             continue
         x = 0.5 * (a + b)
-        hm = up(x, 0.0)[1] * down(x, 0.0)[1]
+        hm = up(x, 0.0)[1] * down(x, 0.0)[1]   # h_value, from side_fn
         if hm > 0:
             crossing.append((a, b))
         elif hm < 0:

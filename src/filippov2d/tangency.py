@@ -19,9 +19,8 @@ or less (most candidates are simple), and the order-MAX_ORDER jet only
 where orders 0-2 all vanish. Jets are prefix-stable (fieldexpr), so the
 answer is the one a single MAX_ORDER read gives, bit for bit. The jet m
 is found in also gives g^(m), which multiplicity_at returns with m, so
-visibility's input costs no further jet. Values of f and g come from
-PwsSystem.side_fn, as decompose_sigma's do: sides a transit compiled are
-scanned without compiling anything.
+visibility's input costs no further jet. f and g are read through
+PwsSystem.side_fn, so sides a transit compiled are scanned as they are.
 """
 
 from __future__ import annotations

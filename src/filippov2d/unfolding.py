@@ -196,8 +196,7 @@ def _sheared_side(side, psi_spec: Optional[PsiSpec]):
 
 
 def build_unfolded(spec: UnfoldingSpec) -> PwsSystem:
-    """Full unfolding (transition + shear), built once per spec (with the
-    side functions its transits compiled).
+    """Full unfolding (transition + shear), one system per spec.
 
     With zero shear profiles this is the transition system itself
     (identical component objects), so a spec with lambda = 0 and zero psi

@@ -589,6 +589,12 @@ def _ulps(x, k):
     return x
 
 
+def _transit_turns(c0, c1, c2):
+    """_transit's turn test: its early-out, then _turns' grid scan."""
+    return abs(c0) <= flow._TURN_SLACK * (abs(c1) + abs(c2)) \
+        and flow._turns(c0, c1, c2)
+
+
 def test_early_exits_agree_with_the_full_scan():
     # coefficients at the bounds of both early exits, a few ulps either
     # side, half of them with every other coefficient pulling toward zero
@@ -609,7 +615,7 @@ def test_early_exits_agree_with_the_full_scan():
         cases.append(tail)
     for tail in cases:
         s_exits = (1.0 + 1e-13) * sum(abs(a) for a in tail)
-        s_turns = (1.0 + 1e-12) * (abs(tail[0]) + abs(tail[1]))
+        s_turns = flow._TURN_SLACK * (abs(tail[0]) + abs(tail[1]))
         for k in range(-4, 5):
             c0 = _ulps(s_exits, k)
             lo, hi = (0.0, 1.0) if k % 2 else sorted(rng.uniform(0.0, 1.0, 2))
@@ -619,7 +625,7 @@ def test_early_exits_agree_with_the_full_scan():
             exits_taken += c0 > s_exits
             for sign in (1.0, -1.0):
                 c = (sign * _ulps(s_turns, k), tail[0], tail[1])
-                assert flow._turns(*c) == _turns_by_polyval(*c), c
+                assert _transit_turns(*c) == _turns_by_polyval(*c), c
                 turns_taken += abs(c[0]) > s_turns
     specials = [[math.inf] + [-1.0] * 7, [1.0, -math.inf] + [0.0] * 6,
                 [math.inf, math.inf] + [-1.0] * 6, [math.nan] + [0.0] * 7,
@@ -629,7 +635,7 @@ def test_early_exits_agree_with_the_full_scan():
         assert _exits_outcome(flow._exits, coef, 0.0, 1.0) \
             == _exits_outcome(_exits_by_polyval, coef, 0.0, 1.0), coef
         for c in (coef[:3], [coef[1], coef[0], coef[2]]):
-            assert flow._turns(*c) == _turns_by_polyval(*c), c
+            assert _transit_turns(*c) == _turns_by_polyval(*c), c
     assert exits_taken > 1000 and turns_taken > 2000, (exits_taken,
                                                        turns_taken)
 
