@@ -12,7 +12,7 @@ from .fieldexpr import (EvalDomainError, ParseError, ScalarField, as_field,
                         parse_expr)
 from .system import (DegenerateDenominator, NotSliding, PwsSystem,
                      SigmaDecomposition, Window, decompose_sigma, h_value,
-                     sliding_convex_coefficient, sliding_field)
+                     sliding_field)
 from .tangency import (IndeterminateMultiplicity, TangencyScan,
                        TangentPointRecord, ZeroLeadingCoefficient,
                        find_tangent_points, multiplicity_at, visibility)

@@ -10,7 +10,7 @@ check              built-in self-test battery (seeded)
 
 Config files are line-oriented ``section.key = value``, each key on one
 line at most; --out alone says where artifacts go. Field expressions are
-quoted strings; everything else is plain decimal / bare words, surrounding
+quoted strings; everything else is finite decimals / bare words, surrounding
 spaces ignored. A config picks a run, a scan (1: scenario.theorem 1 or
 unset) or theorem 2-5, and load_config refuses every key (_KEYS) that run
 does not read; a starred run reads its key only when both sides set phi:
@@ -44,6 +44,7 @@ diagnostics.txt with the traceback is left in the output directory).
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys as _sys
 from pathlib import Path
@@ -51,8 +52,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fieldexpr import ScalarField, parse_expr
 # decompose_sigma stays bound here for tracers that wrap it by module
-from .system import (PwsSystem, Window, decompose_sigma, h_value,  # noqa: F401
-                     sliding_convex_coefficient, sliding_field)
+from .system import (PwsSystem, Window, decompose_sigma,  # noqa: F401
+                     sliding_field)
 from .tangency import TangencyScan, find_tangent_points
 from .flow import Trajectory, TransitFailure, integrate_pws
 from .unfolding import CanonicalBase, UnfoldingSpec, build_transition, \
@@ -105,9 +106,12 @@ def _expr(raw: str) -> str:
 def _number(convert, noun: str):
     def parse(raw: str):
         try:
-            return convert(raw)
+            value = convert(raw)
         except ValueError:
             raise ValueError(f"expected {noun}, got {raw!r}") from None
+        if not -math.inf < value < math.inf:   # nan, inf, or 1e400
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return value
     return parse
 
 
@@ -581,6 +585,8 @@ def _random_system(rng: random.Random) -> PwsSystem:
 
 
 def _check_convex(seed: int) -> Optional[str]:
+    """Where h < 0, a Z+ + (1-a) Z- with a = g-/(g- - g+) from one at_sigma
+    read must be tangent to Sigma and move as sliding_field does."""
     rng = random.Random(seed)
     systems = [_random_system(rng) for _ in range(20)]
     xs = [[rng.uniform(-2.0, 2.0) for _ in range(500)] for _ in range(20)]
@@ -588,13 +594,12 @@ def _check_convex(seed: int) -> Optional[str]:
     def worst(sys_i: PwsSystem, row) -> float:
         bad = 0.0
         for x in row:
-            if h_value(sys_i, x) >= 0.0:
+            fp, gp, fm, gm = sys_i.at_sigma(x)
+            if gp * gm >= 0.0:
                 continue
-            lam = sliding_convex_coefficient(sys_i, x)
-            blend_g = lam * sys_i.g_plus.value(x, 0.0) \
-                + (1.0 - lam) * sys_i.g_minus.value(x, 0.0)
-            blend_f = lam * sys_i.f_plus.value(x, 0.0) \
-                + (1.0 - lam) * sys_i.f_minus.value(x, 0.0)
+            lam = gm / (gm - gp)
+            blend_g = lam * gp + (1.0 - lam) * gm
+            blend_f = lam * fp + (1.0 - lam) * fm
             bad = max(bad, abs(blend_g),
                       abs(blend_f - sliding_field(sys_i, x)))
         return bad

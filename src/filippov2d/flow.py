@@ -52,7 +52,8 @@ A transit evaluates its side's field through one callable (x, y) -> (f, g)
 with Python floats, which the system makes once and keeps
 (``PwsSystem.side_fn``, the one memo of a side function): expression and
 sheared sides compile their pair into one function (``side_with``), any
-other pair of fields to a ``.value`` call on each. The stepper calls the
+other pair to a call of each field's ``value`` (its one reader); Sigma
+values are read through ``PwsSystem.at_sigma``. The stepper calls the
 side itself (the fields are autonomous, ``numerics``): a forward transit
 hands that function to DOP853 as it is, and a backward one the side's
 negation (-f, -g), generated and kept the same way.
@@ -621,8 +622,7 @@ def step_filippov(sys: PwsSystem, x: float,
     its half-plane, and else slides (arriving from the tangent side) or
     takes off along the tangent side (a fresh start).
     """
-    gp = sys.g_plus.value(x, 0.0)
-    gm = sys.g_minus.value(x, 0.0)
+    _, gp, _, gm = sys.at_sigma(x)
     tol_p = 1e-7 * sys.sigma_g_scale("upper")
     tol_m = 1e-7 * sys.sigma_g_scale("lower")
     p_zero = abs(gp) <= tol_p

@@ -440,7 +440,7 @@ def _crossing_cycle_witness(sys: PwsSystem, q: float) -> LoopRecord:
                 and abs(term.x - qq) <= 1e-6 * cap.width:
             # still above Sigma at the cap: convert the riding height to
             # abscissa units through the local upper slope
-            gp = sys.g_plus.value(qq, 0.0)
+            gp = sys.side_fn("upper")(qq, 0.0)[1]
             miss = term.y / max(abs(gp), 1e-30)
         else:
             raise VerificationFailed(
@@ -494,7 +494,8 @@ def find_crossing_cycles(
     plain ones crossing-limit-cycle, and a DroppedRoot for each drop.
     """
     def down(x: float) -> bool:
-        return h_value(sys, x) > 0.0 and sys.g_minus.value(x, 0.0) < 0.0
+        _, gp, _, gm = sys.at_sigma(x)
+        return gp * gm > 0.0 and gm < 0.0
 
     disp = _displacement(sys)
     pts = sorted({float(p) for p in scan_points})
@@ -1024,7 +1025,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
     rates: List[float] = []
     for i in range(1, n + 1):
         tp = lam[2 * i - 2]
-        g_conj = hat.g_plus.value(pins[i - 1].conj, 0.0)
+        g_conj = hat.side_fn("upper")(pins[i - 1].conj, 0.0)[1]
         h_fd = 0.02 * delta
         p_hi, p_lo = (_landed(integrate_smooth(hat, "lower", (x, 0.0)))
                       for x in (tp + h_fd, tp - h_fd))
@@ -1043,10 +1044,8 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
         pad = 1e-4 * (hi - tp)
 
         def num(x: float) -> float:
-            return (pinned.f_plus.value(x, 0.0)
-                    * pinned.g_minus.value(x, 0.0)
-                    - pinned.f_minus.value(x, 0.0)
-                    * pinned.g_plus.value(x, 0.0))
+            fp, gp, fm, gm = pinned.at_sigma(x)
+            return fp * gm - fm * gp
 
         xs = _linspace(tp + pad, hi - pad, 160)
         try:

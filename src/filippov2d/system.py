@@ -35,8 +35,8 @@ class ScalarFunc(Protocol):
 
     Expression and sheared fields also offer side_with(g, negated), which
     compiles the (x, y) -> (self, g), or its negation, that
-    PwsSystem.side_fn keeps and hands to the flow and the sliding field,
-    one call per point."""
+    PwsSystem.side_fn keeps and every value read goes through, one call
+    per point; value is read only where a side offers no such pair."""
 
     def value(self, x: float, y: float) -> float: ...
 
@@ -115,7 +115,8 @@ class PwsSystem:
         its negation (-f, -g), which a backward transit steps on; each is
         made on first use and kept (the one memo of a side function): the
         pair's compiled side function when f offers one for g (expression
-        and sheared sides), else one .value call on each, generated."""
+        and sheared sides), else a generated call of each value (its one
+        reader)."""
         fn = self._side_fns.get((which, time_sign))
         if fn is None:
             if time_sign not in (1.0, -1.0):
@@ -130,6 +131,11 @@ class PwsSystem:
                                   {"_f": f.value, "_g": g.value})
             self._side_fns[which, time_sign] = fn
         return fn
+
+    def at_sigma(self, x: float) -> Tuple[float, float, float, float]:
+        """(f+, g+, f-, g-) at (x, 0), one call of each side function: every
+        Sigma value the package reads comes from here or from side_fn."""
+        return (*self.side_fn("upper")(x, 0.0), *self.side_fn("lower")(x, 0.0))
 
     def sigma_g_scale(self, which: str) -> float:
         """1 + max |g(x, 0)| over a coarse Sigma sample; tolerance scale."""
@@ -148,29 +154,19 @@ class PwsSystem:
 
 def h_value(sys: PwsSystem, x: float) -> float:
     """h(x) = g+(x,0) g-(x,0); sign classifies the Sigma point."""
-    return sys.g_plus.value(x, 0.0) * sys.g_minus.value(x, 0.0)
-
-
-def sliding_convex_coefficient(sys: PwsSystem, x: float) -> float:
-    """Coefficient a(x) with Filippov field = a Z+ + (1-a) Z- on Sigma_s."""
-    gp = sys.g_plus.value(x, 0.0)
-    gm = sys.g_minus.value(x, 0.0)
-    den = gm - gp
-    if den == 0.0:
-        raise DegenerateDenominator(f"g- - g+ vanishes at x={x}")
-    return gm / den
+    _, gp, _, gm = sys.at_sigma(x)
+    return gp * gm
 
 
 def sliding_field(sys: PwsSystem, x: float) -> float:
-    """Sliding (Filippov) velocity along Sigma at x.
+    """Sliding (Filippov) velocity a f+ + (1-a) f-, a = g-/(g- - g+), at x.
 
     Defined only where h(x) < 0; raises NotSliding otherwise and
     DegenerateDenominator when g- - g+ is numerically zero relative to the
-    component scale. Each side is one side-function call, so a sheared
-    side evaluates psi once (h and a(x) read g alone: one .value each).
+    component scale. The four values are one at_sigma read (a sheared side
+    evaluates psi once).
     """
-    fp, gp = sys.side_fn("upper")(x, 0.0)
-    fm, gm = sys.side_fn("lower")(x, 0.0)
+    fp, gp, fm, gm = sys.at_sigma(x)
     if gp * gm >= 0.0:
         raise NotSliding(f"h(x) >= 0 at x={x}; not in a sliding segment")
     den = gm - gp
@@ -303,7 +299,7 @@ def decompose_sigma(sys: PwsSystem) -> SigmaDecomposition:
         if any(fa <= a and b <= fb for fa, fb in flat):
             continue
         x = 0.5 * (a + b)
-        hm = up(x, 0.0)[1] * down(x, 0.0)[1]   # h_value, from side_fn
+        hm = h_value(sys, x)
         if hm > 0:
             crossing.append((a, b))
         elif hm < 0:

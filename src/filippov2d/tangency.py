@@ -19,8 +19,8 @@ or less (most candidates are simple), and the order-MAX_ORDER jet only
 where orders 0-2 all vanish. Jets are prefix-stable (fieldexpr), so the
 answer is the one a single MAX_ORDER read gives, bit for bit. The jet m
 is found in also gives g^(m), which multiplicity_at returns with m, so
-visibility's input costs no further jet. f and g are read through
-PwsSystem.side_fn, so sides a transit compiled are scanned as they are.
+visibility's input costs no further jet. f and g are read once per
+candidate (PwsSystem.at_sigma), through the sides a transit compiled.
 """
 
 from __future__ import annotations
@@ -114,8 +114,7 @@ class TangencyScan(NamedTuple):
     sigma: SigmaDecomposition
 
 
-def _side_data(sys: PwsSystem, which: str, x0: float):
-    f_val = sys.side_fn(which)(x0, 0.0)[0]
+def _side_data(sys: PwsSystem, which: str, f_val: float, x0: float):
     m, gm = multiplicity_at(sys.side(which)[1], f_val, x0)
     vis = None
     if m >= 1 and f_val != 0.0:
@@ -134,9 +133,9 @@ def find_tangent_points(sys: PwsSystem) -> TangencyScan:
     records: List[TangentPointRecord] = []
     boundary: List[BoundaryEquilibrium] = []
     for x0 in dec.tangency_candidates:
+        fp, gp, fm, gm = sys.at_sigma(x0)
         skip = False
-        for which in ("upper", "lower"):
-            f0, g0 = sys.side_fn(which)(x0, 0.0)
+        for which, f0, g0 in (("upper", fp, gp), ("lower", fm, gm)):
             gs = sys.sigma_g_scale(which)
             if abs(g0) <= 1e-7 * gs and abs(f0) <= 1e-9 * gs:
                 boundary.append(BoundaryEquilibrium(x0, which))
@@ -144,8 +143,8 @@ def find_tangent_points(sys: PwsSystem) -> TangencyScan:
         if skip:
             continue
         try:
-            m_p, vis_p = _side_data(sys, "upper", x0)
-            m_m, vis_m = _side_data(sys, "lower", x0)
+            m_p, vis_p = _side_data(sys, "upper", fp, x0)
+            m_m, vis_m = _side_data(sys, "lower", fm, x0)
         except IndeterminateMultiplicity:
             records.append(TangentPointRecord(x0, -1, -1, None, None, "??"))
             continue

@@ -7,14 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from filippov2d import (LoopCensus, VerificationFailed, cli, integrate_pws,
-                        loops, read_census_csv, write_census_csv)
+from filippov2d import (LoopCensus, VerificationFailed, cli, fieldexpr,
+                        integrate_pws, loops, read_census_csv,
+                        write_census_csv)
 from filippov2d.cli import load_config, main
 from conftest import make_sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from generate import config_text, round_trip_error  # noqa: E402
+from generate import (config_text, round_trip_error,  # noqa: E402
+                      workload_specs)
 
 
 def write_config(tmp_path, text):
@@ -62,6 +64,14 @@ _REFUSALS = [
     ("upper.m = x", "run.cfg:2: expected an integer, got 'x'"),
     ("scenario.delta = abc", "run.cfg:2: expected a number, got 'abc'"),
     ("scenario.lambda_plus =", "run.cfg:2: expected numbers"),
+    (_SCAN + "scenario.lambda_plus = -0.2 nan 0.3",
+     "run.cfg:7: expected a finite number, got 'nan'"),
+    (_SCAN + "scenario.lambda_plus = 1e400",
+     "run.cfg:7: expected a finite number, got '1e400'"),
+    ("scenario.window = -inf 1 -1 1",
+     "run.cfg:2: expected a finite number, got '-inf'"),
+    (_M55 + "scenario.theorem = 4\nscenario.delta = inf",
+     "run.cfg:5: expected a finite number, got 'inf'"),
     ('upper.f "1"', "run.cfg:2: expected 'section.key = value'"),
     ("upper = 1", "run.cfg:2: keys are written section.key"),
     ('middle.f = "1"', "run.cfg:2: unknown section 'middle'"),
@@ -153,6 +163,25 @@ def test_a_loaded_config_serves_the_benchmarks_round_trip(tmp_path, spec):
     cfg = load_config(path)
     assert round_trip_error(spec, cfg) is None
     assert round_trip_error({**spec, "m": 7, "lambda_plus": [0.0]}, cfg)
+
+
+def test_check_and_a_scan_compile_side_pairs_only(monkeypatch, tmp_path):
+    # every function compiled from expressions on these run paths is a
+    # side's (f, g) pair, which PwsSystem.side_fn keeps: none is a single
+    # field's value function
+    trees = []
+    compile_expr = fieldexpr.compile_expr
+
+    def recording(*args):
+        trees.append(len(args))
+        return compile_expr(*args)
+    monkeypatch.setattr(fieldexpr, "compile_expr", recording)
+    spec = next(s for s in workload_specs("classify", 1)
+                if "check_seed" not in s)
+    cfg = write_config(tmp_path, config_text(spec))
+    assert main(["check", "--seed", "1"]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert trees and set(trees) == {2}
 
 
 def test_scan_config_scans_the_tangent_points_of_its_g(tmp_path, capsys):

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 from filippov2d import (CanonicalBase, PsiSpec, PwsSystem, UnfoldingSpec,
                         Window, build_unfolded, cutoffs, flow, h_value,
                         integrate_pws, integrate_smooth, loops, maps,
-                        numerics, read_trajectory_csv,
-                        sliding_convex_coefficient, trajectory_to_csv,
+                        numerics, read_trajectory_csv, trajectory_to_csv,
                         unfolding)
 from conftest import make_sys
 
@@ -192,7 +191,8 @@ def test_pws_fall_and_slide():
     sl = traj.arcs[kinds.index("sliding")]
     assert np.all(sl.x[1:] >= sl.x[:-1])  # sliding field is +1: moves right
     for x in sl.x[:: max(1, len(sl.x) // 7)]:
-        a = sliding_convex_coefficient(s, float(x))
+        gp, gm = s.g_plus.value(x, 0.0), s.g_minus.value(x, 0.0)
+        a = gm / (gm - gp)
         assert -1e-12 <= a <= 1 + 1e-12
     t_entry = next(e.t for e in traj.events if e.kind == "sliding-entry")
     x_entry = next(e.x for e in traj.events if e.kind == "sliding-entry")

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from filippov2d import (NotSliding, PsiSpec, PwsSystem, UnfoldingSpec,
                         Window, build_unfolded, canonical_base, decompose_sigma,
-                        cutoffs, h_value, sliding_convex_coefficient,
-                        sliding_field, unfolding)
+                        cutoffs, h_value, sliding_field, unfolding)
+from filippov2d.fieldexpr import ScalarField
 from filippov2d.loops import _negative_cluster, _pinned_knots, _plateau_psi
 from conftest import make_sys
 
@@ -96,10 +96,10 @@ def test_convex_combination_on_random_sliding_systems(c0, c1, c2, c3, x):
     # g+ < 0 < g- everywhere, so all of Sigma slides
     s = make_sys(f"{c0!r} + x", f"-1 - {abs(c1)!r} - x^2",
                  f"{c2!r} - x", f"1 + {abs(c3)!r} + x^2")
-    a = sliding_convex_coefficient(s, x)
-    assert 0.0 <= a <= 1.0
     fp, gp = s.f_plus.value(x, 0.0), s.g_plus.value(x, 0.0)
     fm, gm = s.f_minus.value(x, 0.0), s.g_minus.value(x, 0.0)
+    a = gm / (gm - gp)
+    assert 0.0 <= a <= 1.0
     assert a * gp + (1 - a) * gm == pytest.approx(0.0, abs=1e-10)
     assert a * fp + (1 - a) * fm == pytest.approx(
         sliding_field(s, x), abs=1e-10)
@@ -176,25 +176,73 @@ def test_window_validation():
     assert Window(-1.0, 1.0, -1.0, 1.0).width == 2.0
 
 
-@pytest.mark.parametrize("x, want", [
-    (-0.27, ("-0x1.9e0054f0661dbp-15", "0x1.f6e0b70a28fbfp-1",
-             "0x1.edc16e1451f7ep-1")),
-    (-0.25, ("-0x1.4ad92931a09e4p-3", "0x1.7315b54a5acedp-7",
-             "-0x1.f4675255ad299p-1")),
-    (-0.07, ("-0x1.13143f2e48b0dp-18", "0x1.1b3fc2ca7ad99p-2",
-             "-0x1.c9807a6b0a4cfp-2")),
-])
-def test_sliding_point_calls_each_sheared_side_once(monkeypatch, x, want):
-    # thm5 (3,3) ell=1's bumps above, a plateau shear below: h, the convex
-    # coefficient and the sliding field each call one compiled sheared
-    # function per side, whose source holds psi's body once, with the
-    # values of one .value call per component, bit for bit
+def _bumps_over_plateau() -> UnfoldingSpec:
+    """thm5 (3,3) ell=1's pinned bumps above, a plateau shear below."""
     lam = _negative_cluster(3, 0.1)
     heights = (float.fromhex("0x1.33905d00237bdp-6"),
                float.fromhex("0x1.7b98654fdce00p-8"))
     upper = PsiSpec(2, _pinned_knots(lam, 0.1) + heights)
     lower = _plateau_psi(-0.0021, -0.45)   # the fallback window
-    psi_bodies = [cutoffs._psi_source(spec)[0] for spec in (upper, lower)]
+    return UnfoldingSpec(canonical_base(3, 3), lam, (0.0,) * 3, upper, lower)
+
+
+class _ValueOnly:
+    """A field offering value alone: its side takes side_fn's fallback."""
+
+    def __init__(self, src):
+        self.field = ScalarField(src)
+
+    def value(self, x, y):
+        return self.field.value(x, y)
+
+
+_SIDES = ("1 + x*x", "x - 0.3", "-2 + 0.5*x", "0.25 - x*x")
+_SYSTEMS = {
+    "expression": lambda: make_sys(*_SIDES),
+    "sheared": lambda: build_unfolded(_bumps_over_plateau()),
+    "value-only": lambda: PwsSystem(*map(_ValueOnly, _SIDES),
+                                    Window(-1.0, 1.0, -1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SYSTEMS))
+def test_at_sigma_is_one_call_of_each_side_function(monkeypatch, kind):
+    # (f+, g+, f-, g-) equal the four .value reads bit for bit, on compiled
+    # expression and sheared pairs and on side_fn's .value fallback, and
+    # each side function is called once
+    s = _SYSTEMS[kind]()
+    calls = []
+    side_fn = PwsSystem.side_fn
+
+    def counted(self, which, time_sign=1.0):
+        fn = side_fn(self, which, time_sign)
+
+        def call(x, y):
+            calls.append(which)
+            return fn(x, y)
+        return call
+    monkeypatch.setattr(PwsSystem, "side_fn", counted)
+    fields = (s.f_plus, s.g_plus, s.f_minus, s.g_minus)
+    for x in (-0.27, -0.25, -0.07, 0.3):
+        want = [f.value(x, 0.0).hex() for f in fields]
+        calls.clear()
+        assert [v.hex() for v in s.at_sigma(x)] == want
+        assert calls == ["upper", "lower"]
+
+
+@pytest.mark.parametrize("x, want", [
+    (-0.27, ("-0x1.9e0054f0661dbp-15", "0x1.edc16e1451f7ep-1")),
+    (-0.25, ("-0x1.4ad92931a09e4p-3", "-0x1.f4675255ad299p-1")),
+    (-0.07, ("-0x1.13143f2e48b0dp-18", "-0x1.c9807a6b0a4cfp-2")),
+])
+def test_sliding_point_calls_each_sheared_side_once(monkeypatch, x, want):
+    # thm5 (3,3) ell=1's bumps above, a plateau shear below: h and the
+    # sliding field each call one compiled sheared function per side, whose
+    # source holds psi's body once, with the values of one .value call per
+    # component, bit for bit
+    spec = _bumps_over_plateau()
+    psi_bodies = [cutoffs._psi_source(p)[0]
+                  for p in (spec.psi_plus, spec.psi_minus)]
     calls = []
     compiled = unfolding.generated_fn
 
@@ -207,12 +255,11 @@ def test_sliding_point_calls_each_sheared_side_once(monkeypatch, x, want):
             return fn(x, y)
         return call
     monkeypatch.setattr(unfolding, "generated_fn", counted)
-    system = build_unfolded(UnfoldingSpec(
-        canonical_base(3, 3), lam, (0.0,) * 3, upper, lower))
+    system = build_unfolded(spec)
     got, per_call = [], []
-    for fn in (h_value, sliding_convex_coefficient, sliding_field):
+    for fn in (h_value, sliding_field):
         before = len(calls)
         got.append(fn(system, x).hex())
         per_call.append(len(calls) - before)
     assert tuple(got) == want
-    assert per_call == [2, 2, 2]
+    assert per_call == [2, 2]

@@ -14,8 +14,8 @@ from scipy.integrate import solve_ivp
 from filippov2d import (IndeterminateMultiplicity, ZeroLeadingCoefficient,
                         find_tangent_points, multiplicity_at, visibility)
 from filippov2d import (build_unfolded, canonical_base, cli, cutoffs,
-                        fieldexpr, flow, loops, numerics, scenario_thm4,
-                        system, tangency, unfolding)
+                        fieldexpr, flow, numerics, scenario_thm4, system,
+                        tangency, unfolding)
 from filippov2d.fieldexpr import ScalarField
 from conftest import make_sys
 
@@ -122,7 +122,9 @@ def test_a_classified_point_reads_its_g_jets_once(src, x0, want, orders):
     g = _OrderCounting(src)
     s = make_sys("1", "1", "-1", "1")
     s.g_plus = g
-    assert (tangency._side_data(s, "upper", x0), g.orders) == (want, orders)
+    f_val = s.at_sigma(x0)[0]
+    assert (tangency._side_data(s, "upper", f_val, x0), g.orders) \
+        == (want, orders)
     m, _ = want
     if m:   # the derivative a fresh order-m jet gives, bit for bit
         gm = g.x_jet(x0, 0.0, m)[m] * math.factorial(m)
@@ -410,17 +412,17 @@ def test_a_scan_of_compiled_sides_compiles_nothing(monkeypatch, tmp_path):
 
 
 def test_the_scan_reads_no_field_value():
-    # every value the scan and the junction test read comes through
-    # PwsSystem.side_fn, the one memo of a side function: no .value call
-    names = {"decompose_sigma", "_side_zeros", "sigma_g_scale",
-             "find_tangent_points", "_side_data", "_grazes"}
+    # every value the package reads, the scan's and every Sigma read's,
+    # comes through PwsSystem.side_fn (the one memo of a side function) or
+    # at_sigma: no module calls .value(...). side_fn's fallback for a side
+    # that is no compiled pair reads f.value as an attribute, not a call
+    package = Path(tangency.__file__).parent
     found = {}
-    for module in (system, tangency, loops):
-        for fn in ast.walk(ast.parse(inspect.getsource(module))):
-            if isinstance(fn, ast.FunctionDef) and fn.name in names:
-                found[fn.name] = [
-                    node.lineno for node in ast.walk(fn)
-                    if isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "value"]
-    assert found == dict.fromkeys(names, [])
+    for path in sorted(package.glob("*.py")):
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "value"]
+        if calls:
+            found[path.name] = calls
+    assert found == {}
