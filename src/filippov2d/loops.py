@@ -62,6 +62,17 @@ bracketed by a sign change of a scan and polished by brentq in _root. It
 must leave |gap| <= CLOSURE_TOL: a sign change made by a jump of the gap
 raises VerificationFailed before any witness is integrated on it.
 
+The displacement scans (_displacement_root, find_crossing_cycles) are
+screened by the closed form, maps.displacement_closed: a scan point flies
+only when the closed form declines it (None) or its |value| is at most
+SCREEN_MARGIN, 1e2 CLOSURE_TOL; any other point stands as a _Screened
+value, for its sign alone. _root flies both ends of the bracket it
+polishes before brentq reads them as f(a) and f(b), so every brentq
+iterate, root and witness is what the flown scan gives. An end that fails
+to fly, or flies to the other sign, is a defect of the screen: it raises
+AssertionError, which no scan catches. _flank_dip flies every point, since
+its minimum value, not a sign, sets thm5's lowered heights.
+
 Searches and certificates fly on different systems of one unfolding. The
 displacement (_displacement: the flank dips, the scans and their polish)
 is taken on the transition system through the shear conjugacy
@@ -81,7 +92,8 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
 from .cutoffs import PsiSpec
 from .flow import (Arc, Event, Trajectory, TransitFailure, integrate_smooth,
                    sliding_arc)
-from .maps import _flow_to_section, _landed, displacement_sigma
+from .maps import (_flow_to_section, _landed, displacement_closed,
+                   displacement_sigma)
 from .numerics import brentq
 from .system import PwsSystem, Window, h_value
 from .tangency import multiplicity_at
@@ -90,6 +102,7 @@ from .unfolding import (CanonicalBase, UnfoldingSpec, build_transition,
 
 CLOSURE_TOL = 1e-8
 _CONTACT_TOL = 1e-6   # x-distance of a tangent junction from a zero of g
+SCREEN_MARGIN = 1e2 * CLOSURE_TOL   # |closed-form D| above it: not flown
 
 
 class RangeError(Exception):
@@ -273,6 +286,13 @@ def _displacement(sys: PwsSystem) -> Callable[[float], float]:
     return lambda x: displacement_sigma(sys, float(x))
 
 
+class _Screened(float):
+    """A closed-form displacement (maps.displacement_closed) standing for
+    the flown one's sign alone: _root flies it before reading its value."""
+
+    __slots__ = ()
+
+
 def _signed_area(arcs: Sequence[Arc]) -> float:
     """The shoelace area of the closed polygon through the arcs' samples:
     positive when it runs counterclockwise."""
@@ -316,13 +336,44 @@ def _evaluable(f: Callable[[float], float],
             continue
 
 
+def _screened_scan(sys: PwsSystem,
+                   xs: Iterable[float]) -> Iterator[Tuple[float, float]]:
+    """_evaluable over sys's displacement, except that a point whose
+    closed-form displacement tops SCREEN_MARGIN is not flown: it yields
+    that value as a _Screened."""
+    disp = _displacement(sys)
+    for x in xs:
+        v = displacement_closed(sys, float(x))
+        if v is not None and abs(v) > SCREEN_MARGIN:
+            yield float(x), _Screened(v)
+        else:
+            yield from _evaluable(disp, (x,))
+
+
+def _flown(f: Callable[[float], float], x: float, v: float) -> float:
+    """v, or f(x) when v is _Screened, which must fly with v's sign;
+    AssertionError otherwise (module docstring)."""
+    if type(v) is not _Screened:
+        return v
+    try:
+        flown = f(x)
+    except TransitFailure as exc:
+        raise AssertionError(f"the displacement at {x:.12g}, {v:.3e} by the "
+                             f"closed form, failed to fly: {exc}") from exc
+    if not flown * v > 0.0:
+        raise AssertionError(f"the displacement at {x:.12g} flew to "
+                             f"{flown:.3e}, the closed form gave {v:.3e}")
+    return flown
+
+
 def _root(stage: str, f: Callable[[float], float],
           samples: Iterable[Tuple[float, float]]) -> float:
     """Zero of the closure gap f at the first sign change of samples.
 
     samples are (x, f(x)) pairs in scan order. The first two successive
     ones of opposite sign bracket the root, which brentq polishes; its
-    f(a) and f(b) are the scan's own values, not evaluated again. Brent's
+    f(a) and f(b) are the scan's own values, not evaluated again, except
+    that a _Screened one is flown first (_flown). Brent's
     method returns a point it evaluated, so f(root) is read back from its
     own evaluations: the root must leave |f(root)| <= CLOSURE_TOL, which a
     sign change made by a jump of f does not. No sign change, or a root
@@ -339,7 +390,8 @@ def _root(stage: str, f: Callable[[float], float],
         raise VerificationFailed(
             f"{stage}: no sign change over {len(scanned)} points {span}")
     a, b = sorted((scanned[-1][0], x))
-    seen: Dict[float, float] = {scanned[-1][0]: scanned[-1][1], x: v}
+    seen: Dict[float, float] = {t: _flown(f, t, ft)
+                                for t, ft in (scanned[-1], (x, v))}
 
     def gap(t: float) -> float:
         ft = seen.get(t)
@@ -485,13 +537,15 @@ def find_crossing_cycles(
     the line itself; its transversal zeros are cycles. Scan points that are
     not down-crossings are skipped, a profile that is numerically zero on
     most of the scan is treated as a continuum of closed orbits (no
-    isolated cycles). Each sign change between adjacent evaluable scan
-    points is polished by _root: one whose displacement at the root is
-    above CLOSURE_TOL marks a jump, not a zero, and is dropped before any
-    witness leg is integrated. Every other root is certified by integrating
-    the actual loop, and dropped if that loop does not close. Returns the
-    cycles, those that graze a tangency classified crossing-nonsliding,
-    plain ones crossing-limit-cycle, and a DroppedRoot for each drop.
+    isolated cycles). The scan is screened by the closed form (module
+    docstring). Each sign change between adjacent evaluable scan points
+    has its ends flown and is polished by _root: one whose displacement
+    at the root is above CLOSURE_TOL marks a jump, not a zero, and is
+    dropped before any witness leg is integrated. Every other root is
+    certified by integrating the actual loop, and dropped if that loop
+    does not close. Returns the cycles, those that graze a tangency
+    classified crossing-nonsliding, plain ones crossing-limit-cycle, and a
+    DroppedRoot for each drop.
     """
     def down(x: float) -> bool:
         _, gp, _, gm = sys.at_sigma(x)
@@ -499,7 +553,7 @@ def find_crossing_cycles(
 
     disp = _displacement(sys)
     pts = sorted({float(p) for p in scan_points})
-    found = dict(_evaluable(disp, filter(down, pts)))
+    found = dict(_screened_scan(sys, filter(down, pts)))
     vals = [found.get(x, math.nan) for x in pts]
     finite = [v for v in vals if math.isfinite(v)]
     if not finite or sum(abs(v) < 1e-11 for v in finite) / len(finite) > 0.9:
@@ -511,9 +565,11 @@ def find_crossing_cycles(
         # only adjacent grid points may bracket: a pair spanning a filtered
         # (sliding) stretch would hand brentq a zero that is not a cycle;
         # a NaN (filtered or failed point) makes no sign change
-        va, vb = vals[a_i], vals[a_i + 1]
-        if not va * vb < 0.0:
+        if not vals[a_i] * vals[a_i + 1] < 0.0:
             continue
+        # fly the bracket's screened ends, each once: a point may end two
+        va, vb = vals[a_i], vals[a_i + 1] = [
+            _flown(disp, pts[k], vals[k]) for k in (a_i, a_i + 1)]
         try:
             root = _root("crossing cycle", disp,
                          [(pts[a_i], va), (pts[a_i + 1], vb)])
@@ -676,12 +732,12 @@ def _displacement_root(sys: PwsSystem, a: float, b: float) -> float:
     gap = b - a
     xs = sorted({*_linspace(a + 0.02 * gap, b - 0.05 * gap, 25),
                  *(b - u for u in _geomspace(0.05 * gap, 2e-5 * gap, 30))})
-    disp = _displacement(sys)
-    return _root("displacement", disp, _evaluable(disp, xs))
+    return _root("displacement", _displacement(sys), _screened_scan(sys, xs))
 
 
 def _flank_dip(sys: PwsSystem, left: float, peak: float) -> float:
-    """Most negative displacement value on the approach to a pinned peak."""
+    """Most negative displacement value on the approach to a pinned peak,
+    every point flown: the value, not its sign, is read."""
     span = peak - left
     xs = [peak - u for u in _geomspace(0.5 * span, 1e-5 * span, 48)]
     vals = [v for _, v in _evaluable(_displacement(sys), xs)]

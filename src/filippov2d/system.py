@@ -80,6 +80,8 @@ class PwsSystem:
         self.window, self.transition = window, transition
         self._g_scales: dict = {}
         self._side_fns: dict = {}
+        self._sigma_sides = None   # at_sigma's (upper, lower) side functions
+        self._integral = None      # maps.first_integral's memo
 
     def __eq__(self, other):
         return type(other) is PwsSystem and all(
@@ -88,7 +90,7 @@ class PwsSystem:
     def in_window(self, window: Window) -> PwsSystem:
         """The four fields in window, with this system's side functions."""
         out = PwsSystem(*self.upper(), *self.lower(), window)
-        out._side_fns = self._side_fns
+        out._side_fns, out._sigma_sides = self._side_fns, self._sigma_sides
         return out
 
     @classmethod
@@ -134,8 +136,13 @@ class PwsSystem:
 
     def at_sigma(self, x: float) -> Tuple[float, float, float, float]:
         """(f+, g+, f-, g-) at (x, 0), one call of each side function: every
-        Sigma value the package reads comes from here or from side_fn."""
-        return (*self.side_fn("upper")(x, 0.0), *self.side_fn("lower")(x, 0.0))
+        Sigma value the package reads comes from here or from side_fn. The
+        pair of side functions is looked up once and kept."""
+        sides = self._sigma_sides
+        if sides is None:
+            sides = self._sigma_sides = (self.side_fn("upper"),
+                                         self.side_fn("lower"))
+        return (*sides[0](x, 0.0), *sides[1](x, 0.0))
 
     def sigma_g_scale(self, which: str) -> float:
         """1 + max |g(x, 0)| over a coarse Sigma sample; tolerance scale."""

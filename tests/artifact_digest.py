@@ -9,9 +9,10 @@ Runs, in one interpreter on the package under --src:
   and known_failures workloads (the seed only reorders the theorem
   workloads, so each of their configs runs once);
 * ``filippov2d check --seed 1..3``;
-* scenario_thm5 at (3,3) and (5,5) for every ell: its census (counts,
-  witness arcs and events, switching points, residuals, dropped roots)
-  and the tangency scan of its unfolded system, every float in hex.
+* scenario_thm4 at (3,3), (5,5) and (7,7) and scenario_thm5 at (3,3)
+  and (5,5), for every ell: the census (counts, witness arcs and events,
+  switching points, residuals, dropped roots) and the tangency scan of
+  its unfolded system, every float in hex, or the failure message.
 
 Each case's digest covers its artifacts (relative path and bytes), stdout,
 stderr and exit code. The output directory's path and the --src path are
@@ -98,13 +99,13 @@ def _dump(obj) -> str:
     return repr(obj)
 
 
-def _thm5_case(m: int, ell: int, src: str) -> str:
+def _scenario_case(theorem: int, m: int, ell: int, src: str) -> str:
     from filippov2d import (build_unfolded, canonical_base,
-                            find_tangent_points)
-    from filippov2d.loops import scenario_thm5
+                            find_tangent_points, loops)
 
     try:
-        census = scenario_thm5(canonical_base(m, m), ell)
+        census = getattr(loops, f"scenario_thm{theorem}")(
+            canonical_base(m, m), ell)
         scan = find_tangent_points(build_unfolded(census.spec))
         text = _dump(census) + "\n" + _dump(scan)
     except Exception as exc:  # noqa: BLE001 - a failure is an outcome too
@@ -129,10 +130,12 @@ def _cases(src: str):
     for seed in (1, 2, 3):
         yield f"check --seed {seed}", \
             lambda seed=seed: _cli_case(["check", "--seed", str(seed)], src)
-    for m in (3, 5):
-        for ell in range((m + 1) // 2 + 1):
-            yield f"thm5 ({m},{m}) ell={ell}", \
-                lambda m=m, ell=ell: _thm5_case(m, ell, src)
+    for theorem, ms, top in ((4, (3, 5, 7), -1), (5, (3, 5), 1)):
+        for m in ms:
+            for ell in range((m + top) // 2 + 1):
+                yield f"thm{theorem} ({m},{m}) ell={ell}", \
+                    lambda t=theorem, m=m, ell=ell: _scenario_case(t, m, ell,
+                                                                   src)
 
 
 def _run(text: str, src: str) -> str:

@@ -124,8 +124,9 @@ def test_loops_polishes_through_one_brentq_call():
 
 
 def test_no_displacement_is_evaluated_twice(monkeypatch):
-    # thm4 (5,5) ell=1's scans and their brentq polish: the bracket's ends
-    # are the scan's own values, so brentq's f(a) and f(b) fly nothing
+    # thm4 (5,5) ell=1's scan and its brentq polish: the closed form
+    # screens every scan point, so only the bracket's two ends fly before
+    # brentq, which reads them back, and then its own iterates
     flown = []   # (system, x), holding each system so no id is reused
     displacement = loops.displacement_sigma
 
@@ -133,18 +134,23 @@ def test_no_displacement_is_evaluated_twice(monkeypatch):
         flown.append((sys, x))
         return displacement(sys, x)
     monkeypatch.setattr(loops, "displacement_sigma", recorded)
-    polished = []
+    brackets, iterates = [], []
     brentq = loops.brentq
 
     def counted(f, a, b, **kwargs):
-        polished.append((a, b))
-        return brentq(f, a, b, **kwargs)
+        brackets.append((a, b))
+
+        def read(x):
+            iterates.append(x)
+            return f(x)
+        return brentq(read, a, b, **kwargs)
     monkeypatch.setattr(loops, "brentq", counted)
     census = scenario_thm4(canonical_base(5, 5), 1)
     assert (census.beta_cro.get(1, 0), census.beta_cri.get(1, 0)) == (1, 2)
     keys = [(id(sys), x) for sys, x in flown]
-    assert polished and len(keys) > 20
-    assert len(set(keys)) == len(keys)
+    assert len(set(keys)) == len(keys) == 11
+    assert len(brackets) == 1
+    assert {x for _, x in flown} <= {*brackets[0], *iterates}
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
