@@ -155,7 +155,9 @@ class Trajectory(NamedTuple):
 RTOL = 1e-10               # every DOP853 integration (module docstring)
 ATOL = 1e-12
 _NUDGE_FLOOR = 1e-11       # |y| a start on Sigma must clear before a segment
-_NUDGE_FIRST_STEP = 1e-8   # first micro-step of the nudge, grown 4x per try
+# the nudge's micro-step lengths: 1e-8, then each 4x the last (a power of
+# two scales exactly, so these are the floats of repeated h *= 4.0)
+_NUDGE_STEPS = tuple(1e-8 * 4.0 ** k for k in range(80))
 _TOUCH_TOL = 1e-8          # |y| of a g-zero inside a step that counts as a touch
 _TRANSVERSAL_TOL = 1e-6    # relative normal speed of an accepted section hit
 _MAX_CONTACTS = 64         # Sigma contacts that restart one transit
@@ -182,9 +184,8 @@ def _nudge_off_sigma(rhs, x0: float, side: str) -> Tuple[float, float, float]:
     asked for an impossible continuation) or cannot leave Sigma at all.
     """
     sgn = _own_sign(side)
-    h = _NUDGE_FIRST_STEP
     state = (x0, 0.0)
-    for _ in range(80):
+    for h in _NUDGE_STEPS:
         sol = solve_ivp(rhs, (0.0, h), state, rtol=RTOL, atol=ATOL * 1e-2)
         xe, ye = sol.y[0][-1], sol.y[1][-1]
         if abs(ye) >= _NUDGE_FLOOR:
@@ -192,7 +193,6 @@ def _nudge_off_sigma(rhs, x0: float, side: str) -> Tuple[float, float, float]:
                 raise AmbiguousTangency(
                     f"orbit from ({x0}, 0) leaves into the other half-plane")
             return xe, ye, h
-        h *= 4.0
     raise AmbiguousTangency(f"orbit from ({x0}, 0) will not leave Sigma")
 
 

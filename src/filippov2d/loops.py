@@ -57,19 +57,21 @@ A transit that cannot continue raises the flow layer's TransitFailure
 family (a Sigma transit that ends off Sigma: maps.NoArrival), which the
 scans skip and a scenario lets through.
 
-Every root is a zero of a closure gap (the displacement, a landing gap),
-bracketed by a sign change of a scan and polished by brentq in _root. It
+Every root is a zero of a closure gap (the displacement, a landing gap,
+the pseudo-equilibrium numerator), bracketed by a sign change of a scan
+and polished by brentq in _root. A gap is one memo, _once, which its
+scan, brentq and _root read alike: no point is evaluated twice. The root
 must leave |gap| <= CLOSURE_TOL: a sign change made by a jump of the gap
 raises VerificationFailed before any witness is integrated on it.
 
 The displacement scans (_displacement_root, find_crossing_cycles) are
 screened by the closed form, maps.displacement_closed: a scan point flies
 only when the closed form declines it (None) or its |value| is at most
-SCREEN_MARGIN, 1e2 CLOSURE_TOL; any other point stands as a _Screened
-value, for its sign alone. _root flies both ends of the bracket it
-polishes before brentq reads them as f(a) and f(b), so every brentq
-iterate, root and witness is what the flown scan gives. An end that fails
-to fly, or flies to the other sign, is a defect of the screen: it raises
+SCREEN_MARGIN, 1e2 CLOSURE_TOL; any other point yields the closed form,
+for its sign alone. _root reads both ends of its bracket through the gap
+before brentq does, so a screened end flies and every brentq iterate,
+root and witness is what the flown scan gives. An end that fails to fly,
+or flies to the other sign, is a defect of the screen: it raises
 AssertionError, which no scan catches. _flank_dip flies every point, since
 its minimum value, not a sign, sets thm5's lowered heights.
 
@@ -84,6 +86,7 @@ the scenario fail.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
@@ -157,14 +160,12 @@ class LoopCensus:
 
     def __init__(self, scenario: str, m_plus: int, m_minus: int,
                  ell: Optional[int], *,
-                 beta_cro: Optional[Dict[int, int]] = None,
-                 beta_cri: Optional[Dict[int, int]] = None,
                  witnesses: Optional[List[Tuple[str, LoopRecord]]] = None,
                  orbits: Optional[List[Trajectory]] = None,
                  spec: Optional[UnfoldingSpec] = None):
         self.scenario, self.m_plus, self.m_minus = scenario, m_plus, m_minus
         self.ell, self.beta_c, self.beta_s = ell, 0, 0
-        self.beta_cro, self.beta_cri = beta_cro or {}, beta_cri or {}
+        self.beta_cro, self.beta_cri = {}, {}   # by contacts
         self.tangent_orbits: Dict[int, int] = {}   # by contacts
         self.witnesses = witnesses or []
         self.dropped_cycles: List[DroppedRoot] = []   # thm5
@@ -280,17 +281,15 @@ def _entry_crossing(sys: PwsSystem, tp: float) -> float:
                       contacts=0, time_sign=-1.0, chain=True).terminal.x)
 
 
+# _once(f): the memo of a closure gap, f evaluated at most once at each
+# point (module docstring); a point whose evaluation raised is not kept
+_once = functools.cache
+
+
 def _displacement(sys: PwsSystem) -> Callable[[float], float]:
     """x -> the displacement of sys at (x, 0), as every scan reads it:
-    flown on sys's transition system (maps.displacement_sigma)."""
-    return lambda x: displacement_sigma(sys, float(x))
-
-
-class _Screened(float):
-    """A closed-form displacement (maps.displacement_closed) standing for
-    the flown one's sign alone: _root flies it before reading its value."""
-
-    __slots__ = ()
+    flown on sys's transition system (maps.displacement_sigma), once."""
+    return _once(lambda x: displacement_sigma(sys, float(x)))
 
 
 def _signed_area(arcs: Sequence[Arc]) -> float:
@@ -336,48 +335,32 @@ def _evaluable(f: Callable[[float], float],
             continue
 
 
-def _screened_scan(sys: PwsSystem,
+def _screened_scan(sys: PwsSystem, disp: Callable[[float], float],
                    xs: Iterable[float]) -> Iterator[Tuple[float, float]]:
-    """_evaluable over sys's displacement, except that a point whose
+    """_evaluable over disp, sys's displacement, except that a point whose
     closed-form displacement tops SCREEN_MARGIN is not flown: it yields
-    that value as a _Screened."""
-    disp = _displacement(sys)
+    that value, for its sign alone."""
     for x in xs:
         v = displacement_closed(sys, float(x))
         if v is not None and abs(v) > SCREEN_MARGIN:
-            yield float(x), _Screened(v)
+            yield float(x), v
         else:
             yield from _evaluable(disp, (x,))
 
 
-def _flown(f: Callable[[float], float], x: float, v: float) -> float:
-    """v, or f(x) when v is _Screened, which must fly with v's sign;
-    AssertionError otherwise (module docstring)."""
-    if type(v) is not _Screened:
-        return v
-    try:
-        flown = f(x)
-    except TransitFailure as exc:
-        raise AssertionError(f"the displacement at {x:.12g}, {v:.3e} by the "
-                             f"closed form, failed to fly: {exc}") from exc
-    if not flown * v > 0.0:
-        raise AssertionError(f"the displacement at {x:.12g} flew to "
-                             f"{flown:.3e}, the closed form gave {v:.3e}")
-    return flown
-
-
 def _root(stage: str, f: Callable[[float], float],
           samples: Iterable[Tuple[float, float]]) -> float:
-    """Zero of the closure gap f at the first sign change of samples.
+    """Zero of the closure gap f, a _once memo, at the first sign change
+    of samples.
 
-    samples are (x, f(x)) pairs in scan order. The first two successive
-    ones of opposite sign bracket the root, which brentq polishes; its
-    f(a) and f(b) are the scan's own values, not evaluated again, except
-    that a _Screened one is flown first (_flown). Brent's
-    method returns a point it evaluated, so f(root) is read back from its
-    own evaluations: the root must leave |f(root)| <= CLOSURE_TOL, which a
-    sign change made by a jump of f does not. No sign change, or a root
-    that breaks that contract, raises VerificationFailed naming the stage.
+    samples are (x, v) pairs in scan order, v being f(x) or a screened
+    value of its sign. The first two successive ones of opposite sign
+    bracket the root. Both ends are read through f and must keep the sign
+    the scan read (AssertionError otherwise), then brentq polishes on f.
+    Brent's method returns a point it evaluated, so f(root) is the memo's:
+    the root must leave |f(root)| <= CLOSURE_TOL, which a sign change made
+    by a jump of f does not. No sign change, or a root that breaks that
+    contract, raises VerificationFailed naming the stage.
     """
     scanned: List[Tuple[float, float]] = []
     for x, v in samples:
@@ -389,22 +372,22 @@ def _root(stage: str, f: Callable[[float], float],
                 if scanned else "at no evaluable point")
         raise VerificationFailed(
             f"{stage}: no sign change over {len(scanned)} points {span}")
+    for t, read in (scanned[-1], (x, v)):
+        try:
+            ft = f(t)
+        except TransitFailure as exc:
+            raise AssertionError(f"{stage}: the gap at {t:.12g}, {read:.3e} "
+                                 f"in the scan, failed to fly: {exc}") from exc
+        if not ft * read > 0.0:
+            raise AssertionError(f"{stage}: the gap at {t:.12g} flew to "
+                                 f"{ft:.3e}, the scan read {read:.3e}")
     a, b = sorted((scanned[-1][0], x))
-    seen: Dict[float, float] = {t: _flown(f, t, ft)
-                                for t, ft in (scanned[-1], (x, v))}
-
-    def gap(t: float) -> float:
-        ft = seen.get(t)
-        if ft is None:
-            seen[t] = ft = f(t)
-        return ft
-
-    root = float(brentq(gap, a, b, xtol=1e-13, rtol=4e-15))
-    if abs(seen[root]) > CLOSURE_TOL:
+    root = float(brentq(f, a, b, xtol=1e-13, rtol=4e-15))
+    gap = f(root)
+    if abs(gap) > CLOSURE_TOL:
         raise VerificationFailed(
             f"{stage}: the sign change in ({a:.9g}, {b:.9g}) holds no zero:"
-            f" the gap at {root:.12g} is {seen[root]:.3e}",
-            root, seen[root])
+            f" the gap at {root:.12g} is {gap:.3e}", root, gap)
     return root
 
 
@@ -423,10 +406,12 @@ def canonical_base(m_plus: int = 1, m_minus: int = 1,
 
     The shape is fixed: upper orbits are graphs of x^(m+1) * (x + 1) +
     const with f = +1, lower orbits mirror them with f = -1, so the arcs
-    through (-1, 0) and the origin bound a closed two-arc loop.
+    through (-1, 0) and the origin bound a closed two-arc loop. An even or
+    non-positive multiplicity raises RangeError naming it.
     """
-    if m_plus < 1 or m_plus % 2 == 0 or m_minus < 1 or m_minus % 2 == 0:
-        raise ValueError("multiplicities must be odd and >= 1")
+    for name, m in (("m_plus", m_plus), ("m_minus", m_minus)):
+        if m < 1 or m % 2 == 0:
+            raise RangeError(f"odd {name} >= 1 required, got {m}")
     if window is None:
         pad = 4.0 * max(_hill_height(m_plus), _hill_height(m_minus)) + 0.05
         window = Window(-1.75, 0.75, -pad, pad)
@@ -539,7 +524,7 @@ def find_crossing_cycles(
     most of the scan is treated as a continuum of closed orbits (no
     isolated cycles). The scan is screened by the closed form (module
     docstring). Each sign change between adjacent evaluable scan points
-    has its ends flown and is polished by _root: one whose displacement
+    is polished by _root on the scan's memo: one whose displacement
     at the root is above CLOSURE_TOL marks a jump, not a zero, and is
     dropped before any witness leg is integrated. Every other root is
     certified by integrating the actual loop, and dropped if that loop
@@ -553,7 +538,7 @@ def find_crossing_cycles(
 
     disp = _displacement(sys)
     pts = sorted({float(p) for p in scan_points})
-    found = dict(_screened_scan(sys, filter(down, pts)))
+    found = dict(_screened_scan(sys, disp, filter(down, pts)))
     vals = [found.get(x, math.nan) for x in pts]
     finite = [v for v in vals if math.isfinite(v)]
     if not finite or sum(abs(v) < 1e-11 for v in finite) / len(finite) > 0.9:
@@ -567,12 +552,9 @@ def find_crossing_cycles(
         # a NaN (filtered or failed point) makes no sign change
         if not vals[a_i] * vals[a_i + 1] < 0.0:
             continue
-        # fly the bracket's screened ends, each once: a point may end two
-        va, vb = vals[a_i], vals[a_i + 1] = [
-            _flown(disp, pts[k], vals[k]) for k in (a_i, a_i + 1)]
         try:
             root = _root("crossing cycle", disp,
-                         [(pts[a_i], va), (pts[a_i + 1], vb)])
+                         [(pts[k], vals[k]) for k in (a_i, a_i + 1)])
         except TransitFailure:
             dropped.append(DroppedRoot(float(pts[a_i]), "polish", math.nan))
             continue
@@ -685,6 +667,7 @@ def _sliding_witness(sys: PwsSystem, tp: float, gap_hi: float, *,
     """
     x_left = _entry_crossing(sys, tp)
 
+    @_once
     def land_gap(q: float) -> float:
         return _landed(integrate_smooth(sys, "lower", (q, 0.0))) - x_left
 
@@ -732,7 +715,8 @@ def _displacement_root(sys: PwsSystem, a: float, b: float) -> float:
     gap = b - a
     xs = sorted({*_linspace(a + 0.02 * gap, b - 0.05 * gap, 25),
                  *(b - u for u in _geomspace(0.05 * gap, 2e-5 * gap, 30))})
-    return _root("displacement", _displacement(sys), _screened_scan(sys, xs))
+    disp = _displacement(sys)
+    return _root("displacement", disp, _screened_scan(sys, disp, xs))
 
 
 def _flank_dip(sys: PwsSystem, left: float, peak: float) -> float:
@@ -932,6 +916,7 @@ def scenario_thm3(base: CanonicalBase, ell: int, kind: str, *,
     else:
         x_drop = lam[2 * ell - 2]
 
+    @_once
     def gap(y: float) -> float:
         sys_y = build_unfolded(_pinned(base, lam, delta, heights,
                                        _plateau_psi(y, p_plus)))
@@ -1099,6 +1084,7 @@ def scenario_thm5(base: CanonicalBase, ell: int, *,
         tp, hi = lam[2 * i - 2], knots[2 * i]
         pad = 1e-4 * (hi - tp)
 
+        @_once
         def num(x: float) -> float:
             fp, gp, fm, gm = pinned.at_sigma(x)
             return fp * gm - fm * gp

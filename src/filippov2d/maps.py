@@ -49,7 +49,7 @@ from .numerics import brentq
 # stay bound here because perfbench/tracing.py wraps them on every layer
 from .numerics import solve_ivp  # noqa: F401
 from .tangency import multiplicity_at  # noqa: F401
-from .flow import (_NUDGE_FIRST_STEP, _NUDGE_FLOOR, _TRANSVERSAL_TOL, Event,
+from .flow import (_NUDGE_FLOOR, _NUDGE_STEPS, _TRANSVERSAL_TOL, Event,
                    Trajectory, TransitFailure, _leg_budget, _transit,
                    integrate_smooth)
 
@@ -235,14 +235,12 @@ def _lower_landing(hat: PwsSystem, side: SideIntegral,
     # flow's nudge ends a micro-step of time h at x = q + f h (f is
     # constant) once |y| there clears its floor: the first end ten floors
     # deep must come before G's first critical point
-    h = _NUDGE_FIRST_STEP
-    for _ in range(80):
+    for h in _NUDGE_STEPS:
         x = q + f * h
         if (x - ends[0]) * to >= 0.0:
             return None
         if y(x) <= -10.0 * _NUDGE_FLOOR:
             break
-        h *= 4.0
     else:
         return None
     a = q

@@ -9,7 +9,8 @@ Runs, in one interpreter on the package under --src:
   and known_failures workloads (the seed only reorders the theorem
   workloads, so each of their configs runs once);
 * ``filippov2d check --seed 1..3``;
-* scenario_thm4 at (3,3), (5,5) and (7,7) and scenario_thm5 at (3,3)
+* scenario_thm3 at (3,3) and (5,5), for every ell of both kinds,
+  scenario_thm4 at (3,3), (5,5) and (7,7) and scenario_thm5 at (3,3)
   and (5,5), for every ell: the census (counts, witness arcs and events,
   switching points, residuals, dropped roots) and the tangency scan of
   its unfolded system, every float in hex, or the failure message.
@@ -99,13 +100,13 @@ def _dump(obj) -> str:
     return repr(obj)
 
 
-def _scenario_case(theorem: int, m: int, ell: int, src: str) -> str:
+def _scenario_case(theorem: int, m: int, args, src: str) -> str:
     from filippov2d import (build_unfolded, canonical_base,
                             find_tangent_points, loops)
 
     try:
         census = getattr(loops, f"scenario_thm{theorem}")(
-            canonical_base(m, m), ell)
+            canonical_base(m, m), *args)
         scan = find_tangent_points(build_unfolded(census.spec))
         text = _dump(census) + "\n" + _dump(scan)
     except Exception as exc:  # noqa: BLE001 - a failure is an outcome too
@@ -130,12 +131,18 @@ def _cases(src: str):
     for seed in (1, 2, 3):
         yield f"check --seed {seed}", \
             lambda seed=seed: _cli_case(["check", "--seed", str(seed)], src)
+    for m in (3, 5):
+        for kind, top in (("crossing", m // 2), ("critical", (m + 1) // 2)):
+            for ell in range(1, top + 1):
+                yield f"thm3 ({m},{m}) {kind} ell={ell}", \
+                    lambda m=m, args=(ell, kind): _scenario_case(
+                        3, m, args, src)
     for theorem, ms, top in ((4, (3, 5, 7), -1), (5, (3, 5), 1)):
         for m in ms:
             for ell in range((m + top) // 2 + 1):
                 yield f"thm{theorem} ({m},{m}) ell={ell}", \
-                    lambda t=theorem, m=m, ell=ell: _scenario_case(t, m, ell,
-                                                                   src)
+                    lambda t=theorem, m=m, args=(ell,): _scenario_case(
+                        t, m, args, src)
 
 
 def _run(text: str, src: str) -> str:

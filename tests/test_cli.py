@@ -263,6 +263,23 @@ def test_tangent_point_count_off_the_config_is_a_census_mismatch(tmp_path,
     assert (out / "diagnostics.txt").read_text().startswith(message)
 
 
+@pytest.mark.parametrize("sides, theorem, refusal", [
+    ("upper.m = 4\nlower.m = 5\nscenario.kind = critical\n", 3,
+     "odd m_plus >= 1 required, got 4"),
+    ("upper.m = 5\nlower.m = 2\n", 4, "odd m_minus >= 1 required, got 2"),
+    ("upper.m = 3\nlower.m = 4\n", 5, "odd m_minus >= 1 required, got 4"),
+])
+def test_an_even_multiplicity_is_refused_by_name(tmp_path, capsys, sides,
+                                                 theorem, refusal):
+    # the base is built before the scenario checks its own range: the
+    # refusal is still a RangeError naming the multiplicity
+    cfg = write_config(tmp_path, sides + f"scenario.theorem = {theorem}\n"
+                       "scenario.ell = 1\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == \
+        f"error: RangeError: {refusal}"
+
+
 @pytest.mark.parametrize("command", ["run", "portrait"])
 def test_run_and_portrait_fail_alike(tmp_path, capsys, monkeypatch, command):
     def fails(system):
@@ -337,8 +354,11 @@ def test_kept_flags_parse(tmp_path):
 
 
 def test_census_round_trips_every_contact_count(tmp_path):
-    census = LoopCensus("thm3", 5, 5, 2, beta_cri={2: 1})
-    other = LoopCensus("thm4", 5, 5, 1, beta_cro={1: 1}, beta_cri={1: 2, 3: 1})
+    census = LoopCensus("thm3", 5, 5, 2)
+    census.beta_cri[2] = 1
+    other = LoopCensus("thm4", 5, 5, 1)
+    other.beta_cro[1] = 1
+    other.beta_cri.update({1: 2, 3: 1})
     path = tmp_path / "census.csv"
     write_census_csv(path, [census, other], witnesses_paths=["a", "b"])
     assert path.read_text().splitlines()[2] == "thm3,5,5,2,0,0,,2:1,a"

@@ -4,6 +4,7 @@ import ast
 import inspect
 import re
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -151,6 +152,70 @@ def test_no_displacement_is_evaluated_twice(monkeypatch):
     assert len(set(keys)) == len(keys) == 11
     assert len(brackets) == 1
     assert {x for _, x in flown} <= {*brackets[0], *iterates}
+
+
+def _once_each(points):
+    """points, the gap's evaluations then the witness's read of its root:
+    no point twice, the root one of them, and a polish among them."""
+    *gaps, root = points
+    assert len(set(gaps)) == len(gaps) > 4
+    assert root in gaps
+
+
+def test_thm3_lower_shear_evaluates_each_gap_point_once(monkeypatch):
+    # (5,5) critical ell=2: each landing gap builds the unfolding of its
+    # shear height, and the certified system is built once more at the root
+    shears = _recorded(monkeypatch, "_plateau_psi")
+    scenario_thm3(canonical_base(5, 5), 2, "critical")
+    _once_each([args[0] for args in shears])
+
+
+def test_thm5_sliding_exit_evaluates_each_gap_point_once(monkeypatch):
+    # (3,3) ell=0, two sliding loops: inside each witness, every lower
+    # transit but the closing leg (the last) is a landing gap's
+    exits, sliding_witness = [], loops._sliding_witness
+    integrate_smooth = loops.integrate_smooth
+
+    def scoped(*args, **kwargs):
+        starts = []
+
+        def recording(sys, side, start, **transit):
+            if side == "lower":
+                starts.append(start[0])
+            return integrate_smooth(sys, side, start, **transit)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loops, "integrate_smooth", recording)
+            witness = sliding_witness(*args, **kwargs)
+        exits.append(starts)
+        return witness
+    monkeypatch.setattr(loops, "_sliding_witness", scoped)
+    scenario_thm5(canonical_base(3, 3), 0)
+    assert len(exits) == 2
+    for starts in exits:
+        _once_each(starts)
+
+
+def test_every_polished_gap_is_read_through_one_memo():
+    # _root keeps no cache of its own: each gap it polishes is a _once
+    # memo, which the scan reads too, and the screen has no float tag
+    tree = ast.parse(inspect.getsource(loops))
+    root = next(node for node in tree.body
+                if getattr(node, "name", None) == "_root")
+    assert not [node for stmt in root.body for node in ast.walk(stmt)
+                if isinstance(node, (ast.FunctionDef, ast.Lambda, ast.Dict,
+                                     ast.DictComp))]
+    memos = {node.name for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and "_once" in map(ast.unparse, node.decorator_list)}
+    assert memos == {"gap", "land_gap", "num"}
+    polished = {ast.unparse(node.args[1]) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "_root"}
+    assert polished == memos | {"disp"}
+    assert "return _once(" in inspect.getsource(loops._displacement)
+    for path in Path(loops.__file__).parent.glob("*.py"):
+        assert not re.search(r"\b_(Screened|flown)\b", path.read_text()), \
+            path.name
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])

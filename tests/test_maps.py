@@ -1,13 +1,16 @@
 """Section transits (to a vertical line) and the Sigma displacement."""
 
+import ast
+import inspect
 import math
+import textwrap
 
 import pytest
 
 from filippov2d import (PwsSystem, NoArrival, TangentialArrival,
                         UnfoldingSpec, Window, build_transition,
-                        build_unfolded, displacement_sigma, integrate_smooth,
-                        loops)
+                        build_unfolded, displacement_sigma, flow,
+                        integrate_smooth, loops, maps)
 from filippov2d.fieldexpr import ScalarField
 from filippov2d.loops import _negative_cluster, _plateau_psi, canonical_base
 from filippov2d.maps import _flow_to_section
@@ -195,3 +198,18 @@ def test_displacement_on_a_sheared_lower_side_is_refused():
     with pytest.raises(ValueError, match="unsheared lower side"):
         displacement_sigma(system, -0.5)
 
+
+def test_maps_restates_no_nudge_schedule():
+    # the closed form's landing follows flow's nudge step for step: both
+    # iterate flow's one schedule, 80 lengths from 1e-8, each 4x the last
+    steps = flow._NUDGE_STEPS
+    assert len(steps) == 80 and steps[0] == 1e-8
+    assert all(b == a * 4.0 for a, b in zip(steps, steps[1:]))
+    for fn in (flow._nudge_off_sigma, maps._lower_landing):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert "_NUDGE_STEPS" in {ast.unparse(node.iter)
+                                  for node in ast.walk(tree)
+                                  if isinstance(node, ast.For)}, fn.__name__
+    constants = {node.value for node in ast.walk(ast.parse(
+        inspect.getsource(maps))) if isinstance(node, ast.Constant)}
+    assert not {80, 4.0, 1e-8} & constants

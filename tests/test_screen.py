@@ -9,7 +9,7 @@ from artifact_digest import _dump
 from filippov2d import (ScalarField, StepUnderflow, UnfoldingSpec, Window,
                         build_unfolded, canonical_base, displacement_sigma,
                         loops, maps, scenario_thm4, scenario_thm5)
-from filippov2d.loops import SCREEN_MARGIN, _Screened
+from filippov2d.loops import SCREEN_MARGIN
 from filippov2d.maps import displacement_closed, first_integral
 from conftest import make_sys
 
@@ -184,12 +184,25 @@ def test_a_declined_scan_is_the_unscreened_scan(monkeypatch, system):
     assert len(flights) == 2 * n
 
 
-def test_a_bracket_end_flies_before_brentq_reads_it():
+def test_a_bracket_end_flies_before_brentq_reads_it(monkeypatch):
+    # both ends were screened (read, not flown): each flies once, before
+    # brentq starts, which then reads them from the gap's memo
+    flown, at_brentq = [], []
+
+    @loops._once
     def gap(x):
+        flown.append(x)
         return x - 0.3
-    root = loops._root("line", gap, [(0.0, _Screened(-0.3)),
-                                     (1.0, _Screened(0.7))])
+    brentq = loops.brentq
+
+    def recorded(f, a, b, **kwargs):
+        at_brentq.append(list(flown))
+        return brentq(f, a, b, **kwargs)
+    monkeypatch.setattr(loops, "brentq", recorded)
+    root = loops._root("line", gap, [(0.0, -0.3), (1.0, 0.7)])
     assert abs(root - 0.3) <= 1e-13
+    assert at_brentq == [[0.0, 1.0]]
+    assert len(set(flown)) == len(flown)
 
 
 def _stuck(x):
@@ -197,18 +210,21 @@ def _stuck(x):
 
 
 @pytest.mark.parametrize("gap, match", [
-    (lambda x: 1.0, "flew to 1.000e\\+00, the closed form gave -3.000e-01"),
+    (lambda x: 1.0, "flew to 1.000e\\+00, the scan read -3.000e-01"),
     (lambda x: 0.0, "flew to 0.000e\\+00"),
     (_stuck, "failed to fly: stuck"),
 ])
 def test_a_screen_the_flight_contradicts_is_an_error(gap, match):
     # never a silent fallback: the screen is wrong, so the scan stops
     with pytest.raises(AssertionError, match=match):
-        loops._root("line", gap, [(0.0, _Screened(-0.3)), (1.0, 0.7)])
+        loops._root("line", loops._once(gap), [(0.0, -0.3), (1.0, 0.7)])
 
 
-def test_a_near_zero_closed_form_flies():
+def test_a_near_zero_closed_form_flies(monkeypatch):
     assert SCREEN_MARGIN == 1e2 * loops.CLOSURE_TOL
     system = _center()   # closed orbits: D = 0 to rounding
-    flown = list(loops._screened_scan(system, [0.3, 0.6]))
-    assert [type(v) for _, v in flown] == [float, float]
+    flights = _record(monkeypatch, "displacement_sigma")
+    scan = list(loops._screened_scan(system, loops._displacement(system),
+                                     [0.3, 0.6]))
+    assert scan == [(x, v) for _, x, v in flights]
+    assert [x for x, _ in scan] == [0.3, 0.6]
