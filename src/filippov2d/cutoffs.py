@@ -17,14 +17,19 @@ The flow reads psi and psi' in closed form: s' = q * nu2 with
 s = cutoff_up, q = s(1 - s), nu2 = 1/(x-r1)^2 + 1/(x-r2)^2. cutoff_jet
 and psi_jet give derivatives of any order as Taylor jets (fieldexpr).
 
-That float arithmetic is one psi template, Python source (_CUTOFF behind
-the piece lookup of _psi_source): _cutoff_core, each profile's psi
-function (compiled on first use and kept, PsiSpec._psi_fn) and every
-sheared side function (unfolding._compile_sheared, which evaluates psi
-inline, with no call) are generated from it, so they give the same bits.
-fieldexpr.generated_fn builds each of them and compiles a source once:
-profiles of one knot count share one code object, their knots and
-heights being globals of each function's own.
+That float arithmetic is one psi template, Python source with two
+bodies behind one piece lookup (_piece_lookup, which reads the piece
+table PsiSpec.pieces, as _psi_piece does): the full body (_psi_source,
+_CUTOFF's s and d1) sets psi and psi', the slope body (_slope_source)
+psi' alone, through the same float operations on the same values.
+_cutoff_core, each profile's psi function (compiled on first use and
+kept, PsiSpec._psi_fn) and every sheared side function
+(unfolding._compile_sheared, which evaluates psi inline, with no call,
+and takes the slope body when no transition field reads y) are
+generated from it, so they give the same bits. fieldexpr.generated_fn
+builds each of them and compiles a source once: profiles of one knot
+count share one code object, their knots and piece table being globals
+of each function's own.
 
 cutoff_jet and psi_jet are prefix-stable like every fieldexpr jet: the
 order-n jet is the head of any higher-order one, bit for bit.
@@ -66,6 +71,30 @@ else:
         e = _exp(eta)
         s = 1.0 / (1.0 + e)
         d1 = (t1 * t1 + t2 * t2) * (e / (1.0 + e) ** 2)
+"""
+
+
+# the full body's tail on a knot piece: (p, dp) from (s, d1) and the
+# piece's signed height sh
+_KNOT_TAIL = "p = sh * s if j % 2 else -sh * (1.0 - s)\ndp = sh * d1\n"
+
+# the slope body on the piece (r1, r2] of signed height sh: dp = sh * d1
+# with _CUTOFF's d1, the same float operations on the same values (its two
+# exp branches are one on |eta|), so sh * 0.0 where d1 is 0.0 and a
+# falling piece keeps -h * 0.0 = -0.0; flat is the test of the piece's
+# flat ends
+_SLOPE = f"""\
+if {{flat}}:
+    dp = sh * 0.0
+else:
+    t1 = 1.0 / (x - r1)
+    t2 = 1.0 / (x - r2)
+    a = abs(t1 + t2)
+    if a >= {_ETA_SAT!r}:
+        dp = sh * 0.0
+    else:
+        w = _exp(-a)
+        dp = sh * ((t1 * t1 + t2 * t2) * (w / (1.0 + w) ** 2))
 """
 
 
@@ -121,6 +150,15 @@ class PsiSpec:
                                                      self.knots[1:]))
         if not self._ascending and (r1 is None or r2 is None):
             raise ValueError("degenerate knots need a fallback (r1, r2) window")
+        # the piece table (sh, r1, r2): [0] the fallback window, rising to
+        # its height; [j], 1 <= j <= 2d, when the knots ascend, the piece
+        # (knots[j - 1], knots[j]] where bisect_left puts x, of bump
+        # (j - 1) // 2: its height h on a rise (odd j), -h on a fall
+        pieces = [(self.fallback_height, r1, r2)]
+        for i, h in enumerate(self.heights if self._ascending else ()):
+            a, b, c = self.knots[2 * i: 2 * i + 3]
+            pieces += [(h, a, b), (-h, b, c)]
+        self.pieces = tuple(pieces)
 
     @property
     def fallback_height(self) -> float:
@@ -146,40 +184,52 @@ class PsiSpec:
 def _psi_piece(spec: PsiSpec, x: float):
     """(h, r1, r2, falling): psi = h * cutoff_up(x; r1, r2) on the piece
     (r1, r2] that bisection finds x in (h * (1 - cutoff_up) if falling),
-    or 0 with r1 None off the support. No knot takes a tolerance test:
-    the cutoff alone is flat next to a knot (module docstring)."""
+    or 0 with r1 None off the support; read from the piece table, as the
+    generated sources read it. No knot takes a tolerance test: the cutoff
+    alone is flat next to a knot (module docstring)."""
     if not spec._ascending:
-        return spec.fallback_height, spec.r1, spec.r2, False
-    ks = spec.knots
-    j = bisect_left(ks, x)   # ks[j - 1] < x <= ks[j]
-    if j == 0 or j == len(ks):   # off the support (or x is nan)
+        h, r1, r2 = spec.pieces[0]
+        return h, r1, r2, False
+    j = bisect_left(spec.knots, x)   # knots[j - 1] < x <= knots[j]
+    if j == 0 or j == len(spec.knots):   # off the support (or x is nan)
         return 0.0, None, None, False
-    # bump (j - 1) // 2 rises on an even piece j - 1 and falls on an odd one
-    return spec.heights[(j - 1) // 2], ks[j - 1], ks[j], j % 2 == 0
+    sh, r1, r2 = spec.pieces[j]
+    falling = j % 2 == 0
+    return -sh if falling else sh, r1, r2, falling
 
 
 def _psi_source(spec: PsiSpec) -> Tuple[str, dict]:
-    """The source that sets (p, dp) to psi and psi' of spec at x, and the
-    names it reads: _CUTOFF on the piece of x, as _psi_piece finds it
-    (bisect_left on the knots, or the fallback window). r1 < r2 on every
-    piece: knots ascend strictly, and PsiSpec checked the window."""
+    """The full body: the source that sets (p, dp) to psi and psi' of
+    spec at x, and the names it reads."""
     if not spec._ascending:
-        return ("h, r1, r2 = _h, _r1, _r2\n" + _CUTOFF
-                + "p, dp = h * s, h * d1\n",
-                {"_h": spec.fallback_height, "_r1": spec.r1, "_r2": spec.r2})
-    # x in (ks[j - 1], ks[j]]: bump (j - 1) // 2 rises on an odd j and
-    # falls on an even one; off the support (or at nan) psi is 0
-    piece = ("h = _heights[(j - 1) // 2]\nr1 = _knots[j - 1]\n"
-             "r2 = _knots[j]\n" + _CUTOFF + "if j % 2:\n"
-             "    p, dp = h * s, h * d1\n"
-             "else:\n"
-             "    p, dp = h * (1.0 - s), -h * d1\n")
+        return _piece_lookup(spec, _CUTOFF + "p, dp = sh * s, sh * d1\n", "")
+    return _piece_lookup(spec, _CUTOFF + _KNOT_TAIL, "p = dp = 0.0\n")
+
+
+def _slope_source(spec: PsiSpec) -> Tuple[str, dict]:
+    """The slope body: the source that sets dp alone to psi' of spec at x,
+    as the full body's dp, bit for bit, and the names it reads. x is right
+    of a knot piece's r1 (bisection put it there): only a fallback window
+    tests it."""
+    flat = "x >= r2" if spec._ascending else "x <= r1 or x >= r2"
+    return _piece_lookup(spec, _SLOPE.format(flat=flat), "dp = 0.0\n")
+
+
+def _piece_lookup(spec: PsiSpec, piece: str, off: str) -> Tuple[str, dict]:
+    """piece (source on x and its piece's sh, r1, r2) behind the lookup of
+    x's piece in the table, as _psi_piece finds it: bisect_left on the
+    knots, with off (source) off the support or at nan; or the fallback
+    window. r1 < r2 on every piece: knots ascend strictly, and PsiSpec
+    checked the window."""
+    if not spec._ascending:
+        return "sh, r1, r2 = _pieces[0]\n" + piece, {"_pieces": spec.pieces}
     return (f"j = _bisect_left(_knots, x)\n"
             f"if j == 0 or j == {len(spec.knots)}:\n"
-            "    p = dp = 0.0\n"
-            "else:\n" + "".join("    " + line
-                                 for line in piece.splitlines(True)),
-            {"_knots": spec.knots, "_heights": spec.heights,
+            f"    {off}"
+            "else:\n"
+            "    sh, r1, r2 = _pieces[j]\n"
+            + "".join("    " + line for line in piece.splitlines(True)),
+            {"_knots": spec.knots, "_pieces": spec.pieces,
              "_bisect_left": bisect_left})
 
 

@@ -171,7 +171,8 @@ def sliding_field(sys: PwsSystem, x: float) -> float:
     Defined only where h(x) < 0; raises NotSliding otherwise and
     DegenerateDenominator when g- - g+ is numerically zero relative to the
     component scale. The four values are one at_sigma read (a sheared side
-    evaluates psi once).
+    evaluates psi's template once: psi' alone when no transition field
+    reads y, else psi and psi').
     """
     fp, gp, fm, gm = sys.at_sigma(x)
     if gp * gm >= 0.0:

@@ -16,11 +16,17 @@ bounded away from zero. Two perturbation layers are applied:
   ShearedField is that formula, compiled to Python source with psi's
   own arithmetic inline: the one psi template of cutoffs, so a sheared
   value rounds as cutoffs._psi_core does, bit for bit, and calls no psi
-  function. The side function of a sheared pair evaluates psi, psi', u
-  and f^(x, u) once for both components, so one flow RHS point evaluates
-  psi once. Both are built by fieldexpr.generated_fn, like every
-  generated function; a field keeps its value, and the system keeps its
-  side functions (PwsSystem.side_fn).
+  function. The side function of a sheared pair evaluates psi's body
+  and each transition field once for both components, so one flow RHS
+  point evaluates psi once. The template has two bodies, and a walk of
+  the pair's transition trees for Var("y") picks one: when a tree reads
+  y, the full body sets psi and psi' and the trees read u = y + psi;
+  when none does (f^ constant and g^ a function of x, as on the
+  canonical family), the slope body sets psi' alone and the trees read
+  x, since then f~ = f^(x) and g~ = g^(x) - f^(x) * psi'(x). Both are
+  built by fieldexpr.generated_fn, like every generated function; a
+  field keeps its value, and the system keeps its side functions
+  (PwsSystem.side_fn).
 
 The shear is an exact conjugacy between the transition flow and the
 unfolded flow: gamma~(t; x0, y0 - psi(x0)) = gamma^(t; x0, y0) shifted by
@@ -41,7 +47,8 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .cutoffs import PsiSpec, _psi_source, psi_jet, zero_psi
+from .cutoffs import (PsiSpec, _psi_source, _slope_source, psi_jet,
+                      zero_psi)
 from . import fieldexpr
 from .fieldexpr import (Expr, Jet, Mul, Num, Pow, Sub, Var, ScalarField,
                         as_field, expr_jet, generated_fn, jet_mul,
@@ -124,12 +131,26 @@ def build_transition(spec: UnfoldingSpec) -> PwsSystem:
     return PwsSystem(b.f_plus, g_plus, b.f_minus, g_minus, b.window)
 
 
+def _reads_y(tree: Expr) -> bool:
+    """True when tree holds a Var("y") node."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node == Var("y"):
+            return True
+        stack += [v for v in node._values() if isinstance(v, Expr)]
+    return False
+
+
 def _compile_sheared(spec: PsiSpec, fields,
                      negated: bool = False) -> Callable:
-    """One generated fn(x, y) for sheared fields of one profile: psi and
-    psi' inline from the psi template (cutoffs._psi_source), u once, and
-    each distinct transition field once, at (x, u); the value of one
-    field, or the tuple of several; with negated, their negations."""
+    """One generated fn(x, y) for sheared fields of one profile: psi's
+    body inline from the psi template, and each distinct transition field
+    once; the value of one field, or the tuple of several; with negated,
+    their negations. When a transition field reads y, the full body
+    (cutoffs._psi_source) sets psi and psi', u = y + psi once, and the
+    fields are read at (x, u); when none does, the slope body
+    (cutoffs._slope_source) sets psi' alone and the fields read x."""
     local = {}   # id of a tree -> (the name of its value, the tree)
 
     def name(tree: Expr) -> str:
@@ -138,11 +159,14 @@ def _compile_sheared(spec: PsiSpec, fields,
             else f"{name(fl._hat.expr)} - {name(fl._f.expr)} * dp"
             for fl in fields]
     outs = [f"-({out})" for out in outs] if negated else outs
-    psi, names = _psi_source(spec)
+    if any(_reads_y(t) for _, t in local.values()):
+        psi, names = _psi_source(spec)
+        psi += "y = y + p\n"
+    else:
+        psi, names = _slope_source(spec)
     lets = "".join(f"{v} = {fieldexpr._codegen(t)}\n"
                    for v, t in local.values())
-    return generated_fn("x, y", f"{psi}y = y + p\n{lets}", ", ".join(outs),
-                        names)
+    return generated_fn("x, y", psi + lets, ", ".join(outs), names)
 
 
 class ShearedField:
@@ -152,9 +176,11 @@ class ShearedField:
 
     The value is compiled from _compile_sheared on first use and kept;
     :meth:`side_with` compiles the side function of two fields of one
-    profile each call; x-derivatives of any order come from :meth:`x_jet`,
-    whose coefficient k reads psi's jet to order k + 1 alone (prefix-stable,
-    as fieldexpr's jets are)."""
+    profile each call. Either evaluates psi' alone (the slope body) when
+    no transition field it reads holds y, else psi, psi' and u.
+    x-derivatives of any order come from :meth:`x_jet`, whose coefficient
+    k reads psi's jet to order k + 1 alone (prefix-stable, as fieldexpr's
+    jets are)."""
 
     def __init__(self, hat: ScalarField, spec: PsiSpec,
                  f: Optional[ScalarField] = None):

@@ -9,11 +9,12 @@ Runs, in one interpreter on the package under --src:
   and known_failures workloads (the seed only reorders the theorem
   workloads, so each of their configs runs once);
 * ``filippov2d check --seed 1..3``;
-* scenario_thm3 at (3,3) and (5,5), for every ell of both kinds,
-  scenario_thm4 at (3,3), (5,5) and (7,7) and scenario_thm5 at (3,3)
-  and (5,5), for every ell: the census (counts, witness arcs and events,
-  switching points, residuals, dropped roots) and the tangency scan of
-  its unfolded system, every float in hex, or the failure message.
+* scenario_thm2 for m = 3, 5, 7 and 9, O invisible and visible,
+  scenario_thm3 at (3,3) and (5,5) for both kinds, and scenario_thm4
+  and scenario_thm5 at (3,3), (5,5), (7,7) and (7,5), each for every
+  ell: the census (counts, witness arcs and events, switching points,
+  residuals, dropped roots) and the tangency scan of its unfolded
+  system, every float in hex, or the failure message.
 
 Each case's digest covers its artifacts (relative path and bytes), stdout,
 stderr and exit code. The output directory's path and the --src path are
@@ -100,13 +101,15 @@ def _dump(obj) -> str:
     return repr(obj)
 
 
-def _scenario_case(theorem: int, m: int, args, src: str) -> str:
+def _scenario_case(theorem: int, ms, args, src: str) -> str:
+    """ms: thm2's (m_plus,), or the (m_plus, m_minus) of the canonical
+    base of thm3-thm5."""
     from filippov2d import (build_unfolded, canonical_base,
                             find_tangent_points, loops)
 
     try:
-        census = getattr(loops, f"scenario_thm{theorem}")(
-            canonical_base(m, m), *args)
+        first = ms[0] if theorem == 2 else canonical_base(*ms)
+        census = getattr(loops, f"scenario_thm{theorem}")(first, *args)
         scan = find_tangent_points(build_unfolded(census.spec))
         text = _dump(census) + "\n" + _dump(scan)
     except Exception as exc:  # noqa: BLE001 - a failure is an outcome too
@@ -136,13 +139,19 @@ def _cases(src: str):
             for ell in range(1, top + 1):
                 yield f"thm3 ({m},{m}) {kind} ell={ell}", \
                     lambda m=m, args=(ell, kind): _scenario_case(
-                        3, m, args, src)
-    for theorem, ms, top in ((4, (3, 5, 7), -1), (5, (3, 5), 1)):
-        for m in ms:
-            for ell in range((m + top) // 2 + 1):
-                yield f"thm{theorem} ({m},{m}) ell={ell}", \
-                    lambda t=theorem, m=m, args=(ell,): _scenario_case(
-                        t, m, args, src)
+                        3, (m, m), args, src)
+    for theorem, top in ((4, -1), (5, 1)):
+        for ms in ((3, 3), (5, 5), (7, 7), (7, 5)):
+            for ell in range((ms[0] + top) // 2 + 1):
+                yield f"thm{theorem} ({ms[0]},{ms[1]}) ell={ell}", \
+                    lambda t=theorem, ms=ms, args=(ell,): _scenario_case(
+                        t, ms, args, src)
+    for m in (3, 5, 7, 9):
+        for vis, top in (("I", (m - 1) // 2), ("V", (m + 1) // 2)):
+            for ell in range(1, top + 1):
+                yield f"thm2 m={m} {vis} ell={ell}", \
+                    lambda m=m, args=(vis, ell): _scenario_case(
+                        2, (m,), args, src)
 
 
 def _run(text: str, src: str) -> str:

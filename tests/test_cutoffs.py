@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from filippov2d import (PsiSpec, cutoff_jet, cutoff_up, cutoffs, psi,
-                        psi_jet, zero_psi)
+                        psi_jet, unfolding, zero_psi)
 from filippov2d.cutoffs import _cutoff_core, _psi_core, _psi_piece
 from filippov2d.fieldexpr import as_field
 from filippov2d.loops import (_negative_cluster, _pinned_knots,
@@ -338,6 +338,53 @@ def test_psi_template_gives_the_closed_forms_bits(name):
                 == [v.hex() for v in _cutoff_by_formula(x, r1, r2)], x
             saturated += abs(1.0 / (x - r1) + 1.0 / (x - r2)) >= 700.0
     assert saturated > 10
+
+
+def _sheared_pair(spec, f, g, negated=False):
+    """The side function of the transition pair (f, g) sheared by spec,
+    and the body it was generated from."""
+    with mock.patch.object(unfolding, "generated_fn",
+                           wraps=unfolding.generated_fn) as gen:
+        side = ShearedField(as_field(f), spec).side_with(
+            ShearedField(as_field(g), spec, as_field(f)), negated)
+    return side, gen.call_args.args[1]
+
+
+# transition pairs (f^, g^) that read no y: one whose g~ is psi' itself,
+# signed zeros included (-0.0 - (-1.0) * dp), and one of the canonical
+# family's shape
+_Y_FREE_PAIRS = [("-1", "-0.0"), ("2.5", "(3 * x + 2.0) * x * (x + 0.5)")]
+
+
+@pytest.mark.parametrize("pair", _Y_FREE_PAIRS)
+@pytest.mark.parametrize("name", sorted(_TEMPLATE_SPECS))
+def test_a_y_free_sheared_pair_reads_psi_slope_alone(name, pair):
+    # (f~, g~) = (f^, g^(x) - f^ * psi'(x)) as float.hex, forward and
+    # negated, with psi' the scan's piece on the cutoff's closed form, at
+    # every template point (nan, the infinities, each knot and 1 ulp off
+    # it, the saturated band); the body is the slope body, with no u
+    spec = _TEMPLATE_SPECS[name]
+    f_hat, g_hat = (as_field(src).value for src in pair)
+    for negated in (False, True):
+        side, body = _sheared_pair(spec, *pair, negated)
+        assert "y = y + p" not in body
+        assert body.startswith(cutoffs._slope_source(spec)[0])
+        for x in _template_points(spec):
+            f, g = f_hat(x, 0.0), g_hat(x, 0.0)
+            want = (f, g - f * _psi_core_by_scan(spec, x)[1])
+            if negated:
+                want = (-want[0], -want[1])
+            assert [v.hex() for v in side(x, 0.75)] \
+                == [v.hex() for v in want], x
+
+
+@pytest.mark.parametrize("pair", [("y", "-0.0"), ("-1", "x + y"),
+                                  ("1 + 0.5 * y", "x * y")])
+def test_a_sheared_pair_reading_y_keeps_the_full_body(pair):
+    for spec in _TEMPLATE_SPECS.values():
+        _, body = _sheared_pair(spec, *pair)
+        assert body.startswith(cutoffs._psi_source(spec)[0]
+                               + "y = y + p\n")
 
 
 @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])

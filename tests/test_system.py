@@ -238,16 +238,19 @@ def test_at_sigma_is_one_call_of_each_side_function(monkeypatch, kind):
 def test_sliding_point_calls_each_sheared_side_once(monkeypatch, x, want):
     # thm5 (3,3) ell=1's bumps above, a plateau shear below: h and the
     # sliding field each call one compiled sheared function per side, whose
-    # source holds psi's body once, with the values of one .value call per
+    # source holds the slope body of psi once (no transition field reads
+    # y) and the full body nowhere, with the values of one .value call per
     # component, bit for bit
     spec = _bumps_over_plateau()
-    psi_bodies = [cutoffs._psi_source(p)[0]
-                  for p in (spec.psi_plus, spec.psi_minus)]
+    profiles = (spec.psi_plus, spec.psi_minus)
+    slope_bodies = [cutoffs._slope_source(p)[0] for p in profiles]
+    psi_bodies = [cutoffs._psi_source(p)[0] for p in profiles]
     calls = []
     compiled = unfolding.generated_fn
 
     def counted(args, body, out, names):
-        assert sorted(body.count(psi) for psi in psi_bodies) == [0, 1]
+        assert sorted(body.count(psi) for psi in slope_bodies) == [0, 1]
+        assert not any(psi in body for psi in psi_bodies)
         fn = compiled(args, body, out, names)
 
         def call(x, y):
